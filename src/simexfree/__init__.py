@@ -10,8 +10,6 @@ extrapolates a fitted lambda-trend back to -1.
 
 from .data import (
     Dataset,
-    MeanFunction,
-    ModelSpec,
     ReplicatePairs,
     estimate_sigma_u_from_replicates,
     load_dataset,
@@ -65,6 +63,8 @@ from .montecarlo import (
 from .optimize import MinimizeOptions, MinimizeResult, finite_difference_gradient, minimize
 from .simex import SimexConfig, classical_simex, pseudo_data
 from .targets import (
+    MeanFunction,
+    ModelSpec,
     TargetContext,
     Theta,
     target_expectile,

@@ -15,10 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .data import (
-    FAMILIES,
     Dataset,
-    MeanFunction,
-    ModelSpec,
     ReplicatePairs,
     _column,
     _parse_table,
@@ -26,7 +23,7 @@ from .data import (
     load_dataset,
 )
 from .errors import ConfigError, DataError, EstimationError, SimexfreeError
-from .extrapolate import EstimateConfig, LambdaGrid, ex_estimate, naive_estimate
+from .extrapolate import EXTRAPOLANT_KINDS, EstimateConfig, LambdaGrid, ex_estimate, naive_estimate
 from .montecarlo import (
     bivariate_exponential_scenarios,
     exponential_scenarios,
@@ -36,7 +33,7 @@ from .montecarlo import (
     run_study,
 )
 from .simex import SimexConfig, classical_simex
-from .targets import Theta
+from .targets import FAMILIES, MeanFunction, ModelSpec, Theta
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,17 +58,7 @@ def _sshape_model() -> ModelSpec:
     def fn(x, th):
         return th[0] + th[1] / (1.0 + np.exp(th[2] * (x[:, 0] - th[3])))
 
-    def dx(x, th):
-        e = np.exp(th[2] * (x[:, 0] - th[3]))
-        return -th[1] * th[2] * e / (1.0 + e) ** 2
-
-    def dxx(x, th):
-        e = np.exp(th[2] * (x[:, 0] - th[3]))
-        return -th[1] * th[2] ** 2 * e * (1.0 - e) / (1.0 + e) ** 3
-
-    return ModelSpec(
-        family="generic", mean_fn=MeanFunction(fn=fn, dx=dx, dxx=dxx, n_params=4)
-    )
+    return ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=4))
 
 
 def _sshape_start(ds: Dataset) -> np.ndarray:
@@ -180,7 +167,9 @@ def _theta_payload(theta: Theta) -> dict:
     return out
 
 
-def build_parser() -> _Parser:
+def build_parser(defaults: dict | None = None) -> _Parser:
+    """The CLI parser; ``defaults`` (keyed by option dest) override the
+    built-in defaults of every subcommand."""
     parser = _Parser(prog="simexfree", description=__doc__)
     parser.add_argument("--config", help="JSON file of defaults; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,8 +190,7 @@ def build_parser() -> _Parser:
                      help="use the grid path even for pluggable families")
     est.add_argument("--grid", default="0:2:21",
                      help="'start:stop:count' or explicit comma list")
-    est.add_argument("--extrapolant", default="quadratic",
-                     choices=("linear", "quadratic", "rational"))
+    est.add_argument("--extrapolant", default="quadratic", choices=EXTRAPOLANT_KINDS)
     est.add_argument("--b", type=int, default=100, help="classical replicate count")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--start", help="comma-separated optimizer start")
@@ -235,6 +223,8 @@ def build_parser() -> _Parser:
     tab.add_argument("--input", required=True)
     tab.add_argument("--out")
     tab.add_argument("--digits", type=int, default=3)
+    for sp in (est, sim, sig, tab):
+        sp.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -270,14 +260,14 @@ def _load_input(args) -> Dataset:
 def _build_model(args) -> ModelSpec:
     if args.model == "sshape":
         return _sshape_model()
-    kwargs = {}
-    if args.model in ("quantile", "expectile"):
-        if args.tau is None:
-            raise ConfigError(f"--model {args.model} requires --tau")
-        kwargs["tau"] = args.tau
-    if args.model in ("linear", "logistic"):
-        kwargs["intercept"] = not args.no_intercept
-    return ModelSpec(family=args.model, **kwargs)
+    fam = FAMILIES[args.model]
+    if fam.tau and args.tau is None:
+        raise ConfigError(f"--model {args.model} requires --tau")
+    return ModelSpec(
+        family=args.model,
+        tau=args.tau if fam.tau else None,
+        intercept=not args.no_intercept if fam.intercept else None,
+    )
 
 
 def _cmd_estimate(args) -> int:
@@ -374,7 +364,8 @@ def _cmd_simulate(args) -> int:
         scenarios = exponential_scenarios(estimator=args.estimator)
     else:
         scenarios = bivariate_exponential_scenarios(estimator=args.estimator)
-    cells = run_study(scenarios, replications=args.reps or 500, seed=args.seed)
+    reps = args.reps or 500
+    cells = run_study(scenarios, replications=reps, seed=args.seed)
     for c in cells:
         print(
             f"{c.scenario.name}: {c.seconds:.2f}s ({c.failures} failures)",
@@ -383,7 +374,7 @@ def _cmd_simulate(args) -> int:
     payload = {
         "preset": args.preset,
         "seed": args.seed,
-        "replications": args.reps,
+        "replications": reps,
         "cells": [
             {
                 "name": c.scenario.name,
@@ -444,34 +435,32 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]):
-    if "--config" not in argv:
-        return
-    cfg_path = argv[argv.index("--config") + 1]
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        file_defaults = json.load(fh)
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(
-                **{
-                    k.replace("-", "_"): v
-                    for k, v in file_defaults.items()
-                    if k.replace("-", "_") in known
-                }
-            )
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a ``--config`` JSON file supplies the subcommand defaults,
+    keyed by flag name (``sigma-u`` or ``sigma_u``), and flags override it.
+    Keys that name no option of the chosen subcommand are ignored."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    defaults = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise _ArgumentError("--config file must hold a JSON object")
+        # the subcommand itself comes from argv only
+        defaults = {k.replace("-", "_"): v for k, v in loaded.items() if k != "command"}
+    return build_parser(defaults).parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IndexError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: bad --config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

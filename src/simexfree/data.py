@@ -1,4 +1,4 @@
-"""Datasets, model specifications, and measurement-error covariance handling.
+"""Datasets, table loading, and measurement-error covariance handling.
 
 The observed design is a surrogate matrix ``z = x + u`` where the latent
 covariates ``x`` are contaminated by additive normal noise ``u`` with known
@@ -13,35 +13,11 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ModelMismatchError
-
-FAMILIES = (
-    "linear",
-    "exponential",
-    "sine",
-    "poisson",
-    "logistic",
-    "lpre",
-    "lare",
-    "quantile",
-    "walsh",
-    "expectile",
-    "generic",
-)
-
-# Families whose corrected objective stays well defined all the way down to
-# lambda = -1 (expectile joins the set at tau = 1/2, see ModelSpec.pluggable).
-_PLUGGABLE = frozenset({"linear", "exponential", "sine", "poisson", "lpre"})
-_INTERCEPT_FAMILIES = frozenset({"linear", "logistic"})
-_TAU_FAMILIES = frozenset({"quantile", "expectile"})
-
-# Objectives that are non-smooth when the smoothing variance vanishes; the
-# lambda = 0 grid point for these is minimized with the simplex method.
-NONSMOOTH_AT_ZERO = frozenset({"quantile", "walsh", "lare"})
+from .errors import ConfigError, DataError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -190,111 +166,6 @@ def estimate_sigma_u_from_replicates(reps: ReplicatePairs) -> np.ndarray:
     d = 0.5 * (reps.z1 - reps.z2)
     cov = np.cov(d, rowvar=False, ddof=1)
     return np.atleast_2d(np.asarray(cov, dtype=float)).reshape(reps.p, reps.p)
-
-
-@dataclass(frozen=True)
-class MeanFunction:
-    """User-supplied regression function for the generic family.
-
-    ``fn(x, theta)`` maps an (n, p) design and a parameter vector to (n,)
-    fitted means.  ``dx`` and ``dxx`` are the optional first and second
-    derivatives in x, with the same calling convention.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    dxx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    n_params: int | None = None
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Model family plus its family-specific parameters.
-
-    Parameters
-    ----------
-    family : str
-        One of ``linear, exponential, sine, poisson, logistic, lpre, lare,
-        quantile, walsh, expectile, generic``.
-    tau : float, optional
-        Level in (0, 1); required for quantile and expectile, forbidden
-        otherwise.
-    intercept : bool, optional
-        Whether an unpenalized intercept is present.  Only linear and
-        logistic support one; defaults to True for those families.
-    mean_fn : MeanFunction, optional
-        Regression function; required for (and exclusive to) ``generic``.
-    """
-
-    family: str
-    tau: float | None = None
-    intercept: bool | None = None
-    mean_fn: MeanFunction | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        if self.family in _TAU_FAMILIES:
-            if self.tau is None:
-                raise ConfigError(f"family {self.family!r} requires tau")
-            if not 0.0 < self.tau < 1.0:
-                raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
-        elif self.tau is not None:
-            raise ConfigError(f"family {self.family!r} does not take tau")
-        if self.intercept is None:
-            object.__setattr__(
-                self, "intercept", self.family in _INTERCEPT_FAMILIES
-            )
-        elif self.intercept and self.family not in _INTERCEPT_FAMILIES:
-            raise ConfigError(
-                f"family {self.family!r} does not support an intercept term"
-            )
-        if self.family == "generic":
-            if self.mean_fn is None:
-                raise ConfigError("generic family requires mean_fn")
-        elif self.mean_fn is not None:
-            raise ConfigError("mean_fn is only valid for the generic family")
-
-    @property
-    def has_intercept(self) -> bool:
-        return bool(self.intercept)
-
-    @property
-    def pluggable(self) -> bool:
-        """True when lambda = -1 can be plugged into the objective directly."""
-        if self.family in _PLUGGABLE:
-            return True
-        return self.family == "expectile" and self.tau == 0.5
-
-    def n_params(self, p: int) -> int | None:
-        """Length of the flat parameter vector for a p-column design.
-
-        Returns None for the generic family when the mean function does not
-        declare its parameter count.
-        """
-        if self.family == "generic":
-            return self.mean_fn.n_params
-        return p + 1 if self.has_intercept else p
-
-    def validate_y(self, y: np.ndarray) -> None:
-        """Raise ModelMismatchError when responses violate the family domain."""
-        if self.family == "poisson":
-            if np.any(y < 0) or np.any(y != np.floor(y)):
-                raise ModelMismatchError(
-                    "poisson family requires nonnegative integer responses"
-                )
-        elif self.family == "logistic":
-            if not np.all((y == 0.0) | (y == 1.0)):
-                raise ModelMismatchError(
-                    "logistic family requires 0/1 responses"
-                )
-        elif self.family in ("lpre", "lare"):
-            if np.any(y <= 0):
-                raise ModelMismatchError(
-                    f"{self.family} family requires strictly positive responses"
-                )
 
 
 def _sniff_delimiter(header: str) -> str:

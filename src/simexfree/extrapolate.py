@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, ModelSpec
+from .data import Dataset
 from .errors import (
     BranchCollapseError,
     ConfigError,
@@ -23,10 +23,11 @@ from .errors import (
     PoleError,
 )
 from .optimize import MinimizeOptions, MinimizeResult, minimize
-from .targets import TargetContext, Theta, has_analytic_gradient, is_smooth_at, target_gradient, target_value
+from .targets import ModelSpec, TargetContext, Theta, naive_start, target_gradient, target_value
 
-EXTRAPOLANT_KINDS = ("linear", "quadratic", "rational")
-_N_COEF = {"linear": 2, "quadratic": 3, "rational": 3}
+# polynomial extrapolants by degree; the rational one is a + b / (c + lam)
+_DEGREE = {"linear": 1, "quadratic": 2}
+EXTRAPOLANT_KINDS = (*_DEGREE, "rational")
 
 # Nonsmooth lambda = 0 objectives get a tighter, longer simplex search so the
 # naive grid point is as accurate as the smooth quasi-Newton points.
@@ -139,55 +140,18 @@ class EstimateConfig:
 # --------------------------------------------------------------------------
 
 
-def _ols(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(x, y, rcond=None)[0]
-
-
-def naive_start(model: ModelSpec, dataset: Dataset) -> np.ndarray:
-    """Cheap deterministic initial point for the lambda = 0 minimization."""
-    y, z = dataset.y, dataset.z
-    fam = model.family
-    if fam in ("linear", "quantile", "walsh", "expectile"):
-        if model.has_intercept:
-            x = np.column_stack([np.ones(dataset.n), z])
-            return _ols(y, x)
-        start = _ols(y, z)
-        if fam in ("quantile", "expectile") and model.tau != 0.5:
-            # shift any constant column by the residual tau-quantile so the
-            # simplex search begins near the asymmetric optimum
-            resid = y - z @ start
-            for j in range(dataset.p):
-                col = z[:, j]
-                if col[0] != 0.0 and np.all(col == col[0]):
-                    start[j] += float(np.quantile(resid, model.tau)) / col[0]
-                    break
-        return start
-    if fam == "logistic":
-        ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
-        start = np.zeros(dataset.p + 1)
-        start[0] = math.log(ybar / (1.0 - ybar))
-        return start
-    if fam == "poisson":
-        return _ols(np.log(y + 0.5), z)
-    if fam in ("lpre", "lare"):
-        return _ols(np.log(y), z)
-    if fam == "generic":
-        q = model.mean_fn.n_params
-        if q is None:
-            raise ConfigError(
-                "generic family needs mean_fn.n_params or an explicit start"
-            )
-        return np.zeros(q)
-    # exponential, sine: start flat and let the optimizer walk
-    return np.zeros(dataset.p)
-
-
-def _point_options(
+def point_options(
     model: ModelSpec, lam: float, start: np.ndarray, template: MinimizeOptions | None
 ) -> MinimizeOptions:
+    """Optimizer options for one noise level.
+
+    A ``template`` is used with its start replaced.  Without one, the
+    quasi-Newton defaults apply, except at lambda = 0 for families that are
+    not ``smooth_at_zero``, which get a long, tight simplex search.
+    """
     if template is not None:
         return replace(template, start=start)
-    if is_smooth_at(model, lam):
+    if model.record.smooth_at_zero or lam != 0.0:
         return MinimizeOptions(start=start)
     return MinimizeOptions(
         start=start,
@@ -207,11 +171,10 @@ def minimize_target(
 ) -> MinimizeResult:
     """Minimize the family objective at one noise level from a given start."""
     ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes)
-    opts = _point_options(model, lam, np.asarray(start, dtype=float), options)
+    opts = point_options(model, lam, np.asarray(start, dtype=float), options)
     grad = None
-    if opts.method == "quasi-newton":
-        if has_analytic_gradient(model):
-            grad = lambda th: target_gradient(ctx, th)
+    if opts.method == "quasi-newton" and model.record.gradient is not None:
+        grad = lambda th: target_gradient(ctx, th)
     return minimize(lambda th: target_value(ctx, th), grad, opts)
 
 
@@ -459,20 +422,17 @@ def fit_extrapolant(grid_estimates: GridEstimates, kind: str = "quadratic") -> F
         raise ConfigError(f"unknown extrapolant kind {kind!r}")
     lams = grid_estimates.grid.values
     thetas = np.atleast_2d(np.asarray(grid_estimates.thetas, dtype=float))
-    if lams.size < _N_COEF[kind]:
-        raise ConfigError(
-            f"{kind} extrapolant needs at least {_N_COEF[kind]} grid points"
-        )
+    n_coef = _DEGREE.get(kind, 2) + 1  # the rational a, b, c count as degree 2
+    if lams.size < n_coef:
+        raise ConfigError(f"{kind} extrapolant needs at least {n_coef} grid points")
     gammas = []
     rss = []
     for j in range(thetas.shape[1]):
         vals = thetas[:, j]
-        if kind == "linear":
-            g, r = _fit_polynomial(lams, vals, 1)
-        elif kind == "quadratic":
-            g, r = _fit_polynomial(lams, vals, 2)
-        else:
+        if kind == "rational":
             g, r = _fit_rational(lams, vals)
+        else:
+            g, r = _fit_polynomial(lams, vals, _DEGREE[kind])
         gammas.append(g)
         rss.append(r)
     return FittedExtrapolant(kind=kind, gamma_hat=np.asarray(gammas), rss=np.asarray(rss))
@@ -481,21 +441,21 @@ def fit_extrapolant(grid_estimates: GridEstimates, kind: str = "quadratic") -> F
 def extrapolate_to_minus_one(fit: FittedExtrapolant) -> np.ndarray:
     """Evaluate each fitted trend at lambda = -1."""
     g = fit.gamma_hat
-    if fit.kind == "linear":
-        return g[:, 0] - g[:, 1]
-    if fit.kind == "quadratic":
-        return g[:, 0] - g[:, 1] + g[:, 2]
-    if np.any(g[:, 2] <= 1.0):
-        raise PoleError("rational extrapolant pole at or beyond lambda = -1")
-    return g[:, 0] + g[:, 1] / (g[:, 2] - 1.0)
+    if fit.kind == "rational":
+        if np.any(g[:, 2] <= 1.0):
+            raise PoleError("rational extrapolant pole at or beyond lambda = -1")
+        return g[:, 0] + g[:, 1] / (g[:, 2] - 1.0)
+    # the alternating sum g0 - g1 + g2 ..., accumulated left to right
+    out = g[:, 0]
+    for k in range(1, g.shape[1]):
+        out = out + (-1.0) ** k * g[:, k]
+    return out
 
 
 def extrapolant_jacobian(fit: FittedExtrapolant, lams: np.ndarray, j: int) -> np.ndarray:
     """d G(lam; gamma_j) / d gamma for coordinate j at each grid lambda."""
-    if fit.kind == "linear":
-        return np.column_stack([np.ones_like(lams), lams])
-    if fit.kind == "quadratic":
-        return np.column_stack([np.ones_like(lams), lams, lams * lams])
+    if fit.kind != "rational":
+        return np.vander(lams, fit.gamma_hat.shape[1], increasing=True)
     _, b, c = fit.gamma_hat[j]
     inv = 1.0 / (c + lams)
     return np.column_stack([np.ones_like(lams), inv, -b * inv * inv])
@@ -512,15 +472,11 @@ def extrapolation_se(fit: FittedExtrapolant, lams: np.ndarray, se: np.ndarray) -
     out = np.empty(fit.gamma_hat.shape[0])
     for j in range(fit.gamma_hat.shape[0]):
         jac = extrapolant_jacobian(fit, lams, j)
-        if fit.kind == "linear":
-            d_minus1 = np.array([1.0, -1.0])
-        elif fit.kind == "quadratic":
-            d_minus1 = np.array([1.0, -1.0, 1.0])
-        else:
+        if fit.kind == "rational":
             _, b, c = fit.gamma_hat[j]
-            d_minus1 = np.array(
-                [1.0, 1.0 / (c - 1.0), -b / (c - 1.0) ** 2]
-            )
+            d_minus1 = np.array([1.0, 1.0 / (c - 1.0), -b / (c - 1.0) ** 2])
+        else:
+            d_minus1 = (-1.0) ** np.arange(jac.shape[1])
         w = d_minus1 @ np.linalg.solve(jac.T @ jac, jac.T)
         out[j] = math.sqrt(float(np.sum((w * se[:, j]) ** 2)))
     return out

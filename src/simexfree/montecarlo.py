@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, ModelSpec, psd_factor
+from .data import Dataset, psd_factor
 from .errors import ConfigError, DataError, EstimationError, SimexfreeError
 from .extrapolate import EstimateConfig, ex_estimate, naive_estimate
-from .simex import SimexConfig, classical_simex
+from .simex import SimexConfig, _stream, classical_simex
+from .targets import ModelSpec, lognormal_error
 
 CHISQ2_MEDIAN = 1.3863  # 50th percentile of chi-square with 2 df
-_LOGNORMAL_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ def _draw_eps(scenario: Scenario, rng: np.random.Generator, n: int) -> np.ndarra
         return rng.standard_normal(n)
     if scenario.eps_dist == "chisq2":
         return (rng.chisquare(2, n) - CHISQ2_MEDIAN) / 2.0
-    # positive multiplicative error with unit conditional mean
-    s = _LOGNORMAL_SIGMA
-    return np.exp(rng.normal(-0.5 * s * s, s, n))
+    return lognormal_error(rng, n)
 
 
 def _draw_u(scenario: Scenario, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -99,27 +97,16 @@ def simulate_dataset(
     else:
         x = rng.standard_normal((n, p)) @ psd_factor(np.asarray(scenario.x_cov, dtype=float)).T
     u = _draw_u(scenario, rng, n)
-    fam = scenario.model.family
     if scenario.augment_intercept:
         design = np.column_stack([np.ones(n), x])
     else:
         design = x
-    if fam in ("linear", "quantile", "walsh", "expectile"):
-        y = design @ theta0 + _draw_eps(scenario, rng, n)
-    elif fam == "exponential":
-        y = np.exp(design @ theta0) + _draw_eps(scenario, rng, n)
-    elif fam == "sine":
-        y = np.sin(design @ theta0) + _draw_eps(scenario, rng, n)
-    elif fam == "poisson":
-        y = rng.poisson(np.exp(design @ theta0)).astype(float)
-    elif fam == "logistic":
-        prob = 1.0 / (1.0 + np.exp(-(design @ theta0)))
-        y = rng.binomial(1, prob).astype(float)
-    elif fam in ("lpre", "lare"):
-        eps = np.exp(rng.normal(-0.5 * _LOGNORMAL_SIGMA**2, _LOGNORMAL_SIGMA, n))
-        y = np.exp(design @ theta0) * eps
-    else:
-        raise ConfigError(f"no data-generating mechanism for family {fam!r}")
+    simulate = scenario.model.record.simulate
+    if simulate is None:
+        raise ConfigError(
+            f"no data-generating mechanism for family {scenario.model.family!r}"
+        )
+    y = simulate(design @ theta0, lambda: _draw_eps(scenario, rng, n), rng)
     z = x + u
     if scenario.augment_intercept:
         z_out = np.column_stack([np.ones(n), z])
@@ -184,12 +171,6 @@ class CellResult:
     failures: int
     seconds: float
     estimates: np.ndarray | None = None
-
-
-def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
 
 
 def run_study(

@@ -9,12 +9,12 @@ conditional expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, ModelSpec, psd_factor
+from .data import Dataset, psd_factor
 from .errors import ConfigError, EstimationError
 from .extrapolate import (
     EstimateResult,
@@ -25,9 +25,10 @@ from .extrapolate import (
     fit_extrapolant,
     minimize_target,
     naive_estimate,
+    point_options,
 )
 from .optimize import MinimizeOptions
-from .targets import Theta
+from .targets import ModelSpec, Theta, naive_start
 
 NaiveSolver = Callable[[ModelSpec, Dataset, np.ndarray], np.ndarray]
 
@@ -57,6 +58,7 @@ class SimexConfig:
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """Counter-keyed Philox generator: one independent stream per key."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
     )
@@ -74,17 +76,13 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
 
 
 def _default_solver(options: MinimizeOptions | None, nodes: int) -> NaiveSolver:
-    from dataclasses import replace
-
-    from .extrapolate import _point_options, naive_start
-
     def solve(model: ModelSpec, dataset: Dataset, start: np.ndarray) -> np.ndarray:
         res = minimize_target(model, dataset, 0.0, start, options, nodes)
         if not res.converged:
             # a warm start can crawl on an unlucky pseudo sample; retry from
             # the family start with a larger iteration budget
             fresh = naive_start(model, dataset)
-            base = _point_options(model, 0.0, fresh, options)
+            base = point_options(model, 0.0, fresh, options)
             big = replace(base, max_iters=4 * base.max_iters)
             res = minimize_target(model, dataset, 0.0, fresh, big, nodes)
         if not res.converged:

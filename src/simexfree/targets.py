@@ -1,4 +1,4 @@
-"""Conditional-expectation objectives for every model family.
+"""Conditional-expectation objectives and the table of model families.
 
 Each objective is the exact conditional expectation, given the observed
 data, of the family's classical loss evaluated on noise-inflated surrogates
@@ -8,7 +8,9 @@ observed data, and for the pluggable families ``lam = -1`` removes the
 measurement-error bias in one shot.
 
 All functions are pure; a :class:`TargetContext` bundles the dataset, the
-model, the noise level, and quadrature settings.
+model, the noise level, and quadrature settings.  :data:`FAMILIES` holds one
+:class:`Family` record per family: its objective, gradient, start, data
+simulator, and the rules the rest of the package reads from it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
-from .data import NONSMOOTH_AT_ZERO, Dataset, ModelSpec, psd_factor
-from .errors import CapacityError, ConfigError
+from .data import Dataset, psd_factor
+from .errors import CapacityError, ConfigError, ModelMismatchError
 from .gaussian import hermite_rule, normal_cdf, normal_pdf
 from .optimize import finite_difference_gradient
 
@@ -31,6 +34,7 @@ S_FLOOR = 1e-12
 
 WALSH_PAIR_CAP = 5000
 GENERIC_MAX_P = 3
+_LOGNORMAL_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,103 @@ class Theta:
 
 
 @dataclass(frozen=True)
+class MeanFunction:
+    """User-supplied regression function for the generic family.
+
+    ``fn(x, theta)`` maps an (n, p) design and a parameter vector to (n,)
+    fitted means.
+    """
+
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    n_params: int | None = None
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Model family plus its family-specific parameters.
+
+    Parameters
+    ----------
+    family : str
+        A key of :data:`FAMILIES`: ``linear, exponential, sine, poisson,
+        logistic, lpre, lare, quantile, walsh, expectile, generic``.
+    tau : float, optional
+        Level in (0, 1); required for quantile and expectile, forbidden
+        otherwise.
+    intercept : bool, optional
+        Whether an unpenalized intercept is present.  Only linear and
+        logistic support one; defaults to True for those families.
+    mean_fn : MeanFunction, optional
+        Regression function; required for (and exclusive to) ``generic``.
+    """
+
+    family: str
+    tau: float | None = None
+    intercept: bool | None = None
+    mean_fn: MeanFunction | None = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ConfigError(
+                f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}"
+            )
+        fam = self.record
+        if fam.tau:
+            if self.tau is None:
+                raise ConfigError(f"family {self.family!r} requires tau")
+            if not 0.0 < self.tau < 1.0:
+                raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
+        elif self.tau is not None:
+            raise ConfigError(f"family {self.family!r} does not take tau")
+        if self.intercept is None:
+            object.__setattr__(self, "intercept", fam.intercept)
+        elif self.intercept and not fam.intercept:
+            raise ConfigError(
+                f"family {self.family!r} does not support an intercept term"
+            )
+        if self.family == "generic":
+            if self.mean_fn is None:
+                raise ConfigError("generic family requires mean_fn")
+        elif self.mean_fn is not None:
+            raise ConfigError("mean_fn is only valid for the generic family")
+
+    @property
+    def record(self) -> "Family":
+        """The family's entry in :data:`FAMILIES`."""
+        return FAMILIES[self.family]
+
+    @property
+    def has_intercept(self) -> bool:
+        return bool(self.intercept)
+
+    @property
+    def pluggable(self) -> bool:
+        """True when lambda = -1 can be plugged into the objective directly.
+
+        This is the family's table flag, plus one rule: expectile at
+        tau = 1/2, whose objective stays defined for every lam >= -1 and at
+        lam = -1 is the bias-corrected least-squares criterion.
+        """
+        return self.record.pluggable or (self.family == "expectile" and self.tau == 0.5)
+
+    def n_params(self, p: int) -> int | None:
+        """Length of the flat parameter vector for a p-column design.
+
+        Returns None for the generic family when the mean function does not
+        declare its parameter count.
+        """
+        if self.family == "generic":
+            return self.mean_fn.n_params
+        return p + 1 if self.has_intercept else p
+
+    def validate_y(self, y: np.ndarray) -> None:
+        """Raise ModelMismatchError when responses violate the family domain."""
+        domain = self.record.y_domain
+        if domain is not None and not domain[1](y):
+            raise ModelMismatchError(f"{self.family} family requires {domain[0]}")
+
+
+@dataclass(frozen=True)
 class TargetContext:
     """Dataset, model, noise level, and quadrature sizes for one objective."""
 
@@ -77,21 +178,12 @@ class TargetContext:
             raise ConfigError(f"lam must be at least -1, got {self.lam}")
         if self.nodes < 2 or self.tensor_nodes < 2:
             raise ConfigError("quadrature node counts must be at least 2")
-        m = self.model
-        grid_only = m.family in ("logistic", "lare", "quantile", "walsh") or (
-            m.family == "expectile" and m.tau != 0.5
-        )
-        if grid_only and self.lam < 0.0:
+        if self.lam < 0.0 and not self.model.pluggable:
             raise ConfigError(
-                f"family {m.family!r} forbids negative lam; "
+                f"family {self.model.family!r} forbids negative lam; "
                 "use the lambda-grid extrapolation path"
             )
-        if m.family == "generic" and self.lam < 0.0:
-            raise ConfigError("generic family requires lam >= 0")
-        m.validate_y(self.dataset.y)
-        q = m.n_params(self.dataset.p)
-        if q is not None and m.family != "generic" and q < 1:
-            raise ConfigError("model has no parameters")
+        self.model.validate_y(self.dataset.y)
 
 
 def _split(ctx: TargetContext, theta) -> tuple[float, np.ndarray]:
@@ -423,46 +515,190 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
     return _guard(v)
 
 
-_TARGETS = {
-    "linear": target_linear,
-    "exponential": target_exponential,
-    "sine": target_sine,
-    "poisson": target_poisson_negloglik,
-    "logistic": target_logistic,
-    "lpre": target_lpre,
-    "lare": target_lare,
-    "quantile": target_quantile,
-    "walsh": target_walsh,
-    "expectile": target_expectile,
-    "generic": target_generic_ls,
-}
+# --------------------------------------------------------------------------
+# starts, data-generating mechanisms, and the family table
+# --------------------------------------------------------------------------
 
-_ANALYTIC_GRADIENTS = {
-    "linear": target_linear_gradient,
-    "exponential": target_exponential_gradient,
-    "poisson": target_poisson_gradient,
-    "lpre": target_lpre_gradient,
+
+def _ols(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(x, y, rcond=None)[0]
+
+
+def _start_least_squares(model: ModelSpec, d: Dataset) -> np.ndarray:
+    if model.has_intercept:
+        return _ols(d.y, np.column_stack([np.ones(d.n), d.z]))
+    return _ols(d.y, d.z)
+
+
+def _start_level(model: ModelSpec, d: Dataset) -> np.ndarray:
+    start = _start_least_squares(model, d)
+    if model.tau != 0.5:
+        # shift any constant column by the residual tau-quantile so the
+        # simplex search begins near the asymmetric optimum
+        resid = d.y - d.z @ start
+        for j in range(d.p):
+            col = d.z[:, j]
+            if col[0] != 0.0 and np.all(col == col[0]):
+                start[j] += float(np.quantile(resid, model.tau)) / col[0]
+                break
+    return start
+
+
+def _start_logistic(model: ModelSpec, d: Dataset) -> np.ndarray:
+    start = np.zeros(model.n_params(d.p))
+    if model.has_intercept:
+        ybar = min(max(float(np.mean(d.y)), 1e-3), 1.0 - 1e-3)
+        start[0] = math.log(ybar / (1.0 - ybar))
+    return start
+
+
+def _start_generic(model: ModelSpec, d: Dataset) -> np.ndarray:
+    q = model.mean_fn.n_params
+    if q is None:
+        raise ConfigError("generic family needs mean_fn.n_params or an explicit start")
+    return np.zeros(q)
+
+
+def _start_flat(model: ModelSpec, d: Dataset) -> np.ndarray:
+    # exponential, sine: start flat and let the optimizer walk
+    return np.zeros(d.p)
+
+
+def _start_log_ols(model: ModelSpec, d: Dataset) -> np.ndarray:
+    return _ols(np.log(d.y), d.z)
+
+
+def _start_poisson(model: ModelSpec, d: Dataset) -> np.ndarray:
+    return _ols(np.log(d.y + 0.5), d.z)
+
+
+def lognormal_error(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Positive multiplicative error with unit mean."""
+    s = _LOGNORMAL_SIGMA
+    return np.exp(rng.normal(-0.5 * s * s, s, n))
+
+
+def _simulate_additive(eta, draw_eps, rng) -> np.ndarray:
+    return eta + draw_eps()
+
+
+def _simulate_exponential(eta, draw_eps, rng) -> np.ndarray:
+    return np.exp(eta) + draw_eps()
+
+
+def _simulate_sine(eta, draw_eps, rng) -> np.ndarray:
+    return np.sin(eta) + draw_eps()
+
+
+def _simulate_poisson(eta, draw_eps, rng) -> np.ndarray:
+    return rng.poisson(np.exp(eta)).astype(float)
+
+
+def _simulate_logistic(eta, draw_eps, rng) -> np.ndarray:
+    return rng.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float)
+
+
+def _simulate_multiplicative(eta, draw_eps, rng) -> np.ndarray:
+    return np.exp(eta) * lognormal_error(rng, eta.size)
+
+
+_POSITIVE = ("strictly positive responses", lambda y: bool(np.all(y > 0)))
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the package knows about one model family.
+
+    ``objective(ctx, theta)`` is the conditional-expectation loss and
+    ``gradient`` its analytic gradient (None: central finite differences).
+    ``start(model, dataset)`` is a cheap deterministic initial point for the
+    lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
+    responses given the linear predictor, calling ``draw_eps()`` for
+    additive noise (None: no data-generating mechanism).  ``pluggable``
+    marks an objective defined at lambda = -1, ``smooth_at_zero`` one that
+    quasi-Newton can minimize at lambda = 0, and ``intercept`` and ``tau``
+    the families that accept an intercept and require a level.
+    ``y_domain`` is a (description, predicate) pair for valid responses.
+    """
+
+    objective: Callable[[TargetContext, np.ndarray], float]
+    start: Callable[[ModelSpec, Dataset], np.ndarray]
+    gradient: Callable[[TargetContext, np.ndarray], np.ndarray] | None = None
+    simulate: Callable[..., np.ndarray] | None = None
+    pluggable: bool = False
+    smooth_at_zero: bool = True
+    intercept: bool = False
+    tau: bool = False
+    y_domain: tuple[str, Callable[[np.ndarray], bool]] | None = None
+
+
+FAMILIES: dict[str, Family] = {
+    "linear": Family(
+        target_linear, _start_least_squares, gradient=target_linear_gradient,
+        simulate=_simulate_additive, pluggable=True, intercept=True,
+    ),
+    "exponential": Family(
+        target_exponential, _start_flat, gradient=target_exponential_gradient,
+        simulate=_simulate_exponential, pluggable=True,
+    ),
+    "sine": Family(
+        target_sine, _start_flat, simulate=_simulate_sine, pluggable=True
+    ),
+    "poisson": Family(
+        target_poisson_negloglik, _start_poisson, gradient=target_poisson_gradient,
+        simulate=_simulate_poisson, pluggable=True,
+        y_domain=(
+            "nonnegative integer responses",
+            lambda y: bool(np.all((y >= 0) & (y == np.floor(y)))),
+        ),
+    ),
+    "logistic": Family(
+        target_logistic, _start_logistic, simulate=_simulate_logistic,
+        intercept=True,
+        y_domain=("0/1 responses", lambda y: bool(np.all((y == 0.0) | (y == 1.0)))),
+    ),
+    "lpre": Family(
+        target_lpre, _start_log_ols, gradient=target_lpre_gradient,
+        simulate=_simulate_multiplicative, pluggable=True, y_domain=_POSITIVE,
+    ),
+    "lare": Family(
+        target_lare, _start_log_ols, simulate=_simulate_multiplicative,
+        smooth_at_zero=False, y_domain=_POSITIVE,
+    ),
+    "quantile": Family(
+        target_quantile, _start_level, simulate=_simulate_additive,
+        smooth_at_zero=False, tau=True,
+    ),
+    "walsh": Family(
+        target_walsh, _start_least_squares, simulate=_simulate_additive,
+        smooth_at_zero=False,
+    ),
+    "expectile": Family(
+        target_expectile, _start_level, simulate=_simulate_additive, tau=True
+    ),
+    "generic": Family(target_generic_ls, _start_generic),
 }
 
 
 def target_value(ctx: TargetContext, theta) -> float:
     """Evaluate the family objective for the context at theta."""
-    return _TARGETS[ctx.model.family](ctx, theta)
+    return ctx.model.record.objective(ctx, theta)
 
 
 def target_gradient(ctx: TargetContext, theta) -> np.ndarray:
     """Gradient of the family objective: analytic where available, else
     central finite differences with step max(1e-6, 1e-7 |theta_j|)."""
-    fn = _ANALYTIC_GRADIENTS.get(ctx.model.family)
+    fn = ctx.model.record.gradient
     if fn is not None:
         return fn(ctx, theta)
     return finite_difference_gradient(lambda th: target_value(ctx, th), theta)
 
 
-def has_analytic_gradient(model: ModelSpec) -> bool:
-    return model.family in _ANALYTIC_GRADIENTS
+def naive_start(model: ModelSpec, dataset: Dataset) -> np.ndarray:
+    """Cheap deterministic initial point for the lambda = 0 minimization.
 
-
-def is_smooth_at(model: ModelSpec, lam: float) -> bool:
-    """False for objectives that are non-smooth when the smoothing variance is zero."""
-    return not (model.family in NONSMOOTH_AT_ZERO and lam == 0.0)
+    The responses are checked against the family domain first, so an
+    invalid y raises ModelMismatchError before any start is computed.
+    """
+    model.validate_y(dataset.y)
+    return model.record.start(model, dataset)

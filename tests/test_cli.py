@@ -1,15 +1,24 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from helpers import write_csv
 
-from simexfree import Dataset, ReplicatePairs, estimate_sigma_u_from_replicates
+from simexfree import (
+    CellResult,
+    Dataset,
+    ReplicatePairs,
+    estimate_sigma_u_from_replicates,
+    summarize,
+)
+from simexfree import cli
 from simexfree.cli import main
 from simexfree.extrapolate import linear_closed_form
+from simexfree.targets import FAMILIES
 
 
 @pytest.fixture
@@ -207,6 +216,24 @@ def test_simulate_table1_layout_and_determinism(tmp_path):
     assert {c["n"] for c in cells} == {200, 300, 500, 800}
 
 
+def test_simulate_default_replications_reported(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run_study(scenarios, replications, seed):
+        seen.append(replications)
+        est = np.zeros((2, 1))
+        return [CellResult(sc, summarize(est, sc.theta0), replications, 0, 0.0)
+                for sc in scenarios]
+
+    monkeypatch.setattr(cli, "run_study", fake_run_study)
+    out = tmp_path / "t1.json"
+    assert main(["simulate", "--preset", "table1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert seen == [500]
+    assert payload["replications"] == 500
+    assert {c["replications"] for c in payload["cells"]} == {500}
+
+
 def test_simulate_table23_layout(tmp_path):
     out = tmp_path / "t23.json"
     rc = main(["simulate", "--preset", "table23", "--reps", "4", "--seed", "2",
@@ -234,16 +261,24 @@ def test_config_file_defaults_and_flag_override(linear_csv, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sigma-u": "0.25", "covariates": "z1"}))
     out = tmp_path / "res.json"
-    rc = main(["--config", str(cfg), "estimate", "--model", "linear",
-               "--input", str(path), "--out", str(out)])
-    assert rc == 0
-    base = json.loads(out.read_text())
-    assert np.isclose(base["sigma_u"][0][0], 0.25)
-    # explicit flag overrides the file value
-    rc = main(["--config", str(cfg), "estimate", "--model", "linear",
-               "--input", str(path), "--sigma-u", "0.1", "--out", str(out)])
-    assert rc == 0
-    assert np.isclose(json.loads(out.read_text())["sigma_u"][0][0], 0.1)
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        rc = main([*config, "estimate", "--model", "linear",
+                   "--input", str(path), "--out", str(out)])
+        assert rc == 0
+        base = json.loads(out.read_text())
+        assert np.isclose(base["sigma_u"][0][0], 0.25)
+        # explicit flag overrides the file value
+        rc = main([*config, "estimate", "--model", "linear",
+                   "--input", str(path), "--sigma-u", "0.1", "--out", str(out)])
+        assert rc == 0
+        assert np.isclose(json.loads(out.read_text())["sigma_u"][0][0], 0.1)
+
+
+def test_model_choices_follow_the_family_table(capsys):
+    assert main(["estimate", "--model", "bogus", "--input", "x.csv"]) == 3
+    listed = capsys.readouterr().err.split("choose from", 1)[1]
+    choices = re.findall(r"'([a-z]+)'", listed)
+    assert choices == [f for f in FAMILIES if f != "generic"] + ["sshape"]
 
 
 def test_exit_codes(tmp_path, linear_csv):
@@ -261,6 +296,10 @@ def test_exit_codes(tmp_path, linear_csv):
     assert main(["estimate", "--model", "quantile", "--input", str(path),
                  "--covariates", "z1", "--sigma-u", "0.25"]) == 3
     assert main(["estimate", "--model", "bogus", "--input", str(path)]) == 3
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    assert main(["--config", str(not_an_object), "estimate", "--model", "linear",
+                 "--input", str(path), "--covariates", "z1", "--sigma-u", "0.25"]) == 3
     # estimation failure: ill-posed correction (sigma_u too large)
     assert main(["estimate", "--model", "linear", "--input", str(path),
                  "--covariates", "z1", "--sigma-u", "9.0"]) == 2
