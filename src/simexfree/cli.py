@@ -206,7 +206,9 @@ def build_parser(defaults: dict | None = None) -> _Parser:
                      help="replications (default: 500 for the table presets, "
                           "1 for quantile, 300 for misspec)")
     sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--estimator", default="ex", choices=("ex", "classical", "naive"))
+    sim.add_argument("--estimator", default=None, choices=("ex", "classical", "naive"),
+                     help="estimator of the table presets (default: ex); the "
+                          "quantile and misspec presets fix their own")
     sim.add_argument("--out")
     sim.add_argument("--format", default=None, choices=("json", "csv"))
     sim.add_argument("--digits", type=int, default=6)
@@ -337,8 +339,12 @@ def _estimate_payload(res) -> dict:
 
 def _cmd_simulate(args) -> int:
     fmt = _infer_format(args)
+    if args.preset in ("quantile", "misspec") and args.estimator is not None:
+        raise ConfigError(
+            f"--preset {args.preset} fixes its own estimators; drop --estimator"
+        )
     if args.preset == "quantile":
-        sc = quantile_scenario(n=300, sigma_u=0.1, estimator=args.estimator)
+        sc = quantile_scenario(n=300, sigma_u=0.1)
         rows = quantile_lines_study(
             sc, seed=args.seed, replications=args.reps or 1
         )
@@ -360,10 +366,11 @@ def _cmd_simulate(args) -> int:
         }
         _write_payload(payload, args.out, fmt, args.digits)
         return EXIT_OK
+    estimator = args.estimator or "ex"
     if args.preset == "table1":
-        scenarios = exponential_scenarios(estimator=args.estimator)
+        scenarios = exponential_scenarios(estimator=estimator)
     else:
-        scenarios = bivariate_exponential_scenarios(estimator=args.estimator)
+        scenarios = bivariate_exponential_scenarios(estimator=estimator)
     reps = args.reps or 500
     cells = run_study(scenarios, replications=reps, seed=args.seed)
     for c in cells:

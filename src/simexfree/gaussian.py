@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DataError, FactorizationError
 
@@ -32,13 +32,19 @@ def normal_cdf(x, mean=0.0, var=1.0):
     """CDF of N(mean, var) at x, parameterized by the variance.
 
     At var = 0 returns the step 1{x >= mean}, with value 1/2 at x = mean.
+    scipy.special is imported on the first call, so that families which never
+    need the normal cdf do not pay for it at import time.
     """
+    from scipy.special import ndtr
+
     if var < 0:
         raise DataError(f"variance must be nonnegative, got {var}")
     x = np.asarray(x, dtype=float)
     if var == 0:
         return np.where(x > mean, 1.0, np.where(x < mean, 0.0, 0.5))
-    return ndtr((x - mean) / math.sqrt(var))
+    if mean != 0.0 or var != 1.0:
+        x = (x - mean) / math.sqrt(var)
+    return ndtr(x)
 
 
 def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -104,6 +110,23 @@ def hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
+
+
+@lru_cache(maxsize=32)
+def tensor_hermite_rule(nodes: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Hermite rule on R^p for weight exp(-|t|^2).
+
+    Returns (points, weights) of shapes (nodes**p, p) and (nodes**p,), with
+    the last coordinate varying fastest and each weight the left-to-right
+    product of its coordinate weights.
+    """
+    t, w = hermite_rule(nodes)
+    combos = list(product(range(nodes), repeat=p))
+    points = t[np.array(combos, dtype=np.intp).reshape(len(combos), p)]
+    weights = np.array([math.prod(w[k] for k in combo) for combo in combos])
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 def gauss_hermite_expectation(f, mean: float, var: float, nodes: int = 30) -> float:

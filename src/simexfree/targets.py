@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .data import Dataset, psd_factor
 from .errors import CapacityError, ConfigError, ModelMismatchError
-from .gaussian import hermite_rule, normal_cdf, normal_pdf
+from .gaussian import hermite_rule, normal_cdf, normal_pdf, tensor_hermite_rule
 from .optimize import finite_difference_gradient
 
 # Below this, the smoothing variance s = lam * beta' sigma_u beta is treated
@@ -33,8 +33,13 @@ from .optimize import finite_difference_gradient
 S_FLOOR = 1e-12
 
 WALSH_PAIR_CAP = 5000
+# rows per block of the walsh pair sums, and stacked design rows per call of
+# a generic mean function: both bound the temporaries at a few megabytes
+WALSH_BLOCK = 256
+GENERIC_CHUNK_ROWS = 1 << 16
 GENERIC_MAX_P = 3
 _LOGNORMAL_SIGMA = 0.5
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,11 @@ class Theta:
 class MeanFunction:
     """User-supplied regression function for the generic family.
 
-    ``fn(x, theta)`` maps an (n, p) design and a parameter vector to (n,)
-    fitted means.
+    ``fn(x, theta)`` maps an (m, p) design and a parameter vector to (m,)
+    fitted means.  Each row is mapped on its own, and ``fn`` may be called
+    with any number of rows: the objective stacks the design shifted to
+    every quadrature node into one call.  A result of any other shape
+    raises ConfigError.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -216,6 +224,34 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
+def _abs_smooth(x: np.ndarray, v: float) -> np.ndarray:
+    """E|x + W| for W ~ N(0, v); |x| at v = 0."""
+    if v == 0.0:
+        return np.abs(x)
+    # x (2 Phi(x; 0, v) - 1) + 2 v phi(x; 0, v), in the standardized u = x / r
+    r = math.sqrt(v)
+    u = x / r
+    return x * (2.0 * normal_cdf(u) - 1.0) + (2.0 * r * _INV_SQRT_2PI) * np.exp(-0.5 * u * u)
+
+
+def _abs_smooth_slopes(x: np.ndarray, v: float):
+    """Derivatives of :func:`_abs_smooth` in x and in v.
+
+    At v = 0 the x-derivative is sign(x) and the v-derivative is dropped,
+    as the objectives treat a floored smoothing variance as exactly zero.
+    """
+    if v == 0.0:
+        return np.sign(x), 0.0
+    r = math.sqrt(v)
+    u = x / r
+    # d/dv E f(x + W) = E f''(x + W) / 2, and f'' = 2 delta for f = |.|
+    return 2.0 * normal_cdf(u) - 1.0, (_INV_SQRT_2PI / r) * np.exp(-0.5 * u * u)
+
+
 # --------------------------------------------------------------------------
 # family objectives
 # --------------------------------------------------------------------------
@@ -289,6 +325,27 @@ def target_sine(ctx: TargetContext, theta) -> float:
     return _guard(v)
 
 
+def target_sine_gradient(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic gradient of :func:`target_sine` (any admissible lam)."""
+    _, t = _split(ctx, theta)
+    d = ctx.dataset
+    su_t = d.sigma_u @ t
+    quad = float(t @ su_t)
+    zt = d.z @ t
+    sin, cos = np.sin(zt), np.cos(zt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = np.exp(-0.5 * ctx.lam * quad)
+        e2 = np.exp(-2.0 * ctx.lam * quad)
+        # sin(2 zt) = 2 sin cos and cos(2 zt) = 1 - 2 sin^2
+        g = (
+            -2.0 * e1 * (d.z.T @ (d.y * cos) / d.n)
+            + 2.0 * ctx.lam * e1 * su_t * float(np.mean(d.y * sin))
+            + 2.0 * e2 * (d.z.T @ (sin * cos) / d.n)
+            + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * float(np.mean(sin * sin)))
+        )
+    return _guard_vec(g)
+
+
 def target_poisson_negloglik(ctx: TargetContext, theta) -> float:
     """Corrected Poisson negative log-likelihood (theta-free terms dropped)."""
     _, t = _split(ctx, theta)
@@ -330,6 +387,32 @@ def target_logistic(ctx: TargetContext, theta) -> float:
         u = math.sqrt(2.0 * s) * t
         part = _softplus(eta[:, None] + u[None, :]) @ w / math.sqrt(math.pi)
     return _guard(-float(np.mean(d.y * eta - part)))
+
+
+def target_logistic_gradient(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic gradient of :func:`target_logistic`.
+
+    It differentiates the same Hermite sum: the sigmoid at each node for
+    eta, and node t times the sigmoid over sqrt(2 s) for s, chained through
+    ds/dbeta = 2 lam sigma_u beta.
+    """
+    alpha, beta = _split(ctx, theta)
+    d = ctx.dataset
+    eta = alpha + d.z @ beta
+    s = _smoothing_variance(ctx, beta)
+    if s == 0.0:
+        resid = d.y - _sigmoid(eta)
+        gb = -(d.z.T @ resid) / d.n
+    else:
+        t, w = hermite_rule(ctx.nodes)
+        root = math.sqrt(2.0 * s)
+        sig = _sigmoid(eta[:, None] + (root * t)[None, :])
+        resid = d.y - sig @ w / math.sqrt(math.pi)
+        dpart_ds = float(np.mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
+        gb = -(d.z.T @ resid) / d.n + dpart_ds * 2.0 * ctx.lam * (d.sigma_u @ beta)
+    if ctx.model.has_intercept:
+        gb = np.concatenate(([-float(np.mean(resid))], gb))
+    return _guard_vec(gb)
 
 
 def target_lpre(ctx: TargetContext, theta) -> float:
@@ -392,6 +475,29 @@ def target_lare(ctx: TargetContext, theta) -> float:
     return _guard(v)
 
 
+def target_lare_gradient(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic gradient of :func:`target_lare`.
+
+    With F(eta, s) the per-observation term and eta = z' theta, the normal
+    density terms cancel in dF/deta = e^(eta+s/2)/y lo - y e^(-eta+s/2) hi,
+    and dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 this is a
+    subgradient of the plain criterion.
+    """
+    _, t = _split(ctx, theta)
+    d = ctx.dataset
+    zt = d.z @ t
+    s = _smoothing_variance(ctx, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell = np.log(d.y) - zt
+        up = np.exp(zt + 0.5 * s) / d.y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
+        down = d.y * np.exp(-zt + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
+        g = d.z.T @ (up - down) / d.n
+        if s > 0.0:
+            ds = float(np.mean(0.5 * (up + down) + 2.0 * normal_pdf(ell, 0.0, s)))
+            g = g + ds * 2.0 * ctx.lam * (d.sigma_u @ t)
+    return _guard_vec(g)
+
+
 def target_quantile(ctx: TargetContext, theta) -> float:
     """Smoothed check-loss criterion for quantile regression.
 
@@ -410,34 +516,84 @@ def target_quantile(ctx: TargetContext, theta) -> float:
     return _guard(float(np.mean(v)))
 
 
-def _walsh_pair_sum(xi: np.ndarray, s: float, block: int = 256) -> float:
-    """Sum over unordered pairs i < j of the smoothed absolute-value terms.
+def target_quantile_gradient(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic gradient of :func:`target_quantile`: per observation the
+    xi-derivative is tau - 1 + Phi(xi; 0, s) and the s-derivative
+    phi(xi; 0, s) / 2.  At s = 0 this is a subgradient of the check loss."""
+    _, beta = _split(ctx, theta)
+    d = ctx.dataset
+    xi = d.y - d.z @ beta
+    s = _smoothing_variance(ctx, beta)
+    g = -(d.z.T @ (ctx.model.tau - 1.0 + normal_cdf(xi, 0.0, s))) / d.n
+    if s > 0.0:
+        g = g + float(np.mean(normal_pdf(xi, 0.0, s))) * ctx.lam * (d.sigma_u @ beta)
+    return _guard_vec(g)
 
-    Computed from the full ordered sum minus the diagonal, in row blocks to
-    bound memory at the n = 5000 cap.
+
+@lru_cache(maxsize=8)
+def _upper_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of a b x b block."""
+    iu, ju = np.triu_indices(b, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def _upper_blocks(xi: np.ndarray, block: int):
+    """Pair sums xi_i + xi_j over the pairs i < j, one row block at a time.
+
+    For the rows i0:i1 of each block this yields (i0, i1, inner, outer):
+    ``inner`` holds the pairs inside the block, in :func:`_upper_pairs`
+    order, and ``outer`` (shape (i1 - i0, n - i1)) the pairs of the block's
+    rows with every later row.  Every pair appears exactly once.
     """
     n = xi.size
-
-    def g(x):
-        if s == 0.0:
-            return np.abs(x)
-        return x * (2.0 * normal_cdf(x, 0.0, 2.0 * s) - 1.0) + 4.0 * s * normal_pdf(
-            x, 0.0, 2.0 * s
-        )
-
-    total = 0.0
     for i0 in range(0, n, block):
-        rows = xi[i0 : i0 + block, None] + xi[None, :]
-        total += float(np.sum(g(rows)))
-    diag = float(np.sum(g(2.0 * xi)))
-    return 0.5 * (total - diag)
+        i1 = min(i0 + block, n)
+        rows = xi[i0:i1]
+        iu, ju = _upper_pairs(i1 - i0)
+        yield i0, i1, rows[iu] + rows[ju], rows[:, None] + xi[None, i1:]
 
 
-def target_walsh(ctx: TargetContext, theta) -> float:
-    """Smoothed Walsh-average (pairwise absolute sum) regression criterion.
+def _walsh_pair_sum(xi: np.ndarray, s: float, block: int = WALSH_BLOCK) -> float:
+    """Sum over the pairs i < j of E|xi_i + xi_j + W|, W ~ N(0, 2 s).
 
-    Exact O(n^2) pair evaluation; refuses beyond n = 5000.
+    Each pair is evaluated once, in upper-triangular row blocks that bound
+    memory at the n = 5000 cap.
     """
+    total = 0.0
+    for _, _, inner, outer in _upper_blocks(xi, block):
+        total += float(np.sum(_abs_smooth(inner, 2.0 * s)))
+        total += float(np.sum(_abs_smooth(outer, 2.0 * s)))
+    return total
+
+
+def _walsh_pair_slopes(
+    xi: np.ndarray, s: float, block: int = WALSH_BLOCK
+) -> tuple[np.ndarray, float]:
+    """Gradient of :func:`_walsh_pair_sum` in xi, and its derivative in s.
+
+    A pair's xi-derivative goes to both of its rows: the row and column sums
+    of the blocks that :func:`_walsh_pair_sum` sums.
+    """
+    dxi = np.zeros(xi.size)
+    ds = 0.0
+    for i0, i1, inner, outer in _upper_blocks(xi, block):
+        iu, ju = _upper_pairs(i1 - i0)
+        dx_in, dv_in = _abs_smooth_slopes(inner, 2.0 * s)
+        dx_out, dv_out = _abs_smooth_slopes(outer, 2.0 * s)
+        dxi[i0:i1] += (
+            np.bincount(iu, dx_in, i1 - i0)
+            + np.bincount(ju, dx_in, i1 - i0)
+            + dx_out.sum(axis=1)
+        )
+        dxi[i1:] += dx_out.sum(axis=0)
+        # the pair variance is 2 s
+        ds += 2.0 * (float(np.sum(dv_in)) + float(np.sum(dv_out)))
+    return dxi, ds
+
+
+def _walsh_residuals(ctx: TargetContext, theta) -> tuple[np.ndarray, np.ndarray, float]:
     d = ctx.dataset
     if d.n > WALSH_PAIR_CAP:
         raise CapacityError(
@@ -445,19 +601,32 @@ def target_walsh(ctx: TargetContext, theta) -> float:
             f"the cap of {WALSH_PAIR_CAP}"
         )
     _, beta = _split(ctx, theta)
-    xi = d.y - d.z @ beta
-    s = _smoothing_variance(ctx, beta)
-    if s == 0.0:
-        diag = 2.0 * float(np.sum(np.abs(xi)))
-    else:
-        diag = 2.0 * float(
-            np.sum(
-                xi * (2.0 * normal_cdf(xi, 0.0, s) - 1.0)
-                + 2.0 * s * normal_pdf(xi, 0.0, s)
-            )
-        )
+    return beta, d.y - d.z @ beta, _smoothing_variance(ctx, beta)
+
+
+def target_walsh(ctx: TargetContext, theta) -> float:
+    """Smoothed Walsh-average (pairwise absolute sum) regression criterion.
+
+    Exact O(n^2) pair evaluation; refuses beyond n = 5000.
+    """
+    n = ctx.dataset.n
+    _, xi, s = _walsh_residuals(ctx, theta)
+    # the i = j terms are |2 xi_i + 2 U_i| = 2 |xi_i + U_i|
+    diag = 2.0 * float(np.sum(_abs_smooth(xi, s)))
     pairs = _walsh_pair_sum(xi, s)
-    return _guard((diag + pairs) / (2.0 * d.n * (d.n + 1.0)))
+    return _guard((diag + pairs) / (2.0 * n * (n + 1.0)))
+
+
+def target_walsh_gradient(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic gradient of :func:`target_walsh`; a subgradient at s = 0."""
+    d = ctx.dataset
+    beta, xi, s = _walsh_residuals(ctx, theta)
+    dx_diag, dv_diag = _abs_smooth_slopes(xi, s)
+    dxi, ds = _walsh_pair_slopes(xi, s)
+    dxi += 2.0 * dx_diag
+    ds += 2.0 * float(np.sum(dv_diag))
+    g = -(d.z.T @ dxi) + ds * 2.0 * ctx.lam * (d.sigma_u @ beta)
+    return _guard_vec(g / (2.0 * d.n * (d.n + 1.0)))
 
 
 def target_expectile(ctx: TargetContext, theta) -> float:
@@ -485,12 +654,49 @@ def target_expectile(ctx: TargetContext, theta) -> float:
     return _guard(float(np.mean(v)))
 
 
+def target_expectile_gradient(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic gradient of :func:`target_expectile`.
+
+    Per observation the xi-derivative is
+    2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi and the s-derivative
+    (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
+    """
+    _, beta = _split(ctx, theta)
+    d = ctx.dataset
+    tau = ctx.model.tau
+    xi = d.y - d.z @ beta
+    if tau == 0.5:
+        return -(d.z.T @ xi) / d.n + ctx.lam * (d.sigma_u @ beta)
+    s = _smoothing_variance(ctx, beta)
+    cdf = normal_cdf(xi, 0.0, s)
+    spdf = s * normal_pdf(xi, 0.0, s) if s > 0.0 else 0.0
+    dxi = 2.0 * (2.0 * tau - 1.0) * (xi * cdf + spdf) + 2.0 * (1.0 - tau) * xi
+    g = -(d.z.T @ dxi) / d.n
+    if s > 0.0:
+        ds = (2.0 * tau - 1.0) * float(np.mean(cdf)) + 1.0 - tau
+        g = g + ds * 2.0 * ctx.lam * (d.sigma_u @ beta)
+    return _guard_vec(g)
+
+
+def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    m = np.asarray(fn(x, theta), dtype=float)
+    if m.shape != (x.shape[0],):
+        raise ConfigError(
+            f"mean_fn returned shape {m.shape} for a design of {x.shape[0]} "
+            "rows; it must return one mean per row"
+        )
+    return m
+
+
 def target_generic_ls(ctx: TargetContext, theta) -> float:
     """Least-squares objective for a user-supplied mean function.
 
     The Gaussian expectation over the inflated noise is computed by
     tensor-product Gauss-Hermite quadrature after the change of variables
-    u = sqrt(lam) * chol(sigma_u) t; capped at p = 3 covariates.
+    u = sqrt(lam) * chol(sigma_u) t; capped at p = 3 covariates.  The mean
+    function is called once on the design shifted to every node, stacked
+    into one (nodes**p * n, p) array, in chunks of at most
+    ``GENERIC_CHUNK_ROWS`` rows.
     """
     d = ctx.dataset
     if d.p > GENERIC_MAX_P:
@@ -501,16 +707,26 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
     m = ctx.model.mean_fn.fn
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.lam == 0.0:
-            r = d.y - np.asarray(m(d.z, th), dtype=float)
+            r = d.y - _mean_values(m, d.z, th)
             return _guard(float(r @ r) / d.n)
         scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * psd_factor(d.sigma_u)
-        t, w = hermite_rule(ctx.tensor_nodes)
+        points, weights = tensor_hermite_rule(ctx.tensor_nodes, d.p)
+        shifts = points @ scale.T
+        chunk = max(1, GENERIC_CHUNK_ROWS // d.n)
         acc = 0.0
-        for combo in product(range(ctx.tensor_nodes), repeat=d.p):
-            u = scale @ t[list(combo)]
-            wt = math.prod(w[k] for k in combo)
-            r = d.y - np.asarray(m(d.z + u, th), dtype=float)
-            acc += wt * float(r @ r)
+        for k0 in range(0, weights.size, chunk):
+            u = shifts[k0 : k0 + chunk]
+            k = u.shape[0]
+            # one contiguous (k, n) block per covariate: x[k * n + i] = z[i] + u[k]
+            cols = np.empty((d.p, k, d.n))
+            for j in range(d.p):
+                np.add.outer(u[:, j], d.z[:, j], out=cols[j])
+            x = cols.reshape(d.p, k * d.n).T
+            r = d.y - _mean_values(m, x, th).reshape(k, d.n)
+            sums = (r[:, None, :] @ r[:, :, None]).ravel()
+            # weighted sums of squares, added node by node in rule order
+            for wt, ss in zip(weights[k0 : k0 + chunk].tolist(), sums.tolist()):
+                acc += wt * ss
         v = acc / (d.n * math.pi ** (d.p / 2.0))
     return _guard(v)
 
@@ -610,7 +826,9 @@ class Family:
     """What the package knows about one model family.
 
     ``objective(ctx, theta)`` is the conditional-expectation loss and
-    ``gradient`` its analytic gradient (None: central finite differences).
+    ``gradient`` its analytic gradient, or None when the objective runs user
+    code (generic), which :func:`target_gradient` then differentiates by
+    central finite differences.
     ``start(model, dataset)`` is a cheap deterministic initial point for the
     lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
     responses given the linear predictor, calling ``draw_eps()`` for
@@ -642,7 +860,8 @@ FAMILIES: dict[str, Family] = {
         simulate=_simulate_exponential, pluggable=True,
     ),
     "sine": Family(
-        target_sine, _start_flat, simulate=_simulate_sine, pluggable=True
+        target_sine, _start_flat, gradient=target_sine_gradient,
+        simulate=_simulate_sine, pluggable=True,
     ),
     "poisson": Family(
         target_poisson_negloglik, _start_poisson, gradient=target_poisson_gradient,
@@ -653,8 +872,8 @@ FAMILIES: dict[str, Family] = {
         ),
     ),
     "logistic": Family(
-        target_logistic, _start_logistic, simulate=_simulate_logistic,
-        intercept=True,
+        target_logistic, _start_logistic, gradient=target_logistic_gradient,
+        simulate=_simulate_logistic, intercept=True,
         y_domain=("0/1 responses", lambda y: bool(np.all((y == 0.0) | (y == 1.0)))),
     ),
     "lpre": Family(
@@ -662,19 +881,20 @@ FAMILIES: dict[str, Family] = {
         simulate=_simulate_multiplicative, pluggable=True, y_domain=_POSITIVE,
     ),
     "lare": Family(
-        target_lare, _start_log_ols, simulate=_simulate_multiplicative,
-        smooth_at_zero=False, y_domain=_POSITIVE,
+        target_lare, _start_log_ols, gradient=target_lare_gradient,
+        simulate=_simulate_multiplicative, smooth_at_zero=False, y_domain=_POSITIVE,
     ),
     "quantile": Family(
-        target_quantile, _start_level, simulate=_simulate_additive,
-        smooth_at_zero=False, tau=True,
+        target_quantile, _start_level, gradient=target_quantile_gradient,
+        simulate=_simulate_additive, smooth_at_zero=False, tau=True,
     ),
     "walsh": Family(
-        target_walsh, _start_least_squares, simulate=_simulate_additive,
-        smooth_at_zero=False,
+        target_walsh, _start_least_squares, gradient=target_walsh_gradient,
+        simulate=_simulate_additive, smooth_at_zero=False,
     ),
     "expectile": Family(
-        target_expectile, _start_level, simulate=_simulate_additive, tau=True
+        target_expectile, _start_level, gradient=target_expectile_gradient,
+        simulate=_simulate_additive, tau=True,
     ),
     "generic": Family(target_generic_ls, _start_generic),
 }
@@ -686,8 +906,8 @@ def target_value(ctx: TargetContext, theta) -> float:
 
 
 def target_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Gradient of the family objective: analytic where available, else
-    central finite differences with step max(1e-6, 1e-7 |theta_j|)."""
+    """Gradient of the family objective: the family's analytic gradient, or
+    for generic central finite differences with step max(1e-6, 1e-7 |theta_j|)."""
     fn = ctx.model.record.gradient
     if fn is not None:
         return fn(ctx, theta)

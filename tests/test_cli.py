@@ -234,6 +234,25 @@ def test_simulate_default_replications_reported(monkeypatch, tmp_path):
     assert {c["replications"] for c in payload["cells"]} == {500}
 
 
+def test_simulate_estimator_applies_only_to_the_table_presets(monkeypatch, tmp_path, capsys):
+    for preset in ("quantile", "misspec"):
+        rc = main(["simulate", "--preset", preset, "--estimator", "classical",
+                   "--reps", "1", "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert f"--preset {preset}" in capsys.readouterr().err
+    seen = []
+
+    def fake_run_study(scenarios, replications, seed):
+        seen.append({sc.estimator for sc in scenarios})
+        return []
+
+    monkeypatch.setattr(cli, "run_study", fake_run_study)
+    for extra in ([], ["--estimator", "naive"]):
+        assert main(["simulate", "--preset", "table1", "--out",
+                     str(tmp_path / "t.json"), *extra]) == 0
+    assert seen == [{"ex"}, {"naive"}]
+
+
 def test_simulate_table23_layout(tmp_path):
     out = tmp_path / "t23.json"
     rc = main(["simulate", "--preset", "table23", "--reps", "4", "--seed", "2",

@@ -16,9 +16,12 @@ from simexfree import (
     classical_simex,
     ex_estimate,
     simulate_dataset,
+    target_gradient,
     target_value,
 )
+from simexfree import targets
 from simexfree.montecarlo import _stream
+from simexfree.optimize import finite_difference_gradient
 from simexfree.targets import FAMILIES
 
 _LINE = MeanFunction(fn=lambda x, th: th[0] + th[1] * x[:, 0], n_params=2)
@@ -122,3 +125,52 @@ def test_logistic_without_intercept_estimates():
     assert res.theta_hat.intercept is None
     assert res.theta_hat.coefficients.shape == (1,)
     assert np.all(np.isfinite(res.theta_hat.coefficients))
+
+
+def test_generic_is_the_only_family_differentiated_numerically(monkeypatch):
+    assert [name for name, fam in FAMILIES.items() if fam.gradient is None] == ["generic"]
+    numeric = []
+
+    def recording(f, theta, h=None):
+        numeric.append(current)
+        return finite_difference_gradient(f, theta, h)
+
+    monkeypatch.setattr(targets, "finite_difference_gradient", recording)
+    for current in FAMILIES:
+        model = _model(current)
+        ds = _dataset(current)
+        ctx = TargetContext(dataset=ds, model=model, lam=0.5)
+        g = target_gradient(ctx, np.full(model.n_params(ds.p), 0.3))
+        assert g.shape == (model.n_params(ds.p),) and np.all(np.isfinite(g))
+    assert numeric == ["generic"]
+
+
+_GRADIENT_CASES = [
+    (name, 0.3, None) for name, fam in FAMILIES.items() if fam.gradient is not None
+] + [("expectile", 0.5, None), ("quantile", 0.7, None), ("logistic", None, False)]
+
+
+@pytest.mark.parametrize("name,tau,intercept", _GRADIENT_CASES)
+@settings(max_examples=10, deadline=None)
+@given(
+    size=st.lists(st.floats(0.2, 1.2), min_size=2, max_size=2),
+    negative=st.lists(st.booleans(), min_size=2, max_size=2),
+)
+def test_analytic_gradient_matches_central_differences(name, tau, intercept, size, negative):
+    # |theta_j| >= 0.2 keeps the smoothing variance of the non-smooth
+    # families well above the finite-difference step
+    model = _model(name, tau=tau, intercept=intercept)
+    ds = _dataset(name)
+    q = model.n_params(ds.p)
+    th = np.where(negative, -np.asarray(size), np.asarray(size))[:q]
+    lams = [0.5, 2.0]
+    lams += [0.0] if FAMILIES[name].smooth_at_zero else []
+    lams += [-1.0] if model.pluggable else []
+    for lam in lams:
+        ctx = TargetContext(dataset=ds, model=model, lam=lam)
+        value = target_value(ctx, th)
+        g = target_gradient(ctx, th)
+        fd = finite_difference_gradient(lambda t: target_value(ctx, t), th)
+        np.testing.assert_allclose(
+            g, fd, rtol=1e-5, atol=1e-6 * (1.0 + abs(value)), err_msg=f"lam={lam}"
+        )

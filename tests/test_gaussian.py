@@ -1,6 +1,10 @@
 """Normal utilities, the density product identity, and Gauss-Hermite quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from simexfree import (
     normal_cdf,
     normal_pdf,
 )
+from simexfree.gaussian import tensor_hermite_rule
 
 
 def test_standard_normal_values():
@@ -134,3 +139,35 @@ def test_gauss_hermite_configuration_errors():
         gauss_hermite_expectation(np.exp, 0.0, 1.0, nodes=1)
     with pytest.raises(DataError):
         gauss_hermite_expectation(np.exp, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_tensor_hermite_rule_integrates_quadratics(p):
+    points, weights = tensor_hermite_rule(5, p)
+    assert points.shape == (5**p, p) and weights.shape == (5**p,)
+    # weight exp(-|t|^2): mass pi^(p/2), E t_j^2 = 1/2 under the normalized weight
+    assert np.isclose(weights.sum(), math.pi ** (p / 2))
+    assert np.allclose(weights @ points**2 / weights.sum(), 0.5)
+    assert tensor_hermite_rule(5, p)[0] is points  # cached
+
+
+def test_fitting_a_family_without_normal_cdf_never_imports_scipy_special():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import simexfree as sf\n"
+        "rng = np.random.default_rng(0)\n"
+        "x = rng.standard_normal(200)\n"
+        "z = x + rng.normal(0.0, 0.5, 200)\n"
+        "y = np.exp(x) + rng.standard_normal(200)\n"
+        "sf.ex_estimate(sf.ModelSpec(family='exponential'), sf.Dataset(y=y, z=z, sigma_u=0.25))\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+        "sf.normal_cdf(0.0)\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from itertools import product
+
 from scipy.integrate import quad
 
 from helpers import SINE_OFFSET, mc_conditional_expectation
@@ -35,7 +37,15 @@ from simexfree import (
     target_value,
     target_walsh,
 )
+from simexfree.data import psd_factor
+from simexfree.gaussian import hermite_rule, normal_cdf
 from simexfree.optimize import finite_difference_gradient
+from simexfree.targets import (
+    GENERIC_CHUNK_ROWS,
+    WALSH_BLOCK,
+    _walsh_pair_slopes,
+    _walsh_pair_sum,
+)
 
 
 def _make_dataset(seed=0, n=20, p=1, su=0.25, family="linear", theta0=None):
@@ -492,6 +502,51 @@ def test_walsh_scaling_does_not_move_argmin():
     assert abs(a.theta_hat[0] - b.theta_hat[0]) < 1e-7
 
 
+def _pair_terms(x, s):
+    """Smoothed |x| of a pair sum, as the pair objective first defined it."""
+    if s == 0.0:
+        return np.abs(x)
+    return x * (2.0 * normal_cdf(x, 0.0, 2.0 * s) - 1.0) + 4.0 * s * normal_pdf(x, 0.0, 2.0 * s)
+
+
+def _pairs_by_double_loop(xi, s):
+    """Value, xi-gradient and s-derivative of the pair sum, pair by pair."""
+    total, dxi, ds = 0.0, np.zeros(xi.size), 0.0
+    for i in range(xi.size):
+        x = xi[i] + xi[i + 1 :]  # every j > i
+        total += float(np.sum(_pair_terms(x, s)))
+        slope = np.sign(x) if s == 0.0 else 2.0 * normal_cdf(x, 0.0, 2.0 * s) - 1.0
+        dxi[i] += slope.sum()
+        dxi[i + 1 :] += slope
+        if s > 0.0:
+            ds += 2.0 * float(np.sum(normal_pdf(x, 0.0, 2.0 * s)))
+    return total, dxi, ds
+
+
+def _pairs_full_minus_diagonal(xi, s):
+    """The former formula: the full ordered double sum less its diagonal, halved."""
+    full = _pair_terms(xi[:, None] + xi[None, :], s)
+    return 0.5 * (float(np.sum(full)) - float(np.sum(_pair_terms(2.0 * xi, s))))
+
+
+@pytest.mark.parametrize(
+    "n,block",
+    [(1, 8), (8, 8), (9, 8), (21, 8),
+     (1, WALSH_BLOCK), (WALSH_BLOCK, WALSH_BLOCK), (WALSH_BLOCK + 1, WALSH_BLOCK),
+     (2 * WALSH_BLOCK + 37, WALSH_BLOCK)],
+)
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_walsh_upper_pairs_match_double_loop(n, block, s):
+    xi = np.random.default_rng(n).standard_normal(n)
+    total, dxi, ds = _pairs_by_double_loop(xi, s)
+    got = _walsh_pair_sum(xi, s, block=block)
+    assert got == pytest.approx(total, rel=1e-12, abs=1e-300)
+    assert got == pytest.approx(_pairs_full_minus_diagonal(xi, s), rel=1e-12, abs=1e-12)
+    got_dxi, got_ds = _walsh_pair_slopes(xi, s, block=block)
+    np.testing.assert_allclose(got_dxi, dxi, rtol=1e-12, atol=1e-12 * n)
+    assert got_ds == pytest.approx(ds, rel=1e-12, abs=1e-300)
+
+
 # --------------------------------------------------------------------------
 # expectile
 # --------------------------------------------------------------------------
@@ -558,6 +613,60 @@ def test_generic_exponential_mean_equals_exponential_target(lam):
     exp = _ctx(ds, "exponential", lam)
     th = np.array([0.8])
     assert abs(target_generic_ls(gen, th) - target_exponential(exp, th)) < 1e-8
+
+
+def _generic_by_node_loop(ctx, theta):
+    """The former objective: one mean-function call per tensor node."""
+    d = ctx.dataset
+    m = ctx.model.mean_fn.fn
+    scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * psd_factor(d.sigma_u)
+    t, w = hermite_rule(ctx.tensor_nodes)
+    acc = 0.0
+    for combo in product(range(ctx.tensor_nodes), repeat=d.p):
+        u = scale @ t[list(combo)]
+        wt = math.prod(w[k] for k in combo)
+        r = d.y - np.asarray(m(d.z + u, theta), dtype=float)
+        acc += wt * float(r @ r)
+    return acc / (d.n * math.pi ** (d.p / 2.0))
+
+
+@pytest.mark.parametrize("p,n", [(1, 300), (2, 400), (3, 50)])
+def test_generic_stacked_call_equals_node_loop(p, n):
+    rng = np.random.default_rng(31 + p)
+    z = rng.standard_normal((n, p))
+    y = np.tanh(z.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+    su = 0.2 * np.eye(p) + 0.05  # correlated errors: a full Cholesky factor
+    ds = Dataset(y=y, z=z, sigma_u=su)
+    calls = []
+
+    def fn(x, th):
+        calls.append(x.shape[0])
+        return th[0] + np.tanh(x @ th[1:])
+
+    mf = MeanFunction(fn=fn, n_params=p + 1)
+    ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=mf), lam=0.7)
+    th = np.linspace(0.3, -0.4, p + 1)
+    got = target_generic_ls(ctx, th)
+    nodes = ctx.tensor_nodes**p
+    # stacked calls, each within the chunk budget, covering every node once
+    assert sum(calls) == nodes * n
+    assert len(calls) == -(-nodes // max(1, GENERIC_CHUNK_ROWS // n))
+    assert got == pytest.approx(_generic_by_node_loop(ctx, th), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "fn",
+    [lambda x, th: th[0] * x,  # (m, 1): one column, not one mean per row
+     lambda x, th: th[0] * x[:5, 0],  # too few rows
+     lambda x, th: th[0]],  # a scalar
+)
+def test_generic_mean_function_with_wrong_rows_is_a_config_error(fn, lam):
+    ds = _make_dataset(seed=32)
+    mf = MeanFunction(fn=fn, n_params=1)
+    ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=mf), lam=lam)
+    with pytest.raises(ConfigError, match="one mean per row"):
+        target_generic_ls(ctx, np.array([0.5]))
 
 
 def test_generic_capacity_cap():
