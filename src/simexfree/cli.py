@@ -23,7 +23,7 @@ from .data import (
     load_dataset,
 )
 from .errors import ConfigError, DataError, EstimationError, SimexfreeError
-from .extrapolate import EXTRAPOLANT_KINDS, EstimateConfig, LambdaGrid, ex_estimate, naive_estimate
+from .extrapolate import EXTRAPOLANT_KINDS, LambdaGrid, ex_estimate, naive_estimate
 from .montecarlo import (
     bivariate_exponential_scenarios,
     exponential_scenarios,
@@ -278,16 +278,18 @@ def _cmd_estimate(args) -> int:
     start = _parse_floats(args.start) if args.start else None
     if args.model == "sshape" and start is None:
         start = _sshape_start(dataset)
-    cfg = EstimateConfig(
+    cfg = SimexConfig(
         grid=_parse_grid(args.grid),
         kind=args.extrapolant,
         force_grid=args.force_grid,
         nodes=args.nodes,
         start=start,
+        b=args.b,
+        seed=args.seed,
     )
     t0 = time.perf_counter()
     if args.estimator == "naive":
-        res_min = naive_estimate(model, dataset, nodes=args.nodes, start=start)
+        res_min = naive_estimate(model, dataset, cfg)
         theta = Theta.from_flat(res_min.theta_hat, model.has_intercept)
         payload = {
             "estimator": "naive",
@@ -296,10 +298,7 @@ def _cmd_estimate(args) -> int:
             "iters": res_min.iters,
         }
     elif args.estimator == "classical":
-        sim = SimexConfig(
-            b=args.b, grid=cfg.grid, kind=cfg.kind, seed=args.seed, nodes=args.nodes
-        )
-        res = classical_simex(model, dataset, sim)
+        res = classical_simex(model, dataset, cfg)
         payload = _estimate_payload(res)
         payload["estimator"] = "classical"
         payload["mc_se"] = res.mc_se.tolist()

@@ -13,6 +13,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +75,8 @@ class Dataset:
         eigenvalue-clamped to PSD on construction.
 
     All arrays are stored as read-only float copies; instances are immutable
-    and safe to share across threads.
+    and safe to share across threads.  ``sigma_root`` is the factor of
+    ``sigma_u`` (see :func:`psd_factor`), computed on first use.
     """
 
     y: np.ndarray
@@ -116,6 +118,10 @@ class Dataset:
         object.__setattr__(self, "sigma_u", _readonly(sigma))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
+
+    @cached_property
+    def sigma_root(self) -> np.ndarray:
+        return _readonly(psd_factor(self.sigma_u))
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,11 +63,6 @@ class LambdaGrid:
         """21 equally spaced values on [0, 2]."""
         return cls(np.linspace(0.0, 2.0, 21))
 
-    @classmethod
-    def short(cls) -> "LambdaGrid":
-        """11 equally spaced values on [0, 1]."""
-        return cls(np.linspace(0.0, 1.0, 11))
-
 
 @dataclass
 class GridEstimates:
@@ -114,10 +109,13 @@ class EstimateResult:
 
 @dataclass
 class EstimateConfig:
-    """Grid, extrapolant kind, and optimizer settings for :func:`ex_estimate`.
+    """Grid, extrapolant kind, and optimizer settings of every estimator.
 
-    ``start`` overrides the family's default initial point for the first
-    (naive) minimization; later grid points warm-start from their neighbor.
+    :func:`naive_estimate`, :func:`direct_estimate`, :func:`grid_estimate`,
+    :func:`ex_estimate` and ``classical_simex`` all take ``(model, dataset,
+    config)``; each reads the settings its path uses.  ``start`` overrides
+    the family's default initial point for the first (naive) minimization;
+    later grid points warm-start from their neighbor.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -133,6 +131,10 @@ class EstimateConfig:
                 f"unknown extrapolant kind {self.kind!r}; expected one of "
                 f"{EXTRAPOLANT_KINDS}"
             )
+
+    def start_for(self, model: ModelSpec, dataset: Dataset) -> np.ndarray:
+        """The configured start, or the family's default one on ``dataset``."""
+        return naive_start(model, dataset) if self.start is None else self.start
 
 
 # --------------------------------------------------------------------------
@@ -179,16 +181,12 @@ def minimize_target(
 
 
 def naive_estimate(
-    model: ModelSpec,
-    dataset: Dataset,
-    options: MinimizeOptions | None = None,
-    nodes: int = 30,
-    start: np.ndarray | None = None,
+    model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> MinimizeResult:
     """Classical estimate on the observed data: the lambda = 0 minimizer."""
-    if start is None:
-        start = naive_start(model, dataset)
-    res = minimize_target(model, dataset, 0.0, start, options, nodes)
+    cfg = config or EstimateConfig()
+    start = cfg.start_for(model, dataset)
+    res = minimize_target(model, dataset, 0.0, start, cfg.options, cfg.nodes)
     if not res.converged:
         raise EstimationError(
             f"naive estimate did not converge (status {res.status})"
@@ -251,11 +249,7 @@ def linear_exact_extrapolant(theta0: float, sigma_x2: float, sigma_u2: float):
 
 
 def direct_estimate(
-    model: ModelSpec,
-    dataset: Dataset,
-    options: MinimizeOptions | None = None,
-    nodes: int = 30,
-    start: np.ndarray | None = None,
+    model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> EstimateResult:
     """Estimate at lambda = -1 in one shot (pluggable families only).
 
@@ -270,10 +264,11 @@ def direct_estimate(
             f"family {model.family!r} cannot be plugged at lambda = -1; "
             "use grid_estimate with an extrapolant instead"
         )
+    cfg = config or EstimateConfig()
     if model.family == "linear":
         naive_flat = linear_closed_form(dataset, 0.0, model.has_intercept)
         flat = linear_closed_form(dataset, -1.0, model.has_intercept)
-        check = minimize_target(model, dataset, -1.0, flat, options, nodes)
+        check = minimize_target(model, dataset, -1.0, flat, cfg.options, cfg.nodes)
         scale = 1.0 + float(np.max(np.abs(flat)))
         if not check.converged or np.max(np.abs(check.theta_hat - flat)) > 1e-6 * scale:
             raise EstimationError(
@@ -281,7 +276,7 @@ def direct_estimate(
             )
         diag = {"direct": check}
     else:
-        naive = naive_estimate(model, dataset, options, nodes, start=start)
+        naive = naive_estimate(model, dataset, cfg)
         # continuation from lambda = 0 down to -1: the corrected objectives
         # are not coercive at negative lambda (the correction factor lets a
         # few extreme rows dominate far from the truth), so each step is a
@@ -292,7 +287,7 @@ def direct_estimate(
         cur = naive.theta_hat
         res = naive
         for lam in (-0.25, -0.5, -0.75, -1.0):
-            res = minimize_target(model, dataset, lam, cur, options, nodes)
+            res = minimize_target(model, dataset, lam, cur, cfg.options, cfg.nodes)
             radius = 0.5 * (1.0 + float(np.max(np.abs(cur))))
             if not res.converged or np.max(np.abs(res.theta_hat - cur)) > radius:
                 raise BranchCollapseError(
@@ -314,26 +309,21 @@ def direct_estimate(
 
 
 def grid_estimate(
-    model: ModelSpec,
-    dataset: Dataset,
-    grid: LambdaGrid | None = None,
-    options: MinimizeOptions | None = None,
-    nodes: int = 30,
-    start: np.ndarray | None = None,
+    model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> GridEstimates:
-    """Minimize the objective at every grid point, warm-starting along the grid.
+    """Minimize the objective at every point of ``config.grid``, warm-starting
+    along the grid.
 
     The lambda = 0 point is the naive estimate.  Any non-converged point
     aborts with an aggregated error listing the offending lambda values.
     """
-    grid = grid or LambdaGrid.default()
-    if start is None:
-        start = naive_start(model, dataset)
+    cfg = config or EstimateConfig()
+    start = cfg.start_for(model, dataset)
     thetas = []
     results = []
     failed = []
-    for lam in grid.values:
-        res = minimize_target(model, dataset, float(lam), start, options, nodes)
+    for lam in cfg.grid.values:
+        res = minimize_target(model, dataset, float(lam), start, cfg.options, cfg.nodes)
         if not res.converged:
             failed.append(float(lam))
         thetas.append(res.theta_hat)
@@ -344,7 +334,7 @@ def grid_estimate(
             "grid minimization failed to converge at lambda = "
             + ", ".join(f"{v:g}" for v in failed)
         )
-    return GridEstimates(grid=grid, thetas=np.asarray(thetas), diagnostics=results)
+    return GridEstimates(grid=cfg.grid, thetas=np.asarray(thetas), diagnostics=results)
 
 
 # --------------------------------------------------------------------------
@@ -495,12 +485,12 @@ def ex_estimate(
     cfg = config or EstimateConfig()
     if model.pluggable and not cfg.force_grid:
         try:
-            return direct_estimate(model, dataset, cfg.options, cfg.nodes, cfg.start)
+            return direct_estimate(model, dataset, cfg)
         except BranchCollapseError:
             # the direct objective lost its minimizer for this dataset; the
             # nonnegative-lambda objectives are coercive, so extrapolate
             pass
-    ge = grid_estimate(model, dataset, cfg.grid, cfg.options, cfg.nodes, cfg.start)
+    ge = grid_estimate(model, dataset, cfg)
     fit = fit_extrapolant(ge, cfg.kind)
     flat = extrapolate_to_minus_one(fit)
     has_int = model.has_intercept

@@ -31,6 +31,8 @@ class Scenario:
     model has one, or when ``augment_intercept`` prepends an error-free
     constant column).  ``x_cov`` defaults to the identity; ``u_dist`` is
     ``normal`` or ``laplace`` (variance-matched, univariate designs only).
+    Every estimator reads ``config``; classical SIMEX also takes ``simex_b``
+    replicates.
     """
 
     name: str
@@ -121,17 +123,35 @@ def simulate_dataset(
     return ds
 
 
-def _run_estimator(scenario: Scenario, dataset: Dataset, seed: int) -> np.ndarray:
-    if scenario.estimator == "naive":
-        return naive_estimate(scenario.model, dataset).theta_hat
-    if scenario.estimator == "classical":
-        cfg = scenario.config or EstimateConfig()
-        sim = SimexConfig(
-            b=scenario.simex_b, grid=cfg.grid, kind=cfg.kind, seed=seed,
-            options=cfg.options, nodes=cfg.nodes,
+def _replicates(
+    scenario: Scenario, seed: int, keys: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, int]:
+    """Simulate one dataset per stream key and run the scenario's estimator
+    on it, with every setting of ``scenario.config`` plus ``b = simex_b``
+    and a per-replicate seed.  Returns the estimates that succeeded and the
+    number of replicates that failed; more than 5% failures raise.
+    """
+    settings = vars(scenario.config or EstimateConfig())
+    model = scenario.model
+    ests = []
+    failures = 0
+    for r, key in enumerate(keys):
+        ds = simulate_dataset(scenario, _stream(seed, key))
+        cfg = SimexConfig(**{**settings, "b": scenario.simex_b, "seed": seed + 7919 * (r + 1)})
+        try:
+            if scenario.estimator == "naive":
+                ests.append(naive_estimate(model, ds, cfg).theta_hat)
+            elif scenario.estimator == "classical":
+                ests.append(classical_simex(model, ds, cfg).theta_hat.flat_vector)
+            else:
+                ests.append(ex_estimate(model, ds, cfg).theta_hat.flat_vector)
+        except (SimexfreeError, np.linalg.LinAlgError):
+            failures += 1
+    if failures > 0.05 * len(keys):
+        raise EstimationError(
+            f"cell {scenario.name!r}: {failures}/{len(keys)} replications failed"
         )
-        return classical_simex(scenario.model, dataset, sim).theta_hat.flat_vector
-    return ex_estimate(scenario.model, dataset, scenario.config).theta_hat.flat_vector
+    return np.asarray(ests), failures
 
 
 @dataclass(frozen=True)
@@ -189,25 +209,12 @@ def run_study(
     out = []
     for ci, sc in enumerate(scenarios):
         t0 = time.perf_counter()
-        ests = []
-        failures = 0
-        for r in range(replications):
-            rng = _stream(seed, (ci, r))
-            ds = simulate_dataset(sc, rng)
-            try:
-                ests.append(_run_estimator(sc, ds, seed=seed + 7919 * (r + 1)))
-            except (SimexfreeError, np.linalg.LinAlgError):
-                failures += 1
-        if failures > 0.05 * replications:
-            raise EstimationError(
-                f"cell {sc.name!r}: {failures}/{replications} replications failed"
-            )
-        est = np.asarray(ests)
+        est, failures = _replicates(sc, seed, [(ci, r) for r in range(replications)])
         out.append(
             CellResult(
                 scenario=sc,
                 summary=summarize(est, sc.theta0),
-                replications=len(ests),
+                replications=len(est),
                 failures=failures,
                 seconds=time.perf_counter() - t0,
                 estimates=est if keep_estimates else None,
@@ -322,8 +329,8 @@ def quantile_lines_study(
         for tau in taus:
             model = ModelSpec(family="quantile", tau=float(tau))
             ex = ex_estimate(model, ds, scenario.config).theta_hat.flat_vector
-            naive = naive_estimate(model, ds).theta_hat
-            oracle = naive_estimate(model, ds_oracle).theta_hat
+            naive = naive_estimate(model, ds, scenario.config).theta_hat
+            oracle = naive_estimate(model, ds_oracle, scenario.config).theta_hat
             for label, est in (("ex", ex), ("oracle", oracle), ("naive", naive)):
                 rows.append(
                     QuantileLineFit(
@@ -344,6 +351,9 @@ def quantile_lines_study(
 
 @dataclass(frozen=True)
 class MisspecCell:
+    """One misspecification cell; ``replications`` counts the replicates
+    that were averaged (failed ones are excluded)."""
+
     u_dist: str
     n: int
     bias: float
@@ -376,7 +386,10 @@ def misspecification_study(
 ) -> MisspecReport:
     """Poisson design with x ~ N(0, sigma_u^2); the corrected estimator keeps
     assuming normal measurement error.  Under Laplace error the bias persists
-    as n grows; under the normal control it shrinks."""
+    as n grows; under the normal control it shrinks.  Each cell runs the
+    replicate step of :func:`run_study` on its own stream keys
+    (100 + error index, n index, replicate), so failures are counted and
+    more than 5% of them raise."""
     cells = []
     model = ModelSpec(family="poisson")
     for di, u_dist in enumerate(("normal", "laplace")):
@@ -391,19 +404,16 @@ def misspecification_study(
                 u_dist=u_dist,
                 estimator="ex",
             )
-            ests = []
-            for r in range(replications):
-                rng = _stream(seed, (100 + di, ni, r))
-                ds = simulate_dataset(sc, rng)
-                ests.append(_run_estimator(sc, ds, seed=seed))
-            mean = float(np.mean([e[0] for e in ests]))
+            keys = [(100 + di, ni, r) for r in range(replications)]
+            est, _ = _replicates(sc, seed, keys)
+            mean = float(np.mean(est[:, 0]))
             cells.append(
                 MisspecCell(
                     u_dist=u_dist,
                     n=n,
                     bias=mean - theta0,
                     mean=mean,
-                    replications=replications,
+                    replications=len(est),
                 )
             )
     return MisspecReport(cells=cells, theta0=theta0, sigma_u2=sigma_u2)

@@ -87,13 +87,14 @@ def minimize(
     f: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray] | None = None,
     options: MinimizeOptions | None = None,
-    callback: Callable[[np.ndarray, float], None] | None = None,
 ) -> MinimizeResult:
     """Minimize ``f`` from ``options.start``, optionally using gradient ``grad``.
 
     A non-finite value at the start yields status ``infeasible`` instead of
     raising.  Without ``grad``, the quasi-Newton method falls back to central
-    finite differences.
+    finite differences.  There is no per-iteration hook: to count or log
+    evaluations, wrap ``f`` and ``grad``; to see the accepted values, rerun
+    with a smaller ``max_iters`` (both methods are deterministic).
     """
     opts = options or MinimizeOptions()
     if opts.start is None:
@@ -103,12 +104,12 @@ def minimize(
     if not np.isfinite(f0):
         return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
     if opts.method == "simplex":
-        return _nelder_mead(f, x0, f0, opts, callback)
+        return _nelder_mead(f, x0, f0, opts)
     g = grad if grad is not None else (lambda th: finite_difference_gradient(f, th))
-    return _bfgs(f, g, x0, f0, opts, callback)
+    return _bfgs(f, g, x0, f0, opts)
 
 
-def _bfgs(f, grad, x0, f0, opts, callback) -> MinimizeResult:
+def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
     n = x0.size
     eye = np.eye(n)
     hinv = eye.copy()
@@ -157,8 +158,6 @@ def _bfgs(f, grad, x0, f0, opts, callback) -> MinimizeResult:
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         x, fx, gx = xn, fn, gn
         gnorm = float(np.linalg.norm(gx))
-        if callback is not None:
-            callback(x, fx)
         if float(np.linalg.norm(s)) <= opts.step_tol:
             return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
     status = "grad_tol" if gnorm <= opts.grad_tol else "max_iters"
@@ -176,7 +175,7 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     return sim
 
 
-def _nelder_mead(f, x0, f0, opts, callback) -> MinimizeResult:
+def _nelder_mead(f, x0, f0, opts) -> MinimizeResult:
     # reflection 1, expansion 2, contraction 0.5, shrink 0.5
     n = x0.size
     sim = _initial_simplex(x0)
@@ -185,8 +184,6 @@ def _nelder_mead(f, x0, f0, opts, callback) -> MinimizeResult:
     while iters < opts.max_iters:
         order = np.argsort(fs, kind="stable")
         sim, fs = sim[order], fs[order]
-        if callback is not None:
-            callback(sim[0], float(fs[0]))
         diam = float(np.max(np.abs(sim[1:] - sim[0])))
         if diam <= opts.step_tol:
             return MinimizeResult(sim[0], float(fs[0]), np.nan, iters, True, "step_tol")

@@ -9,50 +9,40 @@ conditional expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, psd_factor
+from .data import Dataset
 from .errors import ConfigError, EstimationError
 from .extrapolate import (
+    EstimateConfig,
     EstimateResult,
     FittedExtrapolant,
     GridEstimates,
-    LambdaGrid,
     extrapolate_to_minus_one,
     fit_extrapolant,
     minimize_target,
     naive_estimate,
     point_options,
 )
-from .optimize import MinimizeOptions
-from .targets import ModelSpec, Theta, naive_start
-
-NaiveSolver = Callable[[ModelSpec, Dataset, np.ndarray], np.ndarray]
+from .targets import ModelSpec, Theta
 
 
 @dataclass
-class SimexConfig:
-    """Replicate count, grid, extrapolant kind, and RNG seed.
+class SimexConfig(EstimateConfig):
+    """Every :class:`EstimateConfig` setting, plus the replicate count ``b``
+    and the RNG ``seed``.
 
     Each (grid point, replicate) pair draws from its own counter-keyed
     stream, so results are reproducible and independent of evaluation order.
-    ``naive_solver`` overrides the default lambda = 0 minimization on
-    perturbed data; it receives (model, dataset, start) and returns a flat
-    estimate.
     """
 
     b: int = 100
-    grid: LambdaGrid = field(default_factory=LambdaGrid.default)
-    kind: str = "quadratic"
     seed: int = 0
-    naive_solver: NaiveSolver | None = None
-    options: MinimizeOptions | None = None
-    nodes: int = 30
 
     def __post_init__(self):
+        super().__post_init__()
         if self.b < 1:
             raise ConfigError("replicate count b must be at least 1")
 
@@ -70,28 +60,27 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
         raise ConfigError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
         return np.array(dataset.z)
-    root = psd_factor(dataset.sigma_u)
-    v = rng.standard_normal((dataset.n, dataset.p)) @ root.T
+    v = rng.standard_normal((dataset.n, dataset.p)) @ dataset.sigma_root.T
     return dataset.z + np.sqrt(lam) * v
 
 
-def _default_solver(options: MinimizeOptions | None, nodes: int) -> NaiveSolver:
-    def solve(model: ModelSpec, dataset: Dataset, start: np.ndarray) -> np.ndarray:
-        res = minimize_target(model, dataset, 0.0, start, options, nodes)
-        if not res.converged:
-            # a warm start can crawl on an unlucky pseudo sample; retry from
-            # the family start with a larger iteration budget
-            fresh = naive_start(model, dataset)
-            base = point_options(model, 0.0, fresh, options)
-            big = replace(base, max_iters=4 * base.max_iters)
-            res = minimize_target(model, dataset, 0.0, fresh, big, nodes)
-        if not res.converged:
-            raise EstimationError(
-                f"naive solve on pseudo-data did not converge (status {res.status})"
-            )
-        return res.theta_hat
-
-    return solve
+def _solve_pseudo(
+    model: ModelSpec, dataset: Dataset, cfg: EstimateConfig, start: np.ndarray
+) -> np.ndarray:
+    """The lambda = 0 minimizer on one pseudo-data set, warm-started at ``start``."""
+    res = minimize_target(model, dataset, 0.0, start, cfg.options, cfg.nodes)
+    if not res.converged:
+        # a warm start can crawl on an unlucky pseudo sample; retry from the
+        # configured or family start with a larger iteration budget
+        fresh = cfg.start_for(model, dataset)
+        base = point_options(model, 0.0, fresh, cfg.options)
+        big = replace(base, max_iters=4 * base.max_iters)
+        res = minimize_target(model, dataset, 0.0, fresh, big, cfg.nodes)
+    if not res.converged:
+        raise EstimationError(
+            f"naive solve on pseudo-data did not converge (status {res.status})"
+        )
+    return res.theta_hat
 
 
 def classical_simex(
@@ -99,34 +88,34 @@ def classical_simex(
 ) -> EstimateResult:
     """Classical SIMEX estimate with per-lambda Monte Carlo standard errors.
 
-    The lambda = 0 average equals the naive estimate exactly (no noise is
-    added there).  Replicates start from the naive estimate, never from each
-    other, so any evaluation order yields the same result.
+    ``config`` is read as by :func:`ex_estimate`, plus ``b`` and ``seed``;
+    ``force_grid`` has no effect, as for any non-pluggable family.  The naive
+    fit starts at ``config.start`` (or the family start), and so does the
+    one retry of a pseudo-data solve.  The lambda = 0 average equals the
+    naive estimate exactly (no noise is added there).  Replicates start from
+    the naive estimate, never from each other, so any evaluation order
+    yields the same result.
     """
     cfg = config or SimexConfig()
-    solver = cfg.naive_solver or _default_solver(cfg.options, cfg.nodes)
-    naive = naive_estimate(model, dataset, cfg.options, cfg.nodes)
-    naive_flat = naive.theta_hat
+    naive_flat = naive_estimate(model, dataset, cfg).theta_hat
     q = naive_flat.size
     lams = cfg.grid.values
     means = np.empty((lams.size, q))
     ses = np.zeros((lams.size, q))
     means[0] = naive_flat
-    failures = []
     for k in range(1, lams.size):
         draws = np.empty((cfg.b, q))
+        failed = []
         for b in range(cfg.b):
-            rng = _stream(cfg.seed, (k, b))
-            zb = pseudo_data(dataset, float(lams[k]), rng)
+            zb = pseudo_data(dataset, float(lams[k]), _stream(cfg.seed, (k, b)))
+            pseudo = Dataset(y=dataset.y, z=zb, sigma_u=dataset.sigma_u)
             try:
-                draws[b] = solver(model, Dataset(y=dataset.y, z=zb, sigma_u=dataset.sigma_u), naive_flat)
+                draws[b] = _solve_pseudo(model, pseudo, cfg, naive_flat)
             except EstimationError:
-                failures.append((float(lams[k]), b))
-                draws[b] = np.nan
-        if np.any(np.isnan(draws)):
-            bad = [f"lambda={lam:g} b={b}" for lam, b in failures]
+                failed.append(f"lambda={lams[k]:g} b={b}")
+        if failed:
             raise EstimationError(
-                "naive solves failed on pseudo-data: " + ", ".join(bad)
+                "naive solves failed on pseudo-data: " + ", ".join(failed)
             )
         means[k] = draws.mean(axis=0)
         if cfg.b > 1:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, psd_factor
+from .data import Dataset
 from .errors import CapacityError, ConfigError, ModelMismatchError
 from .gaussian import hermite_rule, normal_cdf, normal_pdf, tensor_hermite_rule
 from .optimize import finite_difference_gradient
@@ -38,6 +38,8 @@ WALSH_PAIR_CAP = 5000
 WALSH_BLOCK = 256
 GENERIC_CHUNK_ROWS = 1 << 16
 GENERIC_MAX_P = 3
+# Gauss-Hermite nodes per covariate of the generic family's tensor rule
+GENERIC_TENSOR_NODES = 15
 _LOGNORMAL_SIGMA = 0.5
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -179,13 +181,12 @@ class TargetContext:
     model: ModelSpec
     lam: float
     nodes: int = 30
-    tensor_nodes: int = 15
 
     def __post_init__(self):
         if self.lam < -1.0:
             raise ConfigError(f"lam must be at least -1, got {self.lam}")
-        if self.nodes < 2 or self.tensor_nodes < 2:
-            raise ConfigError("quadrature node counts must be at least 2")
+        if self.nodes < 2:
+            raise ConfigError("quadrature node count must be at least 2")
         if self.lam < 0.0 and not self.model.pluggable:
             raise ConfigError(
                 f"family {self.model.family!r} forbids negative lam; "
@@ -692,10 +693,11 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
     """Least-squares objective for a user-supplied mean function.
 
     The Gaussian expectation over the inflated noise is computed by
-    tensor-product Gauss-Hermite quadrature after the change of variables
-    u = sqrt(lam) * chol(sigma_u) t; capped at p = 3 covariates.  The mean
-    function is called once on the design shifted to every node, stacked
-    into one (nodes**p * n, p) array, in chunks of at most
+    tensor-product Gauss-Hermite quadrature (``GENERIC_TENSOR_NODES`` per
+    covariate) after the change of variables u = sqrt(lam) * root t, where
+    root is the dataset's cached ``sigma_root``; capped at p = 3 covariates.
+    The mean function is called once on the design shifted to every node,
+    stacked into one (nodes**p * n, p) array, in chunks of at most
     ``GENERIC_CHUNK_ROWS`` rows.
     """
     d = ctx.dataset
@@ -709,8 +711,8 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
         if ctx.lam == 0.0:
             r = d.y - _mean_values(m, d.z, th)
             return _guard(float(r @ r) / d.n)
-        scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * psd_factor(d.sigma_u)
-        points, weights = tensor_hermite_rule(ctx.tensor_nodes, d.p)
+        scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * d.sigma_root
+        points, weights = tensor_hermite_rule(GENERIC_TENSOR_NODES, d.p)
         shifts = points @ scale.T
         chunk = max(1, GENERIC_CHUNK_ROWS // d.n)
         acc = 0.0

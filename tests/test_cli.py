@@ -350,6 +350,21 @@ def test_estimate_naive_and_forced_grid(linear_csv, tmp_path):
     assert abs(grid["theta_hat"]["coefficients"][0] - closed[1]) < 1e-5
 
 
+def test_classical_starts_its_naive_fit_at_start(sshape_csv, tmp_path):
+    # the S-curve is unchanged by (b0, b1, b2, b3) -> (b0 + b1, -b1, -b2, b3);
+    # a start on the mirrored branch must reach the classical naive fit too
+    common = [
+        "estimate", "--model", "sshape", "--input", str(sshape_csv),
+        "--sigma-u-from", "za,zb", "--grid", "0:1:3", "--start", "5.9,1.6,-0.7,4",
+    ]
+    naive_out, cls_out = tmp_path / "naive.json", tmp_path / "cls.json"
+    assert main([*common, "--estimator", "naive", "--out", str(naive_out)]) == 0
+    assert main([*common, "--estimator", "classical", "--b", "2", "--out", str(cls_out)]) == 0
+    naive = json.loads(naive_out.read_text())["theta_hat"]
+    assert naive["coefficients"][2] < 0
+    assert json.loads(cls_out.read_text())["naive"] == naive
+
+
 def test_estimate_classical_baseline(linear_csv, tmp_path):
     path, ds = linear_csv
     out = tmp_path / "cls.json"

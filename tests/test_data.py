@@ -17,6 +17,7 @@ from simexfree import (
     estimate_sigma_u_from_replicates,
     load_dataset,
 )
+from simexfree.data import psd_factor
 
 
 def test_dataset_shapes_and_dims():
@@ -46,6 +47,15 @@ def test_sigma_u_symmetrized_and_clamped():
         ds = Dataset(y=[1.0], z=[[1.0, 2.0]], sigma_u=sig)
     w = np.linalg.eigvalsh(ds.sigma_u)
     assert w.min() >= 0
+
+
+def test_sigma_root_is_the_cached_read_only_factor():
+    sig = np.array([[0.3, 0.1], [0.1, 0.2]])
+    ds = Dataset(y=np.zeros(3), z=np.ones((3, 2)), sigma_u=sig)
+    root = ds.sigma_root
+    assert np.array_equal(root, psd_factor(ds.sigma_u))
+    assert ds.sigma_root is root
+    assert not root.flags.writeable
 
 
 def test_sigma_u_rejects_indefinite():

@@ -11,6 +11,7 @@ from simexfree import (
     GridEstimates,
     IllPosedError,
     LambdaGrid,
+    MeanFunction,
     ModelSpec,
     PoleError,
     direct_estimate,
@@ -48,8 +49,6 @@ def test_grid_validation():
         LambdaGrid([0.0])
     g = LambdaGrid.default()
     assert g.size == 21 and g.values[0] == 0.0 and g.values[-1] == 2.0
-    s = LambdaGrid.short()
-    assert s.size == 11 and s.values[-1] == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def test_expectile_half_direct_equals_slope_only_linear():
 def test_linear_grid_matches_closed_form_per_lambda():
     ds = _linear_data(seed=5)
     grid = LambdaGrid(np.linspace(0, 2, 9))
-    ge = grid_estimate(ModelSpec(family="linear"), ds, grid)
+    ge = grid_estimate(ModelSpec(family="linear"), ds, EstimateConfig(grid=grid))
     for k, lam in enumerate(grid.values):
         closed = linear_closed_form(ds, float(lam), intercept=True)
         assert np.max(np.abs(ge.thetas[k] - closed)) < 1e-8
@@ -139,7 +138,8 @@ def test_grid_constant_when_sigma_zero():
     x = rng.standard_normal(50)
     y = np.exp(0.7 * x) + rng.standard_normal(50)
     ds = Dataset(y=y, z=x, sigma_u=0.0)
-    ge = grid_estimate(ModelSpec(family="exponential"), ds, LambdaGrid(np.linspace(0, 2, 5)))
+    cfg = EstimateConfig(grid=LambdaGrid(np.linspace(0, 2, 5)))
+    ge = grid_estimate(ModelSpec(family="exponential"), ds, cfg)
     assert np.allclose(ge.thetas, ge.thetas[0], atol=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_grid_failure_lists_lambdas():
     opts = MinimizeOptions(max_iters=1, grad_tol=1e-16, step_tol=1e-18)
     with pytest.raises(GridConvergenceError, match="lambda"):
         grid_estimate(ModelSpec(family="exponential"), ds,
-                      LambdaGrid([0.0, 1.0]), options=opts)
+                      EstimateConfig(grid=LambdaGrid([0.0, 1.0]), options=opts))
 
 
 def test_quantile_grid_attenuates_with_lambda():
@@ -168,10 +168,30 @@ def test_quantile_grid_attenuates_with_lambda():
         sig = np.zeros((2, 2))
         sig[1, 1] = 0.25
         ds = Dataset(y=y, z=zq, sigma_u=sig)
-        ge = grid_estimate(model, ds, grid)
+        ge = grid_estimate(model, ds, EstimateConfig(grid=grid))
         acc += ge.thetas[:, 1]
     avg = acc / reps
     assert np.all(np.diff(avg) < 1e-3)  # non-increasing up to MC slack
+
+
+def test_generic_grid_fit_factors_sigma_u_once(monkeypatch):
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal(100)
+    ds = Dataset(y=1.0 + np.tanh(x) + 0.2 * rng.standard_normal(100),
+                 z=x + 0.4 * rng.standard_normal(100), sigma_u=0.16)
+    mf = MeanFunction(fn=lambda x, th: th[0] + th[1] * np.tanh(x[:, 0]), n_params=2)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    cfg = EstimateConfig(grid=LambdaGrid([0.0, 0.5, 1.0]))
+    ge = grid_estimate(ModelSpec(family="generic", mean_fn=mf), ds, cfg)
+    assert len(ge.diagnostics) == 3
+    assert calls == [(1, 1)]
 
 
 # --------------------------------------------------------------------------

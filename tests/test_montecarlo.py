@@ -1,5 +1,7 @@
 """Simulation harness: data generation, summaries, and studies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,19 @@ from hypothesis import strategies as st
 
 from simexfree import (
     DataError,
+    EstimateConfig,
+    EstimationError,
+    MinimizeOptions,
     ModelSpec,
     Scenario,
     linear_direct_asymptotic_variance,
+    misspecification_study,
     quantile_lines_study,
     run_study,
     simulate_dataset,
     summarize,
 )
+from simexfree import montecarlo
 from simexfree.montecarlo import (
     CHISQ2_MEDIAN,
     _stream,
@@ -158,6 +165,36 @@ def test_run_study_reports_timing_and_counts():
     assert cells[0].replications == 5
     assert cells[0].failures == 0
     assert cells[0].seconds > 0
+
+
+def test_naive_cell_uses_scenario_config():
+    stalled = EstimateConfig(options=MinimizeOptions(max_iters=1))
+    sc = replace(_exp_scenario(n=100, estimator="naive"), config=stalled)
+    with pytest.raises(EstimationError, match="4/4 replications failed"):
+        run_study([sc], replications=4, seed=8)
+
+
+def test_misspecification_counts_failed_replicates(monkeypatch):
+    ex_estimate = montecarlo.ex_estimate
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise EstimationError("injected")
+        return ex_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ex_estimate", first_fails)
+    rep = misspecification_study(seed=3, n_values=(200,), replications=20)
+    assert [(c.u_dist, c.replications) for c in rep.cells] == [("normal", 19), ("laplace", 20)]
+    assert all(np.isfinite(c.mean) for c in rep.cells)
+
+    def always_fails(*args, **kwargs):
+        raise EstimationError("injected")
+
+    monkeypatch.setattr(montecarlo, "ex_estimate", always_fails)
+    with pytest.raises(EstimationError, match="20/20 replications failed"):
+        misspecification_study(seed=3, n_values=(200,), replications=20)
 
 
 def test_preset_scenario_grids():

@@ -60,23 +60,30 @@ def test_infeasible_start():
     assert res.iters == 0
 
 
+def _values_by_budget(f, **opts):
+    """The value returned with max_iters = 1, ..., K, where K is the length of
+    the unlimited run: runs are deterministic, so these are its accepted
+    values in order."""
+    full = minimize(f, options=MinimizeOptions(**opts))
+    assert full.converged and full.iters >= 20
+    return [
+        minimize(f, options=MinimizeOptions(max_iters=k, **opts)).value
+        for k in range(1, full.iters + 1)
+    ]
+
+
 def test_accepted_values_non_increasing():
-    values = []
-    minimize(
+    values = _values_by_budget(
         lambda th: float((th[0] - 3.0) ** 4 + th[1] ** 2),
-        options=MinimizeOptions(start=np.array([10.0, -4.0])),
-        callback=lambda x, fx: values.append(fx),
+        start=np.array([10.0, -4.0]),
     )
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_simplex_accepted_values_non_increasing():
-    values = []
-    minimize(
+    values = _values_by_budget(
         lambda th: float(abs(th[0] - 1.0) + abs(th[1] + 2.0)),
-        options=MinimizeOptions(start=np.array([4.0, 4.0]), method="simplex",
-                                max_iters=2000, step_tol=1e-9),
-        callback=lambda x, fx: values.append(fx),
+        start=np.array([4.0, 4.0]), method="simplex", step_tol=1e-9,
     )
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 

@@ -1,11 +1,14 @@
 """Classical simulation-based SIMEX baseline."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from simexfree import (
     ConfigError,
     Dataset,
+    EstimateConfig,
     LambdaGrid,
     ModelSpec,
     SimexConfig,
@@ -93,6 +96,14 @@ def test_classical_simex_agrees_with_direct_linear():
 def test_classical_config_validation():
     with pytest.raises(ConfigError):
         SimexConfig(b=0)
+    with pytest.raises(ConfigError):
+        SimexConfig(kind="cubic")
+
+
+def test_simex_config_is_estimate_config_plus_b_and_seed():
+    inherited = {f.name for f in fields(EstimateConfig)}
+    assert [f.name for f in fields(SimexConfig) if f.name not in inherited] == ["b", "seed"]
+    assert isinstance(SimexConfig(), EstimateConfig)
 
 
 def test_extrapolation_se_matches_simulation():

@@ -42,6 +42,7 @@ from simexfree.gaussian import hermite_rule, normal_cdf
 from simexfree.optimize import finite_difference_gradient
 from simexfree.targets import (
     GENERIC_CHUNK_ROWS,
+    GENERIC_TENSOR_NODES,
     WALSH_BLOCK,
     _walsh_pair_slopes,
     _walsh_pair_sum,
@@ -620,9 +621,9 @@ def _generic_by_node_loop(ctx, theta):
     d = ctx.dataset
     m = ctx.model.mean_fn.fn
     scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * psd_factor(d.sigma_u)
-    t, w = hermite_rule(ctx.tensor_nodes)
+    t, w = hermite_rule(GENERIC_TENSOR_NODES)
     acc = 0.0
-    for combo in product(range(ctx.tensor_nodes), repeat=d.p):
+    for combo in product(range(GENERIC_TENSOR_NODES), repeat=d.p):
         u = scale @ t[list(combo)]
         wt = math.prod(w[k] for k in combo)
         r = d.y - np.asarray(m(d.z + u, theta), dtype=float)
@@ -647,7 +648,7 @@ def test_generic_stacked_call_equals_node_loop(p, n):
     ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=mf), lam=0.7)
     th = np.linspace(0.3, -0.4, p + 1)
     got = target_generic_ls(ctx, th)
-    nodes = ctx.tensor_nodes**p
+    nodes = GENERIC_TENSOR_NODES**p
     # stacked calls, each within the chunk budget, covering every node once
     assert sum(calls) == nodes * n
     assert len(calls) == -(-nodes // max(1, GENERIC_CHUNK_ROWS // n))
