@@ -60,7 +60,13 @@ from .montecarlo import (
     simulate_dataset,
     summarize,
 )
-from .optimize import MinimizeOptions, MinimizeResult, finite_difference_gradient, minimize
+from .optimize import (
+    MinimizeOptions,
+    MinimizeResult,
+    finite_difference_gradient,
+    minimize,
+    minimize_batch,
+)
 from .simex import SimexConfig, classical_simex, pseudo_data
 from .targets import (
     MeanFunction,

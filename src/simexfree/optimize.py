@@ -2,6 +2,8 @@
 
 Both methods are deterministic: repeated runs on the same inputs produce
 identical results, and accepted iterate values are non-increasing.
+:func:`minimize_batch` runs the quasi-Newton method on a batch of
+independent objectives at once, one row of state per objective.
 """
 
 from __future__ import annotations
@@ -45,10 +47,20 @@ class MinimizeOptions:
 class MinimizeResult:
     """Converged point and diagnostics.
 
-    ``status`` is one of ``grad_tol``, ``step_tol``, ``max_iters``,
-    ``infeasible``.  ``converged`` implies the gradient norm is within
-    ``grad_tol`` or the last accepted step was within ``step_tol``.
-    ``grad_norm`` is NaN for the simplex method.
+    ``status`` is one of:
+
+    - ``grad_tol``: the gradient norm is within ``grad_tol``;
+    - ``step_tol``: the last accepted step was within ``step_tol`` (for the
+      simplex method, the simplex diameter);
+    - ``max_iters``: the iteration budget ran out;
+    - ``line_search``: no backtracking step passed the Armijo test;
+    - ``nonfinite``: the gradient norm is not finite;
+    - ``infeasible``: the value at the start is not finite.
+
+    ``converged`` is True exactly for ``grad_tol`` and ``step_tol``.
+    ``grad_norm`` is NaN for the simplex method.  A result of
+    :func:`minimize_batch` holds arrays: each field has a leading batch
+    axis, and ``status`` is an array of these strings.
     """
 
     theta_hat: np.ndarray
@@ -119,7 +131,7 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
     iters = 0
     while iters < opts.max_iters:
         if not np.isfinite(gnorm):
-            return MinimizeResult(x, fx, gnorm, iters, False, "max_iters")
+            return MinimizeResult(x, fx, gnorm, iters, False, "nonfinite")
         if gnorm <= opts.grad_tol:
             return MinimizeResult(x, fx, gnorm, iters, True, "grad_tol")
         d = -hinv @ gx
@@ -144,8 +156,7 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
             step *= 0.5
         iters += 1
         if not accepted:
-            # the step underflowed the Armijo test: treat as a stalled step
-            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
+            return MinimizeResult(x, fx, gnorm, iters, False, "line_search")
         s = xn - x
         gn = np.asarray(grad(xn), dtype=float)
         yv = gn - gx
@@ -160,8 +171,123 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
         gnorm = float(np.linalg.norm(gx))
         if float(np.linalg.norm(s)) <= opts.step_tol:
             return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
-    status = "grad_tol" if gnorm <= opts.grad_tol else "max_iters"
+    status = _final_status(gnorm, opts.grad_tol)
     return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status)
+
+
+def _final_status(gnorm: float, grad_tol: float) -> str:
+    """Status of a quasi-Newton run whose iteration budget ran out."""
+    if gnorm <= grad_tol:
+        return "grad_tol"
+    return "max_iters" if np.isfinite(gnorm) else "nonfinite"
+
+
+def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, each row with the bits of ``a @ b``."""
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def minimize_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    options: MinimizeOptions,
+) -> MinimizeResult:
+    """Minimize B independent objectives at once by the quasi-Newton method.
+
+    ``options.start`` has shape (B, q), one start per row.
+    ``f(theta, rows)`` returns the values, shape (k,), of the objectives
+    ``rows`` (an increasing index array of length k) at ``theta`` (k, q),
+    and ``grad(theta, rows)`` their gradients (k, q).  Each row keeps its
+    own inverse Hessian, step, iteration count and status, and takes the
+    steps that :func:`minimize` takes on that objective alone.  A row that
+    has exited is never evaluated again, so no row's result depends on the
+    others.  The result's fields carry a leading batch axis.
+    """
+    if options.method != "quasi-newton":
+        raise ConfigError("minimize_batch supports only the quasi-newton method")
+    if options.start is None:
+        raise ConfigError("options.start is required")
+    x = np.array(options.start, dtype=float)
+    if x.ndim != 2:
+        raise ConfigError(f"options.start must have shape (B, q), got {x.shape}")
+    size, q = x.shape
+    eye = np.eye(q)
+    hinv = np.tile(eye, (size, 1, 1))
+    act = np.arange(size)
+    fx = np.asarray(f(x, act), dtype=float)
+    gx = np.zeros_like(x)
+    gnorm = np.full(size, np.nan)
+    iters = np.zeros(size, dtype=int)
+    status = np.full(size, "max_iters", dtype=object)
+    feasible = np.isfinite(fx)
+    status[~feasible] = "infeasible"
+    act = act[feasible]
+    if act.size:
+        gx[act] = grad(x[act], act)
+        gnorm[act] = np.sqrt(batch_dot(gx[act], gx[act]))
+    for it in range(options.max_iters):
+        g = gnorm[act]
+        nonfinite = ~np.isfinite(g)
+        small = g <= options.grad_tol
+        status[act[nonfinite]] = "nonfinite"
+        status[act[small]] = "grad_tol"
+        act = act[~(nonfinite | small)]
+        if act.size == 0:
+            break
+        ga, h = gx[act], hinv[act]
+        d = -(h @ ga[..., None])[..., 0]
+        slope = batch_dot(ga, d)
+        reset = slope >= 0.0
+        if reset.any():
+            # curvature information went bad; restart from steepest descent
+            h[reset] = eye
+            d[reset] = -ga[reset]
+            slope[reset] = batch_dot(ga[reset], d[reset])
+        step = np.minimum(1.0, 1.0 / gnorm[act]) if it == 0 else np.ones(act.size)
+        xa, fa = x[act], fx[act]
+        xn, fn = xa.copy(), fa.copy()
+        accepted = np.zeros(act.size, dtype=bool)
+        pend = np.arange(act.size)
+        for _ in range(_MAX_BACKTRACKS):
+            xt = xa[pend] + step[pend, None] * d[pend]
+            ft = np.asarray(f(xt, act[pend]), dtype=float)
+            ok = np.isfinite(ft) & (ft <= fa[pend] + _ARMIJO * step[pend] * slope[pend])
+            hit = pend[ok]
+            xn[hit], fn[hit], accepted[hit] = xt[ok], ft[ok], True
+            pend = pend[~ok]
+            if pend.size == 0:
+                break
+            step[pend] *= 0.5
+        iters[act] += 1
+        status[act[~accepted]] = "line_search"
+        act = moved = act[accepted]
+        if moved.size == 0:
+            break
+        h, xn, fn = h[accepted], xn[accepted], fn[accepted]
+        s = xn - x[moved]
+        gn = np.asarray(grad(xn, moved), dtype=float)
+        yv = gn - gx[moved]
+        sy = batch_dot(s, yv)
+        if it == 0:
+            first = sy > 0
+            h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
+        upd = sy > 1e-12 * np.sqrt(batch_dot(s, s)) * np.sqrt(batch_dot(yv, yv))
+        if upd.any():
+            su, yu = s[upd], yv[upd]
+            rho = (1.0 / sy[upd])[:, None, None]
+            v = eye - rho * (su[:, :, None] * yu[:, None, :])
+            h[upd] = v @ h[upd] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
+        hinv[moved], x[moved], fx[moved], gx[moved] = h, xn, fn, gn
+        gnorm[moved] = np.sqrt(batch_dot(gn, gn))
+        stalled = np.sqrt(batch_dot(s, s)) <= options.step_tol
+        status[moved[stalled]] = "step_tol"
+        act = moved[~stalled]
+    for i in act:
+        status[i] = _final_status(gnorm[i], options.grad_tol)
+    converged = (status == "grad_tol") | (status == "step_tol")
+    return MinimizeResult(x, fx, gnorm, iters, converged, status)
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:

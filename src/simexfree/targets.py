@@ -16,7 +16,7 @@ simulator, and the rules the rest of the package reads from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .errors import CapacityError, ConfigError, ModelMismatchError
 from .gaussian import hermite_rule, normal_cdf, normal_pdf, tensor_hermite_rule
-from .optimize import finite_difference_gradient
+from .optimize import batch_dot, finite_difference_gradient
 
 # Below this, the smoothing variance s = lam * beta' sigma_u beta is treated
 # as exactly zero: the closed-form limits are known and the normal cdf/pdf
@@ -175,14 +175,30 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TargetContext:
-    """Dataset, model, noise level, and quadrature sizes for one objective."""
+    """Dataset, model, noise level, and quadrature sizes for one objective.
+
+    ``z`` defaults to ``dataset.z``.  For a family whose record is
+    ``batched`` it may instead be a stack of B pseudo-data surrogate sets,
+    shape (B, n, p), that share the dataset's y and sigma_u; the objective
+    then takes theta of shape (B, q) and returns B values, one per set.
+    """
 
     dataset: Dataset
     model: ModelSpec
     lam: float
     nodes: int = 30
+    z: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.z is None:
+            object.__setattr__(self, "z", self.dataset.z)
+        elif not self.model.record.batched:
+            raise ConfigError(f"family {self.model.family!r} takes no stacked surrogates")
+        elif self.z.ndim != 3 or self.z.shape[1:] != self.dataset.z.shape:
+            raise ConfigError(
+                f"stacked surrogates have shape {self.z.shape}, "
+                f"expected (B, {self.dataset.n}, {self.dataset.p})"
+            )
         if self.lam < -1.0:
             raise ConfigError(f"lam must be at least -1, got {self.lam}")
         if self.nodes < 2:
@@ -195,15 +211,45 @@ class TargetContext:
         self.model.validate_y(self.dataset.y)
 
 
-def _split(ctx: TargetContext, theta) -> tuple[float, np.ndarray]:
-    """Split a flat parameter vector into (intercept, slopes)."""
+def _split(ctx: TargetContext, theta) -> tuple[float | np.ndarray, np.ndarray]:
+    """Split flat parameters, (q,) or a batch (B, q), into (intercept, slopes).
+
+    The intercept keeps a trailing axis of length 1, so it broadcasts
+    against the rows; without one it is 0.0.
+    """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     q = ctx.model.n_params(ctx.dataset.p)
-    if q is not None and th.size != q:
-        raise ConfigError(f"theta has length {th.size}, expected {q}")
+    if q is not None and th.shape[-1] != q:
+        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
     if ctx.model.has_intercept:
-        return float(th[0]), th[1:]
+        return th[..., :1], th[..., 1:]
     return 0.0, th
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for a (..., m, k) and v (..., k), batch axes broadcast.
+
+    Each batch row gets the bits of its own ``a @ v``; with one column that
+    is the exact product, taken elementwise because a stack of (m, 1)
+    matrix products costs several times more.
+    """
+    if v.ndim == 1:
+        return a @ v
+    if a.shape[-1] == 1:
+        return a[..., 0] * v[..., :1]
+    return (a @ v[..., None])[..., 0]
+
+
+def _vecmat(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a.T @ v`` for a (..., m, k) and v (..., m), batch axes broadcast."""
+    if v.ndim == 1 and a.ndim == 2:
+        return a.T @ v
+    return (v[..., None, :] @ a)[..., 0, :]
+
+
+def _mean(a: np.ndarray) -> float | np.ndarray:
+    """Mean over the last axis (the rows)."""
+    return a.sum(axis=-1) / a.shape[-1]
 
 
 def _smoothing_variance(ctx: TargetContext, beta: np.ndarray) -> float:
@@ -213,8 +259,12 @@ def _smoothing_variance(ctx: TargetContext, beta: np.ndarray) -> float:
     return s
 
 
-def _guard(value: float) -> float:
-    return value if np.isfinite(value) else np.inf
+def _guard(value):
+    """inf for a non-finite value: a float for one value, an array for a batch."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return _guard_vec(value)
+    value = float(value)
+    return value if math.isfinite(value) else math.inf
 
 
 def _guard_vec(g: np.ndarray) -> np.ndarray:
@@ -258,21 +308,27 @@ def _abs_smooth_slopes(x: np.ndarray, v: float):
 # --------------------------------------------------------------------------
 
 
+# The linear, exponential and poisson objectives and gradients are
+# ``batched``: theta may be (B, q) against stacked surrogates (B, n, p).
+# For one theta they reduce to the same operations, and bits, as plain
+# matrix-vector products.
+
+
 def target_linear(ctx: TargetContext, theta) -> float:
     """Least-squares criterion plus lam times the slope penalty beta' sigma_u beta."""
     alpha, beta = _split(ctx, theta)
     d = ctx.dataset
-    r = d.y - alpha - d.z @ beta
-    return float(r @ r) / d.n + ctx.lam * float(beta @ d.sigma_u @ beta)
+    r = d.y - alpha - _matvec(ctx.z, beta)
+    return _guard(batch_dot(r, r) / d.n + ctx.lam * batch_dot(_vecmat(beta, d.sigma_u), beta))
 
 
 def target_linear_gradient(ctx: TargetContext, theta) -> np.ndarray:
     alpha, beta = _split(ctx, theta)
     d = ctx.dataset
-    r = d.y - alpha - d.z @ beta
-    gb = (-2.0 / d.n) * (d.z.T @ r) + 2.0 * ctx.lam * (d.sigma_u @ beta)
+    r = d.y - alpha - _matvec(ctx.z, beta)
+    gb = (-2.0 / d.n) * _vecmat(r, ctx.z) + 2.0 * ctx.lam * _matvec(d.sigma_u, beta)
     if ctx.model.has_intercept:
-        return np.concatenate(([-2.0 * float(np.mean(r))], gb))
+        return np.concatenate(((-2.0 * _mean(r))[..., None], gb), axis=-1)
     return gb
 
 
@@ -280,12 +336,12 @@ def target_exponential(ctx: TargetContext, theta) -> float:
     """Corrected squared-error criterion for the mean function exp(z' theta)."""
     _, t = _split(ctx, theta)
     d = ctx.dataset
-    quad = float(t @ d.sigma_u @ t)
-    zt = d.z @ t
+    quad = batch_dot(_vecmat(t, d.sigma_u), t)[..., None]
+    zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         e1 = np.exp(zt + 0.5 * ctx.lam * quad)
         e2 = np.exp(2.0 * zt + 2.0 * ctx.lam * quad)
-        v = float(np.mean(d.y * d.y - 2.0 * d.y * e1 + e2))
+        v = _mean(d.y * d.y - 2.0 * d.y * e1 + e2)
     return _guard(v)
 
 
@@ -293,17 +349,17 @@ def target_exponential_gradient(ctx: TargetContext, theta) -> np.ndarray:
     """Analytic gradient of :func:`target_exponential` (any admissible lam)."""
     _, t = _split(ctx, theta)
     d = ctx.dataset
-    su_t = d.sigma_u @ t
-    quad = float(t @ su_t)
-    zt = d.z @ t
+    su_t = _matvec(d.sigma_u, t)
+    quad = batch_dot(t, su_t)[..., None]
+    zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         e1 = np.exp(zt + 0.5 * ctx.lam * quad)
         e2 = np.exp(2.0 * zt + 2.0 * ctx.lam * quad)
         ye1 = d.y * e1
         g = (
-            -2.0 * (d.z.T @ ye1 / d.n + ctx.lam * su_t * float(np.mean(ye1)))
-            + 2.0 * d.z.T @ e2 / d.n
-            + 4.0 * ctx.lam * su_t * float(np.mean(e2))
+            -2.0 * (_vecmat(ye1, ctx.z) / d.n + ctx.lam * su_t * _mean(ye1)[..., None])
+            + 2.0 * _vecmat(e2, ctx.z) / d.n
+            + 4.0 * ctx.lam * su_t * _mean(e2)[..., None]
         )
     return _guard_vec(g)
 
@@ -351,22 +407,22 @@ def target_poisson_negloglik(ctx: TargetContext, theta) -> float:
     """Corrected Poisson negative log-likelihood (theta-free terms dropped)."""
     _, t = _split(ctx, theta)
     d = ctx.dataset
-    quad = float(t @ d.sigma_u @ t)
-    zt = d.z @ t
+    quad = batch_dot(_vecmat(t, d.sigma_u), t)[..., None]
+    zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = -float(np.mean(d.y * zt - np.exp(zt + 0.5 * ctx.lam * quad)))
+        v = -_mean(d.y * zt - np.exp(zt + 0.5 * ctx.lam * quad))
     return _guard(v)
 
 
 def target_poisson_gradient(ctx: TargetContext, theta) -> np.ndarray:
     _, t = _split(ctx, theta)
     d = ctx.dataset
-    su_t = d.sigma_u @ t
-    quad = float(t @ su_t)
-    zt = d.z @ t
+    su_t = _matvec(d.sigma_u, t)
+    quad = batch_dot(t, su_t)[..., None]
+    zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.exp(zt + 0.5 * ctx.lam * quad)
-        g = -(d.z.T @ (d.y - mu)) / d.n + ctx.lam * su_t * float(np.mean(mu))
+        g = -_vecmat(d.y - mu, ctx.z) / d.n + ctx.lam * su_t * _mean(mu)[..., None]
     return _guard_vec(g)
 
 
@@ -839,6 +895,9 @@ class Family:
     quasi-Newton can minimize at lambda = 0, and ``intercept`` and ``tau``
     the families that accept an intercept and require a level.
     ``y_domain`` is a (description, predicate) pair for valid responses.
+    ``batched`` marks an objective and gradient that broadcast over stacked
+    surrogates (see :class:`TargetContext`), so classical SIMEX solves the
+    pseudo-data sets of one noise level as one batch.
     """
 
     objective: Callable[[TargetContext, np.ndarray], float]
@@ -850,16 +909,17 @@ class Family:
     intercept: bool = False
     tau: bool = False
     y_domain: tuple[str, Callable[[np.ndarray], bool]] | None = None
+    batched: bool = False
 
 
 FAMILIES: dict[str, Family] = {
     "linear": Family(
         target_linear, _start_least_squares, gradient=target_linear_gradient,
-        simulate=_simulate_additive, pluggable=True, intercept=True,
+        simulate=_simulate_additive, pluggable=True, intercept=True, batched=True,
     ),
     "exponential": Family(
         target_exponential, _start_flat, gradient=target_exponential_gradient,
-        simulate=_simulate_exponential, pluggable=True,
+        simulate=_simulate_exponential, pluggable=True, batched=True,
     ),
     "sine": Family(
         target_sine, _start_flat, gradient=target_sine_gradient,
@@ -867,7 +927,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "poisson": Family(
         target_poisson_negloglik, _start_poisson, gradient=target_poisson_gradient,
-        simulate=_simulate_poisson, pluggable=True,
+        simulate=_simulate_poisson, pluggable=True, batched=True,
         y_domain=(
             "nonnegative integer responses",
             lambda y: bool(np.all((y >= 0) & (y == np.floor(y)))),

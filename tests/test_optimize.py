@@ -12,11 +12,13 @@ from simexfree import (
     TargetContext,
     finite_difference_gradient,
     minimize,
+    minimize_batch,
     linear_closed_form,
     target_linear,
     target_poisson_negloglik,
 )
-from simexfree.targets import target_poisson_gradient
+from simexfree.simex import _stream, pseudo_data
+from simexfree.targets import target_gradient, target_poisson_gradient, target_value
 
 
 def test_quadratic_bowl():
@@ -164,3 +166,126 @@ def test_fd_gradient_error_names_coordinate():
 
     with pytest.raises(EstimationError, match="coordinate 1"):
         finite_difference_gradient(f, np.array([0.0, 0.5]))
+
+
+def test_exhausted_line_search_is_not_converged():
+    # a cusp: every trial point along the reported descent direction is
+    # higher than the start, however short the step
+    res = minimize(lambda th: float(np.sqrt(abs(th[0]))), lambda th: np.ones(1),
+                   MinimizeOptions(start=np.zeros(1)))
+    assert res.status == "line_search"
+    assert not res.converged
+    assert res.theta_hat[0] == 0.0 and res.iters == 1
+
+
+def test_nonfinite_gradient_status():
+    res = minimize(lambda th: float(th @ th), lambda th: np.full(1, np.nan),
+                   MinimizeOptions(start=np.ones(1)))
+    assert res.status == "nonfinite"
+    assert not res.converged
+    assert res.iters == 0
+
+
+def _rowwise(f, g):
+    """Batch callables from per-row scalar ones: row r is f(theta, r)."""
+    return (
+        lambda th, rows: np.array([f(t, r) for t, r in zip(th, rows)]),
+        lambda th, rows: np.array([g(t, r) for t, r in zip(th, rows)]),
+    )
+
+
+def test_minimize_batch_statuses_per_row():
+    # one row per exit: grad_tol, line_search, nonfinite, infeasible, max_iters
+    fs = [
+        lambda t: float((t[0] - 3.0) ** 2),
+        lambda t: float(np.sqrt(abs(t[0]))),
+        lambda t: float(t @ t),
+        lambda t: float("inf"),
+        lambda t: float(100.0 * (t[0] - 1.0) ** 4),
+    ]
+    gs = [
+        lambda t: 2.0 * (t - 3.0),
+        lambda t: np.ones(1),
+        lambda t: np.full(1, np.nan),
+        lambda t: np.zeros(1),
+        lambda t: 400.0 * (t - 1.0) ** 3,
+    ]
+    f, g = _rowwise(lambda t, r: fs[r](t), lambda t, r: gs[r](t))
+    starts = np.array([[0.0], [0.0], [1.0], [0.0], [5.0]])
+    res = minimize_batch(f, g, MinimizeOptions(start=starts, max_iters=3))
+    assert list(res.status) == ["grad_tol", "line_search", "nonfinite", "infeasible", "max_iters"]
+    assert list(res.converged) == [True, False, False, False, False]
+    for r in range(5):
+        one = minimize(fs[r], gs[r], MinimizeOptions(start=starts[r], max_iters=3))
+        assert (one.status, one.iters) == (res.status[r], res.iters[r])
+        assert np.array_equal(one.theta_hat, res.theta_hat[r])
+
+
+def _pseudo_stack(rows=5, lam=1.0):
+    rng = _stream(17, (0, 0))
+    x = rng.standard_normal(300)
+    ds = Dataset(y=np.exp(x) + rng.standard_normal(300), z=x + rng.normal(0, 0.5, 300),
+                 sigma_u=0.25)
+    zs = np.stack([pseudo_data(ds, lam, _stream(100, (1, b))) for b in range(rows)])
+    return ds, zs
+
+
+def _stack_solve(ds, zs, start, seen=None):
+    model = ModelSpec(family="exponential")
+
+    def kernel(fn):
+        def call(th, rows):
+            if seen is not None:
+                seen.append(rows.copy())
+            return fn(TargetContext(dataset=ds, model=model, lam=0.0, z=zs[rows]), th)
+        return call
+
+    return minimize_batch(kernel(target_value), kernel(target_gradient),
+                          MinimizeOptions(start=start))
+
+
+def test_minimize_batch_rows_match_lone_solves():
+    ds, zs = _pseudo_stack()
+    start = np.zeros((len(zs), 1))
+    together = _stack_solve(ds, zs, start)
+    assert together.converged.all()
+    model = ModelSpec(family="exponential")
+    for r in range(len(zs)):
+        alone = _stack_solve(ds, zs[r : r + 1], start[r : r + 1])
+        for field in ("theta_hat", "value", "grad_norm"):
+            np.testing.assert_allclose(getattr(together, field)[r], getattr(alone, field)[0],
+                                       rtol=1e-12, atol=0)
+        assert together.iters[r] == alone.iters[0]
+        # and the scalar solve on the same pseudo-data takes the same steps
+        ctx = TargetContext(dataset=Dataset(y=ds.y, z=zs[r], sigma_u=ds.sigma_u),
+                            model=model, lam=0.0)
+        scalar = minimize(lambda th: target_value(ctx, th), lambda th: target_gradient(ctx, th),
+                          MinimizeOptions(start=start[r]))
+        np.testing.assert_allclose(together.theta_hat[r], scalar.theta_hat, rtol=1e-12, atol=0)
+        assert together.iters[r] == scalar.iters
+
+
+def test_minimize_batch_exited_row_is_not_evaluated_again():
+    ds, zs = _pseudo_stack()
+    first = _stack_solve(ds, zs, np.zeros((len(zs), 1)))
+    # row 2 starts at its own minimizer and exits before the first step
+    start = np.zeros((len(zs), 1))
+    start[2] = first.theta_hat[2]
+    seen = []
+    res = _stack_solve(ds, zs, start, seen)
+    assert res.status[2] == "grad_tol" and res.iters[2] == 0
+    assert np.array_equal(res.theta_hat[2], first.theta_hat[2])
+    assert res.iters.max() > 5
+    # the first value call and the first gradient call cover every row
+    assert all(2 not in rows for rows in seen[2:])
+    np.testing.assert_allclose(res.theta_hat, first.theta_hat, rtol=1e-12, atol=0)
+
+
+def test_minimize_batch_validation():
+    f, g = _rowwise(lambda t, r: float(t @ t), lambda t, r: 2.0 * t)
+    with pytest.raises(ConfigError):
+        minimize_batch(f, g, MinimizeOptions(start=np.zeros(2)))
+    with pytest.raises(ConfigError):
+        minimize_batch(f, g, MinimizeOptions(start=np.zeros((2, 1)), method="simplex"))
+    with pytest.raises(ConfigError):
+        minimize_batch(f, g, MinimizeOptions())

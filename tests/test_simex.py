@@ -9,14 +9,18 @@ from simexfree import (
     ConfigError,
     Dataset,
     EstimateConfig,
+    EstimationError,
     LambdaGrid,
+    MinimizeOptions,
     ModelSpec,
     SimexConfig,
     classical_simex,
     direct_estimate,
+    naive_estimate,
     pseudo_data,
 )
-from simexfree.extrapolate import extrapolation_se
+from simexfree.extrapolate import extrapolation_se, minimize_target
+from simexfree.simex import _stream
 
 
 def _linear_data(seed=0, n=200, su=0.25, beta=1.5):
@@ -125,3 +129,66 @@ def test_extrapolation_se_matches_simulation():
     predicted = extrapolation_se(fit, grid.values, se[:, None])[0]
     empirical = draws.std(ddof=1)
     assert abs(predicted - empirical) < 0.08 * empirical
+
+
+def _exponential_data(seed=3, n=200):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = np.exp(x) + rng.standard_normal(n)
+    return Dataset(y=y, z=x + rng.normal(0, 0.5, n), sigma_u=0.25)
+
+
+@pytest.mark.parametrize("family", ["exponential", "linear", "poisson"])
+def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
+    # the reference: one scalar naive solve per (grid point, replicate)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(150)
+    y = {"exponential": np.exp(x) + rng.standard_normal(150),
+         "linear": 1.0 + x + rng.standard_normal(150),
+         "poisson": rng.poisson(np.exp(0.5 * x)).astype(float)}[family]
+    ds = Dataset(y=y, z=x + rng.normal(0, 0.5, 150), sigma_u=0.25)
+    model = ModelSpec(family=family)
+    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5)
+    res = classical_simex(model, ds, cfg)
+    naive = naive_estimate(model, ds).theta_hat
+    for k, lam in enumerate(cfg.grid.values[1:], start=1):
+        draws = [
+            minimize_target(model, Dataset(y=ds.y, z=pseudo_data(ds, lam, _stream(5, (k, b))),
+                                           sigma_u=ds.sigma_u), 0.0, naive).theta_hat
+            for b in range(cfg.b)
+        ]
+        np.testing.assert_allclose(res.grid.thetas[k], np.mean(draws, axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.mc_se[k], np.std(draws, axis=0, ddof=1) / 2.0,
+                                   rtol=1e-10, atol=0)
+
+
+def test_classical_failure_names_each_failed_replicate():
+    ds = _exponential_data()
+    model = ModelSpec(family="exponential")
+    naive = naive_estimate(model, ds).theta_hat
+    # the naive fit starts at its own minimizer, so only the pseudo-data
+    # solves (and their retries, 4 iterations from the same start) run out
+    cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=1, start=naive,
+                      options=MinimizeOptions(max_iters=1))
+    with pytest.raises(EstimationError) as err:
+        classical_simex(model, ds, cfg)
+    assert str(err.value).endswith("lambda=1 b=0, lambda=1 b=1, lambda=1 b=2")
+
+
+def test_batched_classical_builds_no_dataset_per_pseudo_data_set(monkeypatch):
+    ds = _exponential_data()
+    model = ModelSpec(family="exponential")
+    built = []
+    post_init = Dataset.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    counts = []
+    for b in (2, 8):
+        built.clear()
+        classical_simex(model, ds, SimexConfig(b=b, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=2))
+        counts.append(len(built))
+    assert counts[0] == counts[1]

@@ -41,6 +41,7 @@ from simexfree.data import psd_factor
 from simexfree.gaussian import hermite_rule, normal_cdf
 from simexfree.optimize import finite_difference_gradient
 from simexfree.targets import (
+    FAMILIES,
     GENERIC_CHUNK_ROWS,
     GENERIC_TENSOR_NODES,
     WALSH_BLOCK,
@@ -715,3 +716,99 @@ def test_target_equals_mc_conditional_expectation(family, model_kw, data_kw):
             model, ds, theta, lam, draws=60_000, seed=30 + k
         )
         assert abs(val - mc) <= 3.0 * se, (family, k, lam, val, mc, se)
+
+
+# --------------------------------------------------------------------------
+# stacked surrogates: the batched families
+# --------------------------------------------------------------------------
+
+
+def _mean_form(ctx, theta):
+    """Value and gradient of a batched family written with ``np.mean``: the
+    reference that the kernels' ``sum / n`` row means match bit for bit."""
+    d, lam = ctx.dataset, ctx.lam
+    th = np.asarray(theta, dtype=float)
+    family = ctx.model.family
+    if family == "linear":
+        alpha, beta = (float(th[0]), th[1:]) if ctx.model.has_intercept else (0.0, th)
+        r = d.y - alpha - d.z @ beta
+        value = float(r @ r) / d.n + lam * float(beta @ d.sigma_u @ beta)
+        grad = (-2.0 / d.n) * (d.z.T @ r) + 2.0 * lam * (d.sigma_u @ beta)
+        if ctx.model.has_intercept:
+            grad = np.concatenate(([-2.0 * float(np.mean(r))], grad))
+        return value, grad
+    su_t = d.sigma_u @ th
+    zt = d.z @ th
+    if family == "exponential":
+        quad = float(th @ d.sigma_u @ th)
+        e1 = np.exp(zt + 0.5 * lam * quad)
+        e2 = np.exp(2.0 * zt + 2.0 * lam * quad)
+        value = float(np.mean(d.y * d.y - 2.0 * d.y * e1 + e2))
+        quad = float(th @ su_t)
+        e1 = np.exp(zt + 0.5 * lam * quad)
+        e2 = np.exp(2.0 * zt + 2.0 * lam * quad)
+        ye1 = d.y * e1
+        grad = (
+            -2.0 * (d.z.T @ ye1 / d.n + lam * su_t * float(np.mean(ye1)))
+            + 2.0 * d.z.T @ e2 / d.n
+            + 4.0 * lam * su_t * float(np.mean(e2))
+        )
+        return value, grad
+    quad = float(th @ d.sigma_u @ th)
+    value = -float(np.mean(d.y * zt - np.exp(zt + 0.5 * lam * quad)))
+    mu = np.exp(zt + 0.5 * lam * float(th @ su_t))
+    grad = -(d.z.T @ (d.y - mu)) / d.n + lam * su_t * float(np.mean(mu))
+    return value, grad
+
+
+BATCHED = [("linear", {}), ("linear", {"intercept": False}), ("exponential", {}), ("poisson", {})]
+
+
+def test_batched_families_are_the_table_entries():
+    assert sorted(f for f, rec in FAMILIES.items() if rec.batched) == [
+        "exponential", "linear", "poisson",
+    ]
+
+
+@pytest.mark.parametrize("family,kw", BATCHED)
+@pytest.mark.parametrize("p", [1, 2])
+def test_row_means_keep_the_mean_form_bits(family, kw, p):
+    ds = _make_dataset(seed=7, n=500, p=p, family=family)
+    for lam in (0.0, 0.5, -1.0):
+        ctx = _ctx(ds, family, lam, **kw)
+        theta = np.linspace(0.2, 0.6, ctx.model.n_params(p))
+        value, grad = _mean_form(ctx, theta)
+        assert target_value(ctx, theta) == value
+        assert type(target_value(ctx, theta)) is float
+        assert np.array_equal(target_gradient(ctx, theta), grad)
+
+
+@pytest.mark.parametrize("family,kw", BATCHED)
+@pytest.mark.parametrize("p", [1, 2])
+def test_stacked_rows_equal_their_own_objectives(family, kw, p):
+    ds = _make_dataset(seed=8, n=60, p=p, family=family)
+    rng = np.random.default_rng(9)
+    zs = ds.z + 0.4 * rng.standard_normal((4, ds.n, p))
+    model = ModelSpec(family=family, **kw)
+    thetas = rng.uniform(0.1, 0.7, (4, model.n_params(p)))
+    for lam in (0.0, 0.5, -1.0):
+        stacked = TargetContext(dataset=ds, model=model, lam=lam, z=zs)
+        values = target_value(stacked, thetas)
+        grads = target_gradient(stacked, thetas)
+        assert values.shape == (4,) and grads.shape == thetas.shape
+        for b in range(4):
+            own = TargetContext(dataset=Dataset(y=ds.y, z=zs[b], sigma_u=ds.sigma_u),
+                                model=model, lam=lam)
+            assert values[b] == target_value(own, thetas[b])
+            assert np.array_equal(grads[b], target_gradient(own, thetas[b]))
+
+
+def test_stacked_surrogates_validation():
+    ds = _make_dataset(n=10, family="linear")
+    zs = np.zeros((3, 10, 1))
+    with pytest.raises(ConfigError, match="no stacked surrogates"):
+        TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=zs)
+    for bad in (np.zeros((3, 9, 1)), np.zeros((10, 1)), np.zeros((3, 10, 2))):
+        with pytest.raises(ConfigError, match="stacked surrogates have shape"):
+            TargetContext(dataset=ds, model=ModelSpec(family="linear"), lam=0.0, z=bad)
+    assert _ctx(ds, "linear", 0.0).z is ds.z
