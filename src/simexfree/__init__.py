@@ -75,7 +75,6 @@ from .targets import (
     Theta,
     target_expectile,
     target_exponential,
-    target_exponential_gradient,
     target_generic_ls,
     target_gradient,
     target_lare,

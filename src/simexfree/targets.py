@@ -9,8 +9,9 @@ measurement-error bias in one shot.
 
 All functions are pure; a :class:`TargetContext` bundles the dataset, the
 model, the noise level, and quadrature settings.  :data:`FAMILIES` holds one
-:class:`Family` record per family: its objective, gradient, start, data
-simulator, and the rules the rest of the package reads from it.
+:class:`Family` record per family: its kernel (the objective with a lazy
+analytic gradient), start, data simulator, and the rules the rest of the
+package reads from it.
 """
 
 from __future__ import annotations
@@ -177,10 +178,12 @@ class ModelSpec:
 class TargetContext:
     """Dataset, model, noise level, and quadrature sizes for one objective.
 
-    ``z`` defaults to ``dataset.z``.  For a family whose record is
-    ``batched`` it may instead be a stack of B pseudo-data surrogate sets,
-    shape (B, n, p), that share the dataset's y and sigma_u; the objective
-    then takes theta of shape (B, q) and returns B values, one per set.
+    ``z`` defaults to ``dataset.z``.  For any family it may instead be one
+    set of pseudo-data surrogates, shape (n, p), that shares the dataset's y
+    and sigma_u, so a pseudo-data solve needs no Dataset of its own.  For a
+    family whose record is ``batched`` it may also be a stack of B such
+    sets, shape (B, n, p); the kernel then takes theta of shape (B, q) and
+    returns B values, one per set.
     """
 
     dataset: Dataset
@@ -190,11 +193,15 @@ class TargetContext:
     z: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        shape = self.dataset.z.shape
         if self.z is None:
             object.__setattr__(self, "z", self.dataset.z)
+        elif self.z.ndim == 2:
+            if self.z.shape != shape:
+                raise ConfigError(f"surrogates have shape {self.z.shape}, expected {shape}")
         elif not self.model.record.batched:
             raise ConfigError(f"family {self.model.family!r} takes no stacked surrogates")
-        elif self.z.ndim != 3 or self.z.shape[1:] != self.dataset.z.shape:
+        elif self.z.ndim != 3 or self.z.shape[1:] != shape:
             raise ConfigError(
                 f"stacked surrogates have shape {self.z.shape}, "
                 f"expected (B, {self.dataset.n}, {self.dataset.p})"
@@ -252,8 +259,25 @@ def _mean(a: np.ndarray) -> float | np.ndarray:
     return a.sum(axis=-1) / a.shape[-1]
 
 
-def _smoothing_variance(ctx: TargetContext, beta: np.ndarray) -> float:
-    s = ctx.lam * float(beta @ ctx.dataset.sigma_u @ beta)
+def _quad(ctx: TargetContext, beta: np.ndarray, inner: bool = False):
+    """``sigma_u beta`` and the quadratic form beta' sigma_u beta, for beta
+    of shape (q,) or a batch (B, q).
+
+    The form is summed as (beta' sigma_u) beta, or with ``inner`` as
+    beta' (sigma_u beta); the two can differ in the last bit when beta has
+    two or more coordinates.  Each kernel takes the order that keeps its
+    fixed-seed results bit-identical to earlier releases: the inner one for
+    exponential, poisson, sine and lpre.
+    """
+    su_beta = _matvec(ctx.dataset.sigma_u, beta)
+    if inner:
+        return su_beta, batch_dot(beta, su_beta)
+    return su_beta, batch_dot(_vecmat(beta, ctx.dataset.sigma_u), beta)
+
+
+def _smoothing_variance(ctx: TargetContext, quad) -> float:
+    """s = lam * beta' sigma_u beta, floored to exactly zero below S_FLOOR."""
+    s = ctx.lam * float(quad)
     if 0.0 < s < S_FLOOR:
         return 0.0
     return s
@@ -272,319 +296,275 @@ def _guard_vec(g: np.ndarray) -> np.ndarray:
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)), written so that neither exp overflows."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
-def _abs_smooth(x: np.ndarray, v: float) -> np.ndarray:
-    """E|x + W| for W ~ N(0, v); |x| at v = 0."""
+def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
+    """E|x + W| for W ~ N(0, v), with its derivatives in x and in v.
+
+    At v = 0 these are |x|, sign(x) and 0, as the objectives treat a floored
+    smoothing variance as exactly zero; the sign is skipped (None) without
+    ``slopes``.
+    """
     if v == 0.0:
-        return np.abs(x)
+        return np.abs(x), np.sign(x) if slopes else None, 0.0
     # x (2 Phi(x; 0, v) - 1) + 2 v phi(x; 0, v), in the standardized u = x / r
     r = math.sqrt(v)
     u = x / r
-    return x * (2.0 * normal_cdf(u) - 1.0) + (2.0 * r * _INV_SQRT_2PI) * np.exp(-0.5 * u * u)
-
-
-def _abs_smooth_slopes(x: np.ndarray, v: float):
-    """Derivatives of :func:`_abs_smooth` in x and in v.
-
-    At v = 0 the x-derivative is sign(x) and the v-derivative is dropped,
-    as the objectives treat a floored smoothing variance as exactly zero.
-    """
-    if v == 0.0:
-        return np.sign(x), 0.0
-    r = math.sqrt(v)
-    u = x / r
+    dx = 2.0 * normal_cdf(u) - 1.0
+    e = np.exp(-0.5 * u * u)
     # d/dv E f(x + W) = E f''(x + W) / 2, and f'' = 2 delta for f = |.|
-    return 2.0 * normal_cdf(u) - 1.0, (_INV_SQRT_2PI / r) * np.exp(-0.5 * u * u)
+    return x * dx + (2.0 * r * _INV_SQRT_2PI) * e, dx, (_INV_SQRT_2PI / r) * e
 
 
 # --------------------------------------------------------------------------
-# family objectives
+# family kernels
 # --------------------------------------------------------------------------
 
+# A kernel ``target_<family>(ctx, theta)`` returns ``(value, grad)``: the
+# objective at theta, and a zero-argument callable that finishes its analytic
+# gradient from the intermediates the value already computed (None for
+# generic).  Calling ``grad`` only at an accepted point means a rejected
+# line-search trial never pays for a gradient.
+#
+# The linear, exponential and poisson kernels are ``batched``: theta may be
+# (B, q) against stacked surrogates (B, n, p).  For one theta they reduce to
+# the same operations, and bits, as plain matrix-vector products.
 
-# The linear, exponential and poisson objectives and gradients are
-# ``batched``: theta may be (B, q) against stacked surrogates (B, n, p).
-# For one theta they reduce to the same operations, and bits, as plain
-# matrix-vector products.
 
-
-def target_linear(ctx: TargetContext, theta) -> float:
+def target_linear(ctx: TargetContext, theta):
     """Least-squares criterion plus lam times the slope penalty beta' sigma_u beta."""
     alpha, beta = _split(ctx, theta)
     d = ctx.dataset
+    su_b, quad = _quad(ctx, beta)
     r = d.y - alpha - _matvec(ctx.z, beta)
-    return _guard(batch_dot(r, r) / d.n + ctx.lam * batch_dot(_vecmat(beta, d.sigma_u), beta))
+
+    def grad():
+        gb = (-2.0 / d.n) * _vecmat(r, ctx.z) + 2.0 * ctx.lam * su_b
+        if ctx.model.has_intercept:
+            return np.concatenate(((-2.0 * _mean(r))[..., None], gb), axis=-1)
+        return gb
+
+    return _guard(batch_dot(r, r) / d.n + ctx.lam * quad), grad
 
 
-def target_linear_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    alpha, beta = _split(ctx, theta)
-    d = ctx.dataset
-    r = d.y - alpha - _matvec(ctx.z, beta)
-    gb = (-2.0 / d.n) * _vecmat(r, ctx.z) + 2.0 * ctx.lam * _matvec(d.sigma_u, beta)
-    if ctx.model.has_intercept:
-        return np.concatenate(((-2.0 * _mean(r))[..., None], gb), axis=-1)
-    return gb
-
-
-def target_exponential(ctx: TargetContext, theta) -> float:
+def target_exponential(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function exp(z' theta)."""
     _, t = _split(ctx, theta)
     d = ctx.dataset
-    quad = batch_dot(_vecmat(t, d.sigma_u), t)[..., None]
+    su_t, quad = _quad(ctx, t, inner=True)
+    quad = quad[..., None]
     zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         e1 = np.exp(zt + 0.5 * ctx.lam * quad)
         e2 = np.exp(2.0 * zt + 2.0 * ctx.lam * quad)
-        v = _mean(d.y * d.y - 2.0 * d.y * e1 + e2)
-    return _guard(v)
+        value = _mean(d.y * d.y - 2.0 * d.y * e1 + e2)
+
+    def grad():
+        with np.errstate(over="ignore", invalid="ignore"):
+            ye1 = d.y * e1
+            g = (
+                -2.0 * (_vecmat(ye1, ctx.z) / d.n + ctx.lam * su_t * _mean(ye1)[..., None])
+                + 2.0 * _vecmat(e2, ctx.z) / d.n
+                + 4.0 * ctx.lam * su_t * _mean(e2)[..., None]
+            )
+        return _guard_vec(g)
+
+    return _guard(value), grad
 
 
-def target_exponential_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_exponential` (any admissible lam)."""
-    _, t = _split(ctx, theta)
-    d = ctx.dataset
-    su_t = _matvec(d.sigma_u, t)
-    quad = batch_dot(t, su_t)[..., None]
-    zt = _matvec(ctx.z, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.exp(zt + 0.5 * ctx.lam * quad)
-        e2 = np.exp(2.0 * zt + 2.0 * ctx.lam * quad)
-        ye1 = d.y * e1
-        g = (
-            -2.0 * (_vecmat(ye1, ctx.z) / d.n + ctx.lam * su_t * _mean(ye1)[..., None])
-            + 2.0 * _vecmat(e2, ctx.z) / d.n
-            + 4.0 * ctx.lam * su_t * _mean(e2)[..., None]
-        )
-    return _guard_vec(g)
-
-
-def target_sine(ctx: TargetContext, theta) -> float:
+def target_sine(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function sin(z' theta)."""
     _, t = _split(ctx, theta)
-    d = ctx.dataset
-    quad = float(t @ d.sigma_u @ t)
-    zt = d.z @ t
+    d, z = ctx.dataset, ctx.z
+    su_t, quad = _quad(ctx, t, inner=True)
+    zt = z @ t
+    sin = np.sin(zt)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = float(
-            np.mean(
-                d.y * d.y
-                - 2.0 * d.y * np.sin(zt) * np.exp(-0.5 * ctx.lam * quad)
-                - 0.5 * np.cos(2.0 * zt) * np.exp(-2.0 * ctx.lam * quad)
+        e1 = np.exp(-0.5 * ctx.lam * float(quad))
+        e2 = np.exp(-2.0 * ctx.lam * float(quad))
+        value = float(
+            _mean(d.y * d.y - 2.0 * d.y * sin * e1 - 0.5 * np.cos(2.0 * zt) * e2) + 1.0
+        )
+
+    def grad():
+        cos = np.cos(zt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # sin(2 zt) = 2 sin cos and cos(2 zt) = 1 - 2 sin^2
+            g = (
+                -2.0 * e1 * (z.T @ (d.y * cos) / d.n)
+                + 2.0 * ctx.lam * e1 * su_t * float(_mean(d.y * sin))
+                + 2.0 * e2 * (z.T @ (sin * cos) / d.n)
+                + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * float(_mean(sin * sin)))
             )
-            + 1.0
-        )
-    return _guard(v)
+        return _guard_vec(g)
+
+    return _guard(value), grad
 
 
-def target_sine_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_sine` (any admissible lam)."""
-    _, t = _split(ctx, theta)
-    d = ctx.dataset
-    su_t = d.sigma_u @ t
-    quad = float(t @ su_t)
-    zt = d.z @ t
-    sin, cos = np.sin(zt), np.cos(zt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.exp(-0.5 * ctx.lam * quad)
-        e2 = np.exp(-2.0 * ctx.lam * quad)
-        # sin(2 zt) = 2 sin cos and cos(2 zt) = 1 - 2 sin^2
-        g = (
-            -2.0 * e1 * (d.z.T @ (d.y * cos) / d.n)
-            + 2.0 * ctx.lam * e1 * su_t * float(np.mean(d.y * sin))
-            + 2.0 * e2 * (d.z.T @ (sin * cos) / d.n)
-            + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * float(np.mean(sin * sin)))
-        )
-    return _guard_vec(g)
-
-
-def target_poisson_negloglik(ctx: TargetContext, theta) -> float:
+def target_poisson_negloglik(ctx: TargetContext, theta):
     """Corrected Poisson negative log-likelihood (theta-free terms dropped)."""
     _, t = _split(ctx, theta)
     d = ctx.dataset
-    quad = batch_dot(_vecmat(t, d.sigma_u), t)[..., None]
+    su_t, quad = _quad(ctx, t, inner=True)
     zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = -_mean(d.y * zt - np.exp(zt + 0.5 * ctx.lam * quad))
-    return _guard(v)
+        mu = np.exp(zt + 0.5 * ctx.lam * quad[..., None])
+        value = -_mean(d.y * zt - mu)
+
+    def grad():
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = -_vecmat(d.y - mu, ctx.z) / d.n + ctx.lam * su_t * _mean(mu)[..., None]
+        return _guard_vec(g)
+
+    return _guard(value), grad
 
 
-def target_poisson_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    _, t = _split(ctx, theta)
-    d = ctx.dataset
-    su_t = _matvec(d.sigma_u, t)
-    quad = batch_dot(t, su_t)[..., None]
-    zt = _matvec(ctx.z, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.exp(zt + 0.5 * ctx.lam * quad)
-        g = -_vecmat(d.y - mu, ctx.z) / d.n + ctx.lam * su_t * _mean(mu)[..., None]
-    return _guard_vec(g)
-
-
-def target_logistic(ctx: TargetContext, theta) -> float:
+def target_logistic(ctx: TargetContext, theta):
     """Corrected Bernoulli negative log-likelihood.
 
     The log-partition term is the expectation of log(1 + exp(eta + u)) over
     u ~ N(0, s) with s = lam * beta' sigma_u beta, computed by Gauss-Hermite
-    quadrature; at s = 0 it collapses to the plain softplus.
-    """
-    alpha, beta = _split(ctx, theta)
-    d = ctx.dataset
-    eta = alpha + d.z @ beta
-    s = _smoothing_variance(ctx, beta)
-    if s == 0.0:
-        part = _softplus(eta)
-    else:
-        t, w = hermite_rule(ctx.nodes)
-        u = math.sqrt(2.0 * s) * t
-        part = _softplus(eta[:, None] + u[None, :]) @ w / math.sqrt(math.pi)
-    return _guard(-float(np.mean(d.y * eta - part)))
-
-
-def target_logistic_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_logistic`.
-
-    It differentiates the same Hermite sum: the sigmoid at each node for
-    eta, and node t times the sigmoid over sqrt(2 s) for s, chained through
+    quadrature; at s = 0 it collapses to the plain softplus.  The gradient
+    differentiates the same Hermite sum: the sigmoid at each node for eta,
+    and node t times the sigmoid over sqrt(2 s) for s, chained through
     ds/dbeta = 2 lam sigma_u beta.
     """
     alpha, beta = _split(ctx, theta)
-    d = ctx.dataset
-    eta = alpha + d.z @ beta
-    s = _smoothing_variance(ctx, beta)
+    d, z = ctx.dataset, ctx.z
+    su_b, quad = _quad(ctx, beta)
+    eta = alpha + z @ beta
+    s = _smoothing_variance(ctx, quad)
     if s == 0.0:
-        resid = d.y - _sigmoid(eta)
-        gb = -(d.z.T @ resid) / d.n
+        shifted = eta
+        part = _softplus(eta)
     else:
         t, w = hermite_rule(ctx.nodes)
         root = math.sqrt(2.0 * s)
-        sig = _sigmoid(eta[:, None] + (root * t)[None, :])
-        resid = d.y - sig @ w / math.sqrt(math.pi)
-        dpart_ds = float(np.mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
-        gb = -(d.z.T @ resid) / d.n + dpart_ds * 2.0 * ctx.lam * (d.sigma_u @ beta)
-    if ctx.model.has_intercept:
-        gb = np.concatenate(([-float(np.mean(resid))], gb))
-    return _guard_vec(gb)
+        shifted = eta[:, None] + (root * t)[None, :]
+        part = _softplus(shifted) @ w / math.sqrt(math.pi)
+
+    def grad():
+        sig = _sigmoid(shifted)
+        if s == 0.0:
+            resid = d.y - sig
+            gb = -(z.T @ resid) / d.n
+        else:
+            resid = d.y - sig @ w / math.sqrt(math.pi)
+            dpart_ds = float(_mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
+            gb = -(z.T @ resid) / d.n + dpart_ds * 2.0 * ctx.lam * su_b
+        if ctx.model.has_intercept:
+            gb = np.concatenate(([-float(_mean(resid))], gb))
+        return _guard_vec(gb)
+
+    return _guard(-float(_mean(d.y * eta - part))), grad
 
 
-def target_lpre(ctx: TargetContext, theta) -> float:
+def target_lpre(ctx: TargetContext, theta):
     """Corrected least-product-relative-error criterion (multiplicative model)."""
     _, t = _split(ctx, theta)
-    d = ctx.dataset
-    quad = float(t @ d.sigma_u @ t)
-    zt = d.z @ t
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = float(np.mean(d.y * np.exp(-zt) + np.exp(zt) / d.y))
-        v = base * math.exp(min(0.5 * ctx.lam * quad, 709.0))
-    return _guard(v)
-
-
-def target_lpre_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    _, t = _split(ctx, theta)
-    d = ctx.dataset
-    su_t = d.sigma_u @ t
-    quad = float(t @ su_t)
-    zt = d.z @ t
+    d, z = ctx.dataset, ctx.z
+    su_t, quad = _quad(ctx, t, inner=True)
+    zt = z @ t
     with np.errstate(over="ignore", invalid="ignore"):
         lo = d.y * np.exp(-zt)
         hi = np.exp(zt) / d.y
-        scale = math.exp(min(0.5 * ctx.lam * quad, 709.0))
-        g = scale * (
-            d.z.T @ (hi - lo) / d.n
-            + ctx.lam * su_t * float(np.mean(lo + hi))
-        )
-    return _guard_vec(g)
+        base = float(_mean(lo + hi))
+        scale = math.exp(min(0.5 * ctx.lam * float(quad), 709.0))
+
+    def grad():
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = scale * (z.T @ (hi - lo) / d.n + ctx.lam * su_t * base)
+        return _guard_vec(g)
+
+    return _guard(base * scale), grad
 
 
-def target_lare(ctx: TargetContext, theta) -> float:
+def target_lare(ctx: TargetContext, theta):
     """Corrected least-absolute-relative-error criterion (multiplicative model).
 
     With s = lam * theta' sigma_u theta and l_i = log(y_i) - z_i' theta, the
-    per-observation conditional expectation is
+    per-observation conditional expectation F is the sum of
 
-        exp(z'theta + s/2) / y * [1 - 2 Phi(l - s; 0, s)]
-        + y * exp(-z'theta + s/2) * [2 Phi(l + s; 0, s) - 1],
+        up = exp(z'theta + s/2) / y * [1 - 2 Phi(l - s; 0, s)] and
+        down = y * exp(-z'theta + s/2) * [2 Phi(l + s; 0, s) - 1],
 
-    which reduces to the plain criterion at s = 0.
+    which reduces to the plain criterion at s = 0.  With eta = z' theta the
+    normal density terms cancel in dF/deta = up - down, and
+    dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 the gradient
+    is a subgradient of the plain criterion.
     """
     _, t = _split(ctx, theta)
-    d = ctx.dataset
-    zt = d.z @ t
-    s = _smoothing_variance(ctx, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if s == 0.0:
+    d, z = ctx.dataset, ctx.z
+    su_t, quad = _quad(ctx, t)
+    zt = z @ t
+    s = _smoothing_variance(ctx, quad)
+
+    def terms():
+        with np.errstate(over="ignore", invalid="ignore"):
+            ell = np.log(d.y) - zt
+            up = np.exp(zt + 0.5 * s) / d.y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
+            down = d.y * np.exp(-zt + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
+        return ell, up, down
+
+    if s == 0.0:
+        # the plain criterion; the terms wait for a gradient, which a
+        # simplex solve never asks for
+        shared = None
+        with np.errstate(over="ignore", invalid="ignore"):
             dev = np.abs(d.y - np.exp(zt))
-            return _guard(float(np.mean(dev / d.y + np.exp(-zt) * dev)))
-        ell = np.log(d.y) - zt
-        lo = 1.0 - 2.0 * normal_cdf(ell - s, 0.0, s)
-        hi = 2.0 * normal_cdf(ell + s, 0.0, s) - 1.0
-        v = float(
-            np.mean(
-                np.exp(zt + 0.5 * s) / d.y * lo
-                + d.y * np.exp(-zt + 0.5 * s) * hi
-            )
-        )
-    return _guard(v)
+            value = float(_mean(dev / d.y + np.exp(-zt) * dev))
+    else:
+        shared = terms()
+        value = float(_mean(shared[1] + shared[2]))
+
+    def grad():
+        ell, up, down = shared or terms()
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = z.T @ (up - down) / d.n
+            if s > 0.0:
+                ds = float(_mean(0.5 * (up + down) + 2.0 * normal_pdf(ell, 0.0, s)))
+                g = g + ds * 2.0 * ctx.lam * su_t
+        return _guard_vec(g)
+
+    return _guard(value), grad
 
 
-def target_lare_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_lare`.
-
-    With F(eta, s) the per-observation term and eta = z' theta, the normal
-    density terms cancel in dF/deta = e^(eta+s/2)/y lo - y e^(-eta+s/2) hi,
-    and dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 this is a
-    subgradient of the plain criterion.
-    """
-    _, t = _split(ctx, theta)
-    d = ctx.dataset
-    zt = d.z @ t
-    s = _smoothing_variance(ctx, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ell = np.log(d.y) - zt
-        up = np.exp(zt + 0.5 * s) / d.y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
-        down = d.y * np.exp(-zt + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
-        g = d.z.T @ (up - down) / d.n
-        if s > 0.0:
-            ds = float(np.mean(0.5 * (up + down) + 2.0 * normal_pdf(ell, 0.0, s)))
-            g = g + ds * 2.0 * ctx.lam * (d.sigma_u @ t)
-    return _guard_vec(g)
-
-
-def target_quantile(ctx: TargetContext, theta) -> float:
+def target_quantile(ctx: TargetContext, theta):
     """Smoothed check-loss criterion for quantile regression.
 
     Per observation, with xi = y - z' beta and s = lam * beta' sigma_u beta:
     (tau - 1) xi + xi Phi(xi; 0, s) + s phi(xi; 0, s); the s = 0 branch is
-    the plain check loss.
+    the plain check loss.  Its xi-derivative is tau - 1 + Phi(xi; 0, s) and
+    its s-derivative phi(xi; 0, s) / 2; at s = 0 the gradient is a
+    subgradient of the check loss.
     """
     _, beta = _split(ctx, theta)
-    d = ctx.dataset
+    d, z = ctx.dataset, ctx.z
     tau = ctx.model.tau
-    xi = d.y - d.z @ beta
-    s = _smoothing_variance(ctx, beta)
+    su_b, quad = _quad(ctx, beta)
+    xi = d.y - z @ beta
+    s = _smoothing_variance(ctx, quad)
     if s == 0.0:
-        return float(np.mean(xi * (tau - (xi < 0))))
-    v = (tau - 1.0) * xi + xi * normal_cdf(xi, 0.0, s) + s * normal_pdf(xi, 0.0, s)
-    return _guard(float(np.mean(v)))
+        # the step cdf waits for a gradient, which a simplex solve never asks for
+        value, cdf = float(_mean(xi * (tau - (xi < 0)))), None
+    else:
+        cdf, pdf = normal_cdf(xi, 0.0, s), normal_pdf(xi, 0.0, s)
+        value = _guard(float(_mean((tau - 1.0) * xi + xi * cdf + s * pdf)))
 
+    def grad():
+        step = normal_cdf(xi, 0.0, s) if cdf is None else cdf
+        g = -(z.T @ (tau - 1.0 + step)) / d.n
+        if s > 0.0:
+            g = g + float(_mean(pdf)) * ctx.lam * su_b
+        return _guard_vec(g)
 
-def target_quantile_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_quantile`: per observation the
-    xi-derivative is tau - 1 + Phi(xi; 0, s) and the s-derivative
-    phi(xi; 0, s) / 2.  At s = 0 this is a subgradient of the check loss."""
-    _, beta = _split(ctx, theta)
-    d = ctx.dataset
-    xi = d.y - d.z @ beta
-    s = _smoothing_variance(ctx, beta)
-    g = -(d.z.T @ (ctx.model.tau - 1.0 + normal_cdf(xi, 0.0, s))) / d.n
-    if s > 0.0:
-        g = g + float(np.mean(normal_pdf(xi, 0.0, s))) * ctx.lam * (d.sigma_u @ beta)
-    return _guard_vec(g)
+    return value, grad
 
 
 @lru_cache(maxsize=8)
@@ -612,127 +592,107 @@ def _upper_blocks(xi: np.ndarray, block: int):
         yield i0, i1, rows[iu] + rows[ju], rows[:, None] + xi[None, i1:]
 
 
-def _walsh_pair_sum(xi: np.ndarray, s: float, block: int = WALSH_BLOCK) -> float:
-    """Sum over the pairs i < j of E|xi_i + xi_j + W|, W ~ N(0, 2 s).
+def _walsh_pairs(xi: np.ndarray, s: float, slopes: bool = True, block: int = WALSH_BLOCK):
+    """Sum over the pairs i < j of E|xi_i + xi_j + W|, W ~ N(0, 2 s), its
+    gradient in xi and its derivative in s.
 
     Each pair is evaluated once, in upper-triangular row blocks that bound
-    memory at the n = 5000 cap.
+    memory at the n = 5000 cap.  A pair's xi-derivative goes to both of its
+    rows: the row and column sums of the blocks.  Without ``slopes`` the
+    gradient is None and the derivative 0.0.
     """
-    total = 0.0
-    for _, _, inner, outer in _upper_blocks(xi, block):
-        total += float(np.sum(_abs_smooth(inner, 2.0 * s)))
-        total += float(np.sum(_abs_smooth(outer, 2.0 * s)))
-    return total
-
-
-def _walsh_pair_slopes(
-    xi: np.ndarray, s: float, block: int = WALSH_BLOCK
-) -> tuple[np.ndarray, float]:
-    """Gradient of :func:`_walsh_pair_sum` in xi, and its derivative in s.
-
-    A pair's xi-derivative goes to both of its rows: the row and column sums
-    of the blocks that :func:`_walsh_pair_sum` sums.
-    """
-    dxi = np.zeros(xi.size)
-    ds = 0.0
+    total, ds = 0.0, 0.0
+    dxi = np.zeros(xi.size) if slopes else None
     for i0, i1, inner, outer in _upper_blocks(xi, block):
-        iu, ju = _upper_pairs(i1 - i0)
-        dx_in, dv_in = _abs_smooth_slopes(inner, 2.0 * s)
-        dx_out, dv_out = _abs_smooth_slopes(outer, 2.0 * s)
-        dxi[i0:i1] += (
-            np.bincount(iu, dx_in, i1 - i0)
-            + np.bincount(ju, dx_in, i1 - i0)
-            + dx_out.sum(axis=1)
-        )
-        dxi[i1:] += dx_out.sum(axis=0)
-        # the pair variance is 2 s
-        ds += 2.0 * (float(np.sum(dv_in)) + float(np.sum(dv_out)))
-    return dxi, ds
+        v_in, dx_in, dv_in = _abs_smooth(inner, 2.0 * s, slopes)
+        v_out, dx_out, dv_out = _abs_smooth(outer, 2.0 * s, slopes)
+        total += float(np.sum(v_in))
+        total += float(np.sum(v_out))
+        if slopes:
+            iu, ju = _upper_pairs(i1 - i0)
+            dxi[i0:i1] += (
+                np.bincount(iu, dx_in, i1 - i0)
+                + np.bincount(ju, dx_in, i1 - i0)
+                + dx_out.sum(axis=1)
+            )
+            dxi[i1:] += dx_out.sum(axis=0)
+            # the pair variance is 2 s
+            ds += 2.0 * (float(np.sum(dv_in)) + float(np.sum(dv_out)))
+    return total, dxi, ds
 
 
-def _walsh_residuals(ctx: TargetContext, theta) -> tuple[np.ndarray, np.ndarray, float]:
+def target_walsh(ctx: TargetContext, theta):
+    """Smoothed Walsh-average (pairwise absolute sum) regression criterion.
+
+    Exact O(n^2) pair evaluation; refuses beyond n = 5000.  The gradient is
+    a subgradient at s = 0.
+    """
     d = ctx.dataset
-    if d.n > WALSH_PAIR_CAP:
+    n = d.n
+    if n > WALSH_PAIR_CAP:
         raise CapacityError(
-            f"walsh family evaluates all pairs exactly; n = {d.n} exceeds "
+            f"walsh family evaluates all pairs exactly; n = {n} exceeds "
             f"the cap of {WALSH_PAIR_CAP}"
         )
     _, beta = _split(ctx, theta)
-    return beta, d.y - d.z @ beta, _smoothing_variance(ctx, beta)
-
-
-def target_walsh(ctx: TargetContext, theta) -> float:
-    """Smoothed Walsh-average (pairwise absolute sum) regression criterion.
-
-    Exact O(n^2) pair evaluation; refuses beyond n = 5000.
-    """
-    n = ctx.dataset.n
-    _, xi, s = _walsh_residuals(ctx, theta)
+    su_b, quad = _quad(ctx, beta)
+    xi = d.y - ctx.z @ beta
+    s = _smoothing_variance(ctx, quad)
     # the i = j terms are |2 xi_i + 2 U_i| = 2 |xi_i + U_i|
-    diag = 2.0 * float(np.sum(_abs_smooth(xi, s)))
-    pairs = _walsh_pair_sum(xi, s)
-    return _guard((diag + pairs) / (2.0 * n * (n + 1.0)))
+    diag, dx_diag, dv_diag = _abs_smooth(xi, s)
+    # at s > 0 the normal cdf dominates and one pass yields the slopes too;
+    # at s = 0 they wait for a gradient, which a simplex solve never asks for
+    pairs = _walsh_pairs(xi, s, slopes=s > 0.0)
+    scale = 2.0 * n * (n + 1.0)
+
+    def grad():
+        _, dxi, ds = pairs if pairs[1] is not None else _walsh_pairs(xi, s)
+        dxi = dxi + 2.0 * dx_diag
+        ds += 2.0 * float(np.sum(dv_diag))
+        g = -(ctx.z.T @ dxi) + ds * 2.0 * ctx.lam * su_b
+        return _guard_vec(g / scale)
+
+    return _guard((2.0 * float(np.sum(diag)) + pairs[0]) / scale), grad
 
 
-def target_walsh_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_walsh`; a subgradient at s = 0."""
-    d = ctx.dataset
-    beta, xi, s = _walsh_residuals(ctx, theta)
-    dx_diag, dv_diag = _abs_smooth_slopes(xi, s)
-    dxi, ds = _walsh_pair_slopes(xi, s)
-    dxi += 2.0 * dx_diag
-    ds += 2.0 * float(np.sum(dv_diag))
-    g = -(d.z.T @ dxi) + ds * 2.0 * ctx.lam * (d.sigma_u @ beta)
-    return _guard_vec(g / (2.0 * d.n * (d.n + 1.0)))
-
-
-def target_expectile(ctx: TargetContext, theta) -> float:
+def target_expectile(ctx: TargetContext, theta):
     """Smoothed asymmetric-squared-loss criterion for expectile regression.
 
     At tau = 1/2 the objective degenerates to (1/2) mean(xi^2 + s) for any
     lam >= -1, which at lam = -1 is the bias-corrected least-squares
-    criterion.
-    """
-    _, beta = _split(ctx, theta)
-    d = ctx.dataset
-    tau = ctx.model.tau
-    xi = d.y - d.z @ beta
-    if tau == 0.5:
-        s = ctx.lam * float(beta @ d.sigma_u @ beta)
-        return 0.5 * float(np.mean(xi * xi + s))
-    s = _smoothing_variance(ctx, beta)
-    if s == 0.0:
-        return float(np.mean(np.where(xi < 0, 1.0 - tau, tau) * xi * xi))
-    cdf = normal_cdf(xi, 0.0, s)
-    pdf = normal_pdf(xi, 0.0, s)
-    v = (2.0 * tau - 1.0) * (xi * xi * cdf + s * xi * pdf + s * cdf) + (
-        1.0 - tau
-    ) * (xi * xi + s)
-    return _guard(float(np.mean(v)))
-
-
-def target_expectile_gradient(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic gradient of :func:`target_expectile`.
-
-    Per observation the xi-derivative is
+    criterion.  Otherwise, per observation, the xi-derivative is
     2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi and the s-derivative
     (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
     """
     _, beta = _split(ctx, theta)
-    d = ctx.dataset
+    d, z = ctx.dataset, ctx.z
     tau = ctx.model.tau
-    xi = d.y - d.z @ beta
+    su_b, quad = _quad(ctx, beta)
+    xi = d.y - z @ beta
     if tau == 0.5:
-        return -(d.z.T @ xi) / d.n + ctx.lam * (d.sigma_u @ beta)
-    s = _smoothing_variance(ctx, beta)
-    cdf = normal_cdf(xi, 0.0, s)
-    spdf = s * normal_pdf(xi, 0.0, s) if s > 0.0 else 0.0
-    dxi = 2.0 * (2.0 * tau - 1.0) * (xi * cdf + spdf) + 2.0 * (1.0 - tau) * xi
-    g = -(d.z.T @ dxi) / d.n
-    if s > 0.0:
-        ds = (2.0 * tau - 1.0) * float(np.mean(cdf)) + 1.0 - tau
-        g = g + ds * 2.0 * ctx.lam * (d.sigma_u @ beta)
-    return _guard_vec(g)
+        value = 0.5 * float(_mean(xi * xi + ctx.lam * float(quad)))
+        return value, lambda: -(z.T @ xi) / d.n + ctx.lam * su_b
+    s = _smoothing_variance(ctx, quad)
+    if s == 0.0:
+        # the step cdf waits for a gradient
+        value, cdf, spdf = float(_mean(np.where(xi < 0, 1.0 - tau, tau) * xi * xi)), None, 0.0
+    else:
+        cdf, pdf = normal_cdf(xi, 0.0, s), normal_pdf(xi, 0.0, s)
+        spdf = s * pdf
+        v = (2.0 * tau - 1.0) * (xi * xi * cdf + s * xi * pdf + s * cdf) + (
+            1.0 - tau
+        ) * (xi * xi + s)
+        value = _guard(float(_mean(v)))
+
+    def grad():
+        step = normal_cdf(xi, 0.0, s) if cdf is None else cdf
+        dxi = 2.0 * (2.0 * tau - 1.0) * (xi * step + spdf) + 2.0 * (1.0 - tau) * xi
+        g = -(z.T @ dxi) / d.n
+        if s > 0.0:
+            g = g + ((2.0 * tau - 1.0) * float(_mean(step)) + 1.0 - tau) * 2.0 * ctx.lam * su_b
+        return _guard_vec(g)
+
+    return value, grad
 
 
 def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -745,7 +705,7 @@ def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return m
 
 
-def target_generic_ls(ctx: TargetContext, theta) -> float:
+def target_generic_ls(ctx: TargetContext, theta):
     """Least-squares objective for a user-supplied mean function.
 
     The Gaussian expectation over the inflated noise is computed by
@@ -754,9 +714,10 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
     root is the dataset's cached ``sigma_root``; capped at p = 3 covariates.
     The mean function is called once on the design shifted to every node,
     stacked into one (nodes**p * n, p) array, in chunks of at most
-    ``GENERIC_CHUNK_ROWS`` rows.
+    ``GENERIC_CHUNK_ROWS`` rows.  The gradient is None: the objective runs
+    user code, which is differentiated by central finite differences.
     """
-    d = ctx.dataset
+    d, z = ctx.dataset, ctx.z
     if d.p > GENERIC_MAX_P:
         raise CapacityError(
             f"generic family supports at most {GENERIC_MAX_P} covariates, got {d.p}"
@@ -765,8 +726,8 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
     m = ctx.model.mean_fn.fn
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.lam == 0.0:
-            r = d.y - _mean_values(m, d.z, th)
-            return _guard(float(r @ r) / d.n)
+            r = d.y - _mean_values(m, z, th)
+            return _guard(float(r @ r) / d.n), None
         scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * d.sigma_root
         points, weights = tensor_hermite_rule(GENERIC_TENSOR_NODES, d.p)
         shifts = points @ scale.T
@@ -778,7 +739,7 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
             # one contiguous (k, n) block per covariate: x[k * n + i] = z[i] + u[k]
             cols = np.empty((d.p, k, d.n))
             for j in range(d.p):
-                np.add.outer(u[:, j], d.z[:, j], out=cols[j])
+                np.add.outer(u[:, j], z[:, j], out=cols[j])
             x = cols.reshape(d.p, k * d.n).T
             r = d.y - _mean_values(m, x, th).reshape(k, d.n)
             sums = (r[:, None, :] @ r[:, :, None]).ravel()
@@ -786,7 +747,7 @@ def target_generic_ls(ctx: TargetContext, theta) -> float:
             for wt, ss in zip(weights[k0 : k0 + chunk].tolist(), sums.tolist()):
                 acc += wt * ss
         v = acc / (d.n * math.pi ** (d.p / 2.0))
-    return _guard(v)
+    return _guard(v), None
 
 
 # --------------------------------------------------------------------------
@@ -821,7 +782,7 @@ def _start_level(model: ModelSpec, d: Dataset) -> np.ndarray:
 def _start_logistic(model: ModelSpec, d: Dataset) -> np.ndarray:
     start = np.zeros(model.n_params(d.p))
     if model.has_intercept:
-        ybar = min(max(float(np.mean(d.y)), 1e-3), 1.0 - 1e-3)
+        ybar = min(max(float(_mean(d.y)), 1e-3), 1.0 - 1e-3)
         start[0] = math.log(ybar / (1.0 - ybar))
     return start
 
@@ -883,10 +844,12 @@ _POSITIVE = ("strictly positive responses", lambda y: bool(np.all(y > 0)))
 class Family:
     """What the package knows about one model family.
 
-    ``objective(ctx, theta)`` is the conditional-expectation loss and
-    ``gradient`` its analytic gradient, or None when the objective runs user
-    code (generic), which :func:`target_gradient` then differentiates by
-    central finite differences.
+    ``kernel(ctx, theta)`` returns ``(value, grad)``: the conditional-
+    expectation loss at theta and a zero-argument callable that finishes its
+    analytic gradient from the value's own intermediates.  ``grad`` is None
+    when the objective runs user code (generic, the one family with a
+    ``mean_fn``), which :func:`target_gradient` and the quasi-Newton solver
+    then differentiate by central finite differences.
     ``start(model, dataset)`` is a cheap deterministic initial point for the
     lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
     responses given the linear predictor, calling ``draw_eps()`` for
@@ -895,14 +858,13 @@ class Family:
     quasi-Newton can minimize at lambda = 0, and ``intercept`` and ``tau``
     the families that accept an intercept and require a level.
     ``y_domain`` is a (description, predicate) pair for valid responses.
-    ``batched`` marks an objective and gradient that broadcast over stacked
-    surrogates (see :class:`TargetContext`), so classical SIMEX solves the
-    pseudo-data sets of one noise level as one batch.
+    ``batched`` marks a kernel that broadcasts over stacked surrogates (see
+    :class:`TargetContext`), so classical SIMEX solves the pseudo-data sets
+    of one noise level as one batch.
     """
 
-    objective: Callable[[TargetContext, np.ndarray], float]
+    kernel: Callable[[TargetContext, np.ndarray], tuple]
     start: Callable[[ModelSpec, Dataset], np.ndarray]
-    gradient: Callable[[TargetContext, np.ndarray], np.ndarray] | None = None
     simulate: Callable[..., np.ndarray] | None = None
     pluggable: bool = False
     smooth_at_zero: bool = True
@@ -914,65 +876,58 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "linear": Family(
-        target_linear, _start_least_squares, gradient=target_linear_gradient,
-        simulate=_simulate_additive, pluggable=True, intercept=True, batched=True,
+        target_linear, _start_least_squares, simulate=_simulate_additive,
+        pluggable=True, intercept=True, batched=True,
     ),
     "exponential": Family(
-        target_exponential, _start_flat, gradient=target_exponential_gradient,
-        simulate=_simulate_exponential, pluggable=True, batched=True,
+        target_exponential, _start_flat, simulate=_simulate_exponential,
+        pluggable=True, batched=True,
     ),
-    "sine": Family(
-        target_sine, _start_flat, gradient=target_sine_gradient,
-        simulate=_simulate_sine, pluggable=True,
-    ),
+    "sine": Family(target_sine, _start_flat, simulate=_simulate_sine, pluggable=True),
     "poisson": Family(
-        target_poisson_negloglik, _start_poisson, gradient=target_poisson_gradient,
-        simulate=_simulate_poisson, pluggable=True, batched=True,
+        target_poisson_negloglik, _start_poisson, simulate=_simulate_poisson,
+        pluggable=True, batched=True,
         y_domain=(
             "nonnegative integer responses",
             lambda y: bool(np.all((y >= 0) & (y == np.floor(y)))),
         ),
     ),
     "logistic": Family(
-        target_logistic, _start_logistic, gradient=target_logistic_gradient,
-        simulate=_simulate_logistic, intercept=True,
+        target_logistic, _start_logistic, simulate=_simulate_logistic, intercept=True,
         y_domain=("0/1 responses", lambda y: bool(np.all((y == 0.0) | (y == 1.0)))),
     ),
     "lpre": Family(
-        target_lpre, _start_log_ols, gradient=target_lpre_gradient,
-        simulate=_simulate_multiplicative, pluggable=True, y_domain=_POSITIVE,
+        target_lpre, _start_log_ols, simulate=_simulate_multiplicative,
+        pluggable=True, y_domain=_POSITIVE,
     ),
     "lare": Family(
-        target_lare, _start_log_ols, gradient=target_lare_gradient,
-        simulate=_simulate_multiplicative, smooth_at_zero=False, y_domain=_POSITIVE,
+        target_lare, _start_log_ols, simulate=_simulate_multiplicative,
+        smooth_at_zero=False, y_domain=_POSITIVE,
     ),
     "quantile": Family(
-        target_quantile, _start_level, gradient=target_quantile_gradient,
-        simulate=_simulate_additive, smooth_at_zero=False, tau=True,
+        target_quantile, _start_level, simulate=_simulate_additive,
+        smooth_at_zero=False, tau=True,
     ),
     "walsh": Family(
-        target_walsh, _start_least_squares, gradient=target_walsh_gradient,
-        simulate=_simulate_additive, smooth_at_zero=False,
+        target_walsh, _start_least_squares, simulate=_simulate_additive,
+        smooth_at_zero=False,
     ),
-    "expectile": Family(
-        target_expectile, _start_level, gradient=target_expectile_gradient,
-        simulate=_simulate_additive, tau=True,
-    ),
+    "expectile": Family(target_expectile, _start_level, simulate=_simulate_additive, tau=True),
     "generic": Family(target_generic_ls, _start_generic),
 }
 
 
 def target_value(ctx: TargetContext, theta) -> float:
     """Evaluate the family objective for the context at theta."""
-    return ctx.model.record.objective(ctx, theta)
+    return ctx.model.record.kernel(ctx, theta)[0]
 
 
 def target_gradient(ctx: TargetContext, theta) -> np.ndarray:
     """Gradient of the family objective: the family's analytic gradient, or
     for generic central finite differences with step max(1e-6, 1e-7 |theta_j|)."""
-    fn = ctx.model.record.gradient
-    if fn is not None:
-        return fn(ctx, theta)
+    grad = ctx.model.record.kernel(ctx, theta)[1]
+    if grad is not None:
+        return grad()
     return finite_difference_gradient(lambda th: target_value(ctx, th), theta)
 
 

@@ -134,7 +134,7 @@ def test_acceptance_03_linear_closed_form_oracle():
         closed = linear_closed_form(ds, -1.0, intercept=True)
         ctx = TargetContext(dataset=ds, model=model, lam=-1.0)
         res = minimize(
-            lambda th: target_linear(ctx, th),
+            lambda th: target_linear(ctx, th)[0],
             options=MinimizeOptions(start=np.zeros(p + 1)),
         )
         worst = max(worst, float(np.max(np.abs(res.theta_hat - closed))))

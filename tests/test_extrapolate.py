@@ -1,5 +1,7 @@
 """Direct estimation, lambda-grid estimation, and extrapolant fitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from simexfree import (
     linear_exact_extrapolant,
     naive_estimate,
 )
+from simexfree import extrapolate
 from simexfree.errors import GridConvergenceError
-from simexfree.optimize import MinimizeOptions
+from simexfree.optimize import MinimizeOptions, minimize
+from simexfree.targets import FAMILIES, naive_start
 
 
 def _linear_data(seed=0, n=60, su=0.2, beta=1.5, alpha=1.0):
@@ -192,6 +196,77 @@ def test_generic_grid_fit_factors_sigma_u_once(monkeypatch):
     ge = grid_estimate(ModelSpec(family="generic", mean_fn=mf), ds, cfg)
     assert len(ge.diagnostics) == 3
     assert calls == [(1, 1)]
+
+
+def test_generic_grid_fit_with_nonfinite_differences_names_each_lambda():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal(50)
+    ds = Dataset(y=1.0 + x + 0.2 * rng.standard_normal(50), z=x, sigma_u=0.1)
+    start = np.array([1.0, 1.0])
+
+    def fn(x, th):
+        # finite at the start, NaN at every other point within 1e-3 of it
+        near = 0.0 < float(np.max(np.abs(th - start))) < 1e-3
+        return np.full(x.shape[0], np.nan) if near else th[0] + th[1] * x[:, 0]
+
+    model = ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=2))
+    cfg = EstimateConfig(grid=LambdaGrid([0.0, 0.5]), start=start)
+    with pytest.raises(GridConvergenceError, match="lambda = 0, 0.5$"):
+        grid_estimate(model, ds, cfg)
+
+
+@pytest.mark.parametrize("family", ["linear", "exponential", "lare", "walsh"])
+def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, family):
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal(60)
+    noise = 0.3 * rng.standard_normal(60)
+    y = {"linear": 1.0 + x + noise, "exponential": np.exp(0.5 * x) + noise,
+         "lare": np.exp(0.5 * x + noise), "walsh": x + noise}[family]
+    ds = Dataset(y=y, z=x + 0.4 * rng.standard_normal(60), sigma_u=0.16)
+    model = ModelSpec(family=family)
+    start = naive_start(model, ds)
+    kernel = FAMILIES[family].kernel
+    events = []
+
+    def logged(ctx, theta):
+        entry = len([e for e in events if e[0] == "kernel"])
+        events.append(("kernel", np.array(theta)))
+        value, grad = kernel(ctx, theta)
+        return value, lambda: (events.append(("own grad of", entry)), grad())[1]
+
+    def spying(f, grad, options):
+        def f_logged(th):
+            events.append(("trial", np.array(th)))
+            return f(th)
+
+        def grad_logged(th):
+            events.append(("gradient at", np.array(th)))
+            return grad(th)
+
+        return minimize(f_logged, grad_logged, options)
+
+    monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=logged))
+    monkeypatch.setattr(extrapolate, "minimize", spying)
+    for lam in (0.5, 1.0) + ((-1.0,) if model.pluggable else ()):
+        events.clear()
+        res = extrapolate.minimize_target(model, ds, lam, start)
+        assert res.converged and res.iters > 1
+        kinds = [e[0] for e in events]
+        trials = [e[1] for e in events if e[0] == "trial"]
+        # the kernel is entered once per trial point, at that point, and
+        # each gradient is asked for right after a trial at the same point
+        # and comes from that trial's own grad callable
+        assert kinds.count("kernel") == len(trials)
+        entry = -1
+        for i, (kind, arg) in enumerate(events):
+            if kind == "trial":
+                entry += 1
+                assert events[i + 1][0] == "kernel"
+                assert np.array_equal(events[i + 1][1], arg)
+            elif kind == "gradient at":
+                assert np.array_equal(trials[entry], arg)
+                assert events[i + 1] == ("own grad of", entry)
+        assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters + 1
 
 
 # --------------------------------------------------------------------------

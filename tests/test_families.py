@@ -128,8 +128,8 @@ def test_logistic_without_intercept_estimates():
 
 
 def test_generic_is_the_only_family_differentiated_numerically(monkeypatch):
-    assert [name for name, fam in FAMILIES.items() if fam.gradient is None] == ["generic"]
     numeric = []
+    without = []
 
     def recording(f, theta, h=None):
         numeric.append(current)
@@ -140,13 +140,16 @@ def test_generic_is_the_only_family_differentiated_numerically(monkeypatch):
         model = _model(current)
         ds = _dataset(current)
         ctx = TargetContext(dataset=ds, model=model, lam=0.5)
+        if FAMILIES[current].kernel(ctx, np.full(model.n_params(ds.p), 0.3))[1] is None:
+            without.append(current)
         g = target_gradient(ctx, np.full(model.n_params(ds.p), 0.3))
         assert g.shape == (model.n_params(ds.p),) and np.all(np.isfinite(g))
+    assert without == ["generic"]
     assert numeric == ["generic"]
 
 
 _GRADIENT_CASES = [
-    (name, 0.3, None) for name, fam in FAMILIES.items() if fam.gradient is not None
+    (name, 0.3, None) for name in FAMILIES if name != "generic"
 ] + [("expectile", 0.5, None), ("quantile", 0.7, None), ("logistic", None, False)]
 
 

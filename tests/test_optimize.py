@@ -18,7 +18,7 @@ from simexfree import (
     target_poisson_negloglik,
 )
 from simexfree.simex import _stream, pseudo_data
-from simexfree.targets import target_gradient, target_poisson_gradient, target_value
+from simexfree.targets import target_gradient, target_value
 
 
 def test_quadratic_bowl():
@@ -38,7 +38,7 @@ def test_linear_target_matches_closed_form_at_minus_one():
     model = ModelSpec(family="linear")
     ctx = TargetContext(dataset=ds, model=model, lam=-1.0)
     closed = linear_closed_form(ds, -1.0, intercept=True)
-    res = minimize(lambda th: target_linear(ctx, th),
+    res = minimize(lambda th: target_linear(ctx, th)[0],
                    options=MinimizeOptions(start=np.zeros(2)))
     assert res.converged
     assert np.max(np.abs(res.theta_hat - closed)) < 1e-8
@@ -155,8 +155,8 @@ def test_fd_gradient_matches_analytic_poisson():
     ctx = TargetContext(dataset=ds, model=ModelSpec(family="poisson"), lam=1.0)
     for _ in range(10):
         th = rng.normal(0, 0.5, 2)
-        fd = finite_difference_gradient(lambda t: target_poisson_negloglik(ctx, t), th)
-        an = target_poisson_gradient(ctx, th)
+        fd = finite_difference_gradient(lambda t: target_poisson_negloglik(ctx, t)[0], th)
+        an = target_poisson_negloglik(ctx, th)[1]()
         assert np.max(np.abs(fd - an)) < 1e-6
 
 
@@ -166,6 +166,18 @@ def test_fd_gradient_error_names_coordinate():
 
     with pytest.raises(EstimationError, match="coordinate 1"):
         finite_difference_gradient(f, np.array([0.0, 0.5]))
+
+
+def test_nonfinite_finite_difference_ends_the_run_not_converged():
+    # the first step from 0 lands exactly on 1, where the value is finite
+    # but every central difference around it is not
+    def f(th):
+        return float("nan") if 0.0 < abs(th[0] - 1.0) < 1e-3 else float((th[0] - 3.0) ** 2)
+
+    res = minimize(f, options=MinimizeOptions(start=np.zeros(1)))
+    assert (res.status, res.converged, res.iters) == ("nonfinite", False, 1)
+    assert res.theta_hat[0] == 1.0 and res.value == 4.0
+    assert np.isnan(res.grad_norm)
 
 
 def test_exhausted_line_search_is_not_converged():

@@ -175,9 +175,15 @@ def test_classical_failure_names_each_failed_replicate():
     assert str(err.value).endswith("lambda=1 b=0, lambda=1 b=1, lambda=1 b=2")
 
 
-def test_batched_classical_builds_no_dataset_per_pseudo_data_set(monkeypatch):
+@pytest.mark.parametrize(
+    "model",
+    # batched; a per-replicate quasi-Newton loop; a per-replicate simplex loop
+    [ModelSpec(family="exponential"), ModelSpec(family="sine"),
+     ModelSpec(family="quantile", tau=0.5)],
+    ids=["exponential", "sine", "quantile"],
+)
+def test_batched_classical_builds_no_dataset_per_pseudo_data_set(monkeypatch, model):
     ds = _exponential_data()
-    model = ModelSpec(family="exponential")
     built = []
     post_init = Dataset.__post_init__
 

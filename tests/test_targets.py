@@ -24,7 +24,6 @@ from simexfree import (
     normal_pdf,
     target_expectile,
     target_exponential,
-    target_exponential_gradient,
     target_generic_ls,
     target_gradient,
     target_lare,
@@ -45,8 +44,8 @@ from simexfree.targets import (
     GENERIC_CHUNK_ROWS,
     GENERIC_TENSOR_NODES,
     WALSH_BLOCK,
-    _walsh_pair_slopes,
-    _walsh_pair_sum,
+    _softplus,
+    _walsh_pairs,
 )
 
 
@@ -109,7 +108,7 @@ def test_grid_only_families_forbid_negative_lambda(family, kw):
 def test_expectile_half_allows_minus_one():
     ds = _make_dataset()
     ctx = _ctx(ds, "expectile", -1.0, tau=0.5)
-    assert np.isfinite(target_expectile(ctx, np.array([0.3])))
+    assert np.isfinite(target_expectile(ctx, np.array([0.3]))[0])
 
 
 def test_context_validates_y_domain():
@@ -124,7 +123,7 @@ def test_targets_are_deterministic():
     ds = _make_dataset(family="lare")
     ctx = _ctx(ds, "lare", 1.2)
     th = np.array([0.6])
-    assert target_lare(ctx, th) == target_lare(ctx, th)
+    assert target_lare(ctx, th)[0] == target_lare(ctx, th)[0]
 
 
 # --------------------------------------------------------------------------
@@ -137,14 +136,14 @@ def test_linear_lambda_zero_is_ols_criterion():
     ctx = _ctx(ds, "linear", 0.0)
     th = np.array([0.2, 0.9])
     r = ds.y - 0.2 - ds.z[:, 0] * 0.9
-    assert np.isclose(target_linear(ctx, th), np.mean(r**2))
+    assert np.isclose(target_linear(ctx, th)[0], np.mean(r**2))
 
 
 def test_linear_sigma_zero_lambda_free():
     rng = np.random.default_rng(2)
     ds = Dataset(y=rng.standard_normal(10), z=rng.standard_normal(10), sigma_u=0.0)
     th = np.array([0.1, 0.5])
-    vals = {target_linear(_ctx(ds, "linear", lam), th) for lam in (-1.0, 0.0, 2.0)}
+    vals = {target_linear(_ctx(ds, "linear", lam), th)[0] for lam in (-1.0, 0.0, 2.0)}
     assert len(vals) == 1
 
 
@@ -152,7 +151,7 @@ def test_linear_gradient_matches_fd():
     ds = _make_dataset(seed=3)
     ctx = _ctx(ds, "linear", 1.5)
     th = np.array([0.4, -0.7])
-    fd = finite_difference_gradient(lambda t: target_linear(ctx, t), th)
+    fd = finite_difference_gradient(lambda t: target_linear(ctx, t)[0], th)
     an = target_gradient(ctx, th)
     assert np.max(np.abs(fd - an)) < 1e-8
 
@@ -168,7 +167,7 @@ def test_exponential_sigma_zero_is_nls():
     y = np.exp(0.8 * z) + rng.standard_normal(15)
     ds = Dataset(y=y, z=z, sigma_u=0.0)
     th = np.array([0.6])
-    val = target_exponential(_ctx(ds, "exponential", -1.0), th)
+    val = target_exponential(_ctx(ds, "exponential", -1.0), th)[0]
     nls = np.mean((y - np.exp(z * 0.6)) ** 2)
     assert np.isclose(val, nls, atol=1e-12)
 
@@ -178,7 +177,7 @@ def test_exponential_single_point_closed_form():
     ds = Dataset(y=[1.0], z=[0.0], sigma_u=su)
     ctx = _ctx(ds, "exponential", -1.0)
     for th in (0.3, 1.1):
-        val = target_exponential(ctx, np.array([th]))
+        val = target_exponential(ctx, np.array([th]))[0]
         expected = 1.0 - 2.0 * math.exp(-su * th * th / 2) + math.exp(-2 * su * th * th)
         assert np.isclose(val, expected)
 
@@ -200,8 +199,8 @@ def test_exponential_gradient_matches_fd():
         ctx = _ctx(ds, "exponential", lam)
         for _ in range(5):
             th = rng.normal(0, 0.5, 2)
-            fd = finite_difference_gradient(lambda t: target_exponential(ctx, t), th)
-            an = target_exponential_gradient(ctx, th)
+            fd = finite_difference_gradient(lambda t: target_exponential(ctx, t)[0], th)
+            an = target_exponential(ctx, th)[1]()
             assert np.max(np.abs(fd - an)) < 1e-6
 
 
@@ -209,13 +208,13 @@ def test_exponential_gradient_small_at_minimizer():
     ds = _make_dataset(seed=7, n=200, family="exponential", theta0=[1.0])
     res = direct_estimate(ModelSpec(family="exponential"), ds)
     ctx = _ctx(ds, "exponential", -1.0)
-    g = target_exponential_gradient(ctx, res.theta_hat.coefficients)
+    g = target_exponential(ctx, res.theta_hat.coefficients)[1]()
     assert np.linalg.norm(g) < 1e-6
 
 
 def test_exponential_overflow_returns_inf():
     ds = Dataset(y=[1.0], z=[500.0], sigma_u=0.0)
-    assert target_exponential(_ctx(ds, "exponential", 0.0), np.array([5.0])) == np.inf
+    assert target_exponential(_ctx(ds, "exponential", 0.0), np.array([5.0]))[0] == np.inf
 
 
 # --------------------------------------------------------------------------
@@ -229,14 +228,14 @@ def test_sine_sigma_zero_is_ls_plus_half():
     y = np.sin(1.2 * z) + rng.standard_normal(20)
     ds = Dataset(y=y, z=z, sigma_u=0.0)
     for lam in (-1.0, 0.7):
-        val = target_sine(_ctx(ds, "sine", lam), np.array([1.2]))
+        val = target_sine(_ctx(ds, "sine", lam), np.array([1.2]))[0]
         ls = np.mean((y - np.sin(1.2 * z)) ** 2)
         assert abs(val - (ls + 0.5)) < 1e-10
 
 
 def test_sine_at_zero_theta():
     ds = _make_dataset(seed=9, family="sine")
-    val = target_sine(_ctx(ds, "sine", -1.0), np.array([0.0]))
+    val = target_sine(_ctx(ds, "sine", -1.0), np.array([0.0]))[0]
     assert np.isclose(val, np.mean(ds.y**2) + 0.5)
 
 
@@ -249,10 +248,10 @@ def test_sine_population_minimum_at_truth():
     z = x + rng.normal(0, 0.5, n)
     ds = Dataset(y=y, z=z, sigma_u=0.25)
     ctx = _ctx(ds, "sine", -1.0)
-    at_truth = target_sine(ctx, np.array([1.0]))
+    at_truth = target_sine(ctx, np.array([1.0]))[0]
     assert abs(at_truth - 1.5) < 0.02  # 1/2 + sigma_eps^2 = 1.5
     for other in (0.6, 1.4):
-        assert target_sine(ctx, np.array([other])) > at_truth
+        assert target_sine(ctx, np.array([other]))[0] > at_truth
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def test_sine_population_minimum_at_truth():
 def test_poisson_lambda_zero_is_plain_negloglik():
     ds = _make_dataset(seed=11, family="poisson")
     th = np.array([0.5])
-    val = target_poisson_negloglik(_ctx(ds, "poisson", 0.0), th)
+    val = target_poisson_negloglik(_ctx(ds, "poisson", 0.0), th)[0]
     plain = -np.mean(ds.y * (ds.z[:, 0] * 0.5) - np.exp(ds.z[:, 0] * 0.5))
     assert np.isclose(val, plain)
 
@@ -272,7 +271,7 @@ def test_poisson_minus_one_exponent_shift():
     su = 0.36
     ds = Dataset(y=[2.0, 0.0, 1.0], z=[0.3, -0.2, 1.0], sigma_u=su)
     th = 0.7
-    val = target_poisson_negloglik(_ctx(ds, "poisson", -1.0), np.array([th]))
+    val = target_poisson_negloglik(_ctx(ds, "poisson", -1.0), np.array([th]))[0]
     z = ds.z[:, 0]
     manual = -np.mean(ds.y * z * th - np.exp(z * th - su * th * th / 2))
     assert np.isclose(val, manual)
@@ -297,7 +296,7 @@ def test_poisson_estimate_consistency():
 def test_logistic_lambda_zero_is_plain_negloglik():
     ds = _make_dataset(seed=13, family="logistic")
     th = np.array([0.2, 0.8])
-    val = target_logistic(_ctx(ds, "logistic", 0.0), th)
+    val = target_logistic(_ctx(ds, "logistic", 0.0), th)[0]
     eta = 0.2 + ds.z[:, 0] * 0.8
     plain = -np.mean(ds.y * eta - np.logaddexp(0, eta))
     assert np.isclose(val, plain)
@@ -306,7 +305,7 @@ def test_logistic_lambda_zero_is_plain_negloglik():
 def test_logistic_zero_slope_exact_for_any_lambda():
     ds = _make_dataset(seed=14, family="logistic")
     for lam in (0.0, 0.5, 2.0):
-        val = target_logistic(_ctx(ds, "logistic", lam), np.array([0.4, 0.0]))
+        val = target_logistic(_ctx(ds, "logistic", lam), np.array([0.4, 0.0]))[0]
         expected = -np.mean(ds.y * 0.4 - math.log1p(math.exp(0.4)))
         assert np.isclose(val, expected, atol=1e-12)
 
@@ -315,7 +314,7 @@ def test_logistic_integral_matches_adaptive_quadrature():
     ds = _make_dataset(seed=15, family="logistic", n=12)
     th = np.array([0.3, 0.9])
     lam = 1.0
-    val = target_logistic(_ctx(ds, "logistic", lam), th)
+    val = target_logistic(_ctx(ds, "logistic", lam), th)[0]
     s = lam * 0.9 * ds.sigma_u[0, 0] * 0.9
     acc = 0.0
     for i in range(ds.n):
@@ -338,7 +337,7 @@ def test_logistic_integral_matches_adaptive_quadrature():
 def test_lpre_sigma_zero_plain_criterion():
     ds = _make_dataset(seed=16, family="lpre")
     th = np.array([0.6])
-    val = target_lpre(_ctx(ds, "lpre", 0.0), th)
+    val = target_lpre(_ctx(ds, "lpre", 0.0), th)[0]
     zt = ds.z[:, 0] * 0.6
     plain = np.mean(ds.y * np.exp(-zt) + np.exp(zt) / ds.y)
     assert np.isclose(val, plain)
@@ -348,7 +347,7 @@ def test_lpre_single_point():
     su = 0.25
     ds = Dataset(y=[1.0], z=[0.0], sigma_u=su)
     for lam in (-1.0, 0.0, 1.3):
-        val = target_lpre(_ctx(ds, "lpre", lam), np.array([0.9]))
+        val = target_lpre(_ctx(ds, "lpre", lam), np.array([0.9]))[0]
         assert np.isclose(val, 2.0 * math.exp(lam * su * 0.81 / 2))
 
 
@@ -381,7 +380,7 @@ def test_lare_small_s_matches_plain_criterion():
     th = np.array([0.7])
     su = ds.sigma_u[0, 0]
     lam = 1e-10 / (0.49 * su)  # makes s = lam * th' sigma th = 1e-10
-    val = target_lare(_ctx(ds, "lare", lam), th)
+    val = target_lare(_ctx(ds, "lare", lam), th)[0]
     zt = ds.z[:, 0] * 0.7
     dev = np.abs(ds.y - np.exp(zt))
     plain = np.mean(dev / ds.y + np.exp(-zt) * dev)
@@ -398,7 +397,7 @@ def test_lare_zero_log_ratio_matches_quadrature():
     ds = Dataset(y=y, z=z, sigma_u=su)
     lam = 1.5
     s = lam * th * su * th
-    val = target_lare(_ctx(ds, "lare", lam), np.array([th]))
+    val = target_lare(_ctx(ds, "lare", lam), np.array([th]))[0]
     acc = 0.0
     for i in range(ds.n):
         a = math.exp(th * z[i])
@@ -414,7 +413,7 @@ def test_lare_zero_log_ratio_matches_quadrature():
 
 def test_lare_perfect_fit_single_point():
     ds = Dataset(y=[1.0], z=[0.0], sigma_u=0.25)
-    assert target_lare(_ctx(ds, "lare", 0.0), np.array([0.0])) == 0.0
+    assert target_lare(_ctx(ds, "lare", 0.0), np.array([0.0]))[0] == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +427,7 @@ def test_quantile_lambda_zero_is_check_loss():
         ctx = _ctx(ds, "quantile", 0.0, tau=tau)
         th = np.array([0.5])
         xi = ds.y - ds.z[:, 0] * 0.5
-        assert np.isclose(target_quantile(ctx, th), np.mean(xi * (tau - (xi < 0))))
+        assert np.isclose(target_quantile(ctx, th)[0], np.mean(xi * (tau - (xi < 0))))
 
 
 def test_quantile_zero_residual_unit_s():
@@ -436,7 +435,7 @@ def test_quantile_zero_residual_unit_s():
     z = np.array([1.0, -2.0, 0.5])
     beta = 1.0
     ds = Dataset(y=z * beta, z=z, sigma_u=1.0)
-    val = target_quantile(_ctx(ds, "quantile", 1.0, tau=0.3), np.array([beta]))
+    val = target_quantile(_ctx(ds, "quantile", 1.0, tau=0.3), np.array([beta]))[0]
     assert np.isclose(val, 1.0 / math.sqrt(2 * math.pi))
 
 
@@ -464,7 +463,7 @@ def test_quantile_fd_gradient_continuous_through_zero_residual():
 def test_walsh_lambda_zero_is_plain_pairwise_criterion():
     ds = _make_dataset(seed=21, n=12)
     th = np.array([0.4])
-    val = target_walsh(_ctx(ds, "walsh", 0.0), th)
+    val = target_walsh(_ctx(ds, "walsh", 0.0), th)[0]
     xi = ds.y - ds.z[:, 0] * 0.4
     acc = sum(
         abs(xi[i] + xi[j]) for i in range(12) for j in range(i, 12)
@@ -475,7 +474,7 @@ def test_walsh_lambda_zero_is_plain_pairwise_criterion():
 def test_walsh_two_point_hand_case():
     # xi = (0, 0) and s = 1: diagonal 2 * 2 * 2 phi(0;0,1), pair 4 phi(0;0,2)
     ds = Dataset(y=[1.0, -1.0], z=[1.0, -1.0], sigma_u=1.0)
-    val = target_walsh(_ctx(ds, "walsh", 1.0), np.array([1.0]))
+    val = target_walsh(_ctx(ds, "walsh", 1.0), np.array([1.0]))[0]
     expected = (
         2 * 2 * (2 * float(normal_pdf(0, 0, 1))) + 4 * float(normal_pdf(0, 0, 2))
     ) / (2 * 2 * 3)
@@ -494,11 +493,11 @@ def test_walsh_scaling_does_not_move_argmin():
     ctx = _ctx(ds, "walsh", 1.0)
     scale = 2 * ds.n * (ds.n + 1)
     a = minimize(
-        lambda th: target_walsh(ctx, th),
+        lambda th: target_walsh(ctx, th)[0],
         options=MinimizeOptions(start=np.array([0.0])),
     )
     b = minimize(
-        lambda th: scale * target_walsh(ctx, th),
+        lambda th: scale * target_walsh(ctx, th)[0],
         options=MinimizeOptions(start=np.array([0.0])),
     )
     assert abs(a.theta_hat[0] - b.theta_hat[0]) < 1e-7
@@ -531,6 +530,11 @@ def _pairs_full_minus_diagonal(xi, s):
     return 0.5 * (float(np.sum(full)) - float(np.sum(_pair_terms(2.0 * xi, s))))
 
 
+def test_softplus_matches_logaddexp():
+    x = np.linspace(-750.0, 750.0, 300_001)
+    np.testing.assert_allclose(_softplus(x), np.logaddexp(0.0, x), rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "n,block",
     [(1, 8), (8, 8), (9, 8), (21, 8),
@@ -541,10 +545,9 @@ def _pairs_full_minus_diagonal(xi, s):
 def test_walsh_upper_pairs_match_double_loop(n, block, s):
     xi = np.random.default_rng(n).standard_normal(n)
     total, dxi, ds = _pairs_by_double_loop(xi, s)
-    got = _walsh_pair_sum(xi, s, block=block)
+    got, got_dxi, got_ds = _walsh_pairs(xi, s, block=block)
     assert got == pytest.approx(total, rel=1e-12, abs=1e-300)
     assert got == pytest.approx(_pairs_full_minus_diagonal(xi, s), rel=1e-12, abs=1e-12)
-    got_dxi, got_ds = _walsh_pair_slopes(xi, s, block=block)
     np.testing.assert_allclose(got_dxi, dxi, rtol=1e-12, atol=1e-12 * n)
     assert got_ds == pytest.approx(ds, rel=1e-12, abs=1e-300)
 
@@ -561,7 +564,7 @@ def test_expectile_half_is_penalized_ls():
         th = np.array([0.6])
         xi = ds.y - ds.z[:, 0] * 0.6
         s = lam * 0.6 * ds.sigma_u[0, 0] * 0.6
-        assert np.isclose(target_expectile(ctx, th), 0.5 * np.mean(xi**2 + s))
+        assert np.isclose(target_expectile(ctx, th)[0], 0.5 * np.mean(xi**2 + s))
 
 
 def test_expectile_small_s_matches_asymmetric_ls():
@@ -570,7 +573,7 @@ def test_expectile_small_s_matches_asymmetric_ls():
     th = np.array([0.6])
     su = ds.sigma_u[0, 0]
     lam = 1e-10 / (0.36 * su)
-    val = target_expectile(_ctx(ds, "expectile", lam, tau=tau), th)
+    val = target_expectile(_ctx(ds, "expectile", lam, tau=tau), th)[0]
     xi = ds.y - ds.z[:, 0] * 0.6
     plain = np.mean(np.where(xi < 0, 1 - tau, tau) * xi**2)
     assert abs(val - plain) < 1e-6
@@ -588,7 +591,7 @@ def test_generic_lambda_zero_residuals():
     ctx = TargetContext(dataset=ds, model=model, lam=0.0)
     th = np.array([0.4])
     r = ds.y - ds.z @ th
-    assert np.isclose(target_generic_ls(ctx, th), np.mean(r**2))
+    assert np.isclose(target_generic_ls(ctx, th)[0], np.mean(r**2))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -602,7 +605,7 @@ def test_generic_linear_mean_equals_linear_target(lam):
         dataset=ds, model=ModelSpec(family="linear", intercept=False), lam=lam
     )
     th = np.array([0.7, -0.3])
-    assert abs(target_generic_ls(gen, th) - target_linear(lin, th)) < 1e-10
+    assert abs(target_generic_ls(gen, th)[0] - target_linear(lin, th)[0]) < 1e-10
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0])
@@ -614,7 +617,7 @@ def test_generic_exponential_mean_equals_exponential_target(lam):
     )
     exp = _ctx(ds, "exponential", lam)
     th = np.array([0.8])
-    assert abs(target_generic_ls(gen, th) - target_exponential(exp, th)) < 1e-8
+    assert abs(target_generic_ls(gen, th)[0] - target_exponential(exp, th)[0]) < 1e-8
 
 
 def _generic_by_node_loop(ctx, theta):
@@ -648,7 +651,7 @@ def test_generic_stacked_call_equals_node_loop(p, n):
     mf = MeanFunction(fn=fn, n_params=p + 1)
     ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=mf), lam=0.7)
     th = np.linspace(0.3, -0.4, p + 1)
-    got = target_generic_ls(ctx, th)
+    got = target_generic_ls(ctx, th)[0]
     nodes = GENERIC_TENSOR_NODES**p
     # stacked calls, each within the chunk budget, covering every node once
     assert sum(calls) == nodes * n
@@ -808,7 +811,12 @@ def test_stacked_surrogates_validation():
     zs = np.zeros((3, 10, 1))
     with pytest.raises(ConfigError, match="no stacked surrogates"):
         TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=zs)
-    for bad in (np.zeros((3, 9, 1)), np.zeros((10, 1)), np.zeros((3, 10, 2))):
+    for bad in (np.zeros((3, 9, 1)), np.zeros(10), np.zeros((3, 10, 2))):
         with pytest.raises(ConfigError, match="stacked surrogates have shape"):
             TargetContext(dataset=ds, model=ModelSpec(family="linear"), lam=0.0, z=bad)
+    with pytest.raises(ConfigError, match=r"surrogates have shape \(9, 1\), expected \(10, 1\)"):
+        TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=np.zeros((9, 1)))
     assert _ctx(ds, "linear", 0.0).z is ds.z
+    # one set of surrogates, shaped like the dataset's, suits every family
+    one = np.ones((10, 1))
+    assert TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=one).z is one
