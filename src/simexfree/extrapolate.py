@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -21,9 +22,10 @@ from .errors import (
     GridConvergenceError,
     IllPosedError,
     PoleError,
+    SimexfreeError,
 )
-from .optimize import MinimizeOptions, MinimizeResult, minimize
-from .targets import ModelSpec, TargetContext, Theta, naive_start
+from .optimize import MinimizeOptions, MinimizeResult, minimize, minimize_batch
+from .targets import STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, naive_start
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
 from .targets import target_gradient, target_value  # noqa: F401
@@ -36,6 +38,11 @@ EXTRAPOLANT_KINDS = (*_DEGREE, "rational")
 # naive grid point is as accurate as the smooth quasi-Newton points.
 _SIMPLEX_MAX_ITERS = 10000
 _SIMPLEX_STEP_TOL = 1e-9
+
+# the direct path's continuation from the naive estimate down to lambda = -1
+CONTINUATION = (-0.25, -0.5, -0.75, -1.0)
+# what makes one data set's estimate fail without stopping a study
+ESTIMATE_ERRORS = (SimexfreeError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,46 @@ def minimize_target(
     return minimize(value, grad, opts)
 
 
+def minimize_stack(
+    model: ModelSpec,
+    dataset: Dataset,
+    lam: float,
+    options: MinimizeOptions,
+    nodes: int = 30,
+    z: np.ndarray | None = None,
+    y: np.ndarray | None = None,
+) -> MinimizeResult:
+    """Minimize the family objective at one noise level on B stacked data
+    sets at once, by :func:`minimize_batch` from the starts ``options.start``
+    (B, q).
+
+    The family's record must be ``batched``.  ``z`` (B, n, p) and ``y``
+    (B, n, or None for ``dataset.y`` in every set) stack the data sets,
+    which share the dataset's sigma_u (see :class:`TargetContext`).  Each
+    call of the solver runs the kernel once per chunk of at most
+    ``STACK_CHUNK_VALUES // n`` sets and finishes the chunk's gradients from
+    that call when one of its trial points passes the Armijo test, so no
+    trial's B x n temporaries outlive their chunk.  Each row equals its
+    scalar :func:`minimize_target` solve bit for bit.
+    """
+    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z, y=y)
+    kernel = model.record.kernel
+    chunk = max(1, STACK_CHUNK_VALUES // dataset.n)
+
+    def evaluate(theta, rows, bound):
+        values = np.empty(rows.size)
+        grads = np.empty(theta.shape)
+        for i in range(0, rows.size, chunk):
+            part = slice(i, i + chunk)
+            v, grad = kernel(ctx.take(rows[part]), theta[part])
+            values[part] = v
+            if np.any(np.isfinite(v) & (v <= bound[part])):
+                grads[part] = grad()
+        return values, grads
+
+    return minimize_batch(evaluate, options)
+
+
 def naive_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> MinimizeResult:
@@ -275,6 +322,28 @@ def linear_exact_extrapolant(theta0: float, sigma_x2: float, sigma_u2: float):
 # --------------------------------------------------------------------------
 
 
+def _disagrees_with_closed_form(converged: bool, theta: np.ndarray, flat: np.ndarray) -> bool:
+    """True when the numeric check of the linear closed form ``flat`` did not
+    converge or moved further than 1e-6 (1 + max|flat|) from it."""
+    scale = 1.0 + float(np.max(np.abs(flat)))
+    return not converged or np.max(np.abs(theta - flat)) > 1e-6 * scale
+
+
+def _left_branch(converged: bool, theta: np.ndarray, cur: np.ndarray) -> bool:
+    """True when a continuation step from ``cur`` lost the naive branch.
+
+    The corrected objectives are not coercive at negative lambda (the
+    correction factor lets a few extreme rows dominate far from the truth),
+    so each step of :data:`CONTINUATION` is a warm-started local solve that
+    must stay on the branch through the naive estimate.  A step that does
+    not converge, or jumps past the trust radius 0.5 (1 + max|cur|), means
+    the branch minimizer has ceased to exist for this dataset (a fold), and
+    only the lambda-grid path is available.
+    """
+    radius = 0.5 * (1.0 + float(np.max(np.abs(cur))))
+    return not converged or np.max(np.abs(theta - cur)) > radius
+
+
 def direct_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> EstimateResult:
@@ -296,27 +365,18 @@ def direct_estimate(
         naive_flat = linear_closed_form(dataset, 0.0, model.has_intercept)
         flat = linear_closed_form(dataset, -1.0, model.has_intercept)
         check = minimize_target(model, dataset, -1.0, flat, cfg.options, cfg.nodes)
-        scale = 1.0 + float(np.max(np.abs(flat)))
-        if not check.converged or np.max(np.abs(check.theta_hat - flat)) > 1e-6 * scale:
+        if _disagrees_with_closed_form(check.converged, check.theta_hat, flat):
             raise EstimationError(
                 "numeric minimization disagrees with the linear closed form"
             )
         diag = {"direct": check}
     else:
         naive = naive_estimate(model, dataset, cfg)
-        # continuation from lambda = 0 down to -1: the corrected objectives
-        # are not coercive at negative lambda (the correction factor lets a
-        # few extreme rows dominate far from the truth), so each step is a
-        # warm-started local solve that must stay on the branch through the
-        # naive estimate; a jump past the trust radius means the branch
-        # minimizer has ceased to exist for this dataset (a fold), in which
-        # case only the lambda-grid path is available
         cur = naive.theta_hat
         res = naive
-        for lam in (-0.25, -0.5, -0.75, -1.0):
+        for lam in CONTINUATION:
             res = minimize_target(model, dataset, lam, cur, cfg.options, cfg.nodes)
-            radius = 0.5 * (1.0 + float(np.max(np.abs(cur))))
-            if not res.converged or np.max(np.abs(res.theta_hat - cur)) > radius:
+            if _left_branch(res.converged, res.theta_hat, cur):
                 raise BranchCollapseError(
                     f"the corrected objective has no local minimizer near the "
                     f"naive branch at lambda = {lam}; use the grid path"
@@ -529,3 +589,145 @@ def ex_estimate(
         grid=ge,
         extrapolant=fit,
     )
+
+
+def stacks(model: ModelSpec, config: EstimateConfig | None = None) -> bool:
+    """True when :func:`ex_estimate_stack` applies: the family's record is
+    ``batched`` and ``config.options`` leaves the quasi-Newton method on."""
+    options = (config or EstimateConfig()).options
+    return model.record.batched and (options is None or options.method == "quasi-newton")
+
+
+def ex_estimate_stack(
+    model: ModelSpec,
+    datasets: Sequence[Dataset],
+    config: EstimateConfig | None = None,
+    naive: bool = False,
+) -> list[np.ndarray | None]:
+    """The flat estimates of :func:`ex_estimate` on each of ``datasets``, or
+    with ``naive`` those of :func:`naive_estimate`, solved together.
+
+    Requires :func:`stacks`; the datasets share one shape and sigma_u.  Each
+    stage of the estimator is one :func:`minimize_stack` run over the
+    datasets that reach it:
+
+    - the naive lambda = 0 solve from each dataset's start;
+    - each step of :data:`CONTINUATION`, with the branch test of
+      :func:`direct_estimate`;
+    - for the datasets whose branch collapsed (or all, with
+      ``force_grid``), each further grid point, warm-started from the
+      previous one; the naive solve is the lambda = 0 point.  The
+      extrapolant is then fitted per dataset;
+    - for the linear family, the closed forms per dataset and one numeric
+      check at lambda = -1.
+
+    Entry r equals the scalar estimate on ``datasets[r]`` bit for bit, or is
+    None where the scalar estimator raises one of ``ESTIMATE_ERRORS``.
+    """
+    cfg = config or EstimateConfig()
+    if not stacks(model, cfg):
+        raise ConfigError(
+            f"family {model.family!r} with these options cannot be solved as a stack"
+        )
+    out: list[np.ndarray | None] = [None] * len(datasets)
+    if not datasets:
+        return out
+    if any(not np.array_equal(d.sigma_u, datasets[0].sigma_u) for d in datasets):
+        raise ConfigError("stacked datasets must share sigma_u")
+    zs = np.stack([d.z for d in datasets])
+    ys = np.stack([d.y for d in datasets])
+
+    def solve(rows: np.ndarray, lam: float, starts: np.ndarray) -> MinimizeResult:
+        opts = point_options(model, lam, starts, cfg.options)
+        # rows are increasing, so as many rows as datasets are all of them
+        z, y = (zs, ys) if rows.size == len(datasets) else (zs[rows], ys[rows])
+        return minimize_stack(model, datasets[0], lam, opts, cfg.nodes, z, y)
+
+    def each(fn) -> dict[int, np.ndarray]:
+        """fn of every dataset on which it raises none of ESTIMATE_ERRORS."""
+        done = {}
+        for r, d in enumerate(datasets):
+            try:
+                done[r] = fn(d)
+            except ESTIMATE_ERRORS:
+                pass
+        return done
+
+    direct = model.pluggable and not cfg.force_grid and not naive
+    if direct and model.family == "linear":
+
+        def closed_form(d: Dataset) -> np.ndarray:
+            linear_closed_form(d, 0.0, model.has_intercept)  # the naive one can raise too
+            return linear_closed_form(d, -1.0, model.has_intercept)
+
+        flats = each(closed_form)
+        if flats:
+            rows = np.fromiter(flats, dtype=int)
+            check = solve(rows, -1.0, np.stack(list(flats.values())))
+            for i, r in enumerate(rows):
+                if not _disagrees_with_closed_form(check.converged[i], check.theta_hat[i], flats[r]):
+                    out[r] = flats[r]
+        return out
+    starts = each(lambda d: np.asarray(cfg.start_for(model, d), dtype=float))
+    if not starts:
+        return out
+    rows = np.fromiter(starts, dtype=int)
+    first = solve(rows, 0.0, np.stack(list(starts.values())))
+    rows, cur = rows[first.converged], first.theta_hat[first.converged]
+    if naive:
+        for r, theta in zip(rows, cur):
+            out[r] = theta
+        return out
+    if direct:
+        collapsed, ends = _continue_stack(solve, rows, cur)
+        for k in np.flatnonzero(~collapsed):
+            out[rows[k]] = ends[k]
+        rows, cur = rows[collapsed], cur[collapsed]
+    for r, flat in zip(rows, _grid_stack(solve, cfg, rows, cur)):
+        out[r] = flat
+    return out
+
+
+def _continue_stack(solve, rows: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The continuation of :func:`direct_estimate` on the stacked ``rows``
+    from their naive estimates ``cur``: which rows left the branch, and the
+    last point of each row on it (its estimate, for a row that stayed)."""
+    ends = cur.copy()
+    collapsed = np.zeros(rows.size, dtype=bool)
+    live = np.arange(rows.size)
+    for lam in CONTINUATION:
+        if live.size == 0:
+            break
+        res = solve(rows[live], lam, ends[live])
+        left = np.array(
+            [_left_branch(res.converged[i], res.theta_hat[i], ends[k]) for i, k in enumerate(live)],
+            dtype=bool,
+        )
+        collapsed[live[left]] = True
+        ends[live[~left]] = res.theta_hat[~left]
+        live = live[~left]
+    return collapsed, ends
+
+
+def _grid_stack(solve, cfg: EstimateConfig, rows: np.ndarray, cur: np.ndarray) -> list:
+    """The grid path of :func:`ex_estimate` on the stacked ``rows``, whose
+    lambda = 0 minimizers are ``cur``: each row's estimate, or None where
+    a grid point did not converge or the extrapolant fails."""
+    if rows.size == 0:
+        return []
+    lams = cfg.grid.values
+    thetas = np.empty((rows.size, lams.size, cur.shape[1]))
+    thetas[:, 0] = cur
+    failed = np.zeros(rows.size, dtype=bool)
+    for k in range(1, lams.size):
+        res = solve(rows, float(lams[k]), thetas[:, k - 1])
+        thetas[:, k] = res.theta_hat
+        failed |= ~res.converged
+    out = [None] * rows.size
+    for i in np.flatnonzero(~failed):
+        try:
+            fit = fit_extrapolant(GridEstimates(grid=cfg.grid, thetas=thetas[i]), cfg.kind)
+            out[i] = extrapolate_to_minus_one(fit)
+        except ESTIMATE_ERRORS:
+            pass
+    return out

@@ -15,12 +15,22 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, psd_factor
-from .errors import ConfigError, DataError, EstimationError, SimexfreeError
-from .extrapolate import EstimateConfig, ex_estimate, naive_estimate
+from .errors import ConfigError, DataError, EstimationError
+from .extrapolate import (
+    ESTIMATE_ERRORS,
+    EstimateConfig,
+    ex_estimate,
+    ex_estimate_stack,
+    naive_estimate,
+    stacks,
+)
 from .simex import SimexConfig, _stream, classical_simex
 from .targets import ModelSpec, lognormal_error
 
 CHISQ2_MEDIAN = 1.3863  # 50th percentile of chi-square with 2 df
+# Data values per group of replicates solved as one stack: a cell holds one
+# group's datasets and stacks at a time, a few megabytes at most
+STACK_GROUP_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,23 +140,40 @@ def _replicates(
     on it, with every setting of ``scenario.config`` plus ``b = simex_b``
     and a per-replicate seed.  Returns the estimates that succeeded and the
     number of replicates that failed; more than 5% failures raise.
+
+    The ex and naive estimators of a family that :func:`stacks` solve the
+    datasets together (:func:`ex_estimate_stack`), in groups of
+    ``STACK_GROUP_VALUES // n``, with the results of the per-replicate loop
+    bit for bit; any other runs one replicate at a time.
     """
-    settings = vars(scenario.config or EstimateConfig())
+    config = scenario.config or EstimateConfig()
     model = scenario.model
     ests = []
-    failures = 0
-    for r, key in enumerate(keys):
-        ds = simulate_dataset(scenario, _stream(seed, key))
-        cfg = SimexConfig(**{**settings, "b": scenario.simex_b, "seed": seed + 7919 * (r + 1)})
-        try:
-            if scenario.estimator == "naive":
-                ests.append(naive_estimate(model, ds, cfg).theta_hat)
-            elif scenario.estimator == "classical":
-                ests.append(classical_simex(model, ds, cfg).theta_hat.flat_vector)
-            else:
-                ests.append(ex_estimate(model, ds, cfg).theta_hat.flat_vector)
-        except (SimexfreeError, np.linalg.LinAlgError):
-            failures += 1
+    if scenario.estimator != "classical" and stacks(model, config):
+
+        def solved(group):
+            datasets = [simulate_dataset(scenario, _stream(seed, key)) for key in group]
+            return ex_estimate_stack(model, datasets, config, naive=scenario.estimator == "naive")
+
+        size = max(1, STACK_GROUP_VALUES // scenario.n)
+        for i in range(0, len(keys), size):
+            ests += [e for e in solved(keys[i : i + size]) if e is not None]
+    else:
+        for r, key in enumerate(keys):
+            ds = simulate_dataset(scenario, _stream(seed, key))
+            cfg = SimexConfig(
+                **{**vars(config), "b": scenario.simex_b, "seed": seed + 7919 * (r + 1)}
+            )
+            try:
+                if scenario.estimator == "naive":
+                    ests.append(naive_estimate(model, ds, cfg).theta_hat)
+                elif scenario.estimator == "classical":
+                    ests.append(classical_simex(model, ds, cfg).theta_hat.flat_vector)
+                else:
+                    ests.append(ex_estimate(model, ds, cfg).theta_hat.flat_vector)
+            except ESTIMATE_ERRORS:
+                pass
+    failures = len(keys) - len(ests)
     if failures > 0.05 * len(keys):
         raise EstimationError(
             f"cell {scenario.name!r}: {failures}/{len(keys)} replications failed"
@@ -202,7 +229,12 @@ def run_study(
     """Run every scenario cell for R replications and summarize.
 
     Failed replications are excluded and counted; a cell with more than 5%
-    failures raises.  Fixed seed implies identical results.
+    failures raises.  Fixed seed implies identical results.  A cell whose
+    family and options allow it (see :func:`stacks`) solves its R
+    replicates together, one quasi-Newton batch per estimator stage, with
+    the estimates and failures of one ``ex_estimate`` or
+    ``naive_estimate`` call per replicate, bit for bit; classical SIMEX
+    and every other cell run one replicate at a time.
     """
     if replications < 2:
         raise ConfigError("need at least two replications")

@@ -201,20 +201,24 @@ def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def minimize_batch(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    fg: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     options: MinimizeOptions,
 ) -> MinimizeResult:
     """Minimize B independent objectives at once by the quasi-Newton method.
 
     ``options.start`` has shape (B, q), one start per row.
-    ``f(theta, rows)`` returns the values, shape (k,), of the objectives
-    ``rows`` (an increasing index array of length k) at ``theta`` (k, q),
-    and ``grad(theta, rows)`` their gradients (k, q).  Each row keeps its
-    own inverse Hessian, step, iteration count and status, and takes the
-    steps that :func:`minimize` takes on that objective alone.  A row that
-    has exited is never evaluated again, so no row's result depends on the
-    others.  The result's fields carry a leading batch axis.
+    ``fg(theta, rows, bound)`` evaluates the objectives ``rows`` (an
+    increasing index array of length k) at ``theta`` (k, q) and returns
+    their values, shape (k,), and gradients, shape (k, q).  Only the rows
+    whose value is finite and at most ``bound`` (k,) need a gradient: these
+    are the trial points that pass the Armijo test, and the solver reads no
+    other row of the gradients.  Computing both from one evaluation means
+    each trial point is evaluated once and an accepted one is never
+    evaluated again.  Each row keeps its own inverse Hessian, step,
+    iteration count and status, and takes the steps that :func:`minimize`
+    takes on that objective alone.  A row that has exited is never
+    evaluated again, so no row's result depends on the others.  The
+    result's fields carry a leading batch axis.
     """
     if options.method != "quasi-newton":
         raise ConfigError("minimize_batch supports only the quasi-newton method")
@@ -227,7 +231,8 @@ def minimize_batch(
     eye = np.eye(q)
     hinv = np.tile(eye, (size, 1, 1))
     act = np.arange(size)
-    fx = np.asarray(f(x, act), dtype=float)
+    fx, g0 = fg(x, act, np.full(size, np.inf))
+    fx = np.asarray(fx, dtype=float)
     gx = np.zeros_like(x)
     gnorm = np.full(size, np.nan)
     iters = np.zeros(size, dtype=int)
@@ -236,7 +241,7 @@ def minimize_batch(
     status[~feasible] = "infeasible"
     act = act[feasible]
     if act.size:
-        gx[act] = grad(x[act], act)
+        gx[act] = g0[feasible]
         gnorm[act] = np.sqrt(batch_dot(gx[act], gx[act]))
     for it in range(options.max_iters):
         g = gnorm[act]
@@ -258,15 +263,17 @@ def minimize_batch(
             slope[reset] = batch_dot(ga[reset], d[reset])
         step = np.minimum(1.0, 1.0 / gnorm[act]) if it == 0 else np.ones(act.size)
         xa, fa = x[act], fx[act]
-        xn, fn = xa.copy(), fa.copy()
+        xn, fn, gn = xa.copy(), fa.copy(), np.empty_like(xa)
         accepted = np.zeros(act.size, dtype=bool)
         pend = np.arange(act.size)
         for _ in range(_MAX_BACKTRACKS):
             xt = xa[pend] + step[pend, None] * d[pend]
-            ft = np.asarray(f(xt, act[pend]), dtype=float)
-            ok = np.isfinite(ft) & (ft <= fa[pend] + _ARMIJO * step[pend] * slope[pend])
+            bound = fa[pend] + _ARMIJO * step[pend] * slope[pend]
+            ft, gt = fg(xt, act[pend], bound)
+            ft = np.asarray(ft, dtype=float)
+            ok = np.isfinite(ft) & (ft <= bound)
             hit = pend[ok]
-            xn[hit], fn[hit], accepted[hit] = xt[ok], ft[ok], True
+            xn[hit], fn[hit], gn[hit], accepted[hit] = xt[ok], ft[ok], gt[ok], True
             pend = pend[~ok]
             if pend.size == 0:
                 break
@@ -276,9 +283,8 @@ def minimize_batch(
         act = moved = act[accepted]
         if moved.size == 0:
             break
-        h, xn, fn = h[accepted], xn[accepted], fn[accepted]
+        h, xn, fn, gn = h[accepted], xn[accepted], fn[accepted], gn[accepted]
         s = xn - x[moved]
-        gn = np.asarray(grad(xn, moved), dtype=float)
         yv = gn - gx[moved]
         sy = batch_dot(s, yv)
         if it == 0:

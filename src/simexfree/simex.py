@@ -22,12 +22,14 @@ from .extrapolate import (
     GridEstimates,
     extrapolate_to_minus_one,
     fit_extrapolant,
+    minimize_stack,
     minimize_target,
     naive_estimate,
     point_options,
+    stacks,
 )
-from .optimize import MinimizeOptions, MinimizeResult, minimize_batch
-from .targets import ModelSpec, TargetContext, Theta, target_gradient, target_value
+from .optimize import MinimizeOptions
+from .targets import ModelSpec, Theta
 
 
 @dataclass
@@ -46,13 +48,6 @@ class SimexConfig(EstimateConfig):
         super().__post_init__()
         if self.b < 1:
             raise ConfigError("replicate count b must be at least 1")
-
-
-# Pseudo-data values per stacked objective call.  Each temporary of the
-# call then stays under 128 KiB, glibc's default mmap threshold: above it,
-# every temporary is a fresh mapping, and its page faults made a
-# 100 x 500 exponential evaluation cost about three times as much per value.
-STACK_CHUNK_VALUES = 1 << 14
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -99,46 +94,20 @@ def _solve_pseudo(
     return res.theta_hat
 
 
-def _solve_stack(
-    model: ModelSpec, dataset: Dataset, nodes: int, zs: np.ndarray, options: MinimizeOptions
-) -> MinimizeResult:
-    """The lambda = 0 minimizers on stacked pseudo-data sets ``zs`` (B, n, p),
-    solved as one batch from the starts ``options.start`` (B, q)."""
-    chunk = max(1, STACK_CHUNK_VALUES // dataset.n)
-
-    def evaluate(kernel, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        parts = []
-        for i in range(0, rows.size, chunk):
-            sel = rows[i : i + chunk]
-            # rows are increasing, so a gap-free run is a view of the stack
-            gap_free = sel[-1] - sel[0] == sel.size - 1
-            sub = zs[sel[0] : sel[-1] + 1] if gap_free else zs[sel]
-            ctx = TargetContext(dataset=dataset, model=model, lam=0.0, nodes=nodes, z=sub)
-            parts.append(kernel(ctx, theta[i : i + chunk]))
-        return np.concatenate(parts)
-
-    return minimize_batch(
-        lambda th, rows: evaluate(target_value, th, rows),
-        lambda th, rows: evaluate(target_gradient, th, rows),
-        options,
-    )
-
-
 def _replicate_solves(
     model: ModelSpec, dataset: Dataset, cfg: SimexConfig, k: int, start: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """The B naive solves at grid point k, each warm-started at ``start``.
 
     Returns the estimates (B, q) and the replicates whose solve failed even
-    after its retry.  A family whose record is ``batched`` solves the B
-    pseudo-data sets as one quasi-Newton batch and retries the rows that
-    did not converge as one more; any other solves one set at a time.  A
-    Dataset is built per pseudo-data set only for a retried solve.
+    after its retry.  Where :func:`stacks` holds, the B pseudo-data sets are
+    solved as one stack, and the rows that did not converge are retried as
+    one more; otherwise one set at a time.  A Dataset is built per
+    pseudo-data set only for a retried solve.
     """
     lam = float(cfg.grid.values[k])
     zs = np.stack([pseudo_data(dataset, lam, _stream(cfg.seed, (k, b))) for b in range(cfg.b)])
-    opts = point_options(model, 0.0, start, cfg.options)
-    if not (model.record.batched and opts.method == "quasi-newton"):
+    if not stacks(model, cfg):
         draws = np.empty((cfg.b, start.size))
         failed = []
         for b in range(cfg.b):
@@ -147,12 +116,15 @@ def _replicate_solves(
             except EstimationError:
                 failed.append(b)
         return draws, failed
-    res = _solve_stack(model, dataset, cfg.nodes, zs, replace(opts, start=np.tile(start, (cfg.b, 1))))
+    opts = point_options(model, 0.0, start, cfg.options)
+    res = minimize_stack(model, dataset, 0.0, replace(opts, start=np.tile(start, (cfg.b, 1))),
+                         cfg.nodes, zs)
     again = np.flatnonzero(~res.converged)
     if again.size:
         tries = [_retry_options(model, _pseudo_dataset(dataset, zs[b]), cfg) for b in again]
         starts = np.stack([np.asarray(t.start, dtype=float) for t in tries])
-        retry = _solve_stack(model, dataset, cfg.nodes, zs[again], replace(tries[0], start=starts))
+        retry = minimize_stack(model, dataset, 0.0, replace(tries[0], start=starts),
+                               cfg.nodes, zs[again])
         res.theta_hat[again] = retry.theta_hat
         again = again[~retry.converged]
     return res.theta_hat, again.tolist()
@@ -174,9 +146,11 @@ def classical_simex(
     naive estimate exactly (no noise is added there).  Replicates start from
     the naive estimate, never from each other, so any evaluation order
     yields the same result.  For the linear, exponential and poisson
-    families the B replicates at one noise level are solved as one
-    quasi-Newton batch (unless ``config.options`` asks for the simplex
-    method); each row takes the steps of its own scalar solve.
+    families the B replicates at one noise level are solved as one stack
+    (:func:`minimize_stack`, unless ``config.options`` asks for the simplex
+    method), and so are the retries of the rows that did not converge; each
+    row takes the steps of its own scalar solve, and each accepted point
+    takes its gradient from the kernel call that evaluated it.
     """
     cfg = config or SimexConfig()
     naive_flat = naive_estimate(model, dataset, cfg).theta_hat

@@ -16,6 +16,7 @@ package reads from it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -34,9 +35,13 @@ from .optimize import batch_dot, finite_difference_gradient
 S_FLOOR = 1e-12
 
 WALSH_PAIR_CAP = 5000
-# rows per block of the walsh pair sums, and stacked design rows per call of
-# a generic mean function: both bound the temporaries at a few megabytes
-WALSH_BLOCK = 256
+# Values per temporary of a stacked objective call and of a walsh pair block.
+# Each temporary then stays within 128 KiB, glibc's default mmap threshold:
+# above it, every temporary is a fresh mapping, and its page faults made a
+# 100 x 500 exponential evaluation cost about three times as much per value.
+STACK_CHUNK_VALUES = 1 << 14
+# stacked design rows per call of a generic mean function, which bounds its
+# temporaries at a few megabytes
 GENERIC_CHUNK_ROWS = 1 << 16
 GENERIC_MAX_P = 3
 # Gauss-Hermite nodes per covariate of the generic family's tensor rule
@@ -178,12 +183,15 @@ class ModelSpec:
 class TargetContext:
     """Dataset, model, noise level, and quadrature sizes for one objective.
 
-    ``z`` defaults to ``dataset.z``.  For any family it may instead be one
-    set of pseudo-data surrogates, shape (n, p), that shares the dataset's y
-    and sigma_u, so a pseudo-data solve needs no Dataset of its own.  For a
-    family whose record is ``batched`` it may also be a stack of B such
-    sets, shape (B, n, p); the kernel then takes theta of shape (B, q) and
-    returns B values, one per set.
+    ``z`` and ``y`` default to ``dataset.z`` and ``dataset.y``.  For any
+    family they may instead be one data set of the same shape, (n, p) and
+    (n,), that shares the dataset's sigma_u, so a pseudo-data solve needs no
+    Dataset of its own.  For a family whose record is ``batched``, ``z`` may
+    also be a stack of B such sets, shape (B, n, p), with ``y`` either the
+    dataset's responses, shared by every set, or a stack of shape (B, n);
+    the kernel then takes theta of shape (B, q) and returns B values, one
+    per set.  The responses are checked against the family domain once, on
+    construction; :meth:`take` selects stack rows without checking again.
     """
 
     dataset: Dataset
@@ -191,20 +199,26 @@ class TargetContext:
     lam: float
     nodes: int = 30
     z: np.ndarray | None = field(default=None, compare=False, repr=False)
+    y: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        shape = self.dataset.z.shape
+        n, p = self.dataset.z.shape
         if self.z is None:
             object.__setattr__(self, "z", self.dataset.z)
         elif self.z.ndim == 2:
-            if self.z.shape != shape:
-                raise ConfigError(f"surrogates have shape {self.z.shape}, expected {shape}")
+            if self.z.shape != (n, p):
+                raise ConfigError(f"surrogates have shape {self.z.shape}, expected {(n, p)}")
         elif not self.model.record.batched:
             raise ConfigError(f"family {self.model.family!r} takes no stacked surrogates")
-        elif self.z.ndim != 3 or self.z.shape[1:] != shape:
+        elif self.z.ndim != 3 or self.z.shape[1:] != (n, p):
             raise ConfigError(
-                f"stacked surrogates have shape {self.z.shape}, "
-                f"expected (B, {self.dataset.n}, {self.dataset.p})"
+                f"stacked surrogates have shape {self.z.shape}, expected (B, {n}, {p})"
+            )
+        if self.y is None:
+            object.__setattr__(self, "y", self.dataset.y)
+        elif self.y.shape != self.z.shape[:-1]:
+            raise ConfigError(
+                f"responses have shape {self.y.shape}, expected {self.z.shape[:-1]}"
             )
         if self.lam < -1.0:
             raise ConfigError(f"lam must be at least -1, got {self.lam}")
@@ -215,7 +229,24 @@ class TargetContext:
                 f"family {self.model.family!r} forbids negative lam; "
                 "use the lambda-grid extrapolation path"
             )
-        self.model.validate_y(self.dataset.y)
+        self.model.validate_y(self.y)
+
+    def take(self, rows: np.ndarray) -> "TargetContext":
+        """The context of the stacked sets ``rows``, an increasing index array.
+
+        A gap-free run of rows is a view of the stack, any other selection a
+        copy; shared responses stay shared.
+        """
+        if rows.size == self.z.shape[0]:
+            return self  # increasing rows, as many as the stack has: all of them
+        # increasing rows without a gap are a slice
+        if rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        sub = copy.copy(self)
+        object.__setattr__(sub, "z", self.z[rows])
+        if self.y.ndim == 2:
+            object.__setattr__(sub, "y", self.y[rows])
+        return sub
 
 
 def _split(ctx: TargetContext, theta) -> tuple[float | np.ndarray, np.ndarray]:
@@ -340,9 +371,9 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 def target_linear(ctx: TargetContext, theta):
     """Least-squares criterion plus lam times the slope penalty beta' sigma_u beta."""
     alpha, beta = _split(ctx, theta)
-    d = ctx.dataset
+    d, y = ctx.dataset, ctx.y
     su_b, quad = _quad(ctx, beta)
-    r = d.y - alpha - _matvec(ctx.z, beta)
+    r = y - alpha - _matvec(ctx.z, beta)
 
     def grad():
         gb = (-2.0 / d.n) * _vecmat(r, ctx.z) + 2.0 * ctx.lam * su_b
@@ -356,18 +387,18 @@ def target_linear(ctx: TargetContext, theta):
 def target_exponential(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function exp(z' theta)."""
     _, t = _split(ctx, theta)
-    d = ctx.dataset
+    d, y = ctx.dataset, ctx.y
     su_t, quad = _quad(ctx, t, inner=True)
     quad = quad[..., None]
     zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         e1 = np.exp(zt + 0.5 * ctx.lam * quad)
         e2 = np.exp(2.0 * zt + 2.0 * ctx.lam * quad)
-        value = _mean(d.y * d.y - 2.0 * d.y * e1 + e2)
+        value = _mean(y * y - 2.0 * y * e1 + e2)
 
     def grad():
         with np.errstate(over="ignore", invalid="ignore"):
-            ye1 = d.y * e1
+            ye1 = y * e1
             g = (
                 -2.0 * (_vecmat(ye1, ctx.z) / d.n + ctx.lam * su_t * _mean(ye1)[..., None])
                 + 2.0 * _vecmat(e2, ctx.z) / d.n
@@ -381,7 +412,7 @@ def target_exponential(ctx: TargetContext, theta):
 def target_sine(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function sin(z' theta)."""
     _, t = _split(ctx, theta)
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t, inner=True)
     zt = z @ t
     sin = np.sin(zt)
@@ -389,7 +420,7 @@ def target_sine(ctx: TargetContext, theta):
         e1 = np.exp(-0.5 * ctx.lam * float(quad))
         e2 = np.exp(-2.0 * ctx.lam * float(quad))
         value = float(
-            _mean(d.y * d.y - 2.0 * d.y * sin * e1 - 0.5 * np.cos(2.0 * zt) * e2) + 1.0
+            _mean(y * y - 2.0 * y * sin * e1 - 0.5 * np.cos(2.0 * zt) * e2) + 1.0
         )
 
     def grad():
@@ -397,8 +428,8 @@ def target_sine(ctx: TargetContext, theta):
         with np.errstate(over="ignore", invalid="ignore"):
             # sin(2 zt) = 2 sin cos and cos(2 zt) = 1 - 2 sin^2
             g = (
-                -2.0 * e1 * (z.T @ (d.y * cos) / d.n)
-                + 2.0 * ctx.lam * e1 * su_t * float(_mean(d.y * sin))
+                -2.0 * e1 * (z.T @ (y * cos) / d.n)
+                + 2.0 * ctx.lam * e1 * su_t * float(_mean(y * sin))
                 + 2.0 * e2 * (z.T @ (sin * cos) / d.n)
                 + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * float(_mean(sin * sin)))
             )
@@ -410,16 +441,16 @@ def target_sine(ctx: TargetContext, theta):
 def target_poisson_negloglik(ctx: TargetContext, theta):
     """Corrected Poisson negative log-likelihood (theta-free terms dropped)."""
     _, t = _split(ctx, theta)
-    d = ctx.dataset
+    d, y = ctx.dataset, ctx.y
     su_t, quad = _quad(ctx, t, inner=True)
     zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.exp(zt + 0.5 * ctx.lam * quad[..., None])
-        value = -_mean(d.y * zt - mu)
+        value = -_mean(y * zt - mu)
 
     def grad():
         with np.errstate(over="ignore", invalid="ignore"):
-            g = -_vecmat(d.y - mu, ctx.z) / d.n + ctx.lam * su_t * _mean(mu)[..., None]
+            g = -_vecmat(y - mu, ctx.z) / d.n + ctx.lam * su_t * _mean(mu)[..., None]
         return _guard_vec(g)
 
     return _guard(value), grad
@@ -436,7 +467,7 @@ def target_logistic(ctx: TargetContext, theta):
     ds/dbeta = 2 lam sigma_u beta.
     """
     alpha, beta = _split(ctx, theta)
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     su_b, quad = _quad(ctx, beta)
     eta = alpha + z @ beta
     s = _smoothing_variance(ctx, quad)
@@ -452,28 +483,28 @@ def target_logistic(ctx: TargetContext, theta):
     def grad():
         sig = _sigmoid(shifted)
         if s == 0.0:
-            resid = d.y - sig
+            resid = y - sig
             gb = -(z.T @ resid) / d.n
         else:
-            resid = d.y - sig @ w / math.sqrt(math.pi)
+            resid = y - sig @ w / math.sqrt(math.pi)
             dpart_ds = float(_mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
             gb = -(z.T @ resid) / d.n + dpart_ds * 2.0 * ctx.lam * su_b
         if ctx.model.has_intercept:
             gb = np.concatenate(([-float(_mean(resid))], gb))
         return _guard_vec(gb)
 
-    return _guard(-float(_mean(d.y * eta - part))), grad
+    return _guard(-float(_mean(y * eta - part))), grad
 
 
 def target_lpre(ctx: TargetContext, theta):
     """Corrected least-product-relative-error criterion (multiplicative model)."""
     _, t = _split(ctx, theta)
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t, inner=True)
     zt = z @ t
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = d.y * np.exp(-zt)
-        hi = np.exp(zt) / d.y
+        lo = y * np.exp(-zt)
+        hi = np.exp(zt) / y
         base = float(_mean(lo + hi))
         scale = math.exp(min(0.5 * ctx.lam * float(quad), 709.0))
 
@@ -500,16 +531,16 @@ def target_lare(ctx: TargetContext, theta):
     is a subgradient of the plain criterion.
     """
     _, t = _split(ctx, theta)
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t)
     zt = z @ t
     s = _smoothing_variance(ctx, quad)
 
     def terms():
         with np.errstate(over="ignore", invalid="ignore"):
-            ell = np.log(d.y) - zt
-            up = np.exp(zt + 0.5 * s) / d.y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
-            down = d.y * np.exp(-zt + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
+            ell = np.log(y) - zt
+            up = np.exp(zt + 0.5 * s) / y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
+            down = y * np.exp(-zt + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
         return ell, up, down
 
     if s == 0.0:
@@ -517,8 +548,8 @@ def target_lare(ctx: TargetContext, theta):
         # simplex solve never asks for
         shared = None
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.abs(d.y - np.exp(zt))
-            value = float(_mean(dev / d.y + np.exp(-zt) * dev))
+            dev = np.abs(y - np.exp(zt))
+            value = float(_mean(dev / y + np.exp(-zt) * dev))
     else:
         shared = terms()
         value = float(_mean(shared[1] + shared[2]))
@@ -545,10 +576,10 @@ def target_quantile(ctx: TargetContext, theta):
     subgradient of the check loss.
     """
     _, beta = _split(ctx, theta)
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     tau = ctx.model.tau
     su_b, quad = _quad(ctx, beta)
-    xi = d.y - z @ beta
+    xi = y - z @ beta
     s = _smoothing_variance(ctx, quad)
     if s == 0.0:
         # the step cdf waits for a gradient, which a simplex solve never asks for
@@ -592,15 +623,18 @@ def _upper_blocks(xi: np.ndarray, block: int):
         yield i0, i1, rows[iu] + rows[ju], rows[:, None] + xi[None, i1:]
 
 
-def _walsh_pairs(xi: np.ndarray, s: float, slopes: bool = True, block: int = WALSH_BLOCK):
+def _walsh_pairs(xi: np.ndarray, s: float, slopes: bool = True, block: int | None = None):
     """Sum over the pairs i < j of E|xi_i + xi_j + W|, W ~ N(0, 2 s), its
     gradient in xi and its derivative in s.
 
-    Each pair is evaluated once, in upper-triangular row blocks that bound
-    memory at the n = 5000 cap.  A pair's xi-derivative goes to both of its
-    rows: the row and column sums of the blocks.  Without ``slopes`` the
-    gradient is None and the derivative 0.0.
+    Each pair is evaluated once, in upper-triangular row blocks.  A block
+    has ``STACK_CHUNK_VALUES // n`` rows unless ``block`` says otherwise, so
+    none of its temporaries exceeds ``STACK_CHUNK_VALUES`` values.  A pair's
+    xi-derivative goes to both of its rows: the row and column sums of the
+    blocks.  Without ``slopes`` the gradient is None and the derivative 0.0.
     """
+    if block is None:
+        block = max(1, STACK_CHUNK_VALUES // xi.size)
     total, ds = 0.0, 0.0
     dxi = np.zeros(xi.size) if slopes else None
     for i0, i1, inner, outer in _upper_blocks(xi, block):
@@ -627,7 +661,7 @@ def target_walsh(ctx: TargetContext, theta):
     Exact O(n^2) pair evaluation; refuses beyond n = 5000.  The gradient is
     a subgradient at s = 0.
     """
-    d = ctx.dataset
+    d, y = ctx.dataset, ctx.y
     n = d.n
     if n > WALSH_PAIR_CAP:
         raise CapacityError(
@@ -636,7 +670,7 @@ def target_walsh(ctx: TargetContext, theta):
         )
     _, beta = _split(ctx, theta)
     su_b, quad = _quad(ctx, beta)
-    xi = d.y - ctx.z @ beta
+    xi = y - ctx.z @ beta
     s = _smoothing_variance(ctx, quad)
     # the i = j terms are |2 xi_i + 2 U_i| = 2 |xi_i + U_i|
     diag, dx_diag, dv_diag = _abs_smooth(xi, s)
@@ -665,10 +699,10 @@ def target_expectile(ctx: TargetContext, theta):
     (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
     """
     _, beta = _split(ctx, theta)
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     tau = ctx.model.tau
     su_b, quad = _quad(ctx, beta)
-    xi = d.y - z @ beta
+    xi = y - z @ beta
     if tau == 0.5:
         value = 0.5 * float(_mean(xi * xi + ctx.lam * float(quad)))
         return value, lambda: -(z.T @ xi) / d.n + ctx.lam * su_b
@@ -717,7 +751,7 @@ def target_generic_ls(ctx: TargetContext, theta):
     ``GENERIC_CHUNK_ROWS`` rows.  The gradient is None: the objective runs
     user code, which is differentiated by central finite differences.
     """
-    d, z = ctx.dataset, ctx.z
+    d, y, z = ctx.dataset, ctx.y, ctx.z
     if d.p > GENERIC_MAX_P:
         raise CapacityError(
             f"generic family supports at most {GENERIC_MAX_P} covariates, got {d.p}"
@@ -726,7 +760,7 @@ def target_generic_ls(ctx: TargetContext, theta):
     m = ctx.model.mean_fn.fn
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.lam == 0.0:
-            r = d.y - _mean_values(m, z, th)
+            r = y - _mean_values(m, z, th)
             return _guard(float(r @ r) / d.n), None
         scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * d.sigma_root
         points, weights = tensor_hermite_rule(GENERIC_TENSOR_NODES, d.p)
@@ -741,7 +775,7 @@ def target_generic_ls(ctx: TargetContext, theta):
             for j in range(d.p):
                 np.add.outer(u[:, j], z[:, j], out=cols[j])
             x = cols.reshape(d.p, k * d.n).T
-            r = d.y - _mean_values(m, x, th).reshape(k, d.n)
+            r = y - _mean_values(m, x, th).reshape(k, d.n)
             sums = (r[:, None, :] @ r[:, :, None]).ravel()
             # weighted sums of squares, added node by node in rule order
             for wt, ss in zip(weights[k0 : k0 + chunk].tolist(), sums.tolist()):

@@ -27,7 +27,7 @@ from simexfree import (
 )
 from simexfree import extrapolate
 from simexfree.errors import GridConvergenceError
-from simexfree.optimize import MinimizeOptions, minimize
+from simexfree.optimize import MinimizeOptions, minimize, minimize_batch
 from simexfree.targets import FAMILIES, naive_start
 
 
@@ -267,6 +267,88 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
                 assert np.array_equal(trials[entry], arg)
                 assert events[i + 1] == ("own grad of", entry)
         assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters + 1
+
+
+@pytest.mark.parametrize("family", ["linear", "exponential", "poisson"])
+def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family):
+    rng = np.random.default_rng(36)
+    n, size = 80, 7
+    x = rng.standard_normal((size, n))
+    noise = 0.3 * rng.standard_normal((size, n))
+    ys = {"linear": 1.0 + x + noise, "exponential": np.exp(0.5 * x) + noise,
+          "poisson": rng.poisson(np.exp(0.5 * x)).astype(float)}[family]
+    zs = (x + 0.4 * rng.standard_normal((size, n)))[..., None]
+    sets = [Dataset(y=ys[b], z=zs[b], sigma_u=0.16) for b in range(size)]
+    model = ModelSpec(family=family)
+    starts = np.zeros((size, model.n_params(1)))
+    lams = (0.0, 0.5, -0.25)
+    alone = {lam: [extrapolate.minimize_target(model, d, lam, starts[b]) for b, d in enumerate(sets)]
+             for lam in lams}
+    kernel = FAMILIES[family].kernel
+    entries = []  # per kernel entry: rows evaluated, gradients finished, solver call
+    calls = []  # per solver call: its kernel entries and the rows that passed
+
+    def logged(ctx, theta):
+        entry = {"rows": theta.shape[0], "grads": 0, "call": len(calls) - 1}
+        entries.append(entry)
+        value, grad = kernel(ctx, theta)
+
+        def own():
+            # finished inside the solver call that made the entry
+            assert calls[-1] is None and entry["call"] == len(calls) - 1
+            entry["grads"] += 1
+            return grad()
+
+        return value, own
+
+    def spying(fg, options):
+        def fg_logged(theta, rows, bound):
+            first = len(entries)
+            calls.append(None)
+            values, grads = fg(theta, rows, bound)
+            calls[-1] = (rows.size, entries[first:], np.isfinite(values) & (values <= bound))
+            return values, grads
+
+        return minimize_batch(fg_logged, options)
+
+    monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=logged))
+    monkeypatch.setattr(extrapolate, "minimize_batch", spying)
+    # three sets per chunk, so one solver call spans several kernel entries
+    monkeypatch.setattr(extrapolate, "STACK_CHUNK_VALUES", 3 * n)
+    for lam in lams:
+        entries.clear()
+        calls.clear()
+        res = extrapolate.minimize_stack(model, sets[0], lam, MinimizeOptions(start=starts),
+                                         z=zs, y=ys)
+        assert res.converged.all() and res.iters.min() > 1
+        assert sum(len(mine) for _, mine, _ in calls) == len(entries)
+        for rows, mine, passed in calls:
+            # each trial row enters the kernel once, in chunks of at most three
+            assert sum(e["rows"] for e in mine) == rows
+            assert all(e["rows"] <= 3 for e in mine)
+            # a chunk finishes its gradients once, from its own entry, exactly
+            # when one of its trial points passed the Armijo test
+            offset = 0
+            for e in mine:
+                assert e["grads"] == int(passed[offset : offset + e["rows"]].any())
+                offset += e["rows"]
+        # and every row takes the steps of its own scalar solve
+        for b, one in enumerate(alone[lam]):
+            assert np.array_equal(res.theta_hat[b], one.theta_hat)
+            assert (res.iters[b], res.status[b]) == (one.iters, one.status)
+
+
+def test_ex_estimate_stack_validation():
+    ds = _linear_data()
+    other = Dataset(y=ds.y, z=ds.z, sigma_u=0.3)
+    with pytest.raises(ConfigError, match="share sigma_u"):
+        extrapolate.ex_estimate_stack(ModelSpec(family="linear"), [ds, other])
+    with pytest.raises(ConfigError, match="cannot be solved as a stack"):
+        extrapolate.ex_estimate_stack(ModelSpec(family="sine"), [ds, ds])
+    simplex = EstimateConfig(options=MinimizeOptions(method="simplex"))
+    with pytest.raises(ConfigError, match="cannot be solved as a stack"):
+        extrapolate.ex_estimate_stack(ModelSpec(family="linear"), [ds, ds], simplex)
+    assert extrapolate.ex_estimate_stack(ModelSpec(family="linear"), []) == []
 
 
 # --------------------------------------------------------------------------

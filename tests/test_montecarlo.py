@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from simexfree import (
     DataError,
     EstimateConfig,
+    SimexfreeError,
     EstimationError,
     MinimizeOptions,
     ModelSpec,
     Scenario,
+    ex_estimate,
     linear_direct_asymptotic_variance,
     misspecification_study,
+    naive_estimate,
     quantile_lines_study,
     run_study,
     simulate_dataset,
@@ -175,26 +178,97 @@ def test_naive_cell_uses_scenario_config():
 
 
 def test_misspecification_counts_failed_replicates(monkeypatch):
-    ex_estimate = montecarlo.ex_estimate
+    # the poisson cells solve their replicates as one stack; a None entry
+    # is a replicate whose estimator failed
+    ex_estimate_stack = montecarlo.ex_estimate_stack
     calls = []
 
     def first_fails(*args, **kwargs):
+        out = ex_estimate_stack(*args, **kwargs)
         calls.append(1)
         if len(calls) == 1:
-            raise EstimationError("injected")
-        return ex_estimate(*args, **kwargs)
+            out[0] = None
+        return out
 
-    monkeypatch.setattr(montecarlo, "ex_estimate", first_fails)
+    monkeypatch.setattr(montecarlo, "ex_estimate_stack", first_fails)
     rep = misspecification_study(seed=3, n_values=(200,), replications=20)
     assert [(c.u_dist, c.replications) for c in rep.cells] == [("normal", 19), ("laplace", 20)]
     assert all(np.isfinite(c.mean) for c in rep.cells)
 
-    def always_fails(*args, **kwargs):
-        raise EstimationError("injected")
+    def always_fails(model, datasets, *args, **kwargs):
+        return [None] * len(datasets)
 
-    monkeypatch.setattr(montecarlo, "ex_estimate", always_fails)
+    monkeypatch.setattr(montecarlo, "ex_estimate_stack", always_fails)
     with pytest.raises(EstimationError, match="20/20 replications failed"):
         misspecification_study(seed=3, n_values=(200,), replications=20)
+
+
+def _scalar_loop(sc, reps, seed):
+    """One ex_estimate or naive_estimate per replicate, as run_study's first
+    cell draws them: the estimates that succeeded and the failure count."""
+    cfg = sc.config or EstimateConfig()
+    ests, paths = [], []
+    for r in range(reps):
+        ds = simulate_dataset(sc, _stream(seed, (0, r)))
+        try:
+            if sc.estimator == "naive":
+                ests.append(naive_estimate(sc.model, ds, cfg).theta_hat)
+            else:
+                res = ex_estimate(sc.model, ds, cfg)
+                ests.append(res.theta_hat.flat_vector)
+                paths.append(res.path)
+        except (SimexfreeError, np.linalg.LinAlgError):
+            pass
+    return np.asarray(ests), reps - len(ests), paths
+
+
+def _cell(model=None, theta0=(1.0,), n=120, s2=0.25, **kw):
+    return Scenario(name="cell", model=model or ModelSpec(family="exponential"),
+                    theta0=np.asarray(theta0), n=n, sigma_u=np.atleast_2d(s2), **kw)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _cell(),
+        _cell(estimator="naive"),
+        bivariate_exponential_scenarios((0.25,), (150,))[0],
+        _cell(ModelSpec(family="poisson"), (0.7,), n=150),
+        _cell(ModelSpec(family="linear"), (2.0,)),
+        _cell(ModelSpec(family="linear", intercept=False), (2.0,)),
+        _cell(ModelSpec(family="linear"), (2.0,), estimator="naive"),
+        # branch collapses: some replicates leave the naive branch and take the grid
+        _cell(n=200, s2=0.5),
+        _cell(n=80, config=EstimateConfig(force_grid=True)),
+        _cell(ModelSpec(family="poisson"), (0.7,), config=EstimateConfig(force_grid=True)),
+        # too many failures: the cell raises
+        _cell(config=EstimateConfig(options=MinimizeOptions(max_iters=1))),
+        _cell(estimator="naive", config=EstimateConfig(options=MinimizeOptions(max_iters=1))),
+    ],
+    ids=["exponential", "exponential-naive", "exponential-p2", "poisson", "linear",
+         "linear-no-intercept", "linear-naive", "branch-collapse", "force-grid",
+         "poisson-force-grid", "max-iters-1", "max-iters-1-naive"],
+)
+def test_batched_replicates_equal_the_scalar_loop(monkeypatch, sc):
+    reps, seed = 12, 21
+    ests, failures, paths = _scalar_loop(sc, reps, seed)
+    if sc.n == 200 and sc.sigma_u[0, 0] == 0.5:
+        assert 0 < paths.count("extrapolated") < reps
+    stalled = sc.config is not None and sc.config.options is not None
+    assert (failures > 0.05 * reps) == stalled
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("a stacked cell ran a scalar estimate")
+
+    monkeypatch.setattr(montecarlo, "ex_estimate", scalar)
+    monkeypatch.setattr(montecarlo, "naive_estimate", scalar)
+    if stalled:
+        with pytest.raises(EstimationError, match=f"{failures}/{reps} replications failed"):
+            run_study([sc], reps, seed=seed)
+        return
+    cell = run_study([sc], reps, seed=seed, keep_estimates=True)[0]
+    assert np.array_equal(cell.estimates, ests)
+    assert (cell.failures, cell.replications) == (failures, reps - failures)
 
 
 def test_preset_scenario_grids():

@@ -14,6 +14,7 @@ from simexfree import (
     minimize,
     minimize_batch,
     linear_closed_form,
+    target_exponential,
     target_linear,
     target_poisson_negloglik,
 )
@@ -199,11 +200,18 @@ def test_nonfinite_gradient_status():
 
 
 def _rowwise(f, g):
-    """Batch callables from per-row scalar ones: row r is f(theta, r)."""
-    return (
-        lambda th, rows: np.array([f(t, r) for t, r in zip(th, rows)]),
-        lambda th, rows: np.array([g(t, r) for t, r in zip(th, rows)]),
-    )
+    """The batch callable of per-row scalar ones: row r is f(theta, r), and
+    only the rows that pass their bound get a gradient."""
+
+    def fg(th, rows, bound):
+        values = np.array([f(t, r) for t, r in zip(th, rows)])
+        grads = np.full(th.shape, np.nan)
+        for i, (t, r) in enumerate(zip(th, rows)):
+            if np.isfinite(values[i]) and values[i] <= bound[i]:
+                grads[i] = g(t, r)
+        return values, grads
+
+    return fg
 
 
 def test_minimize_batch_statuses_per_row():
@@ -222,9 +230,9 @@ def test_minimize_batch_statuses_per_row():
         lambda t: np.zeros(1),
         lambda t: 400.0 * (t - 1.0) ** 3,
     ]
-    f, g = _rowwise(lambda t, r: fs[r](t), lambda t, r: gs[r](t))
+    fg = _rowwise(lambda t, r: fs[r](t), lambda t, r: gs[r](t))
     starts = np.array([[0.0], [0.0], [1.0], [0.0], [5.0]])
-    res = minimize_batch(f, g, MinimizeOptions(start=starts, max_iters=3))
+    res = minimize_batch(fg, MinimizeOptions(start=starts, max_iters=3))
     assert list(res.status) == ["grad_tol", "line_search", "nonfinite", "infeasible", "max_iters"]
     assert list(res.converged) == [True, False, False, False, False]
     for r in range(5):
@@ -245,15 +253,15 @@ def _pseudo_stack(rows=5, lam=1.0):
 def _stack_solve(ds, zs, start, seen=None):
     model = ModelSpec(family="exponential")
 
-    def kernel(fn):
-        def call(th, rows):
-            if seen is not None:
-                seen.append(rows.copy())
-            return fn(TargetContext(dataset=ds, model=model, lam=0.0, z=zs[rows]), th)
-        return call
+    def fg(th, rows, bound):
+        if seen is not None:
+            seen.append(rows.copy())
+        value, grad = target_exponential(
+            TargetContext(dataset=ds, model=model, lam=0.0, z=zs[rows]), th
+        )
+        return value, grad()
 
-    return minimize_batch(kernel(target_value), kernel(target_gradient),
-                          MinimizeOptions(start=start))
+    return minimize_batch(fg, MinimizeOptions(start=start))
 
 
 def test_minimize_batch_rows_match_lone_solves():
@@ -288,16 +296,17 @@ def test_minimize_batch_exited_row_is_not_evaluated_again():
     assert res.status[2] == "grad_tol" and res.iters[2] == 0
     assert np.array_equal(res.theta_hat[2], first.theta_hat[2])
     assert res.iters.max() > 5
-    # the first value call and the first gradient call cover every row
-    assert all(2 not in rows for rows in seen[2:])
+    # the first call, for the values and gradients at the starts, covers every row
+    assert 2 in seen[0]
+    assert all(2 not in rows for rows in seen[1:])
     np.testing.assert_allclose(res.theta_hat, first.theta_hat, rtol=1e-12, atol=0)
 
 
 def test_minimize_batch_validation():
-    f, g = _rowwise(lambda t, r: float(t @ t), lambda t, r: 2.0 * t)
+    fg = _rowwise(lambda t, r: float(t @ t), lambda t, r: 2.0 * t)
     with pytest.raises(ConfigError):
-        minimize_batch(f, g, MinimizeOptions(start=np.zeros(2)))
+        minimize_batch(fg, MinimizeOptions(start=np.zeros(2)))
     with pytest.raises(ConfigError):
-        minimize_batch(f, g, MinimizeOptions(start=np.zeros((2, 1)), method="simplex"))
+        minimize_batch(fg, MinimizeOptions(start=np.zeros((2, 1)), method="simplex"))
     with pytest.raises(ConfigError):
-        minimize_batch(f, g, MinimizeOptions())
+        minimize_batch(fg, MinimizeOptions())

@@ -37,13 +37,14 @@ from simexfree import (
     target_walsh,
 )
 from simexfree.data import psd_factor
+from simexfree import targets
 from simexfree.gaussian import hermite_rule, normal_cdf
 from simexfree.optimize import finite_difference_gradient
 from simexfree.targets import (
     FAMILIES,
     GENERIC_CHUNK_ROWS,
     GENERIC_TENSOR_NODES,
-    WALSH_BLOCK,
+    STACK_CHUNK_VALUES,
     _softplus,
     _walsh_pairs,
 )
@@ -537,9 +538,9 @@ def test_softplus_matches_logaddexp():
 
 @pytest.mark.parametrize(
     "n,block",
-    [(1, 8), (8, 8), (9, 8), (21, 8),
-     (1, WALSH_BLOCK), (WALSH_BLOCK, WALSH_BLOCK), (WALSH_BLOCK + 1, WALSH_BLOCK),
-     (2 * WALSH_BLOCK + 37, WALSH_BLOCK)],
+    [(1, 8), (8, 8), (9, 8), (21, 8), (1, 256), (256, 256), (257, 256), (549, 256),
+     # the default, STACK_CHUNK_VALUES // n rows per block
+     (500, None), (1200, None)],
 )
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_walsh_upper_pairs_match_double_loop(n, block, s):
@@ -550,6 +551,21 @@ def test_walsh_upper_pairs_match_double_loop(n, block, s):
     assert got == pytest.approx(_pairs_full_minus_diagonal(xi, s), rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(got_dxi, dxi, rtol=1e-12, atol=1e-12 * n)
     assert got_ds == pytest.approx(ds, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 200, 500, 1200])
+def test_walsh_blocks_keep_their_temporaries_within_a_stack_chunk(monkeypatch, n):
+    blocks = []
+    upper_blocks = targets._upper_blocks
+
+    def spying(xi, block):
+        blocks.append(block)
+        return upper_blocks(xi, block)
+
+    monkeypatch.setattr(targets, "_upper_blocks", spying)
+    _walsh_pairs(np.zeros(n), 0.3)
+    assert blocks == [max(1, STACK_CHUNK_VALUES // n)]
+    assert min(blocks[0], n) * n <= STACK_CHUNK_VALUES
 
 
 # --------------------------------------------------------------------------
@@ -806,6 +822,29 @@ def test_stacked_rows_equal_their_own_objectives(family, kw, p):
             assert np.array_equal(grads[b], target_gradient(own, thetas[b]))
 
 
+@pytest.mark.parametrize("family,kw", BATCHED)
+def test_stacked_responses_equal_their_own_objectives(family, kw):
+    model = ModelSpec(family=family, **kw)
+    sets = [_make_dataset(seed=20 + b, n=50, p=2, family=family) for b in range(5)]
+    zs, ys = np.stack([d.z for d in sets]), np.stack([d.y for d in sets])
+    thetas = np.random.default_rng(10).uniform(0.1, 0.7, (5, model.n_params(2)))
+    rows = np.array([0, 2, 3])  # a copy; rows 2 and 3 alone are a view
+    for lam in (0.0, 0.5, -1.0):
+        stacked = TargetContext(dataset=sets[0], model=model, lam=lam, z=zs, y=ys)
+        for idx in (np.arange(5), rows, rows[1:]):
+            part = stacked if idx.size == 5 else stacked.take(idx)
+            values, finish = FAMILIES[family].kernel(part, thetas[idx])
+            grads = finish()
+            for i, b in enumerate(idx):
+                own = _ctx(sets[b], family, lam, **kw)
+                assert values[i] == target_value(own, thetas[b])
+                assert np.array_equal(grads[i], target_gradient(own, thetas[b]))
+    shared = TargetContext(dataset=sets[0], model=model, lam=0.0, z=zs)
+    view = shared.take(np.array([1, 2]))
+    assert np.shares_memory(view.z, zs) and view.y is sets[0].y
+    assert shared.take(np.arange(5)) is shared
+
+
 def test_stacked_surrogates_validation():
     ds = _make_dataset(n=10, family="linear")
     zs = np.zeros((3, 10, 1))
@@ -814,6 +853,14 @@ def test_stacked_surrogates_validation():
     for bad in (np.zeros((3, 9, 1)), np.zeros(10), np.zeros((3, 10, 2))):
         with pytest.raises(ConfigError, match="stacked surrogates have shape"):
             TargetContext(dataset=ds, model=ModelSpec(family="linear"), lam=0.0, z=bad)
+    with pytest.raises(ConfigError, match=r"responses have shape \(3, 9\), expected \(3, 10\)"):
+        TargetContext(dataset=ds, model=ModelSpec(family="linear"), lam=0.0, z=zs,
+                      y=np.zeros((3, 9)))
+    with pytest.raises(ConfigError, match=r"responses have shape \(10,\), expected \(3, 10\)"):
+        TargetContext(dataset=ds, model=ModelSpec(family="linear"), lam=0.0, z=zs, y=ds.y)
+    with pytest.raises(ModelMismatchError):
+        TargetContext(dataset=ds, model=ModelSpec(family="poisson"), lam=0.0, z=zs,
+                      y=np.full((3, 10), 0.5))
     with pytest.raises(ConfigError, match=r"surrogates have shape \(9, 1\), expected \(10, 1\)"):
         TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=np.zeros((9, 1)))
     assert _ctx(ds, "linear", 0.0).z is ds.z
