@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,10 @@ _SIMPLEX_STEP_TOL = 1e-9
 
 # the direct path's continuation from the naive estimate down to lambda = -1
 CONTINUATION = (-0.25, -0.5, -0.75, -1.0)
-# what makes one data set's estimate fail without stopping a study
+# the rows of a one-dataset estimate (see row_solver)
+_ONE = np.zeros(1, dtype=int)
+# what makes one data set's estimate fail without stopping a study, apart
+# from a ConfigError, which is the configuration's and stops it
 ESTIMATE_ERRORS = (SimexfreeError, np.linalg.LinAlgError)
 
 
@@ -143,12 +146,14 @@ class EstimateConfig:
             )
 
     def start_for(self, model: ModelSpec, dataset: Dataset) -> np.ndarray:
-        """The configured start, or the family's default one on ``dataset``."""
-        return naive_start(model, dataset) if self.start is None else self.start
+        """The configured start, or the family's default one on ``dataset``,
+        as a flat float array."""
+        start = naive_start(model, dataset) if self.start is None else self.start
+        return np.asarray(start, dtype=float).ravel()
 
 
 # --------------------------------------------------------------------------
-# starts and single-point minimization
+# options and solves at one noise level
 # --------------------------------------------------------------------------
 
 
@@ -181,17 +186,19 @@ def minimize_target(
     options: MinimizeOptions | None = None,
     nodes: int = 30,
     z: np.ndarray | None = None,
+    y: np.ndarray | None = None,
 ) -> MinimizeResult:
     """Minimize the family objective at one noise level from a given start.
 
-    ``z`` replaces ``dataset.z`` by one set of pseudo-data surrogates of the
-    same shape.  Each trial point runs the family kernel once: the
-    quasi-Newton method asks for a gradient only at the point it has just
-    evaluated and accepted, and gets it from that evaluation's ``grad``
-    callable, so a rejected trial never pays for a gradient and an accepted
-    one never redoes its setup.
+    This is the one-row solve of :func:`row_solver`.  ``z`` (n, p) and
+    ``y`` (n,) replace ``dataset.z`` and ``dataset.y`` by one data set of
+    the same shape that shares the dataset's sigma_u.  Each trial point
+    runs the family kernel once: the quasi-Newton method asks for a
+    gradient only at the point it has just evaluated and accepted, and gets
+    it from that evaluation's ``grad`` callable, so a rejected trial never
+    pays for a gradient and an accepted one never redoes its setup.
     """
-    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z)
+    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z, y=y)
     opts = point_options(model, lam, np.asarray(start, dtype=float), options)
     kernel = model.record.kernel
     point = finish = None  # the last trial point and its grad callable
@@ -254,13 +261,70 @@ def minimize_stack(
     return minimize_batch(evaluate, options)
 
 
+def row_solver(
+    model: ModelSpec,
+    dataset: Dataset,
+    cfg: EstimateConfig,
+    z: np.ndarray | None = None,
+    y: np.ndarray | None = None,
+) -> Callable[[np.ndarray, float, np.ndarray], MinimizeResult]:
+    """The ``solve(rows, lam, starts)`` that every estimator stage runs.
+
+    The rows are the data sets ``z`` (R, n, p) with responses ``y`` (R, n,
+    or None for ``dataset.y`` in every set), which share the dataset's
+    sigma_u, or without ``z`` the dataset alone, as row 0.  ``solve``
+    minimizes the objective at ``lam`` on ``rows``, an increasing index
+    array, from ``starts`` (one per row), with the options of ``cfg`` at
+    that level (see :func:`point_options`), and returns a batch result, one
+    row per solved row.  When the family is ``batched``, the options at
+    ``lam`` are quasi-Newton and more than one row is solved, that is one
+    :func:`minimize_stack` run; otherwise one :func:`minimize_target` per
+    row.  Either way each row has the bits of its own scalar solve.
+    """
+
+    def solve(rows: np.ndarray, lam: float, starts: np.ndarray) -> MinimizeResult:
+        if model.record.batched and rows.size > 1:
+            opts = point_options(model, lam, starts, cfg.options)
+            if opts.method == "quasi-newton":
+                # rows are increasing, so as many rows as sets are all of them
+                every = rows.size == z.shape[0]
+                zs = z if every else z[rows]
+                ys = y if every or y is None else y[rows]
+                return minimize_stack(model, dataset, lam, opts, cfg.nodes, zs, ys)
+        return _stacked([
+            minimize_target(model, dataset, lam, start, cfg.options, cfg.nodes,
+                            None if z is None else z[r], None if y is None else y[r])
+            for r, start in zip(rows, starts)
+        ])
+
+    return solve
+
+
+def _stacked(results: list[MinimizeResult]) -> MinimizeResult:
+    """Scalar results as one batch result, one row each."""
+    return MinimizeResult(*map(np.array, zip(*(vars(r).values() for r in results))))
+
+
+def _take(res: MinimizeResult, rows) -> MinimizeResult:
+    """The batch result of ``rows``, an index or mask, of a batch result."""
+    return MinimizeResult(*(v[rows] for v in vars(res).values()))
+
+
+def _row(res: MinimizeResult, i: int) -> MinimizeResult:
+    """Row i of a batch result, as the result of its own scalar solve."""
+    return MinimizeResult(
+        res.theta_hat[i], float(res.value[i]), float(res.grad_norm[i]),
+        int(res.iters[i]), bool(res.converged[i]), str(res.status[i]),
+    )
+
+
 def naive_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> MinimizeResult:
     """Classical estimate on the observed data: the lambda = 0 minimizer."""
     cfg = config or EstimateConfig()
-    start = cfg.start_for(model, dataset)
-    res = minimize_target(model, dataset, 0.0, start, cfg.options, cfg.nodes)
+    solve = row_solver(model, dataset, cfg)
+    res = _row(solve(_ONE, 0.0, cfg.start_for(model, dataset)[None]), 0)
     if not res.converged:
         raise EstimationError(
             f"naive estimate did not converge (status {res.status})"
@@ -322,26 +386,66 @@ def linear_exact_extrapolant(theta0: float, sigma_x2: float, sigma_u2: float):
 # --------------------------------------------------------------------------
 
 
-def _disagrees_with_closed_form(converged: bool, theta: np.ndarray, flat: np.ndarray) -> bool:
-    """True when the numeric check of the linear closed form ``flat`` did not
-    converge or moved further than 1e-6 (1 + max|flat|) from it."""
-    scale = 1.0 + float(np.max(np.abs(flat)))
-    return not converged or np.max(np.abs(theta - flat)) > 1e-6 * scale
+def _check_closed_form(
+    solve, rows: np.ndarray, flats: np.ndarray
+) -> tuple[np.ndarray, MinimizeResult]:
+    """The numeric check at lambda = -1 of the linear closed forms ``flats``
+    (k, q) of ``rows``: which rows it confirms, converged within
+    1e-6 (1 + max|flat|) of the closed form, and the check's result."""
+    check = solve(rows, -1.0, flats)
+    scale = 1.0 + np.abs(flats).max(axis=1)
+    off = np.abs(check.theta_hat - flats).max(axis=1) > 1e-6 * scale
+    return check.converged & ~off, check
 
 
-def _left_branch(converged: bool, theta: np.ndarray, cur: np.ndarray) -> bool:
-    """True when a continuation step from ``cur`` lost the naive branch.
+def _continue(
+    solve, rows: np.ndarray, cur: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, MinimizeResult | None]:
+    """Track each row's minimizer from its naive estimate ``cur`` (k, q)
+    down :data:`CONTINUATION` to lambda = -1.
 
     The corrected objectives are not coercive at negative lambda (the
     correction factor lets a few extreme rows dominate far from the truth),
-    so each step of :data:`CONTINUATION` is a warm-started local solve that
-    must stay on the branch through the naive estimate.  A step that does
-    not converge, or jumps past the trust radius 0.5 (1 + max|cur|), means
-    the branch minimizer has ceased to exist for this dataset (a fold), and
+    so each step is a warm-started local solve that must stay on the branch
+    through the naive estimate.  A step that does not converge, or jumps
+    past the trust radius 0.5 (1 + max|cur|) from its start ``cur``, means
+    the branch minimizer has ceased to exist for this row (a fold), and
     only the lambda-grid path is available.
+
+    Returns the lambda at which each row left the branch (NaN where it
+    stayed), the estimates of the rows that stayed, and the result of the
+    last step.
     """
-    radius = 0.5 * (1.0 + float(np.max(np.abs(cur))))
-    return not converged or np.max(np.abs(theta - cur)) > radius
+    left_at = np.full(rows.size, np.nan)
+    live = np.arange(rows.size)
+    res = None
+    for lam in CONTINUATION:
+        if live.size == 0:
+            break
+        res = solve(rows[live], lam, cur)
+        radius = 0.5 * (1.0 + np.abs(cur).max(axis=1))
+        stay = res.converged & ~(np.abs(res.theta_hat - cur).max(axis=1) > radius)
+        left_at[live[~stay]] = lam
+        live, cur = live[stay], res.theta_hat[stay]
+    return left_at, cur, res
+
+
+def _grid(
+    solve, rows: np.ndarray, lams: np.ndarray, first: MinimizeResult
+) -> tuple[list[MinimizeResult], np.ndarray, np.ndarray]:
+    """Each row's minimizer at every lambda of ``lams``, from its lambda = 0
+    solve ``first``, each warm-started at the row's previous minimizer,
+    converged or not.
+
+    Returns each lambda's result, the minimizers (k, K, q), and which row
+    did not converge at which lambda (k, K).
+    """
+    results = [first]
+    for lam in lams[1:]:
+        results.append(solve(rows, float(lam), results[-1].theta_hat))
+    thetas = np.stack([r.theta_hat for r in results], axis=1)
+    failed = ~np.stack([r.converged for r in results], axis=1)
+    return results, thetas, failed
 
 
 def direct_estimate(
@@ -361,31 +465,27 @@ def direct_estimate(
             "use grid_estimate with an extrapolant instead"
         )
     cfg = config or EstimateConfig()
+    solve = row_solver(model, dataset, cfg)
+    has_int = model.has_intercept
     if model.family == "linear":
-        naive_flat = linear_closed_form(dataset, 0.0, model.has_intercept)
-        flat = linear_closed_form(dataset, -1.0, model.has_intercept)
-        check = minimize_target(model, dataset, -1.0, flat, cfg.options, cfg.nodes)
-        if _disagrees_with_closed_form(check.converged, check.theta_hat, flat):
+        naive_flat = linear_closed_form(dataset, 0.0, has_int)
+        flat = linear_closed_form(dataset, -1.0, has_int)
+        ok, check = _check_closed_form(solve, _ONE, flat[None])
+        if not ok[0]:
             raise EstimationError(
                 "numeric minimization disagrees with the linear closed form"
             )
-        diag = {"direct": check}
+        diag = {"direct": _row(check, 0)}
     else:
         naive = naive_estimate(model, dataset, cfg)
-        cur = naive.theta_hat
-        res = naive
-        for lam in CONTINUATION:
-            res = minimize_target(model, dataset, lam, cur, cfg.options, cfg.nodes)
-            if _left_branch(res.converged, res.theta_hat, cur):
-                raise BranchCollapseError(
-                    f"the corrected objective has no local minimizer near the "
-                    f"naive branch at lambda = {lam}; use the grid path"
-                )
-            cur = res.theta_hat
-        naive_flat = naive.theta_hat
-        flat = res.theta_hat
-        diag = {"naive": naive, "direct": res}
-    has_int = model.has_intercept
+        left_at, flats, last = _continue(solve, _ONE, naive.theta_hat[None])
+        if not np.isnan(left_at[0]):
+            raise BranchCollapseError(
+                f"the corrected objective has no local minimizer near the "
+                f"naive branch at lambda = {float(left_at[0])}; use the grid path"
+            )
+        naive_flat, flat = naive.theta_hat, flats[0]
+        diag = {"naive": naive, "direct": _row(last, 0)}
     return EstimateResult(
         theta_hat=Theta.from_flat(flat, has_int),
         path="direct",
@@ -405,23 +505,17 @@ def grid_estimate(
     aborts with an aggregated error listing the offending lambda values.
     """
     cfg = config or EstimateConfig()
-    start = cfg.start_for(model, dataset)
-    thetas = []
-    results = []
-    failed = []
-    for lam in cfg.grid.values:
-        res = minimize_target(model, dataset, float(lam), start, cfg.options, cfg.nodes)
-        if not res.converged:
-            failed.append(float(lam))
-        thetas.append(res.theta_hat)
-        results.append(res)
-        start = res.theta_hat
-    if failed:
+    solve = row_solver(model, dataset, cfg)
+    first = solve(_ONE, 0.0, cfg.start_for(model, dataset)[None])
+    results, thetas, failed = _grid(solve, _ONE, cfg.grid.values, first)
+    if failed[0].any():
         raise GridConvergenceError(
             "grid minimization failed to converge at lambda = "
-            + ", ".join(f"{v:g}" for v in failed)
+            + ", ".join(f"{v:g}" for v in cfg.grid.values[failed[0]])
         )
-    return GridEstimates(grid=cfg.grid, thetas=np.asarray(thetas), diagnostics=results)
+    return GridEstimates(
+        grid=cfg.grid, thetas=thetas[0], diagnostics=[_row(r, 0) for r in results]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -591,13 +685,6 @@ def ex_estimate(
     )
 
 
-def stacks(model: ModelSpec, config: EstimateConfig | None = None) -> bool:
-    """True when :func:`ex_estimate_stack` applies: the family's record is
-    ``batched`` and ``config.options`` leaves the quasi-Newton method on."""
-    options = (config or EstimateConfig()).options
-    return model.record.batched and (options is None or options.method == "quasi-newton")
-
-
 def ex_estimate_stack(
     model: ModelSpec,
     datasets: Sequence[Dataset],
@@ -605,129 +692,94 @@ def ex_estimate_stack(
     naive: bool = False,
 ) -> list[np.ndarray | None]:
     """The flat estimates of :func:`ex_estimate` on each of ``datasets``, or
-    with ``naive`` those of :func:`naive_estimate`, solved together.
+    with ``naive`` those of :func:`naive_estimate`, solved stage by stage.
 
-    Requires :func:`stacks`; the datasets share one shape and sigma_u.  Each
-    stage of the estimator is one :func:`minimize_stack` run over the
+    Any family and options apply; the datasets share one shape and
+    sigma_u.  Each stage is one solve of :func:`row_solver` over the
     datasets that reach it:
 
     - the naive lambda = 0 solve from each dataset's start;
     - each step of :data:`CONTINUATION`, with the branch test of
       :func:`direct_estimate`;
-    - for the datasets whose branch collapsed (or all, with
-      ``force_grid``), each further grid point, warm-started from the
-      previous one; the naive solve is the lambda = 0 point.  The
-      extrapolant is then fitted per dataset;
+    - for the datasets whose branch collapsed (or all, on the grid path),
+      each further grid point of :func:`grid_estimate`, whose lambda = 0
+      point is the naive solve.  The extrapolant is then fitted per dataset;
     - for the linear family, the closed forms per dataset and one numeric
       check at lambda = -1.
 
-    Entry r equals the scalar estimate on ``datasets[r]`` bit for bit, or is
-    None where the scalar estimator raises one of ``ESTIMATE_ERRORS``.
+    Entry r equals the estimate on ``datasets[r]`` alone bit for bit, or is
+    None where that estimate raises one of ``ESTIMATE_ERRORS``.  A
+    ConfigError is a mistake in the configuration, not in one dataset, and
+    propagates.
     """
     cfg = config or EstimateConfig()
-    if not stacks(model, cfg):
-        raise ConfigError(
-            f"family {model.family!r} with these options cannot be solved as a stack"
-        )
-    out: list[np.ndarray | None] = [None] * len(datasets)
-    if not datasets:
-        return out
     if any(not np.array_equal(d.sigma_u, datasets[0].sigma_u) for d in datasets):
         raise ConfigError("stacked datasets must share sigma_u")
-    zs = np.stack([d.z for d in datasets])
-    ys = np.stack([d.y for d in datasets])
+    done = dict(_stages(model, datasets, cfg, naive)) if datasets else {}
+    return [done.get(r) for r in range(len(datasets))]
 
-    def solve(rows: np.ndarray, lam: float, starts: np.ndarray) -> MinimizeResult:
-        opts = point_options(model, lam, starts, cfg.options)
-        # rows are increasing, so as many rows as datasets are all of them
-        z, y = (zs, ys) if rows.size == len(datasets) else (zs[rows], ys[rows])
-        return minimize_stack(model, datasets[0], lam, opts, cfg.nodes, z, y)
 
-    def each(fn) -> dict[int, np.ndarray]:
-        """fn of every dataset on which it raises none of ESTIMATE_ERRORS."""
-        done = {}
-        for r, d in enumerate(datasets):
-            try:
-                done[r] = fn(d)
-            except ESTIMATE_ERRORS:
-                pass
-        return done
-
+def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, naive: bool):
+    """(index, flat estimate) of each of ``datasets`` whose estimate succeeds."""
+    solve = row_solver(model, datasets[0], cfg, np.stack([d.z for d in datasets]),
+                       np.stack([d.y for d in datasets]))
+    has_int = model.has_intercept
     direct = model.pluggable and not cfg.force_grid and not naive
     if direct and model.family == "linear":
 
         def closed_form(d: Dataset) -> np.ndarray:
-            linear_closed_form(d, 0.0, model.has_intercept)  # the naive one can raise too
-            return linear_closed_form(d, -1.0, model.has_intercept)
+            linear_closed_form(d, 0.0, has_int)  # the naive one can raise too
+            return linear_closed_form(d, -1.0, has_int)
 
-        flats = each(closed_form)
-        if flats:
-            rows = np.fromiter(flats, dtype=int)
-            check = solve(rows, -1.0, np.stack(list(flats.values())))
-            for i, r in enumerate(rows):
-                if not _disagrees_with_closed_form(check.converged[i], check.theta_hat[i], flats[r]):
-                    out[r] = flats[r]
-        return out
-    starts = each(lambda d: np.asarray(cfg.start_for(model, d), dtype=float))
-    if not starts:
-        return out
-    rows = np.fromiter(starts, dtype=int)
-    first = solve(rows, 0.0, np.stack(list(starts.values())))
-    rows, cur = rows[first.converged], first.theta_hat[first.converged]
-    if naive:
-        for r, theta in zip(rows, cur):
-            out[r] = theta
-        return out
-    if direct:
-        collapsed, ends = _continue_stack(solve, rows, cur)
-        for k in np.flatnonzero(~collapsed):
-            out[rows[k]] = ends[k]
-        rows, cur = rows[collapsed], cur[collapsed]
-    for r, flat in zip(rows, _grid_stack(solve, cfg, rows, cur)):
-        out[r] = flat
-    return out
+        rows, flats = _each(datasets, closed_form)
+        if rows.size:
+            ok = _check_closed_form(solve, rows, flats)[0]
+            yield from zip(rows[ok], flats[ok])
+        return
 
+    def start(d: Dataset) -> np.ndarray:
+        model.validate_y(d.y)  # a stacked solve checks every set's responses at once
+        return cfg.start_for(model, d)
 
-def _continue_stack(solve, rows: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The continuation of :func:`direct_estimate` on the stacked ``rows``
-    from their naive estimates ``cur``: which rows left the branch, and the
-    last point of each row on it (its estimate, for a row that stayed)."""
-    ends = cur.copy()
-    collapsed = np.zeros(rows.size, dtype=bool)
-    live = np.arange(rows.size)
-    for lam in CONTINUATION:
-        if live.size == 0:
-            break
-        res = solve(rows[live], lam, ends[live])
-        left = np.array(
-            [_left_branch(res.converged[i], res.theta_hat[i], ends[k]) for i, k in enumerate(live)],
-            dtype=bool,
-        )
-        collapsed[live[left]] = True
-        ends[live[~left]] = res.theta_hat[~left]
-        live = live[~left]
-    return collapsed, ends
-
-
-def _grid_stack(solve, cfg: EstimateConfig, rows: np.ndarray, cur: np.ndarray) -> list:
-    """The grid path of :func:`ex_estimate` on the stacked ``rows``, whose
-    lambda = 0 minimizers are ``cur``: each row's estimate, or None where
-    a grid point did not converge or the extrapolant fails."""
+    rows, starts = _each(datasets, start)
     if rows.size == 0:
-        return []
-    lams = cfg.grid.values
-    thetas = np.empty((rows.size, lams.size, cur.shape[1]))
-    thetas[:, 0] = cur
-    failed = np.zeros(rows.size, dtype=bool)
-    for k in range(1, lams.size):
-        res = solve(rows, float(lams[k]), thetas[:, k - 1])
-        thetas[:, k] = res.theta_hat
-        failed |= ~res.converged
-    out = [None] * rows.size
-    for i in np.flatnonzero(~failed):
+        return
+    first = solve(rows, 0.0, starts)
+    # a row whose naive solve failed fails on either path
+    rows, first = rows[first.converged], _take(first, first.converged)
+    if naive:
+        yield from zip(rows, first.theta_hat)
+        return
+    if direct:
+        left_at, flats, _ = _continue(solve, rows, first.theta_hat)
+        stayed = np.isnan(left_at)
+        yield from zip(rows[stayed], flats)
+        rows, first = rows[~stayed], _take(first, ~stayed)
+    if rows.size == 0:
+        return
+    _, thetas, failed = _grid(solve, rows, cfg.grid.values, first)
+    converged = ~failed.any(axis=1)
+    rows, thetas = rows[converged], thetas[converged]
+    fitted, flats = _each(
+        thetas,
+        lambda th: extrapolate_to_minus_one(
+            fit_extrapolant(GridEstimates(grid=cfg.grid, thetas=th), cfg.kind)
+        ),
+    )
+    yield from zip(rows[fitted], flats)
+
+
+def _each(items, fn) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the ``items`` on which ``fn`` raises none of
+    ``ESTIMATE_ERRORS``, and its values there, stacked.  A ConfigError
+    propagates."""
+    indices, values = [], []
+    for i, item in enumerate(items):
         try:
-            fit = fit_extrapolant(GridEstimates(grid=cfg.grid, thetas=thetas[i]), cfg.kind)
-            out[i] = extrapolate_to_minus_one(fit)
+            values.append(fn(item))
+        except ConfigError:
+            raise
         except ESTIMATE_ERRORS:
-            pass
-    return out
+            continue
+        indices.append(i)
+    return np.array(indices, dtype=int), np.array(values)

@@ -22,7 +22,6 @@ from .extrapolate import (
     ex_estimate,
     ex_estimate_stack,
     naive_estimate,
-    stacks,
 )
 from .simex import SimexConfig, _stream, classical_simex
 from .targets import ModelSpec, lognormal_error
@@ -137,42 +136,37 @@ def _replicates(
     scenario: Scenario, seed: int, keys: Sequence[tuple[int, ...]]
 ) -> tuple[np.ndarray, int]:
     """Simulate one dataset per stream key and run the scenario's estimator
-    on it, with every setting of ``scenario.config`` plus ``b = simex_b``
-    and a per-replicate seed.  Returns the estimates that succeeded and the
-    number of replicates that failed; more than 5% failures raise.
+    on it, with every setting of ``scenario.config``.  Returns the estimates
+    that succeeded and the number of replicates that failed; more than 5%
+    failures raise, and so does a ConfigError.
 
-    The ex and naive estimators of a family that :func:`stacks` solve the
-    datasets together (:func:`ex_estimate_stack`), in groups of
-    ``STACK_GROUP_VALUES // n``, with the results of the per-replicate loop
-    bit for bit; any other runs one replicate at a time.
+    The ex and naive estimators solve the datasets together
+    (:func:`ex_estimate_stack`), in groups of ``STACK_GROUP_VALUES // n``,
+    with the results of one estimate per replicate bit for bit.  Classical
+    SIMEX runs one replicate at a time, with ``b = simex_b`` and a
+    per-replicate seed.
     """
     config = scenario.config or EstimateConfig()
     model = scenario.model
     ests = []
-    if scenario.estimator != "classical" and stacks(model, config):
-
-        def solved(group):
-            datasets = [simulate_dataset(scenario, _stream(seed, key)) for key in group]
-            return ex_estimate_stack(model, datasets, config, naive=scenario.estimator == "naive")
-
-        size = max(1, STACK_GROUP_VALUES // scenario.n)
-        for i in range(0, len(keys), size):
-            ests += [e for e in solved(keys[i : i + size]) if e is not None]
-    else:
+    if scenario.estimator == "classical":
         for r, key in enumerate(keys):
             ds = simulate_dataset(scenario, _stream(seed, key))
             cfg = SimexConfig(
                 **{**vars(config), "b": scenario.simex_b, "seed": seed + 7919 * (r + 1)}
             )
             try:
-                if scenario.estimator == "naive":
-                    ests.append(naive_estimate(model, ds, cfg).theta_hat)
-                elif scenario.estimator == "classical":
-                    ests.append(classical_simex(model, ds, cfg).theta_hat.flat_vector)
-                else:
-                    ests.append(ex_estimate(model, ds, cfg).theta_hat.flat_vector)
+                ests.append(classical_simex(model, ds, cfg).theta_hat.flat_vector)
+            except ConfigError:
+                raise
             except ESTIMATE_ERRORS:
                 pass
+    else:
+        size = max(1, STACK_GROUP_VALUES // scenario.n)
+        for i in range(0, len(keys), size):
+            datasets = [simulate_dataset(scenario, _stream(seed, key)) for key in keys[i : i + size]]
+            solved = ex_estimate_stack(model, datasets, config, scenario.estimator == "naive")
+            ests += [e for e in solved if e is not None]
     failures = len(keys) - len(ests)
     if failures > 0.05 * len(keys):
         raise EstimationError(
@@ -229,12 +223,13 @@ def run_study(
     """Run every scenario cell for R replications and summarize.
 
     Failed replications are excluded and counted; a cell with more than 5%
-    failures raises.  Fixed seed implies identical results.  A cell whose
-    family and options allow it (see :func:`stacks`) solves its R
-    replicates together, one quasi-Newton batch per estimator stage, with
-    the estimates and failures of one ``ex_estimate`` or
-    ``naive_estimate`` call per replicate, bit for bit; classical SIMEX
-    and every other cell run one replicate at a time.
+    failures raises, and so does a ConfigError.  Fixed seed implies
+    identical results.  An ex or naive cell solves its R replicates
+    together, stage by stage (:func:`ex_estimate_stack`): one quasi-Newton
+    batch per stage for a batched family with quasi-Newton options, one
+    scalar solve per replicate otherwise, with the estimates and failures
+    of one ``ex_estimate`` or ``naive_estimate`` call per replicate, bit
+    for bit.  Classical SIMEX runs one replicate at a time.
     """
     if replications < 2:
         raise ConfigError("need at least two replications")

@@ -22,13 +22,13 @@ from .extrapolate import (
     GridEstimates,
     extrapolate_to_minus_one,
     fit_extrapolant,
-    minimize_stack,
-    minimize_target,
     naive_estimate,
     point_options,
-    stacks,
+    row_solver,
 )
-from .optimize import MinimizeOptions
+# not called here: the benchmark's tracer (perfbench/tracing.py) patches
+# this name in this module, so it stays importable from it
+from .extrapolate import minimize_target  # noqa: F401
 from .targets import ModelSpec, Theta
 
 
@@ -67,71 +67,32 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
     return dataset.z + np.sqrt(lam) * v
 
 
-def _retry_options(model: ModelSpec, pseudo: Dataset, cfg: EstimateConfig) -> MinimizeOptions:
-    """Options of the one retry of a pseudo-data solve that did not converge.
-
-    A warm start can crawl on an unlucky pseudo sample; the retry starts
-    from the configured start, or the family start on ``pseudo``, with four
-    times the iterations.
-    """
-    base = point_options(model, 0.0, cfg.start_for(model, pseudo), cfg.options)
-    return replace(base, max_iters=4 * base.max_iters)
-
-
-def _solve_pseudo(
-    model: ModelSpec, dataset: Dataset, cfg: EstimateConfig, start: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """The lambda = 0 minimizer on the pseudo-data surrogates ``z`` (n, p),
-    warm-started at ``start``."""
-    res = minimize_target(model, dataset, 0.0, start, cfg.options, cfg.nodes, z)
-    if not res.converged:
-        retry = _retry_options(model, _pseudo_dataset(dataset, z), cfg)
-        res = minimize_target(model, dataset, 0.0, retry.start, retry, cfg.nodes, z)
-    if not res.converged:
-        raise EstimationError(
-            f"naive solve on pseudo-data did not converge (status {res.status})"
-        )
-    return res.theta_hat
-
-
 def _replicate_solves(
     model: ModelSpec, dataset: Dataset, cfg: SimexConfig, k: int, start: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """The B naive solves at grid point k, each warm-started at ``start``.
 
     Returns the estimates (B, q) and the replicates whose solve failed even
-    after its retry.  Where :func:`stacks` holds, the B pseudo-data sets are
-    solved as one stack, and the rows that did not converge are retried as
-    one more; otherwise one set at a time.  A Dataset is built per
-    pseudo-data set only for a retried solve.
+    after its retry.  The B pseudo-data sets are one solve of
+    :func:`row_solver`.  A warm start can crawl on an unlucky pseudo
+    sample, so the rows that did not converge are one more, from the
+    configured start, or the family start on their pseudo-data, with four
+    times the iterations.  A Dataset is built per pseudo-data set only for
+    a retried row.
     """
     lam = float(cfg.grid.values[k])
     zs = np.stack([pseudo_data(dataset, lam, _stream(cfg.seed, (k, b))) for b in range(cfg.b)])
-    if not stacks(model, cfg):
-        draws = np.empty((cfg.b, start.size))
-        failed = []
-        for b in range(cfg.b):
-            try:
-                draws[b] = _solve_pseudo(model, dataset, cfg, start, zs[b])
-            except EstimationError:
-                failed.append(b)
-        return draws, failed
-    opts = point_options(model, 0.0, start, cfg.options)
-    res = minimize_stack(model, dataset, 0.0, replace(opts, start=np.tile(start, (cfg.b, 1))),
-                         cfg.nodes, zs)
+    res = row_solver(model, dataset, cfg, zs)(np.arange(cfg.b), 0.0, np.tile(start, (cfg.b, 1)))
     again = np.flatnonzero(~res.converged)
     if again.size:
-        tries = [_retry_options(model, _pseudo_dataset(dataset, zs[b]), cfg) for b in again]
-        starts = np.stack([np.asarray(t.start, dtype=float) for t in tries])
-        retry = minimize_stack(model, dataset, 0.0, replace(tries[0], start=starts),
-                               cfg.nodes, zs[again])
-        res.theta_hat[again] = retry.theta_hat
-        again = again[~retry.converged]
+        base = point_options(model, 0.0, None, cfg.options)
+        retry = replace(cfg, options=replace(base, max_iters=4 * base.max_iters))
+        starts = [cfg.start_for(model, Dataset(y=dataset.y, z=zs[b], sigma_u=dataset.sigma_u))
+                  for b in again]
+        out = row_solver(model, dataset, retry, zs)(again, 0.0, np.stack(starts))
+        res.theta_hat[again] = out.theta_hat
+        again = again[~out.converged]
     return res.theta_hat, again.tolist()
-
-
-def _pseudo_dataset(dataset: Dataset, z: np.ndarray) -> Dataset:
-    return Dataset(y=dataset.y, z=z, sigma_u=dataset.sigma_u)
 
 
 def classical_simex(
@@ -145,12 +106,12 @@ def classical_simex(
     one retry of a pseudo-data solve.  The lambda = 0 average equals the
     naive estimate exactly (no noise is added there).  Replicates start from
     the naive estimate, never from each other, so any evaluation order
-    yields the same result.  For the linear, exponential and poisson
-    families the B replicates at one noise level are solved as one stack
-    (:func:`minimize_stack`, unless ``config.options`` asks for the simplex
-    method), and so are the retries of the rows that did not converge; each
-    row takes the steps of its own scalar solve, and each accepted point
-    takes its gradient from the kernel call that evaluated it.
+    yields the same result.  The B replicates at one noise level are one
+    solve of :func:`row_solver`, and so are the retries of the rows that
+    did not converge: one quasi-Newton batch for the linear, exponential
+    and poisson families, unless ``config.options`` asks for the simplex
+    method, and one scalar solve per pseudo-data set otherwise.  Each row
+    takes the steps of its own scalar solve.
     """
     cfg = config or SimexConfig()
     naive_flat = naive_estimate(model, dataset, cfg).theta_hat

@@ -893,8 +893,8 @@ class Family:
     the families that accept an intercept and require a level.
     ``y_domain`` is a (description, predicate) pair for valid responses.
     ``batched`` marks a kernel that broadcasts over stacked surrogates (see
-    :class:`TargetContext`), so classical SIMEX solves the pseudo-data sets
-    of one noise level as one batch.
+    :class:`TargetContext`), so a quasi-Newton solve of several data sets
+    at one noise level is one batch (see ``extrapolate.row_solver``).
     """
 
     kernel: Callable[[TargetContext, np.ndarray], tuple]

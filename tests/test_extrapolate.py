@@ -338,16 +338,30 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
             assert (res.iters[b], res.status[b]) == (one.iters, one.status)
 
 
+def _alone(model, datasets, config=None):
+    """ex_estimate's flat estimate on each dataset, or None where it raises."""
+    out = []
+    for d in datasets:
+        try:
+            out.append(ex_estimate(model, d, config).theta_hat.flat_vector)
+        except extrapolate.ESTIMATE_ERRORS:
+            out.append(None)
+    return out
+
+
 def test_ex_estimate_stack_validation():
     ds = _linear_data()
     other = Dataset(y=ds.y, z=ds.z, sigma_u=0.3)
     with pytest.raises(ConfigError, match="share sigma_u"):
         extrapolate.ex_estimate_stack(ModelSpec(family="linear"), [ds, other])
-    with pytest.raises(ConfigError, match="cannot be solved as a stack"):
-        extrapolate.ex_estimate_stack(ModelSpec(family="sine"), [ds, ds])
+    # an unbatched family, and a batched one with the simplex method, solve
+    # one row at a time and equal the estimate on each dataset alone
+    sets = [ds, _linear_data(seed=1)]
     simplex = EstimateConfig(options=MinimizeOptions(method="simplex"))
-    with pytest.raises(ConfigError, match="cannot be solved as a stack"):
-        extrapolate.ex_estimate_stack(ModelSpec(family="linear"), [ds, ds], simplex)
+    for model, cfg in ((ModelSpec(family="sine"), None), (ModelSpec(family="linear"), simplex)):
+        stacked = extrapolate.ex_estimate_stack(model, sets, cfg)
+        for got, want in zip(stacked, _alone(model, sets, cfg), strict=True):
+            assert (got is None and want is None) or np.array_equal(got, want)
     assert extrapolate.ex_estimate_stack(ModelSpec(family="linear"), []) == []
 
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simexfree import (
+    ConfigError,
     DataError,
     EstimateConfig,
     SimexfreeError,
     EstimationError,
+    LambdaGrid,
     MinimizeOptions,
     ModelSpec,
     Scenario,
@@ -244,17 +246,27 @@ def _cell(model=None, theta0=(1.0,), n=120, s2=0.25, **kw):
         # too many failures: the cell raises
         _cell(config=EstimateConfig(options=MinimizeOptions(max_iters=1))),
         _cell(estimator="naive", config=EstimateConfig(options=MinimizeOptions(max_iters=1))),
+        # one scalar solve per replicate and stage: unbatched families, and
+        # a batched one with the simplex method
+        _cell(ModelSpec(family="sine")),
+        _cell(ModelSpec(family="lpre"), (0.5,)),
+        _cell(ModelSpec(family="expectile", tau=0.3), (2.0,)),
+        # simplex at lambda = 0, quasi-Newton elsewhere on the grid
+        _cell(ModelSpec(family="quantile", tau=0.5), (1.0, 2.0), augment_intercept=True),
+        _cell(config=EstimateConfig(options=MinimizeOptions(method="simplex"))),
     ],
     ids=["exponential", "exponential-naive", "exponential-p2", "poisson", "linear",
          "linear-no-intercept", "linear-naive", "branch-collapse", "force-grid",
-         "poisson-force-grid", "max-iters-1", "max-iters-1-naive"],
+         "poisson-force-grid", "max-iters-1", "max-iters-1-naive", "sine", "lpre",
+         "expectile-t0.3", "quantile-t0.5", "exponential-simplex"],
 )
 def test_batched_replicates_equal_the_scalar_loop(monkeypatch, sc):
     reps, seed = 12, 21
     ests, failures, paths = _scalar_loop(sc, reps, seed)
     if sc.n == 200 and sc.sigma_u[0, 0] == 0.5:
         assert 0 < paths.count("extrapolated") < reps
-    stalled = sc.config is not None and sc.config.options is not None
+    options = sc.config.options if sc.config is not None else None
+    stalled = options is not None and options.max_iters == 1
     assert (failures > 0.05 * reps) == stalled
 
     def scalar(*args, **kwargs):
@@ -269,6 +281,22 @@ def test_batched_replicates_equal_the_scalar_loop(monkeypatch, sc):
     cell = run_study([sc], reps, seed=seed, keep_estimates=True)[0]
     assert np.array_equal(cell.estimates, ests)
     assert (cell.failures, cell.replications) == (failures, reps - failures)
+
+
+@pytest.mark.parametrize("family", ["exponential", "sine"])  # batched and unbatched
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (EstimateConfig(start=np.zeros(3)), "theta has length 3"),
+        (EstimateConfig(grid=LambdaGrid([0.0, 1.0]), force_grid=True),
+         "quadratic extrapolant needs at least 3 grid points"),
+    ],
+    ids=["start-length", "two-point-grid"],
+)
+def test_study_cell_raises_config_errors(family, config, message):
+    sc = _cell(ModelSpec(family=family), config=config)
+    with pytest.raises(ConfigError, match=message):
+        run_study([sc], replications=5, seed=4)
 
 
 def test_preset_scenario_grids():

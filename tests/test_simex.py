@@ -138,16 +138,19 @@ def _exponential_data(seed=3, n=200):
     return Dataset(y=y, z=x + rng.normal(0, 0.5, n), sigma_u=0.25)
 
 
-@pytest.mark.parametrize("family", ["exponential", "linear", "poisson"])
+@pytest.mark.parametrize("family", ["exponential", "linear", "poisson", "sine", "quantile"])
 def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
-    # the reference: one scalar naive solve per (grid point, replicate)
+    # the reference: one scalar naive solve per (grid point, replicate);
+    # sine and quantile solve one pseudo-data set at a time, quantile by simplex
     rng = np.random.default_rng(13)
     x = rng.standard_normal(150)
     y = {"exponential": np.exp(x) + rng.standard_normal(150),
          "linear": 1.0 + x + rng.standard_normal(150),
-         "poisson": rng.poisson(np.exp(0.5 * x)).astype(float)}[family]
+         "poisson": rng.poisson(np.exp(0.5 * x)).astype(float),
+         "sine": np.sin(x) + 0.5 * rng.standard_normal(150),
+         "quantile": 1.0 + x + rng.standard_normal(150)}[family]
     ds = Dataset(y=y, z=x + rng.normal(0, 0.5, 150), sigma_u=0.25)
-    model = ModelSpec(family=family)
+    model = ModelSpec(family=family, tau=0.5 if family == "quantile" else None)
     cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5)
     res = classical_simex(model, ds, cfg)
     naive = naive_estimate(model, ds).theta_hat

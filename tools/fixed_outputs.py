@@ -91,6 +91,11 @@ def commands(csv: Path) -> dict[str, list[str]]:
         est(f"{model}_naive", model, f"y_{model}", "--estimator", "naive")
         est(f"{model}_grid", model, f"y_{model}", "--force-grid")
     est("linear_no_intercept", "linear", "y_linear", "--no-intercept")
+    # unbatched families: one solve per pseudo-data set, quasi-Newton or simplex
+    classical = ("--estimator", "classical", "--b", "20")
+    est("sine_classical", "sine", "y_sine", *classical)
+    est("quantile_t0.5_classical", "quantile", "y_additive", "--tau", "0.5", *classical)
+    est("sine_grid", "sine", "y_sine", "--force-grid")
     return out
 
 
