@@ -153,6 +153,11 @@ def _write_payload(payload: dict, out, fmt: str, digits: int):
             else:
                 lines.append(f"{name},{val}")
         text = "\n".join(lines) + "\n"
+    _emit(text, out)
+
+
+def _emit(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to standard output without one."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -432,12 +437,7 @@ def _cmd_table(args) -> int:
             else:
                 parts.append(str(v))
         lines.append(",".join(parts))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -41,8 +41,6 @@ _SIMPLEX_STEP_TOL = 1e-9
 
 # the direct path's continuation from the naive estimate down to lambda = -1
 CONTINUATION = (-0.25, -0.5, -0.75, -1.0)
-# the rows of a one-dataset estimate (see row_solver)
-_ONE = np.zeros(1, dtype=int)
 # what makes one data set's estimate fail without stopping a study, apart
 # from a ConfigError, which is the configuration's and stops it
 ESTIMATE_ERRORS = (SimexfreeError, np.linalg.LinAlgError)
@@ -322,14 +320,7 @@ def naive_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> MinimizeResult:
     """Classical estimate on the observed data: the lambda = 0 minimizer."""
-    cfg = config or EstimateConfig()
-    solve = row_solver(model, dataset, cfg)
-    res = _row(solve(_ONE, 0.0, cfg.start_for(model, dataset)[None]), 0)
-    if not res.converged:
-        raise EstimationError(
-            f"naive estimate did not converge (status {res.status})"
-        )
-    return res
+    return _one(model, dataset, config, "naive")
 
 
 # --------------------------------------------------------------------------
@@ -386,21 +377,7 @@ def linear_exact_extrapolant(theta0: float, sigma_x2: float, sigma_u2: float):
 # --------------------------------------------------------------------------
 
 
-def _check_closed_form(
-    solve, rows: np.ndarray, flats: np.ndarray
-) -> tuple[np.ndarray, MinimizeResult]:
-    """The numeric check at lambda = -1 of the linear closed forms ``flats``
-    (k, q) of ``rows``: which rows it confirms, converged within
-    1e-6 (1 + max|flat|) of the closed form, and the check's result."""
-    check = solve(rows, -1.0, flats)
-    scale = 1.0 + np.abs(flats).max(axis=1)
-    off = np.abs(check.theta_hat - flats).max(axis=1) > 1e-6 * scale
-    return check.converged & ~off, check
-
-
-def _continue(
-    solve, rows: np.ndarray, cur: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, MinimizeResult | None]:
+def _continue(solve, rows: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, MinimizeResult]:
     """Track each row's minimizer from its naive estimate ``cur`` (k, q)
     down :data:`CONTINUATION` to lambda = -1.
 
@@ -413,39 +390,19 @@ def _continue(
     only the lambda-grid path is available.
 
     Returns the lambda at which each row left the branch (NaN where it
-    stayed), the estimates of the rows that stayed, and the result of the
-    last step.
+    stayed), and the last step's result for the rows that stayed.
     """
     left_at = np.full(rows.size, np.nan)
     live = np.arange(rows.size)
-    res = None
     for lam in CONTINUATION:
-        if live.size == 0:
-            break
         res = solve(rows[live], lam, cur)
         radius = 0.5 * (1.0 + np.abs(cur).max(axis=1))
         stay = res.converged & ~(np.abs(res.theta_hat - cur).max(axis=1) > radius)
         left_at[live[~stay]] = lam
         live, cur = live[stay], res.theta_hat[stay]
-    return left_at, cur, res
-
-
-def _grid(
-    solve, rows: np.ndarray, lams: np.ndarray, first: MinimizeResult
-) -> tuple[list[MinimizeResult], np.ndarray, np.ndarray]:
-    """Each row's minimizer at every lambda of ``lams``, from its lambda = 0
-    solve ``first``, each warm-started at the row's previous minimizer,
-    converged or not.
-
-    Returns each lambda's result, the minimizers (k, K, q), and which row
-    did not converge at which lambda (k, K).
-    """
-    results = [first]
-    for lam in lams[1:]:
-        results.append(solve(rows, float(lam), results[-1].theta_hat))
-    thetas = np.stack([r.theta_hat for r in results], axis=1)
-    failed = ~np.stack([r.converged for r in results], axis=1)
-    return results, thetas, failed
+        if live.size == 0:
+            break
+    return left_at, _take(res, stay)
 
 
 def direct_estimate(
@@ -464,35 +421,7 @@ def direct_estimate(
             f"family {model.family!r} cannot be plugged at lambda = -1; "
             "use grid_estimate with an extrapolant instead"
         )
-    cfg = config or EstimateConfig()
-    solve = row_solver(model, dataset, cfg)
-    has_int = model.has_intercept
-    if model.family == "linear":
-        naive_flat = linear_closed_form(dataset, 0.0, has_int)
-        flat = linear_closed_form(dataset, -1.0, has_int)
-        ok, check = _check_closed_form(solve, _ONE, flat[None])
-        if not ok[0]:
-            raise EstimationError(
-                "numeric minimization disagrees with the linear closed form"
-            )
-        diag = {"direct": _row(check, 0)}
-    else:
-        naive = naive_estimate(model, dataset, cfg)
-        left_at, flats, last = _continue(solve, _ONE, naive.theta_hat[None])
-        if not np.isnan(left_at[0]):
-            raise BranchCollapseError(
-                f"the corrected objective has no local minimizer near the "
-                f"naive branch at lambda = {float(left_at[0])}; use the grid path"
-            )
-        naive_flat, flat = naive.theta_hat, flats[0]
-        diag = {"naive": naive, "direct": _row(last, 0)}
-    return EstimateResult(
-        theta_hat=Theta.from_flat(flat, has_int),
-        path="direct",
-        kind=None,
-        naive=Theta.from_flat(naive_flat, has_int),
-        diagnostics=diag,
-    )
+    return _one(model, dataset, config, "direct")
 
 
 def grid_estimate(
@@ -504,18 +433,7 @@ def grid_estimate(
     The lambda = 0 point is the naive estimate.  Any non-converged point
     aborts with an aggregated error listing the offending lambda values.
     """
-    cfg = config or EstimateConfig()
-    solve = row_solver(model, dataset, cfg)
-    first = solve(_ONE, 0.0, cfg.start_for(model, dataset)[None])
-    results, thetas, failed = _grid(solve, _ONE, cfg.grid.values, first)
-    if failed[0].any():
-        raise GridConvergenceError(
-            "grid minimization failed to converge at lambda = "
-            + ", ".join(f"{v:g}" for v in cfg.grid.values[failed[0]])
-        )
-    return GridEstimates(
-        grid=cfg.grid, thetas=thetas[0], diagnostics=[_row(r, 0) for r in results]
-    )
+    return _one(model, dataset, config, "grid")
 
 
 # --------------------------------------------------------------------------
@@ -661,28 +579,15 @@ def ex_estimate(
     """Full estimation pipeline: direct plug-in when admissible, otherwise
     grid estimation, extrapolant fitting, and evaluation at lambda = -1.
 
-    The naive (lambda = 0) estimate is always recorded for reference.
+    The direct path applies to a pluggable family unless ``force_grid`` is
+    set.  When its continuation leaves the naive branch (see
+    :func:`direct_estimate`), the estimate falls back to the grid path,
+    whose lambda = 0 point is the naive solve already made.  The naive
+    (lambda = 0) estimate is always recorded for reference.  This is the
+    composition of :func:`ex_estimate_stack` run on ``[dataset]``: it
+    returns that dataset's result or raises its error.
     """
-    cfg = config or EstimateConfig()
-    if model.pluggable and not cfg.force_grid:
-        try:
-            return direct_estimate(model, dataset, cfg)
-        except BranchCollapseError:
-            # the direct objective lost its minimizer for this dataset; the
-            # nonnegative-lambda objectives are coercive, so extrapolate
-            pass
-    ge = grid_estimate(model, dataset, cfg)
-    fit = fit_extrapolant(ge, cfg.kind)
-    flat = extrapolate_to_minus_one(fit)
-    has_int = model.has_intercept
-    return EstimateResult(
-        theta_hat=Theta.from_flat(flat, has_int),
-        path="extrapolated",
-        kind=cfg.kind,
-        naive=Theta.from_flat(ge.thetas[0], has_int),
-        grid=ge,
-        extrapolant=fit,
-    )
+    return _one(model, dataset, config, "ex")
 
 
 def ex_estimate_stack(
@@ -707,79 +612,161 @@ def ex_estimate_stack(
     - for the linear family, the closed forms per dataset and one numeric
       check at lambda = -1.
 
-    Entry r equals the estimate on ``datasets[r]`` alone bit for bit, or is
-    None where that estimate raises one of ``ESTIMATE_ERRORS``.  A
-    ConfigError is a mistake in the configuration, not in one dataset, and
-    propagates.
+    :func:`ex_estimate` is this composition on one dataset, so entry r
+    equals the estimate on ``datasets[r]`` alone bit for bit, or is None
+    where that estimate raises one of ``ESTIMATE_ERRORS``.  A ConfigError
+    is a mistake in the configuration, not in one dataset, and propagates.
     """
     cfg = config or EstimateConfig()
     if any(not np.array_equal(d.sigma_u, datasets[0].sigma_u) for d in datasets):
         raise ConfigError("stacked datasets must share sigma_u")
-    done = dict(_stages(model, datasets, cfg, naive)) if datasets else {}
-    return [done.get(r) for r in range(len(datasets))]
+    if not datasets:
+        return []
+    outcomes = _stages(model, datasets, cfg, "naive" if naive else "ex")
+    return [
+        None if isinstance(o, Exception) else o.theta_hat if naive else o.theta_hat.flat_vector
+        for o in outcomes
+    ]
 
 
-def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, naive: bool):
-    """(index, flat estimate) of each of ``datasets`` whose estimate succeeds."""
-    solve = row_solver(model, datasets[0], cfg, np.stack([d.z for d in datasets]),
-                       np.stack([d.y for d in datasets]))
+def _one(model: ModelSpec, dataset: Dataset, config: EstimateConfig | None, goal: str):
+    """The result of :func:`_stages` on ``dataset`` alone, or its error raised."""
+    outcome = _stages(model, [dataset], config or EstimateConfig(), goal)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, goal: str) -> list:
+    """Each dataset's outcome: its result for ``goal``, or the error, one of
+    ``ESTIMATE_ERRORS``, that ends its estimate.  A ConfigError propagates.
+
+    The results are the ``MinimizeResult`` of :func:`naive_estimate` for
+    the goal "naive", the ``GridEstimates`` of :func:`grid_estimate` for
+    "grid", and the ``EstimateResult`` of :func:`direct_estimate` or
+    :func:`ex_estimate` for "direct" or "ex".  This is the one place that
+    orders the stages, decides the fallback from the direct path to the
+    grid, and words each failure.
+    """
+    if len(datasets) == 1:
+        # one dataset is solved in place, never copied into a stack
+        solve = row_solver(model, datasets[0], cfg)
+    else:
+        solve = row_solver(model, datasets[0], cfg, np.stack([d.z for d in datasets]),
+                           np.stack([d.y for d in datasets]))
     has_int = model.has_intercept
-    direct = model.pluggable and not cfg.force_grid and not naive
+    direct = goal == "direct" or (goal == "ex" and model.pluggable and not cfg.force_grid)
+
+    def plugged(flat, naive_flat, diagnostics) -> EstimateResult:
+        return EstimateResult(
+            theta_hat=Theta.from_flat(flat, has_int), path="direct", kind=None,
+            naive=Theta.from_flat(naive_flat, has_int), diagnostics=diagnostics,
+        )
+
     if direct and model.family == "linear":
-
-        def closed_form(d: Dataset) -> np.ndarray:
-            linear_closed_form(d, 0.0, has_int)  # the naive one can raise too
-            return linear_closed_form(d, -1.0, has_int)
-
-        rows, flats = _each(datasets, closed_form)
-        if rows.size:
-            ok = _check_closed_form(solve, rows, flats)[0]
-            yield from zip(rows[ok], flats[ok])
-        return
+        # the closed forms at lambda = 0 and -1, then one numeric check at -1
+        out = _each(datasets, lambda d: [linear_closed_form(d, lam, has_int) for lam in (0.0, -1.0)])
+        rows = _live(out, range(len(datasets)))
+        if rows.size == 0:
+            return out
+        flats = np.array([out[r][1] for r in rows])
+        check = solve(rows, -1.0, flats)
+        scale = 1.0 + np.abs(flats).max(axis=1)
+        off = np.abs(check.theta_hat - flats).max(axis=1) > 1e-6 * scale
+        for i, r in enumerate(rows):
+            naive_flat, flat = out[r]
+            out[r] = (
+                plugged(flat, naive_flat, {"direct": _row(check, i)})
+                if check.converged[i] and not off[i]
+                else EstimationError("numeric minimization disagrees with the linear closed form")
+            )
+        return out
 
     def start(d: Dataset) -> np.ndarray:
         model.validate_y(d.y)  # a stacked solve checks every set's responses at once
         return cfg.start_for(model, d)
 
-    rows, starts = _each(datasets, start)
+    out = _each(datasets, start)
+    rows = _live(out, range(len(datasets)))
     if rows.size == 0:
-        return
-    first = solve(rows, 0.0, starts)
-    # a row whose naive solve failed fails on either path
-    rows, first = rows[first.converged], _take(first, first.converged)
-    if naive:
-        yield from zip(rows, first.theta_hat)
-        return
+        return out
+    first = solve(rows, 0.0, np.stack([out[r] for r in rows]))
+    for i, r in enumerate(rows):
+        out[r] = (
+            _row(first, i) if first.converged[i]
+            else EstimationError(f"naive estimate did not converge (status {first.status[i]})")
+        )
+    if goal == "naive":
+        return out
     if direct:
-        left_at, flats, _ = _continue(solve, rows, first.theta_hat)
-        stayed = np.isnan(left_at)
-        yield from zip(rows[stayed], flats)
-        rows, first = rows[~stayed], _take(first, ~stayed)
-    if rows.size == 0:
-        return
-    _, thetas, failed = _grid(solve, rows, cfg.grid.values, first)
-    converged = ~failed.any(axis=1)
-    rows, thetas = rows[converged], thetas[converged]
-    fitted, flats = _each(
-        thetas,
-        lambda th: extrapolate_to_minus_one(
-            fit_extrapolant(GridEstimates(grid=cfg.grid, thetas=th), cfg.kind)
-        ),
-    )
-    yield from zip(rows[fitted], flats)
+        # a row without a naive estimate has no branch to follow
+        ok = np.flatnonzero(first.converged)
+        if ok.size == 0:
+            return out
+        left_at, last = _continue(solve, rows[ok], first.theta_hat[ok])
+        collapsed = ~np.isnan(left_at)
+        for j, i in enumerate(ok[~collapsed]):
+            out[rows[i]] = plugged(last.theta_hat[j], first.theta_hat[i],
+                                   {"naive": out[rows[i]], "direct": _row(last, j)})
+        fallback = ok[collapsed]
+        for i, lam in zip(fallback, left_at[collapsed]):
+            out[rows[i]] = BranchCollapseError(
+                f"the corrected objective has no local minimizer near the "
+                f"naive branch at lambda = {float(lam)}; use the grid path"
+            )
+        if goal == "direct" or fallback.size == 0:
+            return out
+        # the nonnegative-lambda objectives are coercive, so a row whose
+        # branch collapsed extrapolates from its naive solve
+        rows, first = rows[fallback], _take(first, fallback)
+    # every further grid point, warm-started at the row's previous minimizer;
+    # on the grid path a failed naive solve is a failed lambda = 0 point
+    results = [first]
+    for lam in cfg.grid.values[1:]:
+        results.append(solve(rows, float(lam), results[-1].theta_hat))
+    thetas = np.stack([res.theta_hat for res in results], axis=1)
+    failed = ~np.stack([res.converged for res in results], axis=1)
+    for i, r in enumerate(rows):
+        out[r] = (
+            GridConvergenceError(
+                "grid minimization failed to converge at lambda = "
+                + ", ".join(f"{v:g}" for v in cfg.grid.values[failed[i]])
+            )
+            if failed[i].any()
+            else GridEstimates(cfg.grid, thetas[i], [_row(res, i) for res in results])
+        )
+    if goal == "grid":
+        return out
+
+    def extrapolated(ge: GridEstimates) -> EstimateResult:
+        fit = fit_extrapolant(ge, cfg.kind)
+        return EstimateResult(
+            theta_hat=Theta.from_flat(extrapolate_to_minus_one(fit), has_int),
+            path="extrapolated", kind=cfg.kind,
+            naive=Theta.from_flat(ge.thetas[0], has_int), grid=ge, extrapolant=fit,
+        )
+
+    rows = _live(out, rows)
+    for r, outcome in zip(rows, _each([out[r] for r in rows], extrapolated)):
+        out[r] = outcome
+    return out
 
 
-def _each(items, fn) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the ``items`` on which ``fn`` raises none of
-    ``ESTIMATE_ERRORS``, and its values there, stacked.  A ConfigError
-    propagates."""
-    indices, values = [], []
-    for i, item in enumerate(items):
+def _live(outcomes: list, rows) -> np.ndarray:
+    """The ``rows`` whose outcome is not an error, as an index array."""
+    return np.array([r for r in rows if not isinstance(outcomes[r], Exception)], dtype=int)
+
+
+def _each(items, fn) -> list:
+    """``fn``'s value on each of ``items``, or the error, one of
+    ``ESTIMATE_ERRORS``, that it raised there.  A ConfigError is the
+    configuration's, not the item's, and propagates."""
+    out = []
+    for item in items:
         try:
-            values.append(fn(item))
+            out.append(fn(item))
         except ConfigError:
             raise
-        except ESTIMATE_ERRORS:
-            continue
-        indices.append(i)
-    return np.array(indices, dtype=int), np.array(values)
+        except ESTIMATE_ERRORS as exc:
+            out.append(exc)
+    return out

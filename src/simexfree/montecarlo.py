@@ -17,8 +17,8 @@ import numpy as np
 from .data import Dataset, psd_factor
 from .errors import ConfigError, DataError, EstimationError
 from .extrapolate import (
-    ESTIMATE_ERRORS,
     EstimateConfig,
+    _each,
     ex_estimate,
     ex_estimate_stack,
     naive_estimate,
@@ -148,25 +148,24 @@ def _replicates(
     """
     config = scenario.config or EstimateConfig()
     model = scenario.model
-    ests = []
     if scenario.estimator == "classical":
-        for r, key in enumerate(keys):
-            ds = simulate_dataset(scenario, _stream(seed, key))
+
+        def fit(r: int) -> np.ndarray:
+            ds = simulate_dataset(scenario, _stream(seed, keys[r]))
             cfg = SimexConfig(
                 **{**vars(config), "b": scenario.simex_b, "seed": seed + 7919 * (r + 1)}
             )
-            try:
-                ests.append(classical_simex(model, ds, cfg).theta_hat.flat_vector)
-            except ConfigError:
-                raise
-            except ESTIMATE_ERRORS:
-                pass
+            return classical_simex(model, ds, cfg).theta_hat.flat_vector
+
+        solved = _each(range(len(keys)), fit)
     else:
+        solved = []
         size = max(1, STACK_GROUP_VALUES // scenario.n)
         for i in range(0, len(keys), size):
             datasets = [simulate_dataset(scenario, _stream(seed, key)) for key in keys[i : i + size]]
-            solved = ex_estimate_stack(model, datasets, config, scenario.estimator == "naive")
-            ests += [e for e in solved if e is not None]
+            solved += ex_estimate_stack(model, datasets, config, scenario.estimator == "naive")
+    # a failed replicate is an error (classical) or None (stacked)
+    ests = [e for e in solved if isinstance(e, np.ndarray)]
     failures = len(keys) - len(ests)
     if failures > 0.05 * len(keys):
         raise EstimationError(
@@ -227,8 +226,9 @@ def run_study(
     identical results.  An ex or naive cell solves its R replicates
     together, stage by stage (:func:`ex_estimate_stack`): one quasi-Newton
     batch per stage for a batched family with quasi-Newton options, one
-    scalar solve per replicate otherwise, with the estimates and failures
-    of one ``ex_estimate`` or ``naive_estimate`` call per replicate, bit
+    scalar solve per replicate otherwise.  ``ex_estimate`` and
+    ``naive_estimate`` run the same composition on one dataset, so the
+    estimates and failures are those of one such call per replicate, bit
     for bit.  Classical SIMEX runs one replicate at a time.
     """
     if replications < 2:

@@ -26,8 +26,10 @@ from simexfree import (
     naive_estimate,
 )
 from simexfree import extrapolate
-from simexfree.errors import GridConvergenceError
+from simexfree.errors import EstimationError, GridConvergenceError
+from simexfree.montecarlo import exponential_scenarios, simulate_dataset
 from simexfree.optimize import MinimizeOptions, minimize, minimize_batch
+from simexfree.simex import _stream
 from simexfree.targets import FAMILIES, naive_start
 
 
@@ -349,6 +351,57 @@ def _alone(model, datasets, config=None):
     return out
 
 
+def _line(seed, noise, scale=1.0, sigma_u=0.0, n=60):
+    """y = 2 z + noise; without noise every objective is minimal at its start."""
+    rng = np.random.default_rng(seed)
+    z = scale * rng.standard_normal(n)
+    return Dataset(y=2.0 * z + noise * rng.standard_normal(n), z=z, sigma_u=sigma_u)
+
+
+def _curve(seed, flat=False, n=60):
+    """y = exp(z) + noise, or y = 1, the exponential fit at its start 0."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    y = np.ones(n) if flat else np.exp(z) + rng.standard_normal(n)
+    return Dataset(y=y, z=z, sigma_u=0.0)
+
+
+def _sine_data(seed, n=100):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    z = x + rng.normal(0.0, 0.7, n)
+    return Dataset(y=np.sin(2.0 * x) + rng.standard_normal(n), z=z, sigma_u=0.49)
+
+
+# (model, a dataset that estimates, one that fails, config, its error and message)
+_STALLED = MinimizeOptions(max_iters=1)
+_FAILURES = {
+    "naive, pluggable": (
+        ModelSpec(family="exponential"), _curve(0, flat=True), _curve(1),
+        EstimateConfig(options=_STALLED),
+        EstimationError, "naive estimate did not converge (status max_iters)",
+    ),
+    "naive, grid only": (
+        ModelSpec(family="expectile", tau=0.3), _line(0, 0.0), _line(1, 1.0),
+        EstimateConfig(grid=LambdaGrid([0.0, 1.0, 2.0]), options=_STALLED),
+        GridConvergenceError, "grid minimization failed to converge at lambda = 0, 1, 2",
+    ),
+    "linear ill-posed": (
+        ModelSpec(family="linear"), _line(0, 1.0, 10.0, 4.0), _line(1, 1.0, 1.0, 4.0), None,
+        IllPosedError,
+        "corrected second-moment matrix is not positive definite; the "
+        "measurement-error correction is ill-posed for these data",
+    ),
+    # the sine branch collapses, and the rational fit of its grid has a pole
+    "rational pole": (
+        ModelSpec(family="sine"), _sine_data(0), _sine_data(14), EstimateConfig(kind="rational"),
+        PoleError,
+        "rational extrapolant pole falls inside the extrapolation range; "
+        "try the quadratic extrapolant",
+    ),
+}
+
+
 def test_ex_estimate_stack_validation():
     ds = _linear_data()
     other = Dataset(y=ds.y, z=ds.z, sigma_u=0.3)
@@ -363,6 +416,34 @@ def test_ex_estimate_stack_validation():
         for got, want in zip(stacked, _alone(model, sets, cfg), strict=True):
             assert (got is None and want is None) or np.array_equal(got, want)
     assert extrapolate.ex_estimate_stack(ModelSpec(family="linear"), []) == []
+    # each failure keeps its type and message alone, and is None in a stack
+    # at exactly its own row
+    for name, (model, good, bad, cfg, error, message) in _FAILURES.items():
+        with pytest.raises(error) as info:
+            ex_estimate(model, bad, cfg)
+        assert (type(info.value), str(info.value)) == (error, message), name
+        want = ex_estimate(model, good, cfg).theta_hat.flat_vector
+        stacked = extrapolate.ex_estimate_stack(model, [good, bad, good], cfg)
+        assert stacked[1] is None, name
+        assert all(np.array_equal(s, want) for s in stacked[::2]), name
+
+
+def test_fallback_fit_solves_lambda_zero_once(monkeypatch):
+    # a replicate of the exponential study cell n = 200, sigma_u^2 = .5
+    # whose direct branch collapses
+    scenario = exponential_scenarios(sigma2_values=(0.5,), n_values=(200,))[0]
+    ds = simulate_dataset(scenario, _stream(0, (0, 4)))
+    lams = []
+    minimize_target = extrapolate.minimize_target
+
+    def counted(model, dataset, lam, *args, **kwargs):
+        lams.append(lam)
+        return minimize_target(model, dataset, lam, *args, **kwargs)
+
+    monkeypatch.setattr(extrapolate, "minimize_target", counted)
+    res = ex_estimate(scenario.model, ds)
+    assert res.path == "extrapolated"
+    assert lams.count(0.0) == 1
 
 
 # --------------------------------------------------------------------------

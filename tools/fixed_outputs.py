@@ -10,10 +10,15 @@ Two trees whose outputs should agree byte for byte are compared with
 The commands are ``simulate --preset table1|quantile|misspec --seed 1
 --digits 17`` and ``estimate --digits 17`` for every CLI model, plus a few
 estimator variants, on a CSV that this script generates from a fixed seed
-(written to ``OUT/data.csv``, so the diff covers it too).  Each command's
-standard output goes to ``OUT/<name>.txt``, preceded by its exit code;
-standard error is dropped, since it holds timings.  Commands run one after
-another.
+(written to ``OUT/data.csv``, so the diff covers it too), and a few
+``estimate`` cases that take the fallback or fail: exponential with
+sigma_u^2 = 0.6, whose direct branch collapses, with the quadratic and the
+rational extrapolant; linear with sigma_u^2 = 4, which is ill-posed; and a
+forced grid of two points, too few for the quadratic extrapolant.  Each
+command's standard output goes to ``OUT/<name>.txt``, preceded by its exit
+code and followed by the error lines of its standard error; the other
+lines of standard error hold timings and are dropped.  Commands run one
+after another.
 
 Usage: python tools/fixed_outputs.py OUT [--src SRC]   (SRC defaults to src/ beside this script)
 """
@@ -31,6 +36,8 @@ import numpy as np
 ROWS = 200
 SIGMA_U = "0.25"
 SIGMA_U2 = "0.25,0.05,0.05,0.2"
+# the prefixes of the CLI's error messages on standard error
+ERROR_PREFIXES = ("error:", "estimation error:", "configuration error:", "input error:")
 
 
 def write_csv(path: Path) -> None:
@@ -96,6 +103,13 @@ def commands(csv: Path) -> dict[str, list[str]]:
     est("sine_classical", "sine", "y_sine", *classical)
     est("quantile_t0.5_classical", "quantile", "y_additive", "--tau", "0.5", *classical)
     est("sine_grid", "sine", "y_sine", "--force-grid")
+    # the fallback from a collapsed direct branch, and estimates that fail
+    est("exponential_collapse", "exponential", "y_exponential", sigma="0.6")
+    est("exponential_collapse_rational", "exponential", "y_exponential",
+        "--extrapolant", "rational", sigma="0.6")
+    est("linear_ill_posed", "linear", "y_linear", sigma="4")
+    est("exponential_grid_too_short", "exponential", "y_exponential",
+        "--force-grid", "--grid", "0,1")
     return out
 
 
@@ -114,8 +128,11 @@ def main(argv=None) -> int:
             [sys.executable, "-m", "simexfree.cli", *cmd],
             env=env, capture_output=True, text=True, check=False,
         )
+        errors = [line + "\n" for line in done.stderr.splitlines()
+                  if line.startswith(ERROR_PREFIXES)]
         # the CSV path differs between output directories; the outputs must not
-        text = f"exit {done.returncode}\n" + done.stdout.replace(str(csv), "data.csv")
+        text = (f"exit {done.returncode}\n" + done.stdout + "".join(errors)).replace(
+            str(csv), "data.csv")
         (args.out / f"{name}.txt").write_text(text, encoding="utf-8")
         print(f"{name}: exit {done.returncode}", file=sys.stderr)
     return 0
