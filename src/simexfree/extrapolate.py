@@ -125,8 +125,15 @@ class EstimateConfig:
     :func:`naive_estimate`, :func:`direct_estimate`, :func:`grid_estimate`,
     :func:`ex_estimate` and ``classical_simex`` all take ``(model, dataset,
     config)``; each reads the settings its path uses.  ``start`` overrides
-    the family's default initial point for the first (naive) minimization;
-    later grid points warm-start from their neighbor.
+    the family's default initial point for the first (naive) minimization.
+    Each later grid point starts from its neighbour's minimizer and, where
+    the neighbour's quasi-Newton solve converged, from the inverse Hessian
+    that solve finished with (see :class:`MinimizeOptions`), which saves
+    iterations.  The direct path's continuation starts each step from the
+    previous minimizer but from the identity: its branch test would
+    otherwise turn on where a carried line search happens to land.
+    Classical SIMEX starts every replicate from the naive estimate by
+    design, and from the identity.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -156,18 +163,23 @@ class EstimateConfig:
 
 
 def point_options(
-    model: ModelSpec, lam: float, start: np.ndarray, template: MinimizeOptions | None
+    model: ModelSpec,
+    lam: float,
+    start: np.ndarray,
+    template: MinimizeOptions | None,
+    hinv: np.ndarray | None = None,
 ) -> MinimizeOptions:
-    """Optimizer options for one noise level.
+    """Optimizer options for one noise level, from ``start`` and the initial
+    inverse Hessian ``hinv`` (None for the identity).
 
-    A ``template`` is used with its start replaced.  Without one, the
-    quasi-Newton defaults apply, except at lambda = 0 for families that are
-    not ``smooth_at_zero``, which get a long, tight simplex search.
+    A ``template`` is used with its start and hinv replaced.  Without one,
+    the quasi-Newton defaults apply, except at lambda = 0 for families that
+    are not ``smooth_at_zero``, which get a long, tight simplex search.
     """
     if template is not None:
-        return replace(template, start=start)
+        return replace(template, start=start, hinv=hinv)
     if model.record.smooth_at_zero or lam != 0.0:
-        return MinimizeOptions(start=start)
+        return MinimizeOptions(start=start, hinv=hinv)
     return MinimizeOptions(
         start=start,
         method="simplex",
@@ -185,8 +197,10 @@ def minimize_target(
     nodes: int = 30,
     z: np.ndarray | None = None,
     y: np.ndarray | None = None,
+    hinv: np.ndarray | None = None,
 ) -> MinimizeResult:
-    """Minimize the family objective at one noise level from a given start.
+    """Minimize the family objective at one noise level from a given start,
+    and the initial inverse Hessian ``hinv`` (q, q), None for the identity.
 
     This is the one-row solve of :func:`row_solver`.  ``z`` (n, p) and
     ``y`` (n,) replace ``dataset.z`` and ``dataset.y`` by one data set of
@@ -197,7 +211,7 @@ def minimize_target(
     pays for a gradient and an accepted one never redoes its setup.
     """
     ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z, y=y)
-    opts = point_options(model, lam, np.asarray(start, dtype=float), options)
+    opts = point_options(model, lam, np.asarray(start, dtype=float), options, hinv)
     kernel = model.record.kernel
     point = finish = None  # the last trial point and its grad callable
 
@@ -230,7 +244,8 @@ def minimize_stack(
 ) -> MinimizeResult:
     """Minimize the family objective at one noise level on B stacked data
     sets at once, by :func:`minimize_batch` from the starts ``options.start``
-    (B, q).
+    (B, q) and the inverse Hessians ``options.hinv`` (B, q, q, or None for
+    the identity).
 
     The family's record must be ``batched``.  ``z`` (B, n, p) and ``y``
     (B, n, or None for ``dataset.y`` in every set) stack the data sets,
@@ -265,24 +280,46 @@ def row_solver(
     cfg: EstimateConfig,
     z: np.ndarray | None = None,
     y: np.ndarray | None = None,
-) -> Callable[[np.ndarray, float, np.ndarray], MinimizeResult]:
-    """The ``solve(rows, lam, starts)`` that every estimator stage runs.
+) -> Callable[..., MinimizeResult]:
+    """The ``solve(rows, lam, starts, hinv=None)`` that every estimator
+    stage runs.
 
     The rows are the data sets ``z`` (R, n, p) with responses ``y`` (R, n,
     or None for ``dataset.y`` in every set), which share the dataset's
     sigma_u, or without ``z`` the dataset alone, as row 0.  ``solve``
     minimizes the objective at ``lam`` on ``rows``, an increasing index
-    array, from ``starts`` (one per row), with the options of ``cfg`` at
-    that level (see :func:`point_options`), and returns a batch result, one
-    row per solved row.  When the family is ``batched``, the options at
-    ``lam`` are quasi-Newton and more than one row is solved, that is one
-    :func:`minimize_stack` run; otherwise one :func:`minimize_target` per
-    row.  Either way each row has the bits of its own scalar solve.
+    array, from ``starts`` (one per row) and the initial inverse Hessians
+    ``hinv`` (k, q, q), whose NaN rows, or all rows when it is None, start
+    from the identity, with the options of ``cfg`` at that level (see
+    :func:`point_options`), and returns a batch result, one row per solved
+    row.  When the family is ``batched``, the options at ``lam`` are
+    quasi-Newton and more than one row is solved, that is one
+    :func:`minimize_stack` run for the rows that start from a given
+    ``hinv`` and one for those that start from the identity; otherwise one
+    :func:`minimize_target` per row.  Either way each row has the bits of
+    its own scalar solve.
     """
 
-    def solve(rows: np.ndarray, lam: float, starts: np.ndarray) -> MinimizeResult:
+    def solve(rows: np.ndarray, lam: float, starts: np.ndarray,
+              hinv: np.ndarray | None = None) -> MinimizeResult:
+        if hinv is None:
+            return solve_from(rows, lam, starts, None)
+        carried = ~np.isnan(hinv[:, 0, 0])
+        if carried.all():
+            return solve_from(rows, lam, starts, hinv)
+        # minimize_batch starts every row from a given hinv or none
+        fresh = solve_from(rows[~carried], lam, starts[~carried], None)
+        if not carried.any():
+            return fresh
+        return _merge(carried, solve_from(rows[carried], lam, starts[carried], hinv[carried]),
+                      fresh)
+
+    # not folded into solve: a closure that calls itself is a reference
+    # cycle, which would keep the stacked data sets alive until the
+    # garbage collector runs
+    def solve_from(rows, lam, starts, hinv) -> MinimizeResult:
         if model.record.batched and rows.size > 1:
-            opts = point_options(model, lam, starts, cfg.options)
+            opts = point_options(model, lam, starts, cfg.options, hinv)
             if opts.method == "quasi-newton":
                 # rows are increasing, so as many rows as sets are all of them
                 every = rows.size == z.shape[0]
@@ -291,16 +328,21 @@ def row_solver(
                 return minimize_stack(model, dataset, lam, opts, cfg.nodes, zs, ys)
         return _stacked([
             minimize_target(model, dataset, lam, start, cfg.options, cfg.nodes,
-                            None if z is None else z[r], None if y is None else y[r])
-            for r, start in zip(rows, starts)
+                            None if z is None else z[r], None if y is None else y[r],
+                            None if hinv is None else hinv[i])
+            for i, (r, start) in enumerate(zip(rows, starts))
         ])
 
     return solve
 
 
 def _stacked(results: list[MinimizeResult]) -> MinimizeResult:
-    """Scalar results as one batch result, one row each."""
-    return MinimizeResult(*map(np.array, zip(*(vars(r).values() for r in results))))
+    """Scalar results as one batch result, one row each; a row without an
+    inverse Hessian (simplex or infeasible) gets a NaN one."""
+    *fields, hinvs = zip(*(vars(r).values() for r in results))
+    q = results[0].theta_hat.size
+    hinv = np.stack([np.full((q, q), np.nan) if h is None else h for h in hinvs])
+    return MinimizeResult(*map(np.array, fields), hinv)
 
 
 def _take(res: MinimizeResult, rows) -> MinimizeResult:
@@ -308,11 +350,24 @@ def _take(res: MinimizeResult, rows) -> MinimizeResult:
     return MinimizeResult(*(v[rows] for v in vars(res).values()))
 
 
+def _merge(mask: np.ndarray, a: MinimizeResult, b: MinimizeResult) -> MinimizeResult:
+    """The batch result with the rows of ``a`` where ``mask`` is set and
+    those of ``b`` elsewhere, each in order."""
+    at = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
+    fields = []
+    for u, v in zip(vars(a).values(), vars(b).values()):
+        both = np.concatenate([u, v])
+        fields.append(np.empty_like(both))
+        fields[-1][at] = both
+    return MinimizeResult(*fields)
+
+
 def _row(res: MinimizeResult, i: int) -> MinimizeResult:
     """Row i of a batch result, as the result of its own scalar solve."""
+    hinv = None if math.isnan(res.hinv[i, 0, 0]) else res.hinv[i]
     return MinimizeResult(
         res.theta_hat[i], float(res.value[i]), float(res.grad_norm[i]),
-        int(res.iters[i]), bool(res.converged[i]), str(res.status[i]),
+        int(res.iters[i]), bool(res.converged[i]), str(res.status[i]), hinv,
     )
 
 
@@ -427,8 +482,9 @@ def direct_estimate(
 def grid_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> GridEstimates:
-    """Minimize the objective at every point of ``config.grid``, warm-starting
-    along the grid.
+    """Minimize the objective at every point of ``config.grid``, each from
+    its neighbour's minimizer and inverse Hessian (see
+    :class:`EstimateConfig`).
 
     The lambda = 0 point is the naive estimate.  Any non-converged point
     aborts with an aggregated error listing the offending lambda values.
@@ -608,7 +664,8 @@ def ex_estimate_stack(
       :func:`direct_estimate`;
     - for the datasets whose branch collapsed (or all, on the grid path),
       each further grid point of :func:`grid_estimate`, whose lambda = 0
-      point is the naive solve.  The extrapolant is then fitted per dataset;
+      point is the naive solve, from the previous point's minimizer and
+      inverse Hessian.  The extrapolant is then fitted per dataset;
     - for the linear family, the closed forms per dataset and one numeric
       check at lambda = -1.
 
@@ -719,11 +776,12 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
         # the nonnegative-lambda objectives are coercive, so a row whose
         # branch collapsed extrapolates from its naive solve
         rows, first = rows[fallback], _take(first, fallback)
-    # every further grid point, warm-started at the row's previous minimizer;
-    # on the grid path a failed naive solve is a failed lambda = 0 point
+    # every further grid point, warm-started at the row's previous minimizer
+    # and inverse Hessian; on the grid path a failed naive solve is a failed
+    # lambda = 0 point
     results = [first]
     for lam in cfg.grid.values[1:]:
-        results.append(solve(rows, float(lam), results[-1].theta_hat))
+        results.append(solve(rows, float(lam), results[-1].theta_hat, _carried(results[-1])))
     thetas = np.stack([res.theta_hat for res in results], axis=1)
     failed = ~np.stack([res.converged for res in results], axis=1)
     for i, r in enumerate(rows):
@@ -750,6 +808,15 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
     for r, outcome in zip(rows, _each([out[r] for r in rows], extrapolated)):
         out[r] = outcome
     return out
+
+
+def _carried(res: MinimizeResult) -> np.ndarray | None:
+    """The inverse Hessians that the rows of ``res`` hand to the next grid
+    point: a converged quasi-Newton row's final one, and a NaN one (the
+    identity) for a row that did not converge or was solved by the simplex
+    method, or None when no row hands one on."""
+    keep = res.converged & np.isfinite(res.hinv).all(axis=(1, 2))
+    return np.where(keep[:, None, None], res.hinv, np.nan) if keep.any() else None
 
 
 def _live(outcomes: list, rows) -> np.ndarray:

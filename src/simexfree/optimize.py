@@ -17,6 +17,9 @@ from .errors import ConfigError, EstimationError
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
+# minimize_batch keeps each row's status as an index into this tuple
+_STATUSES = ("max_iters", "grad_tol", "step_tol", "line_search", "nonfinite", "infeasible")
+_MAX_ITERS, _GRAD_TOL, _STEP_TOL, _LINE_SEARCH, _NONFINITE, _INFEASIBLE = range(6)
 
 
 @dataclass
@@ -26,6 +29,17 @@ class MinimizeOptions:
     ``method`` is ``"quasi-newton"`` (BFGS-style inverse-Hessian updates with
     a halving Armijo backtracking line search) or ``"simplex"`` (Nelder-Mead
     with reflection 1, expansion 2, contraction 0.5, shrink 0.5).
+
+    ``hinv`` is the quasi-Newton method's initial inverse Hessian, shape
+    (q, q), or (B, q, q) for :func:`minimize_batch`; None means the
+    identity.  A run from the identity scales its first step to length at
+    most 1 and, after it, rescales the identity by s'y / y'y, because the
+    identity knows nothing of the objective's scale.  A run from a given
+    ``hinv``, such as the ``hinv`` that a solve of a nearby objective
+    finished with, trusts it and does neither.  The lambda grid carries
+    each point's final ``hinv`` to the next point this way; the direct
+    path's continuation and classical SIMEX do not (see
+    ``EstimateConfig``).
     """
 
     start: np.ndarray | None = None
@@ -33,6 +47,7 @@ class MinimizeOptions:
     max_iters: int = 500
     grad_tol: float = 1e-8
     step_tol: float = 1e-10
+    hinv: np.ndarray | None = None
 
     def __post_init__(self):
         if self.method not in ("quasi-newton", "simplex"):
@@ -58,9 +73,13 @@ class MinimizeResult:
     - ``infeasible``: the value at the start is not finite.
 
     ``converged`` is True exactly for ``grad_tol`` and ``step_tol``.
-    ``grad_norm`` is NaN for the simplex method.  A result of
+    ``grad_norm`` is NaN for the simplex method.  ``hinv`` is the inverse
+    Hessian that the quasi-Newton run finished with, to start a run on a
+    nearby objective from (see :class:`MinimizeOptions`); it is None for
+    the simplex method and for an ``infeasible`` exit.  A result of
     :func:`minimize_batch` holds arrays: each field has a leading batch
-    axis, and ``status`` is an array of these strings.
+    axis, ``status`` is an array of these strings, and ``hinv`` has shape
+    (B, q, q), with NaN rows for the ``infeasible`` ones.
     """
 
     theta_hat: np.ndarray
@@ -69,6 +88,7 @@ class MinimizeResult:
     iters: int
     converged: bool
     status: str
+    hinv: np.ndarray | None = None
 
 
 def finite_difference_gradient(f, theta, h=None) -> np.ndarray:
@@ -114,6 +134,7 @@ def minimize(
     if opts.start is None:
         raise ConfigError("options.start is required")
     x0 = np.asarray(getattr(opts.start, "flat_vector", opts.start), dtype=float).ravel()
+    _check_hinv(opts, (x0.size, x0.size))
     f0 = float(f(x0))
     if not np.isfinite(f0):
         return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
@@ -131,19 +152,35 @@ def _fd_or_nan(f, theta) -> np.ndarray:
         return np.full(theta.size, np.nan)
 
 
+def _check_hinv(opts: MinimizeOptions, shape: tuple) -> None:
+    """Raise unless ``opts.hinv`` is None or a finite array of ``shape``
+    for the quasi-Newton method."""
+    if opts.hinv is None:
+        return
+    if opts.method != "quasi-newton":
+        raise ConfigError("hinv applies only to the quasi-newton method")
+    hinv = np.asarray(opts.hinv, dtype=float)
+    if hinv.shape != shape:
+        raise ConfigError(f"options.hinv must have shape {shape}, got {hinv.shape}")
+    if not np.isfinite(hinv).all():
+        raise ConfigError("options.hinv must be finite")
+
+
 def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
     n = x0.size
     eye = np.eye(n)
-    hinv = eye.copy()
+    # a carried inverse Hessian already has the objective's scale
+    carried = opts.hinv is not None
+    hinv = np.array(opts.hinv, dtype=float) if carried else eye.copy()
     x, fx = x0, f0
     gx = np.asarray(grad(x), dtype=float)
     gnorm = float(np.linalg.norm(gx))
     iters = 0
     while iters < opts.max_iters:
         if not np.isfinite(gnorm):
-            return MinimizeResult(x, fx, gnorm, iters, False, "nonfinite")
+            return MinimizeResult(x, fx, gnorm, iters, False, "nonfinite", hinv)
         if gnorm <= opts.grad_tol:
-            return MinimizeResult(x, fx, gnorm, iters, True, "grad_tol")
+            return MinimizeResult(x, fx, gnorm, iters, True, "grad_tol", hinv)
         d = -hinv @ gx
         slope = float(gx @ d)
         if slope >= 0.0:
@@ -153,7 +190,7 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
             slope = float(gx @ d)
         # unit-length first step: with hinv = I a steep gradient would
         # otherwise overshoot into a distant basin
-        step = min(1.0, 1.0 / gnorm) if iters == 0 else 1.0
+        step = min(1.0, 1.0 / gnorm) if iters == 0 and not carried else 1.0
         xn = x
         fn = fx
         accepted = False
@@ -166,12 +203,12 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
             step *= 0.5
         iters += 1
         if not accepted:
-            return MinimizeResult(x, fx, gnorm, iters, False, "line_search")
+            return MinimizeResult(x, fx, gnorm, iters, False, "line_search", hinv)
         s = xn - x
         gn = np.asarray(grad(xn), dtype=float)
         yv = gn - gx
         sy = float(s @ yv)
-        if iters == 1 and sy > 0:
+        if iters == 1 and sy > 0 and not carried:
             hinv = (sy / float(yv @ yv)) * eye
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             rho = 1.0 / sy
@@ -181,16 +218,12 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
         gnorm = float(np.linalg.norm(gx))
         # a non-finite gradient exits nonfinite at the loop head, however short the step
         if np.isfinite(gnorm) and float(np.linalg.norm(s)) <= opts.step_tol:
-            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
-    status = _final_status(gnorm, opts.grad_tol)
-    return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status)
-
-
-def _final_status(gnorm: float, grad_tol: float) -> str:
-    """Status of a quasi-Newton run whose iteration budget ran out."""
-    if gnorm <= grad_tol:
-        return "grad_tol"
-    return "max_iters" if np.isfinite(gnorm) else "nonfinite"
+            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol", hinv)
+    # the iteration budget ran out
+    status = "max_iters" if np.isfinite(gnorm) else "nonfinite"
+    if gnorm <= opts.grad_tol:
+        status = "grad_tol"
+    return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status, hinv)
 
 
 def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,8 +239,10 @@ def minimize_batch(
 ) -> MinimizeResult:
     """Minimize B independent objectives at once by the quasi-Newton method.
 
-    ``options.start`` has shape (B, q), one start per row.
-    ``fg(theta, rows, bound)`` evaluates the objectives ``rows`` (an
+    ``options.start`` has shape (B, q), one start per row, and
+    ``options.hinv``, when given, has shape (B, q, q): every row then starts
+    from its own inverse Hessian, as :func:`minimize` does from a (q, q)
+    one.  ``fg(theta, rows, bound)`` evaluates the objectives ``rows`` (an
     increasing index array of length k) at ``theta`` (k, q) and returns
     their values, shape (k,), and gradients, shape (k, q).  Only the rows
     whose value is finite and at most ``bound`` (k,) need a gradient: these
@@ -216,9 +251,9 @@ def minimize_batch(
     each trial point is evaluated once and an accepted one is never
     evaluated again.  Each row keeps its own inverse Hessian, step,
     iteration count and status, and takes the steps that :func:`minimize`
-    takes on that objective alone.  A row that has exited is never
-    evaluated again, so no row's result depends on the others.  The
-    result's fields carry a leading batch axis.
+    takes on that objective alone, from the same ``hinv``.  A row that has
+    exited is never evaluated again, so no row's result depends on the
+    others.  The result's fields carry a leading batch axis.
     """
     if options.method != "quasi-newton":
         raise ConfigError("minimize_batch supports only the quasi-newton method")
@@ -228,17 +263,22 @@ def minimize_batch(
     if x.ndim != 2:
         raise ConfigError(f"options.start must have shape (B, q), got {x.shape}")
     size, q = x.shape
+    _check_hinv(options, (size, q, q))
     eye = np.eye(q)
-    hinv = np.tile(eye, (size, 1, 1))
+    # a carried inverse Hessian already has the objective's scale
+    carried = options.hinv is not None
+    hinv = np.array(options.hinv, dtype=float) if carried else np.tile(eye, (size, 1, 1))
     act = np.arange(size)
     fx, g0 = fg(x, act, np.full(size, np.inf))
     fx = np.asarray(fx, dtype=float)
     gx = np.zeros_like(x)
     gnorm = np.full(size, np.nan)
     iters = np.zeros(size, dtype=int)
-    status = np.full(size, "max_iters", dtype=object)
+    # indices into _STATUSES until the return
+    status = np.full(size, _MAX_ITERS)
     feasible = np.isfinite(fx)
-    status[~feasible] = "infeasible"
+    status[~feasible] = _INFEASIBLE
+    hinv[~feasible] = np.nan
     act = act[feasible]
     if act.size:
         gx[act] = g0[feasible]
@@ -246,10 +286,10 @@ def minimize_batch(
     for it in range(options.max_iters):
         g = gnorm[act]
         nonfinite = ~np.isfinite(g)
-        small = g <= options.grad_tol
-        status[act[nonfinite]] = "nonfinite"
-        status[act[small]] = "grad_tol"
-        act = act[~(nonfinite | small)]
+        done = nonfinite | (g <= options.grad_tol)
+        if done.any():
+            status[act[done]] = np.where(nonfinite[done], _NONFINITE, _GRAD_TOL)
+            act = act[~done]
         if act.size == 0:
             break
         ga, h = gx[act], hinv[act]
@@ -261,12 +301,22 @@ def minimize_batch(
             h[reset] = eye
             d[reset] = -ga[reset]
             slope[reset] = batch_dot(ga[reset], d[reset])
-        step = np.minimum(1.0, 1.0 / gnorm[act]) if it == 0 else np.ones(act.size)
+        if it == 0 and not carried:
+            step = np.minimum(1.0, 1.0 / gnorm[act])
+        else:
+            step = np.ones(act.size)
+        # the first trial covers every row; the backtracks, the rows it rejected
         xa, fa = x[act], fx[act]
-        xn, fn, gn = xa.copy(), fa.copy(), np.empty_like(xa)
-        accepted = np.zeros(act.size, dtype=bool)
-        pend = np.arange(act.size)
-        for _ in range(_MAX_BACKTRACKS):
+        xn = xa + step[:, None] * d
+        bound = fa + _ARMIJO * step * slope
+        fn, gn = fg(xn, act, bound)
+        fn, gn = np.array(fn, dtype=float), np.array(gn, dtype=float)
+        accepted = np.isfinite(fn) & (fn <= bound)
+        pend = np.flatnonzero(~accepted)
+        for _ in range(_MAX_BACKTRACKS - 1):
+            if pend.size == 0:
+                break
+            step[pend] *= 0.5
             xt = xa[pend] + step[pend, None] * d[pend]
             bound = fa[pend] + _ARMIJO * step[pend] * slope[pend]
             ft, gt = fg(xt, act[pend], bound)
@@ -275,36 +325,40 @@ def minimize_batch(
             hit = pend[ok]
             xn[hit], fn[hit], gn[hit], accepted[hit] = xt[ok], ft[ok], gt[ok], True
             pend = pend[~ok]
-            if pend.size == 0:
-                break
-            step[pend] *= 0.5
         iters[act] += 1
-        status[act[~accepted]] = "line_search"
-        act = moved = act[accepted]
-        if moved.size == 0:
-            break
-        h, xn, fn, gn = h[accepted], xn[accepted], fn[accepted], gn[accepted]
-        s = xn - x[moved]
-        yv = gn - gx[moved]
+        if pend.size:
+            status[act[~accepted]] = _LINE_SEARCH
+            act = act[accepted]
+            if act.size == 0:
+                break
+            h, xn, fn, gn = h[accepted], xn[accepted], fn[accepted], gn[accepted]
+        s = xn - x[act]
+        yv = gn - gx[act]
         sy = batch_dot(s, yv)
-        if it == 0:
+        if it == 0 and not carried:
             first = sy > 0
             h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
-        upd = sy > 1e-12 * np.sqrt(batch_dot(s, s)) * np.sqrt(batch_dot(yv, yv))
+        snorm = np.sqrt(batch_dot(s, s))
+        upd = sy > 1e-12 * snorm * np.sqrt(batch_dot(yv, yv))
         if upd.any():
-            su, yu = s[upd], yv[upd]
-            rho = (1.0 / sy[upd])[:, None, None]
+            # a slice selects every row without copying
+            sel = slice(None) if upd.all() else upd
+            su, yu = s[sel], yv[sel]
+            rho = (1.0 / sy[sel])[:, None, None]
             v = eye - rho * (su[:, :, None] * yu[:, None, :])
-            h[upd] = v @ h[upd] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
-        hinv[moved], x[moved], fx[moved], gx[moved] = h, xn, fn, gn
-        gnorm[moved] = np.sqrt(batch_dot(gn, gn))
-        stalled = (np.sqrt(batch_dot(s, s)) <= options.step_tol) & np.isfinite(gnorm[moved])
-        status[moved[stalled]] = "step_tol"
-        act = moved[~stalled]
-    for i in act:
-        status[i] = _final_status(gnorm[i], options.grad_tol)
-    converged = (status == "grad_tol") | (status == "step_tol")
-    return MinimizeResult(x, fx, gnorm, iters, converged, status)
+            h[sel] = v @ h[sel] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
+        hinv[act], x[act], fx[act], gx[act] = h, xn, fn, gn
+        gnorm[act] = np.sqrt(batch_dot(gn, gn))
+        stalled = (snorm <= options.step_tol) & np.isfinite(gnorm[act])
+        if stalled.any():
+            status[act[stalled]] = _STEP_TOL
+            act = act[~stalled]
+    # the iteration budget ran out for the rows still active
+    g = gnorm[act]
+    status[act] = np.where(g <= options.grad_tol, _GRAD_TOL,
+                           np.where(np.isfinite(g), _MAX_ITERS, _NONFINITE))
+    converged = (status == _GRAD_TOL) | (status == _STEP_TOL)
+    return MinimizeResult(x, fx, gnorm, iters, converged, np.array(_STATUSES)[status], hinv)
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:

@@ -324,6 +324,30 @@ def test_exit_codes(tmp_path, linear_csv):
                  "--covariates", "z1", "--sigma-u", "9.0"]) == 2
 
 
+def test_quantile_rational_pole_with_an_error_free_constant(tmp_path, capsys):
+    # the intercept's grid estimates rise steeply just above lambda = 0 and
+    # then level off, which a + b / (c + lambda) fits only with its pole
+    # next to lambda = 0
+    rng = np.random.default_rng(1)
+    n = 300
+    x = rng.standard_normal(n)
+    z = x + rng.normal(0, 0.5, n)
+    path = tmp_path / "quantile.csv"
+    write_csv(path, {"one": np.ones(n), "z1": z, "y": x + rng.standard_normal(n)})
+    args = ["estimate", "--model", "quantile", "--tau", "0.3", "--input", str(path),
+            "--covariates", "one,z1", "--sigma-u", "0,0,0,0.25", "--force-grid"]
+    capsys.readouterr()
+    assert main([*args, "--extrapolant", "rational"]) == 2
+    err = capsys.readouterr().err
+    assert "estimation error: rational extrapolant pole" in err
+    assert "try the quadratic extrapolant" in err
+    out = tmp_path / "quadratic.json"
+    assert main([*args, "--extrapolant", "quadratic", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["path"] == "extrapolated"
+    assert np.all(np.isfinite(payload["theta_hat"]["coefficients"]))
+
+
 def test_estimate_naive_and_forced_grid(linear_csv, tmp_path):
     path, ds = linear_csv
     nout = tmp_path / "naive.json"

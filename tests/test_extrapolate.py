@@ -1,5 +1,7 @@
 """Direct estimation, lambda-grid estimation, and extrapolant fitting."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +340,101 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
         for b, one in enumerate(alone[lam]):
             assert np.array_equal(res.theta_hat[b], one.theta_hat)
             assert (res.iters[b], res.status[b]) == (one.iters, one.status)
+
+
+def _grid_case(family, tau):
+    """One seeded dataset, model and config for a grid-path family."""
+    rng = np.random.default_rng(41)
+    n = 100 if family == "walsh" else 300
+    x = rng.standard_normal(n)
+    z = x + rng.normal(0.0, 0.5, n)
+    eps = rng.standard_normal(n)
+    cfg = EstimateConfig()
+    if family == "generic":
+        y = 1.0 + 2.0 / (1.0 + np.exp(2.0 * (x - 0.2))) + 0.3 * eps
+
+        def fn(x, th):
+            return th[0] + th[1] / (1.0 + np.exp(th[2] * (x[:, 0] - th[3])))
+
+        model = ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=4))
+        cfg = EstimateConfig(start=np.array([1.0, 2.0, 1.0, 0.0]))
+    else:
+        y = {"lare": np.exp(x + 0.5 * eps - 0.125),
+             "logistic": (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.5 + x)))).astype(float),
+             }.get(family, x + eps)
+        model = ModelSpec(family=family, tau=tau)
+    return model, Dataset(y=y, z=z, sigma_u=0.25), cfg
+
+
+@pytest.mark.parametrize(
+    "family, tau",
+    [("quantile", 0.5), ("expectile", 0.3), ("lare", None), ("logistic", None),
+     ("walsh", None), ("generic", None)],
+)
+def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
+    model, ds, cfg = _grid_case(family, tau)
+    kernel = FAMILIES[family].kernel
+    values = [0]
+
+    def counting(ctx, theta):
+        values[0] += 1
+        return kernel(ctx, theta)
+
+    monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=counting))
+    ge = grid_estimate(model, ds, cfg)
+    carried = values[0]
+    # the chain that starts every point from its neighbour's theta alone
+    values[0] = 0
+    chain = [naive_estimate(model, ds, cfg).theta_hat]
+    for lam in cfg.grid.values[1:]:
+        res = extrapolate.minimize_target(model, ds, float(lam), chain[-1], nodes=cfg.nodes)
+        assert res.converged
+        chain.append(res.theta_hat)
+    chain = np.array(chain)
+    assert np.all(np.abs(ge.thetas - chain) <= 1e-6 * (1.0 + np.abs(chain)))
+    assert carried <= values[0]
+
+
+def test_row_solver_starts_nan_rows_of_hinv_from_the_identity():
+    # a stacked solve whose carried inverse Hessians cover some rows only,
+    # as after a grid point that some rows failed
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((5, 150))
+    ys = np.exp(x) + rng.standard_normal((5, 150))
+    zs = (x + 0.5 * rng.standard_normal((5, 150)))[..., None]
+    sets = [Dataset(y=ys[b], z=zs[b], sigma_u=0.25) for b in range(5)]
+    model = ModelSpec(family="exponential")
+    first = [extrapolate.minimize_target(model, d, 0.0, np.zeros(1)) for d in sets]
+    starts = np.array([res.theta_hat for res in first])
+    hinv = np.array([res.hinv for res in first])
+    hinv[[1, 2]] = np.nan
+    solve = extrapolate.row_solver(model, sets[0], EstimateConfig(), zs, ys)
+    res = solve(np.arange(5), 0.5, starts, hinv)
+    for b, d in enumerate(sets):
+        alone = extrapolate.minimize_target(model, d, 0.5, starts[b],
+                                            hinv=None if b in (1, 2) else hinv[b])
+        assert np.array_equal(res.theta_hat[b], alone.theta_hat)
+        assert (res.iters[b], res.status[b]) == (alone.iters, alone.status)
+        assert np.array_equal(res.hinv[b], alone.hinv)
+
+
+def test_row_solver_frees_its_stack_without_the_garbage_collector():
+    # a reference cycle through solve would hold every stacked data set of a
+    # study cell until the collector runs, and raise the peak memory
+    rng = np.random.default_rng(43)
+    zs = rng.standard_normal((3, 40, 1))
+    ys = np.exp(zs[..., 0]) + rng.standard_normal((3, 40))
+    model = ModelSpec(family="exponential")
+    gc.disable()
+    try:
+        solve = extrapolate.row_solver(model, Dataset(y=ys[0], z=zs[0], sigma_u=0.25),
+                                       EstimateConfig(), zs, ys)
+        solve(np.arange(3), 0.0, np.zeros((3, 1)))
+        alive = weakref.ref(zs)
+        del solve, zs
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _alone(model, datasets, config=None):

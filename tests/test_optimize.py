@@ -250,18 +250,18 @@ def _pseudo_stack(rows=5, lam=1.0):
     return ds, zs
 
 
-def _stack_solve(ds, zs, start, seen=None):
+def _stack_solve(ds, zs, start, seen=None, hinv=None, lam=0.0):
     model = ModelSpec(family="exponential")
 
     def fg(th, rows, bound):
         if seen is not None:
             seen.append(rows.copy())
         value, grad = target_exponential(
-            TargetContext(dataset=ds, model=model, lam=0.0, z=zs[rows]), th
+            TargetContext(dataset=ds, model=model, lam=lam, z=zs[rows]), th
         )
         return value, grad()
 
-    return minimize_batch(fg, MinimizeOptions(start=start))
+    return minimize_batch(fg, MinimizeOptions(start=start, hinv=hinv))
 
 
 def test_minimize_batch_rows_match_lone_solves():
@@ -283,6 +283,17 @@ def test_minimize_batch_rows_match_lone_solves():
                           MinimizeOptions(start=start[r]))
         np.testing.assert_allclose(together.theta_hat[r], scalar.theta_hat, rtol=1e-12, atol=0)
         assert together.iters[r] == scalar.iters
+    # each row carries its final inverse Hessian to the next noise level, as
+    # the lambda grid does, and takes the steps of its lone solve from it
+    carried = _stack_solve(ds, zs, together.theta_hat, hinv=together.hinv, lam=0.5)
+    assert carried.converged.all()
+    for r in range(len(zs)):
+        ctx = TargetContext(dataset=Dataset(y=ds.y, z=zs[r], sigma_u=ds.sigma_u),
+                            model=model, lam=0.5)
+        scalar = minimize(lambda th: target_value(ctx, th), lambda th: target_gradient(ctx, th),
+                          MinimizeOptions(start=together.theta_hat[r], hinv=together.hinv[r]))
+        for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
+            assert np.array_equal(getattr(carried, field)[r], getattr(scalar, field)), field
 
 
 def test_minimize_batch_exited_row_is_not_evaluated_again():
@@ -300,6 +311,65 @@ def test_minimize_batch_exited_row_is_not_evaluated_again():
     assert 2 in seen[0]
     assert all(2 not in rows for rows in seen[1:])
     np.testing.assert_allclose(res.theta_hat, first.theta_hat, rtol=1e-12, atol=0)
+
+
+def test_exact_inverse_hessian_converges_in_one_iteration():
+    # f = (theta - c)' A (theta - c) / 2, whose inverse Hessian is A^-1
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    c = np.array([1.0, -2.0, 0.5])
+
+    def f(th):
+        return float(0.5 * (th - c) @ a @ (th - c))
+
+    def g(th):
+        return a @ (th - c)
+
+    start = np.array([30.0, 10.0, -40.0])
+    exact = np.linalg.inv(a)
+    one = minimize(f, g, MinimizeOptions(start=start, hinv=exact))
+    assert (one.status, one.iters) == ("grad_tol", 1)
+    np.testing.assert_allclose(one.theta_hat, c, rtol=0, atol=1e-12)
+    # from the identity the first step is capped, so it takes longer
+    assert minimize(f, g, MinimizeOptions(start=start)).iters > 1
+    fg = _rowwise(lambda t, r: f(t), lambda t, r: g(t))
+    starts = np.stack([start, -start])
+    res = minimize_batch(fg, MinimizeOptions(start=starts, hinv=np.stack([exact, exact])))
+    assert list(res.iters) == [1, 1] and res.converged.all()
+    assert np.array_equal(res.theta_hat[0], one.theta_hat)
+
+
+def test_hinv_validation():
+    def f(th):
+        return float(th @ th)
+
+    fg = _rowwise(lambda t, r: f(t), lambda t, r: 2.0 * t)
+    bad = [np.eye(3), np.eye(2)[None], np.array([[1.0, 0.0], [0.0, np.nan]]),
+           np.array([[1.0, np.inf], [0.0, 1.0]])]
+    for hinv in bad:
+        with pytest.raises(ConfigError, match="hinv"):
+            minimize(f, options=MinimizeOptions(start=np.ones(2), hinv=hinv))
+    for hinv in (np.eye(2), np.stack([np.eye(2), np.full((2, 2), np.nan)])):
+        with pytest.raises(ConfigError, match="hinv"):
+            minimize_batch(fg, MinimizeOptions(start=np.ones((2, 2)), hinv=hinv))
+    with pytest.raises(ConfigError, match="quasi-newton"):
+        minimize(f, options=MinimizeOptions(start=np.ones(2), hinv=np.eye(2), method="simplex"))
+    # no inverse Hessian for the simplex method or an infeasible start
+    assert minimize(f, options=MinimizeOptions(start=np.ones(2), method="simplex")).hinv is None
+    assert minimize(lambda th: np.inf, options=MinimizeOptions(start=np.ones(2))).hinv is None
+
+
+def test_minimize_batch_stops_once_every_row_has_exited():
+    # every row ends by step_tol, the last exit test of an iteration
+    calls = []
+
+    def fg(th, rows, bound):
+        calls.append(rows.size)
+        return (th[:, 0] - 3.0) ** 4, 4.0 * (th - 3.0) ** 3
+
+    res = minimize_batch(fg, MinimizeOptions(start=np.array([[0.0], [1.0]]), grad_tol=1e-14,
+                                             step_tol=1e-4))
+    assert list(res.status) == ["step_tol", "step_tol"]
+    assert all(calls)
 
 
 def test_minimize_batch_validation():

@@ -1,0 +1,105 @@
+"""Print the kernel values and quasi-Newton iterations of every fit-mix fit.
+
+Each dataset of the benchmark's fit-mix workload (``perfbench/workloads.py``)
+at the given seed is fitted once by ``ex_estimate``, as the workload fits
+it.  Kernel values are counted by wrapping each ``Family.kernel`` in
+``targets.FAMILIES`` (one value per row of theta, so a central-difference
+gradient counts its 2q values); iterations are those of the quasi-Newton
+solves (``minimize`` with that method, and ``minimize_batch``), and not of
+the simplex.  The counts do not depend on the machine and repeat exactly
+for a seed.  One line per fit, then one line per item and a total:
+
+    fit                  path          kernel  qn_iters
+
+Two trees are compared by running this script against each:
+
+    python tools/kernel_counts.py --seed 1
+    python tools/kernel_counts.py --seed 1 --src PARENT/src
+
+Usage: python tools/kernel_counts.py [--seed N] [--src SRC]   (SRC defaults to src/ beside this script)
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+
+def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
+    """(item, fit, path, kernel values, quasi-Newton iterations) per fit."""
+    from perfbench.workloads import (
+        DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
+    )
+    from simexfree import Dataset, EstimateConfig, targets
+    from simexfree import extrapolate as ext
+
+    counts = {"kernel": 0, "iters": 0}
+
+    def counted_kernel(kernel):
+        def run(ctx, theta):
+            counts["kernel"] += np.shape(theta)[0] if np.ndim(theta) == 2 else 1
+            return kernel(ctx, theta)
+
+        return run
+
+    minimize, minimize_batch = ext.minimize, ext.minimize_batch
+
+    def counted_minimize(f, grad=None, options=None):
+        res = minimize(f, grad, options)
+        if options is None or options.method == "quasi-newton":
+            counts["iters"] += int(res.iters)
+        return res
+
+    def counted_batch(fg, options):
+        res = minimize_batch(fg, options)
+        counts["iters"] += int(np.sum(res.iters))
+        return res
+
+    families = dict(targets.FAMILIES)
+    for name, record in families.items():
+        targets.FAMILIES[name] = replace(record, kernel=counted_kernel(record.kernel))
+    ext.minimize, ext.minimize_batch = counted_minimize, counted_batch
+    rows = []
+    try:
+        for i, (fam, tau, n, cls) in enumerate(FIT_ITEMS):
+            model = model_for(fam, tau)
+            for k in range(DATASETS_PER_ITEM[cls]):
+                y, z = draw(fam, n, _rng(seed, i, k))
+                ds = Dataset(y=y, z=z, sigma_u=SIGMA_U2)
+                cfg = EstimateConfig(start=sshape_start(ds)) if fam == "generic" else None
+                counts.update(kernel=0, iters=0)
+                path = ext.ex_estimate(model, ds, cfg).path
+                rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", path,
+                             counts["kernel"], counts["iters"]))
+    finally:
+        targets.FAMILIES.update(families)
+        ext.minimize, ext.minimize_batch = minimize, minimize_batch
+    return rows
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parent
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--src", type=Path, default=here.parent / "src")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(here.parent)]
+    rows = count_fits(args.seed)
+    line = "{:<22} {:<13} {:>8} {:>9}"
+    print(line.format("fit", "path", "kernel", "qn_iters"))
+    for _, fit, path, kernel, iters in rows:
+        print(line.format(fit, path, kernel, iters))
+    print()
+    for item in dict.fromkeys(r[0] for r in rows):
+        mine = [r for r in rows if r[0] == item]
+        print(line.format(item, f"{len(mine)} fits", sum(r[3] for r in mine), sum(r[4] for r in mine)))
+    print(line.format("total", f"{len(rows)} fits", sum(r[3] for r in rows), sum(r[4] for r in rows)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
