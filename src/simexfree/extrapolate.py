@@ -247,10 +247,11 @@ def minimize_stack(
     (B, q) and the inverse Hessians ``options.hinv`` (B, q, q, or None for
     the identity).
 
-    The family's record must be ``batched``.  ``z`` (B, n, p) and ``y``
-    (B, n, or None for ``dataset.y`` in every set) stack the data sets,
-    which share the dataset's sigma_u (see :class:`TargetContext`).  Each
-    call of the solver runs the kernel once per chunk of at most
+    The family must have an analytic gradient: any but generic, which
+    runs a user's ``mean_fn``.  ``z`` (B, n, p) and ``y`` (B, n, or None
+    for ``dataset.y`` in every set) stack the data sets, which share the
+    dataset's sigma_u (see :class:`TargetContext`).  Each call of the
+    solver runs the kernel once per chunk of at most
     ``STACK_CHUNK_VALUES // n`` sets and finishes the chunk's gradients from
     that call when one of its trial points passes the Armijo test, so no
     trial's B x n temporaries outlive their chunk.  Each row equals its
@@ -292,12 +293,12 @@ def row_solver(
     ``hinv`` (k, q, q), whose NaN rows, or all rows when it is None, start
     from the identity, with the options of ``cfg`` at that level (see
     :func:`point_options`), and returns a batch result, one row per solved
-    row.  When the family is ``batched``, the options at ``lam`` are
-    quasi-Newton and more than one row is solved, that is one
+    row.  One rule picks the solver: a quasi-Newton solve of more than one
+    row, for a family with an analytic gradient (no ``mean_fn``), is one
     :func:`minimize_stack` run for the rows that start from a given
-    ``hinv`` and one for those that start from the identity; otherwise one
-    :func:`minimize_target` per row.  Either way each row has the bits of
-    its own scalar solve.
+    ``hinv`` and one for those that start from the identity; a single row,
+    a simplex solve and the generic family take one :func:`minimize_target`
+    per row.  Either way each row has the bits of its own scalar solve.
     """
 
     def solve(rows: np.ndarray, lam: float, starts: np.ndarray,
@@ -318,7 +319,7 @@ def row_solver(
     # cycle, which would keep the stacked data sets alive until the
     # garbage collector runs
     def solve_from(rows, lam, starts, hinv) -> MinimizeResult:
-        if model.record.batched and rows.size > 1:
+        if rows.size > 1 and model.mean_fn is None:
             opts = point_options(model, lam, starts, cfg.options, hinv)
             if opts.method == "quasi-newton":
                 # rows are increasing, so as many rows as sets are all of them
@@ -677,6 +678,8 @@ def ex_estimate_stack(
     cfg = config or EstimateConfig()
     if any(not np.array_equal(d.sigma_u, datasets[0].sigma_u) for d in datasets):
         raise ConfigError("stacked datasets must share sigma_u")
+    if any(d.z.shape != datasets[0].z.shape for d in datasets):
+        raise ConfigError("stacked datasets must share one shape")
     if not datasets:
         return []
     outcomes = _stages(model, datasets, cfg, "naive" if naive else "ex")

@@ -96,10 +96,14 @@ def simulate_dataset(
 ):
     """Draw one dataset from the scenario's data-generating mechanism.
 
-    The returned Dataset always carries the scenario's nominal sigma_u, even
-    when the measurement error is actually Laplace (the misspecification
-    design).  With ``return_latent`` the latent design matrix is returned as
-    well (error-free oracle fits).
+    The linear predictor is theta0[0] + design @ theta0[1:] for a model
+    with an intercept and design @ theta0 otherwise, where the design is
+    the latent covariates, after an error-free constant column when
+    ``augment_intercept`` is set; a theta0 of any other length raises
+    ConfigError.  The returned Dataset always carries the scenario's
+    nominal sigma_u, even when the measurement error is actually Laplace
+    (the misspecification design).  With ``return_latent`` the latent
+    design matrix is returned as well (error-free oracle fits).
     """
     n, p = scenario.n, scenario.p
     theta0 = scenario.theta0
@@ -117,7 +121,11 @@ def simulate_dataset(
         raise ConfigError(
             f"no data-generating mechanism for family {scenario.model.family!r}"
         )
-    y = simulate(design @ theta0, lambda: _draw_eps(scenario, rng, n), rng)
+    q = design.shape[1] + scenario.model.has_intercept
+    if theta0.size != q:
+        raise ConfigError(f"theta0 has length {theta0.size}, expected {q}")
+    eta = theta0[0] + design @ theta0[1:] if scenario.model.has_intercept else design @ theta0
+    y = simulate(eta, lambda: _draw_eps(scenario, rng, n), rng)
     z = x + u
     if scenario.augment_intercept:
         z_out = np.column_stack([np.ones(n), z])
@@ -225,8 +233,8 @@ def run_study(
     failures raises, and so does a ConfigError.  Fixed seed implies
     identical results.  An ex or naive cell solves its R replicates
     together, stage by stage (:func:`ex_estimate_stack`): one quasi-Newton
-    batch per stage for a batched family with quasi-Newton options, one
-    scalar solve per replicate otherwise.  ``ex_estimate`` and
+    batch per stage with quasi-Newton options, for any family but generic,
+    and one scalar solve per replicate otherwise.  ``ex_estimate`` and
     ``naive_estimate`` run the same composition on one dataset, so the
     estimates and failures are those of one such call per replicate, bit
     for bit.  Classical SIMEX runs one replicate at a time.

@@ -108,10 +108,10 @@ def classical_simex(
     the naive estimate, never from each other, so any evaluation order
     yields the same result.  The B replicates at one noise level are one
     solve of :func:`row_solver`, and so are the retries of the rows that
-    did not converge: one quasi-Newton batch for the linear, exponential
-    and poisson families, unless ``config.options`` asks for the simplex
-    method, and one scalar solve per pseudo-data set otherwise.  Each row
-    takes the steps of its own scalar solve.
+    did not converge: one quasi-Newton batch for any family but generic,
+    and one scalar solve per pseudo-data set for generic and for the
+    simplex method (``config.options``, or a family that is not smooth at
+    lambda = 0).  Each row takes the steps of its own scalar solve.
     """
     cfg = config or SimexConfig()
     naive_flat = naive_estimate(model, dataset, cfg).theta_hat

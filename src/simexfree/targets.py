@@ -16,7 +16,6 @@ package reads from it.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -183,15 +182,16 @@ class ModelSpec:
 class TargetContext:
     """Dataset, model, noise level, and quadrature sizes for one objective.
 
-    ``z`` and ``y`` default to ``dataset.z`` and ``dataset.y``.  For any
-    family they may instead be one data set of the same shape, (n, p) and
-    (n,), that shares the dataset's sigma_u, so a pseudo-data solve needs no
-    Dataset of its own.  For a family whose record is ``batched``, ``z`` may
-    also be a stack of B such sets, shape (B, n, p), with ``y`` either the
-    dataset's responses, shared by every set, or a stack of shape (B, n);
-    the kernel then takes theta of shape (B, q) and returns B values, one
-    per set.  The responses are checked against the family domain once, on
-    construction; :meth:`take` selects stack rows without checking again.
+    ``z`` and ``y`` default to ``dataset.z`` and ``dataset.y``.  They may
+    instead be one data set of the same shape, (n, p) and (n,), that shares
+    the dataset's sigma_u, so a pseudo-data solve needs no Dataset of its
+    own, or a stack of B such sets: ``z`` of shape (B, n, p), with ``y``
+    either the dataset's responses, shared by every set, or a stack of
+    shape (B, n).  Every kernel with an analytic gradient then takes theta
+    of shape (B, q) and returns B values, one per set, and a gradient
+    callable that returns (B, q).  The responses are checked against the
+    family domain once, on construction; :meth:`take` selects stack rows
+    without checking again.
     """
 
     dataset: Dataset
@@ -208,8 +208,6 @@ class TargetContext:
         elif self.z.ndim == 2:
             if self.z.shape != (n, p):
                 raise ConfigError(f"surrogates have shape {self.z.shape}, expected {(n, p)}")
-        elif not self.model.record.batched:
-            raise ConfigError(f"family {self.model.family!r} takes no stacked surrogates")
         elif self.z.ndim != 3 or self.z.shape[1:] != (n, p):
             raise ConfigError(
                 f"stacked surrogates have shape {self.z.shape}, expected (B, {n}, {p})"
@@ -231,21 +229,23 @@ class TargetContext:
             )
         self.model.validate_y(self.y)
 
-    def take(self, rows: np.ndarray) -> "TargetContext":
-        """The context of the stacked sets ``rows``, an increasing index array.
+    def take(self, rows) -> "TargetContext":
+        """The context of the stacked sets ``rows``, an increasing index
+        array, or of the one set ``rows``, an int, unstacked.
 
         A gap-free run of rows is a view of the stack, any other selection a
         copy; shared responses stay shared.
         """
-        if rows.size == self.z.shape[0]:
-            return self  # increasing rows, as many as the stack has: all of them
-        # increasing rows without a gap are a slice
-        if rows[-1] - rows[0] == rows.size - 1:
-            rows = slice(rows[0], rows[-1] + 1)
-        sub = copy.copy(self)
-        object.__setattr__(sub, "z", self.z[rows])
-        if self.y.ndim == 2:
-            object.__setattr__(sub, "y", self.y[rows])
+        if not isinstance(rows, int):
+            if rows.size == self.z.shape[0]:
+                return self  # increasing rows, as many as the stack has: all of them
+            # increasing rows without a gap are a slice
+            if rows[-1] - rows[0] == rows.size - 1:
+                rows = slice(rows[0], rows[-1] + 1)
+        # a shallow copy that skips the checks of __post_init__
+        sub = object.__new__(TargetContext)
+        sub.__dict__.update(self.__dict__, z=self.z[rows],
+                            y=self.y[rows] if self.y.ndim == 2 else self.y)
         return sub
 
 
@@ -363,9 +363,25 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # generic).  Calling ``grad`` only at an accepted point means a rejected
 # line-search trial never pays for a gradient.
 #
-# The linear, exponential and poisson kernels are ``batched``: theta may be
-# (B, q) against stacked surrogates (B, n, p).  For one theta they reduce to
-# the same operations, and bits, as plain matrix-vector products.
+# Every kernel but generic's also takes a stack: theta (B, q) against stacked
+# surrogates (B, n, p), with B values and (B, q) gradients, each row with the
+# bits of its own scalar call.  The linear, exponential, poisson and sine
+# kernels, and expectile's at tau = 1/2, broadcast over the stack; for one
+# theta they reduce to the same operations, and bits, as plain
+# matrix-vector products.  The others run once per set (:func:`_by_set`).
+
+
+def _by_set(kernel, ctx: TargetContext, theta):
+    """``kernel`` on a stacked context, by one scalar call per set, so each
+    row has the bits of its own call.
+
+    The kernels take a stack this way that branch per call on the
+    smoothing variance s (logistic, lare, quantile, expectile at
+    tau != 1/2), that sum O(n^2) pairs per set (walsh), or whose broadcast
+    form would change their scalar bits (lpre's ``math.exp``).
+    """
+    calls = [kernel(ctx.take(b), th) for b, th in enumerate(theta)]
+    return np.array([v for v, _ in calls]), lambda: np.array([g() for _, g in calls])
 
 
 def target_linear(ctx: TargetContext, theta):
@@ -414,24 +430,25 @@ def target_sine(ctx: TargetContext, theta):
     _, t = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t, inner=True)
-    zt = z @ t
+    # a column against a stack's rows; one set's scalar stays a scalar, which
+    # numpy applies to a row faster than a length-1 array
+    quad = quad[..., None] if t.ndim == 2 else quad
+    zt = _matvec(z, t)
     sin = np.sin(zt)
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.exp(-0.5 * ctx.lam * float(quad))
-        e2 = np.exp(-2.0 * ctx.lam * float(quad))
-        value = float(
-            _mean(y * y - 2.0 * y * sin * e1 - 0.5 * np.cos(2.0 * zt) * e2) + 1.0
-        )
+        e1 = np.exp(-0.5 * ctx.lam * quad)
+        e2 = np.exp(-2.0 * ctx.lam * quad)
+        value = _mean(y * y - 2.0 * y * sin * e1 - 0.5 * np.cos(2.0 * zt) * e2) + 1.0
 
     def grad():
         cos = np.cos(zt)
         with np.errstate(over="ignore", invalid="ignore"):
             # sin(2 zt) = 2 sin cos and cos(2 zt) = 1 - 2 sin^2
             g = (
-                -2.0 * e1 * (z.T @ (y * cos) / d.n)
-                + 2.0 * ctx.lam * e1 * su_t * float(_mean(y * sin))
-                + 2.0 * e2 * (z.T @ (sin * cos) / d.n)
-                + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * float(_mean(sin * sin)))
+                -2.0 * e1 * (_vecmat(y * cos, z) / d.n)
+                + 2.0 * ctx.lam * e1 * su_t * _mean(y * sin)[..., None]
+                + 2.0 * e2 * (_vecmat(sin * cos, z) / d.n)
+                + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * _mean(sin * sin)[..., None])
             )
         return _guard_vec(g)
 
@@ -466,6 +483,8 @@ def target_logistic(ctx: TargetContext, theta):
     and node t times the sigmoid over sqrt(2 s) for s, chained through
     ds/dbeta = 2 lam sigma_u beta.
     """
+    if ctx.z.ndim == 3:
+        return _by_set(target_logistic, ctx, theta)
     alpha, beta = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
     su_b, quad = _quad(ctx, beta)
@@ -498,6 +517,8 @@ def target_logistic(ctx: TargetContext, theta):
 
 def target_lpre(ctx: TargetContext, theta):
     """Corrected least-product-relative-error criterion (multiplicative model)."""
+    if ctx.z.ndim == 3:
+        return _by_set(target_lpre, ctx, theta)
     _, t = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t, inner=True)
@@ -530,6 +551,8 @@ def target_lare(ctx: TargetContext, theta):
     dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 the gradient
     is a subgradient of the plain criterion.
     """
+    if ctx.z.ndim == 3:
+        return _by_set(target_lare, ctx, theta)
     _, t = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t)
@@ -575,6 +598,8 @@ def target_quantile(ctx: TargetContext, theta):
     its s-derivative phi(xi; 0, s) / 2; at s = 0 the gradient is a
     subgradient of the check loss.
     """
+    if ctx.z.ndim == 3:
+        return _by_set(target_quantile, ctx, theta)
     _, beta = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
     tau = ctx.model.tau
@@ -661,6 +686,8 @@ def target_walsh(ctx: TargetContext, theta):
     Exact O(n^2) pair evaluation; refuses beyond n = 5000.  The gradient is
     a subgradient at s = 0.
     """
+    if ctx.z.ndim == 3:
+        return _by_set(target_walsh, ctx, theta)
     d, y = ctx.dataset, ctx.y
     n = d.n
     if n > WALSH_PAIR_CAP:
@@ -698,14 +725,17 @@ def target_expectile(ctx: TargetContext, theta):
     2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi and the s-derivative
     (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
     """
+    tau = ctx.model.tau
+    if ctx.z.ndim == 3 and tau != 0.5:
+        return _by_set(target_expectile, ctx, theta)
     _, beta = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
-    tau = ctx.model.tau
     su_b, quad = _quad(ctx, beta)
-    xi = y - z @ beta
+    xi = y - _matvec(z, beta)
     if tau == 0.5:
-        value = 0.5 * float(_mean(xi * xi + ctx.lam * float(quad)))
-        return value, lambda: -(z.T @ xi) / d.n + ctx.lam * su_b
+        # one set's quad stays a scalar, as in target_sine
+        value = 0.5 * _mean(xi * xi + ctx.lam * (quad[..., None] if xi.ndim == 2 else quad))
+        return _guard(value), lambda: -_vecmat(xi, z) / d.n + ctx.lam * su_b
     s = _smoothing_variance(ctx, quad)
     if s == 0.0:
         # the step cdf waits for a gradient
@@ -892,9 +922,9 @@ class Family:
     quasi-Newton can minimize at lambda = 0, and ``intercept`` and ``tau``
     the families that accept an intercept and require a level.
     ``y_domain`` is a (description, predicate) pair for valid responses.
-    ``batched`` marks a kernel that broadcasts over stacked surrogates (see
-    :class:`TargetContext`), so a quasi-Newton solve of several data sets
-    at one noise level is one batch (see ``extrapolate.row_solver``).
+    Every kernel with an analytic gradient also takes stacked data sets
+    (see :class:`TargetContext`), so a quasi-Newton solve of several data
+    sets at one noise level is one batch (see ``extrapolate.row_solver``).
     """
 
     kernel: Callable[[TargetContext, np.ndarray], tuple]
@@ -905,22 +935,19 @@ class Family:
     intercept: bool = False
     tau: bool = False
     y_domain: tuple[str, Callable[[np.ndarray], bool]] | None = None
-    batched: bool = False
 
 
 FAMILIES: dict[str, Family] = {
     "linear": Family(
         target_linear, _start_least_squares, simulate=_simulate_additive,
-        pluggable=True, intercept=True, batched=True,
+        pluggable=True, intercept=True,
     ),
     "exponential": Family(
-        target_exponential, _start_flat, simulate=_simulate_exponential,
-        pluggable=True, batched=True,
+        target_exponential, _start_flat, simulate=_simulate_exponential, pluggable=True,
     ),
     "sine": Family(target_sine, _start_flat, simulate=_simulate_sine, pluggable=True),
     "poisson": Family(
-        target_poisson_negloglik, _start_poisson, simulate=_simulate_poisson,
-        pluggable=True, batched=True,
+        target_poisson_negloglik, _start_poisson, simulate=_simulate_poisson, pluggable=True,
         y_domain=(
             "nonnegative integer responses",
             lambda y: bool(np.all((y >= 0) & (y == np.floor(y)))),

@@ -343,7 +343,7 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
 
 
 def _grid_case(family, tau):
-    """One seeded dataset, model and config for a grid-path family."""
+    """One seeded dataset, model and config for a family."""
     rng = np.random.default_rng(41)
     n = 100 if family == "walsh" else 300
     x = rng.standard_normal(n)
@@ -361,6 +361,9 @@ def _grid_case(family, tau):
     else:
         y = {"lare": np.exp(x + 0.5 * eps - 0.125),
              "logistic": (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.5 + x)))).astype(float),
+             "lpre": np.exp(x + 0.5 * eps - 0.125),
+             "exponential": np.exp(x) + eps,
+             "poisson": np.round(np.exp(0.5 * x + 0.1 * eps)),
              }.get(family, x + eps)
         model = ModelSpec(family=family, tau=tau)
     return model, Dataset(y=y, z=z, sigma_u=0.25), cfg
@@ -416,6 +419,44 @@ def test_row_solver_starts_nan_rows_of_hinv_from_the_identity():
         assert np.array_equal(res.theta_hat[b], alone.theta_hat)
         assert (res.iters[b], res.status[b]) == (alone.iters, alone.status)
         assert np.array_equal(res.hinv[b], alone.hinv)
+
+
+@pytest.mark.parametrize(
+    "family, tau",
+    [("linear", None), ("exponential", None), ("poisson", None), ("sine", None),
+     ("lpre", None), ("logistic", None), ("lare", None), ("quantile", 0.5), ("walsh", None),
+     ("expectile", 0.3), ("expectile", 0.5), ("generic", None)],
+)
+def test_row_solver_stacks_every_quasi_newton_solve_of_several_rows(monkeypatch, family, tau):
+    model, ds, cfg = _grid_case(family, tau)
+    zs = ds.z + 0.1 * np.random.default_rng(44).standard_normal((3,) + ds.z.shape)
+    starts = np.tile(cfg.start_for(model, ds), (3, 1))
+    lams = (0.0, 0.5, -0.25) if model.pluggable else (0.0, 0.5)
+    alone = {lam: [extrapolate.minimize_target(model, ds, lam, starts[b], z=zs[b], nodes=cfg.nodes)
+                   for b in range(3)] for lam in lams}
+    scalar = extrapolate.minimize_target
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(extrapolate, "minimize_target", counted)
+    solve = extrapolate.row_solver(model, ds, cfg, zs)
+    for lam in lams:
+        calls.clear()
+        res = solve(np.arange(3), lam, starts)
+        # only a simplex solve (a nonsmooth family at lambda = 0) or the
+        # generic family, which has no analytic gradient, runs per row
+        per_row = family == "generic" or (lam == 0.0 and not FAMILIES[family].smooth_at_zero)
+        assert calls == ([lam] * 3 if per_row else [])
+        for b, one in enumerate(alone[lam]):
+            assert np.array_equal(res.theta_hat[b], one.theta_hat)
+            assert (res.iters[b], res.status[b]) == (one.iters, one.status)
+    # a single row is always a scalar solve
+    calls.clear()
+    solve(np.array([1]), 0.5, starts[:1])
+    assert calls == [0.5]
 
 
 def test_row_solver_frees_its_stack_without_the_garbage_collector():
@@ -504,8 +545,12 @@ def test_ex_estimate_stack_validation():
     other = Dataset(y=ds.y, z=ds.z, sigma_u=0.3)
     with pytest.raises(ConfigError, match="share sigma_u"):
         extrapolate.ex_estimate_stack(ModelSpec(family="linear"), [ds, other])
-    # an unbatched family, and a batched one with the simplex method, solve
-    # one row at a time and equal the estimate on each dataset alone
+    for family, data in (("exponential", _curve), ("sine", _sine_data)):
+        with pytest.raises(ConfigError, match="stacked datasets must share one shape"):
+            extrapolate.ex_estimate_stack(ModelSpec(family=family),
+                                          [data(0, n=50), data(1, n=60)])
+    # a stacked quasi-Newton family, and one solved a row at a time by the
+    # simplex method, equal the estimate on each dataset alone
     sets = [ds, _linear_data(seed=1)]
     simplex = EstimateConfig(options=MinimizeOptions(method="simplex"))
     for model, cfg in ((ModelSpec(family="sine"), None), (ModelSpec(family="linear"), simplex)):

@@ -36,7 +36,8 @@ def _model(name, tau=0.3, **kw):
 def _dataset(name, n=40, seed=0):
     """Data from the family's own simulator (the linear one for generic)."""
     sim = "linear" if name == "generic" else name
-    sc = Scenario(name=sim, model=_model(sim), theta0=[0.5], n=n, sigma_u=[[0.25]])
+    theta0 = [0.0, 0.5] if _model(sim).has_intercept else [0.5]
+    sc = Scenario(name=sim, model=_model(sim), theta0=theta0, n=n, sigma_u=[[0.25]])
     return simulate_dataset(sc, _stream(seed, (0,)))
 
 

@@ -64,6 +64,23 @@ def test_simulate_zero_error_returns_latent_design():
     assert np.array_equal(ds.z, latent)
 
 
+def test_simulate_dataset_puts_the_intercept_first():
+    kw = dict(name="x", n=50, sigma_u=np.array([[0.25]]))
+    ds, latent = simulate_dataset(Scenario(model=ModelSpec(family="linear"), theta0=[1.5, 2.0],
+                                           **kw), np.random.default_rng(5), return_latent=True)
+    rng = np.random.default_rng(5)
+    rng.standard_normal((100, 1))  # the latent covariates and their errors
+    assert np.array_equal(ds.y, 1.5 + latent @ np.array([2.0]) + rng.standard_normal(50))
+    for model, theta0, q in ((ModelSpec(family="linear"), [2.0], 2),
+                             (ModelSpec(family="logistic"), [0.5, 1.0, 2.0], 2),
+                             (ModelSpec(family="linear", intercept=False), [0.0, 2.0], 1),
+                             (ModelSpec(family="quantile", tau=0.5), [2.0], 2)):
+        sc = Scenario(model=model, theta0=theta0, augment_intercept=model.family == "quantile",
+                      **kw)
+        with pytest.raises(ConfigError, match=f"theta0 has length {len(theta0)}, expected {q}"):
+            simulate_dataset(sc, np.random.default_rng(5))
+
+
 def test_simulate_surrogate_second_moment():
     sc = _exp_scenario(n=100_000, s2=0.25)
     ds = simulate_dataset(sc, np.random.default_rng(1))
@@ -236,9 +253,9 @@ def _cell(model=None, theta0=(1.0,), n=120, s2=0.25, **kw):
         _cell(estimator="naive"),
         bivariate_exponential_scenarios((0.25,), (150,))[0],
         _cell(ModelSpec(family="poisson"), (0.7,), n=150),
-        _cell(ModelSpec(family="linear"), (2.0,)),
+        _cell(ModelSpec(family="linear"), (0.0, 2.0)),
         _cell(ModelSpec(family="linear", intercept=False), (2.0,)),
-        _cell(ModelSpec(family="linear"), (2.0,), estimator="naive"),
+        _cell(ModelSpec(family="linear"), (0.0, 2.0), estimator="naive"),
         # branch collapses: some replicates leave the naive branch and take the grid
         _cell(n=200, s2=0.5),
         _cell(n=80, config=EstimateConfig(force_grid=True)),
@@ -246,19 +263,24 @@ def _cell(model=None, theta0=(1.0,), n=120, s2=0.25, **kw):
         # too many failures: the cell raises
         _cell(config=EstimateConfig(options=MinimizeOptions(max_iters=1))),
         _cell(estimator="naive", config=EstimateConfig(options=MinimizeOptions(max_iters=1))),
-        # one scalar solve per replicate and stage: unbatched families, and
-        # a batched one with the simplex method
+        # kernels that broadcast over the stack (sine) or run once per set
         _cell(ModelSpec(family="sine")),
         _cell(ModelSpec(family="lpre"), (0.5,)),
         _cell(ModelSpec(family="expectile", tau=0.3), (2.0,)),
-        # simplex at lambda = 0, quasi-Newton elsewhere on the grid
+        _cell(ModelSpec(family="logistic"), (0.5, 1.0)),
+        # simplex (one solve per replicate) at lambda = 0, stacked quasi-Newton
+        # elsewhere on the grid
         _cell(ModelSpec(family="quantile", tau=0.5), (1.0, 2.0), augment_intercept=True),
+        _cell(ModelSpec(family="lare"), (0.5,)),
+        _cell(ModelSpec(family="walsh"), (1.0,), n=40),
+        # one solve per replicate and stage
         _cell(config=EstimateConfig(options=MinimizeOptions(method="simplex"))),
     ],
     ids=["exponential", "exponential-naive", "exponential-p2", "poisson", "linear",
          "linear-no-intercept", "linear-naive", "branch-collapse", "force-grid",
          "poisson-force-grid", "max-iters-1", "max-iters-1-naive", "sine", "lpre",
-         "expectile-t0.3", "quantile-t0.5", "exponential-simplex"],
+         "expectile-t0.3", "logistic", "quantile-t0.5", "lare", "walsh",
+         "exponential-simplex"],
 )
 def test_batched_replicates_equal_the_scalar_loop(monkeypatch, sc):
     reps, seed = 12, 21
@@ -283,7 +305,7 @@ def test_batched_replicates_equal_the_scalar_loop(monkeypatch, sc):
     assert (cell.failures, cell.replications) == (failures, reps - failures)
 
 
-@pytest.mark.parametrize("family", ["exponential", "sine"])  # batched and unbatched
+@pytest.mark.parametrize("family", ["exponential", "sine"])
 @pytest.mark.parametrize(
     "config, message",
     [

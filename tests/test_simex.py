@@ -138,19 +138,27 @@ def _exponential_data(seed=3, n=200):
     return Dataset(y=y, z=x + rng.normal(0, 0.5, n), sigma_u=0.25)
 
 
-@pytest.mark.parametrize("family", ["exponential", "linear", "poisson", "sine", "quantile"])
+@pytest.mark.parametrize(
+    "family", ["exponential", "linear", "poisson", "sine", "quantile", "lpre", "logistic",
+               "expectile"],
+)
 def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
     # the reference: one scalar naive solve per (grid point, replicate);
-    # sine and quantile solve one pseudo-data set at a time, quantile by simplex
+    # quantile solves one pseudo-data set at a time, by simplex, and every
+    # other family solves them as one quasi-Newton stack
     rng = np.random.default_rng(13)
     x = rng.standard_normal(150)
-    y = {"exponential": np.exp(x) + rng.standard_normal(150),
-         "linear": 1.0 + x + rng.standard_normal(150),
-         "poisson": rng.poisson(np.exp(0.5 * x)).astype(float),
-         "sine": np.sin(x) + 0.5 * rng.standard_normal(150),
-         "quantile": 1.0 + x + rng.standard_normal(150)}[family]
-    ds = Dataset(y=y, z=x + rng.normal(0, 0.5, 150), sigma_u=0.25)
-    model = ModelSpec(family=family, tau=0.5 if family == "quantile" else None)
+    ys = {"exponential": np.exp(x) + rng.standard_normal(150),
+          "linear": 1.0 + x + rng.standard_normal(150),
+          "poisson": rng.poisson(np.exp(0.5 * x)).astype(float),
+          "sine": np.sin(x) + 0.5 * rng.standard_normal(150),
+          "quantile": 1.0 + x + rng.standard_normal(150)}
+    # the other families' responses reuse these draws, so every family has the same z
+    ys.update(lpre=np.exp(0.5 * ys["linear"] - 0.5), logistic=(ys["linear"] > 1.0).astype(float),
+              expectile=ys["quantile"])
+    ds = Dataset(y=ys[family], z=x + rng.normal(0, 0.5, 150), sigma_u=0.25)
+    tau = {"quantile": 0.5, "expectile": 0.3}.get(family)
+    model = ModelSpec(family=family, tau=tau)
     cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5)
     res = classical_simex(model, ds, cfg)
     naive = naive_estimate(model, ds).theta_hat
@@ -180,7 +188,8 @@ def test_classical_failure_names_each_failed_replicate():
 
 @pytest.mark.parametrize(
     "model",
-    # batched; a per-replicate quasi-Newton loop; a per-replicate simplex loop
+    # a quasi-Newton stack (exponential, sine); a per-replicate simplex loop
+    # (quantile)
     [ModelSpec(family="exponential"), ModelSpec(family="sine"),
      ModelSpec(family="quantile", tau=0.5)],
     ids=["exponential", "sine", "quantile"],

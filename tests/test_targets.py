@@ -738,13 +738,14 @@ def test_target_equals_mc_conditional_expectation(family, model_kw, data_kw):
 
 
 # --------------------------------------------------------------------------
-# stacked surrogates: the batched families
+# stacked surrogates: every family with an analytic gradient
 # --------------------------------------------------------------------------
 
 
 def _mean_form(ctx, theta):
-    """Value and gradient of a batched family written with ``np.mean``: the
-    reference that the kernels' ``sum / n`` row means match bit for bit."""
+    """Value and gradient of linear, exponential or poisson written with
+    ``np.mean``: the reference that the kernels' ``sum / n`` row means match
+    bit for bit."""
     d, lam = ctx.dataset, ctx.lam
     th = np.asarray(theta, dtype=float)
     family = ctx.model.family
@@ -780,16 +781,25 @@ def _mean_form(ctx, theta):
     return value, grad
 
 
-BATCHED = [("linear", {}), ("linear", {"intercept": False}), ("exponential", {}), ("poisson", {})]
+MEAN_FORM = [("linear", {}), ("linear", {"intercept": False}), ("exponential", {}), ("poisson", {})]
+# every family but generic, whose user mean function has no analytic gradient
+STACKED = MEAN_FORM + [
+    ("sine", {}), ("logistic", {}), ("logistic", {"intercept": False}), ("lpre", {}),
+    ("lare", {}), ("quantile", {"tau": 0.3}), ("walsh", {}), ("expectile", {"tau": 0.3}),
+    ("expectile", {"tau": 0.5}),
+]
 
 
-def test_batched_families_are_the_table_entries():
-    assert sorted(f for f, rec in FAMILIES.items() if rec.batched) == [
-        "exponential", "linear", "poisson",
-    ]
+def test_stacked_cases_cover_every_family_but_generic():
+    assert {f for f, _ in STACKED} == set(FAMILIES) - {"generic"}
 
 
-@pytest.mark.parametrize("family,kw", BATCHED)
+def _lams(model):
+    """The noise levels the model admits, lambda = -1 only when pluggable."""
+    return (0.0, 0.5, -1.0) if model.pluggable else (0.0, 0.5)
+
+
+@pytest.mark.parametrize("family,kw", MEAN_FORM)
 @pytest.mark.parametrize("p", [1, 2])
 def test_row_means_keep_the_mean_form_bits(family, kw, p):
     ds = _make_dataset(seed=7, n=500, p=p, family=family)
@@ -802,34 +812,37 @@ def test_row_means_keep_the_mean_form_bits(family, kw, p):
         assert np.array_equal(target_gradient(ctx, theta), grad)
 
 
-@pytest.mark.parametrize("family,kw", BATCHED)
+@pytest.mark.parametrize("family,kw", STACKED)
 @pytest.mark.parametrize("p", [1, 2])
 def test_stacked_rows_equal_their_own_objectives(family, kw, p):
     ds = _make_dataset(seed=8, n=60, p=p, family=family)
     rng = np.random.default_rng(9)
-    zs = ds.z + 0.4 * rng.standard_normal((4, ds.n, p))
+    zs = ds.z + 0.4 * rng.standard_normal((3, ds.n, p))
     model = ModelSpec(family=family, **kw)
-    thetas = rng.uniform(0.1, 0.7, (4, model.n_params(p)))
-    for lam in (0.0, 0.5, -1.0):
+    thetas = rng.uniform(0.1, 0.7, (3, model.n_params(p)))
+    # no slope in row 1: its smoothing variance s is 0 at lam > 0, the others' is not
+    thetas[1, int(model.has_intercept):] = 0.0
+    for lam in _lams(model):
         stacked = TargetContext(dataset=ds, model=model, lam=lam, z=zs)
-        values = target_value(stacked, thetas)
-        grads = target_gradient(stacked, thetas)
-        assert values.shape == (4,) and grads.shape == thetas.shape
-        for b in range(4):
+        values, finish = FAMILIES[family].kernel(stacked, thetas)
+        grads = finish()
+        assert values.shape == (3,) and grads.shape == thetas.shape
+        for b in range(3):
             own = TargetContext(dataset=Dataset(y=ds.y, z=zs[b], sigma_u=ds.sigma_u),
                                 model=model, lam=lam)
-            assert values[b] == target_value(own, thetas[b])
-            assert np.array_equal(grads[b], target_gradient(own, thetas[b]))
+            value, grad = FAMILIES[family].kernel(own, thetas[b])
+            assert type(value) is float and values[b] == value
+            assert np.array_equal(grads[b], grad())
 
 
-@pytest.mark.parametrize("family,kw", BATCHED)
+@pytest.mark.parametrize("family,kw", STACKED)
 def test_stacked_responses_equal_their_own_objectives(family, kw):
     model = ModelSpec(family=family, **kw)
     sets = [_make_dataset(seed=20 + b, n=50, p=2, family=family) for b in range(5)]
     zs, ys = np.stack([d.z for d in sets]), np.stack([d.y for d in sets])
     thetas = np.random.default_rng(10).uniform(0.1, 0.7, (5, model.n_params(2)))
     rows = np.array([0, 2, 3])  # a copy; rows 2 and 3 alone are a view
-    for lam in (0.0, 0.5, -1.0):
+    for lam in _lams(model):
         stacked = TargetContext(dataset=sets[0], model=model, lam=lam, z=zs, y=ys)
         for idx in (np.arange(5), rows, rows[1:]):
             part = stacked if idx.size == 5 else stacked.take(idx)
@@ -848,8 +861,8 @@ def test_stacked_responses_equal_their_own_objectives(family, kw):
 def test_stacked_surrogates_validation():
     ds = _make_dataset(n=10, family="linear")
     zs = np.zeros((3, 10, 1))
-    with pytest.raises(ConfigError, match="no stacked surrogates"):
-        TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=zs)
+    # every family takes a stack
+    assert TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=0.0, z=zs).z is zs
     for bad in (np.zeros((3, 9, 1)), np.zeros(10), np.zeros((3, 10, 2))):
         with pytest.raises(ConfigError, match="stacked surrogates have shape"):
             TargetContext(dataset=ds, model=ModelSpec(family="linear"), lam=0.0, z=bad)

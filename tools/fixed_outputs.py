@@ -98,9 +98,13 @@ def commands(csv: Path) -> dict[str, list[str]]:
         est(f"{model}_naive", model, f"y_{model}", "--estimator", "naive")
         est(f"{model}_grid", model, f"y_{model}", "--force-grid")
     est("linear_no_intercept", "linear", "y_linear", "--no-intercept")
-    # unbatched families: one solve per pseudo-data set, quasi-Newton or simplex
+    # the pseudo-data sets of one lambda: one quasi-Newton stack for a family
+    # with an analytic gradient, one simplex solve per set for a nonsmooth one
     classical = ("--estimator", "classical", "--b", "20")
     est("sine_classical", "sine", "y_sine", *classical)
+    est("lpre_classical", "lpre", "y_mult", *classical)
+    est("logistic_classical", "logistic", "y_logistic", *classical)
+    est("expectile_t0.3_classical", "expectile", "y_additive", "--tau", "0.3", *classical)
     est("quantile_t0.5_classical", "quantile", "y_additive", "--tau", "0.5", *classical)
     est("sine_grid", "sine", "y_sine", "--force-grid")
     # the fallback from a collapsed direct branch, and estimates that fail
