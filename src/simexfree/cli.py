@@ -93,10 +93,12 @@ def _parse_sigma(text: str) -> np.ndarray:
 
 def _parse_grid(text: str) -> LambdaGrid:
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("grid range must be start:stop:count")
-        return LambdaGrid(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+        try:
+            start, stop, count = text.split(":")
+            values = np.linspace(float(start), float(stop), int(count))
+        except ValueError:
+            raise ConfigError(f"grid range must be start:stop:count; got {text!r}") from None
+        return LambdaGrid(values)
     return LambdaGrid(_parse_floats(text))
 
 
@@ -470,6 +472,8 @@ def main(argv=None) -> int:
         print(f"error: bad --config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
+        if args.digits < 0:
+            raise ConfigError(f"--digits must be nonnegative, got {args.digits}")
         if args.command == "estimate":
             return _cmd_estimate(args)
         if args.command == "simulate":

@@ -128,12 +128,14 @@ class EstimateConfig:
     the family's default initial point for the first (naive) minimization.
     Each later grid point starts from its neighbour's minimizer and, where
     the neighbour's quasi-Newton solve converged, from the inverse Hessian
-    that solve finished with (see :class:`MinimizeOptions`), which saves
-    iterations.  The direct path's continuation starts each step from the
-    previous minimizer but from the identity: its branch test would
-    otherwise turn on where a carried line search happens to land.
-    Classical SIMEX starts every replicate from the naive estimate by
-    design, and from the identity.
+    that solve finished with, which saves iterations; otherwise from the
+    identity.  Either way one rule applies (see :class:`MinimizeOptions`):
+    a start from the identity is a fresh one, also when a neighbour that
+    converged without a step hands the identity on.  The direct path's
+    continuation starts each step from the previous minimizer but from the
+    identity: its branch test would otherwise turn on where a carried line
+    search happens to land.  Classical SIMEX starts every replicate from
+    the naive estimate by design, and from the identity.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -189,29 +191,24 @@ def point_options(
 
 
 def minimize_target(
-    model: ModelSpec,
-    dataset: Dataset,
-    lam: float,
+    ctx: TargetContext,
     start: np.ndarray,
     options: MinimizeOptions | None = None,
-    nodes: int = 30,
-    z: np.ndarray | None = None,
-    y: np.ndarray | None = None,
     hinv: np.ndarray | None = None,
 ) -> MinimizeResult:
-    """Minimize the family objective at one noise level from a given start,
-    and the initial inverse Hessian ``hinv`` (q, q), None for the identity.
+    """Minimize the family objective of ``ctx``, one data set at one noise
+    level, from a given start and the initial inverse Hessian ``hinv``
+    (q, q), None for the identity.
 
-    This is the one-row solve of :func:`row_solver`.  ``z`` (n, p) and
-    ``y`` (n,) replace ``dataset.z`` and ``dataset.y`` by one data set of
-    the same shape that shares the dataset's sigma_u.  Each trial point
-    runs the family kernel once: the quasi-Newton method asks for a
-    gradient only at the point it has just evaluated and accepted, and gets
-    it from that evaluation's ``grad`` callable, so a rejected trial never
-    pays for a gradient and an accepted one never redoes its setup.
+    This is the one-row solve of :func:`row_solver`, with the options of
+    :func:`point_options` at ``ctx.lam``.  Each trial point runs the family
+    kernel once: the quasi-Newton method asks for a gradient only at the
+    point it has just evaluated and accepted, and gets it from that
+    evaluation's ``grad`` callable, so a rejected trial never pays for a
+    gradient and an accepted one never redoes its setup.
     """
-    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z, y=y)
-    opts = point_options(model, lam, np.asarray(start, dtype=float), options, hinv)
+    model = ctx.model
+    opts = point_options(model, ctx.lam, np.asarray(start, dtype=float), options, hinv)
     kernel = model.record.kernel
     point = finish = None  # the last trial point and its grad callable
 
@@ -233,33 +230,22 @@ def minimize_target(
     return minimize(value, grad, opts)
 
 
-def minimize_stack(
-    model: ModelSpec,
-    dataset: Dataset,
-    lam: float,
-    options: MinimizeOptions,
-    nodes: int = 30,
-    z: np.ndarray | None = None,
-    y: np.ndarray | None = None,
-) -> MinimizeResult:
-    """Minimize the family objective at one noise level on B stacked data
-    sets at once, by :func:`minimize_batch` from the starts ``options.start``
-    (B, q) and the inverse Hessians ``options.hinv`` (B, q, q, or None for
-    the identity).
+def minimize_stack(ctx: TargetContext, options: MinimizeOptions) -> MinimizeResult:
+    """Minimize the family objective of ``ctx``, a stack of B data sets at
+    one noise level (see :class:`TargetContext`), by :func:`minimize_batch`
+    from the starts ``options.start`` (B, q) and the inverse Hessians
+    ``options.hinv`` (B, q, q, or None for the identity).
 
     The family must have an analytic gradient: any but generic, which
-    runs a user's ``mean_fn``.  ``z`` (B, n, p) and ``y`` (B, n, or None
-    for ``dataset.y`` in every set) stack the data sets, which share the
-    dataset's sigma_u (see :class:`TargetContext`).  Each call of the
-    solver runs the kernel once per chunk of at most
-    ``STACK_CHUNK_VALUES // n`` sets and finishes the chunk's gradients from
-    that call when one of its trial points passes the Armijo test, so no
-    trial's B x n temporaries outlive their chunk.  Each row equals its
-    scalar :func:`minimize_target` solve bit for bit.
+    runs a user's ``mean_fn``.  Each call of the solver runs the kernel
+    once per chunk of at most ``STACK_CHUNK_VALUES // n`` sets and finishes
+    the chunk's gradients from that call when one of its trial points
+    passes the Armijo test, so no trial's B x n temporaries outlive their
+    chunk.  Each row equals its scalar :func:`minimize_target` solve bit
+    for bit.
     """
-    ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=nodes, z=z, y=y)
-    kernel = model.record.kernel
-    chunk = max(1, STACK_CHUNK_VALUES // dataset.n)
+    kernel = ctx.model.record.kernel
+    chunk = max(1, STACK_CHUNK_VALUES // ctx.dataset.n)
 
     def evaluate(theta, rows, bound):
         values = np.empty(rows.size)
@@ -293,43 +279,26 @@ def row_solver(
     ``hinv`` (k, q, q), whose NaN rows, or all rows when it is None, start
     from the identity, with the options of ``cfg`` at that level (see
     :func:`point_options`), and returns a batch result, one row per solved
-    row.  One rule picks the solver: a quasi-Newton solve of more than one
-    row, for a family with an analytic gradient (no ``mean_fn``), is one
-    :func:`minimize_stack` run for the rows that start from a given
-    ``hinv`` and one for those that start from the identity; a single row,
-    a simplex solve and the generic family take one :func:`minimize_target`
-    per row.  Either way each row has the bits of its own scalar solve.
+    row.  Each call builds one :class:`TargetContext` for all the rows.
+    One rule picks the solver: a quasi-Newton solve of more than one row,
+    for a family with an analytic gradient (no ``mean_fn``), is one
+    :func:`minimize_stack` run; a single row, a simplex solve and the
+    generic family take one :func:`minimize_target` per row.  Either way
+    each row has the bits of its own scalar solve, and a row from the
+    identity is a fresh start (see :class:`MinimizeOptions`).
     """
 
     def solve(rows: np.ndarray, lam: float, starts: np.ndarray,
               hinv: np.ndarray | None = None) -> MinimizeResult:
-        if hinv is None:
-            return solve_from(rows, lam, starts, None)
-        carried = ~np.isnan(hinv[:, 0, 0])
-        if carried.all():
-            return solve_from(rows, lam, starts, hinv)
-        # minimize_batch starts every row from a given hinv or none
-        fresh = solve_from(rows[~carried], lam, starts[~carried], None)
-        if not carried.any():
-            return fresh
-        return _merge(carried, solve_from(rows[carried], lam, starts[carried], hinv[carried]),
-                      fresh)
-
-    # not folded into solve: a closure that calls itself is a reference
-    # cycle, which would keep the stacked data sets alive until the
-    # garbage collector runs
-    def solve_from(rows, lam, starts, hinv) -> MinimizeResult:
+        ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=cfg.nodes, z=z, y=y)
+        if hinv is not None:
+            hinv = np.where(np.isnan(hinv[:, :1, :1]), np.eye(starts.shape[1]), hinv)
         if rows.size > 1 and model.mean_fn is None:
             opts = point_options(model, lam, starts, cfg.options, hinv)
             if opts.method == "quasi-newton":
-                # rows are increasing, so as many rows as sets are all of them
-                every = rows.size == z.shape[0]
-                zs = z if every else z[rows]
-                ys = y if every or y is None else y[rows]
-                return minimize_stack(model, dataset, lam, opts, cfg.nodes, zs, ys)
+                return minimize_stack(ctx.take(rows), opts)
         return _stacked([
-            minimize_target(model, dataset, lam, start, cfg.options, cfg.nodes,
-                            None if z is None else z[r], None if y is None else y[r],
+            minimize_target(ctx if z is None else ctx.take(int(r)), start, cfg.options,
                             None if hinv is None else hinv[i])
             for i, (r, start) in enumerate(zip(rows, starts))
         ])
@@ -349,18 +318,6 @@ def _stacked(results: list[MinimizeResult]) -> MinimizeResult:
 def _take(res: MinimizeResult, rows) -> MinimizeResult:
     """The batch result of ``rows``, an index or mask, of a batch result."""
     return MinimizeResult(*(v[rows] for v in vars(res).values()))
-
-
-def _merge(mask: np.ndarray, a: MinimizeResult, b: MinimizeResult) -> MinimizeResult:
-    """The batch result with the rows of ``a`` where ``mask`` is set and
-    those of ``b`` elsewhere, each in order."""
-    at = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
-    fields = []
-    for u, v in zip(vars(a).values(), vars(b).values()):
-        both = np.concatenate([u, v])
-        fields.append(np.empty_like(both))
-        fields[-1][at] = both
-    return MinimizeResult(*fields)
 
 
 def _row(res: MinimizeResult, i: int) -> MinimizeResult:

@@ -32,14 +32,15 @@ class MinimizeOptions:
 
     ``hinv`` is the quasi-Newton method's initial inverse Hessian, shape
     (q, q), or (B, q, q) for :func:`minimize_batch`; None means the
-    identity.  A run from the identity scales its first step to length at
-    most 1 and, after it, rescales the identity by s'y / y'y, because the
-    identity knows nothing of the objective's scale.  A run from a given
-    ``hinv``, such as the ``hinv`` that a solve of a nearby objective
-    finished with, trusts it and does neither.  The lambda grid carries
-    each point's final ``hinv`` to the next point this way; the direct
-    path's continuation and classical SIMEX do not (see
-    ``EstimateConfig``).
+    identity.  One rule tells a fresh start from a carried one: a run (or
+    a batch row) whose initial inverse Hessian equals the identity, given
+    or not, scales its first step to length at most 1 and, after it,
+    rescales the identity by s'y / y'y, because the identity knows nothing
+    of the objective's scale.  A run from any other ``hinv``, such as the
+    one that a solve of a nearby objective finished with, trusts it and
+    does neither.  The lambda grid carries each point's final ``hinv`` to
+    the next point this way; the direct path's continuation and classical
+    SIMEX do not (see ``EstimateConfig``).
     """
 
     start: np.ndarray | None = None
@@ -75,8 +76,11 @@ class MinimizeResult:
     ``converged`` is True exactly for ``grad_tol`` and ``step_tol``.
     ``grad_norm`` is NaN for the simplex method.  ``hinv`` is the inverse
     Hessian that the quasi-Newton run finished with, to start a run on a
-    nearby objective from (see :class:`MinimizeOptions`); it is None for
-    the simplex method and for an ``infeasible`` exit.  A result of
+    nearby objective from (see :class:`MinimizeOptions`): a run that exited
+    before its first update, such as one that starts at its minimizer,
+    hands on its initial one, so a run from the identity hands on the
+    identity and the next run starts fresh.  It is None for the simplex
+    method and for an ``infeasible`` exit.  A result of
     :func:`minimize_batch` holds arrays: each field has a leading batch
     axis, ``status`` is an array of these strings, and ``hinv`` has shape
     (B, q, q), with NaN rows for the ``infeasible`` ones.
@@ -169,9 +173,9 @@ def _check_hinv(opts: MinimizeOptions, shape: tuple) -> None:
 def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
     n = x0.size
     eye = np.eye(n)
-    # a carried inverse Hessian already has the objective's scale
-    carried = opts.hinv is not None
-    hinv = np.array(opts.hinv, dtype=float) if carried else eye.copy()
+    hinv = eye.copy() if opts.hinv is None else np.array(opts.hinv, dtype=float)
+    # only the identity lacks the objective's scale (see MinimizeOptions)
+    fresh = opts.hinv is None or np.array_equal(hinv, eye)
     x, fx = x0, f0
     gx = np.asarray(grad(x), dtype=float)
     gnorm = float(np.linalg.norm(gx))
@@ -190,7 +194,7 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
             slope = float(gx @ d)
         # unit-length first step: with hinv = I a steep gradient would
         # otherwise overshoot into a distant basin
-        step = min(1.0, 1.0 / gnorm) if iters == 0 and not carried else 1.0
+        step = min(1.0, 1.0 / gnorm) if iters == 0 and fresh else 1.0
         xn = x
         fn = fx
         accepted = False
@@ -208,7 +212,7 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
         gn = np.asarray(grad(xn), dtype=float)
         yv = gn - gx
         sy = float(s @ yv)
-        if iters == 1 and sy > 0 and not carried:
+        if iters == 1 and sy > 0 and fresh:
             hinv = (sy / float(yv @ yv)) * eye
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             rho = 1.0 / sy
@@ -265,9 +269,9 @@ def minimize_batch(
     size, q = x.shape
     _check_hinv(options, (size, q, q))
     eye = np.eye(q)
-    # a carried inverse Hessian already has the objective's scale
-    carried = options.hinv is not None
-    hinv = np.array(options.hinv, dtype=float) if carried else np.tile(eye, (size, 1, 1))
+    hinv = np.tile(eye, (size, 1, 1)) if options.hinv is None else np.array(options.hinv, dtype=float)
+    # only the identity lacks the objective's scale (see MinimizeOptions)
+    fresh = (hinv == eye).all(axis=(1, 2))
     act = np.arange(size)
     fx, g0 = fg(x, act, np.full(size, np.inf))
     fx = np.asarray(fx, dtype=float)
@@ -301,8 +305,8 @@ def minimize_batch(
             h[reset] = eye
             d[reset] = -ga[reset]
             slope[reset] = batch_dot(ga[reset], d[reset])
-        if it == 0 and not carried:
-            step = np.minimum(1.0, 1.0 / gnorm[act])
+        if it == 0:
+            step = np.where(fresh[act], np.minimum(1.0, 1.0 / gnorm[act]), 1.0)
         else:
             step = np.ones(act.size)
         # the first trial covers every row; the backtracks, the rows it rejected
@@ -335,8 +339,8 @@ def minimize_batch(
         s = xn - x[act]
         yv = gn - gx[act]
         sy = batch_dot(s, yv)
-        if it == 0 and not carried:
-            first = sy > 0
+        if it == 0:
+            first = fresh[act] & (sy > 0)
             h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
         snorm = np.sqrt(batch_dot(s, s))
         upd = sy > 1e-12 * snorm * np.sqrt(batch_dot(yv, yv))

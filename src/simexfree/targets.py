@@ -306,6 +306,13 @@ def _quad(ctx: TargetContext, beta: np.ndarray, inner: bool = False):
     return su_beta, batch_dot(_vecmat(beta, ctx.dataset.sigma_u), beta)
 
 
+def _against_rows(quad):
+    """The quadratic form(s) of :func:`_quad`, to broadcast against the n
+    rows: a stack's (B,) forms as a column, and one set's scalar as it is,
+    which numpy applies to a row faster than a length-1 array."""
+    return quad[..., None] if quad.ndim else quad
+
+
 def _smoothing_variance(ctx: TargetContext, quad) -> float:
     """s = lam * beta' sigma_u beta, floored to exactly zero below S_FLOOR."""
     s = ctx.lam * float(quad)
@@ -405,7 +412,7 @@ def target_exponential(ctx: TargetContext, theta):
     _, t = _split(ctx, theta)
     d, y = ctx.dataset, ctx.y
     su_t, quad = _quad(ctx, t, inner=True)
-    quad = quad[..., None]
+    quad = _against_rows(quad)
     zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
         e1 = np.exp(zt + 0.5 * ctx.lam * quad)
@@ -430,9 +437,7 @@ def target_sine(ctx: TargetContext, theta):
     _, t = _split(ctx, theta)
     d, y, z = ctx.dataset, ctx.y, ctx.z
     su_t, quad = _quad(ctx, t, inner=True)
-    # a column against a stack's rows; one set's scalar stays a scalar, which
-    # numpy applies to a row faster than a length-1 array
-    quad = quad[..., None] if t.ndim == 2 else quad
+    quad = _against_rows(quad)
     zt = _matvec(z, t)
     sin = np.sin(zt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,7 +467,7 @@ def target_poisson_negloglik(ctx: TargetContext, theta):
     su_t, quad = _quad(ctx, t, inner=True)
     zt = _matvec(ctx.z, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.exp(zt + 0.5 * ctx.lam * quad[..., None])
+        mu = np.exp(zt + 0.5 * ctx.lam * _against_rows(quad))
         value = -_mean(y * zt - mu)
 
     def grad():
@@ -733,8 +738,7 @@ def target_expectile(ctx: TargetContext, theta):
     su_b, quad = _quad(ctx, beta)
     xi = y - _matvec(z, beta)
     if tau == 0.5:
-        # one set's quad stays a scalar, as in target_sine
-        value = 0.5 * _mean(xi * xi + ctx.lam * (quad[..., None] if xi.ndim == 2 else quad))
+        value = 0.5 * _mean(xi * xi + ctx.lam * _against_rows(quad))
         return _guard(value), lambda: -_vecmat(xi, z) / d.n + ctx.lam * su_b
     s = _smoothing_variance(ctx, quad)
     if s == 0.0:

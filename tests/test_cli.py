@@ -319,6 +319,22 @@ def test_exit_codes(tmp_path, linear_csv):
     not_an_object.write_text("[1, 2]")
     assert main(["--config", str(not_an_object), "estimate", "--model", "linear",
                  "--input", str(path), "--covariates", "z1", "--sigma-u", "0.25"]) == 3
+    # configuration error: a malformed grid range
+    for grid in ("0:2:x", "a:2:5", "0:2:2.5"):
+        assert main(["estimate", "--model", "linear", "--input", str(path),
+                     "--covariates", "z1", "--sigma-u", "0.25", "--grid", grid]) == 3
+    # configuration error: a negative --digits, for every subcommand
+    reps = tmp_path / "reps.csv"
+    write_csv(reps, {"za": np.arange(5.0), "zb": np.arange(5.0) + 0.5})
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"cells": [{"mean": 1.5}]}))
+    for argv in (["estimate", "--model", "linear", "--input", str(path), "--covariates", "z1",
+                  "--sigma-u", "0.25", "--format", "csv", "--digits", "-1"],
+                 ["sigma-u", "--input", str(reps), "--replicates", "za,zb", "--format", "csv",
+                  "--digits", "-2"],
+                 ["table", "--input", str(study), "--digits", "-1"],
+                 ["simulate", "--preset", "table1", "--reps", "1", "--digits", "-1"]):
+        assert main(argv) == 3, argv
     # estimation failure: ill-posed correction (sigma_u too large)
     assert main(["estimate", "--model", "linear", "--input", str(path),
                  "--covariates", "z1", "--sigma-u", "9.0"]) == 2

@@ -32,7 +32,7 @@ from simexfree.errors import EstimationError, GridConvergenceError
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
 from simexfree.optimize import MinimizeOptions, minimize, minimize_batch
 from simexfree.simex import _stream
-from simexfree.targets import FAMILIES, naive_start
+from simexfree.targets import FAMILIES, TargetContext, naive_start
 
 
 def _linear_data(seed=0, n=60, su=0.2, beta=1.5, alpha=1.0):
@@ -253,7 +253,7 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
     monkeypatch.setattr(extrapolate, "minimize", spying)
     for lam in (0.5, 1.0) + ((-1.0,) if model.pluggable else ()):
         events.clear()
-        res = extrapolate.minimize_target(model, ds, lam, start)
+        res = extrapolate.minimize_target(TargetContext(dataset=ds, model=model, lam=lam), start)
         assert res.converged and res.iters > 1
         kinds = [e[0] for e in events]
         trials = [e[1] for e in events if e[0] == "trial"]
@@ -286,7 +286,8 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
     model = ModelSpec(family=family)
     starts = np.zeros((size, model.n_params(1)))
     lams = (0.0, 0.5, -0.25)
-    alone = {lam: [extrapolate.minimize_target(model, d, lam, starts[b]) for b, d in enumerate(sets)]
+    alone = {lam: [extrapolate.minimize_target(TargetContext(dataset=d, model=model, lam=lam),
+                                               starts[b]) for b, d in enumerate(sets)]
              for lam in lams}
     kernel = FAMILIES[family].kernel
     entries = []  # per kernel entry: rows evaluated, gradients finished, solver call
@@ -322,8 +323,8 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
     for lam in lams:
         entries.clear()
         calls.clear()
-        res = extrapolate.minimize_stack(model, sets[0], lam, MinimizeOptions(start=starts),
-                                         z=zs, y=ys)
+        ctx = TargetContext(dataset=sets[0], model=model, lam=lam, z=zs, y=ys)
+        res = extrapolate.minimize_stack(ctx, MinimizeOptions(start=starts))
         assert res.converged.all() and res.iters.min() > 1
         assert sum(len(mine) for _, mine, _ in calls) == len(entries)
         for rows, mine, passed in calls:
@@ -390,7 +391,8 @@ def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
     values[0] = 0
     chain = [naive_estimate(model, ds, cfg).theta_hat]
     for lam in cfg.grid.values[1:]:
-        res = extrapolate.minimize_target(model, ds, float(lam), chain[-1], nodes=cfg.nodes)
+        ctx = TargetContext(dataset=ds, model=model, lam=float(lam), nodes=cfg.nodes)
+        res = extrapolate.minimize_target(ctx, chain[-1])
         assert res.converged
         chain.append(res.theta_hat)
     chain = np.array(chain)
@@ -398,7 +400,7 @@ def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
     assert carried <= values[0]
 
 
-def test_row_solver_starts_nan_rows_of_hinv_from_the_identity():
+def test_row_solver_starts_nan_rows_of_hinv_from_the_identity(monkeypatch):
     # a stacked solve whose carried inverse Hessians cover some rows only,
     # as after a grid point that some rows failed
     rng = np.random.default_rng(42)
@@ -407,14 +409,24 @@ def test_row_solver_starts_nan_rows_of_hinv_from_the_identity():
     zs = (x + 0.5 * rng.standard_normal((5, 150)))[..., None]
     sets = [Dataset(y=ys[b], z=zs[b], sigma_u=0.25) for b in range(5)]
     model = ModelSpec(family="exponential")
-    first = [extrapolate.minimize_target(model, d, 0.0, np.zeros(1)) for d in sets]
+    first = [extrapolate.minimize_target(TargetContext(dataset=d, model=model, lam=0.0), np.zeros(1))
+             for d in sets]
     starts = np.array([res.theta_hat for res in first])
     hinv = np.array([res.hinv for res in first])
     hinv[[1, 2]] = np.nan
+    runs = []
+
+    def counted(fg, options):
+        runs.append(options.start.shape[0])
+        return minimize_batch(fg, options)
+
+    monkeypatch.setattr(extrapolate, "minimize_batch", counted)
     solve = extrapolate.row_solver(model, sets[0], EstimateConfig(), zs, ys)
     res = solve(np.arange(5), 0.5, starts, hinv)
+    # the carried and the fresh rows are one run
+    assert runs == [5]
     for b, d in enumerate(sets):
-        alone = extrapolate.minimize_target(model, d, 0.5, starts[b],
+        alone = extrapolate.minimize_target(TargetContext(dataset=d, model=model, lam=0.5), starts[b],
                                             hinv=None if b in (1, 2) else hinv[b])
         assert np.array_equal(res.theta_hat[b], alone.theta_hat)
         assert (res.iters[b], res.status[b]) == (alone.iters, alone.status)
@@ -432,13 +444,14 @@ def test_row_solver_stacks_every_quasi_newton_solve_of_several_rows(monkeypatch,
     zs = ds.z + 0.1 * np.random.default_rng(44).standard_normal((3,) + ds.z.shape)
     starts = np.tile(cfg.start_for(model, ds), (3, 1))
     lams = (0.0, 0.5, -0.25) if model.pluggable else (0.0, 0.5)
-    alone = {lam: [extrapolate.minimize_target(model, ds, lam, starts[b], z=zs[b], nodes=cfg.nodes)
-                   for b in range(3)] for lam in lams}
+    alone = {lam: [extrapolate.minimize_target(
+                       TargetContext(dataset=ds, model=model, lam=lam, nodes=cfg.nodes, z=zs[b]),
+                       starts[b]) for b in range(3)] for lam in lams}
     scalar = extrapolate.minimize_target
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[0].lam)
         return scalar(*args, **kwargs)
 
     monkeypatch.setattr(extrapolate, "minimize_target", counted)
@@ -578,9 +591,9 @@ def test_fallback_fit_solves_lambda_zero_once(monkeypatch):
     lams = []
     minimize_target = extrapolate.minimize_target
 
-    def counted(model, dataset, lam, *args, **kwargs):
-        lams.append(lam)
-        return minimize_target(model, dataset, lam, *args, **kwargs)
+    def counted(ctx, *args, **kwargs):
+        lams.append(ctx.lam)
+        return minimize_target(ctx, *args, **kwargs)
 
     monkeypatch.setattr(extrapolate, "minimize_target", counted)
     res = ex_estimate(scenario.model, ds)

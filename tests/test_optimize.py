@@ -330,12 +330,23 @@ def test_exact_inverse_hessian_converges_in_one_iteration():
     assert (one.status, one.iters) == ("grad_tol", 1)
     np.testing.assert_allclose(one.theta_hat, c, rtol=0, atol=1e-12)
     # from the identity the first step is capped, so it takes longer
-    assert minimize(f, g, MinimizeOptions(start=start)).iters > 1
+    fresh = minimize(f, g, MinimizeOptions(start=start))
+    assert fresh.iters > 1
+    # a given identity is a fresh start too, bit for bit
+    given = minimize(f, g, MinimizeOptions(start=start, hinv=np.eye(3)))
+    for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
+        assert np.array_equal(getattr(given, field), getattr(fresh, field)), field
     fg = _rowwise(lambda t, r: f(t), lambda t, r: g(t))
     starts = np.stack([start, -start])
     res = minimize_batch(fg, MinimizeOptions(start=starts, hinv=np.stack([exact, exact])))
     assert list(res.iters) == [1, 1] and res.converged.all()
     assert np.array_equal(res.theta_hat[0], one.theta_hat)
+    # one batch mixes a fresh row with a carried one, each as its lone solve
+    res = minimize_batch(fg, MinimizeOptions(start=np.stack([start, start]),
+                                             hinv=np.stack([np.eye(3), exact])))
+    for r, alone in enumerate((fresh, one)):
+        for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
+            assert np.array_equal(getattr(res, field)[r], getattr(alone, field)), field
 
 
 def test_hinv_validation():

@@ -14,6 +14,7 @@ from simexfree import (
     MinimizeOptions,
     ModelSpec,
     SimexConfig,
+    TargetContext,
     classical_simex,
     direct_estimate,
     naive_estimate,
@@ -164,8 +165,9 @@ def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
     naive = naive_estimate(model, ds).theta_hat
     for k, lam in enumerate(cfg.grid.values[1:], start=1):
         draws = [
-            minimize_target(model, Dataset(y=ds.y, z=pseudo_data(ds, lam, _stream(5, (k, b))),
-                                           sigma_u=ds.sigma_u), 0.0, naive).theta_hat
+            minimize_target(TargetContext(
+                dataset=Dataset(y=ds.y, z=pseudo_data(ds, lam, _stream(5, (k, b))),
+                                sigma_u=ds.sigma_u), model=model, lam=0.0), naive).theta_hat
             for b in range(cfg.b)
         ]
         np.testing.assert_allclose(res.grid.thetas[k], np.mean(draws, axis=0), rtol=1e-12, atol=0)

@@ -107,6 +107,9 @@ def commands(csv: Path) -> dict[str, list[str]]:
     est("expectile_t0.3_classical", "expectile", "y_additive", "--tau", "0.3", *classical)
     est("quantile_t0.5_classical", "quantile", "y_additive", "--tau", "0.5", *classical)
     est("sine_grid", "sine", "y_sine", "--force-grid")
+    # its lambda = 0 solve converges in 0 iterations and hands the identity
+    # to lambda = 0.1, which therefore starts fresh
+    est("expectile_t0.5_grid", "expectile", "y_additive", "--tau", "0.5", "--force-grid")
     # the fallback from a collapsed direct branch, and estimates that fail
     est("exponential_collapse", "exponential", "y_exponential", sigma="0.6")
     est("exponential_collapse_rational", "exponential", "y_exponential",
