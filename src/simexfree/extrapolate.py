@@ -25,7 +25,7 @@ from .errors import (
     SimexfreeError,
 )
 from .optimize import MinimizeOptions, MinimizeResult, minimize, minimize_batch
-from .targets import STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, naive_start
+from .targets import STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, naive_start, stack_rows
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
 from .targets import target_gradient, target_value  # noqa: F401
@@ -279,7 +279,8 @@ def row_solver(
     ``hinv`` (k, q, q), whose NaN rows, or all rows when it is None, start
     from the identity, with the options of ``cfg`` at that level (see
     :func:`point_options`), and returns a batch result, one row per solved
-    row.  Each call builds one :class:`TargetContext` for all the rows.
+    row.  Each call builds one :class:`TargetContext` of the solved rows,
+    so only their responses are checked against the family domain.
     One rule picks the solver: a quasi-Newton solve of more than one row,
     for a family with an analytic gradient (no ``mean_fn``), is one
     :func:`minimize_stack` run; a single row, a simplex solve and the
@@ -290,17 +291,19 @@ def row_solver(
 
     def solve(rows: np.ndarray, lam: float, starts: np.ndarray,
               hinv: np.ndarray | None = None) -> MinimizeResult:
-        ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=cfg.nodes, z=z, y=y)
+        ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=cfg.nodes,
+                            z=None if z is None else stack_rows(z, rows),
+                            y=None if y is None else stack_rows(y, rows))
         if hinv is not None:
             hinv = np.where(np.isnan(hinv[:, :1, :1]), np.eye(starts.shape[1]), hinv)
         if rows.size > 1 and model.mean_fn is None:
             opts = point_options(model, lam, starts, cfg.options, hinv)
             if opts.method == "quasi-newton":
-                return minimize_stack(ctx.take(rows), opts)
+                return minimize_stack(ctx, opts)
         return _stacked([
-            minimize_target(ctx if z is None else ctx.take(int(r)), start, cfg.options,
+            minimize_target(ctx if z is None else ctx.take(i), start, cfg.options,
                             None if hinv is None else hinv[i])
-            for i, (r, start) in enumerate(zip(rows, starts))
+            for i, start in enumerate(starts)
         ])
 
     return solve

@@ -231,22 +231,25 @@ class TargetContext:
 
     def take(self, rows) -> "TargetContext":
         """The context of the stacked sets ``rows``, an increasing index
-        array, or of the one set ``rows``, an int, unstacked.
-
-        A gap-free run of rows is a view of the stack, any other selection a
-        copy; shared responses stay shared.
+        array, or of the one set ``rows``, an int, unstacked, selected by
+        :func:`stack_rows`; shared responses stay shared.
         """
-        if not isinstance(rows, int):
-            if rows.size == self.z.shape[0]:
-                return self  # increasing rows, as many as the stack has: all of them
-            # increasing rows without a gap are a slice
-            if rows[-1] - rows[0] == rows.size - 1:
-                rows = slice(rows[0], rows[-1] + 1)
+        if not isinstance(rows, int) and rows.size == self.z.shape[0]:
+            return self  # increasing rows, as many as the stack has: all of them
         # a shallow copy that skips the checks of __post_init__
         sub = object.__new__(TargetContext)
-        sub.__dict__.update(self.__dict__, z=self.z[rows],
-                            y=self.y[rows] if self.y.ndim == 2 else self.y)
+        sub.__dict__.update(self.__dict__, z=stack_rows(self.z, rows),
+                            y=stack_rows(self.y, rows) if self.y.ndim == 2 else self.y)
         return sub
+
+
+def stack_rows(a: np.ndarray, rows) -> np.ndarray:
+    """The entries ``rows`` of the stack ``a``: one entry for an int, and for
+    an increasing index array a view when the rows run without a gap, a
+    copy otherwise."""
+    if isinstance(rows, int) or rows[-1] - rows[0] != rows.size - 1:
+        return a[rows]
+    return a[rows[0]:rows[-1] + 1]
 
 
 def _split(ctx: TargetContext, theta) -> tuple[float | np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from simexfree import (
     naive_estimate,
 )
 from simexfree import extrapolate
-from simexfree.errors import EstimationError, GridConvergenceError
+from simexfree.errors import EstimationError, GridConvergenceError, ModelMismatchError
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
 from simexfree.optimize import MinimizeOptions, minimize, minimize_batch
 from simexfree.simex import _stream
@@ -524,6 +524,16 @@ def _sine_data(seed, n=100):
     return Dataset(y=np.sin(2.0 * x) + rng.standard_normal(n), z=z, sigma_u=0.49)
 
 
+def _counts(seed, negative=False, n=60):
+    """Poisson counts of mean exp(0.5 + 0.3 x), or with a negative first one."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = rng.poisson(np.exp(0.5 + 0.3 * x)).astype(float)
+    if negative:
+        y[0] = -1.0
+    return Dataset(y=y, z=x + rng.normal(0.0, 0.3, n), sigma_u=0.09)
+
+
 # (model, a dataset that estimates, one that fails, config, its error and message)
 _STALLED = MinimizeOptions(max_iters=1)
 _FAILURES = {
@@ -542,6 +552,11 @@ _FAILURES = {
         IllPosedError,
         "corrected second-moment matrix is not positive definite; the "
         "measurement-error correction is ill-posed for these data",
+    ),
+    # a stacked solve checks only the responses of the rows it solves
+    "response domain": (
+        ModelSpec(family="poisson"), _counts(0), _counts(1, negative=True), None,
+        ModelMismatchError, "poisson family requires nonnegative integer responses",
     ),
     # the sine branch collapses, and the rational fit of its grid has a pole
     "rational pole": (
