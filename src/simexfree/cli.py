@@ -52,13 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _sshape_model() -> ModelSpec:
+def _sshape(x, th):
     """Built-in S-shaped mean b0 + b1 / (1 + exp(b2 (x - b3))), one covariate."""
-
-    def fn(x, th):
-        return th[0] + th[1] / (1.0 + np.exp(th[2] * (x[:, 0] - th[3])))
-
-    return ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=4))
+    return th[0] + th[1] / (1.0 + np.exp(th[2] * (x[:, 0] - th[3])))
 
 
 def _sshape_start(ds: Dataset) -> np.ndarray:
@@ -174,17 +170,16 @@ def _theta_payload(theta: Theta) -> dict:
     return out
 
 
-def build_parser(defaults: dict | None = None) -> _Parser:
-    """The CLI parser; ``defaults`` (keyed by option dest) override the
-    built-in defaults of every subcommand."""
+def build_parser() -> _Parser:
+    """The CLI parser of every subcommand."""
     parser = _Parser(prog="simexfree", description=__doc__)
-    parser.add_argument("--config", help="JSON file of defaults; flags override")
+    parser.add_argument("--config", help="JSON file of flag values; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate a model from a CSV/TSV file")
     est.add_argument("--model", required=True, choices=CLI_FAMILIES)
     est.add_argument("--tau", type=float, help="level for quantile/expectile")
-    est.add_argument("--no-intercept", action="store_true",
+    est.add_argument("--no-intercept", dest="intercept", action="store_false", default=None,
                      help="drop the intercept (linear/logistic)")
     est.add_argument("--input", required=True)
     est.add_argument("--response", default="y")
@@ -202,9 +197,6 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--start", help="comma-separated optimizer start")
     est.add_argument("--nodes", type=int, default=30)
-    est.add_argument("--out")
-    est.add_argument("--format", default=None, choices=("json", "csv"))
-    est.add_argument("--digits", type=int, default=6)
 
     sim = sub.add_parser("simulate", help="run a simulation study preset")
     sim.add_argument("--preset", required=True,
@@ -216,24 +208,20 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     sim.add_argument("--estimator", default=None, choices=("ex", "classical", "naive"),
                      help="estimator of the table presets (default: ex); the "
                           "quantile and misspec presets fix their own")
-    sim.add_argument("--out")
-    sim.add_argument("--format", default=None, choices=("json", "csv"))
-    sim.add_argument("--digits", type=int, default=6)
 
     sig = sub.add_parser("sigma-u", help="estimate sigma_u from replicate columns")
     sig.add_argument("--input", required=True)
     sig.add_argument("--replicates", required=True,
                      help="replicate column pairs 'za,zb[;z2a,z2b]'")
-    sig.add_argument("--out")
-    sig.add_argument("--format", default=None, choices=("json", "csv"))
-    sig.add_argument("--digits", type=int, default=6)
+    for sp in (est, sim, sig):
+        sp.add_argument("--out")
+        sp.add_argument("--format", choices=("json", "csv"))
+        sp.add_argument("--digits", type=int, default=6)
 
     tab = sub.add_parser("table", help="render a JSON study result as CSV")
     tab.add_argument("--input", required=True)
     tab.add_argument("--out")
     tab.add_argument("--digits", type=int, default=3)
-    for sp in (est, sim, sig, tab):
-        sp.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -267,15 +255,14 @@ def _load_input(args) -> Dataset:
 
 
 def _build_model(args) -> ModelSpec:
-    if args.model == "sshape":
-        return _sshape_model()
-    fam = FAMILIES[args.model]
-    if fam.tau and args.tau is None:
-        raise ConfigError(f"--model {args.model} requires --tau")
+    """The model of ``--model``, ``--tau`` and ``--no-intercept``, which
+    ModelSpec checks against the family."""
+    sshape = args.model == "sshape"
     return ModelSpec(
-        family=args.model,
-        tau=args.tau if fam.tau else None,
-        intercept=not args.no_intercept if fam.intercept else None,
+        family="generic" if sshape else args.model,
+        tau=args.tau,
+        intercept=args.intercept,
+        mean_fn=MeanFunction(fn=_sshape, n_params=4) if sshape else None,
     )
 
 
@@ -345,15 +332,15 @@ def _estimate_payload(res) -> dict:
 
 def _cmd_simulate(args) -> int:
     fmt = _infer_format(args)
+    default = {"quantile": 1, "misspec": 300}.get(args.preset, 500)
+    reps = default if args.reps is None else args.reps
     if args.preset in ("quantile", "misspec") and args.estimator is not None:
         raise ConfigError(
             f"--preset {args.preset} fixes its own estimators; drop --estimator"
         )
     if args.preset == "quantile":
         sc = quantile_scenario(n=300, sigma_u=0.1)
-        rows = quantile_lines_study(
-            sc, seed=args.seed, replications=args.reps or 1
-        )
+        rows = quantile_lines_study(sc, seed=args.seed, replications=reps)
         payload = {
             "preset": "quantile",
             "seed": args.seed,
@@ -362,7 +349,7 @@ def _cmd_simulate(args) -> int:
         _write_payload(payload, args.out, fmt, args.digits)
         return EXIT_OK
     if args.preset == "misspec":
-        rep = misspecification_study(seed=args.seed, replications=args.reps or 300)
+        rep = misspecification_study(seed=args.seed, replications=reps)
         payload = {
             "preset": "misspec",
             "seed": args.seed,
@@ -377,7 +364,6 @@ def _cmd_simulate(args) -> int:
         scenarios = exponential_scenarios(estimator=estimator)
     else:
         scenarios = bivariate_exponential_scenarios(estimator=estimator)
-    reps = args.reps or 500
     cells = run_study(scenarios, replications=reps, seed=args.seed)
     for c in cells:
         print(
@@ -444,21 +430,35 @@ def _cmd_table(args) -> int:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a ``--config`` JSON file supplies the subcommand defaults,
-    keyed by flag name (``sigma-u`` or ``sigma_u``), and flags override it.
-    Keys that name no option of the chosen subcommand are ignored."""
+    """Parse argv, then a ``--config`` JSON file's values as flags.
+
+    The command line is parsed alone first, so its own mistakes are errors
+    and the required flags must be on it.  Each key of the file then
+    becomes the flag ``--key=value`` (``sigma_u`` reads as ``sigma-u``),
+    so its value is typed and checked like that flag's; ``true`` is a bare
+    switch, and ``false`` or ``null`` leaves the flag out.  These flags go
+    right after the subcommand, so an explicit flag wins.  A key that
+    names no option of the subcommand is ignored, unless it abbreviates
+    one, as a flag may.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise _ArgumentError("--config file must hold a JSON object")
+    flags = [
+        f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+        for key, value in loaded.items()
+        if value is not False and value is not None
+    ]
+    # argv without its --config option: the subcommand, then its flags
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    defaults = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise _ArgumentError("--config file must hold a JSON object")
-        # the subcommand itself comes from argv only
-        defaults = {k.replace("-", "_"): v for k, v in loaded.items() if k != "command"}
-    return build_parser(defaults).parse_args(argv)
+    command, *rest = pre.parse_known_args(argv)[1]
+    return parser.parse_known_args([f"--config={args.config}", command, *flags, *rest])[0]
 
 
 def main(argv=None) -> int:

@@ -758,19 +758,26 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
         )
     if goal == "grid":
         return out
-
-    def extrapolated(ge: GridEstimates) -> EstimateResult:
-        fit = fit_extrapolant(ge, cfg.kind)
-        return EstimateResult(
-            theta_hat=Theta.from_flat(extrapolate_to_minus_one(fit), has_int),
-            path="extrapolated", kind=cfg.kind,
-            naive=Theta.from_flat(ge.thetas[0], has_int), grid=ge, extrapolant=fit,
-        )
-
     rows = _live(out, rows)
-    for r, outcome in zip(rows, _each([out[r] for r in rows], extrapolated)):
+    fits = _each([out[r] for r in rows], lambda ge: extrapolated(ge, cfg.kind, has_int))
+    for r, outcome in zip(rows, fits):
         out[r] = outcome
     return out
+
+
+def extrapolated(
+    ge: GridEstimates, kind: str, has_intercept: bool, mc_se: np.ndarray | None = None
+) -> EstimateResult:
+    """The grid path's estimate: the ``kind`` extrapolant fitted to ``ge``
+    and evaluated at lambda = -1, with the lambda = 0 point as the naive
+    estimate."""
+    fit = fit_extrapolant(ge, kind)
+    return EstimateResult(
+        theta_hat=Theta.from_flat(extrapolate_to_minus_one(fit), has_intercept),
+        path="extrapolated", kind=kind,
+        naive=Theta.from_flat(ge.thetas[0], has_intercept), grid=ge, extrapolant=fit,
+        mc_se=mc_se,
+    )
 
 
 def _carried(res: MinimizeResult) -> np.ndarray | None:

@@ -354,6 +354,8 @@ def quantile_lines_study(
     """
     if scenario.model.family != "quantile":
         raise ConfigError("quantile_lines_study requires a quantile scenario")
+    if replications < 1:
+        raise ConfigError("need at least one replication")
     rows = []
     for r in range(replications):
         rng = _stream(seed, (0, r))
@@ -363,8 +365,8 @@ def quantile_lines_study(
         )
         for tau in taus:
             model = ModelSpec(family="quantile", tau=float(tau))
-            ex = ex_estimate(model, ds, scenario.config).theta_hat.flat_vector
-            naive = naive_estimate(model, ds, scenario.config).theta_hat
+            fit = ex_estimate(model, ds, scenario.config)
+            ex, naive = fit.theta_hat.flat_vector, fit.naive.flat_vector
             oracle = naive_estimate(model, ds_oracle, scenario.config).theta_hat
             for label, est in (("ex", ex), ("oracle", oracle), ("naive", naive)):
                 rows.append(
@@ -425,6 +427,8 @@ def misspecification_study(
     replicate step of :func:`run_study` on its own stream keys
     (100 + error index, n index, replicate), so failures are counted and
     more than 5% of them raise."""
+    if replications < 1:
+        raise ConfigError("need at least one replication")
     cells = []
     model = ModelSpec(family="poisson")
     for di, u_dist in enumerate(("normal", "laplace")):

@@ -18,18 +18,16 @@ from .errors import ConfigError, EstimationError
 from .extrapolate import (
     EstimateConfig,
     EstimateResult,
-    FittedExtrapolant,
     GridEstimates,
-    extrapolate_to_minus_one,
-    fit_extrapolant,
+    extrapolated,
     naive_estimate,
     point_options,
     row_solver,
 )
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
-# this name in this module, so it stays importable from it
-from .extrapolate import minimize_target  # noqa: F401
-from .targets import ModelSpec, Theta
+# these names in this module, so they stay importable from it
+from .extrapolate import fit_extrapolant, minimize_target  # noqa: F401
+from .targets import ModelSpec
 
 
 @dataclass
@@ -130,16 +128,5 @@ def classical_simex(
         means[k] = draws.mean(axis=0)
         if cfg.b > 1:
             ses[k] = draws.std(axis=0, ddof=1) / np.sqrt(cfg.b)
-    ge = GridEstimates(grid=cfg.grid, thetas=means)
-    fit: FittedExtrapolant = fit_extrapolant(ge, cfg.kind)
-    flat = extrapolate_to_minus_one(fit)
-    has_int = model.has_intercept
-    return EstimateResult(
-        theta_hat=Theta.from_flat(flat, has_int),
-        path="extrapolated",
-        kind=cfg.kind,
-        naive=Theta.from_flat(naive_flat, has_int),
-        grid=ge,
-        extrapolant=fit,
-        mc_se=ses,
-    )
+    return extrapolated(GridEstimates(grid=cfg.grid, thetas=means), cfg.kind,
+                        model.has_intercept, mc_se=ses)

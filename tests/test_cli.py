@@ -291,6 +291,21 @@ def test_config_file_defaults_and_flag_override(linear_csv, tmp_path):
                    "--input", str(path), "--sigma-u", "0.1", "--out", str(out)])
         assert rc == 0
         assert np.isclose(json.loads(out.read_text())["sigma_u"][0][0], 0.1)
+    estimate = ["--config", str(cfg), "estimate", "--model", "linear",
+                "--input", str(path), "--out", str(out)]
+    # a number is read as its flag's text
+    cfg.write_text(json.dumps({"sigma-u": 0.25, "covariates": "z1"}))
+    assert main(estimate) == 0
+    assert json.loads(out.read_text())["sigma_u"][0][0] == 0.25
+    # true is a bare switch, and false leaves the switch out
+    for force_grid, path_taken in ((True, "extrapolated"), (False, "direct")):
+        cfg.write_text(json.dumps({"sigma-u": "0.25", "covariates": "z1",
+                                   "force_grid": force_grid}))
+        assert main(estimate) == 0
+        assert json.loads(out.read_text())["path"] == path_taken
+    # a key that names no option of the subcommand is ignored
+    cfg.write_text(json.dumps({"sigma-u": "0.25", "covariates": "z1", "no_such_option": 1}))
+    assert main(estimate) == 0
 
 
 def test_model_choices_follow_the_family_table(capsys):
@@ -319,6 +334,18 @@ def test_exit_codes(tmp_path, linear_csv):
     not_an_object.write_text("[1, 2]")
     assert main(["--config", str(not_an_object), "estimate", "--model", "linear",
                  "--input", str(path), "--covariates", "z1", "--sigma-u", "0.25"]) == 3
+    # configuration error: a config value that its flag would reject
+    bad_value = tmp_path / "bad_value.json"
+    for value in ({"digits": 1.5}, {"nodes": 2.5}, {"force_grid": "false"}, {"format": "xml"}):
+        bad_value.write_text(json.dumps({"covariates": "z1", "sigma-u": "0.25", **value}))
+        assert main(["--config", str(bad_value), "estimate", "--model", "linear",
+                     "--input", str(path), "--out", str(tmp_path / "x.csv")]) == 3, value
+    # configuration error: a level for a family that takes none
+    assert main(["estimate", "--model", "linear", "--tau", "0.3", "--input", str(path),
+                 "--covariates", "z1", "--sigma-u", "0.25"]) == 3
+    # configuration error: fewer replications than a preset needs
+    for preset in ("table1", "table23", "quantile", "misspec"):
+        assert main(["simulate", "--preset", preset, "--reps", "0"]) == 3, preset
     # configuration error: a malformed grid range
     for grid in ("0:2:x", "a:2:5", "0:2:2.5"):
         assert main(["estimate", "--model", "linear", "--input", str(path),

@@ -321,6 +321,13 @@ def test_study_cell_raises_config_errors(family, config, message):
         run_study([sc], replications=5, seed=4)
 
 
+def test_studies_need_one_replication():
+    with pytest.raises(ConfigError, match="at least one replication"):
+        misspecification_study(seed=0, replications=0)
+    with pytest.raises(ConfigError, match="at least one replication"):
+        quantile_lines_study(quantile_scenario(), seed=0, replications=0)
+
+
 def test_preset_scenario_grids():
     t1 = exponential_scenarios()
     assert len(t1) == 12  # 3 variances x 4 sample sizes

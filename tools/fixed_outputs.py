@@ -14,11 +14,13 @@ estimator variants, on a CSV that this script generates from a fixed seed
 ``estimate`` cases that take the fallback or fail: exponential with
 sigma_u^2 = 0.6, whose direct branch collapses, with the quadratic and the
 rational extrapolant; linear with sigma_u^2 = 4, which is ill-posed; and a
-forced grid of two points, too few for the quadratic extrapolant.  Each
-command's standard output goes to ``OUT/<name>.txt``, preceded by its exit
-code and followed by the error lines of its standard error; the other
-lines of standard error hold timings and are dropped.  Commands run one
-after another.
+forced grid of two points, too few for the quadratic extrapolant.  One
+more ``estimate`` reads its options from a ``--config`` file (written to
+``OUT/config.json``), and its output must equal that of its flag twin,
+``estimate_exponential_grid``.  Each command's standard output goes to
+``OUT/<name>.txt``, preceded by its exit code and followed by the error
+lines of its standard error; the other lines of standard error hold
+timings and are dropped.  Commands run one after another.
 
 Usage: python tools/fixed_outputs.py OUT [--src SRC]   (SRC defaults to src/ beside this script)
 """
@@ -26,6 +28,7 @@ Usage: python tools/fixed_outputs.py OUT [--src SRC]   (SRC defaults to src/ bes
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +39,7 @@ import numpy as np
 ROWS = 200
 SIGMA_U = "0.25"
 SIGMA_U2 = "0.25,0.05,0.05,0.2"
+CONFIG = "config.json"
 # the prefixes of the CLI's error messages on standard error
 ERROR_PREFIXES = ("error:", "estimation error:", "configuration error:", "input error:")
 
@@ -117,6 +121,11 @@ def commands(csv: Path) -> dict[str, list[str]]:
     est("linear_ill_posed", "linear", "y_linear", sigma="4")
     est("exponential_grid_too_short", "exponential", "y_exponential",
         "--force-grid", "--grid", "0,1")
+    # the options of estimate_exponential_grid, read from the config file
+    out["estimate_exponential_grid_config"] = [
+        "--config", str(csv.with_name(CONFIG)), "estimate", "--model", "exponential",
+        "--input", str(csv), "--response", "y_exponential",
+    ]
     return out
 
 
@@ -129,6 +138,8 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     csv = args.out / "data.csv"
     write_csv(csv)
+    config = {"covariates": "z1", "sigma-u": SIGMA_U, "force_grid": True, "digits": 17}
+    (args.out / CONFIG).write_text(json.dumps(config) + "\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     for name, cmd in commands(csv).items():
         done = subprocess.run(
