@@ -246,6 +246,8 @@ def _load_input(args) -> Dataset:
             covariates=cols,
             sigma_u=_parse_sigma(args.sigma_u),
         )
+    if args.sigma_u is not None:
+        raise ConfigError("--sigma-u-from estimates sigma_u; give no --sigma-u with it")
     return load_dataset(
         args.input,
         response=args.response,
@@ -407,10 +409,13 @@ def _cmd_sigma_u(args) -> int:
 
 def _cmd_table(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cells = payload.get("cells")
-    if cells is None:
-        raise DataError("input JSON has no 'cells' record")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"input is not JSON: {exc}") from None
+    cells = payload.get("cells") if isinstance(payload, dict) else None
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise DataError("input JSON has no 'cells' record, a list of objects")
     cols = sorted({k for c in cells for k in c})
     lines = [",".join(cols)]
     for c in cells:
@@ -421,6 +426,8 @@ def _cmd_table(args) -> int:
             if isinstance(v, float):
                 parts.append(f"{v:.{args.digits}f}")
             elif isinstance(v, list):
+                if not all(isinstance(x, (int, float)) for x in v):
+                    raise DataError(f"cell value {k!r} is a list that is not all numbers")
                 parts.append(";".join(f"{x:.{args.digits}f}" for x in v))
             else:
                 parts.append(str(v))
@@ -468,7 +475,7 @@ def main(argv=None) -> int:
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"error: bad --config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -250,6 +250,8 @@ def load_dataset(
     """
     if (covariates is None) == (replicates is None):
         raise ConfigError("specify exactly one of covariates or replicates")
+    if not len(covariates if replicates is None else replicates):
+        raise ConfigError("no covariate columns given")
     header, table = _parse_table(source)
     y = _column(header, table, response)
     if covariates is not None:

@@ -49,7 +49,12 @@ class SimexConfig(EstimateConfig):
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    """Counter-keyed Philox generator: one independent stream per key."""
+    """Counter-keyed Philox generator: one independent stream per key.
+
+    A negative seed raises ConfigError, as numpy's seed sequence takes none.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
     )

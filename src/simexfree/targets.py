@@ -379,6 +379,11 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # kernels, and expectile's at tau = 1/2, broadcast over the stack; for one
 # theta they reduce to the same operations, and bits, as plain
 # matrix-vector products.  The others run once per set (:func:`_by_set`).
+#
+# The Gaussian-smoothed families (logistic, lare, quantile, and expectile at
+# tau != 1/2) state only their loss in (eta, s) and its slopes; the one
+# skeleton :func:`_smoothed` splits theta, forms s, chains the slopes into
+# the gradient, guards both and runs a stack set by set.
 
 
 def _by_set(kernel, ctx: TargetContext, theta):
@@ -386,12 +391,43 @@ def _by_set(kernel, ctx: TargetContext, theta):
     row has the bits of its own call.
 
     The kernels take a stack this way that branch per call on the
-    smoothing variance s (logistic, lare, quantile, expectile at
-    tau != 1/2), that sum O(n^2) pairs per set (walsh), or whose broadcast
-    form would change their scalar bits (lpre's ``math.exp``).
+    smoothing variance s (the smoothed families of :func:`_smoothed`), that
+    sum O(n^2) pairs per set (walsh), or whose broadcast form would change
+    their scalar bits (lpre's ``math.exp``).
     """
     calls = [kernel(ctx.take(b), th) for b, th in enumerate(theta)]
     return np.array([v for v, _ in calls]), lambda: np.array([g() for _, g in calls])
+
+
+def _smoothed(ctx: TargetContext, theta, loss):
+    """The kernel of a Gaussian-smoothed family, from its ``loss``.
+
+    Such an objective is the classical loss at eta + W, W ~ N(0, s), with
+    eta = alpha + z' beta and s = lam * beta' sigma_u beta, so it depends on
+    theta only through eta and s.  ``loss(ctx, eta, s)`` returns the mean
+    loss and a zero-argument ``slopes`` that returns the per-row derivative
+    in eta and the mean derivative in s, which is read only when s > 0.
+    The gradient is z' dl/deta / n + dl/ds * 2 lam sigma_u beta, after the
+    intercept's slope, the mean of dl/deta, when there is one.
+    """
+    if ctx.z.ndim == 3:
+        return _by_set(lambda c, th: _smoothed(c, th, loss), ctx, theta)
+    alpha, beta = _split(ctx, theta)
+    su_b, quad = _quad(ctx, beta)
+    s = _smoothing_variance(ctx, quad)
+    value, slopes = loss(ctx, alpha + ctx.z @ beta, s)
+
+    def grad():
+        deta, ds = slopes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = ctx.z.T @ deta / ctx.dataset.n
+            if s > 0.0:
+                g = g + ds * 2.0 * ctx.lam * su_b
+        if ctx.model.has_intercept:
+            g = np.concatenate(([float(_mean(deta))], g))
+        return _guard_vec(g)
+
+    return _guard(value), grad
 
 
 def target_linear(ctx: TargetContext, theta):
@@ -489,38 +525,29 @@ def target_logistic(ctx: TargetContext, theta):
     quadrature; at s = 0 it collapses to the plain softplus.  The gradient
     differentiates the same Hermite sum: the sigmoid at each node for eta,
     and node t times the sigmoid over sqrt(2 s) for s, chained through
-    ds/dbeta = 2 lam sigma_u beta.
+    ds/dbeta = 2 lam sigma_u beta (:func:`_smoothed`).
     """
-    if ctx.z.ndim == 3:
-        return _by_set(target_logistic, ctx, theta)
-    alpha, beta = _split(ctx, theta)
-    d, y, z = ctx.dataset, ctx.y, ctx.z
-    su_b, quad = _quad(ctx, beta)
-    eta = alpha + z @ beta
-    s = _smoothing_variance(ctx, quad)
+    return _smoothed(ctx, theta, _logistic_loss)
+
+
+def _logistic_loss(ctx: TargetContext, eta: np.ndarray, s: float):
+    y = ctx.y
     if s == 0.0:
-        shifted = eta
-        part = _softplus(eta)
+        shifted, part = eta, _softplus(eta)
     else:
         t, w = hermite_rule(ctx.nodes)
         root = math.sqrt(2.0 * s)
         shifted = eta[:, None] + (root * t)[None, :]
         part = _softplus(shifted) @ w / math.sqrt(math.pi)
 
-    def grad():
+    def slopes():
         sig = _sigmoid(shifted)
         if s == 0.0:
-            resid = y - sig
-            gb = -(z.T @ resid) / d.n
-        else:
-            resid = y - sig @ w / math.sqrt(math.pi)
-            dpart_ds = float(_mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
-            gb = -(z.T @ resid) / d.n + dpart_ds * 2.0 * ctx.lam * su_b
-        if ctx.model.has_intercept:
-            gb = np.concatenate(([-float(_mean(resid))], gb))
-        return _guard_vec(gb)
+            return sig - y, 0.0
+        dpart_ds = float(_mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
+        return sig @ w / math.sqrt(math.pi) - y, dpart_ds
 
-    return _guard(-float(_mean(y * eta - part))), grad
+    return -float(_mean(y * eta - part)), slopes
 
 
 def target_lpre(ctx: TargetContext, theta):
@@ -559,19 +586,17 @@ def target_lare(ctx: TargetContext, theta):
     dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 the gradient
     is a subgradient of the plain criterion.
     """
-    if ctx.z.ndim == 3:
-        return _by_set(target_lare, ctx, theta)
-    _, t = _split(ctx, theta)
-    d, y, z = ctx.dataset, ctx.y, ctx.z
-    su_t, quad = _quad(ctx, t)
-    zt = z @ t
-    s = _smoothing_variance(ctx, quad)
+    return _smoothed(ctx, theta, _lare_loss)
+
+
+def _lare_loss(ctx: TargetContext, eta: np.ndarray, s: float):
+    y = ctx.y
 
     def terms():
         with np.errstate(over="ignore", invalid="ignore"):
-            ell = np.log(y) - zt
-            up = np.exp(zt + 0.5 * s) / y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
-            down = y * np.exp(-zt + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
+            ell = np.log(y) - eta
+            up = np.exp(eta + 0.5 * s) / y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
+            down = y * np.exp(-eta + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
         return ell, up, down
 
     if s == 0.0:
@@ -579,22 +604,20 @@ def target_lare(ctx: TargetContext, theta):
         # simplex solve never asks for
         shared = None
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.abs(y - np.exp(zt))
-            value = float(_mean(dev / y + np.exp(-zt) * dev))
+            dev = np.abs(y - np.exp(eta))
+            value = float(_mean(dev / y + np.exp(-eta) * dev))
     else:
         shared = terms()
         value = float(_mean(shared[1] + shared[2]))
 
-    def grad():
+    def slopes():
         ell, up, down = shared or terms()
         with np.errstate(over="ignore", invalid="ignore"):
-            g = z.T @ (up - down) / d.n
-            if s > 0.0:
-                ds = float(_mean(0.5 * (up + down) + 2.0 * normal_pdf(ell, 0.0, s)))
-                g = g + ds * 2.0 * ctx.lam * su_t
-        return _guard_vec(g)
+            if s == 0.0:
+                return up - down, 0.0
+            return up - down, float(_mean(0.5 * (up + down) + 2.0 * normal_pdf(ell, 0.0, s)))
 
-    return _guard(value), grad
+    return value, slopes
 
 
 def target_quantile(ctx: TargetContext, theta):
@@ -606,29 +629,24 @@ def target_quantile(ctx: TargetContext, theta):
     its s-derivative phi(xi; 0, s) / 2; at s = 0 the gradient is a
     subgradient of the check loss.
     """
-    if ctx.z.ndim == 3:
-        return _by_set(target_quantile, ctx, theta)
-    _, beta = _split(ctx, theta)
-    d, y, z = ctx.dataset, ctx.y, ctx.z
+    return _smoothed(ctx, theta, _quantile_loss)
+
+
+def _quantile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     tau = ctx.model.tau
-    su_b, quad = _quad(ctx, beta)
-    xi = y - z @ beta
-    s = _smoothing_variance(ctx, quad)
+    xi = ctx.y - eta
     if s == 0.0:
         # the step cdf waits for a gradient, which a simplex solve never asks for
         value, cdf = float(_mean(xi * (tau - (xi < 0)))), None
     else:
         cdf, pdf = normal_cdf(xi, 0.0, s), normal_pdf(xi, 0.0, s)
-        value = _guard(float(_mean((tau - 1.0) * xi + xi * cdf + s * pdf)))
+        value = float(_mean((tau - 1.0) * xi + xi * cdf + s * pdf))
 
-    def grad():
+    def slopes():
         step = normal_cdf(xi, 0.0, s) if cdf is None else cdf
-        g = -(z.T @ (tau - 1.0 + step)) / d.n
-        if s > 0.0:
-            g = g + float(_mean(pdf)) * ctx.lam * su_b
-        return _guard_vec(g)
+        return -(tau - 1.0 + step), 0.5 * float(_mean(pdf)) if s > 0.0 else 0.0
 
-    return value, grad
+    return value, slopes
 
 
 @lru_cache(maxsize=8)
@@ -733,17 +751,18 @@ def target_expectile(ctx: TargetContext, theta):
     2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi and the s-derivative
     (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
     """
-    tau = ctx.model.tau
-    if ctx.z.ndim == 3 and tau != 0.5:
-        return _by_set(target_expectile, ctx, theta)
+    if ctx.model.tau != 0.5:
+        return _smoothed(ctx, theta, _expectile_loss)
     _, beta = _split(ctx, theta)
-    d, y, z = ctx.dataset, ctx.y, ctx.z
     su_b, quad = _quad(ctx, beta)
-    xi = y - _matvec(z, beta)
-    if tau == 0.5:
-        value = 0.5 * _mean(xi * xi + ctx.lam * _against_rows(quad))
-        return _guard(value), lambda: -_vecmat(xi, z) / d.n + ctx.lam * su_b
-    s = _smoothing_variance(ctx, quad)
+    xi = ctx.y - _matvec(ctx.z, beta)
+    value = 0.5 * _mean(xi * xi + ctx.lam * _against_rows(quad))
+    return _guard(value), lambda: -_vecmat(xi, ctx.z) / ctx.dataset.n + ctx.lam * su_b
+
+
+def _expectile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
+    tau = ctx.model.tau
+    xi = ctx.y - eta
     if s == 0.0:
         # the step cdf waits for a gradient
         value, cdf, spdf = float(_mean(np.where(xi < 0, 1.0 - tau, tau) * xi * xi)), None, 0.0
@@ -753,17 +772,14 @@ def target_expectile(ctx: TargetContext, theta):
         v = (2.0 * tau - 1.0) * (xi * xi * cdf + s * xi * pdf + s * cdf) + (
             1.0 - tau
         ) * (xi * xi + s)
-        value = _guard(float(_mean(v)))
+        value = float(_mean(v))
 
-    def grad():
+    def slopes():
         step = normal_cdf(xi, 0.0, s) if cdf is None else cdf
         dxi = 2.0 * (2.0 * tau - 1.0) * (xi * step + spdf) + 2.0 * (1.0 - tau) * xi
-        g = -(z.T @ dxi) / d.n
-        if s > 0.0:
-            g = g + ((2.0 * tau - 1.0) * float(_mean(step)) + 1.0 - tau) * 2.0 * ctx.lam * su_b
-        return _guard_vec(g)
+        return -dxi, (2.0 * tau - 1.0) * float(_mean(step)) + 1.0 - tau
 
-    return value, grad
+    return value, slopes
 
 
 def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -920,7 +936,9 @@ class Family:
     analytic gradient from the value's own intermediates.  ``grad`` is None
     when the objective runs user code (generic, the one family with a
     ``mean_fn``), which :func:`target_gradient` and the quasi-Newton solver
-    then differentiate by central finite differences.
+    then differentiate by central finite differences.  The kernels of the
+    Gaussian-smoothed families (logistic, lare, quantile, and expectile at
+    tau != 1/2) are :func:`_smoothed` over the family's loss in (eta, s).
     ``start(model, dataset)`` is a cheap deterministic initial point for the
     lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
     responses given the linear predictor, calling ``draw_eps()`` for

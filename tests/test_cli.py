@@ -275,6 +275,16 @@ def test_table_command_renders_csv(tmp_path):
     assert "mean" in lines[0].split(",")
 
 
+def test_table_malformed_input_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "study.json"
+    for text in (b"[1, 2]", b'{"cells": [{"a": 1}, "x"]}', b'{"cells": [{"a": 1}',
+                 b'{"cells": [{"a": ["x"]}]}', b"\xff\xfe{}"):
+        src.write_bytes(text)
+        capsys.readouterr()
+        assert main(["table", "--input", str(src)]) == 1, text
+        assert capsys.readouterr().err.startswith("input error:"), text
+
+
 def test_config_file_defaults_and_flag_override(linear_csv, tmp_path):
     path, _ = linear_csv
     cfg = tmp_path / "cfg.json"
@@ -325,6 +335,11 @@ def test_exit_codes(tmp_path, linear_csv):
     bad.write_text("y,z1\n1,0.5\n2,oops\n")
     assert main(["estimate", "--model", "linear", "--input", str(bad),
                  "--covariates", "z1", "--sigma-u", "0.25"]) == 1
+    # input error: a --config file that is not UTF-8 JSON
+    for text in (b'{"digits": 3', b"\xff\xfe{}"):
+        bad.write_bytes(text)
+        assert main(["--config", str(bad), "estimate", "--model", "linear", "--input", str(path),
+                     "--covariates", "z1", "--sigma-u", "0.25"]) == 1, text
     # configuration error: unparsable flag combination
     assert main(["estimate", "--model", "linear", "--input", str(path)]) == 3
     assert main(["estimate", "--model", "quantile", "--input", str(path),
@@ -343,6 +358,22 @@ def test_exit_codes(tmp_path, linear_csv):
     # configuration error: a level for a family that takes none
     assert main(["estimate", "--model", "linear", "--tau", "0.3", "--input", str(path),
                  "--covariates", "z1", "--sigma-u", "0.25"]) == 3
+    # configuration error: --sigma-u beside --sigma-u-from, and no covariate column
+    pairs = tmp_path / "pairs.csv"
+    wobble = 0.1 * (-1.0) ** np.arange(6)
+    write_csv(pairs, {"y": np.arange(6.0), "za": np.arange(6.0) + wobble,
+                      "zb": np.arange(6.0) - wobble})
+    pair_args = ["estimate", "--model", "linear", "--input", str(pairs), "--sigma-u-from",
+                 "za,zb", "--out", str(tmp_path / "pairs.json")]
+    assert main(pair_args) == 0
+    assert main([*pair_args, "--sigma-u", "9"]) == 3
+    assert main(["estimate", "--model", "linear", "--input", str(path),
+                 "--covariates", ",", "--sigma-u", "0.25"]) == 3
+    # configuration error: a negative seed
+    assert main(["simulate", "--preset", "quantile", "--seed", "-1"]) == 3
+    assert main(["estimate", "--model", "exponential", "--input", str(path), "--covariates",
+                 "z1", "--sigma-u", "0.25", "--estimator", "classical", "--b", "2",
+                 "--seed", "-3"]) == 3
     # configuration error: fewer replications than a preset needs
     for preset in ("table1", "table23", "quantile", "misspec"):
         assert main(["simulate", "--preset", preset, "--reps", "0"]) == 3, preset

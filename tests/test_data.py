@@ -113,6 +113,12 @@ def test_load_dataset_requires_one_source_of_covariates():
         load_dataset(io.StringIO(text), response="y", sigma_u=[[0.1]])
 
 
+def test_load_dataset_needs_a_covariate_column():
+    text = "y,z1\n1,0.5\n"
+    with pytest.raises(ConfigError, match="no covariate columns"):
+        load_dataset(io.StringIO(text), response="y", covariates=[], sigma_u=[[0.1]])
+
+
 def test_load_dataset_deterministic_and_order_preserving():
     text = "y,z1\n3,30\n1,10\n2,20\n"
     a = load_dataset(io.StringIO(text), response="y", covariates=["z1"], sigma_u=[[0.1]])

@@ -328,6 +328,15 @@ def test_studies_need_one_replication():
         quantile_lines_study(quantile_scenario(), seed=0, replications=0)
 
 
+def test_studies_refuse_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        run_study([_exp_scenario(n=50)], replications=2, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        quantile_lines_study(quantile_scenario(n=50), seed=-1)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        misspecification_study(seed=-1, replications=1)
+
+
 def test_preset_scenario_grids():
     t1 = exponential_scenarios()
     assert len(t1) == 12  # 3 variances x 4 sample sizes

@@ -105,6 +105,11 @@ def test_classical_config_validation():
         SimexConfig(kind="cubic")
 
 
+def test_classical_simex_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        classical_simex(ModelSpec(family="linear"), _linear_data(n=50), SimexConfig(b=2, seed=-3))
+
+
 def test_simex_config_is_estimate_config_plus_b_and_seed():
     inherited = {f.name for f in fields(EstimateConfig)}
     assert [f.name for f in fields(SimexConfig) if f.name not in inherited] == ["b", "seed"]

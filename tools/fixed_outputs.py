@@ -102,6 +102,9 @@ def commands(csv: Path) -> dict[str, list[str]]:
         est(f"{model}_naive", model, f"y_{model}", "--estimator", "naive")
         est(f"{model}_grid", model, f"y_{model}", "--force-grid")
     est("linear_no_intercept", "linear", "y_linear", "--no-intercept")
+    # a smoothed-loss kernel without an intercept, and with a 2 x 2 sigma_u
+    est("logistic_no_intercept", "logistic", "y_logistic", "--no-intercept")
+    est("logistic_p2", "logistic", "y_logistic", covariates="z1,z2", sigma=SIGMA_U2)
     # the pseudo-data sets of one lambda: one quasi-Newton stack for a family
     # with an analytic gradient, one simplex solve per set for a nonsmooth one
     classical = ("--estimator", "classical", "--b", "20")
