@@ -413,9 +413,10 @@ def _cmd_table(args) -> int:
             payload = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON
             raise DataError(f"input is not JSON: {exc}") from None
-    cells = payload.get("cells") if isinstance(payload, dict) else None
+    # the quantile preset writes one record per fit, under "rows"
+    cells = payload.get("cells", payload.get("rows")) if isinstance(payload, dict) else None
     if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
-        raise DataError("input JSON has no 'cells' record, a list of objects")
+        raise DataError("input JSON has no 'cells' or 'rows' record, a list of objects")
     cols = sorted({k for c in cells for k in c})
     lines = [",".join(cols)]
     for c in cells:

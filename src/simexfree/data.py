@@ -71,8 +71,10 @@ class Dataset:
     z : array of shape (n, p)
         Surrogate covariates (latent covariates plus normal noise).
     sigma_u : array of shape (p, p)
-        Known covariance of the additive measurement error.  Symmetrized and
-        eigenvalue-clamped to PSD on construction.
+        Known covariance of the additive measurement error.  An asymmetry
+        beyond 1e-10 of its largest entry is a DataError; a smaller one is
+        symmetrized away, and the matrix eigenvalue-clamped to PSD, on
+        construction.
 
     All arrays are stored as read-only float copies; instances are immutable
     and safe to share across threads.  ``sigma_root`` is the factor of
@@ -112,6 +114,9 @@ class Dataset:
             raise DataError("z contains non-finite entries")
         if not np.all(np.isfinite(sigma)):
             raise DataError("sigma_u contains non-finite entries")
+        asym = float(np.max(np.abs(sigma - sigma.T)))
+        if asym > 1e-10 * float(np.max(np.abs(sigma))):
+            raise DataError(f"sigma_u is not symmetric (largest |sigma_u - sigma_u'| {asym:.3e})")
         sigma = repair_psd(sigma)
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "z", _readonly(z))

@@ -252,32 +252,17 @@ def stack_rows(a: np.ndarray, rows) -> np.ndarray:
     return a[rows[0]:rows[-1] + 1]
 
 
-def _split(ctx: TargetContext, theta) -> tuple[float | np.ndarray, np.ndarray]:
-    """Split flat parameters, (q,) or a batch (B, q), into (intercept, slopes).
-
-    The intercept keeps a trailing axis of length 1, so it broadcasts
-    against the rows; without one it is 0.0.
-    """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    q = ctx.model.n_params(ctx.dataset.p)
-    if q is not None and th.shape[-1] != q:
-        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
-    if ctx.model.has_intercept:
-        return th[..., :1], th[..., 1:]
-    return 0.0, th
-
-
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``a @ v`` for a (..., m, k) and v (..., k), batch axes broadcast.
 
     Each batch row gets the bits of its own ``a @ v``; with one column that
-    is the exact product, taken elementwise because a stack of (m, 1)
-    matrix products costs several times more.
+    is the exact product, taken elementwise because an (m, 1) matrix
+    product costs several times more.
     """
-    if v.ndim == 1:
-        return a @ v
     if a.shape[-1] == 1:
         return a[..., 0] * v[..., :1]
+    if v.ndim == 1:
+        return a @ v
     return (a @ v[..., None])[..., 0]
 
 
@@ -293,35 +278,21 @@ def _mean(a: np.ndarray) -> float | np.ndarray:
     return a.sum(axis=-1) / a.shape[-1]
 
 
-def _quad(ctx: TargetContext, beta: np.ndarray, inner: bool = False):
+def _quad(ctx: TargetContext, beta: np.ndarray):
     """``sigma_u beta`` and the quadratic form beta' sigma_u beta, for beta
-    of shape (q,) or a batch (B, q).
-
-    The form is summed as (beta' sigma_u) beta, or with ``inner`` as
-    beta' (sigma_u beta); the two can differ in the last bit when beta has
-    two or more coordinates.  Each kernel takes the order that keeps its
-    fixed-seed results bit-identical to earlier releases: the inner one for
-    exponential, poisson, sine and lpre.
+    of shape (q,) or a batch (B, q): a scalar form for one set, (B,) for a
+    batch.  The form is summed as (beta' sigma_u) beta.
     """
     su_beta = _matvec(ctx.dataset.sigma_u, beta)
-    if inner:
-        return su_beta, batch_dot(beta, su_beta)
     return su_beta, batch_dot(_vecmat(beta, ctx.dataset.sigma_u), beta)
 
 
-def _against_rows(quad):
-    """The quadratic form(s) of :func:`_quad`, to broadcast against the n
-    rows: a stack's (B,) forms as a column, and one set's scalar as it is,
-    which numpy applies to a row faster than a length-1 array."""
-    return quad[..., None] if quad.ndim else quad
-
-
-def _smoothing_variance(ctx: TargetContext, quad) -> float:
-    """s = lam * beta' sigma_u beta, floored to exactly zero below S_FLOOR."""
-    s = ctx.lam * float(quad)
-    if 0.0 < s < S_FLOOR:
-        return 0.0
-    return s
+def _against_rows(a):
+    """Per-set values, such as the smoothing variance s, to broadcast
+    against the n rows: a stack's (B,) values as a column, and one set's
+    scalar as it is, which numpy applies to a row faster than a length-1
+    array."""
+    return a[..., None] if isinstance(a, np.ndarray) and a.ndim else a
 
 
 def _guard(value):
@@ -373,58 +344,65 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # generic).  Calling ``grad`` only at an accepted point means a rejected
 # line-search trial never pays for a gradient.
 #
-# Every kernel but generic's also takes a stack: theta (B, q) against stacked
-# surrogates (B, n, p), with B values and (B, q) gradients, each row with the
-# bits of its own scalar call.  The linear, exponential, poisson and sine
-# kernels, and expectile's at tau = 1/2, broadcast over the stack; for one
-# theta they reduce to the same operations, and bits, as plain
-# matrix-vector products.  The others run once per set (:func:`_by_set`).
-#
-# The Gaussian-smoothed families (logistic, lare, quantile, and expectile at
-# tau != 1/2) state only their loss in (eta, s) and its slopes; the one
-# skeleton :func:`_smoothed` splits theta, forms s, chains the slopes into
-# the gradient, guards both and runs a stack set by set.
+# Every objective but generic's depends on theta only through
+# eta = alpha + z' beta and s = lam * beta' sigma_u beta, so each family
+# states only its loss in (eta, s) and the two slopes, and the one skeleton
+# :func:`_kernel` does the rest.  Every such kernel also takes a stack:
+# theta (B, q) against stacked surrogates (B, n, p), with B values and
+# (B, q) gradients, each row with the bits of its own scalar call.  The
+# losses of linear, exponential, sine, poisson, lpre and expectile at
+# tau = 1/2 broadcast over the stack; the others branch on s or sum O(n^2)
+# pairs, and run once per set (:func:`_by_set`).
 
 
 def _by_set(kernel, ctx: TargetContext, theta):
     """``kernel`` on a stacked context, by one scalar call per set, so each
-    row has the bits of its own call.
-
-    The kernels take a stack this way that branch per call on the
-    smoothing variance s (the smoothed families of :func:`_smoothed`), that
-    sum O(n^2) pairs per set (walsh), or whose broadcast form would change
-    their scalar bits (lpre's ``math.exp``).
-    """
+    row has the bits of its own call."""
     calls = [kernel(ctx.take(b), th) for b, th in enumerate(theta)]
     return np.array([v for v, _ in calls]), lambda: np.array([g() for _, g in calls])
 
 
-def _smoothed(ctx: TargetContext, theta, loss):
-    """The kernel of a Gaussian-smoothed family, from its ``loss``.
+def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
+    """The kernel of a family, from its ``loss`` in (eta, s).
 
-    Such an objective is the classical loss at eta + W, W ~ N(0, s), with
-    eta = alpha + z' beta and s = lam * beta' sigma_u beta, so it depends on
-    theta only through eta and s.  ``loss(ctx, eta, s)`` returns the mean
-    loss and a zero-argument ``slopes`` that returns the per-row derivative
-    in eta and the mean derivative in s, which is read only when s > 0.
-    The gradient is z' dl/deta / n + dl/ds * 2 lam sigma_u beta, after the
-    intercept's slope, the mean of dl/deta, when there is one.
+    The objective is the classical loss at eta + W, W ~ N(0, s), with
+    eta = alpha + z' beta and s = lam * beta' sigma_u beta.
+    ``loss(ctx, eta, s)`` returns the mean loss and a zero-argument
+    ``slopes`` that returns the per-row derivative in eta and the mean
+    derivative in s.  The gradient is z' dl/deta / n + dl/ds * 2 lam
+    sigma_u beta, the corrected-score form of Nakamura (1990, Biometrika
+    77:127), after the intercept's slope, the mean of dl/deta, when there is
+    one.
+
+    A ``per_set`` loss runs a stack set by set; its s is one float, floored
+    to exactly zero below S_FLOOR, and its s-slope is read only when s > 0.
+    Any other loss broadcasts: s is a scalar for one set and (B,) for a
+    stack, which the loss puts against the rows with :func:`_against_rows`.
     """
-    if ctx.z.ndim == 3:
-        return _by_set(lambda c, th: _smoothed(c, th, loss), ctx, theta)
-    alpha, beta = _split(ctx, theta)
+    if per_set and ctx.z.ndim == 3:
+        return _by_set(lambda c, th: _kernel(c, th, loss, True), ctx, theta)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = ctx.model.n_params(ctx.dataset.p)
+    if th.shape[-1] != q:
+        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
+    beta = th[..., 1:] if ctx.model.has_intercept else th
     su_b, quad = _quad(ctx, beta)
-    s = _smoothing_variance(ctx, quad)
-    value, slopes = loss(ctx, alpha + ctx.z @ beta, s)
+    s = ctx.lam * quad
+    if per_set:
+        s = 0.0 if 0.0 < s < S_FLOOR else float(s)
+    eta = _matvec(ctx.z, beta)
+    if ctx.model.has_intercept:
+        eta = th[..., :1] + eta
+    value, slopes = loss(ctx, eta, s)
 
     def grad():
         deta, ds = slopes()
         with np.errstate(over="ignore", invalid="ignore"):
-            g = ctx.z.T @ deta / ctx.dataset.n
-            if s > 0.0:
-                g = g + ds * 2.0 * ctx.lam * su_b
+            g = _vecmat(deta, ctx.z) / ctx.dataset.n
+            if not per_set or s > 0.0:
+                g = g + _against_rows(ds * 2.0 * ctx.lam) * su_b
         if ctx.model.has_intercept:
-            g = np.concatenate(([float(_mean(deta))], g))
+            g = np.concatenate((_mean(deta)[..., None], g), axis=-1)
         return _guard_vec(g)
 
     return _guard(value), grad
@@ -432,89 +410,67 @@ def _smoothed(ctx: TargetContext, theta, loss):
 
 def target_linear(ctx: TargetContext, theta):
     """Least-squares criterion plus lam times the slope penalty beta' sigma_u beta."""
-    alpha, beta = _split(ctx, theta)
-    d, y = ctx.dataset, ctx.y
-    su_b, quad = _quad(ctx, beta)
-    r = y - alpha - _matvec(ctx.z, beta)
+    return _kernel(ctx, theta, _linear_loss)
 
-    def grad():
-        gb = (-2.0 / d.n) * _vecmat(r, ctx.z) + 2.0 * ctx.lam * su_b
-        if ctx.model.has_intercept:
-            return np.concatenate(((-2.0 * _mean(r))[..., None], gb), axis=-1)
-        return gb
 
-    return _guard(batch_dot(r, r) / d.n + ctx.lam * quad), grad
+def _linear_loss(ctx: TargetContext, eta, s):
+    r = ctx.y - eta
+    return batch_dot(r, r) / ctx.dataset.n + s, lambda: (-2.0 * r, 1.0)
 
 
 def target_exponential(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function exp(z' theta)."""
-    _, t = _split(ctx, theta)
-    d, y = ctx.dataset, ctx.y
-    su_t, quad = _quad(ctx, t, inner=True)
-    quad = _against_rows(quad)
-    zt = _matvec(ctx.z, t)
+    return _kernel(ctx, theta, _exponential_loss)
+
+
+def _exponential_loss(ctx: TargetContext, eta, s):
+    y, s_rows = ctx.y, _against_rows(s)
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.exp(zt + 0.5 * ctx.lam * quad)
-        e2 = np.exp(2.0 * zt + 2.0 * ctx.lam * quad)
-        value = _mean(y * y - 2.0 * y * e1 + e2)
+        e1 = np.exp(eta + 0.5 * s_rows)
+        e2 = np.exp(2.0 * eta + 2.0 * s_rows)
+        y2e1 = 2.0 * y * e1
+        value = _mean(y * y - y2e1 + e2)
 
-    def grad():
+    def slopes():
         with np.errstate(over="ignore", invalid="ignore"):
-            ye1 = y * e1
-            g = (
-                -2.0 * (_vecmat(ye1, ctx.z) / d.n + ctx.lam * su_t * _mean(ye1)[..., None])
-                + 2.0 * _vecmat(e2, ctx.z) / d.n
-                + 4.0 * ctx.lam * su_t * _mean(e2)[..., None]
-            )
-        return _guard_vec(g)
+            # the slope in s from row means: a per-row 2 e2 - y e1 costs more
+            return 2.0 * e2 - y2e1, 2.0 * _mean(e2) - 0.5 * _mean(y2e1)
 
-    return _guard(value), grad
+    return value, slopes
 
 
 def target_sine(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function sin(z' theta)."""
-    _, t = _split(ctx, theta)
-    d, y, z = ctx.dataset, ctx.y, ctx.z
-    su_t, quad = _quad(ctx, t, inner=True)
-    quad = _against_rows(quad)
-    zt = _matvec(z, t)
-    sin = np.sin(zt)
+    return _kernel(ctx, theta, _sine_loss)
+
+
+def _sine_loss(ctx: TargetContext, eta, s):
+    y, sin, cos2 = ctx.y, np.sin(eta), np.cos(2.0 * eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.exp(-0.5 * ctx.lam * quad)
-        e2 = np.exp(-2.0 * ctx.lam * quad)
-        value = _mean(y * y - 2.0 * y * sin * e1 - 0.5 * np.cos(2.0 * zt) * e2) + 1.0
+        e1, e2 = np.exp(-0.5 * s), np.exp(-2.0 * s)
+        e1_rows, e2_rows = _against_rows(e1), _against_rows(e2)
+        value = _mean(y * y - 2.0 * y * sin * e1_rows - 0.5 * cos2 * e2_rows) + 1.0
 
-    def grad():
-        cos = np.cos(zt)
+    def slopes():
         with np.errstate(over="ignore", invalid="ignore"):
-            # sin(2 zt) = 2 sin cos and cos(2 zt) = 1 - 2 sin^2
-            g = (
-                -2.0 * e1 * (_vecmat(y * cos, z) / d.n)
-                + 2.0 * ctx.lam * e1 * su_t * _mean(y * sin)[..., None]
-                + 2.0 * e2 * (_vecmat(sin * cos, z) / d.n)
-                + 2.0 * ctx.lam * e2 * su_t * (1.0 - 2.0 * _mean(sin * sin)[..., None])
-            )
-        return _guard_vec(g)
+            # the slope of -cos(2 eta) e2 / 2 is e2 sin(2 eta) = 2 e2 sin cos
+            deta = 2.0 * (e2_rows * sin - y * e1_rows) * np.cos(eta)
+            return deta, e1 * _mean(y * sin) + e2 * _mean(cos2)
 
-    return _guard(value), grad
+    return value, slopes
 
 
 def target_poisson_negloglik(ctx: TargetContext, theta):
     """Corrected Poisson negative log-likelihood (theta-free terms dropped)."""
-    _, t = _split(ctx, theta)
-    d, y = ctx.dataset, ctx.y
-    su_t, quad = _quad(ctx, t, inner=True)
-    zt = _matvec(ctx.z, t)
+    return _kernel(ctx, theta, _poisson_loss)
+
+
+def _poisson_loss(ctx: TargetContext, eta, s):
+    y = ctx.y
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.exp(zt + 0.5 * ctx.lam * _against_rows(quad))
-        value = -_mean(y * zt - mu)
-
-    def grad():
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = -_vecmat(y - mu, ctx.z) / d.n + ctx.lam * su_t * _mean(mu)[..., None]
-        return _guard_vec(g)
-
-    return _guard(value), grad
+        mu = np.exp(eta + 0.5 * _against_rows(s))
+        value = -_mean(y * eta - mu)
+    return value, lambda: (mu - y, 0.5 * _mean(mu))
 
 
 def target_logistic(ctx: TargetContext, theta):
@@ -524,10 +480,9 @@ def target_logistic(ctx: TargetContext, theta):
     u ~ N(0, s) with s = lam * beta' sigma_u beta, computed by Gauss-Hermite
     quadrature; at s = 0 it collapses to the plain softplus.  The gradient
     differentiates the same Hermite sum: the sigmoid at each node for eta,
-    and node t times the sigmoid over sqrt(2 s) for s, chained through
-    ds/dbeta = 2 lam sigma_u beta (:func:`_smoothed`).
+    and node t times the sigmoid over sqrt(2 s) for s.
     """
-    return _smoothed(ctx, theta, _logistic_loss)
+    return _kernel(ctx, theta, _logistic_loss, per_set=True)
 
 
 def _logistic_loss(ctx: TargetContext, eta: np.ndarray, s: float):
@@ -552,24 +507,15 @@ def _logistic_loss(ctx: TargetContext, eta: np.ndarray, s: float):
 
 def target_lpre(ctx: TargetContext, theta):
     """Corrected least-product-relative-error criterion (multiplicative model)."""
-    if ctx.z.ndim == 3:
-        return _by_set(target_lpre, ctx, theta)
-    _, t = _split(ctx, theta)
-    d, y, z = ctx.dataset, ctx.y, ctx.z
-    su_t, quad = _quad(ctx, t, inner=True)
-    zt = z @ t
+    return _kernel(ctx, theta, _lpre_loss)
+
+
+def _lpre_loss(ctx: TargetContext, eta, s):
+    y = ctx.y
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = y * np.exp(-zt)
-        hi = np.exp(zt) / y
-        base = float(_mean(lo + hi))
-        scale = math.exp(min(0.5 * ctx.lam * float(quad), 709.0))
-
-    def grad():
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = scale * (z.T @ (hi - lo) / d.n + ctx.lam * su_t * base)
-        return _guard_vec(g)
-
-    return _guard(base * scale), grad
+        lo, hi = y * np.exp(-eta), np.exp(eta) / y
+        base, scale = _mean(lo + hi), np.exp(0.5 * s)
+    return base * scale, lambda: (_against_rows(scale) * (hi - lo), 0.5 * base * scale)
 
 
 def target_lare(ctx: TargetContext, theta):
@@ -586,7 +532,7 @@ def target_lare(ctx: TargetContext, theta):
     dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 the gradient
     is a subgradient of the plain criterion.
     """
-    return _smoothed(ctx, theta, _lare_loss)
+    return _kernel(ctx, theta, _lare_loss, per_set=True)
 
 
 def _lare_loss(ctx: TargetContext, eta: np.ndarray, s: float):
@@ -629,7 +575,7 @@ def target_quantile(ctx: TargetContext, theta):
     its s-derivative phi(xi; 0, s) / 2; at s = 0 the gradient is a
     subgradient of the check loss.
     """
-    return _smoothed(ctx, theta, _quantile_loss)
+    return _kernel(ctx, theta, _quantile_loss, per_set=True)
 
 
 def _quantile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
@@ -712,19 +658,17 @@ def target_walsh(ctx: TargetContext, theta):
     Exact O(n^2) pair evaluation; refuses beyond n = 5000.  The gradient is
     a subgradient at s = 0.
     """
-    if ctx.z.ndim == 3:
-        return _by_set(target_walsh, ctx, theta)
-    d, y = ctx.dataset, ctx.y
-    n = d.n
-    if n > WALSH_PAIR_CAP:
+    if ctx.dataset.n > WALSH_PAIR_CAP:
         raise CapacityError(
-            f"walsh family evaluates all pairs exactly; n = {n} exceeds "
+            f"walsh family evaluates all pairs exactly; n = {ctx.dataset.n} exceeds "
             f"the cap of {WALSH_PAIR_CAP}"
         )
-    _, beta = _split(ctx, theta)
-    su_b, quad = _quad(ctx, beta)
-    xi = y - ctx.z @ beta
-    s = _smoothing_variance(ctx, quad)
+    return _kernel(ctx, theta, _walsh_loss, per_set=True)
+
+
+def _walsh_loss(ctx: TargetContext, eta: np.ndarray, s: float):
+    n = ctx.dataset.n
+    xi = ctx.y - eta
     # the i = j terms are |2 xi_i + 2 U_i| = 2 |xi_i + U_i|
     diag, dx_diag, dv_diag = _abs_smooth(xi, s)
     # at s > 0 the normal cdf dominates and one pass yields the slopes too;
@@ -732,14 +676,13 @@ def target_walsh(ctx: TargetContext, theta):
     pairs = _walsh_pairs(xi, s, slopes=s > 0.0)
     scale = 2.0 * n * (n + 1.0)
 
-    def grad():
+    def slopes():
         _, dxi, ds = pairs if pairs[1] is not None else _walsh_pairs(xi, s)
-        dxi = dxi + 2.0 * dx_diag
-        ds += 2.0 * float(np.sum(dv_diag))
-        g = -(ctx.z.T @ dxi) + ds * 2.0 * ctx.lam * su_b
-        return _guard_vec(g / scale)
+        # times n, as the gradient's z' dl/deta is divided by n
+        deta = -(dxi + 2.0 * dx_diag) * (n / scale)
+        return deta, (ds + 2.0 * float(np.sum(dv_diag))) / scale
 
-    return _guard((2.0 * float(np.sum(diag)) + pairs[0]) / scale), grad
+    return (2.0 * float(np.sum(diag)) + pairs[0]) / scale, slopes
 
 
 def target_expectile(ctx: TargetContext, theta):
@@ -751,13 +694,14 @@ def target_expectile(ctx: TargetContext, theta):
     2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi and the s-derivative
     (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
     """
-    if ctx.model.tau != 0.5:
-        return _smoothed(ctx, theta, _expectile_loss)
-    _, beta = _split(ctx, theta)
-    su_b, quad = _quad(ctx, beta)
-    xi = ctx.y - _matvec(ctx.z, beta)
-    value = 0.5 * _mean(xi * xi + ctx.lam * _against_rows(quad))
-    return _guard(value), lambda: -_vecmat(xi, ctx.z) / ctx.dataset.n + ctx.lam * su_b
+    if ctx.model.tau == 0.5:
+        return _kernel(ctx, theta, _expectile_half_loss)
+    return _kernel(ctx, theta, _expectile_loss, per_set=True)
+
+
+def _expectile_half_loss(ctx: TargetContext, eta, s):
+    xi = ctx.y - eta
+    return 0.5 * _mean(xi * xi + _against_rows(s)), lambda: (-xi, 0.5)
 
 
 def _expectile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
@@ -936,9 +880,8 @@ class Family:
     analytic gradient from the value's own intermediates.  ``grad`` is None
     when the objective runs user code (generic, the one family with a
     ``mean_fn``), which :func:`target_gradient` and the quasi-Newton solver
-    then differentiate by central finite differences.  The kernels of the
-    Gaussian-smoothed families (logistic, lare, quantile, and expectile at
-    tau != 1/2) are :func:`_smoothed` over the family's loss in (eta, s).
+    then differentiate by central finite differences.  Every other kernel
+    is the one skeleton :func:`_kernel` over the family's loss in (eta, s).
     ``start(model, dataset)`` is a cheap deterministic initial point for the
     lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
     responses given the linear predictor, calling ``draw_eps()`` for

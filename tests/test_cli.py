@@ -275,6 +275,16 @@ def test_table_command_renders_csv(tmp_path):
     assert "mean" in lines[0].split(",")
 
 
+def test_table_renders_the_quantile_preset_rows(tmp_path):
+    src = tmp_path / "q.json"
+    assert main(["simulate", "--preset", "quantile", "--out", str(src)]) == 0
+    out = tmp_path / "q.csv"
+    assert main(["table", "--input", str(src), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "estimator,intercept,replication,slope,tau"
+    assert len(lines) == 16  # header plus one row per fit
+
+
 def test_table_malformed_input_is_an_input_error(tmp_path, capsys):
     src = tmp_path / "study.json"
     for text in (b"[1, 2]", b'{"cells": [{"a": 1}, "x"]}', b'{"cells": [{"a": 1}',
@@ -340,6 +350,11 @@ def test_exit_codes(tmp_path, linear_csv):
         bad.write_bytes(text)
         assert main(["--config", str(bad), "estimate", "--model", "linear", "--input", str(path),
                      "--covariates", "z1", "--sigma-u", "0.25"]) == 1, text
+    # input error: a sigma_u that is not symmetric
+    two = tmp_path / "two.csv"
+    write_csv(two, {"y": np.arange(6.0), "z1": np.arange(6.0) ** 2, "z2": np.cos(np.arange(6.0))})
+    assert main(["estimate", "--model", "linear", "--input", str(two), "--covariates",
+                 "z1,z2", "--sigma-u", "0.25,0.2,0.0,0.25"]) == 1
     # configuration error: unparsable flag combination
     assert main(["estimate", "--model", "linear", "--input", str(path)]) == 3
     assert main(["estimate", "--model", "quantile", "--input", str(path),

@@ -58,6 +58,15 @@ def test_sigma_root_is_the_cached_read_only_factor():
     assert not root.flags.writeable
 
 
+def test_sigma_u_rejects_asymmetry_beyond_rounding():
+    with pytest.raises(DataError, match="sigma_u is not symmetric"):
+        Dataset(y=[1.0], z=[[1.0, 2.0]], sigma_u=[[0.25, 0.2], [0.0, 0.25]])
+    # an asymmetry at the rounding level is symmetrized away
+    ds = Dataset(y=[1.0], z=[[1.0, 2.0]], sigma_u=[[0.25, 0.1 + 1e-15], [0.1, 0.25]])
+    assert np.array_equal(ds.sigma_u, ds.sigma_u.T)
+    assert abs(ds.sigma_u[0, 1] - 0.1) < 1e-15
+
+
 def test_sigma_u_rejects_indefinite():
     with pytest.raises(DataError):
         Dataset(y=[1.0], z=[[1.0, 2.0]], sigma_u=[[0.1, 0.0], [0.0, -0.1]])

@@ -743,41 +743,31 @@ def test_target_equals_mc_conditional_expectation(family, model_kw, data_kw):
 
 
 def _mean_form(ctx, theta):
-    """Value and gradient of linear, exponential or poisson written with
-    ``np.mean``: the reference that the kernels' ``sum / n`` row means match
-    bit for bit."""
+    """Value and gradient of linear, exponential or poisson in (eta, s),
+    written with ``np.mean``: the reference that the kernels' ``sum / n``
+    row means match bit for bit."""
     d, lam = ctx.dataset, ctx.lam
     th = np.asarray(theta, dtype=float)
+    beta = th[1:] if ctx.model.has_intercept else th
+    eta = float(th[0]) + d.z @ beta if ctx.model.has_intercept else d.z @ beta
+    s = lam * float(beta @ d.sigma_u @ beta)
     family = ctx.model.family
     if family == "linear":
-        alpha, beta = (float(th[0]), th[1:]) if ctx.model.has_intercept else (0.0, th)
-        r = d.y - alpha - d.z @ beta
-        value = float(r @ r) / d.n + lam * float(beta @ d.sigma_u @ beta)
-        grad = (-2.0 / d.n) * (d.z.T @ r) + 2.0 * lam * (d.sigma_u @ beta)
-        if ctx.model.has_intercept:
-            grad = np.concatenate(([-2.0 * float(np.mean(r))], grad))
-        return value, grad
-    su_t = d.sigma_u @ th
-    zt = d.z @ th
-    if family == "exponential":
-        quad = float(th @ d.sigma_u @ th)
-        e1 = np.exp(zt + 0.5 * lam * quad)
-        e2 = np.exp(2.0 * zt + 2.0 * lam * quad)
+        r = d.y - eta
+        value = float(r @ r) / d.n + s
+        deta, ds = -2.0 * r, 1.0
+    elif family == "exponential":
+        e1 = np.exp(eta + 0.5 * s)
+        e2 = np.exp(2.0 * eta + 2.0 * s)
         value = float(np.mean(d.y * d.y - 2.0 * d.y * e1 + e2))
-        quad = float(th @ su_t)
-        e1 = np.exp(zt + 0.5 * lam * quad)
-        e2 = np.exp(2.0 * zt + 2.0 * lam * quad)
-        ye1 = d.y * e1
-        grad = (
-            -2.0 * (d.z.T @ ye1 / d.n + lam * su_t * float(np.mean(ye1)))
-            + 2.0 * d.z.T @ e2 / d.n
-            + 4.0 * lam * su_t * float(np.mean(e2))
-        )
-        return value, grad
-    quad = float(th @ d.sigma_u @ th)
-    value = -float(np.mean(d.y * zt - np.exp(zt + 0.5 * lam * quad)))
-    mu = np.exp(zt + 0.5 * lam * float(th @ su_t))
-    grad = -(d.z.T @ (d.y - mu)) / d.n + lam * su_t * float(np.mean(mu))
+        deta, ds = 2.0 * (e2 - d.y * e1), 2.0 * np.mean(e2) - np.mean(d.y * e1)
+    else:
+        mu = np.exp(eta + 0.5 * s)
+        value = -float(np.mean(d.y * eta - mu))
+        deta, ds = mu - d.y, 0.5 * np.mean(mu)
+    grad = d.z.T @ deta / d.n + ds * 2.0 * lam * (d.sigma_u @ beta)
+    if ctx.model.has_intercept:
+        grad = np.concatenate(([np.mean(deta)], grad))
     return value, grad
 
 
@@ -856,6 +846,31 @@ def test_stacked_responses_equal_their_own_objectives(family, kw):
     view = shared.take(np.array([1, 2]))
     assert np.shares_memory(view.z, zs) and view.y is sets[0].y
     assert shared.take(np.arange(5)) is shared
+
+
+_BY_SET = {("logistic", None), ("lare", None), ("quantile", 0.3), ("expectile", 0.3),
+           ("walsh", None)}
+
+
+@pytest.mark.parametrize("family,kw", STACKED)
+def test_only_losses_that_branch_on_s_or_sum_pairs_run_set_by_set(monkeypatch, family, kw):
+    calls = []
+
+    def spy(kernel, ctx, theta):
+        calls.append(theta.shape)
+        return by_set(kernel, ctx, theta)
+
+    by_set = targets._by_set
+    monkeypatch.setattr(targets, "_by_set", spy)
+    ds = _make_dataset(seed=11, n=40, p=2, family=family)
+    model = ModelSpec(family=family, **kw)
+    zs = ds.z + 0.3 * np.random.default_rng(12).standard_normal((3, ds.n, 2))
+    thetas = np.full((3, model.n_params(2)), 0.4)
+    values, finish = FAMILIES[family].kernel(
+        TargetContext(dataset=ds, model=model, lam=0.5, z=zs), thetas)
+    assert values.shape == (3,) and finish().shape == thetas.shape
+    expected = [thetas.shape] if (family, kw.get("tau")) in _BY_SET else []
+    assert calls == expected
 
 
 def test_stacked_surrogates_validation():

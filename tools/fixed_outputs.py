@@ -7,6 +7,12 @@ Two trees whose outputs should agree byte for byte are compared with
     python tools/fixed_outputs.py OUT_OLD --src PARENT/src
     diff -r OUT_OLD OUT_NEW
 
+Where outputs move on purpose, ``--compare OLD NEW`` compares them by
+number instead: for each file that differs it prints how many numbers
+differ and the largest |a - b| / (1 + |a|), and it exits 1 when any file is
+missing on one side or differs in anything but its numbers (text, exit
+code, or the count of numbers).
+
 The commands are ``simulate --preset table1|quantile|misspec --seed 1
 --digits 17`` and ``estimate --digits 17`` for every CLI model, plus a few
 estimator variants, on a CSV that this script generates from a fixed seed
@@ -23,6 +29,7 @@ lines of its standard error; the other lines of standard error hold
 timings and are dropped.  Commands run one after another.
 
 Usage: python tools/fixed_outputs.py OUT [--src SRC]   (SRC defaults to src/ beside this script)
+       python tools/fixed_outputs.py --compare OLD NEW
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +50,7 @@ SIGMA_U2 = "0.25,0.05,0.05,0.2"
 CONFIG = "config.json"
 # the prefixes of the CLI's error messages on standard error
 ERROR_PREFIXES = ("error:", "estimation error:", "configuration error:", "input error:")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
 def write_csv(path: Path) -> None:
@@ -114,6 +123,10 @@ def commands(csv: Path) -> dict[str, list[str]]:
     est("expectile_t0.3_classical", "expectile", "y_additive", "--tau", "0.3", *classical)
     est("quantile_t0.5_classical", "quantile", "y_additive", "--tau", "0.5", *classical)
     est("sine_grid", "sine", "y_sine", "--force-grid")
+    # the quadratic form over two covariates, and the tau = 1/2 loss on a stack
+    est("sine_p2", "sine", "y_sine", covariates="z1,z2", sigma=SIGMA_U2)
+    est("lpre_p2", "lpre", "y_mult", covariates="z1,z2", sigma=SIGMA_U2)
+    est("expectile_t0.5_classical", "expectile", "y_additive", "--tau", "0.5", *classical)
     # its lambda = 0 solve converges in 0 iterations and hands the identity
     # to lambda = 0.1, which therefore starts fresh
     est("expectile_t0.5_grid", "expectile", "y_additive", "--tau", "0.5", "--force-grid")
@@ -132,12 +145,42 @@ def commands(csv: Path) -> dict[str, list[str]]:
     return out
 
 
+def compare(old: Path, new: Path) -> int:
+    """Print the numeric moves of each output that differs; 1 when any
+    output is missing on one side or differs in more than its numbers."""
+    bad = 0
+    for name in sorted({p.name for p in old.glob("*.txt")} | {p.name for p in new.glob("*.txt")}):
+        if not (old / name).exists() or not (new / name).exists():
+            print(f"{name}: missing on one side")
+            bad = 1
+            continue
+        a, b = (old / name).read_text(encoding="utf-8"), (new / name).read_text(encoding="utf-8")
+        if a == b:
+            continue
+        na, nb = NUMBER.findall(a), NUMBER.findall(b)
+        exits_differ = a.partition("\n")[0] != b.partition("\n")[0]
+        if exits_differ or NUMBER.sub("#", a) != NUMBER.sub("#", b) or len(na) != len(nb):
+            print(f"{name}: text or exit code differs")
+            bad = 1
+            continue
+        moves = [abs(float(x) - float(y)) / (1.0 + abs(float(x)))
+                 for x, y in zip(na, nb) if x != y]
+        print(f"{name}: {len(moves)} of {len(na)} numbers differ, "
+              f"largest relative move {max(moves):.3g}")
+    return bad
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path)
+    parser.add_argument("out", type=Path, nargs="?")
     parser.add_argument("--src", type=Path, default=here.parent / "src")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("OUT is required unless --compare is given")
     args.out.mkdir(parents=True, exist_ok=True)
     csv = args.out / "data.csv"
     write_csv(csv)
