@@ -24,12 +24,9 @@ from .extrapolate import (
     naive_estimate,
 )
 from .simex import SimexConfig, _stream, classical_simex
-from .targets import ModelSpec, lognormal_error
+from .targets import STACK_GROUP_VALUES, ModelSpec, lognormal_error
 
 CHISQ2_MEDIAN = 1.3863  # 50th percentile of chi-square with 2 df
-# Data values per group of replicates solved as one stack: a cell holds one
-# group's datasets and stacks at a time, a few megabytes at most
-STACK_GROUP_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,8 @@ def _replicates(
     (:func:`ex_estimate_stack`), in groups of ``STACK_GROUP_VALUES // n``,
     with the results of one estimate per replicate bit for bit.  Classical
     SIMEX runs one replicate at a time, with ``b = simex_b`` and a
-    per-replicate seed.
+    per-replicate seed; each fit stacks its own pseudo-data sets, in groups
+    bounded by the same ``STACK_GROUP_VALUES`` (see :func:`classical_simex`).
     """
     config = scenario.config or EstimateConfig()
     model = scenario.model

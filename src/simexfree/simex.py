@@ -9,6 +9,7 @@ conditional expectation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .extrapolate import (
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
 from .extrapolate import fit_extrapolant, minimize_target  # noqa: F401
-from .targets import ModelSpec
+from .targets import STACK_GROUP_VALUES, ModelSpec
 
 
 @dataclass
@@ -44,8 +45,15 @@ class SimexConfig(EstimateConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.b < 1:
-            raise ConfigError("replicate count b must be at least 1")
+        if not _is_int(self.b) or self.b < 1:
+            raise ConfigError(f"replicate count b must be an integer of at least 1, got {self.b!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative and an integer, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -71,31 +79,41 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
 
 
 def _replicate_solves(
-    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, k: int, start: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """The B naive solves at grid point k, each warm-started at ``start``.
+    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, start: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The naive solves of every pseudo-data set (k, b), k >= 1, each
+    warm-started at ``start``.
 
-    Returns the estimates (B, q) and the replicates whose solve failed even
-    after its retry.  The B pseudo-data sets are one solve of
-    :func:`row_solver`.  A warm start can crawl on an unlucky pseudo
-    sample, so the rows that did not converge are one more, from the
-    configured start, or the family start on their pseudo-data, with four
-    times the iterations.  A Dataset is built per pseudo-data set only for
-    a retried row.
+    Returns the estimates (K - 1, B, q) and the (k, b) pairs whose solve
+    failed even after its retry.  The sets are taken in (k, b) order, in
+    groups of ``STACK_GROUP_VALUES // (n p)``, and each group is one solve
+    of :func:`row_solver` at lambda = 0, whatever the noise levels it spans.
+    A warm start can crawl on an unlucky pseudo sample, so a group's rows
+    that did not converge are one more solve, from the configured start, or
+    the family start on their pseudo-data, with four times the iterations.
+    A Dataset is built per pseudo-data set only for a retried row.
     """
-    lam = float(cfg.grid.values[k])
-    zs = np.stack([pseudo_data(dataset, lam, _stream(cfg.seed, (k, b))) for b in range(cfg.b)])
-    res = row_solver(model, dataset, cfg, zs)(np.arange(cfg.b), 0.0, np.tile(start, (cfg.b, 1)))
-    again = np.flatnonzero(~res.converged)
-    if again.size:
-        base = point_options(model, 0.0, None, cfg.options)
-        retry = replace(cfg, options=replace(base, max_iters=4 * base.max_iters))
-        starts = [cfg.start_for(model, Dataset(y=dataset.y, z=zs[b], sigma_u=dataset.sigma_u))
-                  for b in again]
-        out = row_solver(model, dataset, retry, zs)(again, 0.0, np.stack(starts))
-        res.theta_hat[again] = out.theta_hat
-        again = again[~out.converged]
-    return res.theta_hat, again.tolist()
+    lams = cfg.grid.values
+    keys = [(k, b) for k in range(1, lams.size) for b in range(cfg.b)]
+    size = max(1, STACK_GROUP_VALUES // (dataset.n * dataset.p))
+    thetas, failed = [], []
+    for i in range(0, len(keys), size):
+        group = keys[i : i + size]
+        zs = np.stack([pseudo_data(dataset, float(lams[k]), _stream(cfg.seed, (k, b)))
+                       for k, b in group])
+        res = row_solver(model, dataset, cfg, zs)(np.arange(len(group)), 0.0,
+                                                  np.tile(start, (len(group), 1)))
+        again = np.flatnonzero(~res.converged)
+        if again.size:
+            base = point_options(model, 0.0, None, cfg.options)
+            retry = replace(cfg, options=replace(base, max_iters=4 * base.max_iters))
+            starts = [cfg.start_for(model, Dataset(y=dataset.y, z=zs[j], sigma_u=dataset.sigma_u))
+                      for j in again]
+            out = row_solver(model, dataset, retry, zs)(again, 0.0, np.stack(starts))
+            res.theta_hat[again] = out.theta_hat
+            failed += [group[j] for j in again[~out.converged]]
+        thetas.append(res.theta_hat)
+    return np.concatenate(thetas).reshape(lams.size - 1, cfg.b, -1), failed
 
 
 def classical_simex(
@@ -109,12 +127,15 @@ def classical_simex(
     one retry of a pseudo-data solve.  The lambda = 0 average equals the
     naive estimate exactly (no noise is added there).  Replicates start from
     the naive estimate, never from each other, so any evaluation order
-    yields the same result.  The B replicates at one noise level are one
-    solve of :func:`row_solver`, and so are the retries of the rows that
-    did not converge: one quasi-Newton batch for any family but generic,
-    and one scalar solve per pseudo-data set for generic and for the
-    simplex method (``config.options``, or a family that is not smooth at
-    lambda = 0).  Each row takes the steps of its own scalar solve.
+    yields the same result.  The (K - 1) B pseudo-data sets are solved in
+    (lambda, replicate) order, in groups of at most ``STACK_GROUP_VALUES //
+    (n p)`` sets that may span noise levels.  Each group is one solve of
+    :func:`row_solver`, and so are the retries of its rows that did not
+    converge: one quasi-Newton batch for any family but generic, and one
+    scalar solve per pseudo-data set for generic and for the simplex method
+    (``config.options``, or a family that is not smooth at lambda = 0).
+    Each row takes the steps of its own scalar solve.  If a solve fails,
+    the error names the failed replicates of the smallest such lambda.
     """
     cfg = config or SimexConfig()
     naive_flat = naive_estimate(model, dataset, cfg).theta_hat
@@ -123,15 +144,16 @@ def classical_simex(
     means = np.empty((lams.size, q))
     ses = np.zeros((lams.size, q))
     means[0] = naive_flat
+    draws, failed = _replicate_solves(model, dataset, cfg, naive_flat)
+    if failed:
+        first = failed[0][0]
+        raise EstimationError(
+            "naive solves failed on pseudo-data: "
+            + ", ".join(f"lambda={lams[k]:g} b={b}" for k, b in failed if k == first)
+        )
     for k in range(1, lams.size):
-        draws, failed = _replicate_solves(model, dataset, cfg, k, naive_flat)
-        if failed:
-            raise EstimationError(
-                "naive solves failed on pseudo-data: "
-                + ", ".join(f"lambda={lams[k]:g} b={b}" for b in failed)
-            )
-        means[k] = draws.mean(axis=0)
+        means[k] = draws[k - 1].mean(axis=0)
         if cfg.b > 1:
-            ses[k] = draws.std(axis=0, ddof=1) / np.sqrt(cfg.b)
+            ses[k] = draws[k - 1].std(axis=0, ddof=1) / np.sqrt(cfg.b)
     return extrapolated(GridEstimates(grid=cfg.grid, thetas=means), cfg.kind,
                         model.has_intercept, mc_se=ses)

@@ -38,7 +38,15 @@ WALSH_PAIR_CAP = 5000
 # Each temporary then stays within 128 KiB, glibc's default mmap threshold:
 # above it, every temporary is a fresh mapping, and its page faults made a
 # 100 x 500 exponential evaluation cost about three times as much per value.
+# Below it a call can still fault, when its frees leave more than glibc's
+# 128 KiB trim threshold at the heap top: 200 value calls of a 20 x 800
+# exponential stack took 3 or 18,602 minor faults (getrusage), as unrelated
+# edits reordered the kernel's allocations.
 STACK_CHUNK_VALUES = 1 << 14
+# Data values per group of data sets solved as one stack: a study cell's
+# replicates, or a classical SIMEX fit's pseudo-data sets.  A group's data
+# and stacks then take a few megabytes, whatever the number of sets.
+STACK_GROUP_VALUES = 1 << 17
 # stacked design rows per call of a generic mean function, which bounds its
 # temporaries at a few megabytes
 GENERIC_CHUNK_ROWS = 1 << 16

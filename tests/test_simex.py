@@ -20,6 +20,7 @@ from simexfree import (
     naive_estimate,
     pseudo_data,
 )
+from simexfree import simex
 from simexfree.extrapolate import extrapolation_se, minimize_target
 from simexfree.simex import _stream
 
@@ -103,6 +104,27 @@ def test_classical_config_validation():
         SimexConfig(b=0)
     with pytest.raises(ConfigError):
         SimexConfig(kind="cubic")
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"b": 2.5}, {"b": True}, {"b": "3"}, {"b": np.float64(3.0)}, {"seed": 1.5}, {"seed": True},
+     {"seed": np.int64(-1)}],
+    ids=["b-float", "b-bool", "b-str", "b-numpy-float", "seed-float", "seed-bool",
+         "seed-numpy-negative"],
+)
+def test_simex_config_refuses_a_non_integral_b_or_seed(setting):
+    with pytest.raises(ConfigError, match=f"{next(iter(setting))} must be"):
+        SimexConfig(**setting)
+
+
+def test_simex_config_takes_numpy_integers():
+    ds = _linear_data(n=50)
+    cfg = SimexConfig(b=np.int64(3), seed=np.int64(4), grid=LambdaGrid([0.0, 1.0, 2.0]))
+    res = classical_simex(ModelSpec(family="linear"), ds, cfg)
+    ref = classical_simex(ModelSpec(family="linear"), ds,
+                          SimexConfig(b=3, seed=4, grid=LambdaGrid([0.0, 1.0, 2.0])))
+    assert np.array_equal(res.grid.thetas, ref.grid.thetas)
 
 
 def test_classical_simex_refuses_a_negative_seed():
@@ -217,3 +239,35 @@ def test_batched_classical_builds_no_dataset_per_pseudo_data_set(monkeypatch, mo
         classical_simex(model, ds, SimexConfig(b=b, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=2))
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch):
+    # B = 4 on a three-point grid is 8 pseudo-data sets; groups of 3 sets
+    # cut across the two noise levels (3 | 1 + 2 | 2), and at this seed and
+    # iteration cap one row of the first group (lambda = 1, b = 1) is retried
+    ds = _exponential_data()
+    model = ModelSpec(family="exponential")
+    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=3,
+                      options=MinimizeOptions(max_iters=12))
+    one_group = classical_simex(model, ds, cfg)
+    stacks, retried = [], []
+    row_solver = simex.row_solver
+
+    def spy(model, dataset, cfg, z=None, y=None):
+        solve = row_solver(model, dataset, cfg, z, y)
+
+        def run(rows, lam, starts, hinv=None):
+            stacks.extend([len(z), rows.size])
+            if cfg.options.max_iters == 4 * 12:
+                retried.append(rows.size)
+            return solve(rows, lam, starts, hinv)
+
+        return run
+
+    monkeypatch.setattr(simex, "row_solver", spy)
+    monkeypatch.setattr(simex, "STACK_GROUP_VALUES", 3 * ds.n)
+    grouped = classical_simex(model, ds, cfg)
+    assert retried == [1]
+    assert max(stacks) == max(1, simex.STACK_GROUP_VALUES // (ds.n * ds.p)) == 3
+    assert np.array_equal(grouped.grid.thetas, one_group.grid.thetas)
+    assert np.array_equal(grouped.mc_se, one_group.mc_se)

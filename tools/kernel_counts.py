@@ -11,36 +11,49 @@ for a seed.  One line per fit, then one line per item and a total:
 
     fit                  path          kernel  qn_iters
 
+With ``--classical`` it prints, in place of the fits, the counts of the
+study workload's classical SIMEX cell at the seed (R = 2 replicates of an
+exponential, n = 500, rational fit with B = 100 pseudo-data sets per noise
+level): kernel calls, kernel values, quasi-Newton iterations and
+``minimize_batch`` runs, one line each.  Its iterations include those of
+the scalar naive fits and rational extrapolant fits, as a fit's do.
+
 Two trees are compared by running this script against each:
 
     python tools/kernel_counts.py --seed 1
     python tools/kernel_counts.py --seed 1 --src PARENT/src
 
-Usage: python tools/kernel_counts.py [--seed N] [--src SRC]   (SRC defaults to src/ beside this script)
+Usage: python tools/kernel_counts.py [--seed N] [--src SRC] [--classical]
+       (SRC defaults to src/ beside this script)
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+COUNTS = {"calls": "kernel calls", "kernel": "kernel values", "iters": "qn_iters",
+          "batches": "minimize_batch runs"}
 
-def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
-    """(item, fit, path, kernel values, quasi-Newton iterations) per fit."""
-    from perfbench.workloads import (
-        DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
-    )
-    from simexfree import Dataset, EstimateConfig, targets
+
+@contextmanager
+def counting():
+    """Count kernel calls and values, quasi-Newton iterations and
+    ``minimize_batch`` runs of the library while the block runs; yields
+    the dict of counts, which the block may reset."""
+    from simexfree import targets
     from simexfree import extrapolate as ext
 
-    counts = {"kernel": 0, "iters": 0}
+    counts = dict.fromkeys(COUNTS, 0)
 
     def counted_kernel(kernel):
         def run(ctx, theta):
+            counts["calls"] += 1
             counts["kernel"] += np.shape(theta)[0] if np.ndim(theta) == 2 else 1
             return kernel(ctx, theta)
 
@@ -57,14 +70,30 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
     def counted_batch(fg, options):
         res = minimize_batch(fg, options)
         counts["iters"] += int(np.sum(res.iters))
+        counts["batches"] += 1
         return res
 
     families = dict(targets.FAMILIES)
     for name, record in families.items():
         targets.FAMILIES[name] = replace(record, kernel=counted_kernel(record.kernel))
     ext.minimize, ext.minimize_batch = counted_minimize, counted_batch
-    rows = []
     try:
+        yield counts
+    finally:
+        targets.FAMILIES.update(families)
+        ext.minimize, ext.minimize_batch = minimize, minimize_batch
+
+
+def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
+    """(item, fit, path, kernel values, quasi-Newton iterations) per fit."""
+    from perfbench.workloads import (
+        DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
+    )
+    from simexfree import Dataset, EstimateConfig
+    from simexfree import extrapolate as ext
+
+    rows = []
+    with counting() as counts:
         for i, (fam, tau, n, cls) in enumerate(FIT_ITEMS):
             model = model_for(fam, tau)
             for k in range(DATASETS_PER_ITEM[cls]):
@@ -75,10 +104,23 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
                 path = ext.ex_estimate(model, ds, cfg).path
                 rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", path,
                              counts["kernel"], counts["iters"]))
-    finally:
-        targets.FAMILIES.update(families)
-        ext.minimize, ext.minimize_batch = minimize, minimize_batch
     return rows
+
+
+def count_classical(seed: int) -> dict[str, int]:
+    """The counts of the study workload's classical cell at ``seed``: its
+    scenario, replications and cell seed, as ``perfbench/workloads.py``
+    builds them."""
+    from perfbench.workloads import CLASSICAL_REPS
+    from simexfree import EstimateConfig, ModelSpec
+    from simexfree.montecarlo import Scenario, run_study
+
+    cell = Scenario(name="classical", estimator="classical", model=ModelSpec(family="exponential"),
+                    theta0=[1.0], n=500, sigma_u=[[0.25]],
+                    config=EstimateConfig(kind="rational"), simex_b=100)
+    with counting() as counts:
+        run_study([cell], CLASSICAL_REPS, seed=seed * 100 + 99)
+    return counts
 
 
 def main(argv=None) -> int:
@@ -86,8 +128,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", type=Path, default=here.parent / "src")
+    parser.add_argument("--classical", action="store_true",
+                        help="count the study workload's classical SIMEX cell instead")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(here.parent)]
+    if args.classical:
+        counts = count_classical(args.seed)
+        for key, label in COUNTS.items():
+            print(f"{label:<18} {counts[key]:>8}")
+        return 0
     rows = count_fits(args.seed)
     line = "{:<22} {:<13} {:>8} {:>9}"
     print(line.format("fit", "path", "kernel", "qn_iters"))
