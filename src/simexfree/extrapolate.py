@@ -9,6 +9,7 @@ grid estimates, and the trend is evaluated at lambda = -1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -125,17 +126,22 @@ class EstimateConfig:
     :func:`naive_estimate`, :func:`direct_estimate`, :func:`grid_estimate`,
     :func:`ex_estimate` and ``classical_simex`` all take ``(model, dataset,
     config)``; each reads the settings its path uses.  ``start`` overrides
-    the family's default initial point for the first (naive) minimization.
-    Each later grid point starts from its neighbour's minimizer and, where
-    the neighbour's quasi-Newton solve converged, from the inverse Hessian
-    that solve finished with, which saves iterations; otherwise from the
-    identity.  Either way one rule applies (see :class:`MinimizeOptions`):
-    a start from the identity is a fresh one, also when a neighbour that
-    converged without a step hands the identity on.  The direct path's
-    continuation starts each step from the previous minimizer but from the
-    identity: its branch test would otherwise turn on where a carried line
-    search happens to land.  Classical SIMEX starts every replicate from
-    the naive estimate by design, and from the identity.
+    the family's default initial point for the first (naive) minimization,
+    and ``nodes``, an integer of at least 2, the Gauss-Hermite nodes of
+    the logistic objective.  Each later grid point starts from a predicted
+    minimizer: from the third point on, the secant through the two previous
+    minimizers, extrapolated by the ratio of the grid's spacings, where
+    both previous solves converged; otherwise, and at the second point,
+    from the previous minimizer.  It starts from the inverse Hessian that
+    the previous point's quasi-Newton solve finished with, where that solve
+    converged, which saves iterations; otherwise from the identity.  Either way one rule applies (see
+    :class:`MinimizeOptions`): a start from the identity is a fresh one,
+    also when a point that converged without a step hands the identity
+    on.  The direct path's continuation starts each step from the previous
+    minimizer but from the identity: its branch test would otherwise turn
+    on where a carried line search happens to land.  Classical SIMEX starts
+    every replicate from the naive estimate by design, and from the
+    identity.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -150,6 +156,10 @@ class EstimateConfig:
             raise ConfigError(
                 f"unknown extrapolant kind {self.kind!r}; expected one of "
                 f"{EXTRAPOLANT_KINDS}"
+            )
+        if not _is_int(self.nodes) or self.nodes < 2:
+            raise ConfigError(
+                f"quadrature node count must be an integer of at least 2, got {self.nodes!r}"
             )
 
     def start_for(self, model: ModelSpec, dataset: Dataset) -> np.ndarray:
@@ -444,8 +454,8 @@ def grid_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> GridEstimates:
     """Minimize the objective at every point of ``config.grid``, each from
-    its neighbour's minimizer and inverse Hessian (see
-    :class:`EstimateConfig`).
+    a secant prediction through the two previous minimizers and from the
+    previous point's inverse Hessian (see :class:`EstimateConfig`).
 
     The lambda = 0 point is the naive estimate.  Any non-converged point
     aborts with an aggregated error listing the offending lambda values.
@@ -625,8 +635,9 @@ def ex_estimate_stack(
       :func:`direct_estimate`;
     - for the datasets whose branch collapsed (or all, on the grid path),
       each further grid point of :func:`grid_estimate`, whose lambda = 0
-      point is the naive solve, from the previous point's minimizer and
-      inverse Hessian.  The extrapolant is then fitted per dataset;
+      point is the naive solve, from the row's secant prediction and the
+      previous point's inverse Hessian.  The extrapolant is then fitted
+      per dataset;
     - for the linear family, the closed forms per dataset and one numeric
       check at lambda = -1.
 
@@ -666,7 +677,9 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
     "grid", and the ``EstimateResult`` of :func:`direct_estimate` or
     :func:`ex_estimate` for "direct" or "ex".  This is the one place that
     orders the stages, decides the fallback from the direct path to the
-    grid, and words each failure.
+    grid, and words each failure.  Each grid point after the second starts
+    every row from its own secant prediction (:func:`_predicted`), so a
+    stacked row starts where its scalar solve would.
     """
     if len(datasets) == 1:
         # one dataset is solved in place, never copied into a stack
@@ -739,12 +752,14 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
         # the nonnegative-lambda objectives are coercive, so a row whose
         # branch collapsed extrapolates from its naive solve
         rows, first = rows[fallback], _take(first, fallback)
-    # every further grid point, warm-started at the row's previous minimizer
-    # and inverse Hessian; on the grid path a failed naive solve is a failed
-    # lambda = 0 point
+    # every further grid point, warm-started at the row's predicted minimizer
+    # and previous inverse Hessian; on the grid path a failed naive solve is
+    # a failed lambda = 0 point
+    lams = cfg.grid.values
     results = [first]
-    for lam in cfg.grid.values[1:]:
-        results.append(solve(rows, float(lam), results[-1].theta_hat, _carried(results[-1])))
+    for k in range(1, lams.size):
+        starts = _predicted(results, lams[:k + 1])
+        results.append(solve(rows, float(lams[k]), starts, _carried(results[-1])))
     thetas = np.stack([res.theta_hat for res in results], axis=1)
     failed = ~np.stack([res.converged for res in results], axis=1)
     for i, r in enumerate(rows):
@@ -780,6 +795,26 @@ def extrapolated(
     )
 
 
+def _predicted(results: list[MinimizeResult], lams: np.ndarray) -> np.ndarray:
+    """Each row's start at the grid point ``lams[-1]``, from the ``results``
+    of the points before it, at ``lams[:-1]``.
+
+    The secant through the two previous minimizers, extrapolated in lambda:
+    theta_(k-1) + (lam_k - lam_(k-1)) / (lam_(k-1) - lam_(k-2)) (theta_(k-1)
+    - theta_(k-2)).  A row whose two previous points did not both converge,
+    and every row at the second grid point, starts from its previous
+    minimizer.  The arithmetic is elementwise, so a stacked row gets the
+    bits of its own scalar prediction.
+    """
+    prev = results[-1].theta_hat
+    if len(results) < 2:
+        return prev
+    both = results[-2].converged & results[-1].converged
+    ratio = float(lams[-1] - lams[-2]) / float(lams[-2] - lams[-3])
+    with np.errstate(over="ignore", invalid="ignore"):  # a failed row may hold inf
+        return np.where(both[:, None], prev + ratio * (prev - results[-2].theta_hat), prev)
+
+
 def _carried(res: MinimizeResult) -> np.ndarray | None:
     """The inverse Hessians that the rows of ``res`` hand to the next grid
     point: a converged quasi-Newton row's final one, and a NaN one (the
@@ -787,6 +822,11 @@ def _carried(res: MinimizeResult) -> np.ndarray | None:
     method, or None when no row hands one on."""
     keep = res.converged & np.isfinite(res.hinv).all(axis=(1, 2))
     return np.where(keep[:, None, None], res.hinv, np.nan) if keep.any() else None
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _live(outcomes: list, rows) -> np.ndarray:

@@ -39,8 +39,9 @@ class MinimizeOptions:
     of the objective's scale.  A run from any other ``hinv``, such as the
     one that a solve of a nearby objective finished with, trusts it and
     does neither.  The lambda grid carries each point's final ``hinv`` to
-    the next point this way; the direct path's continuation and classical
-    SIMEX do not (see ``EstimateConfig``).
+    the next point this way, with a start predicted by the secant through
+    the two previous minimizers; the direct path's continuation and
+    classical SIMEX carry neither (see ``EstimateConfig``).
     """
 
     start: np.ndarray | None = None

@@ -9,7 +9,6 @@ conditional expectation.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .extrapolate import (
     EstimateConfig,
     EstimateResult,
     GridEstimates,
+    _is_int,
     extrapolated,
     naive_estimate,
     point_options,
@@ -49,11 +49,6 @@ class SimexConfig(EstimateConfig):
             raise ConfigError(f"replicate count b must be an integer of at least 1, got {self.b!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be nonnegative and an integer, got {self.seed!r}")
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer (numpy's included) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:

@@ -93,8 +93,8 @@ class MeanFunction:
     ``fn(x, theta)`` maps an (m, p) design and a parameter vector to (m,)
     fitted means.  Each row is mapped on its own, and ``fn`` may be called
     with any number of rows: the objective stacks the design shifted to
-    every quadrature node into one call.  A result of any other shape
-    raises ConfigError.
+    every quadrature node into one call, read-only, as one design serves
+    many calls.  A result of any other shape raises ConfigError.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -744,6 +744,47 @@ def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return m
 
 
+def _generic_chunks(ctx: TargetContext):
+    """The node-shifted design of the generic objective at ``ctx.lam > 0``,
+    as (x, weights) pairs, one per chunk of at most ``GENERIC_CHUNK_ROWS``
+    design rows: x[k * n + i] = z[i] + u[k] for the chunk's nodes u[k], and
+    their quadrature weights as a list.
+
+    The design does not depend on theta.  When it fits in one chunk, it is
+    kept on the context and every later value call at ``ctx`` reuses it.
+    It is reused only while the context's z, lam and dataset are the very
+    objects it was built from, so a context that :meth:`TargetContext.take`
+    made, or a copy with another z or lam, builds its own.  A larger design
+    is built chunk by chunk on every call, so no call holds more than one
+    chunk.
+    """
+    z_, lam, dataset, design = ctx.__dict__.get("_generic_design", (None,) * 4)
+    if z_ is ctx.z and lam == ctx.lam and dataset is ctx.dataset:
+        return design
+    d, z = ctx.dataset, ctx.z
+    scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * d.sigma_root
+    points, weights = tensor_hermite_rule(GENERIC_TENSOR_NODES, d.p)
+    shifts = points @ scale.T
+    chunk = max(1, GENERIC_CHUNK_ROWS // d.n)
+
+    def build(k0):
+        u = shifts[k0 : k0 + chunk]
+        k = u.shape[0]
+        # one contiguous (k, n) block per covariate: x[k * n + i] = z[i] + u[k]
+        cols = np.empty((d.p, k, d.n))
+        for j in range(d.p):
+            np.add.outer(u[:, j], z[:, j], out=cols[j])
+        cols.setflags(write=False)  # a kept design must not change under fn
+        return cols.reshape(d.p, k * d.n).T, weights[k0 : k0 + chunk].tolist()
+
+    if weights.size > chunk:
+        return (build(k0) for k0 in range(0, weights.size, chunk))
+    design = [build(0)]
+    # a private attribute of the frozen context, outside its fields
+    object.__setattr__(ctx, "_generic_design", (z, ctx.lam, d, design))
+    return design
+
+
 def target_generic_ls(ctx: TargetContext, theta):
     """Least-squares objective for a user-supplied mean function.
 
@@ -753,8 +794,12 @@ def target_generic_ls(ctx: TargetContext, theta):
     root is the dataset's cached ``sigma_root``; capped at p = 3 covariates.
     The mean function is called once on the design shifted to every node,
     stacked into one (nodes**p * n, p) array, in chunks of at most
-    ``GENERIC_CHUNK_ROWS`` rows.  The gradient is None: the objective runs
-    user code, which is differentiated by central finite differences.
+    ``GENERIC_CHUNK_ROWS`` rows.  A design of one chunk is built once per
+    context and reused by every later call there, such as the 2q calls of a
+    central-difference gradient (see :func:`_generic_chunks`).  Theta must
+    have ``mean_fn.n_params`` entries when the mean function declares them.
+    The gradient is None: the objective runs user code, which is
+    differentiated by central finite differences.
     """
     d, y, z = ctx.dataset, ctx.y, ctx.z
     if d.p > GENERIC_MAX_P:
@@ -762,28 +807,20 @@ def target_generic_ls(ctx: TargetContext, theta):
             f"generic family supports at most {GENERIC_MAX_P} covariates, got {d.p}"
         )
     th = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = ctx.model.mean_fn.n_params
+    if q is not None and th.shape[-1] != q:
+        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
     m = ctx.model.mean_fn.fn
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.lam == 0.0:
             r = y - _mean_values(m, z, th)
             return _guard(float(r @ r) / d.n), None
-        scale = math.sqrt(2.0) * math.sqrt(ctx.lam) * d.sigma_root
-        points, weights = tensor_hermite_rule(GENERIC_TENSOR_NODES, d.p)
-        shifts = points @ scale.T
-        chunk = max(1, GENERIC_CHUNK_ROWS // d.n)
         acc = 0.0
-        for k0 in range(0, weights.size, chunk):
-            u = shifts[k0 : k0 + chunk]
-            k = u.shape[0]
-            # one contiguous (k, n) block per covariate: x[k * n + i] = z[i] + u[k]
-            cols = np.empty((d.p, k, d.n))
-            for j in range(d.p):
-                np.add.outer(u[:, j], z[:, j], out=cols[j])
-            x = cols.reshape(d.p, k * d.n).T
-            r = y - _mean_values(m, x, th).reshape(k, d.n)
+        for x, weights in _generic_chunks(ctx):
+            r = y - _mean_values(m, x, th).reshape(len(weights), d.n)
             sums = (r[:, None, :] @ r[:, :, None]).ravel()
             # weighted sums of squares, added node by node in rule order
-            for wt, ss in zip(weights[k0 : k0 + chunk].tolist(), sums.tolist()):
+            for wt, ss in zip(weights, sums.tolist()):
                 acc += wt * ss
         v = acc / (d.n * math.pi ** (d.p / 2.0))
     return _guard(v), None

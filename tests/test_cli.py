@@ -99,6 +99,19 @@ def test_estimate_sshape_workflow(sshape_csv, tmp_path):
     assert abs(coefs[1] + 1.6) < 0.8
 
 
+@pytest.mark.parametrize("start", ["1,2,3", "1,2,3,4,5"])
+def test_estimate_sshape_refuses_a_start_of_another_length(sshape_csv, tmp_path, capsys, start):
+    rc = main([
+        "estimate", "--model", "sshape", "--input", str(sshape_csv),
+        "--sigma-u-from", "za,zb", "--grid", "0:1:3", "--start", start,
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert rc == 3
+    length = start.count(",") + 1
+    assert f"theta has length {length}, expected 4" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_estimate_sshape_linear_vs_quadratic_extrapolant(sshape_csv, tmp_path):
     payloads = {}
     for kind in ("linear", "quadratic"):

@@ -48,6 +48,19 @@ def _linear_data(seed=0, n=60, su=0.2, beta=1.5, alpha=1.0):
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("nodes", [2.5, True, 1, "30", np.float64(30.0), None])
+def test_estimate_config_refuses_a_node_count_that_is_not_an_integer_of_two_or_more(nodes):
+    with pytest.raises(ConfigError, match="node count"):
+        EstimateConfig(nodes=nodes)
+
+
+def test_estimate_config_takes_a_numpy_integer_node_count():
+    model, ds, _ = _grid_case("logistic", None)
+    cfg = EstimateConfig(nodes=np.int64(12), grid=LambdaGrid(np.array([0.0, 0.5, 1.0])))
+    assert np.array_equal(grid_estimate(model, ds, cfg).thetas,
+                          grid_estimate(model, ds, replace(cfg, nodes=12)).thetas)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         LambdaGrid([0.5, 1.0])  # must start at zero
@@ -398,6 +411,70 @@ def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
     chain = np.array(chain)
     assert np.all(np.abs(ge.thetas - chain) <= 1e-6 * (1.0 + np.abs(chain)))
     assert carried <= values[0]
+
+
+GRID_FAMILIES = [("quantile", 0.5), ("expectile", 0.3), ("lare", None), ("logistic", None),
+                 ("walsh", None), ("generic", None)]
+UNEVEN = LambdaGrid(np.array([0.0, 0.05, 0.2, 0.5, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("family, tau", GRID_FAMILIES)
+def test_predicted_grid_matches_cold_solves_on_an_uneven_grid(family, tau):
+    model, ds, cfg = _grid_case(family, tau)
+    cfg = replace(cfg, grid=UNEVEN)
+    ge = grid_estimate(model, ds, cfg)
+    # one cold solve per lambda: from the naive estimate and the identity
+    naive = naive_estimate(model, ds, cfg).theta_hat
+    cold = [naive]
+    for lam in UNEVEN.values[1:]:
+        ctx = TargetContext(dataset=ds, model=model, lam=float(lam), nodes=cfg.nodes)
+        res = extrapolate.minimize_target(ctx, naive)
+        assert res.converged
+        cold.append(res.theta_hat)
+    cold = np.array(cold)
+    assert np.all(np.abs(ge.thetas - cold) <= 1e-6 * (1.0 + np.abs(cold)))
+
+
+def test_grid_row_after_a_failed_point_starts_from_its_previous_minimizer(monkeypatch):
+    model, ds, cfg = _grid_case("expectile", 0.3)
+    cfg = replace(cfg, grid=UNEVEN)
+    sets = [ds, Dataset(y=ds.y[::-1].copy(), z=ds.z[::-1].copy(), sigma_u=0.25)]
+    lams = UNEVEN.values
+    solves = {}
+    inner = extrapolate.row_solver
+
+    def spied(*args, **kwargs):
+        solve = inner(*args, **kwargs)
+
+        def recorded(rows, lam, starts, hinv=None):
+            res = solve(rows, lam, starts, hinv)
+            if lam == lams[1]:
+                res.converged[1] = False  # as if row 1 failed at the second point
+            solves[lam] = (starts.copy(), res.theta_hat.copy())
+            return res
+
+        return recorded
+
+    monkeypatch.setattr(extrapolate, "row_solver", spied)
+    out = extrapolate.ex_estimate_stack(model, sets, cfg)
+    assert out[1] is None  # its failed point fails its estimate
+    theta = {lam: solves[lam][1] for lam in lams}
+
+    def secant(k, row):
+        ratio = (lams[k] - lams[k - 1]) / (lams[k - 1] - lams[k - 2])
+        prev = theta[lams[k - 1]][row]
+        return prev + ratio * (prev - theta[lams[k - 2]][row])
+
+    # the second point starts every row from the naive estimate
+    assert np.array_equal(solves[lams[1]][0], theta[0.0])
+    for k in range(2, lams.size):
+        starts = solves[lams[k]][0]
+        assert np.array_equal(starts[0], secant(k, 0))
+        # row 1 starts from its previous minimizer until two points in a row converged
+        assert np.array_equal(starts[1], theta[lams[k - 1]][1] if k <= 3 else secant(k, 1))
+    # the secant start moved row 0, and row 1 once it applied again
+    assert not np.array_equal(solves[lams[2]][0][0], theta[lams[1]][0])
+    assert not np.array_equal(solves[lams[4]][0][1], theta[lams[3]][1])
 
 
 def test_row_solver_starts_nan_rows_of_hinv_from_the_identity(monkeypatch):

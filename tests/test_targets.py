@@ -1,5 +1,6 @@
 """Closed-form conditional-expectation objectives for every family."""
 
+import copy
 import math
 
 import numpy as np
@@ -698,6 +699,108 @@ def test_generic_capacity_cap():
     ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=mf), lam=0.5)
     with pytest.raises(CapacityError):
         target_generic_ls(ctx, np.zeros(4))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("length", [3, 5])
+def test_generic_refuses_theta_of_another_length(lam, length):
+    ds = _make_dataset(seed=33)
+    def curve(x, th):
+        return th[0] + th[1] / (1.0 + np.exp(th[2] * (x[:, 0] - th[3])))
+
+    sigmoid = MeanFunction(fn=curve, n_params=4)
+    ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=sigmoid), lam=lam)
+    with pytest.raises(ConfigError, match=f"theta has length {length}, expected 4"):
+        target_generic_ls(ctx, np.ones(length))
+    # without a declared count, any length the mean function takes is accepted
+    free = MeanFunction(fn=lambda x, th: th.sum() * x[:, 0])
+    ctx = TargetContext(dataset=ds, model=ModelSpec(family="generic", mean_fn=free), lam=lam)
+    assert math.isfinite(target_generic_ls(ctx, np.ones(length))[0])
+
+
+def _generic_case(p=1, n=60, lam=0.5, seed=34):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    y = np.tanh(z.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+    calls = []
+
+    def fn(x, th):
+        calls.append(x.shape[0])
+        return th[0] + np.tanh(x @ th[1:])
+
+    model = ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=p + 1))
+    ds = Dataset(y=y, z=z, sigma_u=0.2 * np.eye(p) + 0.05)
+    return TargetContext(dataset=ds, model=model, lam=lam), calls
+
+
+def _count_designs(monkeypatch):
+    """Count the generic design builds: each reads the tensor rule once."""
+    builds = []
+    rule = targets.tensor_hermite_rule
+
+    def counted(*args):
+        builds.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(targets, "tensor_hermite_rule", counted)
+    return builds
+
+
+def _fresh(ctx, lam=None, z=None):
+    return TargetContext(dataset=ctx.dataset, model=ctx.model,
+                         lam=ctx.lam if lam is None else lam, z=z)
+
+
+def test_generic_gradient_builds_its_design_once(monkeypatch):
+    ctx, calls = _generic_case()
+    builds = _count_designs(monkeypatch)
+    th = np.array([0.3, -0.4])
+    target_gradient(ctx, th)
+    # one value, then the 2q values of central differences, on one design
+    assert len(calls) == 1 + 2 * th.size
+    assert len(builds) == 1
+
+
+def test_generic_kept_design_keeps_every_bit():
+    ctx, _ = _generic_case(p=2, n=40)
+    for th in np.random.default_rng(35).standard_normal((5, 3)):
+        assert target_generic_ls(ctx, th)[0] == target_generic_ls(_fresh(ctx), th)[0]
+
+
+def test_generic_copies_never_reuse_another_contexts_design(monkeypatch):
+    ctx, _ = _generic_case()
+    zs = ctx.z + 0.1 * np.random.default_rng(36).standard_normal((2,) + ctx.z.shape)
+    stack = TargetContext(dataset=ctx.dataset, model=ctx.model, lam=ctx.lam, z=zs)
+    th = np.array([0.2, 0.7])
+    first, second = stack.take(0), stack.take(1)
+    assert target_generic_ls(first, th)[0] == target_generic_ls(_fresh(ctx, z=zs[0]), th)[0]
+    assert target_generic_ls(second, th)[0] == target_generic_ls(_fresh(ctx, z=zs[1]), th)[0]
+    # copies of a context that keeps a design, at another lambda and on other surrogates
+    at_other_lam = copy.copy(first)
+    object.__setattr__(at_other_lam, "lam", 1.3)
+    on_other_z = copy.copy(first)
+    object.__setattr__(on_other_z, "z", zs[1])
+    builds = _count_designs(monkeypatch)
+    fresh = target_generic_ls(_fresh(ctx, 1.3, zs[0]), th)[0]
+    assert target_generic_ls(at_other_lam, th)[0] == fresh
+    assert target_generic_ls(on_other_z, th)[0] == target_generic_ls(_fresh(ctx, z=zs[1]), th)[0]
+    assert len(builds) == 4
+    # the context the design was built for still reuses it
+    target_generic_ls(first, th)
+    assert len(builds) == 4
+
+
+def test_generic_design_of_more_than_one_chunk_is_not_kept(monkeypatch):
+    ctx, calls = _generic_case(n=100)
+    monkeypatch.setattr(targets, "GENERIC_CHUNK_ROWS", 500)
+    builds = _count_designs(monkeypatch)
+    th = np.array([0.3, -0.4])
+    values = [target_generic_ls(ctx, th)[0] for _ in range(2)]
+    # 15 nodes of 100 rows, 5 per chunk: three calls, and a new design, per value
+    assert calls == [500] * 6
+    assert len(builds) == 2
+    assert "_generic_design" not in vars(ctx)
+    assert values[0] == values[1] == target_generic_ls(_fresh(ctx), th)[0]
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,9 @@ code, or the count of numbers).
 
 The commands are ``simulate --preset table1|quantile|misspec --seed 1
 --digits 17`` and ``estimate --digits 17`` for every CLI model, plus a few
-estimator variants, on a CSV that this script generates from a fixed seed
-(written to ``OUT/data.csv``, so the diff covers it too), and a few
+estimator variants (among them a quantile fit on an uneven grid), on a CSV
+that this script generates from a fixed seed (written to
+``OUT/data.csv``, so the diff covers it too), and a few
 ``estimate`` cases that take the fallback or fail: exponential with
 sigma_u^2 = 0.6, whose direct branch collapses, with the quadratic and the
 rational extrapolant; linear with sigma_u^2 = 4, which is ill-posed; and a
@@ -130,6 +131,9 @@ def commands(csv: Path) -> dict[str, list[str]]:
     # its lambda = 0 solve converges in 0 iterations and hands the identity
     # to lambda = 0.1, which therefore starts fresh
     est("expectile_t0.5_grid", "expectile", "y_additive", "--tau", "0.5", "--force-grid")
+    # an uneven grid, where each start's secant ratio differs from 1
+    est("quantile_t0.5_uneven_grid", "quantile", "y_additive", "--tau", "0.5",
+        "--grid", "0,0.05,0.2,0.5,1,2")
     # the fallback from a collapsed direct branch, and estimates that fail
     est("exponential_collapse", "exponential", "y_exponential", sigma="0.6")
     est("exponential_collapse_rational", "exponential", "y_exponential",
