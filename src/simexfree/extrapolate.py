@@ -140,8 +140,9 @@ class EstimateConfig:
     on.  The direct path's continuation starts each step from the previous
     minimizer but from the identity: its branch test would otherwise turn
     on where a carried line search happens to land.  Classical SIMEX starts
-    every replicate from the naive estimate by design, and from the
-    identity.
+    every pseudo-data set of a noise level from this grid's minimizer there
+    and the inverse Hessian its solve finished with, when B is large against
+    the cost of the grid (see ``simex._set_starts``).
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -755,11 +756,7 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
     # every further grid point, warm-started at the row's predicted minimizer
     # and previous inverse Hessian; on the grid path a failed naive solve is
     # a failed lambda = 0 point
-    lams = cfg.grid.values
-    results = [first]
-    for k in range(1, lams.size):
-        starts = _predicted(results, lams[:k + 1])
-        results.append(solve(rows, float(lams[k]), starts, _carried(results[-1])))
+    results = _grid_points(solve, rows, first, cfg.grid.values)
     thetas = np.stack([res.theta_hat for res in results], axis=1)
     failed = ~np.stack([res.converged for res in results], axis=1)
     for i, r in enumerate(rows):
@@ -793,6 +790,20 @@ def extrapolated(
         naive=Theta.from_flat(ge.thetas[0], has_intercept), grid=ge, extrapolant=fit,
         mc_se=mc_se,
     )
+
+
+def _grid_points(
+    solve, rows: np.ndarray, first: MinimizeResult, lams: np.ndarray
+) -> list[MinimizeResult]:
+    """The results of ``rows`` at each point of the grid ``lams``: ``first``,
+    their naive solve, at lambda = 0, and one ``solve`` per further point,
+    each row from its secant prediction (:func:`_predicted`) and the
+    inverse Hessian its previous point hands on (:func:`_carried`)."""
+    results = [first]
+    for k in range(1, lams.size):
+        starts = _predicted(results, lams[:k + 1])
+        results.append(solve(rows, float(lams[k]), starts, _carried(results[-1])))
+    return results
 
 
 def _predicted(results: list[MinimizeResult], lams: np.ndarray) -> np.ndarray:

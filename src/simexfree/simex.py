@@ -19,7 +19,9 @@ from .extrapolate import (
     EstimateConfig,
     EstimateResult,
     GridEstimates,
+    _grid_points,
     _is_int,
+    _stacked,
     extrapolated,
     naive_estimate,
     point_options,
@@ -28,7 +30,16 @@ from .extrapolate import (
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
 from .extrapolate import fit_extrapolant, minimize_target  # noqa: F401
+from .optimize import MinimizeResult
 from .targets import STACK_GROUP_VALUES, ModelSpec
+
+# the pseudo-data sets start from the simulation-free grid's minimizers when
+# B is at least this multiple of the cost of a grid value, in pseudo-data
+# values (see _set_starts).  Grid and naive starts ran about as fast at B = 30
+# for logistic at n = 5,000 with 30 nodes (cost 30), B = 10 for generic at
+# p = 1 (cost 15), B = 20 for walsh at n = 200 (cost 10) and B = 3 to 5 for
+# exponential at n = 500 (cost 1).
+GRID_START_B_PER_COST = 3
 
 
 @dataclass
@@ -37,7 +48,10 @@ class SimexConfig(EstimateConfig):
     and the RNG ``seed``.
 
     Each (grid point, replicate) pair draws from its own counter-keyed
-    stream, so results are reproducible and independent of evaluation order.
+    stream, and each pseudo-data set starts from a point that depends on
+    the observed data alone (the simulation-free grid's minimizer at its
+    noise level, or the naive estimate), so results are reproducible and
+    independent of evaluation order.
     """
 
     b: int = 100
@@ -69,24 +83,31 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
         raise ConfigError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
         return np.array(dataset.z)
-    v = rng.standard_normal((dataset.n, dataset.p)) @ dataset.sigma_root.T
+    v = rng.standard_normal((dataset.n, dataset.p))
+    # at p = 1 the product is one multiplication per draw, so a scalar
+    # scale gives its bits without the matrix product's overhead
+    v = v * dataset.sigma_root[0, 0] if dataset.p == 1 else v @ dataset.sigma_root.T
     return dataset.z + np.sqrt(lam) * v
 
 
 def _replicate_solves(
-    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, start: np.ndarray
+    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, starts: np.ndarray,
+    hinvs: np.ndarray | None,
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """The naive solves of every pseudo-data set (k, b), k >= 1, each
-    warm-started at ``start``.
+    warm-started at ``starts[k]`` with the initial inverse Hessian
+    ``hinvs[k]``, or the identity when ``hinvs`` is None.
 
     Returns the estimates (K - 1, B, q) and the (k, b) pairs whose solve
     failed even after its retry.  The sets are taken in (k, b) order, in
     groups of ``STACK_GROUP_VALUES // (n p)``, and each group is one solve
-    of :func:`row_solver` at lambda = 0, whatever the noise levels it spans.
-    A warm start can crawl on an unlucky pseudo sample, so a group's rows
-    that did not converge are one more solve, from the configured start, or
-    the family start on their pseudo-data, with four times the iterations.
-    A Dataset is built per pseudo-data set only for a retried row.
+    of :func:`row_solver` at lambda = 0, whatever the noise levels it spans,
+    each row from the start and inverse Hessian of its own k.  A warm start
+    can crawl on an unlucky pseudo sample, so a group's rows that did not
+    converge are one more solve, from the configured start, or the family
+    start on their pseudo-data, and the identity, with four times the
+    iterations.  A Dataset is built per pseudo-data set only for a retried
+    row.
     """
     lams = cfg.grid.values
     keys = [(k, b) for k in range(1, lams.size) for b in range(cfg.b)]
@@ -94,21 +115,55 @@ def _replicate_solves(
     thetas, failed = [], []
     for i in range(0, len(keys), size):
         group = keys[i : i + size]
+        ks = [k for k, _ in group]
         zs = np.stack([pseudo_data(dataset, float(lams[k]), _stream(cfg.seed, (k, b)))
                        for k, b in group])
-        res = row_solver(model, dataset, cfg, zs)(np.arange(len(group)), 0.0,
-                                                  np.tile(start, (len(group), 1)))
+        res = row_solver(model, dataset, cfg, zs)(np.arange(len(group)), 0.0, starts[ks],
+                                                  None if hinvs is None else hinvs[ks])
         again = np.flatnonzero(~res.converged)
         if again.size:
             base = point_options(model, 0.0, None, cfg.options)
             retry = replace(cfg, options=replace(base, max_iters=4 * base.max_iters))
-            starts = [cfg.start_for(model, Dataset(y=dataset.y, z=zs[j], sigma_u=dataset.sigma_u))
-                      for j in again]
-            out = row_solver(model, dataset, retry, zs)(again, 0.0, np.stack(starts))
+            retry_starts = [
+                cfg.start_for(model, Dataset(y=dataset.y, z=zs[j], sigma_u=dataset.sigma_u))
+                for j in again
+            ]
+            out = row_solver(model, dataset, retry, zs)(again, 0.0, np.stack(retry_starts))
             res.theta_hat[again] = out.theta_hat
             failed += [group[j] for j in again[~out.converged]]
         thetas.append(res.theta_hat)
     return np.concatenate(thetas).reshape(lams.size - 1, cfg.b, -1), failed
+
+
+def _set_starts(
+    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, naive: MinimizeResult
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The start (K, q) of the pseudo-data sets of each noise level, and
+    their initial inverse Hessians (K, q, q), or None for the identity.
+
+    The simulation-free objective at lambda_k is the conditional
+    expectation of the pseudo-data objectives at lambda_k, so its minimizer
+    theta(lambda_k) is where theirs cluster.  The simulation-free grid is
+    solved on the observed data, from the ``naive`` solve at lambda = 0, and
+    each set of lambda_k starts from theta(lambda_k) and the inverse Hessian
+    that the grid's solve there finished with; a simplex solve (a naive
+    solve without one) takes the start alone.  These starts save about a
+    third of the pseudo-data iterations, but one grid value costs
+    the family's ``smoothed_cost`` pseudo-data values (Gauss-Hermite nodes
+    per data row, say), so the grid is solved only when B is at least
+    ``GRID_START_B_PER_COST`` times that cost.  Otherwise, or if a grid
+    point fails, every set starts from the naive estimate and the identity.
+    """
+    lams = cfg.grid.values
+    smoothed_cost = model.record.smoothed_cost
+    cost = 1 if smoothed_cost is None else smoothed_cost(cfg.nodes, dataset.p)
+    if cfg.b >= GRID_START_B_PER_COST * cost:
+        grid = _grid_points(row_solver(model, dataset, cfg), np.zeros(1, dtype=int),
+                            _stacked([naive]), lams)
+        if all(res.converged[0] for res in grid):
+            starts = np.concatenate([res.theta_hat for res in grid])
+            return starts, None if naive.hinv is None else np.concatenate([r.hinv for r in grid])
+    return np.tile(naive.theta_hat, (lams.size, 1)), None
 
 
 def classical_simex(
@@ -117,29 +172,36 @@ def classical_simex(
     """Classical SIMEX estimate with per-lambda Monte Carlo standard errors.
 
     ``config`` is read as by :func:`ex_estimate`, plus ``b`` and ``seed``;
-    ``force_grid`` has no effect, as for any non-pluggable family.  The naive
-    fit starts at ``config.start`` (or the family start), and so does the
-    one retry of a pseudo-data solve.  The lambda = 0 average equals the
-    naive estimate exactly (no noise is added there).  Replicates start from
-    the naive estimate, never from each other, so any evaluation order
-    yields the same result.  The (K - 1) B pseudo-data sets are solved in
-    (lambda, replicate) order, in groups of at most ``STACK_GROUP_VALUES //
-    (n p)`` sets that may span noise levels.  Each group is one solve of
-    :func:`row_solver`, and so are the retries of its rows that did not
-    converge: one quasi-Newton batch for any family but generic, and one
-    scalar solve per pseudo-data set for generic and for the simplex method
-    (``config.options``, or a family that is not smooth at lambda = 0).
-    Each row takes the steps of its own scalar solve.  If a solve fails,
-    the error names the failed replicates of the smallest such lambda.
+    ``force_grid`` has no effect, as for any non-pluggable family.  The
+    naive fit starts at ``config.start`` (or the family start), and a naive
+    fit that fails raises.  The lambda = 0 average equals the naive
+    estimate exactly (no noise is added there).  Every pseudo-data set of
+    lambda_k starts from the simulation-free grid's minimizer at lambda_k
+    and the inverse Hessian its solve finished with, when B is large
+    enough against the cost of the grid's values, or else from the naive estimate
+    and the identity (see :func:`_set_starts`).  Either start depends on
+    the observed data alone, never on another replicate, so any evaluation
+    order yields the same result.  A pseudo-data solve that does not
+    converge is retried once, from the configured or family start.  The
+    (K - 1) B pseudo-data sets are solved in (lambda, replicate) order, in
+    groups of at most ``STACK_GROUP_VALUES // (n p)`` sets that may span
+    noise levels.  Each group is one solve of :func:`row_solver`, and so
+    are the retries of its rows that did not converge: one quasi-Newton
+    batch for any family but generic, and one scalar solve per pseudo-data
+    set for generic and for the simplex method (``config.options``, or a
+    family that is not smooth at lambda = 0).  Each row takes the steps of
+    its own scalar solve.  If a solve fails, the error names the failed
+    replicates of the smallest such lambda.
     """
     cfg = config or SimexConfig()
-    naive_flat = naive_estimate(model, dataset, cfg).theta_hat
-    q = naive_flat.size
     lams = cfg.grid.values
+    naive = naive_estimate(model, dataset, cfg)
+    starts, hinvs = _set_starts(model, dataset, cfg, naive)
+    q = naive.theta_hat.size
     means = np.empty((lams.size, q))
     ses = np.zeros((lams.size, q))
-    means[0] = naive_flat
-    draws, failed = _replicate_solves(model, dataset, cfg, naive_flat)
+    means[0] = naive.theta_hat
+    draws, failed = _replicate_solves(model, dataset, cfg, starts, hinvs)
     if failed:
         first = failed[0][0]
         raise EstimationError(

@@ -10,6 +10,8 @@ from simexfree import (
     Dataset,
     EstimateConfig,
     EstimationError,
+    GridConvergenceError,
+    GridEstimates,
     LambdaGrid,
     MinimizeOptions,
     ModelSpec,
@@ -17,11 +19,12 @@ from simexfree import (
     TargetContext,
     classical_simex,
     direct_estimate,
+    grid_estimate,
     naive_estimate,
     pseudo_data,
 )
 from simexfree import simex
-from simexfree.extrapolate import extrapolation_se, minimize_target
+from simexfree.extrapolate import extrapolated, extrapolation_se, minimize_target
 from simexfree.simex import _stream
 
 
@@ -166,14 +169,9 @@ def _exponential_data(seed=3, n=200):
     return Dataset(y=y, z=x + rng.normal(0, 0.5, n), sigma_u=0.25)
 
 
-@pytest.mark.parametrize(
-    "family", ["exponential", "linear", "poisson", "sine", "quantile", "lpre", "logistic",
-               "expectile"],
-)
-def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
-    # the reference: one scalar naive solve per (grid point, replicate);
-    # quantile solves one pseudo-data set at a time, by simplex, and every
-    # other family solves them as one quasi-Newton stack
+def _family_data(family):
+    """One dataset of ``family`` (n = 150) and its model; every family has
+    the same surrogates."""
     rng = np.random.default_rng(13)
     x = rng.standard_normal(150)
     ys = {"exponential": np.exp(x) + rng.standard_normal(150),
@@ -181,25 +179,138 @@ def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
           "poisson": rng.poisson(np.exp(0.5 * x)).astype(float),
           "sine": np.sin(x) + 0.5 * rng.standard_normal(150),
           "quantile": 1.0 + x + rng.standard_normal(150)}
-    # the other families' responses reuse these draws, so every family has the same z
+    # the other families' responses reuse these draws
     ys.update(lpre=np.exp(0.5 * ys["linear"] - 0.5), logistic=(ys["linear"] > 1.0).astype(float),
               expectile=ys["quantile"])
     ds = Dataset(y=ys[family], z=x + rng.normal(0, 0.5, 150), sigma_u=0.25)
-    tau = {"quantile": 0.5, "expectile": 0.3}.get(family)
-    model = ModelSpec(family=family, tau=tau)
-    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5)
+    return ds, ModelSpec(family=family, tau={"quantile": 0.5, "expectile": 0.3}.get(family))
+
+
+def _pseudo_draws(model, ds, cfg, starts, hinvs):
+    """One scalar naive solve per (grid point, replicate), from ``starts[k]``
+    and ``hinvs[k]``: the estimates (K - 1, B, q)."""
+    return np.array([
+        [minimize_target(TargetContext(
+            dataset=Dataset(y=ds.y, z=pseudo_data(ds, lam, _stream(cfg.seed, (k, b))),
+                            sigma_u=ds.sigma_u), model=model, lam=0.0), starts[k],
+            hinv=hinvs[k]).theta_hat for b in range(cfg.b)]
+        for k, lam in enumerate(cfg.grid.values[1:], start=1)
+    ])
+
+
+FAMILIES = ["exponential", "linear", "poisson", "sine", "quantile", "lpre", "logistic",
+            "expectile"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
+    # the reference: one scalar naive solve per (grid point, replicate), from
+    # the simulation-free grid minimizer at its noise level and, for a
+    # quasi-Newton solve, the inverse Hessian that the grid solve there
+    # finished with; quantile solves one pseudo-data set at a time, by
+    # simplex, from the start alone, and every other family solves them as
+    # one quasi-Newton stack
+    ds, model = _family_data(family)
+    # two quadrature nodes let logistic's B = 6 sets start from the grid
+    cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5, nodes=2)
+    res = classical_simex(model, ds, cfg)
+    grid = grid_estimate(model, ds, cfg)
+    simplex = family == "quantile"
+    hinvs = [None if simplex else r.hinv for r in grid.diagnostics]
+    assert simplex or all(h is not None for h in hinvs[1:])
+    draws = _pseudo_draws(model, ds, cfg, grid.thetas, hinvs)
+    assert np.array_equal(res.grid.thetas[0], grid.thetas[0])
+    np.testing.assert_allclose(res.grid.thetas[1:], draws.mean(axis=1), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.mc_se[1:], draws.std(axis=1, ddof=1) / np.sqrt(cfg.b),
+                               rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_classical_agrees_with_naive_started_replicates(family):
+    # the grid starts move each pseudo-data minimizer only within the
+    # optimizer tolerance of the one reached from the naive estimate and
+    # the identity (two quadrature nodes let logistic's B = 6 sets start
+    # from the grid)
+    ds, model = _family_data(family)
+    cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 0.5, 1.0, 2.0]), kind="quadratic", seed=8,
+                      nodes=2)
     res = classical_simex(model, ds, cfg)
     naive = naive_estimate(model, ds).theta_hat
-    for k, lam in enumerate(cfg.grid.values[1:], start=1):
-        draws = [
-            minimize_target(TargetContext(
-                dataset=Dataset(y=ds.y, z=pseudo_data(ds, lam, _stream(5, (k, b))),
-                                sigma_u=ds.sigma_u), model=model, lam=0.0), naive).theta_hat
-            for b in range(cfg.b)
-        ]
-        np.testing.assert_allclose(res.grid.thetas[k], np.mean(draws, axis=0), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(res.mc_se[k], np.std(draws, axis=0, ddof=1) / 2.0,
-                                   rtol=1e-10, atol=0)
+    draws = _pseudo_draws(model, ds, cfg, [naive] * cfg.grid.size, [None] * cfg.grid.size)
+    means = np.vstack([naive, draws.mean(axis=1)])
+    ref = extrapolated(GridEstimates(grid=cfg.grid, thetas=means), cfg.kind,
+                       model.has_intercept).theta_hat.flat_vector
+    for got, want in ((res.grid.thetas, means), (res.theta_hat.flat_vector, ref)):
+        assert np.all(np.abs(got - want) <= 1e-7 * (1.0 + np.abs(want))), (got, want)
+
+
+def _spy_pseudo_data_solves(monkeypatch):
+    """Record (max_iters, starts, hinv) of every lambda = 0 solve that
+    classical SIMEX runs: the pseudo-data solves and their retries."""
+    calls = []
+    row_solver = simex.row_solver
+
+    def spy(model, dataset, cfg, z=None, y=None):
+        solve = row_solver(model, dataset, cfg, z, y)
+
+        def run(rows, lam, starts, hinv=None):
+            if lam == 0.0:
+                calls.append((getattr(cfg.options, "max_iters", None), starts.copy(), hinv))
+            return solve(rows, lam, starts, hinv)
+
+        return run
+
+    monkeypatch.setattr(simex, "row_solver", spy)
+    return calls
+
+
+def test_classical_starts_from_the_naive_estimate_when_the_grid_fails(monkeypatch):
+    # from a start 0.01 off, six iterations solve the naive fit but not the
+    # grid's lambda > 0 points, so every pseudo-data set starts from the
+    # naive estimate and the identity, and a retried one from the
+    # configured start
+    ds = _exponential_data()
+    model = ModelSpec(family="exponential")
+    start = naive_estimate(model, ds).theta_hat + 0.01
+    cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=1, start=start,
+                      options=MinimizeOptions(max_iters=6))
+    naive = naive_estimate(model, ds, cfg).theta_hat
+    assert not np.array_equal(naive, start)
+    with pytest.raises(GridConvergenceError):
+        grid_estimate(model, ds, cfg)
+    calls = _spy_pseudo_data_solves(monkeypatch)
+    classical_simex(model, ds, cfg)
+    first = [(starts, hinv) for iters, starts, hinv in calls if iters == 6]
+    retried = [(starts, hinv) for iters, starts, hinv in calls if iters == 4 * 6]
+    # the six sets are one group, solved from the naive estimate
+    assert len(first) == 1 and len(first[0][0]) == 6 and retried
+    for (starts, hinv), want in [(first[0], naive)] + [(r, start) for r in retried]:
+        assert hinv is None
+        assert np.array_equal(starts, np.tile(want, (len(starts), 1)))
+
+
+def test_classical_starts_from_the_naive_estimate_when_b_is_small_against_the_quadrature(
+    monkeypatch,
+):
+    # a logistic grid value at lambda > 0 evaluates ``nodes`` quadrature
+    # nodes per data row, so B = 6 solves the grid for 2 nodes, and starts
+    # each set from its minimizer, but not for 3 nodes
+    ds, model = _family_data("logistic")
+    calls = _spy_pseudo_data_solves(monkeypatch)
+    for nodes in (2, 3):
+        calls.clear()
+        cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5, nodes=nodes)
+        classical_simex(model, ds, cfg)
+        naive = naive_estimate(model, ds, cfg)
+        (_, starts, hinv), = calls
+        if nodes == 2:
+            grid = grid_estimate(model, ds, cfg)
+            assert np.array_equal(starts, np.repeat(grid.thetas[1:], cfg.b, axis=0))
+            assert np.array_equal(hinv, np.repeat([r.hinv for r in grid.diagnostics[1:]],
+                                                  cfg.b, axis=0))
+        else:
+            assert hinv is None
+            assert np.array_equal(starts, np.tile(naive.theta_hat, (2 * cfg.b, 1)))
 
 
 def test_classical_failure_names_each_failed_replicate():
@@ -244,11 +355,13 @@ def test_batched_classical_builds_no_dataset_per_pseudo_data_set(monkeypatch, mo
 def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch):
     # B = 4 on a three-point grid is 8 pseudo-data sets; groups of 3 sets
     # cut across the two noise levels (3 | 1 + 2 | 2), and at this seed and
-    # iteration cap one row of the first group (lambda = 1, b = 1) is retried
+    # iteration cap the grid converges and one row of the first group
+    # (lambda = 1, b = 2) is retried
     ds = _exponential_data()
     model = ModelSpec(family="exponential")
-    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=3,
-                      options=MinimizeOptions(max_iters=12))
+    cap = 10
+    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=16,
+                      options=MinimizeOptions(max_iters=cap))
     one_group = classical_simex(model, ds, cfg)
     stacks, retried = [], []
     row_solver = simex.row_solver
@@ -257,8 +370,9 @@ def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch)
         solve = row_solver(model, dataset, cfg, z, y)
 
         def run(rows, lam, starts, hinv=None):
-            stacks.extend([len(z), rows.size])
-            if cfg.options.max_iters == 4 * 12:
+            if z is not None:  # a pseudo-data solve; the grid's have no z
+                stacks.extend([len(z), rows.size])
+            if cfg.options.max_iters == 4 * cap:
                 retried.append(rows.size)
             return solve(rows, lam, starts, hinv)
 

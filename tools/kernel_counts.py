@@ -12,11 +12,13 @@ for a seed.  One line per fit, then one line per item and a total:
     fit                  path          kernel  qn_iters
 
 With ``--classical`` it prints, in place of the fits, the counts of the
-study workload's classical SIMEX cell at the seed (R = 2 replicates of an
-exponential, n = 500, rational fit with B = 100 pseudo-data sets per noise
-level): kernel calls, kernel values, quasi-Newton iterations and
-``minimize_batch`` runs, one line each.  Its iterations include those of
-the scalar naive fits and rational extrapolant fits, as a fit's do.
+study workload's classical SIMEX operation at the seed, as the workload
+builds it (R = 2 replicates of an exponential, n = 500, rational fit with
+B = 100 pseudo-data sets per noise level): kernel calls, kernel values,
+quasi-Newton iterations and ``minimize_batch`` runs, one line each.  Its
+iterations include those of the scalar grid fits on the observed data,
+whose lambda = 0 point is the naive fit, and of the rational extrapolant
+fits, as a fit's do.
 
 Two trees are compared by running this script against each:
 
@@ -108,18 +110,18 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
 
 
 def count_classical(seed: int) -> dict[str, int]:
-    """The counts of the study workload's classical cell at ``seed``: its
-    scenario, replications and cell seed, as ``perfbench/workloads.py``
-    builds them."""
-    from perfbench.workloads import CLASSICAL_REPS
-    from simexfree import EstimateConfig, ModelSpec
-    from simexfree.montecarlo import Scenario, run_study
+    """The counts of the study workload's classical cell at ``seed``: the
+    ``classical_n500_s0.25`` operation of ``perfbench.workloads.Study``,
+    run once after the workload's set-up and warm-up, which are not
+    counted."""
+    from perfbench.workloads import Notes, Study
 
-    cell = Scenario(name="classical", estimator="classical", model=ModelSpec(family="exponential"),
-                    theta0=[1.0], n=500, sigma_u=[[0.25]],
-                    config=EstimateConfig(kind="rational"), simex_b=100)
+    study = Study(seed)
+    study.setup()
+    (op,) = [op for op in study.ops() if op.label == "classical_n500_s0.25"]
     with counting() as counts:
-        run_study([cell], CLASSICAL_REPS, seed=seed * 100 + 99)
+        if op.run(Notes()):
+            raise SystemExit(f"the classical cell failed its check at seed {seed}")
     return counts
 
 
