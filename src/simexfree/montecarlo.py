@@ -23,7 +23,7 @@ from .extrapolate import (
     ex_estimate_stack,
     naive_estimate,
 )
-from .simex import SimexConfig, _stream, classical_simex
+from .simex import SimexConfig, _streams, classical_simex
 from .targets import STACK_GROUP_VALUES, ModelSpec, lognormal_error
 
 CHISQ2_MEDIAN = 1.3863  # 50th percentile of chi-square with 2 df
@@ -140,8 +140,10 @@ def simulate_dataset(
 def _replicates(
     scenario: Scenario, seed: int, keys: Sequence[tuple[int, ...]]
 ) -> tuple[np.ndarray, int]:
-    """Simulate one dataset per stream key and run the scenario's estimator
-    on it, with every setting of ``scenario.config``.  Returns the estimates
+    """Simulate one dataset per stream key, each from the stream that
+    ``_stream(seed, key)`` draws (all of them from one re-keyed generator,
+    see :func:`simex._streams`), and run the scenario's estimator on it,
+    with every setting of ``scenario.config``.  Returns the estimates
     that succeeded and the number of replicates that failed; more than 5%
     failures raise, and so does a ConfigError.
 
@@ -154,21 +156,24 @@ def _replicates(
     """
     config = scenario.config or EstimateConfig()
     model = scenario.model
+    streams = _streams(seed, keys)
     if scenario.estimator == "classical":
 
-        def fit(r: int) -> np.ndarray:
-            ds = simulate_dataset(scenario, _stream(seed, keys[r]))
+        def fit(item: tuple[int, np.random.Generator]) -> np.ndarray:
+            r, rng = item
+            ds = simulate_dataset(scenario, rng)
             cfg = SimexConfig(
                 **{**vars(config), "b": scenario.simex_b, "seed": seed + 7919 * (r + 1)}
             )
             return classical_simex(model, ds, cfg).theta_hat.flat_vector
 
-        solved = _each(range(len(keys)), fit)
+        solved = _each(enumerate(streams), fit)
     else:
         solved = []
         size = max(1, STACK_GROUP_VALUES // scenario.n)
         for i in range(0, len(keys), size):
-            datasets = [simulate_dataset(scenario, _stream(seed, key)) for key in keys[i : i + size]]
+            group = keys[i : i + size]
+            datasets = [simulate_dataset(scenario, rng) for _, rng in zip(group, streams)]
             solved += ex_estimate_stack(model, datasets, config, scenario.estimator == "naive")
     # a failed replicate is an error (classical) or None (stacked)
     ests = [e for e in solved if isinstance(e, np.ndarray)]
@@ -355,8 +360,8 @@ def quantile_lines_study(
     if replications < 1:
         raise ConfigError("need at least one replication")
     rows = []
-    for r in range(replications):
-        rng = _stream(seed, (0, r))
+    streams = _streams(seed, [(0, r) for r in range(replications)])
+    for r, rng in enumerate(streams):
         ds, latent = simulate_dataset(scenario, rng, return_latent=True)
         ds_oracle = Dataset(
             y=ds.y, z=latent, sigma_u=np.zeros((latent.shape[1], latent.shape[1]))

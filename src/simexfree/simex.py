@@ -9,6 +9,7 @@ conditional expectation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,11 +48,13 @@ class SimexConfig(EstimateConfig):
     """Every :class:`EstimateConfig` setting, plus the replicate count ``b``
     and the RNG ``seed``.
 
-    Each (grid point, replicate) pair draws from its own counter-keyed
-    stream, and each pseudo-data set starts from a point that depends on
-    the observed data alone (the simulation-free grid's minimizer at its
-    noise level, or the naive estimate), so results are reproducible and
-    independent of evaluation order.
+    Each pseudo-data set (k, b), of grid point k and replicate b, draws
+    from its own counter-keyed Philox stream, keyed by
+    ``SeedSequence(entropy=seed, spawn_key=(k, b))`` (see :func:`_stream`),
+    and starts from a point that depends on the observed data alone (the
+    simulation-free grid's minimizer at its noise level, or the naive
+    estimate), so results are reproducible and independent of evaluation
+    order.
     """
 
     b: int = 100
@@ -68,7 +71,10 @@ class SimexConfig(EstimateConfig):
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     """Counter-keyed Philox generator: one independent stream per key.
 
-    A negative seed raises ConfigError, as numpy's seed sequence takes none.
+    Its Philox key is ``SeedSequence(entropy=seed, spawn_key=key)``'s
+    ``generate_state(2, uint64)``, and its counter starts at 0.  This is the
+    one-key reference; :func:`_streams` draws the same for many keys.  A
+    negative seed raises ConfigError, as numpy's seed sequence takes none.
     """
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
@@ -77,8 +83,79 @@ def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     )
 
 
+# numpy's SeedSequence is O'Neill's seed_seq_fe hash over 32-bit words, with
+# a pool of four words; these are its constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _streams(seed: int, keys: Sequence[tuple[int, ...]]) -> Iterator[np.random.Generator]:
+    """One generator per key, in order, each drawing what a fresh
+    ``_stream(seed, key)`` draws, bit for bit.
+
+    Philox is counter-based, so a key picks a stream: the iterator yields
+    one Generator, whose Philox is re-keyed before each yield, so a yielded
+    generator draws its key's stream only until the next one is taken.  The
+    keys of every stream are hashed in one vectorised pass: the seed's
+    entropy pool is numpy's own (``SeedSequence(seed).pool``, whatever the
+    seed's width), the spawn-key words are mixed into it as numpy mixes
+    them, and the pool gives the Philox key as ``generate_state(2, uint64)``
+    does.  The keys must have one length, and their elements must lie in
+    [0, 2**32), one word each; a negative seed or a key outside that range
+    raises ConfigError.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    words = np.asarray(keys)
+    if words.size and (words.ndim != 2 or words.dtype.kind not in "iu"
+                       or words.min() < 0 or words.max() > _MASK32):
+        raise ConfigError("stream keys must be tuples of one length, "
+                          f"of integers in [0, 2**32), got {keys!r}")
+    pool = np.tile(np.random.SeedSequence(seed).pool, (len(words), 1))
+    # the seed's words, padded to the pool size, took four hashes each, and
+    # the pool's all-pairs mixing twelve more
+    seed_words = max(4, -(-int(seed).bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * seed_words, 1 << 32) & _MASK32
+    for word in words.astype(np.uint32).T:
+        for i in range(4):
+            h = word ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_A & _MASK32
+            h *= np.uint32(hash_const)
+            h ^= h >> 16
+            mixed = _MIX_L * pool[:, i] - _MIX_R * h
+            pool[:, i] = mixed ^ (mixed >> 16)
+    hash_const = _INIT_B
+    for i in range(4):
+        pool[:, i] ^= np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        pool[:, i] *= np.uint32(hash_const)
+        pool[:, i] ^= pool[:, i] >> 16
+    # two 32-bit words to a 64-bit key word, the low word first
+    philox_keys = pool[:, 0::2].astype(np.uint64) | pool[:, 1::2].astype(np.uint64) << 32
+    bitgen = np.random.Philox(seed)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+
+    def rekeyed() -> Iterator[np.random.Generator]:
+        for key in philox_keys:
+            # a fresh Philox's state: counter 0 and an empty buffer
+            bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield gen
+
+    return rekeyed()
+
+
 def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Surrogates with extra noise: z + sqrt(lam) v, v ~ N(0, sigma_u) rowwise."""
+    """Surrogates with extra noise: z + sqrt(lam) v, v ~ N(0, sigma_u) rowwise.
+
+    ``v`` is ``rng``'s standard normal (n, p) draw times the transposed root
+    of sigma_u (its one entry at p = 1).  Classical SIMEX does not call this
+    per set: it draws its sets in groups, with the same arithmetic in the
+    same order, bit for bit (see :func:`_replicate_solves`).
+    """
     if lam < 0:
         raise ConfigError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
@@ -108,16 +185,33 @@ def _replicate_solves(
     start on their pseudo-data, and the identity, with four times the
     iterations.  A Dataset is built per pseudo-data set only for a retried
     row.
+
+    Each group's pseudo-data are drawn into one (G, n, p) buffer from the
+    streams of :func:`_streams` (one re-keyed Philox generator, set (k, b)
+    drawing what ``_stream(seed, (k, b))`` draws) and scaled in place in
+    :func:`pseudo_data`'s order: by the root of sigma_u, by sqrt(lambda_k),
+    and plus z.  So each set equals its own ``pseudo_data`` call bit for bit.
     """
     lams = cfg.grid.values
     keys = [(k, b) for k in range(1, lams.size) for b in range(cfg.b)]
-    size = max(1, STACK_GROUP_VALUES // (dataset.n * dataset.p))
+    n, p = dataset.n, dataset.p
+    size = max(1, STACK_GROUP_VALUES // (n * p))
+    streams = _streams(cfg.seed, keys)
+    root, scales = dataset.sigma_root, np.sqrt(lams)
     thetas, failed = [], []
     for i in range(0, len(keys), size):
         group = keys[i : i + size]
         ks = [k for k, _ in group]
-        zs = np.stack([pseudo_data(dataset, float(lams[k]), _stream(cfg.seed, (k, b)))
-                       for k, b in group])
+        # pseudo_data's draws and arithmetic, set by set, in place
+        zs = np.empty((len(group), n, p))
+        for z, rng in zip(zs, streams):
+            rng.standard_normal(out=z)
+            if p > 1:
+                z[:] = z @ root.T
+        if p == 1:
+            zs *= root[0, 0]
+        zs *= scales[ks, None, None]
+        zs += dataset.z
         res = row_solver(model, dataset, cfg, zs)(np.arange(len(group)), 0.0, starts[ks],
                                                   None if hinvs is None else hinvs[ks])
         again = np.flatnonzero(~res.converged)
@@ -182,7 +276,11 @@ def classical_simex(
     and the identity (see :func:`_set_starts`).  Either start depends on
     the observed data alone, never on another replicate, so any evaluation
     order yields the same result.  A pseudo-data solve that does not
-    converge is retried once, from the configured or family start.  The
+    converge is retried once, from the configured or family start.  Set
+    (k, b) draws its noise from the Philox stream keyed by
+    ``SeedSequence(entropy=seed, spawn_key=(k, b))``; every set's key is
+    hashed in one pass and one generator is re-keyed per set, with the
+    draws of a fresh generator per set, bit for bit.  The
     (K - 1) B pseudo-data sets are solved in (lambda, replicate) order, in
     groups of at most ``STACK_GROUP_VALUES // (n p)`` sets that may span
     noise levels.  Each group is one solve of :func:`row_solver`, and so

@@ -38,7 +38,8 @@ from simexfree import (
     target_value,
 )
 from simexfree.extrapolate import extrapolation_se
-from simexfree.montecarlo import Scenario, _stream, quantile_scenario
+from simexfree.montecarlo import Scenario, quantile_scenario
+from simexfree.simex import _stream
 from simexfree.targets import target_linear
 
 

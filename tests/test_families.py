@@ -20,8 +20,8 @@ from simexfree import (
     target_value,
 )
 from simexfree import targets
-from simexfree.montecarlo import _stream
 from simexfree.optimize import finite_difference_gradient
+from simexfree.simex import _stream
 from simexfree.targets import FAMILIES
 
 _LINE = MeanFunction(fn=lambda x, th: th[0] + th[1] * x[:, 0], n_params=2)

@@ -29,11 +29,11 @@ from simexfree import (
 from simexfree import montecarlo
 from simexfree.montecarlo import (
     CHISQ2_MEDIAN,
-    _stream,
     bivariate_exponential_scenarios,
     exponential_scenarios,
     quantile_scenario,
 )
+from simexfree.simex import _stream
 
 
 def _exp_scenario(n=500, s2=0.25, estimator="ex"):

@@ -25,7 +25,7 @@ from simexfree import (
 )
 from simexfree import simex
 from simexfree.extrapolate import extrapolated, extrapolation_se, minimize_target
-from simexfree.simex import _stream
+from simexfree.simex import _stream, _streams
 
 
 def _linear_data(seed=0, n=200, su=0.25, beta=1.5):
@@ -385,3 +385,86 @@ def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch)
     assert max(stacks) == max(1, simex.STACK_GROUP_VALUES // (ds.n * ds.p)) == 3
     assert np.array_equal(grouped.grid.thetas, one_group.grid.thetas)
     assert np.array_equal(grouped.mc_se, one_group.mc_se)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**200 + 11]
+KEYS = [[(0,), (2**32 - 1,), (7,)],
+        [(0, 0), (1, 2**32 - 1), (2**32 - 1, 0)],
+        [(0, 1, 2), (2**32 - 1, 0, 2**32 - 1), (3, 2**32 - 1, 0)]]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_keys_are_numpys_spawned_seed_sequence_keys(seed):
+    # seeds of one to seven 32-bit words; keys of one to three words
+    for keys in KEYS:
+        got = [rng.bit_generator.state["state"]["key"].copy() for rng in _streams(seed, keys)]
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64)
+                for key in keys]
+        assert np.array_equal(got, want)
+
+
+def _draws(rng):
+    """One 32-bit value, which would take any half of a 64-bit draw left in
+    the generator's state, a few draws of each kind a study or a fit takes,
+    and two more 32-bit values, which leave such a half."""
+    out = [rng.integers(0, 2**32, size=1, dtype=np.uint32), rng.standard_normal(5),
+           rng.laplace(0.0, 0.3, 3), rng.chisquare(2, 3), rng.poisson(2.5, 4), rng.random(3),
+           rng.integers(0, 2**32, size=2, dtype=np.uint32)]
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**200 + 11])
+def test_streams_draw_what_a_fresh_stream_draws(seed):
+    keys = [(k, b) for k in range(1, 3) for b in (0, 1, 2**32 - 1)]
+    for key, rng in zip(keys, _streams(seed, keys)):
+        assert np.array_equal(_draws(rng), _draws(_stream(seed, key)))
+
+
+@pytest.mark.parametrize("seed, keys", [(-1, [(0, 0)]), (0, [(0, -1)]), (0, [(0, 2**32)]),
+                                        (0, [(2**70, 0)])])
+def test_streams_reject_a_negative_seed_and_a_key_outside_32_bits(seed, keys):
+    with pytest.raises(ConfigError):
+        list(_streams(seed, keys))
+
+
+def _spy_pseudo_data(monkeypatch):
+    """Record the pseudo-data stack of each group that classical SIMEX
+    solves (a retry solves the same stack again)."""
+    stacks = []
+    row_solver = simex.row_solver
+
+    def spy(model, dataset, cfg, z=None, y=None):
+        if z is not None and not any(z is seen for seen in stacks):
+            stacks.append(z.copy())
+        return row_solver(model, dataset, cfg, z, y)
+
+    monkeypatch.setattr(simex, "row_solver", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("sigma_u", [
+    0.25,
+    [[0.25, 0.05], [0.05, 0.2]],
+    [[0.3, 0.1, -0.05], [0.1, 0.2, 0.04], [-0.05, 0.04, 0.15]],
+    0.0,
+], ids=["p1", "p2", "p3", "sigma0"])
+@pytest.mark.parametrize("group_sets", [None, 3], ids=["one_group", "straddling"])
+def test_grouped_pseudo_data_equal_one_draw_per_set(monkeypatch, sigma_u, group_sets):
+    # B = 4 on a three-point grid is 8 pseudo-data sets: one group, or
+    # groups of 3 sets that cut across the two noise levels (3 | 1 + 2 | 2)
+    sigma = np.atleast_2d(sigma_u)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((120, sigma.shape[0]))
+    ds = Dataset(y=1.0 + x.sum(axis=1) + rng.standard_normal(120),
+                 z=x + 0.4 * rng.standard_normal(x.shape), sigma_u=sigma)
+    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=2**32 + 9)
+    stacks = _spy_pseudo_data(monkeypatch)
+    if group_sets:
+        monkeypatch.setattr(simex, "STACK_GROUP_VALUES", group_sets * ds.n * ds.p)
+    classical_simex(ModelSpec(family="linear"), ds, cfg)
+    want = np.stack([pseudo_data(ds, lam, _stream(cfg.seed, (k, b)))
+                     for k, lam in enumerate(cfg.grid.values[1:], start=1)
+                     for b in range(cfg.b)])
+    assert [len(z) for z in stacks] == ([3, 3, 2] if group_sets else [8])
+    assert np.array_equal(np.concatenate(stacks), want)

@@ -128,6 +128,9 @@ def commands(csv: Path) -> dict[str, list[str]]:
     est("sine_p2", "sine", "y_sine", covariates="z1,z2", sigma=SIGMA_U2)
     est("lpre_p2", "lpre", "y_mult", covariates="z1,z2", sigma=SIGMA_U2)
     est("expectile_t0.5_classical", "expectile", "y_additive", "--tau", "0.5", *classical)
+    # a seed of two 32-bit words, and pseudo-data scaled by a 2 x 2 sigma_u root
+    est("exponential_p2_classical_seed", "exponential", "y_exponential2", *classical,
+        "--seed", "4294967297", covariates="z1,z2", sigma=SIGMA_U2)
     # its lambda = 0 solve converges in 0 iterations and hands the identity
     # to lambda = 0.1, which therefore starts fresh
     est("expectile_t0.5_grid", "expectile", "y_additive", "--tau", "0.5", "--force-grid")
