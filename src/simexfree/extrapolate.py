@@ -25,7 +25,7 @@ from .errors import (
     PoleError,
     SimexfreeError,
 )
-from .optimize import MinimizeOptions, MinimizeResult, minimize, minimize_batch
+from .optimize import MinimizeOptions, MinimizeResult, batch_dot, minimize, minimize_batch
 from .targets import STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, naive_start, stack_rows
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
@@ -92,12 +92,17 @@ class FittedExtrapolant:
     ``gamma_hat`` has one row of coefficients per theta coordinate:
     (a, b) for the linear trend a + b lam, (a, b, c) for the quadratic
     a + b lam + c lam^2, and (a, b, c) for the rational a + b / (c + lam).
-    ``rss`` is the per-coordinate residual sum of squares.
+    ``rss`` is the per-coordinate residual sum of squares.  ``status`` is
+    the per-coordinate exit status of the fit: "closed_form" for a
+    polynomial, and for the rational trend its quasi-Newton search's status
+    (see :class:`MinimizeResult`), which may be "max_iters": such a fit is
+    returned as it stands.  It is None for a fit built by hand.
     """
 
     kind: str
     gamma_hat: np.ndarray
     rss: np.ndarray
+    status: np.ndarray | None = None
 
 
 @dataclass
@@ -143,6 +148,14 @@ class EstimateConfig:
     every pseudo-data set of a noise level from this grid's minimizer there
     and the inverse Hessian its solve finished with, when B is large against
     the cost of the grid (see ``simex._set_starts``).
+
+    Every solve takes one step rule (see :func:`~simexfree.optimize.minimize`).
+    The families whose kernels state second slopes (linear, exponential,
+    sine, poisson, lpre and expectile at tau = 1/2) take a damped Newton
+    step from the analytic Hessian wherever it is positive definite, and a
+    quasi-Newton step elsewhere; the others, and the generic family, take
+    quasi-Newton steps only.  A carried inverse Hessian steers only the
+    quasi-Newton steps.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -213,10 +226,13 @@ def minimize_target(
 
     This is the one-row solve of :func:`row_solver`, with the options of
     :func:`point_options` at ``ctx.lam``.  Each trial point runs the family
-    kernel once: the quasi-Newton method asks for a gradient only at the
-    point it has just evaluated and accepted, and gets it from that
-    evaluation's ``grad`` callable, so a rejected trial never pays for a
-    gradient and an accepted one never redoes its setup.
+    kernel once: the quasi-Newton method asks for a gradient, and then for
+    a Hessian, only at the point it has just evaluated and accepted, and
+    gets them from that evaluation's ``grad`` callable and its
+    ``grad.hessian``, so a rejected trial never pays for either and an
+    accepted one never redoes its setup.  A kernel without
+    ``grad.hessian`` offers no curvature, and the solve takes quasi-Newton
+    steps only (see :func:`minimize`).
     """
     model = ctx.model
     opts = point_options(model, ctx.lam, np.asarray(start, dtype=float), options, hinv)
@@ -235,10 +251,17 @@ def minimize_target(
             value(th)
         return finish()
 
+    def curvature(th):
+        if th is not point:
+            value(th)
+        second = getattr(finish, "hessian", None)
+        return None if second is None else second()
+
     # the generic family runs user code and has no analytic gradient;
     # minimize then differentiates it by central differences
-    grad = gradient if opts.method == "quasi-newton" and model.mean_fn is None else None
-    return minimize(value, grad, opts)
+    if opts.method == "quasi-newton" and model.mean_fn is None:
+        return minimize(value, gradient, opts, curvature)
+    return minimize(value, None, opts)
 
 
 def minimize_stack(ctx: TargetContext, options: MinimizeOptions) -> MinimizeResult:
@@ -251,23 +274,34 @@ def minimize_stack(ctx: TargetContext, options: MinimizeOptions) -> MinimizeResu
     runs a user's ``mean_fn``.  Each call of the solver runs the kernel
     once per chunk of at most ``STACK_CHUNK_VALUES // n`` sets and finishes
     the chunk's gradients from that call when one of its trial points
-    passes the Armijo test, so no trial's B x n temporaries outlive their
-    chunk.  Each row equals its scalar :func:`minimize_target` solve bit
-    for bit.
+    passes the Armijo test.  Where the kernel offers ``grad.hessian``, it
+    finishes the chunk's Hessians too when one of those points has a
+    gradient above ``options.grad_tol``, and so takes a step from there.
+    No trial's B x n temporaries outlive their chunk.  Each row equals its
+    scalar :func:`minimize_target` solve bit for bit.
     """
     kernel = ctx.model.record.kernel
     chunk = max(1, STACK_CHUNK_VALUES // ctx.dataset.n)
+    tol = options.grad_tol
 
     def evaluate(theta, rows, bound):
         values = np.empty(rows.size)
         grads = np.empty(theta.shape)
+        hessians = None
         for i in range(0, rows.size, chunk):
             part = slice(i, i + chunk)
             v, grad = kernel(ctx.take(rows[part]), theta[part])
             values[part] = v
-            if np.any(np.isfinite(v) & (v <= bound[part])):
-                grads[part] = grad()
-        return values, grads
+            passed = np.isfinite(v) & (v <= bound[part])
+            if passed.any():
+                g = grads[part] = grad()
+                second = getattr(grad, "hessian", None)
+                # a row whose gradient is within grad_tol stops without a step
+                if second is not None and (passed & ~(np.sqrt(batch_dot(g, g)) <= tol)).any():
+                    if hessians is None:
+                        hessians = np.full(theta.shape + theta.shape[-1:], np.nan)
+                    hessians[part] = second()
+        return values, grads, hessians
 
     return minimize_batch(evaluate, options)
 
@@ -494,7 +528,8 @@ def _rational_seed(lams: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _fit_rational(lams: np.ndarray, vals: np.ndarray):
     """Nonlinear least squares for a + b / (c + lam) with the pole kept left
-    of lambda = -1 via the reparameterization c = 1 + exp(gamma)."""
+    of lambda = -1 via the reparameterization c = 1 + exp(gamma); returns
+    (a, b, c), the residual sum of squares and the search's status."""
     a0, b0, c0 = _rational_seed(lams, vals)
 
     def unpack(p):
@@ -530,7 +565,7 @@ def _fit_rational(lams: np.ndarray, vals: np.ndarray):
             "rational extrapolant pole falls inside the extrapolation range; "
             "try the quadratic extrapolant"
         )
-    return np.array([a, b, c]), rss(res.theta_hat)
+    return np.array([a, b, c]), rss(res.theta_hat), res.status
 
 
 def fit_extrapolant(grid_estimates: GridEstimates, kind: str = "quadratic") -> FittedExtrapolant:
@@ -542,17 +577,14 @@ def fit_extrapolant(grid_estimates: GridEstimates, kind: str = "quadratic") -> F
     n_coef = _DEGREE.get(kind, 2) + 1  # the rational a, b, c count as degree 2
     if lams.size < n_coef:
         raise ConfigError(f"{kind} extrapolant needs at least {n_coef} grid points")
-    gammas = []
-    rss = []
-    for j in range(thetas.shape[1]):
-        vals = thetas[:, j]
-        if kind == "rational":
-            g, r = _fit_rational(lams, vals)
-        else:
-            g, r = _fit_polynomial(lams, vals, _DEGREE[kind])
-        gammas.append(g)
-        rss.append(r)
-    return FittedExtrapolant(kind=kind, gamma_hat=np.asarray(gammas), rss=np.asarray(rss))
+    fits = [
+        _fit_rational(lams, thetas[:, j]) if kind == "rational"
+        else (*_fit_polynomial(lams, thetas[:, j], _DEGREE[kind]), "closed_form")
+        for j in range(thetas.shape[1])
+    ]
+    gammas, rss, status = zip(*fits)
+    return FittedExtrapolant(kind=kind, gamma_hat=np.asarray(gammas), rss=np.asarray(rss),
+                             status=np.array(status))
 
 
 def extrapolate_to_minus_one(fit: FittedExtrapolant) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Unconstrained minimization: quasi-Newton with backtracking, and Nelder-Mead.
+"""Unconstrained minimization: damped Newton or quasi-Newton with
+backtracking, and Nelder-Mead.
 
 Both methods are deterministic: repeated runs on the same inputs produce
 identical results, and accepted iterate values are non-increasing.
@@ -8,6 +9,8 @@ independent objectives at once, one row of state per objective.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,15 +31,20 @@ class MinimizeOptions:
 
     ``method`` is ``"quasi-newton"`` (BFGS-style inverse-Hessian updates with
     a halving Armijo backtracking line search) or ``"simplex"`` (Nelder-Mead
-    with reflection 1, expansion 2, contraction 0.5, shrink 0.5).
+    with reflection 1, expansion 2, contraction 0.5, shrink 0.5).  The
+    quasi-Newton method takes a damped Newton step instead wherever the
+    objective supplies its Hessian and that Hessian is positive definite
+    (see :func:`minimize`); there is no option for it.
 
     ``hinv`` is the quasi-Newton method's initial inverse Hessian, shape
     (q, q), or (B, q, q) for :func:`minimize_batch`; None means the
-    identity.  One rule tells a fresh start from a carried one: a run (or
-    a batch row) whose initial inverse Hessian equals the identity, given
-    or not, scales its first step to length at most 1 and, after it,
-    rescales the identity by s'y / y'y, because the identity knows nothing
-    of the objective's scale.  A run from any other ``hinv``, such as the
+    identity.  It steers the quasi-Newton steps only, and only they update
+    it: a Newton step leaves it as it is.  One rule tells a fresh start
+    from a carried one: a run (or a batch row) whose initial inverse
+    Hessian equals the identity, given or not, scales its first
+    quasi-Newton step to length at most 1 and, after it, rescales the
+    identity by s'y / y'y, because the identity knows nothing of the
+    objective's scale.  A run from any other ``hinv``, such as the
     one that a solve of a nearby objective finished with, trusts it and
     does neither.  The lambda grid carries each point's final ``hinv`` to
     the next point this way, with a start predicted by the secant through
@@ -70,8 +78,9 @@ class MinimizeResult:
     ``status`` is one of:
 
     - ``grad_tol``: the gradient norm is within ``grad_tol``;
-    - ``step_tol``: the last accepted step was within ``step_tol`` (for the
-      simplex method, the simplex diameter);
+    - ``step_tol``: the last accepted step was within ``step_tol``, or a
+      Newton step was backtracked to within it (for the simplex method,
+      the simplex diameter);
     - ``max_iters``: the iteration budget ran out;
     - ``line_search``: no backtracking step passed the Armijo test;
     - ``nonfinite``: the gradient norm is not finite;
@@ -127,16 +136,37 @@ def minimize(
     f: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray] | None = None,
     options: MinimizeOptions | None = None,
+    hess: Callable[[np.ndarray], np.ndarray | None] | None = None,
 ) -> MinimizeResult:
-    """Minimize ``f`` from ``options.start``, optionally using gradient ``grad``.
+    """Minimize ``f`` from ``options.start``, optionally using gradient ``grad``
+    and Hessian ``hess``.
 
     A non-finite value at the start yields status ``infeasible`` instead of
     raising.  Without ``grad``, the quasi-Newton method falls back to central
     finite differences; a non-finite difference ends the run with status
-    ``nonfinite`` at the last accepted point.  There is no per-iteration
-    hook: to count or log evaluations, wrap ``f`` and ``grad``; to see the
-    accepted values, rerun with a smaller ``max_iters`` (both methods are
-    deterministic).
+    ``nonfinite`` at the last accepted point.
+
+    The quasi-Newton method has one step rule.  At each iterate that is not
+    yet converged it asks ``hess`` (when given) for the Hessian H, right
+    after the gradient at the same point; ``hess`` may return None where the
+    objective offers none.  Where H is finite and positive definite (its
+    Cholesky factorization succeeds) and -H^-1 g descends, the step is that
+    damped Newton direction, with a unit first trial.  Otherwise the step is
+    the quasi-Newton direction -hinv g, with the first-step and restart
+    rules of :class:`MinimizeOptions`, and once it is accepted ``hinv``
+    takes the BFGS update.  Either step is backtracked by halving until
+    the Armijo test passes; a Newton step that halves to a length within
+    ``step_tol`` ends the run with status ``step_tol`` instead, as any step
+    that short would, for near a minimizer the rounding of ``f`` hides the
+    decrease that so short a step makes.  A run may switch between them at any
+    iterate: a Hessian that is indefinite at the start, as the exponential
+    family's can be far from its minimizer, gives quasi-Newton steps until
+    it turns positive definite.  Without ``hess`` every step is a
+    quasi-Newton one.
+
+    There is no per-iteration hook: to count or log evaluations, wrap ``f``,
+    ``grad`` and ``hess``; to see the accepted values, rerun with a smaller
+    ``max_iters`` (both methods are deterministic).
     """
     opts = options or MinimizeOptions()
     if opts.start is None:
@@ -148,7 +178,9 @@ def minimize(
         return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
     if opts.method == "simplex":
         return _nelder_mead(f, x0, f0, opts)
-    return _bfgs(f, grad if grad is not None else (lambda th: _fd_or_nan(f, th)), x0, f0, opts)
+    if grad is None:
+        grad = functools.partial(_fd_or_nan, f)
+    return _bfgs(f, grad, hess, x0, f0, opts)
 
 
 def _fd_or_nan(f, theta) -> np.ndarray:
@@ -174,7 +206,67 @@ def _check_hinv(opts: MinimizeOptions, shape: tuple) -> None:
         raise ConfigError("options.hinv must be finite")
 
 
-def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
+def newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H^-1 g for each row of h (k, q, q) and g (k, q), NaN for a row
+    whose H is not positive definite (see :func:`_cholesky_solve`).  The
+    arithmetic runs elementwise over the rows, so each row has the bits of
+    :func:`_newton_direction` on its own (q, q) and (q,)."""
+    q = g.shape[-1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        d = _cholesky_solve([[h[:, i, j] for j in range(q)] for i in range(q)],
+                            [g[:, i] for i in range(q)], np.sqrt, _positive_rows)
+    return np.stack(d, axis=1)
+
+
+def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H^-1 g for one H (q, q) and g (q,), in Python floats, which round
+    each operation as numpy does: the bits of a row of
+    :func:`newton_directions`, at a fraction of its cost for one row."""
+    return np.array(_cholesky_solve(h.tolist(), g.tolist(), math.sqrt, _positive))
+
+
+def _positive(x: float) -> float:
+    return x if 0.0 < x < math.inf else math.nan
+
+
+def _positive_rows(x: np.ndarray) -> np.ndarray:
+    return np.where((x > 0.0) & (x < np.inf), x, np.nan)
+
+
+def _cholesky_solve(h, g, sqrt, positive) -> list:
+    """-H^-1 g by the Cholesky factorization H = L L', from the entries of
+    H and g as nested lists of floats, or of arrays that hold one entry per
+    row.  A pivot that is not positive, or not finite, is NaN, so a matrix
+    that is not positive definite gives NaN directions."""
+    q = len(g)
+    low = [[0.0] * q for _ in range(q)]
+    for j in range(q):
+        piv = h[j][j]
+        for m in range(j):
+            piv = piv - low[j][m] * low[j][m]
+        low[j][j] = sqrt(positive(piv))
+        for i in range(j + 1, q):
+            acc = h[i][j]
+            for m in range(j):
+                acc = acc - low[i][m] * low[j][m]
+            low[i][j] = acc / low[j][j]
+    # L w = -g, then L' d = w
+    w = [0.0] * q
+    for i in range(q):
+        acc = -g[i]
+        for m in range(i):
+            acc = acc - low[i][m] * w[m]
+        w[i] = acc / low[i][i]
+    d = [0.0] * q
+    for i in reversed(range(q)):
+        acc = w[i]
+        for m in range(i + 1, q):
+            acc = acc - low[m][i] * d[m]
+        d[i] = acc / low[i][i]
+    return d
+
+
+def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
     n = x0.size
     eye = np.eye(n)
     hinv = eye.copy() if opts.hinv is None else np.array(opts.hinv, dtype=float)
@@ -182,53 +274,70 @@ def _bfgs(f, grad, x0, f0, opts) -> MinimizeResult:
     fresh = opts.hinv is None or np.array_equal(hinv, eye)
     x, fx = x0, f0
     gx = np.asarray(grad(x), dtype=float)
-    gnorm = float(np.linalg.norm(gx))
+    gnorm = math.sqrt(float(gx @ gx))
     iters = 0
+    quasi = 0  # quasi-Newton steps taken
     while iters < opts.max_iters:
-        if not np.isfinite(gnorm):
+        if not math.isfinite(gnorm):
             return MinimizeResult(x, fx, gnorm, iters, False, "nonfinite", hinv)
         if gnorm <= opts.grad_tol:
             return MinimizeResult(x, fx, gnorm, iters, True, "grad_tol", hinv)
-        d = -hinv @ gx
-        slope = float(gx @ d)
-        if slope >= 0.0:
-            # curvature information went bad; restart from steepest descent
-            hinv = eye.copy()
-            d = -gx
+        h = None if hess is None else hess(x)
+        if h is not None:
+            d = _newton_direction(np.asarray(h, dtype=float), gx)
             slope = float(gx @ d)
-        # unit-length first step: with hinv = I a steep gradient would
-        # otherwise overshoot into a distant basin
-        step = min(1.0, 1.0 / gnorm) if iters == 0 and fresh else 1.0
-        xn = x
-        fn = fx
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
+        newton = h is not None and slope < 0.0 and math.isfinite(slope)
+        if newton:
+            step, dnorm = 1.0, math.sqrt(float(d @ d))
+        else:
+            d = -hinv @ gx
+            slope = float(gx @ d)
+            if slope >= 0.0:
+                # curvature information went bad; restart from steepest descent
+                hinv = eye.copy()
+                d = -gx
+                slope = float(gx @ d)
+            # unit-length first step: with hinv = I a steep gradient would
+            # otherwise overshoot into a distant basin
+            step = min(1.0, 1.0 / gnorm) if quasi == 0 and fresh else 1.0
+        accepted = short = False
+        for k in range(_MAX_BACKTRACKS):
+            if k:
+                step *= 0.5
+                # a Newton step backtracked to step_tol would move x by no more
+                if newton and step * dnorm <= opts.step_tol:
+                    short = True
+                    break
             xn = x + step * d
             fn = float(f(xn))
-            if np.isfinite(fn) and fn <= fx + _ARMIJO * step * slope:
+            if math.isfinite(fn) and fn <= fx + _ARMIJO * step * slope:
                 accepted = True
                 break
-            step *= 0.5
         iters += 1
+        if short:
+            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol", hinv)
         if not accepted:
             return MinimizeResult(x, fx, gnorm, iters, False, "line_search", hinv)
         s = xn - x
         gn = np.asarray(grad(xn), dtype=float)
-        yv = gn - gx
-        sy = float(s @ yv)
-        if iters == 1 and sy > 0 and fresh:
-            hinv = (sy / float(yv @ yv)) * eye
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            rho = 1.0 / sy
-            v = eye - rho * np.outer(s, yv)
-            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+        snorm = math.sqrt(float(s @ s))
+        if not newton:
+            quasi += 1
+            yv = gn - gx
+            sy = float(s @ yv)
+            if quasi == 1 and sy > 0 and fresh:
+                hinv = (sy / float(yv @ yv)) * eye
+            if sy > 1e-12 * snorm * math.sqrt(float(yv @ yv)):
+                rho = 1.0 / sy
+                v = eye - rho * np.outer(s, yv)
+                hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         x, fx, gx = xn, fn, gn
-        gnorm = float(np.linalg.norm(gx))
+        gnorm = math.sqrt(float(gx @ gx))
         # a non-finite gradient exits nonfinite at the loop head, however short the step
-        if np.isfinite(gnorm) and float(np.linalg.norm(s)) <= opts.step_tol:
+        if math.isfinite(gnorm) and snorm <= opts.step_tol:
             return MinimizeResult(x, fx, gnorm, iters, True, "step_tol", hinv)
     # the iteration budget ran out
-    status = "max_iters" if np.isfinite(gnorm) else "nonfinite"
+    status = "max_iters" if math.isfinite(gnorm) else "nonfinite"
     if gnorm <= opts.grad_tol:
         status = "grad_tol"
     return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status, hinv)
@@ -252,16 +361,21 @@ def minimize_batch(
     from its own inverse Hessian, as :func:`minimize` does from a (q, q)
     one.  ``fg(theta, rows, bound)`` evaluates the objectives ``rows`` (an
     increasing index array of length k) at ``theta`` (k, q) and returns
-    their values, shape (k,), and gradients, shape (k, q).  Only the rows
-    whose value is finite and at most ``bound`` (k,) need a gradient: these
+    their values, shape (k,), and gradients, shape (k, q), and optionally
+    their Hessians, shape (k, q, q), or None.  Only the rows whose value is
+    finite and at most ``bound`` (k,) need a gradient and a Hessian: these
     are the trial points that pass the Armijo test, and the solver reads no
-    other row of the gradients.  Computing both from one evaluation means
-    each trial point is evaluated once and an accepted one is never
-    evaluated again.  Each row keeps its own inverse Hessian, step,
-    iteration count and status, and takes the steps that :func:`minimize`
-    takes on that objective alone, from the same ``hinv``.  A row that has
-    exited is never evaluated again, so no row's result depends on the
-    others.  The result's fields carry a leading batch axis.
+    other row of either.  Computing all from one evaluation means each
+    trial point is evaluated once and an accepted one is never evaluated
+    again.  Each row follows the step rule of :func:`minimize`: a damped
+    Newton step where its Hessian is finite, positive definite and gives a
+    descent direction (a NaN row, or no Hessians, never is), and the
+    quasi-Newton step otherwise.  Each row keeps its own inverse Hessian,
+    step, iteration count and status, and takes the steps that
+    :func:`minimize` takes on that objective alone, from the same ``hinv``
+    and with the same Hessians.  A row that has exited is never evaluated
+    again, so no row's result depends on the others.  The result's fields
+    carry a leading batch axis.
     """
     if options.method != "quasi-newton":
         raise ConfigError("minimize_batch supports only the quasi-newton method")
@@ -276,10 +390,12 @@ def minimize_batch(
     hinv = np.tile(eye, (size, 1, 1)) if options.hinv is None else np.array(options.hinv, dtype=float)
     # only the identity lacks the objective's scale (see MinimizeOptions)
     fresh = (hinv == eye).all(axis=(1, 2))
+    quasi = np.zeros(size, dtype=int)  # quasi-Newton steps taken per row
     act = np.arange(size)
-    fx, g0 = fg(x, act, np.full(size, np.inf))
-    fx = np.asarray(fx, dtype=float)
+    fx, g0, h0 = _evaluated(fg(x, act, np.full(size, np.inf)), q)
     gx = np.zeros_like(x)
+    # the Hessians at the current points, NaN where none was given
+    hx = np.full((size, q, q), np.nan)
     gnorm = np.full(size, np.nan)
     iters = np.zeros(size, dtype=int)
     # indices into _STATUSES until the return
@@ -291,7 +407,8 @@ def minimize_batch(
     if act.size:
         gx[act] = g0[feasible]
         gnorm[act] = np.sqrt(batch_dot(gx[act], gx[act]))
-    for it in range(options.max_iters):
+        hx[act] = h0[feasible]
+    for _ in range(options.max_iters):
         g = gnorm[act]
         nonfinite = ~np.isfinite(g)
         done = nonfinite | (g <= options.grad_tol)
@@ -303,51 +420,67 @@ def minimize_batch(
         ga, h = gx[act], hinv[act]
         d = -(h @ ga[..., None])[..., 0]
         slope = batch_dot(ga, d)
-        reset = slope >= 0.0
+        newton = np.zeros(act.size, dtype=bool)
+        if not np.isnan(hx[act, 0, 0]).all():
+            dn = newton_directions(hx[act], ga)
+            sn = batch_dot(ga, dn)
+            newton = (sn < 0.0) & np.isfinite(sn)
+            d[newton], slope[newton] = dn[newton], sn[newton]
+        reset = (slope >= 0.0) & ~newton
         if reset.any():
             # curvature information went bad; restart from steepest descent
             h[reset] = eye
             d[reset] = -ga[reset]
             slope[reset] = batch_dot(ga[reset], d[reset])
-        if it == 0:
-            step = np.where(fresh[act], np.minimum(1.0, 1.0 / gnorm[act]), 1.0)
-        else:
-            step = np.ones(act.size)
+        step = np.where(fresh[act] & (quasi[act] == 0) & ~newton,
+                        np.minimum(1.0, 1.0 / gnorm[act]), 1.0)
         # the first trial covers every row; the backtracks, the rows it rejected
         xa, fa = x[act], fx[act]
         xn = xa + step[:, None] * d
         bound = fa + _ARMIJO * step * slope
-        fn, gn = fg(xn, act, bound)
-        fn, gn = np.array(fn, dtype=float), np.array(gn, dtype=float)
+        fn, gn, hn = _evaluated(fg(xn, act, bound), q)
+        gn = np.array(gn, dtype=float)
         accepted = np.isfinite(fn) & (fn <= bound)
         pend = np.flatnonzero(~accepted)
+        dnorm = np.sqrt(batch_dot(d, d))
+        short = np.zeros(act.size, dtype=bool)
         for _ in range(_MAX_BACKTRACKS - 1):
             if pend.size == 0:
                 break
             step[pend] *= 0.5
+            # a Newton step backtracked to step_tol would move x by no more
+            cut = newton[pend] & (step[pend] * dnorm[pend] <= options.step_tol)
+            if cut.any():
+                short[pend[cut]] = True
+                pend = pend[~cut]
+                if pend.size == 0:
+                    break
             xt = xa[pend] + step[pend, None] * d[pend]
             bound = fa[pend] + _ARMIJO * step[pend] * slope[pend]
-            ft, gt = fg(xt, act[pend], bound)
-            ft = np.asarray(ft, dtype=float)
+            ft, gt, ht = _evaluated(fg(xt, act[pend], bound), q)
             ok = np.isfinite(ft) & (ft <= bound)
             hit = pend[ok]
-            xn[hit], fn[hit], gn[hit], accepted[hit] = xt[ok], ft[ok], gt[ok], True
+            xn[hit], fn[hit], gn[hit], hn[hit], accepted[hit] = xt[ok], ft[ok], gt[ok], ht[ok], True
             pend = pend[~ok]
         iters[act] += 1
-        if pend.size:
-            status[act[~accepted]] = _LINE_SEARCH
+        if not accepted.all():
+            status[act[short]] = _STEP_TOL
+            status[act[~accepted & ~short]] = _LINE_SEARCH
             act = act[accepted]
             if act.size == 0:
                 break
-            h, xn, fn, gn = h[accepted], xn[accepted], fn[accepted], gn[accepted]
+            h, xn, fn, gn, hn = h[accepted], xn[accepted], fn[accepted], gn[accepted], hn[accepted]
+            newton = newton[accepted]
         s = xn - x[act]
         yv = gn - gx[act]
         sy = batch_dot(s, yv)
-        if it == 0:
-            first = fresh[act] & (sy > 0)
+        quasi[act] += ~newton
+        first = fresh[act] & (quasi[act] == 1) & ~newton & (sy > 0)
+        if first.any():
             h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
         snorm = np.sqrt(batch_dot(s, s))
-        upd = sy > 1e-12 * snorm * np.sqrt(batch_dot(yv, yv))
+        # a Newton step leaves the inverse Hessian as it is
+        upd = (sy > 1e-12 * snorm * np.sqrt(batch_dot(yv, yv))) & ~newton
         if upd.any():
             # a slice selects every row without copying
             sel = slice(None) if upd.all() else upd
@@ -355,7 +488,7 @@ def minimize_batch(
             rho = (1.0 / sy[sel])[:, None, None]
             v = eye - rho * (su[:, :, None] * yu[:, None, :])
             h[sel] = v @ h[sel] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
-        hinv[act], x[act], fx[act], gx[act] = h, xn, fn, gn
+        hinv[act], x[act], fx[act], gx[act], hx[act] = h, xn, fn, gn, hn
         gnorm[act] = np.sqrt(batch_dot(gn, gn))
         stalled = (snorm <= options.step_tol) & np.isfinite(gnorm[act])
         if stalled.any():
@@ -367,6 +500,17 @@ def minimize_batch(
                            np.where(np.isfinite(g), _MAX_ITERS, _NONFINITE))
     converged = (status == _GRAD_TOL) | (status == _STEP_TOL)
     return MinimizeResult(x, fx, gnorm, iters, converged, np.array(_STATUSES)[status], hinv)
+
+
+def _evaluated(out, q: int) -> tuple:
+    """The values, gradients and Hessians of one call of a
+    :func:`minimize_batch` objective, as float arrays: NaN Hessians where
+    the call gave none."""
+    values, grads, *hessians = out
+    values = np.array(values, dtype=float)
+    if hessians and hessians[0] is not None:
+        return values, grads, np.array(hessians[0], dtype=float)
+    return values, grads, np.full(values.shape + (q, q), np.nan)
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:

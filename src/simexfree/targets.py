@@ -282,8 +282,9 @@ def _vecmat(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _mean(a: np.ndarray) -> float | np.ndarray:
-    """Mean over the last axis (the rows)."""
-    return a.sum(axis=-1) / a.shape[-1]
+    """Mean over the last axis (the rows); ``np.add.reduce`` is what
+    ``a.sum`` runs, without its Python-level wrapper."""
+    return np.add.reduce(a, -1) / a.shape[-1]
 
 
 def _quad(ctx: TargetContext, beta: np.ndarray):
@@ -350,17 +351,20 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # objective at theta, and a zero-argument callable that finishes its analytic
 # gradient from the intermediates the value already computed (None for
 # generic).  Calling ``grad`` only at an accepted point means a rejected
-# line-search trial never pays for a gradient.
+# line-search trial never pays for a gradient.  Where the family states its
+# second slopes, ``grad.hessian`` is a second zero-argument callable that
+# finishes the Hessian the same way.
 #
 # Every objective but generic's depends on theta only through
 # eta = alpha + z' beta and s = lam * beta' sigma_u beta, so each family
 # states only its loss in (eta, s) and the two slopes, and the one skeleton
 # :func:`_kernel` does the rest.  Every such kernel also takes a stack:
-# theta (B, q) against stacked surrogates (B, n, p), with B values and
-# (B, q) gradients, each row with the bits of its own scalar call.  The
-# losses of linear, exponential, sine, poisson, lpre and expectile at
-# tau = 1/2 broadcast over the stack; the others branch on s or sum O(n^2)
-# pairs, and run once per set (:func:`_by_set`).
+# theta (B, q) against stacked surrogates (B, n, p), with B values, (B, q)
+# gradients and (B, q, q) Hessians, each row with the bits of its own scalar
+# call.  The losses of linear, exponential, sine, poisson, lpre and
+# expectile at tau = 1/2 broadcast over the stack and state second slopes;
+# the others branch on s or sum O(n^2) pairs, and run once per set
+# (:func:`_by_set`).
 
 
 def _by_set(kernel, ctx: TargetContext, theta):
@@ -377,10 +381,22 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     eta = alpha + z' beta and s = lam * beta' sigma_u beta.
     ``loss(ctx, eta, s)`` returns the mean loss and a zero-argument
     ``slopes`` that returns the per-row derivative in eta and the mean
-    derivative in s.  The gradient is z' dl/deta / n + dl/ds * 2 lam
+    derivative in s; it runs with numpy's overflow and invalid warnings
+    off.  The gradient is z' dl/deta / n + dl/ds * 2 lam
     sigma_u beta, the corrected-score form of Nakamura (1990, Biometrika
     77:127), after the intercept's slope, the mean of dl/deta, when there is
     one.
+
+    A broadcasting loss may return a third callable, ``second(mixed)``,
+    that returns the per-row d2l/deta2 and, when ``mixed`` (lam != 0), the
+    per-row d2l/deta ds and the mean d2l/ds2 and dl/ds, one per set; at
+    lam = 0 only the first enters H, and the others may be None.  It runs
+    with the same warnings off.  The kernel's ``grad`` then carries
+    ``grad.hessian``, which chains them into
+    H = x' diag(d2l/deta2) x / n + a u' + u a' + d2l/ds2 u u' + dl/ds 2 lam
+    sigma_u, with x the design (a column of ones first for an intercept),
+    u = 2 lam sigma_u beta (0 for the intercept) and a = x' d2l/deta ds / n:
+    (q, q) for one set and (B, q, q) for a stack, symmetric bit for bit.
 
     A ``per_set`` loss runs a stack set by set; its s is one float, floored
     to exactly zero below S_FLOOR, and its s-slope is read only when s > 0.
@@ -401,11 +417,11 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     eta = _matvec(ctx.z, beta)
     if ctx.model.has_intercept:
         eta = th[..., :1] + eta
-    value, slopes = loss(ctx, eta, s)
+    value, slopes, *second = loss(ctx, eta, s)
 
     def grad():
-        deta, ds = slopes()
         with np.errstate(over="ignore", invalid="ignore"):
+            deta, ds = slopes()
             g = _vecmat(deta, ctx.z) / ctx.dataset.n
             if not per_set or s > 0.0:
                 g = g + _against_rows(ds * 2.0 * ctx.lam) * su_b
@@ -413,7 +429,63 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
             g = np.concatenate((_mean(deta)[..., None], g), axis=-1)
         return _guard_vec(g)
 
+    if second:
+        grad.hessian = lambda: _hessian(ctx, eta, su_b, second[0])
     return _guard(value), grad
+
+
+def _hessian(ctx: TargetContext, eta, su_b, second):
+    """The Hessian of :func:`_kernel`'s objective from the loss's ``second``
+    slopes, (q, q) for one set or (B, q, q) for a stack.
+
+    Row j of x' diag(d2l/deta2) x is one matrix-vector product, as the
+    gradient's z' dl/deta is; only its upper triangle is kept, the other
+    terms are added entry by entry, and the lower triangle is its mirror.
+    One set adds its entries in Python floats, which round as numpy's
+    arrays do and cost less per entry.
+    """
+    p, n, lam = ctx.dataset.p, ctx.dataset.n, ctx.lam
+    off = int(ctx.model.has_intercept)
+    z = ctx.z
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2, dx, dss, ds = second(lam != 0.0)
+        # rows[j][k] / n is the mean of d2l/deta2 x_j x_k, k >= j, and for
+        # the intercept's row k >= 0
+        rows = [_vecmat(d2 * z[..., j], z) for j in range(p)]
+        if off:
+            first = (np.add.reduce(d2, -1)[..., None], _vecmat(d2, z))
+            rows.insert(0, np.concatenate(first, axis=-1))
+        if lam != 0.0:
+            a = _vecmat(dx, z)
+            if off:
+                a = np.concatenate((np.add.reduce(dx, -1)[..., None], a), axis=-1)
+            u = 2.0 * lam * su_b
+        one = eta.ndim == 1
+
+        def entries(v):
+            # the entries of v's last axis: floats for one set, arrays for a stack
+            return v.tolist() if one else [v[..., i] for i in range(v.shape[-1])]
+
+        rows = [[0.0] * j + entries(r)[j if j < off else j - off:] for j, r in enumerate(rows)]
+        if lam != 0.0:
+            if one:
+                dss, ds = float(dss), float(ds)
+            a, u = [v / n for v in entries(a)], [0.0] * off + entries(u)
+            sigma, scale = ctx.dataset.sigma_u.tolist(), ds * 2.0 * lam
+        q = off + p
+        h = [[0.0] * q for _ in range(q)] if one else np.empty(eta.shape[:-1] + (q, q))
+        for j in range(q):
+            for k in range(j, q):
+                hjk = rows[j][k] / n
+                if lam != 0.0:
+                    hjk = hjk + (a[j] * u[k] + u[j] * a[k]) + dss * (u[j] * u[k])
+                    if j >= off:
+                        hjk = hjk + scale * sigma[j - off][k - off]
+                if one:
+                    h[j][k] = h[k][j] = hjk
+                else:
+                    h[..., j, k] = h[..., k, j] = hjk
+    return np.array(h) if one else h
 
 
 def target_linear(ctx: TargetContext, theta):
@@ -423,7 +495,8 @@ def target_linear(ctx: TargetContext, theta):
 
 def _linear_loss(ctx: TargetContext, eta, s):
     r = ctx.y - eta
-    return batch_dot(r, r) / ctx.dataset.n + s, lambda: (-2.0 * r, 1.0)
+    second = lambda mixed: (np.full_like(r, 2.0), np.zeros_like(r), 0.0, 1.0)  # noqa: E731
+    return batch_dot(r, r) / ctx.dataset.n + s, lambda: (-2.0 * r, 1.0), second
 
 
 def target_exponential(ctx: TargetContext, theta):
@@ -439,12 +512,32 @@ def _exponential_loss(ctx: TargetContext, eta, s):
         y2e1 = 2.0 * y * e1
         value = _mean(y * y - y2e1 + e2)
 
-    def slopes():
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the slope in s from row means: a per-row 2 e2 - y e1 costs more
-            return 2.0 * e2 - y2e1, 2.0 * _mean(e2) - 0.5 * _mean(y2e1)
+    memo = []
 
-    return value, slopes
+    def means():
+        # the row means of e2 and 2 y e1, which both slopes read, once
+        if not memo:
+            memo.append((_mean(e2), _mean(y2e1)))
+        return memo[0]
+
+    def slopes():
+        m_e2, m_y2e1 = means()
+        # the slope in s from row means: a per-row 2 e2 - y e1 costs more
+        return 2.0 * e2 - y2e1, 2.0 * m_e2 - 0.5 * m_y2e1
+
+    def second(mixed):
+        # in place where it can be: a stack's temporaries cost page faults
+        d2 = 4.0 * e2
+        if not mixed:
+            d2 -= y2e1
+            return d2, None, None, None
+        dx = -0.5 * y2e1
+        dx += d2
+        d2 -= y2e1
+        m_e2, m_y2e1 = means()
+        return d2, dx, 4.0 * m_e2 - 0.25 * m_y2e1, 2.0 * m_e2 - 0.5 * m_y2e1
+
+    return value, slopes, second
 
 
 def target_sine(ctx: TargetContext, theta):
@@ -459,13 +552,34 @@ def _sine_loss(ctx: TargetContext, eta, s):
         e1_rows, e2_rows = _against_rows(e1), _against_rows(e2)
         value = _mean(y * y - 2.0 * y * sin * e1_rows - 0.5 * cos2 * e2_rows) + 1.0
 
-    def slopes():
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the slope of -cos(2 eta) e2 / 2 is e2 sin(2 eta) = 2 e2 sin cos
-            deta = 2.0 * (e2_rows * sin - y * e1_rows) * np.cos(eta)
-            return deta, e1 * _mean(y * sin) + e2 * _mean(cos2)
+    memo = []
 
-    return value, slopes
+    def shared():
+        # cos(eta), y sin(eta) and the row means that both slopes read, once
+        if not memo:
+            ysin = y * sin
+            memo.append((np.cos(eta), ysin, _mean(ysin), _mean(cos2)))
+        return memo[0]
+
+    def slopes():
+        cos, _, m_ysin, m_cos2 = shared()
+        # the slope of -cos(2 eta) e2 / 2 is e2 sin(2 eta) = 2 e2 sin cos
+        deta = 2.0 * (e2_rows * sin - y * e1_rows) * cos
+        return deta, e1 * m_ysin + e2 * m_cos2
+
+    def second(mixed):
+        cos, ysin, m_ysin, m_cos2 = shared()
+        d2 = ysin * e1_rows
+        d2 += cos2 * e2_rows
+        d2 *= 2.0
+        if not mixed:
+            return d2, None, None, None
+        dx = y * e1_rows
+        dx -= (4.0 * e2_rows) * sin
+        dx *= cos
+        return d2, dx, -(0.5 * e1 * m_ysin + 2.0 * e2 * m_cos2), e1 * m_ysin + e2 * m_cos2
+
+    return value, slopes, second
 
 
 def target_poisson_negloglik(ctx: TargetContext, theta):
@@ -478,7 +592,14 @@ def _poisson_loss(ctx: TargetContext, eta, s):
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.exp(eta + 0.5 * _against_rows(s))
         value = -_mean(y * eta - mu)
-    return value, lambda: (mu - y, 0.5 * _mean(mu))
+
+    def second(mixed):
+        if not mixed:
+            return mu, None, None, None
+        m_mu = _mean(mu)
+        return mu, 0.5 * mu, 0.25 * m_mu, 0.5 * m_mu
+
+    return value, lambda: (mu - y, 0.5 * _mean(mu)), second
 
 
 def target_logistic(ctx: TargetContext, theta):
@@ -523,7 +644,18 @@ def _lpre_loss(ctx: TargetContext, eta, s):
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = y * np.exp(-eta), np.exp(eta) / y
         base, scale = _mean(lo + hi), np.exp(0.5 * s)
-    return base * scale, lambda: (_against_rows(scale) * (hi - lo), 0.5 * base * scale)
+
+    def second(mixed):
+        rows = _against_rows(scale)
+        d2 = hi + lo
+        d2 *= rows
+        if not mixed:
+            return d2, None, None, None
+        dx = hi - lo
+        dx *= 0.5 * rows
+        return d2, dx, 0.25 * base * scale, 0.5 * base * scale
+
+    return base * scale, lambda: (_against_rows(scale) * (hi - lo), 0.5 * base * scale), second
 
 
 def target_lare(ctx: TargetContext, theta):
@@ -709,7 +841,8 @@ def target_expectile(ctx: TargetContext, theta):
 
 def _expectile_half_loss(ctx: TargetContext, eta, s):
     xi = ctx.y - eta
-    return 0.5 * _mean(xi * xi + _against_rows(s)), lambda: (-xi, 0.5)
+    second = lambda mixed: (np.ones_like(xi), np.zeros_like(xi), 0.0, 0.5)  # noqa: E731
+    return 0.5 * _mean(xi * xi + _against_rows(s)), lambda: (-xi, 0.5), second
 
 
 def _expectile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
@@ -1014,6 +1147,19 @@ def target_gradient(ctx: TargetContext, theta) -> np.ndarray:
     if grad is not None:
         return grad()
     return finite_difference_gradient(lambda th: target_value(ctx, th), theta)
+
+
+def hessian(ctx: TargetContext, theta) -> np.ndarray:
+    """Analytic Hessian of the family objective at theta: (q, q), or
+    (B, q, q) for a stack, each row with the bits of its own scalar call.
+
+    Linear, exponential, sine, poisson, lpre and expectile at tau = 1/2
+    state second slopes; any other family raises ConfigError.
+    """
+    curvature = getattr(ctx.model.record.kernel(ctx, theta)[1], "hessian", None)
+    if curvature is None:
+        raise ConfigError(f"family {ctx.model.family!r} has no analytic second slopes")
+    return curvature()
 
 
 def naive_start(model: ModelSpec, dataset: Dataset) -> np.ndarray:

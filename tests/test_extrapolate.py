@@ -30,7 +30,7 @@ from simexfree import (
 from simexfree import extrapolate
 from simexfree.errors import EstimationError, GridConvergenceError, ModelMismatchError
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
-from simexfree.optimize import MinimizeOptions, minimize, minimize_batch
+from simexfree.optimize import MinimizeOptions, batch_dot, minimize, minimize_batch
 from simexfree.simex import _stream
 from simexfree.targets import FAMILIES, TargetContext, naive_start
 
@@ -249,9 +249,12 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
         entry = len([e for e in events if e[0] == "kernel"])
         events.append(("kernel", np.array(theta)))
         value, grad = kernel(ctx, theta)
-        return value, lambda: (events.append(("own grad of", entry)), grad())[1]
+        own = lambda: (events.append(("own grad of", entry)), grad())[1]  # noqa: E731
+        if hasattr(grad, "hessian"):
+            own.hessian = lambda: (events.append(("own hessian of", entry)), grad.hessian())[1]
+        return value, own
 
-    def spying(f, grad, options):
+    def spying(f, grad, options, hess=None):
         def f_logged(th):
             events.append(("trial", np.array(th)))
             return f(th)
@@ -260,19 +263,26 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
             events.append(("gradient at", np.array(th)))
             return grad(th)
 
-        return minimize(f_logged, grad_logged, options)
+        def hess_logged(th):
+            events.append(("hessian at", np.array(th)))
+            return hess(th)
+
+        return minimize(f_logged, grad_logged, options, hess_logged)
 
     monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=logged))
     monkeypatch.setattr(extrapolate, "minimize", spying)
+    # linear and exponential state second slopes; lare and walsh do not
+    curved = family in ("linear", "exponential")
     for lam in (0.5, 1.0) + ((-1.0,) if model.pluggable else ()):
         events.clear()
         res = extrapolate.minimize_target(TargetContext(dataset=ds, model=model, lam=lam), start)
-        assert res.converged and res.iters > 1
+        # a Newton step solves the linear family's quadratic objective at once
+        assert res.converged and res.iters > (0 if family == "linear" else 1)
         kinds = [e[0] for e in events]
         trials = [e[1] for e in events if e[0] == "trial"]
         # the kernel is entered once per trial point, at that point, and
-        # each gradient is asked for right after a trial at the same point
-        # and comes from that trial's own grad callable
+        # each gradient, and then each Hessian, is asked for right after a
+        # trial at the same point and comes from that trial's own callables
         assert kinds.count("kernel") == len(trials)
         entry = -1
         for i, (kind, arg) in enumerate(events):
@@ -283,7 +293,14 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
             elif kind == "gradient at":
                 assert np.array_equal(trials[entry], arg)
                 assert events[i + 1] == ("own grad of", entry)
+            elif kind == "hessian at":
+                assert np.array_equal(trials[entry], arg)
+                if curved:
+                    assert events[i + 1] == ("own hessian of", entry)
         assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters + 1
+        # the Hessian is asked for once per step, before it
+        assert kinds.count("hessian at") == res.iters
+        assert kinds.count("own hessian of") == (res.iters if curved else 0)
 
 
 @pytest.mark.parametrize("family", ["linear", "exponential", "poisson"])
@@ -307,7 +324,7 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
     calls = []  # per solver call: its kernel entries and the rows that passed
 
     def logged(ctx, theta):
-        entry = {"rows": theta.shape[0], "grads": 0, "call": len(calls) - 1}
+        entry = {"rows": theta.shape[0], "grads": 0, "hessians": 0, "call": len(calls) - 1}
         entries.append(entry)
         value, grad = kernel(ctx, theta)
 
@@ -317,15 +334,24 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
             entry["grads"] += 1
             return grad()
 
+        def own_hessian():
+            assert calls[-1] is None and entry["call"] == len(calls) - 1
+            entry["hessians"] += 1
+            return grad.hessian()
+
+        own.hessian = own_hessian
         return value, own
 
     def spying(fg, options):
         def fg_logged(theta, rows, bound):
             first = len(entries)
             calls.append(None)
-            values, grads = fg(theta, rows, bound)
-            calls[-1] = (rows.size, entries[first:], np.isfinite(values) & (values <= bound))
-            return values, grads
+            values, grads, hessians = fg(theta, rows, bound)
+            passed = np.isfinite(values) & (values <= bound)
+            # the passing rows that take a step from here, with a gradient above grad_tol
+            moving = passed & ~(np.sqrt(batch_dot(grads, grads)) <= options.grad_tol)
+            calls[-1] = (rows.size, entries[first:], passed, moving)
+            return values, grads, hessians
 
         return minimize_batch(fg_logged, options)
 
@@ -338,17 +364,20 @@ def test_minimize_batch_enters_the_kernel_once_per_trial_row(monkeypatch, family
         calls.clear()
         ctx = TargetContext(dataset=sets[0], model=model, lam=lam, z=zs, y=ys)
         res = extrapolate.minimize_stack(ctx, MinimizeOptions(start=starts))
-        assert res.converged.all() and res.iters.min() > 1
-        assert sum(len(mine) for _, mine, _ in calls) == len(entries)
-        for rows, mine, passed in calls:
+        # a Newton step solves the linear family's quadratic objective at once
+        assert res.converged.all() and res.iters.min() > (0 if family == "linear" else 1)
+        assert sum(len(mine) for _, mine, _, _ in calls) == len(entries)
+        for rows, mine, passed, moving in calls:
             # each trial row enters the kernel once, in chunks of at most three
             assert sum(e["rows"] for e in mine) == rows
             assert all(e["rows"] <= 3 for e in mine)
             # a chunk finishes its gradients once, from its own entry, exactly
-            # when one of its trial points passed the Armijo test
+            # when one of its trial points passed the Armijo test, and its
+            # Hessians once when one of those takes a step from there
             offset = 0
             for e in mine:
                 assert e["grads"] == int(passed[offset : offset + e["rows"]].any())
+                assert e["hessians"] == int(moving[offset : offset + e["rows"]].any())
                 offset += e["rows"]
         # and every row takes the steps of its own scalar solve
         for b, one in enumerate(alone[lam]):
@@ -637,7 +666,7 @@ _FAILURES = {
     ),
     # the sine branch collapses, and the rational fit of its grid has a pole
     "rational pole": (
-        ModelSpec(family="sine"), _sine_data(0), _sine_data(14), EstimateConfig(kind="rational"),
+        ModelSpec(family="sine"), _sine_data(0), _sine_data(70), EstimateConfig(kind="rational"),
         PoleError,
         "rational extrapolant pole falls inside the extrapolation range; "
         "try the quadratic extrapolant",
@@ -696,6 +725,21 @@ def test_fallback_fit_solves_lambda_zero_once(monkeypatch):
 # --------------------------------------------------------------------------
 # extrapolant fitting
 # --------------------------------------------------------------------------
+
+
+def test_each_extrapolant_coordinate_reports_its_fit_status():
+    grid = LambdaGrid(np.linspace(0, 2, 9))
+    lams = grid.values
+    ge = GridEstimates(grid=grid, thetas=np.column_stack([1.0 - 1.0 / (2.0 + lams),
+                                                          2.0 + 3.0 / (4.0 + lams)]))
+    for kind in ("linear", "quadratic"):
+        assert fit_extrapolant(ge, kind).status.tolist() == ["closed_form", "closed_form"]
+    # the rational search converges on both coordinates
+    fit = fit_extrapolant(ge, "rational")
+    assert set(fit.status.tolist()) <= {"grad_tol", "step_tol"} and fit.status.shape == (2,)
+    # a fit built by hand has none
+    hand = FittedExtrapolant(kind="linear", gamma_hat=np.ones((1, 2)), rss=np.zeros(1))
+    assert hand.status is None
 
 
 def test_quadratic_fit_interpolates_exact_quadratic():

@@ -178,3 +178,62 @@ def test_analytic_gradient_matches_central_differences(name, tau, intercept, siz
         np.testing.assert_allclose(
             g, fd, rtol=1e-5, atol=1e-6 * (1.0 + abs(value)), err_msg=f"lam={lam}"
         )
+
+
+# the families whose kernels state second slopes, with and without an intercept
+_NEWTON_CASES = [("linear", None, None), ("linear", None, False), ("exponential", None, None),
+                 ("sine", None, None), ("poisson", None, None), ("lpre", None, None),
+                 ("expectile", 0.5, None)]
+
+
+def test_newton_cases_are_the_families_with_second_slopes():
+    curved = set()
+    for name in FAMILIES:
+        for tau in (0.5, 0.3) if FAMILIES[name].tau else (None,):
+            model = _model(name, tau=tau)
+            ds = _dataset(name)
+            ctx = TargetContext(dataset=ds, model=model, lam=0.5)
+            th = np.full(model.n_params(ds.p), 0.3)
+            if hasattr(FAMILIES[name].kernel(ctx, th)[1], "hessian"):
+                curved.add((name, tau))
+            else:
+                with pytest.raises(ConfigError, match="no analytic second slopes"):
+                    targets.hessian(ctx, th)
+    assert curved == {(name, tau) for name, tau, _ in _NEWTON_CASES}
+
+
+def _two_covariates(name, n=40, seed=5):
+    """Data from the family's simulator at p = 2, with a correlated sigma_u."""
+    rng = np.random.default_rng(seed)
+    sigma = np.array([[0.25, 0.05], [0.05, 0.2]])
+    x = rng.standard_normal((n, 2))
+    z = x + rng.standard_normal((n, 2)) @ np.linalg.cholesky(sigma).T
+    eta = x @ np.array([0.5, -0.3])
+    y = FAMILIES[name].simulate(eta, lambda: 0.3 * rng.standard_normal(n), rng)
+    return Dataset(y=y, z=z, sigma_u=sigma)
+
+
+@pytest.mark.parametrize("name,tau,intercept", _NEWTON_CASES)
+@pytest.mark.parametrize("p", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(
+    size=st.lists(st.floats(0.2, 1.2), min_size=3, max_size=3),
+    negative=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_analytic_hessian_matches_central_differences_of_the_gradient(
+    name, tau, intercept, p, size, negative
+):
+    model = _model(name, tau=tau, intercept=intercept)
+    ds = _dataset(name) if p == 1 else _two_covariates(name)
+    q = model.n_params(ds.p)
+    th = np.where(negative, -np.asarray(size), np.asarray(size))[:q]
+    for lam in (0.0, 0.5, 2.0, -1.0):
+        ctx = TargetContext(dataset=ds, model=model, lam=lam)
+        h = targets.hessian(ctx, th)
+        assert h.shape == (q, q) and np.array_equal(h, h.T)
+        fd = np.array([
+            finite_difference_gradient(lambda t: target_gradient(ctx, t)[i], th) for i in range(q)
+        ])
+        np.testing.assert_allclose(
+            h, fd, rtol=1e-5, atol=1e-6 * (1.0 + np.abs(h).max()), err_msg=f"lam={lam}"
+        )

@@ -18,6 +18,9 @@ from simexfree import (
     target_linear,
     target_poisson_negloglik,
 )
+from simexfree import targets
+from simexfree.extrapolate import minimize_stack, minimize_target
+from simexfree.optimize import newton_directions
 from simexfree.simex import _stream, pseudo_data
 from simexfree.targets import target_gradient, target_value
 
@@ -391,3 +394,66 @@ def test_minimize_batch_validation():
         minimize_batch(fg, MinimizeOptions(start=np.zeros((2, 1)), method="simplex"))
     with pytest.raises(ConfigError):
         minimize_batch(fg, MinimizeOptions())
+
+
+def test_newton_directions_solve_positive_definite_rows_and_refuse_the_others():
+    h = np.array([[[4.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                  [[2.0, 0.0], [0.0, np.nan]], [[0.0, 0.0], [0.0, 1.0]]])
+    g = np.array([[1.0, -2.0]] * 5)
+    d = newton_directions(h, g)
+    np.testing.assert_allclose(d[0], -np.linalg.solve(h[0], g[0]), rtol=1e-15)
+    # indefinite, infinite, NaN and singular matrices give NaN directions
+    assert np.isnan(d[1:]).all(axis=1).all()
+    # a row has the bits of its own one-row call
+    for i in range(5):
+        assert np.array_equal(newton_directions(h[i:i + 1], g[i:i + 1])[0], d[i], equal_nan=True)
+
+
+def _steep_exponential(rows=4, n=200):
+    """Exponential data sets whose Hessian is negative at the family's flat
+    start: the mean exp(1.5 x) lies far above exp(0) = 1 for large x."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((rows, n))
+    ys = np.exp(1.5 * x) + 0.5 * rng.standard_normal((rows, n))
+    zs = (x + 0.5 * rng.standard_normal((rows, n)))[..., None]
+    return Dataset(y=ys[0], z=zs[0], sigma_u=0.25), zs, ys
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_an_indefinite_start_falls_back_to_quasi_newton_and_stacks_bit_for_bit(lam):
+    ds, zs, ys = _steep_exponential()
+    model = ModelSpec(family="exponential")
+    starts = np.zeros((len(zs), 1))
+    stacked = TargetContext(dataset=ds, model=model, lam=lam, z=zs, y=ys)
+    assert (targets.hessian(stacked, starts) < 0.0).all()
+    together = minimize_stack(stacked, MinimizeOptions(start=starts))
+    for b in range(len(zs)):
+        ctx = TargetContext(dataset=ds, model=model, lam=lam, z=zs[b], y=ys[b])
+
+        seen = []  # the Hessian at each iterate the solver asked at
+
+        def hess(th):
+            seen.append(targets.hessian(ctx, th))
+            return seen[-1]
+
+        def run(opts, curvature=True):
+            return minimize(lambda th: target_value(ctx, th), lambda th: target_gradient(ctx, th),
+                            opts, hess if curvature else None)
+
+        # the first step is the quasi-Newton one, with or without curvature
+        one = run(MinimizeOptions(start=starts[b], max_iters=1))
+        assert np.array_equal(one.theta_hat, run(MinimizeOptions(start=starts[b], max_iters=1),
+                                                 curvature=False).theta_hat)
+        # the solve converges where the quasi-Newton one does, and its
+        # Hessian turns positive definite on the way, for Newton steps
+        seen.clear()
+        newton = run(MinimizeOptions(start=starts[b]))
+        quasi = run(MinimizeOptions(start=starts[b]), curvature=False)
+        assert newton.converged and quasi.converged
+        np.testing.assert_allclose(newton.theta_hat, quasi.theta_hat, rtol=1e-7)
+        assert seen[0][0, 0] < 0.0 < seen[-1][0, 0]
+        # and each stacked row has the bits of its lone solve
+        alone = minimize_target(ctx, starts[b])
+        for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
+            assert np.array_equal(getattr(together, field)[b], getattr(alone, field)), field
+            assert np.array_equal(getattr(newton, field), getattr(alone, field)), field

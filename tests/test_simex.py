@@ -23,8 +23,9 @@ from simexfree import (
     naive_estimate,
     pseudo_data,
 )
-from simexfree import simex
+from simexfree import extrapolate, simex
 from simexfree.extrapolate import extrapolated, extrapolation_se, minimize_target
+from simexfree.montecarlo import Scenario, run_study
 from simexfree.simex import _stream, _streams
 
 
@@ -265,7 +266,7 @@ def _spy_pseudo_data_solves(monkeypatch):
 
 
 def test_classical_starts_from_the_naive_estimate_when_the_grid_fails(monkeypatch):
-    # from a start 0.01 off, six iterations solve the naive fit but not the
+    # from a start 0.01 off, four iterations solve the naive fit but not the
     # grid's lambda > 0 points, so every pseudo-data set starts from the
     # naive estimate and the identity, and a retried one from the
     # configured start
@@ -273,15 +274,15 @@ def test_classical_starts_from_the_naive_estimate_when_the_grid_fails(monkeypatc
     model = ModelSpec(family="exponential")
     start = naive_estimate(model, ds).theta_hat + 0.01
     cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=1, start=start,
-                      options=MinimizeOptions(max_iters=6))
+                      options=MinimizeOptions(max_iters=4))
     naive = naive_estimate(model, ds, cfg).theta_hat
     assert not np.array_equal(naive, start)
     with pytest.raises(GridConvergenceError):
         grid_estimate(model, ds, cfg)
     calls = _spy_pseudo_data_solves(monkeypatch)
     classical_simex(model, ds, cfg)
-    first = [(starts, hinv) for iters, starts, hinv in calls if iters == 6]
-    retried = [(starts, hinv) for iters, starts, hinv in calls if iters == 4 * 6]
+    first = [(starts, hinv) for iters, starts, hinv in calls if iters == 4]
+    retried = [(starts, hinv) for iters, starts, hinv in calls if iters == 4 * 4]
     # the six sets are one group, solved from the naive estimate
     assert len(first) == 1 and len(first[0][0]) == 6 and retried
     for (starts, hinv), want in [(first[0], naive)] + [(r, start) for r in retried]:
@@ -319,7 +320,7 @@ def test_classical_failure_names_each_failed_replicate():
     naive = naive_estimate(model, ds).theta_hat
     # the naive fit starts at its own minimizer, so only the pseudo-data
     # solves (and their retries, 4 iterations from the same start) run out
-    cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=1, start=naive,
+    cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=3, start=naive,
                       options=MinimizeOptions(max_iters=1))
     with pytest.raises(EstimationError) as err:
         classical_simex(model, ds, cfg)
@@ -355,12 +356,12 @@ def test_batched_classical_builds_no_dataset_per_pseudo_data_set(monkeypatch, mo
 def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch):
     # B = 4 on a three-point grid is 8 pseudo-data sets; groups of 3 sets
     # cut across the two noise levels (3 | 1 + 2 | 2), and at this seed and
-    # iteration cap the grid converges and one row of the first group
-    # (lambda = 1, b = 2) is retried
+    # iteration cap the grid converges and one row of the second group
+    # (lambda = 2, b = 1) is retried
     ds = _exponential_data()
     model = ModelSpec(family="exponential")
-    cap = 10
-    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=16,
+    cap = 8
+    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=19,
                       options=MinimizeOptions(max_iters=cap))
     one_group = classical_simex(model, ds, cfg)
     stacks, retried = [], []
@@ -468,3 +469,24 @@ def test_grouped_pseudo_data_equal_one_draw_per_set(monkeypatch, sigma_u, group_
                      for b in range(cfg.b)])
     assert [len(z) for z in stacks] == ([3, 3, 2] if group_sets else [8])
     assert np.array_equal(np.concatenate(stacks), want)
+
+
+def test_the_rational_fit_of_a_classical_warm_up_reports_running_out_of_iterations(monkeypatch):
+    # the benchmark study's warm-up: two classical fits (B = 2) of the
+    # exponential twin at n = 500, seed 0; the second replicate's rational
+    # search stops at its iteration budget, and its fit says so
+    statuses = []
+    fit_extrapolant = extrapolate.fit_extrapolant
+
+    def spy(ge, kind="quadratic"):
+        fit = fit_extrapolant(ge, kind)
+        statuses.append(fit.status.tolist())
+        return fit
+
+    monkeypatch.setattr(extrapolate, "fit_extrapolant", spy)
+    twin = Scenario(name="w", estimator="classical", model=ModelSpec(family="exponential"),
+                    theta0=[1.0], n=500, sigma_u=[[0.25]],
+                    config=EstimateConfig(kind="rational"), simex_b=2)
+    run_study([twin], 2, seed=0)
+    assert len(statuses) == 2 and statuses[0][0] in ("grad_tol", "step_tol")
+    assert statuses[1] == ["max_iters"]

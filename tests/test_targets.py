@@ -928,6 +928,39 @@ def test_stacked_rows_equal_their_own_objectives(family, kw, p):
             assert np.array_equal(grads[b], grad())
 
 
+# the cases whose kernels state second slopes
+CURVED = [(f, kw) for f, kw in STACKED
+          if f in ("linear", "exponential", "sine", "poisson", "lpre") or kw.get("tau") == 0.5]
+
+
+@pytest.mark.parametrize("family,kw", CURVED)
+@pytest.mark.parametrize("p", [1, 2])
+def test_stacked_hessian_rows_equal_their_own(family, kw, p):
+    ds = _make_dataset(seed=8, n=60, p=p, family=family)
+    sigma = np.array([[0.25, 0.05], [0.05, 0.2]])[:p, :p]
+    ds = Dataset(y=ds.y, z=ds.z, sigma_u=sigma)
+    rng = np.random.default_rng(9)
+    zs = ds.z + 0.4 * rng.standard_normal((4, ds.n, p))
+    ys = np.stack([ds.y] * 4)
+    ys[1:] = ys[1:][:, rng.permutation(ds.n)]
+    model = ModelSpec(family=family, **kw)
+    thetas = rng.uniform(-0.7, 0.7, (4, model.n_params(p)))
+    # no slope in row 1: its smoothing variance s is 0 at lam != 0, the others' is not
+    thetas[1, int(model.has_intercept):] = 0.0
+    for lam in _lams(model) + (2.0,):
+        for y in (None, ys):
+            stacked = TargetContext(dataset=ds, model=model, lam=lam, z=zs, y=y)
+            for idx in (np.arange(4), np.array([0, 2, 3])):
+                part = stacked if idx.size == 4 else stacked.take(idx)
+                hs = targets.hessian(part, thetas[idx])
+                assert hs.shape == (idx.size,) + 2 * thetas.shape[1:]
+                for i, b in enumerate(idx):
+                    own = TargetContext(dataset=ds, model=model, lam=lam, z=zs[b],
+                                        y=None if y is None else ys[b])
+                    alone = targets.hessian(own, thetas[b])
+                    assert np.array_equal(hs[i], alone) and np.array_equal(alone, alone.T)
+
+
 @pytest.mark.parametrize("family,kw", STACKED)
 def test_stacked_responses_equal_their_own_objectives(family, kw):
     model = ModelSpec(family=family, **kw)

@@ -1,21 +1,27 @@
-"""Print the kernel values and quasi-Newton iterations of every fit-mix fit.
+"""Print the kernel values, curvature values and quasi-Newton iterations
+of every fit-mix fit.
 
 Each dataset of the benchmark's fit-mix workload (``perfbench/workloads.py``)
 at the given seed is fitted once by ``ex_estimate``, as the workload fits
 it.  Kernel values are counted by wrapping each ``Family.kernel`` in
 ``targets.FAMILIES`` (one value per row of theta, so a central-difference
-gradient counts its 2q values); iterations are those of the quasi-Newton
-solves (``minimize`` with that method, and ``minimize_batch``), and not of
-the simplex.  The counts do not depend on the machine and repeat exactly
-for a seed.  One line per fit, then one line per item and a total:
+gradient counts its 2q values).  Curvature values are counted by wrapping
+the ``grad.hessian`` of each kernel call that offers one, one per row of
+theta each time it is called, that is, each Hessian the solvers finish at
+an accepted point.  Iterations are those of the quasi-Newton solves
+(``minimize`` with that method, and ``minimize_batch``), Newton steps
+included, and not of the simplex.  The counts do not depend on the machine
+and repeat exactly for a seed.  One line per fit, then one line per item
+and a total:
 
-    fit                  path          kernel  qn_iters
+    fit                  path          kernel   curv  qn_iters
 
 With ``--classical`` it prints, in place of the fits, the counts of the
 study workload's classical SIMEX operation at the seed, as the workload
 builds it (R = 2 replicates of an exponential, n = 500, rational fit with
 B = 100 pseudo-data sets per noise level): kernel calls, kernel values,
-quasi-Newton iterations and ``minimize_batch`` runs, one line each.  Its
+curvature values, quasi-Newton iterations and ``minimize_batch`` runs, one
+line each.  Its
 iterations include those of the scalar grid fits on the observed data,
 whose lambda = 0 point is the naive fit, and of the rational extrapolant
 fits, as a fit's do.
@@ -39,15 +45,15 @@ from pathlib import Path
 
 import numpy as np
 
-COUNTS = {"calls": "kernel calls", "kernel": "kernel values", "iters": "qn_iters",
-          "batches": "minimize_batch runs"}
+COUNTS = {"calls": "kernel calls", "kernel": "kernel values", "curv": "curvature values",
+          "iters": "qn_iters", "batches": "minimize_batch runs"}
 
 
 @contextmanager
 def counting():
-    """Count kernel calls and values, quasi-Newton iterations and
-    ``minimize_batch`` runs of the library while the block runs; yields
-    the dict of counts, which the block may reset."""
+    """Count kernel calls and values, curvature values, quasi-Newton
+    iterations and ``minimize_batch`` runs of the library while the block
+    runs; yields the dict of counts, which the block may reset."""
     from simexfree import targets
     from simexfree import extrapolate as ext
 
@@ -55,16 +61,26 @@ def counting():
 
     def counted_kernel(kernel):
         def run(ctx, theta):
+            rows = np.shape(theta)[0] if np.ndim(theta) == 2 else 1
             counts["calls"] += 1
-            counts["kernel"] += np.shape(theta)[0] if np.ndim(theta) == 2 else 1
-            return kernel(ctx, theta)
+            counts["kernel"] += rows
+            value, grad = kernel(ctx, theta)
+            second = getattr(grad, "hessian", None)
+            if second is not None:
+                def counted_second():
+                    counts["curv"] += rows
+                    return second()
+
+                grad.hessian = counted_second
+            return value, grad
 
         return run
 
     minimize, minimize_batch = ext.minimize, ext.minimize_batch
 
-    def counted_minimize(f, grad=None, options=None):
-        res = minimize(f, grad, options)
+    def counted_minimize(f, grad=None, options=None, hess=None):
+        # a tree without curvature takes no hess
+        res = minimize(f, grad, options) if hess is None else minimize(f, grad, options, hess)
         if options is None or options.method == "quasi-newton":
             counts["iters"] += int(res.iters)
         return res
@@ -86,8 +102,9 @@ def counting():
         ext.minimize, ext.minimize_batch = minimize, minimize_batch
 
 
-def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
-    """(item, fit, path, kernel values, quasi-Newton iterations) per fit."""
+def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int]]:
+    """(item, fit, path, kernel values, curvature values, quasi-Newton
+    iterations) per fit."""
     from perfbench.workloads import (
         DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
     )
@@ -102,10 +119,10 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int]]:
                 y, z = draw(fam, n, _rng(seed, i, k))
                 ds = Dataset(y=y, z=z, sigma_u=SIGMA_U2)
                 cfg = EstimateConfig(start=sshape_start(ds)) if fam == "generic" else None
-                counts.update(kernel=0, iters=0)
+                counts.update(kernel=0, curv=0, iters=0)
                 path = ext.ex_estimate(model, ds, cfg).path
                 rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", path,
-                             counts["kernel"], counts["iters"]))
+                             counts["kernel"], counts["curv"], counts["iters"]))
     return rows
 
 
@@ -140,15 +157,15 @@ def main(argv=None) -> int:
             print(f"{label:<18} {counts[key]:>8}")
         return 0
     rows = count_fits(args.seed)
-    line = "{:<22} {:<13} {:>8} {:>9}"
-    print(line.format("fit", "path", "kernel", "qn_iters"))
-    for _, fit, path, kernel, iters in rows:
-        print(line.format(fit, path, kernel, iters))
+    line = "{:<22} {:<13} {:>8} {:>6} {:>9}"
+    print(line.format("fit", "path", "kernel", "curv", "qn_iters"))
+    for _, fit, path, *numbers in rows:
+        print(line.format(fit, path, *numbers))
     print()
     for item in dict.fromkeys(r[0] for r in rows):
         mine = [r for r in rows if r[0] == item]
-        print(line.format(item, f"{len(mine)} fits", sum(r[3] for r in mine), sum(r[4] for r in mine)))
-    print(line.format("total", f"{len(rows)} fits", sum(r[3] for r in rows), sum(r[4] for r in rows)))
+        print(line.format(item, f"{len(mine)} fits", *(sum(r[c] for r in mine) for c in (3, 4, 5))))
+    print(line.format("total", f"{len(rows)} fits", *(sum(r[c] for r in rows) for c in (3, 4, 5))))
     return 0
 
 
