@@ -146,8 +146,8 @@ class EstimateConfig:
     minimizer but from the identity: its branch test would otherwise turn
     on where a carried line search happens to land.  Classical SIMEX starts
     every pseudo-data set of a noise level from this grid's minimizer there
-    and the inverse Hessian its solve finished with, when B is large against
-    the cost of the grid (see ``simex._set_starts``).
+    and the inverse Hessian its solve finished with (see
+    ``simex._set_starts``).
 
     Every solve takes one step rule (see :func:`~simexfree.optimize.minimize`).
     The families whose kernels state second slopes (linear, exponential,
@@ -568,15 +568,21 @@ def _fit_rational(lams: np.ndarray, vals: np.ndarray):
     return np.array([a, b, c]), rss(res.theta_hat), res.status
 
 
+def _check_grid_size(kind: str, points: int) -> None:
+    """Raise ConfigError when ``points`` grid points are fewer than the
+    coefficients of a ``kind`` extrapolant."""
+    n_coef = _DEGREE.get(kind, 2) + 1  # the rational a, b, c count as degree 2
+    if points < n_coef:
+        raise ConfigError(f"{kind} extrapolant needs at least {n_coef} grid points")
+
+
 def fit_extrapolant(grid_estimates: GridEstimates, kind: str = "quadratic") -> FittedExtrapolant:
     """Least-squares fit of the chosen trend, one fit per theta coordinate."""
     if kind not in EXTRAPOLANT_KINDS:
         raise ConfigError(f"unknown extrapolant kind {kind!r}")
     lams = grid_estimates.grid.values
     thetas = np.atleast_2d(np.asarray(grid_estimates.thetas, dtype=float))
-    n_coef = _DEGREE.get(kind, 2) + 1  # the rational a, b, c count as degree 2
-    if lams.size < n_coef:
-        raise ConfigError(f"{kind} extrapolant needs at least {n_coef} grid points")
+    _check_grid_size(kind, lams.size)
     fits = [
         _fit_rational(lams, thetas[:, j]) if kind == "rational"
         else (*_fit_polynomial(lams, thetas[:, j], _DEGREE[kind]), "closed_form")

@@ -48,11 +48,10 @@ class MinimizeOptions:
     one that a solve of a nearby objective finished with, trusts it and
     does neither.  The lambda grid carries each point's final ``hinv`` to
     the next point this way, with a start predicted by the secant through
-    the two previous minimizers.  Classical SIMEX carries both when B is
-    large against the cost of the grid: each pseudo-data set starts from the
-    grid's minimizer at its noise level and the inverse Hessian the grid's
-    solve there finished with.  The direct path's continuation carries
-    neither (see ``EstimateConfig``).
+    the two previous minimizers.  Classical SIMEX carries both: each
+    pseudo-data set starts from the grid's minimizer at its noise level and
+    the inverse Hessian the grid's solve there finished with.  The direct
+    path's continuation carries neither (see ``EstimateConfig``).
     """
 
     start: np.ndarray | None = None

@@ -20,6 +20,7 @@ from .extrapolate import (
     EstimateConfig,
     EstimateResult,
     GridEstimates,
+    _check_grid_size,
     _grid_points,
     _is_int,
     _stacked,
@@ -34,14 +35,6 @@ from .extrapolate import fit_extrapolant, minimize_target  # noqa: F401
 from .optimize import MinimizeResult
 from .targets import STACK_GROUP_VALUES, ModelSpec
 
-# the pseudo-data sets start from the simulation-free grid's minimizers when
-# B is at least this multiple of the cost of a grid value, in pseudo-data
-# values (see _set_starts).  Grid and naive starts ran about as fast at B = 30
-# for logistic at n = 5,000 with 30 nodes (cost 30), B = 10 for generic at
-# p = 1 (cost 15), B = 20 for walsh at n = 200 (cost 10) and B = 3 to 5 for
-# exponential at n = 500 (cost 1).
-GRID_START_B_PER_COST = 3
-
 
 @dataclass
 class SimexConfig(EstimateConfig):
@@ -53,8 +46,8 @@ class SimexConfig(EstimateConfig):
     ``SeedSequence(entropy=seed, spawn_key=(k, b))`` (see :func:`_stream`),
     and starts from a point that depends on the observed data alone (the
     simulation-free grid's minimizer at its noise level, or the naive
-    estimate), so results are reproducible and independent of evaluation
-    order.
+    estimate when a grid point fails), so results are reproducible and
+    independent of evaluation order.
     """
 
     b: int = 100
@@ -241,22 +234,15 @@ def _set_starts(
     solved on the observed data, from the ``naive`` solve at lambda = 0, and
     each set of lambda_k starts from theta(lambda_k) and the inverse Hessian
     that the grid's solve there finished with; a simplex solve (a naive
-    solve without one) takes the start alone.  These starts save about a
-    third of the pseudo-data iterations, but one grid value costs
-    the family's ``smoothed_cost`` pseudo-data values (Gauss-Hermite nodes
-    per data row, say), so the grid is solved only when B is at least
-    ``GRID_START_B_PER_COST`` times that cost.  Otherwise, or if a grid
-    point fails, every set starts from the naive estimate and the identity.
+    solve without one) takes the start alone.  If a grid point fails, every
+    set starts from the naive estimate and the identity instead.
     """
     lams = cfg.grid.values
-    smoothed_cost = model.record.smoothed_cost
-    cost = 1 if smoothed_cost is None else smoothed_cost(cfg.nodes, dataset.p)
-    if cfg.b >= GRID_START_B_PER_COST * cost:
-        grid = _grid_points(row_solver(model, dataset, cfg), np.zeros(1, dtype=int),
-                            _stacked([naive]), lams)
-        if all(res.converged[0] for res in grid):
-            starts = np.concatenate([res.theta_hat for res in grid])
-            return starts, None if naive.hinv is None else np.concatenate([r.hinv for r in grid])
+    grid = _grid_points(row_solver(model, dataset, cfg), np.zeros(1, dtype=int),
+                        _stacked([naive]), lams)
+    if all(res.converged[0] for res in grid):
+        starts = np.concatenate([res.theta_hat for res in grid])
+        return starts, None if naive.hinv is None else np.concatenate([r.hinv for r in grid])
     return np.tile(naive.theta_hat, (lams.size, 1)), None
 
 
@@ -266,17 +252,19 @@ def classical_simex(
     """Classical SIMEX estimate with per-lambda Monte Carlo standard errors.
 
     ``config`` is read as by :func:`ex_estimate`, plus ``b`` and ``seed``;
-    ``force_grid`` has no effect, as for any non-pluggable family.  The
+    ``force_grid`` has no effect, as for any non-pluggable family.  A grid
+    too short for the extrapolant raises ConfigError before any solve.  The
     naive fit starts at ``config.start`` (or the family start), and a naive
-    fit that fails raises.  The lambda = 0 average equals the naive
-    estimate exactly (no noise is added there).  Every pseudo-data set of
-    lambda_k starts from the simulation-free grid's minimizer at lambda_k
-    and the inverse Hessian its solve finished with, when B is large
-    enough against the cost of the grid's values, or else from the naive estimate
-    and the identity (see :func:`_set_starts`).  Either start depends on
-    the observed data alone, never on another replicate, so any evaluation
-    order yields the same result.  A pseudo-data solve that does not
-    converge is retried once, from the configured or family start.  Set
+    fit that fails raises before any other solve.  The lambda = 0 average
+    equals the naive estimate exactly (no noise is added there).  The
+    simulation-free grid is solved from the naive fit, and every
+    pseudo-data set of lambda_k starts from its minimizer at lambda_k and
+    the inverse Hessian its solve finished with, or from the naive estimate
+    and the identity if a grid point fails (see :func:`_set_starts`).
+    Either start depends on the observed data alone, never on another
+    replicate, so any evaluation order yields the same result.  A
+    pseudo-data solve that does not converge is retried once, from the
+    configured or family start.  Set
     (k, b) draws its noise from the Philox stream keyed by
     ``SeedSequence(entropy=seed, spawn_key=(k, b))``; every set's key is
     hashed in one pass and one generator is re-keyed per set, with the
@@ -292,6 +280,7 @@ def classical_simex(
     replicates of the smallest such lambda.
     """
     cfg = config or SimexConfig()
+    _check_grid_size(cfg.kind, cfg.grid.size)
     lams = cfg.grid.values
     naive = naive_estimate(model, dataset, cfg)
     starts, hinvs = _set_starts(model, dataset, cfg, naive)

@@ -1067,12 +1067,6 @@ class Family:
     marks an objective defined at lambda = -1, ``smooth_at_zero`` one that
     quasi-Newton can minimize at lambda = 0, and ``intercept`` and ``tau``
     the families that accept an intercept and require a level.
-    ``smoothed_cost(nodes, p)`` is about how many lambda = 0 values of a
-    data set one lambda > 0 value costs, for ``nodes`` configured
-    Gauss-Hermite nodes and p covariates: the quadrature nodes per data row
-    of logistic and generic, and for walsh a normal cdf and pdf per pair in
-    place of an absolute value (7 to 11 times the time at n = 200 to 1,000);
-    None for a closed form of a few operations per row.
     ``y_domain`` is a (description, predicate) pair for valid responses.
     Every kernel with an analytic gradient also takes stacked data sets
     (see :class:`TargetContext`), so a quasi-Newton solve of several data
@@ -1086,7 +1080,6 @@ class Family:
     smooth_at_zero: bool = True
     intercept: bool = False
     tau: bool = False
-    smoothed_cost: Callable[[int, int], int] | None = None
     y_domain: tuple[str, Callable[[np.ndarray], bool]] | None = None
 
 
@@ -1108,7 +1101,6 @@ FAMILIES: dict[str, Family] = {
     ),
     "logistic": Family(
         target_logistic, _start_logistic, simulate=_simulate_logistic, intercept=True,
-        smoothed_cost=lambda nodes, p: nodes,
         y_domain=("0/1 responses", lambda y: bool(np.all((y == 0.0) | (y == 1.0)))),
     ),
     "lpre": Family(
@@ -1124,14 +1116,10 @@ FAMILIES: dict[str, Family] = {
         smooth_at_zero=False, tau=True,
     ),
     "walsh": Family(
-        target_walsh, _start_least_squares, simulate=_simulate_additive,
-        smooth_at_zero=False, smoothed_cost=lambda nodes, p: 10,
+        target_walsh, _start_least_squares, simulate=_simulate_additive, smooth_at_zero=False,
     ),
     "expectile": Family(target_expectile, _start_level, simulate=_simulate_additive, tau=True),
-    "generic": Family(
-        target_generic_ls, _start_generic,
-        smoothed_cost=lambda nodes, p: GENERIC_TENSOR_NODES**p,
-    ),
+    "generic": Family(target_generic_ls, _start_generic),
 }
 
 

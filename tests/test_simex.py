@@ -13,6 +13,7 @@ from simexfree import (
     GridConvergenceError,
     GridEstimates,
     LambdaGrid,
+    MeanFunction,
     MinimizeOptions,
     ModelSpec,
     SimexConfig,
@@ -182,9 +183,13 @@ def _family_data(family):
           "quantile": 1.0 + x + rng.standard_normal(150)}
     # the other families' responses reuse these draws
     ys.update(lpre=np.exp(0.5 * ys["linear"] - 0.5), logistic=(ys["linear"] > 1.0).astype(float),
-              expectile=ys["quantile"])
+              expectile=ys["quantile"], walsh=ys["quantile"], generic=ys["linear"])
+    ys["lare"] = ys["lpre"]
     ds = Dataset(y=ys[family], z=x + rng.normal(0, 0.5, 150), sigma_u=0.25)
-    return ds, ModelSpec(family=family, tau={"quantile": 0.5, "expectile": 0.3}.get(family))
+    # a generic mean function linear in theta, an intercept and a slope
+    mean_fn = MeanFunction(fn=lambda x, th: th[0] + th[1] * x[:, 0], n_params=2)
+    return ds, ModelSpec(family=family, tau={"quantile": 0.5, "expectile": 0.3}.get(family),
+                         mean_fn=mean_fn if family == "generic" else None)
 
 
 def _pseudo_draws(model, ds, cfg, starts, hinvs):
@@ -200,7 +205,7 @@ def _pseudo_draws(model, ds, cfg, starts, hinvs):
 
 
 FAMILIES = ["exponential", "linear", "poisson", "sine", "quantile", "lpre", "logistic",
-            "expectile"]
+            "expectile", "lare", "walsh", "generic"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -208,15 +213,16 @@ def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
     # the reference: one scalar naive solve per (grid point, replicate), from
     # the simulation-free grid minimizer at its noise level and, for a
     # quasi-Newton solve, the inverse Hessian that the grid solve there
-    # finished with; quantile solves one pseudo-data set at a time, by
-    # simplex, from the start alone, and every other family solves them as
-    # one quasi-Newton stack
+    # finished with; quantile, lare and walsh solve one pseudo-data set at a
+    # time, by simplex, from the start alone, generic one set at a time by
+    # quasi-Newton, and every other family solves them as one quasi-Newton
+    # stack
     ds, model = _family_data(family)
-    # two quadrature nodes let logistic's B = 6 sets start from the grid
+    # logistic at two quadrature nodes keeps the reference's grid cheap
     cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5, nodes=2)
     res = classical_simex(model, ds, cfg)
     grid = grid_estimate(model, ds, cfg)
-    simplex = family == "quantile"
+    simplex = not model.record.smooth_at_zero
     hinvs = [None if simplex else r.hinv for r in grid.diagnostics]
     assert simplex or all(h is not None for h in hinvs[1:])
     draws = _pseudo_draws(model, ds, cfg, grid.thetas, hinvs)
@@ -230,8 +236,7 @@ def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
 def test_classical_agrees_with_naive_started_replicates(family):
     # the grid starts move each pseudo-data minimizer only within the
     # optimizer tolerance of the one reached from the naive estimate and
-    # the identity (two quadrature nodes let logistic's B = 6 sets start
-    # from the grid)
+    # the identity (logistic at two quadrature nodes keeps the grid cheap)
     ds, model = _family_data(family)
     cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 0.5, 1.0, 2.0]), kind="quadratic", seed=8,
                       nodes=2)
@@ -290,28 +295,53 @@ def test_classical_starts_from_the_naive_estimate_when_the_grid_fails(monkeypatc
         assert np.array_equal(starts, np.tile(want, (len(starts), 1)))
 
 
-def test_classical_starts_from_the_naive_estimate_when_b_is_small_against_the_quadrature(
-    monkeypatch,
-):
-    # a logistic grid value at lambda > 0 evaluates ``nodes`` quadrature
-    # nodes per data row, so B = 6 solves the grid for 2 nodes, and starts
-    # each set from its minimizer, but not for 3 nodes
+def test_classical_starts_every_set_from_the_grid_at_the_default_quadrature(monkeypatch):
+    # a logistic grid value at lambda > 0 costs 30 quadrature nodes per data
+    # row, yet B = 6 sets still start from the grid's minimizers and the
+    # inverse Hessians its solves finished with
     ds, model = _family_data("logistic")
+    cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5)
+    assert cfg.nodes == 30
     calls = _spy_pseudo_data_solves(monkeypatch)
-    for nodes in (2, 3):
-        calls.clear()
-        cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5, nodes=nodes)
+    classical_simex(model, ds, cfg)
+    (_, starts, hinv), = calls
+    grid = grid_estimate(model, ds, cfg)
+    assert np.array_equal(starts, np.repeat(grid.thetas[1:], cfg.b, axis=0))
+    assert np.array_equal(hinv, np.repeat([r.hinv for r in grid.diagnostics[1:]], cfg.b, axis=0))
+
+
+def _spy_solvers(monkeypatch):
+    """Record every solver that classical SIMEX builds past its naive fit:
+    the grid's and the pseudo-data sets'."""
+    built = []
+    row_solver = simex.row_solver
+    monkeypatch.setattr(simex, "row_solver",
+                        lambda *args, **kwargs: built.append(args) or row_solver(*args, **kwargs))
+    return built
+
+
+def test_classical_raises_a_failed_naive_fit_before_any_other_solve(monkeypatch):
+    ds = _exponential_data()
+    model = ModelSpec(family="exponential")
+    cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=1, start=np.array([3.0]),
+                      options=MinimizeOptions(max_iters=1))
+    built = _spy_solvers(monkeypatch)
+    with pytest.raises(EstimationError, match=r"^naive estimate did not converge \(status "):
         classical_simex(model, ds, cfg)
-        naive = naive_estimate(model, ds, cfg)
-        (_, starts, hinv), = calls
-        if nodes == 2:
-            grid = grid_estimate(model, ds, cfg)
-            assert np.array_equal(starts, np.repeat(grid.thetas[1:], cfg.b, axis=0))
-            assert np.array_equal(hinv, np.repeat([r.hinv for r in grid.diagnostics[1:]],
-                                                  cfg.b, axis=0))
-        else:
-            assert hinv is None
-            assert np.array_equal(starts, np.tile(naive.theta_hat, (2 * cfg.b, 1)))
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "rational"])
+def test_classical_refuses_a_grid_too_short_for_the_extrapolant_before_any_solve(
+    monkeypatch, kind
+):
+    naive = []
+    monkeypatch.setattr(simex, "naive_estimate", lambda *args: naive.append(args))
+    built = _spy_solvers(monkeypatch)
+    cfg = SimexConfig(b=3, grid=LambdaGrid([0.0, 2.0]), kind=kind)
+    with pytest.raises(ConfigError, match=f"^{kind} extrapolant needs at least 3 grid points$"):
+        classical_simex(ModelSpec(family="exponential"), _exponential_data(), cfg)
+    assert naive == built == []
 
 
 def test_classical_failure_names_each_failed_replicate():
