@@ -34,6 +34,14 @@ from .targets import target_gradient, target_value  # noqa: F401
 # polynomial extrapolants by degree; the rational one is a + b / (c + lam)
 _DEGREE = {"linear": 1, "quadratic": 2}
 EXTRAPOLANT_KINDS = (*_DEGREE, "rational")
+# the rational extrapolant's search over its pole parameter: c - 1 is
+# scanned at _RATIONAL_SCAN log-spaced points over _RATIONAL_POLE_RANGE, and
+# golden section narrows the best point's bracket to _RATIONAL_GAMMA_TOL in
+# gamma = log(c - 1)
+_RATIONAL_POLE_RANGE = (1e-6, 1e6)
+_RATIONAL_SCAN = 111
+_RATIONAL_GAMMA_TOL = 1e-10
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Nonsmooth lambda = 0 objectives get a tighter, longer simplex search so the
 # naive grid point is as accurate as the smooth quasi-Newton points.
@@ -94,9 +102,11 @@ class FittedExtrapolant:
     a + b lam + c lam^2, and (a, b, c) for the rational a + b / (c + lam).
     ``rss`` is the per-coordinate residual sum of squares.  ``status`` is
     the per-coordinate exit status of the fit: "closed_form" for a
-    polynomial, and for the rational trend its quasi-Newton search's status
-    (see :class:`MinimizeResult`), which may be "max_iters": such a fit is
-    returned as it stands.  It is None for a fit built by hand.
+    polynomial; for the rational trend "step_tol" when its search for c
+    narrowed to a point, or "linear_limit" when the fit is best at the
+    largest c it tries, where the trend is linear over the grid (see
+    ``_fit_rational``).  The search always ends, so there is no "max_iters".
+    It is None for a fit built by hand.
     """
 
     kind: str
@@ -510,62 +520,52 @@ def _fit_polynomial(lams: np.ndarray, vals: np.ndarray, degree: int):
     return gamma, rss
 
 
-def _rational_seed(lams: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Seed (a, b, c) from the quadratic fit by matching value, slope, and
-    curvature at lambda = 1; falls back to c = 2 when the curvature-matched
-    pole parameter is inadmissible."""
-    (qa, qb, qc), _ = _fit_polynomial(lams, vals, 2)
-    v1 = qa + qb + qc
-    s1 = qb + 2.0 * qc
-    k1 = 2.0 * qc
-    c = -1.0 - 2.0 * s1 / k1 if k1 != 0.0 else 2.0
-    if not np.isfinite(c) or c <= 1.0:
-        c = 2.0
-    b = -s1 * (c + 1.0) ** 2
-    a = v1 - b / (c + 1.0)
-    return np.array([a, b, c])
-
-
 def _fit_rational(lams: np.ndarray, vals: np.ndarray):
-    """Nonlinear least squares for a + b / (c + lam) with the pole kept left
-    of lambda = -1 via the reparameterization c = 1 + exp(gamma); returns
-    (a, b, c), the residual sum of squares and the search's status."""
-    a0, b0, c0 = _rational_seed(lams, vals)
+    """Least squares for a + b / (c + lam) by variable projection (Golub &
+    Pereyra 1973): for each c = 1 + exp(gamma), (a, b) is the linear least
+    squares fit on the design [1, 1 / (c + lam)], so only gamma is searched.
+    Its profile residual sum of squares is scanned over c - 1 in
+    ``_RATIONAL_POLE_RANGE`` and refined by golden section between the best
+    scan point's neighbours, which needs neither a start nor a gradient.  A
+    profile value within the rounding of ``vals`` counts as zero, and ties
+    go to the larger c, the smoother trend.  Returns (a, b, c), the residual
+    sum of squares and the status: "step_tol" once the bracket is narrower
+    than ``_RATIONAL_GAMMA_TOL``, or "linear_limit" when the best scan point
+    is the largest c, where the trend is linear over the grid to about
+    lam / c.  Raises PoleError when it is the smallest c, next to lambda = -1.
+    """
+    mean = vals.mean()
+    spread = np.max(np.abs(vals - mean)) or 1.0
+    v = (vals - mean) / spread  # scaled, so that tiny values do not underflow
+    floor = vals.size * (4.0 * np.finfo(float).eps * np.max(np.abs(vals)) / spread) ** 2
 
-    def unpack(p):
-        return p[0], p[1], 1.0 + math.exp(min(p[2], 50.0))
+    def profile(gammas):
+        u = 1.0 / (1.0 + np.exp(gammas)[:, None] + lams)
+        ubar = u.sum(axis=1) / lams.size
+        du = u - ubar[:, None]
+        b = du @ v / (du * du).sum(axis=1)
+        r = v - b[:, None] * du
+        return np.maximum((r * r).sum(axis=1), floor), mean - spread * b * ubar, spread * b
 
-    def rss(p):
-        a, b, c = unpack(p)
-        r = a + b / (c + lams) - vals
-        return float(r @ r)
-
-    def grad(p):
-        a, b, c = unpack(p)
-        inv = 1.0 / (c + lams)
-        r = a + b * inv - vals
-        dc = math.exp(min(p[2], 50.0))
-        return np.array(
-            [
-                2.0 * float(np.sum(r)),
-                2.0 * float(r @ inv),
-                -2.0 * b * float(r @ (inv * inv)) * dc,
-            ]
-        )
-
-    p0 = np.array([a0, b0, math.log(max(c0 - 1.0, 1e-8))])
-    res = minimize(
-        rss,
-        grad,
-        MinimizeOptions(start=p0, max_iters=1000, grad_tol=1e-12, step_tol=1e-14),
-    )
-    a, b, c = unpack(res.theta_hat)
-    if c - 1.0 < 1e-6:
+    gammas = np.linspace(*np.log(_RATIONAL_POLE_RANGE), _RATIONAL_SCAN)
+    last = gammas.size - 1
+    best = last - int(np.argmin(profile(gammas)[0][::-1]))  # the largest c of a tie
+    if best == 0:
         raise PoleError(
             "rational extrapolant pole falls inside the extrapolation range; "
             "try the quadratic extrapolant"
         )
-    return np.array([a, b, c]), rss(res.theta_hat), res.status
+    # golden section between the best point's neighbours; a linear limit needs none
+    lo, hi = gammas[[best - 1, best + 1]] if best < last else gammas[[last, last]]
+    while hi - lo > _RATIONAL_GAMMA_TOL:
+        x = np.array([hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)])
+        f1, f2 = profile(x)[0]
+        lo, hi = (lo, x[1]) if f1 < f2 else (x[0], hi)
+    gamma = 0.5 * (lo + hi)
+    _, a, b = profile(np.array([gamma]))
+    c = 1.0 + math.exp(gamma)
+    r = a[0] + b[0] / (c + lams) - vals
+    return np.array([a[0], b[0], c]), float(r @ r), "linear_limit" if best == last else "step_tol"
 
 
 def _check_grid_size(kind: str, points: int) -> None:
@@ -577,7 +577,10 @@ def _check_grid_size(kind: str, points: int) -> None:
 
 
 def fit_extrapolant(grid_estimates: GridEstimates, kind: str = "quadratic") -> FittedExtrapolant:
-    """Least-squares fit of the chosen trend, one fit per theta coordinate."""
+    """Least-squares fit of the chosen trend, one fit per theta coordinate:
+    a polynomial in closed form, the rational trend by variable projection
+    (see ``_fit_rational``), which raises PoleError when the fit's pole
+    approaches lambda = -1."""
     if kind not in EXTRAPOLANT_KINDS:
         raise ConfigError(f"unknown extrapolant kind {kind!r}")
     lams = grid_estimates.grid.values

@@ -265,6 +265,9 @@ def _cholesky_solve(h, g, sqrt, positive) -> list:
     return d
 
 
+# the gradient norm sqrt(g'g) overflows for a finite gradient above about
+# 1e154: the run then ends "nonfinite", as it should, without numpy's warning
+@np.errstate(over="ignore")
 def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
     n = x0.size
     eye = np.eye(n)
@@ -349,6 +352,7 @@ def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+@np.errstate(over="ignore")  # as for _bfgs
 def minimize_batch(
     fg: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     options: MinimizeOptions,

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simexfree import (
     ConfigError,
@@ -800,6 +802,45 @@ def test_rational_fit_refuses_pole_inside_range():
     ge = GridEstimates(grid=grid, thetas=vals[:, None])
     with pytest.raises(PoleError, match="quadratic"):
         fit_extrapolant(ge, "rational")
+
+
+# 0 or at least 1e-150 in size, so that its products with the grid are
+# normal floats, which carry full precision
+_COEF = st.floats(min_value=-5.0, max_value=5.0).filter(lambda x: x == 0.0 or abs(x) > 1e-150)
+# a grid of 5 to 25 evenly spaced noise levels from 0 to 1, ..., 3
+_GRIDS = st.builds(lambda k, top: LambdaGrid(np.linspace(0.0, top, k)),
+                   st.integers(min_value=5, max_value=25), st.floats(min_value=1.0, max_value=3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRIDS, _COEF, _COEF, st.floats(min_value=1.05, max_value=50.0))
+def test_rational_fit_of_exact_rational_values_extrapolates_exactly(grid, a, b, c):
+    ge = GridEstimates(grid=grid, thetas=(a + b / (c + grid.values))[:, None])
+    fit = fit_extrapolant(ge, "rational")
+    want = a + b / (c - 1.0)
+    # relative to the size of the terms, for a + b / (c - 1) may cancel
+    assert abs(extrapolate_to_minus_one(fit)[0] - want) <= 1e-9 * (abs(a) + abs(b) / (c - 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GRIDS, _COEF, _COEF)
+def test_rational_fit_of_exact_linear_values_stops_at_the_linear_limit(grid, a, b):
+    ge = GridEstimates(grid=grid, thetas=(a + b * grid.values)[:, None])
+    fit = fit_extrapolant(ge, "rational")
+    assert fit.status.tolist() == ["linear_limit"]
+    linear = extrapolate_to_minus_one(fit_extrapolant(ge, "linear"))[0]
+    assert abs(extrapolate_to_minus_one(fit)[0] - linear) <= 1e-4 * (abs(a) + abs(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GRIDS, _COEF, st.floats(min_value=0.1, max_value=5.0), st.booleans(),
+       st.floats(min_value=0.05, max_value=1.0))
+def test_rational_fit_refuses_every_pole_between_minus_one_and_the_grid(grid, a, b, rising, c):
+    # a pole at lambda = -c in [-1, -0.05]: no c > 1 fits so steep a trend;
+    # b is bounded away from 0, where no pole shows
+    vals = a + (b if rising else -b) / (c + grid.values)
+    with pytest.raises(PoleError, match="quadratic"):
+        fit_extrapolant(GridEstimates(grid=grid, thetas=vals[:, None]), "rational")
 
 
 def test_fit_needs_enough_points():

@@ -1,5 +1,7 @@
 """Quasi-Newton and simplex minimization engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,23 @@ def test_minimize_batch_statuses_per_row():
         one = minimize(fs[r], gs[r], MinimizeOptions(start=starts[r], max_iters=3))
         assert (one.status, one.iters) == (res.status[r], res.iters[r])
         assert np.array_equal(one.theta_hat, res.theta_hat[r])
+
+
+def test_a_gradient_whose_norm_overflows_ends_nonfinite_without_a_warning():
+    # row 0's gradient is 1e160 at the start; row 1's is finite there, and
+    # its first step lands where it is about 2e156: each norm overflows
+    fs = [lambda t: float(1e160 * t[0]), lambda t: float(-1e100 * np.exp(125.0 * t[0]))]
+    gs = [lambda t: np.full(1, 1e160), lambda t: np.full(1, -1.25e102 * np.exp(125.0 * t[0]))]
+    starts = np.zeros((2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_batch(_rowwise(lambda t, r: fs[r](t), lambda t, r: gs[r](t)),
+                             MinimizeOptions(start=starts))
+        ones = [minimize(fs[r], gs[r], MinimizeOptions(start=starts[r])) for r in range(2)]
+    assert list(res.status) == ["nonfinite", "nonfinite"] and list(res.iters) == [0, 1]
+    for r, one in enumerate(ones):
+        assert (one.status, one.iters) == (res.status[r], res.iters[r])
+        assert np.array_equal(one.theta_hat, res.theta_hat[r]) and np.isinf(one.grad_norm)
 
 
 def _pseudo_stack(rows=5, lam=1.0):

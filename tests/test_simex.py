@@ -20,6 +20,7 @@ from simexfree import (
     TargetContext,
     classical_simex,
     direct_estimate,
+    extrapolate_to_minus_one,
     grid_estimate,
     naive_estimate,
     pseudo_data,
@@ -501,16 +502,17 @@ def test_grouped_pseudo_data_equal_one_draw_per_set(monkeypatch, sigma_u, group_
     assert np.array_equal(np.concatenate(stacks), want)
 
 
-def test_the_rational_fit_of_a_classical_warm_up_reports_running_out_of_iterations(monkeypatch):
+def test_a_classical_warm_up_whose_rational_profile_falls_to_the_linear_limit(monkeypatch):
     # the benchmark study's warm-up: two classical fits (B = 2) of the
-    # exponential twin at n = 500, seed 0; the second replicate's rational
-    # search stops at its iteration budget, and its fit says so
-    statuses = []
+    # exponential twin at n = 500, seed 0; the second replicate's profile
+    # residual sum of squares falls all the way to c = infinity, so its fit
+    # stops at the linear limit and extrapolates as the straight line does
+    fits = []
     fit_extrapolant = extrapolate.fit_extrapolant
 
     def spy(ge, kind="quadratic"):
         fit = fit_extrapolant(ge, kind)
-        statuses.append(fit.status.tolist())
+        fits.append((fit, fit_extrapolant(ge, "linear")))
         return fit
 
     monkeypatch.setattr(extrapolate, "fit_extrapolant", spy)
@@ -518,5 +520,7 @@ def test_the_rational_fit_of_a_classical_warm_up_reports_running_out_of_iteratio
                     theta0=[1.0], n=500, sigma_u=[[0.25]],
                     config=EstimateConfig(kind="rational"), simex_b=2)
     run_study([twin], 2, seed=0)
-    assert len(statuses) == 2 and statuses[0][0] in ("grad_tol", "step_tol")
-    assert statuses[1] == ["max_iters"]
+    assert len(fits) == 2 and fits[0][0].status[0] in ("grad_tol", "step_tol")
+    assert fits[1][0].status.tolist() == ["linear_limit"]
+    rational, linear = (extrapolate_to_minus_one(fit)[0] for fit in fits[1])
+    assert abs(rational - linear) <= 1e-4 * abs(linear)

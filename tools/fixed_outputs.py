@@ -15,9 +15,10 @@ code, or the count of numbers).
 
 The commands are ``simulate --preset table1|quantile|misspec --seed 1
 --digits 17`` and ``estimate --digits 17`` for every CLI model, plus a few
-estimator variants (among them a quantile fit on an uneven grid), on a CSV
-that this script generates from a fixed seed (written to
-``OUT/data.csv``, so the diff covers it too), and a few
+estimator variants (among them a quantile fit on an uneven grid, and an
+exponential fit on a forced grid and by classical SIMEX with B = 20, each
+with the rational extrapolant), on a CSV that this script generates from a
+fixed seed (written to ``OUT/data.csv``, so the diff covers it too), and a few
 ``estimate`` cases that take the fallback or fail: exponential with
 sigma_u^2 = 0.6, whose direct branch collapses, with the quadratic and the
 rational extrapolant; linear with sigma_u^2 = 4, which is ill-posed; and a
@@ -124,6 +125,11 @@ def commands(csv: Path) -> dict[str, list[str]]:
     est("expectile_t0.3_classical", "expectile", "y_additive", "--tau", "0.3", *classical)
     est("quantile_t0.5_classical", "quantile", "y_additive", "--tau", "0.5", *classical)
     est("sine_grid", "sine", "y_sine", "--force-grid")
+    # the rational extrapolant's pole search on a grid path and on classical SIMEX
+    est("exponential_grid_rational", "exponential", "y_exponential", "--force-grid",
+        "--extrapolant", "rational")
+    est("exponential_classical_rational", "exponential", "y_exponential", *classical,
+        "--extrapolant", "rational")
     # the quadratic form over two covariates, and the tau = 1/2 loss on a stack
     est("sine_p2", "sine", "y_sine", covariates="z1,z2", sigma=SIGMA_U2)
     est("lpre_p2", "lpre", "y_mult", covariates="z1,z2", sigma=SIGMA_U2)

@@ -23,8 +23,8 @@ B = 100 pseudo-data sets per noise level): kernel calls, kernel values,
 curvature values, quasi-Newton iterations and ``minimize_batch`` runs, one
 line each.  Its
 iterations include those of the scalar grid fits on the observed data,
-whose lambda = 0 point is the naive fit, and of the rational extrapolant
-fits, as a fit's do.
+whose lambda = 0 point is the naive fit; the rational extrapolant's fit
+takes no quasi-Newton iterations (it searches its pole by golden section).
 
 Two trees are compared by running this script against each:
 
