@@ -144,12 +144,14 @@ class EstimateConfig:
     the family's default initial point for the first (naive) minimization,
     and ``nodes``, an integer of at least 2, the Gauss-Hermite nodes of
     the logistic objective.  Each later grid point starts from a predicted
-    minimizer: from the third point on, the secant through the two previous
-    minimizers, extrapolated by the ratio of the grid's spacings, where
-    both previous solves converged; otherwise, and at the second point,
-    from the previous minimizer.  It starts from the inverse Hessian that
-    the previous point's quasi-Newton solve finished with, where that solve
-    converged, which saves iterations; otherwise from the identity.  Either way one rule applies (see
+    minimizer: from the fourth point on, the quadratic through the three
+    previous minimizers, by its Lagrange weights, where all three solves
+    converged; otherwise, and at the third point, the secant through the
+    two previous minimizers where both converged; otherwise, and at the
+    second point, the previous minimizer.  It starts from the inverse
+    Hessian that the previous point's quasi-Newton solve finished with,
+    where that solve converged, which saves iterations; otherwise from the
+    identity.  Either way one rule applies (see
     :class:`MinimizeOptions`): a start from the identity is a fresh one,
     also when a point that converged without a step hands the identity
     on.  The direct path's continuation starts each step from the previous
@@ -160,10 +162,11 @@ class EstimateConfig:
     ``simex._set_starts``).
 
     Every solve takes one step rule (see :func:`~simexfree.optimize.minimize`).
-    The families whose kernels state second slopes (linear, exponential,
-    sine, poisson, lpre and expectile at tau = 1/2) take a damped Newton
+    The families whose kernels state second slopes take a damped Newton
     step from the analytic Hessian wherever it is positive definite, and a
-    quasi-Newton step elsewhere; the others, and the generic family, take
+    quasi-Newton step elsewhere: every family but walsh and generic, with
+    quantile and lare only where their smoothing variance is positive, so
+    not at lambda = 0 (see ``targets.hessian``).  Walsh and generic take
     quasi-Newton steps only.  A carried inverse Hessian steers only the
     quasi-Newton steps.
     """
@@ -286,8 +289,10 @@ def minimize_stack(ctx: TargetContext, options: MinimizeOptions) -> MinimizeResu
     the chunk's gradients from that call when one of its trial points
     passes the Armijo test.  Where the kernel offers ``grad.hessian``, it
     finishes the chunk's Hessians too when one of those points has a
-    gradient above ``options.grad_tol``, and so takes a step from there.
-    No trial's B x n temporaries outlive their chunk.  Each row equals its
+    gradient above ``options.grad_tol``, and so takes a step from there;
+    a set-by-set family's stack has a NaN row for a set whose loss offers
+    no curvature there, and that row takes a quasi-Newton step.  No
+    trial's B x n temporaries outlive their chunk.  Each row equals its
     scalar :func:`minimize_target` solve bit for bit.
     """
     kernel = ctx.model.record.kernel
@@ -499,8 +504,8 @@ def grid_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> GridEstimates:
     """Minimize the objective at every point of ``config.grid``, each from
-    a secant prediction through the two previous minimizers and from the
-    previous point's inverse Hessian (see :class:`EstimateConfig`).
+    a prediction by the previous minimizers and from the previous point's
+    inverse Hessian (see :class:`EstimateConfig`).
 
     The lambda = 0 point is the naive estimate.  Any non-converged point
     aborts with an aggregated error listing the offending lambda values.
@@ -625,12 +630,19 @@ def extrapolation_se(fit: FittedExtrapolant, lams: np.ndarray, se: np.ndarray) -
     Linearizes the least-squares fit around the fitted coefficients: the
     extrapolated value is w' theta_grid with w = dG(-1)' (J'J)^-1 J', and the
     grid points are treated as independent with the given standard errors.
+    A rational coordinate at its ``linear_limit`` takes the limit of this
+    delta method as c grows, which is the quadratic extrapolant's.
     """
     se = np.atleast_2d(np.asarray(se, dtype=float))
     out = np.empty(fit.gamma_hat.shape[0])
     for j in range(fit.gamma_hat.shape[0]):
         jac = extrapolant_jacobian(fit, lams, j)
-        if fit.kind == "rational":
+        limit = fit.status is not None and fit.status[j] == "linear_limit"
+        if limit:
+            # as c grows the tangent space of a + b / (c + lam) tends to
+            # span{1, lam, lam^2}, while J'J turns singular to rounding
+            jac = np.vander(lams, 3, increasing=True)
+        if fit.kind == "rational" and not limit:
             _, b, c = fit.gamma_hat[j]
             d_minus1 = np.array([1.0, 1.0 / (c - 1.0), -b / (c - 1.0) ** 2])
         else:
@@ -677,7 +689,7 @@ def ex_estimate_stack(
       :func:`direct_estimate`;
     - for the datasets whose branch collapsed (or all, on the grid path),
       each further grid point of :func:`grid_estimate`, whose lambda = 0
-      point is the naive solve, from the row's secant prediction and the
+      point is the naive solve, from the row's predicted minimizer and the
       previous point's inverse Hessian.  The extrapolant is then fitted
       per dataset;
     - for the linear family, the closed forms per dataset and one numeric
@@ -719,9 +731,9 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
     "grid", and the ``EstimateResult`` of :func:`direct_estimate` or
     :func:`ex_estimate` for "direct" or "ex".  This is the one place that
     orders the stages, decides the fallback from the direct path to the
-    grid, and words each failure.  Each grid point after the second starts
-    every row from its own secant prediction (:func:`_predicted`), so a
-    stacked row starts where its scalar solve would.
+    grid, and words each failure.  Each grid point after the first starts
+    every row from its own prediction (:func:`_predicted`), so a stacked
+    row starts where its scalar solve would.
     """
     if len(datasets) == 1:
         # one dataset is solved in place, never copied into a stack
@@ -838,7 +850,7 @@ def _grid_points(
 ) -> list[MinimizeResult]:
     """The results of ``rows`` at each point of the grid ``lams``: ``first``,
     their naive solve, at lambda = 0, and one ``solve`` per further point,
-    each row from its secant prediction (:func:`_predicted`) and the
+    each row from its predicted minimizer (:func:`_predicted`) and the
     inverse Hessian its previous point hands on (:func:`_carried`)."""
     results = [first]
     for k in range(1, lams.size):
@@ -851,20 +863,31 @@ def _predicted(results: list[MinimizeResult], lams: np.ndarray) -> np.ndarray:
     """Each row's start at the grid point ``lams[-1]``, from the ``results``
     of the points before it, at ``lams[:-1]``.
 
-    The secant through the two previous minimizers, extrapolated in lambda:
-    theta_(k-1) + (lam_k - lam_(k-1)) / (lam_(k-1) - lam_(k-2)) (theta_(k-1)
-    - theta_(k-2)).  A row whose two previous points did not both converge,
-    and every row at the second grid point, starts from its previous
-    minimizer.  The arithmetic is elementwise, so a stacked row gets the
-    bits of its own scalar prediction.
+    The quadratic through the three previous minimizers, evaluated at
+    lam_k by its Lagrange weights, so an uneven grid needs no rule of its
+    own, where all three converged.  Otherwise the secant through the two
+    previous minimizers, theta_(k-1) + (lam_k - lam_(k-1)) / (lam_(k-1) -
+    lam_(k-2)) (theta_(k-1) - theta_(k-2)), where both converged, as at the
+    third grid point.  Otherwise, and at the second grid point, the
+    previous minimizer.  The arithmetic is elementwise, so a stacked row
+    gets the bits of its own scalar prediction.
     """
     prev = results[-1].theta_hat
     if len(results) < 2:
         return prev
-    both = results[-2].converged & results[-1].converged
-    ratio = float(lams[-1] - lams[-2]) / float(lams[-2] - lams[-3])
+    two = results[-2].converged & results[-1].converged
+    x = float(lams[-1])
+    ratio = (x - float(lams[-2])) / float(lams[-2] - lams[-3])
     with np.errstate(over="ignore", invalid="ignore"):  # a failed row may hold inf
-        return np.where(both[:, None], prev + ratio * (prev - results[-2].theta_hat), prev)
+        start = np.where(two[:, None], prev + ratio * (prev - results[-2].theta_hat), prev)
+        if len(results) < 3:
+            return start
+        three = two & results[-3].converged
+        a, b, c = (float(v) for v in lams[-4:-1])
+        quadratic = ((x - a) * (x - b) / ((c - a) * (c - b)) * prev
+                     + (x - a) * (x - c) / ((b - a) * (b - c)) * results[-2].theta_hat
+                     + (x - b) * (x - c) / ((a - b) * (a - c)) * results[-3].theta_hat)
+        return np.where(three[:, None], quadratic, start)
 
 
 def _carried(res: MinimizeResult) -> np.ndarray | None:

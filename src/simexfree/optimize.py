@@ -20,6 +20,9 @@ from .errors import ConfigError, EstimationError
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
+# how far a trial at a step backtracked to step_tol may lie above f, relative
+# to 1 + |f|, for the run to end converged (see minimize)
+_FLAT = 1e-10
 # minimize_batch keeps each row's status as an index into this tuple
 _STATUSES = ("max_iters", "grad_tol", "step_tol", "line_search", "nonfinite", "infeasible")
 _MAX_ITERS, _GRAD_TOL, _STEP_TOL, _LINE_SEARCH, _NONFINITE, _INFEASIBLE = range(6)
@@ -47,11 +50,11 @@ class MinimizeOptions:
     objective's scale.  A run from any other ``hinv``, such as the
     one that a solve of a nearby objective finished with, trusts it and
     does neither.  The lambda grid carries each point's final ``hinv`` to
-    the next point this way, with a start predicted by the secant through
-    the two previous minimizers.  Classical SIMEX carries both: each
-    pseudo-data set starts from the grid's minimizer at its noise level and
-    the inverse Hessian the grid's solve there finished with.  The direct
-    path's continuation carries neither (see ``EstimateConfig``).
+    the next point this way, with a start predicted by the quadratic
+    through the three previous minimizers.  Classical SIMEX carries both:
+    each pseudo-data set starts from the grid's minimizer at its noise
+    level and the inverse Hessian the grid's solve there finished with.
+    The direct path's continuation carries neither (see ``EstimateConfig``).
     """
 
     start: np.ndarray | None = None
@@ -78,10 +81,11 @@ class MinimizeResult:
 
     - ``grad_tol``: the gradient norm is within ``grad_tol``;
     - ``step_tol``: the last accepted step was within ``step_tol``, or a
-      Newton step was backtracked to within it (for the simplex method,
-      the simplex diameter);
+      step was backtracked to within it and its last trial lay within the
+      rounding of f (for the simplex method, the simplex diameter);
     - ``max_iters``: the iteration budget ran out;
-    - ``line_search``: no backtracking step passed the Armijo test;
+    - ``line_search``: no backtracking step passed the Armijo test, and
+      the last trial lay above f by more than its rounding;
     - ``nonfinite``: the gradient norm is not finite;
     - ``infeasible``: the value at the start is not finite.
 
@@ -154,14 +158,15 @@ def minimize(
     the quasi-Newton direction -hinv g, with the first-step and restart
     rules of :class:`MinimizeOptions`, and once it is accepted ``hinv``
     takes the BFGS update.  Either step is backtracked by halving until
-    the Armijo test passes; a Newton step that halves to a length within
-    ``step_tol`` ends the run with status ``step_tol`` instead, as any step
-    that short would, for near a minimizer the rounding of ``f`` hides the
-    decrease that so short a step makes.  A run may switch between them at any
-    iterate: a Hessian that is indefinite at the start, as the exponential
-    family's can be far from its minimizer, gives quasi-Newton steps until
-    it turns positive definite.  Without ``hess`` every step is a
-    quasi-Newton one.
+    the Armijo test passes.  A step of either kind that halves to a length
+    within ``step_tol`` ends the run instead: with status ``step_tol`` when
+    its last trial lies above f by at most ``_FLAT`` (1 + |f|), for near a
+    minimizer the rounding of ``f`` hides the decrease that so short a step
+    makes, and with ``line_search`` otherwise, as at a cusp.  A run may
+    switch between the two steps at any iterate: a Hessian that is
+    indefinite at the start, as the exponential family's can be far from
+    its minimizer, gives quasi-Newton steps until it turns positive
+    definite.  Without ``hess`` every step is a quasi-Newton one.
 
     There is no per-iteration hook: to count or log evaluations, wrap ``f``,
     ``grad`` and ``hess``; to see the accepted values, rerun with a smaller
@@ -290,7 +295,7 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
             slope = float(gx @ d)
         newton = h is not None and slope < 0.0 and math.isfinite(slope)
         if newton:
-            step, dnorm = 1.0, math.sqrt(float(d @ d))
+            step = 1.0
         else:
             d = -hinv @ gx
             slope = float(gx @ d)
@@ -302,12 +307,13 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
             # unit-length first step: with hinv = I a steep gradient would
             # otherwise overshoot into a distant basin
             step = min(1.0, 1.0 / gnorm) if quasi == 0 and fresh else 1.0
+        dnorm = math.sqrt(float(d @ d))
         accepted = short = False
         for k in range(_MAX_BACKTRACKS):
             if k:
                 step *= 0.5
-                # a Newton step backtracked to step_tol would move x by no more
-                if newton and step * dnorm <= opts.step_tol:
+                # a step backtracked to step_tol would move x by no more
+                if step * dnorm <= opts.step_tol:
                     short = True
                     break
             xn = x + step * d
@@ -316,7 +322,7 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
                 accepted = True
                 break
         iters += 1
-        if short:
+        if short and _flat(fn, fx):
             return MinimizeResult(x, fx, gnorm, iters, True, "step_tol", hinv)
         if not accepted:
             return MinimizeResult(x, fx, gnorm, iters, False, "line_search", hinv)
@@ -343,6 +349,13 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
     if gnorm <= opts.grad_tol:
         status = "grad_tol"
     return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status, hinv)
+
+
+def _flat(trial, value):
+    """Whether a trial value exceeds ``value`` by at most ``_FLAT`` relative,
+    as the rounding of f can make it near a minimizer: elementwise for
+    arrays, so a batch row has the bits of its scalar test."""
+    return np.isfinite(trial) & (trial - value <= _FLAT * (1.0 + np.abs(value)))
 
 
 def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,12 +460,13 @@ def minimize_batch(
         pend = np.flatnonzero(~accepted)
         dnorm = np.sqrt(batch_dot(d, d))
         short = np.zeros(act.size, dtype=bool)
+        last = fn.copy()  # each row's last trial value
         for _ in range(_MAX_BACKTRACKS - 1):
             if pend.size == 0:
                 break
             step[pend] *= 0.5
-            # a Newton step backtracked to step_tol would move x by no more
-            cut = newton[pend] & (step[pend] * dnorm[pend] <= options.step_tol)
+            # a step backtracked to step_tol would move x by no more
+            cut = step[pend] * dnorm[pend] <= options.step_tol
             if cut.any():
                 short[pend[cut]] = True
                 pend = pend[~cut]
@@ -461,12 +475,14 @@ def minimize_batch(
             xt = xa[pend] + step[pend, None] * d[pend]
             bound = fa[pend] + _ARMIJO * step[pend] * slope[pend]
             ft, gt, ht = _evaluated(fg(xt, act[pend], bound), q)
+            last[pend] = ft
             ok = np.isfinite(ft) & (ft <= bound)
             hit = pend[ok]
             xn[hit], fn[hit], gn[hit], hn[hit], accepted[hit] = xt[ok], ft[ok], gt[ok], ht[ok], True
             pend = pend[~ok]
         iters[act] += 1
         if not accepted.all():
+            short &= _flat(last, fa)
             status[act[short]] = _STEP_TOL
             status[act[~accepted & ~short]] = _LINE_SEARCH
             act = act[accepted]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CapacityError, ConfigError, ModelMismatchError
-from .gaussian import hermite_rule, normal_cdf, normal_pdf, tensor_hermite_rule
+from .gaussian import hermite_rule, normal_cdf, tensor_hermite_rule
 from .optimize import batch_dot, finite_difference_gradient
 
 # Below this, the smoothing variance s = lam * beta' sigma_u beta is treated
@@ -362,16 +362,28 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # theta (B, q) against stacked surrogates (B, n, p), with B values, (B, q)
 # gradients and (B, q, q) Hessians, each row with the bits of its own scalar
 # call.  The losses of linear, exponential, sine, poisson, lpre and
-# expectile at tau = 1/2 broadcast over the stack and state second slopes;
-# the others branch on s or sum O(n^2) pairs, and run once per set
-# (:func:`_by_set`).
+# expectile at tau = 1/2 broadcast over the stack; the others branch on s or
+# sum O(n^2) pairs, and run once per set (:func:`_by_set`).  Every family but
+# walsh and generic states second slopes: walsh's eta-Hessian is a dense sum
+# over pairs, and generic runs user code.  Quantile and lare state them only
+# where s > 0, as their losses have no curvature at s = 0.
 
 
 def _by_set(kernel, ctx: TargetContext, theta):
     """``kernel`` on a stacked context, by one scalar call per set, so each
-    row has the bits of its own call."""
+    row has the bits of its own call.
+
+    Where a set's call offers ``grad.hessian``, the stack's gradient offers
+    one too: (B, q, q), each row that set's Hessian, and a NaN row for a set
+    that offers none.
+    """
     calls = [kernel(ctx.take(b), th) for b, th in enumerate(theta)]
-    return np.array([v for v, _ in calls]), lambda: np.array([g() for _, g in calls])
+    grad = lambda: np.array([g() for _, g in calls])  # noqa: E731
+    seconds = [getattr(g, "hessian", None) for _, g in calls]
+    if any(h is not None for h in seconds):
+        nan = np.full(2 * theta.shape[-1:], np.nan)
+        grad.hessian = lambda: np.array([nan if h is None else h() for h in seconds])
+    return np.array([v for v, _ in calls]), grad
 
 
 def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
@@ -387,12 +399,14 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     77:127), after the intercept's slope, the mean of dl/deta, when there is
     one.
 
-    A broadcasting loss may return a third callable, ``second(mixed)``,
-    that returns the per-row d2l/deta2 and, when ``mixed`` (lam != 0), the
-    per-row d2l/deta ds and the mean d2l/ds2 and dl/ds, one per set; at
-    lam = 0 only the first enters H, and the others may be None.  It runs
-    with the same warnings off.  The kernel's ``grad`` then carries
-    ``grad.hessian``, which chains them into
+    A loss may return a third callable, ``second(mixed)``, that returns
+    the per-row d2l/deta2 and, when ``mixed`` (lam != 0), the per-row
+    d2l/deta ds and the mean d2l/ds2 and dl/ds, one per set; at lam = 0
+    only the first enters H, and the others may be None.  It runs with the
+    same warnings off.  A ``per_set`` loss returns it only where its loss
+    has curvature: not at a nonsmooth s = 0, and not where lam != 0 yet s
+    was floored to zero, as its s-slopes are then those of a kink.  The
+    kernel's ``grad`` then carries ``grad.hessian``, which chains them into
     H = x' diag(d2l/deta2) x / n + a u' + u a' + d2l/ds2 u u' + dl/ds 2 lam
     sigma_u, with x the design (a column of ones first for an intercept),
     u = 2 lam sigma_u beta (0 for the intercept) and a = x' d2l/deta ds / n:
@@ -608,8 +622,8 @@ def target_logistic(ctx: TargetContext, theta):
     The log-partition term is the expectation of log(1 + exp(eta + u)) over
     u ~ N(0, s) with s = lam * beta' sigma_u beta, computed by Gauss-Hermite
     quadrature; at s = 0 it collapses to the plain softplus.  The gradient
-    differentiates the same Hermite sum: the sigmoid at each node for eta,
-    and node t times the sigmoid over sqrt(2 s) for s.
+    and the Hessian differentiate the same Hermite sum: the sigmoid and
+    sigma (1 - sigma) at each node for eta, and node t over sqrt(2 s) for s.
     """
     return _kernel(ctx, theta, _logistic_loss, per_set=True)
 
@@ -620,18 +634,36 @@ def _logistic_loss(ctx: TargetContext, eta: np.ndarray, s: float):
         shifted, part = eta, _softplus(eta)
     else:
         t, w = hermite_rule(ctx.nodes)
+        w = w / math.sqrt(math.pi)
         root = math.sqrt(2.0 * s)
         shifted = eta[:, None] + (root * t)[None, :]
-        part = _softplus(shifted) @ w / math.sqrt(math.pi)
+        part = _softplus(shifted) @ w
+    memo = []
+
+    def sig():
+        # the sigmoid at each node, which both slopes read, once
+        if not memo:
+            memo.append(_sigmoid(shifted))
+        return memo[0]
 
     def slopes():
-        sig = _sigmoid(shifted)
         if s == 0.0:
-            return sig - y, 0.0
-        dpart_ds = float(_mean(sig @ (w * t))) / (root * math.sqrt(math.pi))
-        return sig @ w / math.sqrt(math.pi) - y, dpart_ds
+            return sig() - y, 0.0
+        return sig() @ w - y, float(_mean(sig() @ (w * t))) / root
 
-    return -float(_mean(y * eta - part)), slopes
+    def second(mixed):
+        # offered at s = 0 only where lam = 0, and s > 0 means lam != 0
+        d1 = sig() * (1.0 - sig())
+        if s == 0.0:
+            return d1, None, None, None
+        ds = float(_mean(sig() @ (w * t))) / root
+        # d/ds of sigma(eta + root t) t / root, with root^2 = 2 s
+        dss = (float(_mean(d1 @ (w * t * t))) - ds) / (2.0 * s)
+        return d1 @ w, d1 @ (w * t) / root, dss, ds
+
+    value = -float(_mean(y * eta - part))
+    # at lam != 0 a floored s = 0 has no s-slopes to chain
+    return (value, slopes, second) if s > 0.0 or ctx.lam == 0.0 else (value, slopes)
 
 
 def target_lpre(ctx: TargetContext, theta):
@@ -670,40 +702,62 @@ def target_lare(ctx: TargetContext, theta):
     which reduces to the plain criterion at s = 0.  With eta = z' theta the
     normal density terms cancel in dF/deta = up - down, and
     dF/ds = (1/2) d2F/deta2 = F/2 + 2 phi(l; 0, s).  At s = 0 the gradient
-    is a subgradient of the plain criterion.
+    is a subgradient of the plain criterion, and there is no Hessian.
     """
     return _kernel(ctx, theta, _lare_loss, per_set=True)
 
 
+def _log_y(ctx: TargetContext) -> np.ndarray:
+    """log y of the context's responses, computed once per context and kept
+    on it while its y is the very array it came from."""
+    y, log_y = ctx.__dict__.get("_log_y", (None, None))
+    if y is not ctx.y:
+        y, log_y = ctx.y, np.log(ctx.y)
+        # a private attribute of the frozen context, outside its fields
+        object.__setattr__(ctx, "_log_y", (y, log_y))
+    return log_y
+
+
 def _lare_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     y = ctx.y
-
-    def terms():
-        with np.errstate(over="ignore", invalid="ignore"):
-            ell = np.log(y) - eta
-            up = np.exp(eta + 0.5 * s) / y * (1.0 - 2.0 * normal_cdf(ell - s, 0.0, s))
-            down = y * np.exp(-eta + 0.5 * s) * (2.0 * normal_cdf(ell + s, 0.0, s) - 1.0)
-        return ell, up, down
-
-    if s == 0.0:
-        # the plain criterion; the terms wait for a gradient, which a
-        # simplex solve never asks for
-        shared = None
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s == 0.0:
+            # the plain criterion; its slopes wait for a gradient, which a
+            # simplex solve never asks for
             dev = np.abs(y - np.exp(eta))
             value = float(_mean(dev / y + np.exp(-eta) * dev))
-    else:
-        shared = terms()
-        value = float(_mean(shared[1] + shared[2]))
+
+            def plain():
+                ell = _log_y(ctx) - eta
+                step = normal_cdf(ell, 0.0, 0.0)
+                return np.exp(-ell) * (1.0 - 2.0 * step) - np.exp(ell) * (2.0 * step - 1.0), 0.0
+
+            return value, plain
+        # with v = l / r: Phi(l -+ s; 0, s) = Phi(v -+ r) and
+        # phi(l; 0, s) = exp(-v^2 / 2) / (r sqrt(2 pi))
+        ell = _log_y(ctx) - eta
+        r = math.sqrt(s)
+        v = ell / r
+        up = np.exp(0.5 * s - ell) * (1.0 - 2.0 * normal_cdf(v - r))
+        down = np.exp(0.5 * s + ell) * (2.0 * normal_cdf(v + r) - 1.0)
+        f = up + down
+        e = np.exp(-0.5 * v * v)
+        m_f, m_e = _mean(f), _mean(e)
+    c = _INV_SQRT_2PI / r
 
     def slopes():
-        ell, up, down = shared or terms()
-        with np.errstate(over="ignore", invalid="ignore"):
-            if s == 0.0:
-                return up - down, 0.0
-            return up - down, float(_mean(0.5 * (up + down) + 2.0 * normal_pdf(ell, 0.0, s)))
+        return up - down, 0.5 * m_f + 2.0 * c * m_e
 
-    return value, slopes
+    def second(mixed):
+        # s > 0, so lam != 0 and the mixed slopes enter H
+        d2 = (4.0 * c) * e
+        d2 += f
+        # d/deta of F/2 + 2 phi(l; 0, s), and d/ds of the same
+        dx = 0.5 * (up - down) + (2.0 * c / r) * (v * e)
+        dss = 0.25 * m_f + c * m_e + (c / s) * _mean(e * (v * v - 1.0))
+        return d2, dx, dss, 0.5 * m_f + 2.0 * c * m_e
+
+    return float(m_f), slopes, second
 
 
 def target_quantile(ctx: TargetContext, theta):
@@ -711,9 +765,10 @@ def target_quantile(ctx: TargetContext, theta):
 
     Per observation, with xi = y - z' beta and s = lam * beta' sigma_u beta:
     (tau - 1) xi + xi Phi(xi; 0, s) + s phi(xi; 0, s); the s = 0 branch is
-    the plain check loss.  Its xi-derivative is tau - 1 + Phi(xi; 0, s) and
-    its s-derivative phi(xi; 0, s) / 2; at s = 0 the gradient is a
-    subgradient of the check loss.
+    the plain check loss.  Its xi-derivative is tau - 1 + Phi(xi; 0, s),
+    its s-derivative phi(xi; 0, s) / 2 and its second xi-derivative
+    phi(xi; 0, s).  At s = 0 the gradient is a subgradient of the check
+    loss, and there is no Hessian.
     """
     return _kernel(ctx, theta, _quantile_loss, per_set=True)
 
@@ -723,16 +778,24 @@ def _quantile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     xi = ctx.y - eta
     if s == 0.0:
         # the step cdf waits for a gradient, which a simplex solve never asks for
-        value, cdf = float(_mean(xi * (tau - (xi < 0)))), None
-    else:
-        cdf, pdf = normal_cdf(xi, 0.0, s), normal_pdf(xi, 0.0, s)
-        value = float(_mean((tau - 1.0) * xi + xi * cdf + s * pdf))
+        value = float(_mean(xi * (tau - (xi < 0))))
+        return value, lambda: (-(tau - 1.0 + normal_cdf(xi, 0.0, 0.0)), 0.0)
+    # in u = xi / r: Phi(xi; 0, s) = Phi(u) and phi(xi; 0, s) = c e with
+    # e = exp(-u^2 / 2), c = 1 / (r sqrt(2 pi)); c goes onto the means
+    r = math.sqrt(s)
+    u = xi / r
+    cdf, e = normal_cdf(u), np.exp(-0.5 * u * u)
+    c = _INV_SQRT_2PI / r
+    m_e = float(_mean(e))
+    value = float(_mean(xi * (cdf + (tau - 1.0)))) + s * c * m_e
 
-    def slopes():
-        step = normal_cdf(xi, 0.0, s) if cdf is None else cdf
-        return -(tau - 1.0 + step), 0.5 * float(_mean(pdf)) if s > 0.0 else 0.0
+    def second(mixed):
+        # s > 0, so lam != 0 and the mixed slopes enter H: d/deta of phi / 2
+        # is xi phi / (2 s), and d/ds of it phi (xi^2 - s) / (4 s^2)
+        dss = (0.25 * c / s) * _mean(e * (u * u - 1.0))
+        return c * e, (0.5 * c / r) * (u * e), dss, 0.5 * c * m_e
 
-    return value, slopes
+    return value, lambda: (-(tau - 1.0 + cdf), 0.5 * c * m_e), second
 
 
 @lru_cache(maxsize=8)
@@ -760,6 +823,15 @@ def _upper_blocks(xi: np.ndarray, block: int):
         yield i0, i1, rows[iu] + rows[ju], rows[:, None] + xi[None, i1:]
 
 
+def _spread(acc: np.ndarray, i0: int, i1: int, inner: np.ndarray, outer: np.ndarray) -> None:
+    """Add each pair's value of one :func:`_upper_blocks` block to both of
+    its rows in ``acc``: the row and column sums of the block."""
+    iu, ju = _upper_pairs(i1 - i0)
+    b = i1 - i0
+    acc[i0:i1] += np.bincount(iu, inner, b) + np.bincount(ju, inner, b) + outer.sum(axis=1)
+    acc[i1:] += outer.sum(axis=0)
+
+
 def _walsh_pairs(xi: np.ndarray, s: float, slopes: bool = True, block: int | None = None):
     """Sum over the pairs i < j of E|xi_i + xi_j + W|, W ~ N(0, 2 s), its
     gradient in xi and its derivative in s.
@@ -769,27 +841,42 @@ def _walsh_pairs(xi: np.ndarray, s: float, slopes: bool = True, block: int | Non
     none of its temporaries exceeds ``STACK_CHUNK_VALUES`` values.  A pair's
     xi-derivative goes to both of its rows: the row and column sums of the
     blocks.  Without ``slopes`` the gradient is None and the derivative 0.0.
+
+    At s > 0 the blocks hold the standardized pair sums u = (xi_i + xi_j) / r,
+    r = sqrt(2 s), and keep only the sums of u Phi(u), Phi(u) and
+    e = exp(-u^2 / 2): as E|x + W| = r (u (2 Phi(u) - 1) + 2 e / sqrt(2 pi)),
+    and the pairs' xi_i + xi_j add up to (n - 1) sum(xi), the total is
+    r (2 sum u Phi + 2 sum e / sqrt(2 pi)) - (n - 1) sum(xi).  A pair's
+    xi-derivative is 2 Phi(u) - 1, so the gradient is twice the row and
+    column sums of Phi less n - 1, and the s-derivative is
+    2 sum e / (r sqrt(2 pi)).
     """
+    n = xi.size
     if block is None:
-        block = max(1, STACK_CHUNK_VALUES // xi.size)
-    total, ds = 0.0, 0.0
-    dxi = np.zeros(xi.size) if slopes else None
-    for i0, i1, inner, outer in _upper_blocks(xi, block):
-        v_in, dx_in, dv_in = _abs_smooth(inner, 2.0 * s, slopes)
-        v_out, dx_out, dv_out = _abs_smooth(outer, 2.0 * s, slopes)
-        total += float(np.sum(v_in))
-        total += float(np.sum(v_out))
+        block = max(1, STACK_CHUNK_VALUES // n)
+    dxi = np.zeros(n) if slopes else None
+    if s == 0.0:
+        total = 0.0
+        for i0, i1, inner, outer in _upper_blocks(xi, block):
+            total += float(np.sum(np.abs(inner))) + float(np.sum(np.abs(outer)))
+            if slopes:
+                _spread(dxi, i0, i1, np.sign(inner), np.sign(outer))
+        return total, dxi, 0.0
+    r = math.sqrt(2.0 * s)
+    u_cdf = e_sum = 0.0
+    for i0, i1, inner, outer in _upper_blocks(xi / r, block):
+        cdf_in, cdf_out = normal_cdf(inner), normal_cdf(outer)
+        u_cdf += float(np.sum(inner * cdf_in)) + float(np.sum(outer * cdf_out))
+        e_sum += float(np.sum(np.exp(-0.5 * inner * inner)))
+        e_sum += float(np.sum(np.exp(-0.5 * outer * outer)))
         if slopes:
-            iu, ju = _upper_pairs(i1 - i0)
-            dxi[i0:i1] += (
-                np.bincount(iu, dx_in, i1 - i0)
-                + np.bincount(ju, dx_in, i1 - i0)
-                + dx_out.sum(axis=1)
-            )
-            dxi[i1:] += dx_out.sum(axis=0)
-            # the pair variance is 2 s
-            ds += 2.0 * (float(np.sum(dv_in)) + float(np.sum(dv_out)))
-    return total, dxi, ds
+            _spread(dxi, i0, i1, cdf_in, cdf_out)
+    total = r * (2.0 * u_cdf + 2.0 * _INV_SQRT_2PI * e_sum) - (n - 1.0) * float(np.sum(xi))
+    if not slopes:
+        return total, None, 0.0
+    dxi *= 2.0
+    dxi -= n - 1.0
+    return total, dxi, 2.0 * _INV_SQRT_2PI * e_sum / r
 
 
 def target_walsh(ctx: TargetContext, theta):
@@ -831,8 +918,9 @@ def target_expectile(ctx: TargetContext, theta):
     At tau = 1/2 the objective degenerates to (1/2) mean(xi^2 + s) for any
     lam >= -1, which at lam = -1 is the bias-corrected least-squares
     criterion.  Otherwise, per observation, the xi-derivative is
-    2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi and the s-derivative
-    (2 tau - 1) Phi + 1 - tau, with Phi and phi of N(0, s) at xi.
+    2 (2 tau - 1)(xi Phi + s phi) + 2 (1 - tau) xi, the s-derivative
+    (2 tau - 1) Phi + 1 - tau and the second xi-derivative
+    2 ((2 tau - 1) Phi + 1 - tau), with Phi and phi of N(0, s) at xi.
     """
     if ctx.model.tau == 0.5:
         return _kernel(ctx, theta, _expectile_half_loss)
@@ -847,24 +935,42 @@ def _expectile_half_loss(ctx: TargetContext, eta, s):
 
 def _expectile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     tau = ctx.model.tau
+    a = 2.0 * tau - 1.0
     xi = ctx.y - eta
+    xi2 = xi * xi
     if s == 0.0:
         # the step cdf waits for a gradient
-        value, cdf, spdf = float(_mean(np.where(xi < 0, 1.0 - tau, tau) * xi * xi)), None, 0.0
+        value, cdf, spdf = float(_mean(np.where(xi < 0, 1.0 - tau, tau) * xi2)), None, 0.0
     else:
-        cdf, pdf = normal_cdf(xi, 0.0, s), normal_pdf(xi, 0.0, s)
-        spdf = s * pdf
-        v = (2.0 * tau - 1.0) * (xi * xi * cdf + s * xi * pdf + s * cdf) + (
-            1.0 - tau
-        ) * (xi * xi + s)
-        value = float(_mean(v))
+        # in u = xi / r, as for quantile: s phi(xi; 0, s) = s c e
+        r = math.sqrt(s)
+        u = xi / r
+        cdf, e = normal_cdf(u), np.exp(-0.5 * u * u)
+        c = _INV_SQRT_2PI / r
+        spdf = (s * c) * e
+        m_xe = float(_mean(xi * e))
+        value = (a * (float(_mean((xi2 + s) * cdf)) + s * c * m_xe)
+                 + (1.0 - tau) * (float(_mean(xi2)) + s))
+    memo = []
+
+    def step():
+        if not memo:
+            memo.append(normal_cdf(xi, 0.0, 0.0) if cdf is None else cdf)
+        return memo[0]
 
     def slopes():
-        step = normal_cdf(xi, 0.0, s) if cdf is None else cdf
-        dxi = 2.0 * (2.0 * tau - 1.0) * (xi * step + spdf) + 2.0 * (1.0 - tau) * xi
-        return -dxi, (2.0 * tau - 1.0) * float(_mean(step)) + 1.0 - tau
+        dxi = 2.0 * a * (xi * step() + spdf) + 2.0 * (1.0 - tau) * xi
+        return -dxi, a * float(_mean(step())) + 1.0 - tau
 
-    return value, slopes
+    def second(mixed):
+        d2 = 2.0 * (a * step() + (1.0 - tau))
+        if not mixed:
+            return d2, None, None, None
+        # d/deta of a Phi + 1 - tau is -a phi, and d/ds of it -a xi phi / (2 s)
+        return d2, (-a * c) * e, (-0.5 * a * c / s) * m_xe, a * float(_mean(cdf)) + 1.0 - tau
+
+    # at lam != 0 a floored s = 0 has no s-slopes to chain
+    return (value, slopes, second) if s > 0.0 or ctx.lam == 0.0 else (value, slopes)
 
 
 def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -1141,8 +1247,15 @@ def hessian(ctx: TargetContext, theta) -> np.ndarray:
     """Analytic Hessian of the family objective at theta: (q, q), or
     (B, q, q) for a stack, each row with the bits of its own scalar call.
 
-    Linear, exponential, sine, poisson, lpre and expectile at tau = 1/2
-    state second slopes; any other family raises ConfigError.
+    Every family but walsh and generic states second slopes where its loss
+    has curvature: linear, exponential, sine, poisson, lpre, logistic and
+    expectile at every admissible lambda, quantile and lare where the
+    smoothing variance s is above ``S_FLOOR``.  A point without curvature
+    raises ConfigError: walsh and generic everywhere, quantile and lare at
+    s = 0, and the set-by-set families (logistic, lare, quantile and
+    expectile at tau != 1/2) where lam != 0 but s was floored to zero.  A
+    stack of such families has a NaN row for each set without curvature,
+    and raises ConfigError when no set has any.
     """
     curvature = getattr(ctx.model.record.kernel(ctx, theta)[1], "hessian", None)
     if curvature is None:

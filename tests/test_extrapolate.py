@@ -30,6 +30,7 @@ from simexfree import (
     naive_estimate,
 )
 from simexfree import extrapolate
+from simexfree.extrapolate import extrapolation_se
 from simexfree.errors import EstimationError, GridConvergenceError, ModelMismatchError
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
 from simexfree.optimize import MinimizeOptions, batch_dot, minimize, minimize_batch
@@ -273,8 +274,8 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
 
     monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=logged))
     monkeypatch.setattr(extrapolate, "minimize", spying)
-    # linear and exponential state second slopes; lare and walsh do not
-    curved = family in ("linear", "exponential")
+    # linear, exponential and lare (where s > 0) state second slopes; walsh does not
+    curved = family != "walsh"
     for lam in (0.5, 1.0) + ((-1.0,) if model.pluggable else ()):
         events.clear()
         res = extrapolate.minimize_target(TargetContext(dataset=ds, model=model, lam=lam), start)
@@ -496,16 +497,27 @@ def test_grid_row_after_a_failed_point_starts_from_its_previous_minimizer(monkey
         prev = theta[lams[k - 1]][row]
         return prev + ratio * (prev - theta[lams[k - 2]][row])
 
-    # the second point starts every row from the naive estimate
-    assert np.array_equal(solves[lams[1]][0], theta[0.0])
-    for k in range(2, lams.size):
-        starts = solves[lams[k]][0]
-        assert np.array_equal(starts[0], secant(k, 0))
-        # row 1 starts from its previous minimizer until two points in a row converged
-        assert np.array_equal(starts[1], theta[lams[k - 1]][1] if k <= 3 else secant(k, 1))
-    # the secant start moved row 0, and row 1 once it applied again
-    assert not np.array_equal(solves[lams[2]][0][0], theta[lams[1]][0])
-    assert not np.array_equal(solves[lams[4]][0][1], theta[lams[3]][1])
+    def quadratic(k, row):
+        # the Lagrange weights of lams[k - 3 : k] at lams[k]
+        x, (a, b, c) = lams[k], lams[k - 3 : k]
+        return ((x - a) * (x - b) / ((c - a) * (c - b)) * theta[c][row]
+                + (x - a) * (x - c) / ((b - a) * (b - c)) * theta[b][row]
+                + (x - b) * (x - c) / ((a - b) * (a - c)) * theta[a][row])
+
+    # row 0 starts from the naive estimate, then the secant, then the quadratic
+    want = {0: [theta[0.0][0], secant(2, 0)] + [quadratic(k, 0) for k in range(3, lams.size)],
+            # row 1 failed at the second point: it starts from its previous
+            # minimizer until two points in a row converged, then from the
+            # secant until three did
+            1: [theta[0.0][1], theta[lams[1]][1], theta[lams[2]][1], secant(4, 1), quadratic(5, 1)]}
+    for row, starts in want.items():
+        for k, start in enumerate(starts, start=1):
+            assert np.array_equal(solves[lams[k]][0][row], start), (row, k)
+    # each rule moved the start away from the rule before it
+    assert not np.array_equal(secant(2, 0), theta[lams[1]][0])
+    assert not np.array_equal(quadratic(3, 0), secant(3, 0))
+    assert not np.array_equal(secant(4, 1), theta[lams[3]][1])
+    assert not np.array_equal(quadratic(5, 1), secant(5, 1))
 
 
 def test_row_solver_starts_nan_rows_of_hinv_from_the_identity(monkeypatch):
@@ -650,8 +662,10 @@ _FAILURES = {
         EstimateConfig(options=_STALLED),
         EstimationError, "naive estimate did not converge (status max_iters)",
     ),
+    # sigma_u = 0, so s = 0 at every lambda, where the check loss offers no
+    # curvature and one quasi-Newton step stalls
     "naive, grid only": (
-        ModelSpec(family="expectile", tau=0.3), _line(0, 0.0), _line(1, 1.0),
+        ModelSpec(family="quantile", tau=0.3), _line(0, 0.0), _line(1, 1.0),
         EstimateConfig(grid=LambdaGrid([0.0, 1.0, 2.0]), options=_STALLED),
         GridConvergenceError, "grid minimization failed to converge at lambda = 0, 1, 2",
     ),
@@ -742,6 +756,21 @@ def test_each_extrapolant_coordinate_reports_its_fit_status():
     # a fit built by hand has none
     hand = FittedExtrapolant(kind="linear", gamma_hat=np.ones((1, 2)), rss=np.zeros(1))
     assert hand.status is None
+
+
+def test_a_rational_fit_at_its_linear_limit_has_the_quadratic_standard_error():
+    # exactly linear values: the rational profile is best at its largest c,
+    # where the delta method's limit is the quadratic extrapolant's, not the
+    # linear one's
+    grid = LambdaGrid.default()
+    lams = grid.values
+    ge = GridEstimates(grid=grid, thetas=(1.0 - 0.1 * lams)[:, None])
+    se = np.full((grid.size, 1), 0.01)
+    fits = {kind: fit_extrapolant(ge, kind) for kind in ("rational", "linear", "quadratic")}
+    assert fits["rational"].status.tolist() == ["linear_limit"]
+    got = {kind: float(extrapolation_se(fit, lams, se)[0]) for kind, fit in fits.items()}
+    assert got["rational"] == got["quadratic"] == pytest.approx(0.0254, abs=5e-5)
+    assert got["linear"] == pytest.approx(0.00753, abs=5e-6)
 
 
 def test_quadratic_fit_interpolates_exact_quadratic():

@@ -183,7 +183,17 @@ def test_analytic_gradient_matches_central_differences(name, tau, intercept, siz
 # the families whose kernels state second slopes, with and without an intercept
 _NEWTON_CASES = [("linear", None, None), ("linear", None, False), ("exponential", None, None),
                  ("sine", None, None), ("poisson", None, None), ("lpre", None, None),
-                 ("expectile", 0.5, None)]
+                 ("expectile", 0.5, None), ("expectile", 0.3, None), ("logistic", None, None),
+                 ("logistic", None, False), ("quantile", 0.5, None), ("quantile", 0.3, None),
+                 ("lare", None, None)]
+
+
+def _curved_lams(model):
+    """The noise levels of a Newton case where its loss has curvature: the
+    grid-only families skip lambda = -1, and quantile and lare, whose losses
+    have a kink at s = 0, skip lambda = 0 too."""
+    lams = (0.5, 2.0) if model.family in ("quantile", "lare") else (0.0, 0.5, 2.0)
+    return lams + ((-1.0,) if model.pluggable else ())
 
 
 def test_newton_cases_are_the_families_with_second_slopes():
@@ -200,6 +210,12 @@ def test_newton_cases_are_the_families_with_second_slopes():
                 with pytest.raises(ConfigError, match="no analytic second slopes"):
                     targets.hessian(ctx, th)
     assert curved == {(name, tau) for name, tau, _ in _NEWTON_CASES}
+    # quantile and lare have a kink at s = 0, so none at lambda = 0
+    for name, tau in (("quantile", 0.5), ("quantile", 0.3), ("lare", None)):
+        model = _model(name, tau=tau)
+        ctx = TargetContext(dataset=_dataset(name), model=model, lam=0.0)
+        with pytest.raises(ConfigError, match="no analytic second slopes"):
+            targets.hessian(ctx, np.full(model.n_params(1), 0.3))
 
 
 def _two_covariates(name, n=40, seed=5):
@@ -227,7 +243,7 @@ def test_analytic_hessian_matches_central_differences_of_the_gradient(
     ds = _dataset(name) if p == 1 else _two_covariates(name)
     q = model.n_params(ds.p)
     th = np.where(negative, -np.asarray(size), np.asarray(size))[:q]
-    for lam in (0.0, 0.5, 2.0, -1.0):
+    for lam in _curved_lams(model):
         ctx = TargetContext(dataset=ds, model=model, lam=lam)
         h = targets.hessian(ctx, th)
         assert h.shape == (q, q) and np.array_equal(h, h.T)

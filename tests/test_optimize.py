@@ -246,6 +246,39 @@ def test_minimize_batch_statuses_per_row():
         assert np.array_equal(one.theta_hat, res.theta_hat[r])
 
 
+def test_a_quasi_newton_step_that_rounding_hides_stops_at_step_tol_without_more_halvings():
+    # the gradient is 2e-8, just above grad_tol, and every point but the
+    # start evaluates one rounding unit higher, as where the rounding of f
+    # hides the decrease of so short a step
+    start = np.array([1.0])
+
+    def f(t):
+        return 1.0 if t[0] == start[0] else float(np.nextafter(1.0, 2.0))
+
+    def g(t):
+        return np.full(1, 2e-8)
+
+    trials = []
+
+    def counted(t, r=0):
+        trials.append(r)
+        return f(t)
+
+    one = minimize(counted, g, MinimizeOptions(start=start))
+    assert (one.status, one.converged, one.iters) == ("step_tol", True, 1)
+    assert one.theta_hat[0] == 1.0 and one.value == 1.0
+    # the start, then the unit step of length 2e-8 and its halvings down to
+    # 1/128; at 1/256 it would be within step_tol = 1e-10, and the run stops
+    assert len(trials) == 1 + 8
+    # a batch row stops the same way, beside a row that converges
+    trials.clear()
+    fg = _rowwise(lambda t, r: counted(t, r) if r == 0 else float((t[0] - 3.0) ** 2),
+                  lambda t, r: g(t) if r == 0 else 2.0 * (t - 3.0))
+    res = minimize_batch(fg, MinimizeOptions(start=np.array([[1.0], [0.0]])))
+    assert list(res.status) == ["step_tol", "grad_tol"] and res.iters[0] == 1
+    assert np.array_equal(res.theta_hat[0], one.theta_hat) and len(trials) == 1 + 8
+
+
 def test_a_gradient_whose_norm_overflows_ends_nonfinite_without_a_warning():
     # row 0's gradient is 1e160 at the start; row 1's is finite there, and
     # its first step lands where it is about 2e156: each norm overflows

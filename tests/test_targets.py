@@ -961,6 +961,59 @@ def test_stacked_hessian_rows_equal_their_own(family, kw, p):
                     assert np.array_equal(hs[i], alone) and np.array_equal(alone, alone.T)
 
 
+# the cases whose losses run set by set and state second slopes where they
+# have curvature: logistic and expectile at every lambda, quantile and lare
+# where s > 0
+BY_SET_CURVED = [("logistic", {}), ("logistic", {"intercept": False}), ("lare", {}),
+                 ("quantile", {"tau": 0.3}), ("expectile", {"tau": 0.3})]
+
+
+@pytest.mark.parametrize("family,kw", BY_SET_CURVED)
+@pytest.mark.parametrize("p", [1, 2])
+def test_set_by_set_hessian_rows_equal_their_own(family, kw, p):
+    ds = _make_dataset(seed=8, n=60, p=p, family=family)
+    sigma = np.array([[0.25, 0.05], [0.05, 0.2]])[:p, :p]
+    ds = Dataset(y=ds.y, z=ds.z, sigma_u=sigma)
+    rng = np.random.default_rng(9)
+    zs = ds.z + 0.4 * rng.standard_normal((4, ds.n, p))
+    ys = np.stack([ds.y] * 4)
+    ys[1:] = ys[1:][:, rng.permutation(ds.n)]
+    model = ModelSpec(family=family, **kw)
+    thetas = rng.uniform(-0.7, 0.7, (4, model.n_params(p)))
+    # no slope in row 1: its s is 0 at every lambda, where it offers no curvature
+    thetas[1, int(model.has_intercept):] = 0.0
+    offered = 0
+    for lam in (0.0, 0.5, 2.0):
+        for y in (None, ys):
+            stacked = TargetContext(dataset=ds, model=model, lam=lam, z=zs, y=y)
+            for idx in (np.arange(4), np.array([0, 2, 3]), np.array([1])):
+                part = stacked if idx.size == 4 else stacked.take(idx)
+                alone = []
+                for b in idx:
+                    own = TargetContext(dataset=ds, model=model, lam=lam, z=zs[b],
+                                        y=None if y is None else ys[b])
+                    try:
+                        alone.append(targets.hessian(own, thetas[b]))
+                    except ConfigError:
+                        alone.append(None)
+                if all(h is None for h in alone):
+                    # a stack of sets without curvature offers none either
+                    with pytest.raises(ConfigError, match="no analytic second slopes"):
+                        targets.hessian(part, thetas[idx])
+                    continue
+                hs = targets.hessian(part, thetas[idx])
+                assert hs.shape == (idx.size,) + 2 * thetas.shape[1:]
+                for i, h in enumerate(alone):
+                    # a NaN row where the set offers none, else its own bits
+                    assert np.isnan(hs[i]).all() if h is None else np.array_equal(hs[i], h)
+                    offered += h is not None
+    # which sets offer curvature: all but row 1 at lambda > 0 (3 + 3 of the
+    # rows above), and at lambda = 0 every row of logistic and expectile and
+    # none of the others, for two lambdas > 0 and two kinds of responses
+    smooth = family in ("logistic", "expectile")
+    assert offered == 2 * 2 * (3 + 3) + (2 * (4 + 3 + 1) if smooth else 0)
+
+
 @pytest.mark.parametrize("family,kw", STACKED)
 def test_stacked_responses_equal_their_own_objectives(family, kw):
     model = ModelSpec(family=family, **kw)

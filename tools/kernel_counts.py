@@ -7,14 +7,17 @@ it.  Kernel values are counted by wrapping each ``Family.kernel`` in
 ``targets.FAMILIES`` (one value per row of theta, so a central-difference
 gradient counts its 2q values).  Curvature values are counted by wrapping
 the ``grad.hessian`` of each kernel call that offers one, one per row of
-theta each time it is called, that is, each Hessian the solvers finish at
-an accepted point.  Iterations are those of the quasi-Newton solves
-(``minimize`` with that method, and ``minimize_batch``), Newton steps
-included, and not of the simplex.  The counts do not depend on the machine
-and repeat exactly for a seed.  One line per fit, then one line per item
-and a total:
+theta that has a Hessian each time it is called, that is, each Hessian the
+solvers finish at an accepted point (a set-by-set stack's NaN row, a set
+whose loss offers no curvature there, is not counted).  Iterations are
+those of the quasi-Newton solves (``minimize`` with that method, and
+``minimize_batch``), Newton steps included, and not of the simplex.
+``it/pt`` is the mean of the iterations per grid point at lambda > 0, over
+the fits that took the grid path ("-" where none did).  The counts do not
+depend on the machine and repeat exactly for a seed.  One line per fit,
+then one line per item and a total:
 
-    fit                  path          kernel   curv  qn_iters
+    fit                  path          kernel   curv  qn_iters  it/pt
 
 With ``--classical`` it prints, in place of the fits, the counts of the
 study workload's classical SIMEX operation at the seed, as the workload
@@ -68,8 +71,9 @@ def counting():
             second = getattr(grad, "hessian", None)
             if second is not None:
                 def counted_second():
-                    counts["curv"] += rows
-                    return second()
+                    h = second()
+                    counts["curv"] += 1 if h.ndim == 2 else int(np.sum(~np.isnan(h[:, 0, 0])))
+                    return h
 
                 grad.hessian = counted_second
             return value, grad
@@ -102,9 +106,9 @@ def counting():
         ext.minimize, ext.minimize_batch = minimize, minimize_batch
 
 
-def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int]]:
+def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, list[int]]]:
     """(item, fit, path, kernel values, curvature values, quasi-Newton
-    iterations) per fit."""
+    iterations, iterations of each grid point at lambda > 0) per fit."""
     from perfbench.workloads import (
         DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
     )
@@ -120,10 +124,17 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int]]:
                 ds = Dataset(y=y, z=z, sigma_u=SIGMA_U2)
                 cfg = EstimateConfig(start=sshape_start(ds)) if fam == "generic" else None
                 counts.update(kernel=0, curv=0, iters=0)
-                path = ext.ex_estimate(model, ds, cfg).path
-                rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", path,
-                             counts["kernel"], counts["curv"], counts["iters"]))
+                res = ext.ex_estimate(model, ds, cfg)
+                grid = [] if res.grid is None else res.grid.diagnostics[1:]
+                points = [int(d.iters) for d in grid]
+                rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", res.path,
+                             counts["kernel"], counts["curv"], counts["iters"], points))
     return rows
+
+
+def per_point(points: list[int]) -> str:
+    """The mean of ``points``, the iterations of grid points, or "-"."""
+    return f"{sum(points) / len(points):.2f}" if points else "-"
 
 
 def count_classical(seed: int) -> dict[str, int]:
@@ -157,15 +168,20 @@ def main(argv=None) -> int:
             print(f"{label:<18} {counts[key]:>8}")
         return 0
     rows = count_fits(args.seed)
-    line = "{:<22} {:<13} {:>8} {:>6} {:>9}"
-    print(line.format("fit", "path", "kernel", "curv", "qn_iters"))
-    for _, fit, path, *numbers in rows:
-        print(line.format(fit, path, *numbers))
+    line = "{:<22} {:<13} {:>8} {:>6} {:>9} {:>6}"
+    print(line.format("fit", "path", "kernel", "curv", "qn_iters", "it/pt"))
+    for _, fit, path, *numbers, points in rows:
+        print(line.format(fit, path, *numbers, per_point(points)))
     print()
+
+    def summed(label, mine):
+        totals = (sum(r[c] for r in mine) for c in (3, 4, 5))
+        points = [it for r in mine for it in r[6]]
+        print(line.format(label, f"{len(mine)} fits", *totals, per_point(points)))
+
     for item in dict.fromkeys(r[0] for r in rows):
-        mine = [r for r in rows if r[0] == item]
-        print(line.format(item, f"{len(mine)} fits", *(sum(r[c] for r in mine) for c in (3, 4, 5))))
-    print(line.format("total", f"{len(rows)} fits", *(sum(r[c] for r in rows) for c in (3, 4, 5))))
+        summed(item, [r for r in rows if r[0] == item])
+    summed("total", rows)
     return 0
 
 
