@@ -9,7 +9,6 @@ grid estimates, and the trend is evaluated at lambda = -1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     PoleError,
     SimexfreeError,
 )
-from .optimize import MinimizeOptions, MinimizeResult, batch_dot, minimize, minimize_batch
+from .optimize import MinimizeOptions, MinimizeResult, _is_int, batch_dot, minimize, minimize_batch
 from .targets import STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, naive_start, stack_rows
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
@@ -148,27 +147,20 @@ class EstimateConfig:
     previous minimizers, by its Lagrange weights, where all three solves
     converged; otherwise, and at the third point, the secant through the
     two previous minimizers where both converged; otherwise, and at the
-    second point, the previous minimizer.  It starts from the inverse
-    Hessian that the previous point's quasi-Newton solve finished with,
-    where that solve converged, which saves iterations; otherwise from the
-    identity.  Either way one rule applies (see
-    :class:`MinimizeOptions`): a start from the identity is a fresh one,
-    also when a point that converged without a step hands the identity
-    on.  The direct path's continuation starts each step from the previous
-    minimizer but from the identity: its branch test would otherwise turn
-    on where a carried line search happens to land.  Classical SIMEX starts
+    second point, the previous minimizer.  The direct path's continuation
+    starts each step from the previous minimizer.  Classical SIMEX starts
     every pseudo-data set of a noise level from this grid's minimizer there
-    and the inverse Hessian its solve finished with (see
-    ``simex._set_starts``).
+    (see ``simex._set_starts``).  Every solve starts its quasi-Newton
+    inverse Hessian from the identity (see :class:`MinimizeOptions`).
 
     Every solve takes one step rule (see :func:`~simexfree.optimize.minimize`).
-    The families whose kernels state second slopes take a damped Newton
-    step from the analytic Hessian wherever it is positive definite, and a
-    quasi-Newton step elsewhere: every family but walsh and generic, with
-    quantile and lare only where their smoothing variance is positive, so
-    not at lambda = 0 (see ``targets.hessian``).  Walsh and generic take
-    quasi-Newton steps only.  A carried inverse Hessian steers only the
-    quasi-Newton steps.
+    The families whose kernels state curvature take a damped Newton step
+    from their Hessian wherever it is positive definite, and a quasi-Newton
+    step elsewhere: every family but walsh, with quantile and lare only
+    where their smoothing variance is positive, so not at lambda = 0 (see
+    ``targets.hessian``).  Generic takes Gauss-Newton steps, from the
+    curvature 2 J'WJ / N of its weighted sum of squares.  Walsh takes
+    quasi-Newton steps only.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -202,23 +194,18 @@ class EstimateConfig:
 
 
 def point_options(
-    model: ModelSpec,
-    lam: float,
-    start: np.ndarray,
-    template: MinimizeOptions | None,
-    hinv: np.ndarray | None = None,
+    model: ModelSpec, lam: float, start: np.ndarray, template: MinimizeOptions | None
 ) -> MinimizeOptions:
-    """Optimizer options for one noise level, from ``start`` and the initial
-    inverse Hessian ``hinv`` (None for the identity).
+    """Optimizer options for one noise level, from ``start``.
 
-    A ``template`` is used with its start and hinv replaced.  Without one,
-    the quasi-Newton defaults apply, except at lambda = 0 for families that
-    are not ``smooth_at_zero``, which get a long, tight simplex search.
+    A ``template`` is used with its start replaced.  Without one, the
+    quasi-Newton defaults apply, except at lambda = 0 for families that are
+    not ``smooth_at_zero``, which get a long, tight simplex search.
     """
     if template is not None:
-        return replace(template, start=start, hinv=hinv)
+        return replace(template, start=start)
     if model.record.smooth_at_zero or lam != 0.0:
-        return MinimizeOptions(start=start, hinv=hinv)
+        return MinimizeOptions(start=start)
     return MinimizeOptions(
         start=start,
         method="simplex",
@@ -228,14 +215,10 @@ def point_options(
 
 
 def minimize_target(
-    ctx: TargetContext,
-    start: np.ndarray,
-    options: MinimizeOptions | None = None,
-    hinv: np.ndarray | None = None,
+    ctx: TargetContext, start: np.ndarray, options: MinimizeOptions | None = None
 ) -> MinimizeResult:
     """Minimize the family objective of ``ctx``, one data set at one noise
-    level, from a given start and the initial inverse Hessian ``hinv``
-    (q, q), None for the identity.
+    level, from a given start.
 
     This is the one-row solve of :func:`row_solver`, with the options of
     :func:`point_options` at ``ctx.lam``.  Each trial point runs the family
@@ -248,7 +231,7 @@ def minimize_target(
     steps only (see :func:`minimize`).
     """
     model = ctx.model
-    opts = point_options(model, ctx.lam, np.asarray(start, dtype=float), options, hinv)
+    opts = point_options(model, ctx.lam, np.asarray(start, dtype=float), options)
     kernel = model.record.kernel
     point = finish = None  # the last trial point and its grad callable
 
@@ -270,21 +253,16 @@ def minimize_target(
         second = getattr(finish, "hessian", None)
         return None if second is None else second()
 
-    # the generic family runs user code and has no analytic gradient;
-    # minimize then differentiates it by central differences
-    if opts.method == "quasi-newton" and model.mean_fn is None:
-        return minimize(value, gradient, opts, curvature)
-    return minimize(value, None, opts)
+    return minimize(value, gradient, opts, curvature)
 
 
 def minimize_stack(ctx: TargetContext, options: MinimizeOptions) -> MinimizeResult:
     """Minimize the family objective of ``ctx``, a stack of B data sets at
     one noise level (see :class:`TargetContext`), by :func:`minimize_batch`
-    from the starts ``options.start`` (B, q) and the inverse Hessians
-    ``options.hinv`` (B, q, q, or None for the identity).
+    from the starts ``options.start`` (B, q).
 
-    The family must have an analytic gradient: any but generic, which
-    runs a user's ``mean_fn``.  Each call of the solver runs the kernel
+    The family's kernel must take a stack: any but generic, which runs a
+    user's ``mean_fn`` on one data set at a time.  Each call of the solver runs the kernel
     once per chunk of at most ``STACK_CHUNK_VALUES // n`` sets and finishes
     the chunk's gradients from that call when one of its trial points
     passes the Armijo test.  Where the kernel offers ``grad.hessian``, it
@@ -328,41 +306,33 @@ def row_solver(
     z: np.ndarray | None = None,
     y: np.ndarray | None = None,
 ) -> Callable[..., MinimizeResult]:
-    """The ``solve(rows, lam, starts, hinv=None)`` that every estimator
-    stage runs.
+    """The ``solve(rows, lam, starts)`` that every estimator stage runs.
 
     The rows are the data sets ``z`` (R, n, p) with responses ``y`` (R, n,
     or None for ``dataset.y`` in every set), which share the dataset's
     sigma_u, or without ``z`` the dataset alone, as row 0.  ``solve``
     minimizes the objective at ``lam`` on ``rows``, an increasing index
-    array, from ``starts`` (one per row) and the initial inverse Hessians
-    ``hinv`` (k, q, q), whose NaN rows, or all rows when it is None, start
-    from the identity, with the options of ``cfg`` at that level (see
-    :func:`point_options`), and returns a batch result, one row per solved
-    row.  Each call builds one :class:`TargetContext` of the solved rows,
-    so only their responses are checked against the family domain.
-    One rule picks the solver: a quasi-Newton solve of more than one row,
-    for a family with an analytic gradient (no ``mean_fn``), is one
-    :func:`minimize_stack` run; a single row, a simplex solve and the
+    array, from ``starts`` (one per row), with the options of ``cfg`` at
+    that level (see :func:`point_options`), and returns a batch result, one
+    row per solved row.  Each call builds one :class:`TargetContext` of the
+    solved rows, so only their responses are checked against the family
+    domain.  One rule picks the solver: a quasi-Newton solve of more than
+    one row, for a family whose kernel takes a stack (no ``mean_fn``), is
+    one :func:`minimize_stack` run; a single row, a simplex solve and the
     generic family take one :func:`minimize_target` per row.  Either way
-    each row has the bits of its own scalar solve, and a row from the
-    identity is a fresh start (see :class:`MinimizeOptions`).
+    each row has the bits of its own scalar solve.
     """
 
-    def solve(rows: np.ndarray, lam: float, starts: np.ndarray,
-              hinv: np.ndarray | None = None) -> MinimizeResult:
+    def solve(rows: np.ndarray, lam: float, starts: np.ndarray) -> MinimizeResult:
         ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=cfg.nodes,
                             z=None if z is None else stack_rows(z, rows),
                             y=None if y is None else stack_rows(y, rows))
-        if hinv is not None:
-            hinv = np.where(np.isnan(hinv[:, :1, :1]), np.eye(starts.shape[1]), hinv)
         if rows.size > 1 and model.mean_fn is None:
-            opts = point_options(model, lam, starts, cfg.options, hinv)
+            opts = point_options(model, lam, starts, cfg.options)
             if opts.method == "quasi-newton":
                 return minimize_stack(ctx, opts)
         return _stacked([
-            minimize_target(ctx if z is None else ctx.take(i), start, cfg.options,
-                            None if hinv is None else hinv[i])
+            minimize_target(ctx if z is None else ctx.take(i), start, cfg.options)
             for i, start in enumerate(starts)
         ])
 
@@ -370,12 +340,8 @@ def row_solver(
 
 
 def _stacked(results: list[MinimizeResult]) -> MinimizeResult:
-    """Scalar results as one batch result, one row each; a row without an
-    inverse Hessian (simplex or infeasible) gets a NaN one."""
-    *fields, hinvs = zip(*(vars(r).values() for r in results))
-    q = results[0].theta_hat.size
-    hinv = np.stack([np.full((q, q), np.nan) if h is None else h for h in hinvs])
-    return MinimizeResult(*map(np.array, fields), hinv)
+    """Scalar results as one batch result, one row each."""
+    return MinimizeResult(*map(np.array, zip(*(vars(r).values() for r in results))))
 
 
 def _take(res: MinimizeResult, rows) -> MinimizeResult:
@@ -385,10 +351,9 @@ def _take(res: MinimizeResult, rows) -> MinimizeResult:
 
 def _row(res: MinimizeResult, i: int) -> MinimizeResult:
     """Row i of a batch result, as the result of its own scalar solve."""
-    hinv = None if math.isnan(res.hinv[i, 0, 0]) else res.hinv[i]
     return MinimizeResult(
         res.theta_hat[i], float(res.value[i]), float(res.grad_norm[i]),
-        int(res.iters[i]), bool(res.converged[i]), str(res.status[i]), hinv,
+        int(res.iters[i]), bool(res.converged[i]), str(res.status[i]),
     )
 
 
@@ -504,8 +469,7 @@ def grid_estimate(
     model: ModelSpec, dataset: Dataset, config: EstimateConfig | None = None
 ) -> GridEstimates:
     """Minimize the objective at every point of ``config.grid``, each from
-    a prediction by the previous minimizers and from the previous point's
-    inverse Hessian (see :class:`EstimateConfig`).
+    a prediction by the previous minimizers (see :class:`EstimateConfig`).
 
     The lambda = 0 point is the naive estimate.  Any non-converged point
     aborts with an aggregated error listing the offending lambda values.
@@ -689,9 +653,8 @@ def ex_estimate_stack(
       :func:`direct_estimate`;
     - for the datasets whose branch collapsed (or all, on the grid path),
       each further grid point of :func:`grid_estimate`, whose lambda = 0
-      point is the naive solve, from the row's predicted minimizer and the
-      previous point's inverse Hessian.  The extrapolant is then fitted
-      per dataset;
+      point is the naive solve, from the row's predicted minimizer.  The
+      extrapolant is then fitted per dataset;
     - for the linear family, the closed forms per dataset and one numeric
       check at lambda = -1.
 
@@ -806,9 +769,9 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
         # the nonnegative-lambda objectives are coercive, so a row whose
         # branch collapsed extrapolates from its naive solve
         rows, first = rows[fallback], _take(first, fallback)
-    # every further grid point, warm-started at the row's predicted minimizer
-    # and previous inverse Hessian; on the grid path a failed naive solve is
-    # a failed lambda = 0 point
+    # every further grid point, warm-started at the row's predicted
+    # minimizer; on the grid path a failed naive solve is a failed lambda = 0
+    # point
     results = _grid_points(solve, rows, first, cfg.grid.values)
     thetas = np.stack([res.theta_hat for res in results], axis=1)
     failed = ~np.stack([res.converged for res in results], axis=1)
@@ -850,12 +813,10 @@ def _grid_points(
 ) -> list[MinimizeResult]:
     """The results of ``rows`` at each point of the grid ``lams``: ``first``,
     their naive solve, at lambda = 0, and one ``solve`` per further point,
-    each row from its predicted minimizer (:func:`_predicted`) and the
-    inverse Hessian its previous point hands on (:func:`_carried`)."""
+    each row from its predicted minimizer (:func:`_predicted`)."""
     results = [first]
     for k in range(1, lams.size):
-        starts = _predicted(results, lams[:k + 1])
-        results.append(solve(rows, float(lams[k]), starts, _carried(results[-1])))
+        results.append(solve(rows, float(lams[k]), _predicted(results, lams[:k + 1])))
     return results
 
 
@@ -888,20 +849,6 @@ def _predicted(results: list[MinimizeResult], lams: np.ndarray) -> np.ndarray:
                      + (x - a) * (x - c) / ((b - a) * (b - c)) * results[-2].theta_hat
                      + (x - b) * (x - c) / ((a - b) * (a - c)) * results[-3].theta_hat)
         return np.where(three[:, None], quadratic, start)
-
-
-def _carried(res: MinimizeResult) -> np.ndarray | None:
-    """The inverse Hessians that the rows of ``res`` hand to the next grid
-    point: a converged quasi-Newton row's final one, and a NaN one (the
-    identity) for a row that did not converge or was solved by the simplex
-    method, or None when no row hands one on."""
-    keep = res.converged & np.isfinite(res.hinv).all(axis=(1, 2))
-    return np.where(keep[:, None, None], res.hinv, np.nan) if keep.any() else None
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer (numpy's included) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _live(outcomes: list, rows) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,24 +38,12 @@ class MinimizeOptions:
     with reflection 1, expansion 2, contraction 0.5, shrink 0.5).  The
     quasi-Newton method takes a damped Newton step instead wherever the
     objective supplies its Hessian and that Hessian is positive definite
-    (see :func:`minimize`); there is no option for it.
-
-    ``hinv`` is the quasi-Newton method's initial inverse Hessian, shape
-    (q, q), or (B, q, q) for :func:`minimize_batch`; None means the
-    identity.  It steers the quasi-Newton steps only, and only they update
-    it: a Newton step leaves it as it is.  One rule tells a fresh start
-    from a carried one: a run (or a batch row) whose initial inverse
-    Hessian equals the identity, given or not, scales its first
-    quasi-Newton step to length at most 1 and, after it, rescales the
-    identity by s'y / y'y, because the identity knows nothing of the
-    objective's scale.  A run from any other ``hinv``, such as the
-    one that a solve of a nearby objective finished with, trusts it and
-    does neither.  The lambda grid carries each point's final ``hinv`` to
-    the next point this way, with a start predicted by the quadratic
-    through the three previous minimizers.  Classical SIMEX carries both:
-    each pseudo-data set starts from the grid's minimizer at its noise
-    level and the inverse Hessian the grid's solve there finished with.
-    The direct path's continuation carries neither (see ``EstimateConfig``).
+    (see :func:`minimize`); there is no option for it.  Every run starts its
+    inverse Hessian from the identity, which knows nothing of the
+    objective's scale: its first quasi-Newton step is scaled to length at
+    most 1, and after it the identity is rescaled by s'y / y'y.
+    ``max_iters`` is an integer of at least 1 (not a bool), and both
+    tolerances are finite and positive.
     """
 
     start: np.ndarray | None = None
@@ -62,15 +51,22 @@ class MinimizeOptions:
     max_iters: int = 500
     grad_tol: float = 1e-8
     step_tol: float = 1e-10
-    hinv: np.ndarray | None = None
 
     def __post_init__(self):
         if self.method not in ("quasi-newton", "simplex"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not _is_int(self.max_iters) or self.max_iters < 1:
+            raise ConfigError(
+                f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
+            )
+        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.step_tol < math.inf):
+            raise ConfigError("tolerances must be finite and positive, got "
+                              f"grad_tol={self.grad_tol!r}, step_tol={self.step_tol!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -90,16 +86,9 @@ class MinimizeResult:
     - ``infeasible``: the value at the start is not finite.
 
     ``converged`` is True exactly for ``grad_tol`` and ``step_tol``.
-    ``grad_norm`` is NaN for the simplex method.  ``hinv`` is the inverse
-    Hessian that the quasi-Newton run finished with, to start a run on a
-    nearby objective from (see :class:`MinimizeOptions`): a run that exited
-    before its first update, such as one that starts at its minimizer,
-    hands on its initial one, so a run from the identity hands on the
-    identity and the next run starts fresh.  It is None for the simplex
-    method and for an ``infeasible`` exit.  A result of
+    ``grad_norm`` is NaN for the simplex method.  A result of
     :func:`minimize_batch` holds arrays: each field has a leading batch
-    axis, ``status`` is an array of these strings, and ``hinv`` has shape
-    (B, q, q), with NaN rows for the ``infeasible`` ones.
+    axis, and ``status`` is an array of these strings.
     """
 
     theta_hat: np.ndarray
@@ -108,7 +97,6 @@ class MinimizeResult:
     iters: int
     converged: bool
     status: str
-    hinv: np.ndarray | None = None
 
 
 def finite_difference_gradient(f, theta, h=None) -> np.ndarray:
@@ -155,14 +143,15 @@ def minimize(
     objective offers none.  Where H is finite and positive definite (its
     Cholesky factorization succeeds) and -H^-1 g descends, the step is that
     damped Newton direction, with a unit first trial.  Otherwise the step is
-    the quasi-Newton direction -hinv g, with the first-step and restart
-    rules of :class:`MinimizeOptions`, and once it is accepted ``hinv``
-    takes the BFGS update.  Either step is backtracked by halving until
-    the Armijo test passes.  A step of either kind that halves to a length
-    within ``step_tol`` ends the run instead: with status ``step_tol`` when
-    its last trial lies above f by at most ``_FLAT`` (1 + |f|), for near a
-    minimizer the rounding of ``f`` hides the decrease that so short a step
-    makes, and with ``line_search`` otherwise, as at a cusp.  A run may
+    the quasi-Newton direction -M g, with M the inverse-Hessian estimate
+    and the first-step rules of :class:`MinimizeOptions`, and once it is
+    accepted M takes the BFGS update.  Either step is backtracked by
+    halving until the Armijo test passes.  A step of either kind that
+    halves to a length within ``step_tol`` ends the run instead: with
+    status ``step_tol`` when its last trial lies above f by at most
+    ``_FLAT`` (1 + |f|), for near a minimizer the rounding of ``f`` hides
+    the decrease that so short a step makes, and with ``line_search``
+    otherwise, as at a cusp.  A run may
     switch between the two steps at any iterate: a Hessian that is
     indefinite at the start, as the exponential family's can be far from
     its minimizer, gives quasi-Newton steps until it turns positive
@@ -176,7 +165,6 @@ def minimize(
     if opts.start is None:
         raise ConfigError("options.start is required")
     x0 = np.asarray(getattr(opts.start, "flat_vector", opts.start), dtype=float).ravel()
-    _check_hinv(opts, (x0.size, x0.size))
     f0 = float(f(x0))
     if not np.isfinite(f0):
         return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
@@ -194,20 +182,6 @@ def _fd_or_nan(f, theta) -> np.ndarray:
         return finite_difference_gradient(f, theta)
     except EstimationError:
         return np.full(theta.size, np.nan)
-
-
-def _check_hinv(opts: MinimizeOptions, shape: tuple) -> None:
-    """Raise unless ``opts.hinv`` is None or a finite array of ``shape``
-    for the quasi-Newton method."""
-    if opts.hinv is None:
-        return
-    if opts.method != "quasi-newton":
-        raise ConfigError("hinv applies only to the quasi-newton method")
-    hinv = np.asarray(opts.hinv, dtype=float)
-    if hinv.shape != shape:
-        raise ConfigError(f"options.hinv must have shape {shape}, got {hinv.shape}")
-    if not np.isfinite(hinv).all():
-        raise ConfigError("options.hinv must be finite")
 
 
 def newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -274,11 +248,8 @@ def _cholesky_solve(h, g, sqrt, positive) -> list:
 # 1e154: the run then ends "nonfinite", as it should, without numpy's warning
 @np.errstate(over="ignore")
 def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
-    n = x0.size
-    eye = np.eye(n)
-    hinv = eye.copy() if opts.hinv is None else np.array(opts.hinv, dtype=float)
-    # only the identity lacks the objective's scale (see MinimizeOptions)
-    fresh = opts.hinv is None or np.array_equal(hinv, eye)
+    eye = np.eye(x0.size)
+    inv_h = eye.copy()
     x, fx = x0, f0
     gx = np.asarray(grad(x), dtype=float)
     gnorm = math.sqrt(float(gx @ gx))
@@ -286,9 +257,9 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
     quasi = 0  # quasi-Newton steps taken
     while iters < opts.max_iters:
         if not math.isfinite(gnorm):
-            return MinimizeResult(x, fx, gnorm, iters, False, "nonfinite", hinv)
+            return MinimizeResult(x, fx, gnorm, iters, False, "nonfinite")
         if gnorm <= opts.grad_tol:
-            return MinimizeResult(x, fx, gnorm, iters, True, "grad_tol", hinv)
+            return MinimizeResult(x, fx, gnorm, iters, True, "grad_tol")
         h = None if hess is None else hess(x)
         if h is not None:
             d = _newton_direction(np.asarray(h, dtype=float), gx)
@@ -297,16 +268,16 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
         if newton:
             step = 1.0
         else:
-            d = -hinv @ gx
+            d = -inv_h @ gx
             slope = float(gx @ d)
             if slope >= 0.0:
                 # curvature information went bad; restart from steepest descent
-                hinv = eye.copy()
+                inv_h = eye.copy()
                 d = -gx
                 slope = float(gx @ d)
-            # unit-length first step: with hinv = I a steep gradient would
+            # unit-length first step: with inv_h = I a steep gradient would
             # otherwise overshoot into a distant basin
-            step = min(1.0, 1.0 / gnorm) if quasi == 0 and fresh else 1.0
+            step = min(1.0, 1.0 / gnorm) if quasi == 0 else 1.0
         dnorm = math.sqrt(float(d @ d))
         accepted = short = False
         for k in range(_MAX_BACKTRACKS):
@@ -323,9 +294,9 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
                 break
         iters += 1
         if short and _flat(fn, fx):
-            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol", hinv)
+            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
         if not accepted:
-            return MinimizeResult(x, fx, gnorm, iters, False, "line_search", hinv)
+            return MinimizeResult(x, fx, gnorm, iters, False, "line_search")
         s = xn - x
         gn = np.asarray(grad(xn), dtype=float)
         snorm = math.sqrt(float(s @ s))
@@ -333,22 +304,23 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
             quasi += 1
             yv = gn - gx
             sy = float(s @ yv)
-            if quasi == 1 and sy > 0 and fresh:
-                hinv = (sy / float(yv @ yv)) * eye
+            if quasi == 1 and sy > 0:
+                # the identity lacks the objective's scale
+                inv_h = (sy / float(yv @ yv)) * eye
             if sy > 1e-12 * snorm * math.sqrt(float(yv @ yv)):
                 rho = 1.0 / sy
                 v = eye - rho * np.outer(s, yv)
-                hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+                inv_h = v @ inv_h @ v.T + rho * np.outer(s, s)
         x, fx, gx = xn, fn, gn
         gnorm = math.sqrt(float(gx @ gx))
         # a non-finite gradient exits nonfinite at the loop head, however short the step
         if math.isfinite(gnorm) and snorm <= opts.step_tol:
-            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol", hinv)
+            return MinimizeResult(x, fx, gnorm, iters, True, "step_tol")
     # the iteration budget ran out
     status = "max_iters" if math.isfinite(gnorm) else "nonfinite"
     if gnorm <= opts.grad_tol:
         status = "grad_tol"
-    return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status, hinv)
+    return MinimizeResult(x, fx, gnorm, iters, status == "grad_tol", status)
 
 
 def _flat(trial, value):
@@ -372,10 +344,8 @@ def minimize_batch(
 ) -> MinimizeResult:
     """Minimize B independent objectives at once by the quasi-Newton method.
 
-    ``options.start`` has shape (B, q), one start per row, and
-    ``options.hinv``, when given, has shape (B, q, q): every row then starts
-    from its own inverse Hessian, as :func:`minimize` does from a (q, q)
-    one.  ``fg(theta, rows, bound)`` evaluates the objectives ``rows`` (an
+    ``options.start`` has shape (B, q), one start per row.
+    ``fg(theta, rows, bound)`` evaluates the objectives ``rows`` (an
     increasing index array of length k) at ``theta`` (k, q) and returns
     their values, shape (k,), and gradients, shape (k, q), and optionally
     their Hessians, shape (k, q, q), or None.  Only the rows whose value is
@@ -388,10 +358,10 @@ def minimize_batch(
     descent direction (a NaN row, or no Hessians, never is), and the
     quasi-Newton step otherwise.  Each row keeps its own inverse Hessian,
     step, iteration count and status, and takes the steps that
-    :func:`minimize` takes on that objective alone, from the same ``hinv``
-    and with the same Hessians.  A row that has exited is never evaluated
-    again, so no row's result depends on the others.  The result's fields
-    carry a leading batch axis.
+    :func:`minimize` takes on that objective alone, with the same
+    Hessians.  A row that has exited is never evaluated again, so no row's
+    result depends on the others.  The result's fields carry a leading
+    batch axis.
     """
     if options.method != "quasi-newton":
         raise ConfigError("minimize_batch supports only the quasi-newton method")
@@ -401,11 +371,8 @@ def minimize_batch(
     if x.ndim != 2:
         raise ConfigError(f"options.start must have shape (B, q), got {x.shape}")
     size, q = x.shape
-    _check_hinv(options, (size, q, q))
     eye = np.eye(q)
-    hinv = np.tile(eye, (size, 1, 1)) if options.hinv is None else np.array(options.hinv, dtype=float)
-    # only the identity lacks the objective's scale (see MinimizeOptions)
-    fresh = (hinv == eye).all(axis=(1, 2))
+    inv_h = np.tile(eye, (size, 1, 1))
     quasi = np.zeros(size, dtype=int)  # quasi-Newton steps taken per row
     act = np.arange(size)
     fx, g0, h0 = _evaluated(fg(x, act, np.full(size, np.inf)), q)
@@ -418,7 +385,6 @@ def minimize_batch(
     status = np.full(size, _MAX_ITERS)
     feasible = np.isfinite(fx)
     status[~feasible] = _INFEASIBLE
-    hinv[~feasible] = np.nan
     act = act[feasible]
     if act.size:
         gx[act] = g0[feasible]
@@ -433,7 +399,7 @@ def minimize_batch(
             act = act[~done]
         if act.size == 0:
             break
-        ga, h = gx[act], hinv[act]
+        ga, h = gx[act], inv_h[act]
         d = -(h @ ga[..., None])[..., 0]
         slope = batch_dot(ga, d)
         newton = np.zeros(act.size, dtype=bool)
@@ -448,8 +414,7 @@ def minimize_batch(
             h[reset] = eye
             d[reset] = -ga[reset]
             slope[reset] = batch_dot(ga[reset], d[reset])
-        step = np.where(fresh[act] & (quasi[act] == 0) & ~newton,
-                        np.minimum(1.0, 1.0 / gnorm[act]), 1.0)
+        step = np.where((quasi[act] == 0) & ~newton, np.minimum(1.0, 1.0 / gnorm[act]), 1.0)
         # the first trial covers every row; the backtracks, the rows it rejected
         xa, fa = x[act], fx[act]
         xn = xa + step[:, None] * d
@@ -494,7 +459,7 @@ def minimize_batch(
         yv = gn - gx[act]
         sy = batch_dot(s, yv)
         quasi[act] += ~newton
-        first = fresh[act] & (quasi[act] == 1) & ~newton & (sy > 0)
+        first = (quasi[act] == 1) & ~newton & (sy > 0)
         if first.any():
             h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
         snorm = np.sqrt(batch_dot(s, s))
@@ -507,7 +472,7 @@ def minimize_batch(
             rho = (1.0 / sy[sel])[:, None, None]
             v = eye - rho * (su[:, :, None] * yu[:, None, :])
             h[sel] = v @ h[sel] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
-        hinv[act], x[act], fx[act], gx[act], hx[act] = h, xn, fn, gn, hn
+        inv_h[act], x[act], fx[act], gx[act], hx[act] = h, xn, fn, gn, hn
         gnorm[act] = np.sqrt(batch_dot(gn, gn))
         stalled = (snorm <= options.step_tol) & np.isfinite(gnorm[act])
         if stalled.any():
@@ -518,7 +483,7 @@ def minimize_batch(
     status[act] = np.where(g <= options.grad_tol, _GRAD_TOL,
                            np.where(np.isfinite(g), _MAX_ITERS, _NONFINITE))
     converged = (status == _GRAD_TOL) | (status == _STEP_TOL)
-    return MinimizeResult(x, fx, gnorm, iters, converged, np.array(_STATUSES)[status], hinv)
+    return MinimizeResult(x, fx, gnorm, iters, converged, np.array(_STATUSES)[status])
 
 
 def _evaluated(out, q: int) -> tuple:

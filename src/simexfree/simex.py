@@ -22,7 +22,6 @@ from .extrapolate import (
     GridEstimates,
     _check_grid_size,
     _grid_points,
-    _is_int,
     _stacked,
     extrapolated,
     naive_estimate,
@@ -32,7 +31,7 @@ from .extrapolate import (
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
 from .extrapolate import fit_extrapolant, minimize_target  # noqa: F401
-from .optimize import MinimizeResult
+from .optimize import MinimizeResult, _is_int
 from .targets import STACK_GROUP_VALUES, ModelSpec
 
 
@@ -161,23 +160,20 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
 
 
 def _replicate_solves(
-    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, starts: np.ndarray,
-    hinvs: np.ndarray | None,
+    model: ModelSpec, dataset: Dataset, cfg: SimexConfig, starts: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """The naive solves of every pseudo-data set (k, b), k >= 1, each
-    warm-started at ``starts[k]`` with the initial inverse Hessian
-    ``hinvs[k]``, or the identity when ``hinvs`` is None.
+    warm-started at ``starts[k]``.
 
     Returns the estimates (K - 1, B, q) and the (k, b) pairs whose solve
     failed even after its retry.  The sets are taken in (k, b) order, in
     groups of ``STACK_GROUP_VALUES // (n p)``, and each group is one solve
     of :func:`row_solver` at lambda = 0, whatever the noise levels it spans,
-    each row from the start and inverse Hessian of its own k.  A warm start
-    can crawl on an unlucky pseudo sample, so a group's rows that did not
-    converge are one more solve, from the configured start, or the family
-    start on their pseudo-data, and the identity, with four times the
-    iterations.  A Dataset is built per pseudo-data set only for a retried
-    row.
+    each row from the start of its own k.  A warm start can crawl on an
+    unlucky pseudo sample, so a group's rows that did not converge are one
+    more solve, from the configured start, or the family start on their
+    pseudo-data, with four times the iterations.  A Dataset is built per
+    pseudo-data set only for a retried row.
 
     Each group's pseudo-data are drawn into one (G, n, p) buffer from the
     streams of :func:`_streams` (one re-keyed Philox generator, set (k, b)
@@ -205,8 +201,7 @@ def _replicate_solves(
             zs *= root[0, 0]
         zs *= scales[ks, None, None]
         zs += dataset.z
-        res = row_solver(model, dataset, cfg, zs)(np.arange(len(group)), 0.0, starts[ks],
-                                                  None if hinvs is None else hinvs[ks])
+        res = row_solver(model, dataset, cfg, zs)(np.arange(len(group)), 0.0, starts[ks])
         again = np.flatnonzero(~res.converged)
         if again.size:
             base = point_options(model, 0.0, None, cfg.options)
@@ -224,26 +219,22 @@ def _replicate_solves(
 
 def _set_starts(
     model: ModelSpec, dataset: Dataset, cfg: SimexConfig, naive: MinimizeResult
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The start (K, q) of the pseudo-data sets of each noise level, and
-    their initial inverse Hessians (K, q, q), or None for the identity.
+) -> np.ndarray:
+    """The start (K, q) of the pseudo-data sets of each noise level.
 
     The simulation-free objective at lambda_k is the conditional
     expectation of the pseudo-data objectives at lambda_k, so its minimizer
     theta(lambda_k) is where theirs cluster.  The simulation-free grid is
     solved on the observed data, from the ``naive`` solve at lambda = 0, and
-    each set of lambda_k starts from theta(lambda_k) and the inverse Hessian
-    that the grid's solve there finished with; a simplex solve (a naive
-    solve without one) takes the start alone.  If a grid point fails, every
-    set starts from the naive estimate and the identity instead.
+    each set of lambda_k starts from theta(lambda_k).  If a grid point
+    fails, every set starts from the naive estimate instead.
     """
     lams = cfg.grid.values
     grid = _grid_points(row_solver(model, dataset, cfg), np.zeros(1, dtype=int),
                         _stacked([naive]), lams)
     if all(res.converged[0] for res in grid):
-        starts = np.concatenate([res.theta_hat for res in grid])
-        return starts, None if naive.hinv is None else np.concatenate([r.hinv for r in grid])
-    return np.tile(naive.theta_hat, (lams.size, 1)), None
+        return np.concatenate([res.theta_hat for res in grid])
+    return np.tile(naive.theta_hat, (lams.size, 1))
 
 
 def classical_simex(
@@ -258,9 +249,8 @@ def classical_simex(
     fit that fails raises before any other solve.  The lambda = 0 average
     equals the naive estimate exactly (no noise is added there).  The
     simulation-free grid is solved from the naive fit, and every
-    pseudo-data set of lambda_k starts from its minimizer at lambda_k and
-    the inverse Hessian its solve finished with, or from the naive estimate
-    and the identity if a grid point fails (see :func:`_set_starts`).
+    pseudo-data set of lambda_k starts from its minimizer at lambda_k, or
+    from the naive estimate if a grid point fails (see :func:`_set_starts`).
     Either start depends on the observed data alone, never on another
     replicate, so any evaluation order yields the same result.  A
     pseudo-data solve that does not converge is retried once, from the
@@ -283,12 +273,12 @@ def classical_simex(
     _check_grid_size(cfg.kind, cfg.grid.size)
     lams = cfg.grid.values
     naive = naive_estimate(model, dataset, cfg)
-    starts, hinvs = _set_starts(model, dataset, cfg, naive)
+    starts = _set_starts(model, dataset, cfg, naive)
     q = naive.theta_hat.size
     means = np.empty((lams.size, q))
     ses = np.zeros((lams.size, q))
     means[0] = naive.theta_hat
-    draws, failed = _replicate_solves(model, dataset, cfg, starts, hinvs)
+    draws, failed = _replicate_solves(model, dataset, cfg, starts)
     if failed:
         first = failed[0][0]
         raise EstimationError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .errors import CapacityError, ConfigError, ModelMismatchError
 from .gaussian import hermite_rule, normal_cdf, tensor_hermite_rule
-from .optimize import batch_dot, finite_difference_gradient
+from .optimize import batch_dot
 
 # Below this, the smoothing variance s = lam * beta' sigma_u beta is treated
 # as exactly zero: the closed-form limits are known and the normal cdf/pdf
@@ -348,12 +348,12 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # --------------------------------------------------------------------------
 
 # A kernel ``target_<family>(ctx, theta)`` returns ``(value, grad)``: the
-# objective at theta, and a zero-argument callable that finishes its analytic
-# gradient from the intermediates the value already computed (None for
-# generic).  Calling ``grad`` only at an accepted point means a rejected
-# line-search trial never pays for a gradient.  Where the family states its
-# second slopes, ``grad.hessian`` is a second zero-argument callable that
-# finishes the Hessian the same way.
+# objective at theta, and a zero-argument callable that finishes its
+# gradient from the intermediates the value already computed.  Calling
+# ``grad`` only at an accepted point means a rejected line-search trial never
+# pays for a gradient.  Where the family states its curvature,
+# ``grad.hessian`` is a second zero-argument callable that finishes the
+# Hessian the same way.
 #
 # Every objective but generic's depends on theta only through
 # eta = alpha + z' beta and s = lam * beta' sigma_u beta, so each family
@@ -365,8 +365,10 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # expectile at tau = 1/2 broadcast over the stack; the others branch on s or
 # sum O(n^2) pairs, and run once per set (:func:`_by_set`).  Every family but
 # walsh and generic states second slopes: walsh's eta-Hessian is a dense sum
-# over pairs, and generic runs user code.  Quantile and lare state them only
-# where s > 0, as their losses have no curvature at s = 0.
+# over pairs.  Quantile and lare state them only where s > 0, as their losses
+# have no curvature at s = 0.  Generic runs user code on one set at a time;
+# its gradient and its Gauss-Newton curvature both come from one Jacobian of
+# the mean function (:func:`_gauss_newton`).
 
 
 def _by_set(kernel, ctx: TargetContext, theta):
@@ -985,9 +987,11 @@ def _mean_values(fn, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _generic_chunks(ctx: TargetContext):
     """The node-shifted design of the generic objective at ``ctx.lam > 0``,
-    as (x, weights) pairs, one per chunk of at most ``GENERIC_CHUNK_ROWS``
-    design rows: x[k * n + i] = z[i] + u[k] for the chunk's nodes u[k], and
-    their quadrature weights as a list.
+    as (x, weights, roots) triples, one per chunk of at most
+    ``GENERIC_CHUNK_ROWS`` design rows: x[k * n + i] = z[i] + u[k] for the
+    chunk's nodes u[k], their quadrature weights w[k] as a list, and the
+    column sqrt(w[k] / (n pi^(p/2))), which scales the Jacobian (see
+    :func:`_gauss_newton`).
 
     The design does not depend on theta.  When it fits in one chunk, it is
     kept on the context and every later value call at ``ctx`` reuses it.
@@ -1005,6 +1009,7 @@ def _generic_chunks(ctx: TargetContext):
     points, weights = tensor_hermite_rule(GENERIC_TENSOR_NODES, d.p)
     shifts = points @ scale.T
     chunk = max(1, GENERIC_CHUNK_ROWS // d.n)
+    roots = np.sqrt(weights / (d.n * math.pi ** (d.p / 2.0)))[:, None]
 
     def build(k0):
         u = shifts[k0 : k0 + chunk]
@@ -1014,7 +1019,8 @@ def _generic_chunks(ctx: TargetContext):
         for j in range(d.p):
             np.add.outer(u[:, j], z[:, j], out=cols[j])
         cols.setflags(write=False)  # a kept design must not change under fn
-        return cols.reshape(d.p, k * d.n).T, weights[k0 : k0 + chunk].tolist()
+        part = slice(k0, k0 + chunk)
+        return cols.reshape(d.p, k * d.n).T, weights[part].tolist(), roots[part]
 
     if weights.size > chunk:
         return (build(k0) for k0 in range(0, weights.size, chunk))
@@ -1034,11 +1040,12 @@ def target_generic_ls(ctx: TargetContext, theta):
     The mean function is called once on the design shifted to every node,
     stacked into one (nodes**p * n, p) array, in chunks of at most
     ``GENERIC_CHUNK_ROWS`` rows.  A design of one chunk is built once per
-    context and reused by every later call there, such as the 2q calls of a
-    central-difference gradient (see :func:`_generic_chunks`).  Theta must
-    have ``mean_fn.n_params`` entries when the mean function declares them.
-    The gradient is None: the objective runs user code, which is
-    differentiated by central finite differences.
+    context and reused by every later call there, such as the 2q calls of
+    the gradient (see :func:`_generic_chunks`).  Theta must have
+    ``mean_fn.n_params`` entries when the mean function declares them.
+    The objective is a weighted sum of squared residuals r = y - m, so
+    ``grad`` and ``grad.hessian`` give its gradient and its Gauss-Newton
+    curvature from the Jacobian of m (see :func:`_gauss_newton`).
     """
     d, y, z = ctx.dataset, ctx.y, ctx.z
     if d.p > GENERIC_MAX_P:
@@ -1053,16 +1060,79 @@ def target_generic_ls(ctx: TargetContext, theta):
     with np.errstate(over="ignore", invalid="ignore"):
         if ctx.lam == 0.0:
             r = y - _mean_values(m, z, th)
-            return _guard(float(r @ r) / d.n), None
-        acc = 0.0
-        for x, weights in _generic_chunks(ctx):
-            r = y - _mean_values(m, x, th).reshape(len(weights), d.n)
-            sums = (r[:, None, :] @ r[:, :, None]).ravel()
-            # weighted sums of squares, added node by node in rule order
-            for wt, ss in zip(weights, sums.tolist()):
-                acc += wt * ss
-        v = acc / (d.n * math.pi ** (d.p / 2.0))
-    return _guard(v), None
+            resid, v = [r], float(r @ r) / d.n
+        else:
+            acc, resid = 0.0, []
+            for x, weights, _ in _generic_chunks(ctx):
+                r = y - _mean_values(m, x, th).reshape(len(weights), d.n)
+                resid.append(r.ravel())
+                sums = (r[:, None, :] @ r[:, :, None]).ravel()
+                # weighted sums of squares, added node by node in rule order
+                for wt, ss in zip(weights, sums.tolist()):
+                    acc += wt * ss
+            v = acc / (d.n * math.pi ** (d.p / 2.0))
+    # one Jacobian pass gives both, at the first call of either
+    slopes = cache(lambda: _gauss_newton(ctx, th, resid))
+    grad = lambda: slopes()[0]  # noqa: E731
+    grad.hessian = lambda: slopes()[1]
+    return _guard(v), grad
+
+
+def _gauss_newton(ctx: TargetContext, th: np.ndarray, resid: list):
+    """The gradient -2 J'Wr / N and the Gauss-Newton curvature 2 J'WJ / N
+    of the generic objective at ``th``, from its residuals ``resid``, one
+    flat array per design chunk (Nocedal & Wright, *Numerical
+    Optimization*, 2006, ch. 10).
+
+    W holds the quadrature weight of each design row's node, and N is n at
+    lambda = 0 and n pi^(p/2) above it.  Column j of J = dm/dtheta is the
+    central difference of the mean function with step h_j = max(1e-6,
+    1e-7 |theta_j|): 2q calls per chunk, one pair at a time.  Each pair's
+    difference, 2 h_j sqrt(W / N) dm/dtheta_j, goes into row j of a (q, rows)
+    buffer kept on the context, so no call allocates J afresh; the steps
+    are divided out of the q and q x q sums.  The residuals are scaled by
+    sqrt(W / N) in place, so this runs once per kernel call.  The sums are
+    dot products of the buffer's rows, which cost a few times less than a
+    BLAS product of so skinny a matrix, and only the upper triangle is
+    summed, so the curvature is symmetric bit for bit.  A non-finite mean
+    value gives a non-finite gradient, as inf entries.
+    """
+    d, m = ctx.dataset, ctx.model.mean_fn.fn
+    n = d.n
+    chunks = [(ctx.z, None, math.sqrt(1.0 / n))] if ctx.lam == 0.0 else _generic_chunks(ctx)
+    q = th.size
+    steps = np.diag(np.maximum(1e-6, 1e-7 * np.abs(th)))
+    g, gram = np.zeros(q), np.zeros((q, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (x, _, root), r in zip(chunks, resid):
+            jac = _jacobian_buffer(ctx, q, r.size)
+            for j, step in enumerate(steps):
+                np.subtract(_mean_values(m, x, th + step), _mean_values(m, x, th - step),
+                            out=jac[j])
+                col = jac[j].reshape(-1, n)  # one node's rows per line, a view
+                col *= root
+            nodes = r.reshape(-1, n)
+            nodes *= root
+            for j in range(q):
+                g[j] -= jac[j] @ r
+                for k in range(j, q):
+                    gram[j, k] += jac[j] @ jac[k]
+        scale = 1.0 / np.diag(steps)
+        h = 0.5 * gram * np.outer(scale, scale)
+    upper = np.triu_indices(q, 1)
+    h[upper[::-1]] = h[upper]
+    return _guard_vec(g * scale), h
+
+
+def _jacobian_buffer(ctx: TargetContext, q: int, rows: int) -> np.ndarray:
+    """A (q, rows) view of the Jacobian buffer kept on the context, grown
+    when it is too small: one allocation serves every gradient there."""
+    buf = ctx.__dict__.get("_generic_jacobian")
+    if buf is None or buf.shape[0] != q or buf.shape[1] < rows:
+        buf = np.empty((q, rows))
+        # a private attribute of the frozen context, outside its fields
+        object.__setattr__(ctx, "_generic_jacobian", buf)
+    return buf[:, :rows]
 
 
 # --------------------------------------------------------------------------
@@ -1161,11 +1231,12 @@ class Family:
 
     ``kernel(ctx, theta)`` returns ``(value, grad)``: the conditional-
     expectation loss at theta and a zero-argument callable that finishes its
-    analytic gradient from the value's own intermediates.  ``grad`` is None
-    when the objective runs user code (generic, the one family with a
-    ``mean_fn``), which :func:`target_gradient` and the quasi-Newton solver
-    then differentiate by central finite differences.  Every other kernel
-    is the one skeleton :func:`_kernel` over the family's loss in (eta, s).
+    gradient from the value's own intermediates, with ``grad.hessian`` where
+    the family states its curvature.  Generic, the one family with a
+    ``mean_fn``, differentiates the user's mean function by central
+    differences and takes Gauss-Newton curvature (:func:`_gauss_newton`).
+    Every other kernel is the one skeleton :func:`_kernel` over the
+    family's loss in (eta, s).
     ``start(model, dataset)`` is a cheap deterministic initial point for the
     lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
     responses given the linear predictor, calling ``draw_eps()`` for
@@ -1174,9 +1245,9 @@ class Family:
     quasi-Newton can minimize at lambda = 0, and ``intercept`` and ``tau``
     the families that accept an intercept and require a level.
     ``y_domain`` is a (description, predicate) pair for valid responses.
-    Every kernel with an analytic gradient also takes stacked data sets
-    (see :class:`TargetContext`), so a quasi-Newton solve of several data
-    sets at one noise level is one batch (see ``extrapolate.row_solver``).
+    Every kernel but generic's also takes stacked data sets (see
+    :class:`TargetContext`), so a quasi-Newton solve of several data sets
+    at one noise level is one batch (see ``extrapolate.row_solver``).
     """
 
     kernel: Callable[[TargetContext, np.ndarray], tuple]
@@ -1236,22 +1307,23 @@ def target_value(ctx: TargetContext, theta) -> float:
 
 def target_gradient(ctx: TargetContext, theta) -> np.ndarray:
     """Gradient of the family objective: the family's analytic gradient, or
-    for generic central finite differences with step max(1e-6, 1e-7 |theta_j|)."""
-    grad = ctx.model.record.kernel(ctx, theta)[1]
-    if grad is not None:
-        return grad()
-    return finite_difference_gradient(lambda th: target_value(ctx, th), theta)
+    for generic -2 J'Wr / N from central differences of its mean function
+    with step max(1e-6, 1e-7 |theta_j|) (see :func:`_gauss_newton`)."""
+    return ctx.model.record.kernel(ctx, theta)[1]()
 
 
 def hessian(ctx: TargetContext, theta) -> np.ndarray:
-    """Analytic Hessian of the family objective at theta: (q, q), or
-    (B, q, q) for a stack, each row with the bits of its own scalar call.
+    """Hessian of the family objective at theta: (q, q), or (B, q, q) for
+    a stack, each row with the bits of its own scalar call; symmetric bit
+    for bit.
 
     Every family but walsh and generic states second slopes where its loss
     has curvature: linear, exponential, sine, poisson, lpre, logistic and
     expectile at every admissible lambda, quantile and lare where the
-    smoothing variance s is above ``S_FLOOR``.  A point without curvature
-    raises ConfigError: walsh and generic everywhere, quantile and lare at
+    smoothing variance s is above ``S_FLOOR``.  Generic returns its
+    Gauss-Newton curvature 2 J'WJ / N at every lambda, which is its exact
+    Hessian where the mean function is linear in theta.  A point without
+    curvature raises ConfigError: walsh everywhere, quantile and lare at
     s = 0, and the set-by-set families (logistic, lare, quantile and
     expectile at tau != 1/2) where lam != 0 but s was floored to zero.  A
     stack of such families has a NaN row for each set without curvature,

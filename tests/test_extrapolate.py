@@ -420,7 +420,7 @@ def _grid_case(family, tau):
     [("quantile", 0.5), ("expectile", 0.3), ("lare", None), ("logistic", None),
      ("walsh", None), ("generic", None)],
 )
-def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
+def test_grid_predicted_starts_cost_no_more_than_a_chain(monkeypatch, family, tau):
     model, ds, cfg = _grid_case(family, tau)
     kernel = FAMILIES[family].kernel
     values = [0]
@@ -431,7 +431,7 @@ def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
 
     monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=counting))
     ge = grid_estimate(model, ds, cfg)
-    carried = values[0]
+    predicted = values[0]
     # the chain that starts every point from its neighbour's theta alone
     values[0] = 0
     chain = [naive_estimate(model, ds, cfg).theta_hat]
@@ -442,7 +442,7 @@ def test_grid_carries_the_inverse_hessian(monkeypatch, family, tau):
         chain.append(res.theta_hat)
     chain = np.array(chain)
     assert np.all(np.abs(ge.thetas - chain) <= 1e-6 * (1.0 + np.abs(chain)))
-    assert carried <= values[0]
+    assert predicted <= values[0]
 
 
 GRID_FAMILIES = [("quantile", 0.5), ("expectile", 0.3), ("lare", None), ("logistic", None),
@@ -455,7 +455,7 @@ def test_predicted_grid_matches_cold_solves_on_an_uneven_grid(family, tau):
     model, ds, cfg = _grid_case(family, tau)
     cfg = replace(cfg, grid=UNEVEN)
     ge = grid_estimate(model, ds, cfg)
-    # one cold solve per lambda: from the naive estimate and the identity
+    # one cold solve per lambda, from the naive estimate
     naive = naive_estimate(model, ds, cfg).theta_hat
     cold = [naive]
     for lam in UNEVEN.values[1:]:
@@ -478,8 +478,8 @@ def test_grid_row_after_a_failed_point_starts_from_its_previous_minimizer(monkey
     def spied(*args, **kwargs):
         solve = inner(*args, **kwargs)
 
-        def recorded(rows, lam, starts, hinv=None):
-            res = solve(rows, lam, starts, hinv)
+        def recorded(rows, lam, starts):
+            res = solve(rows, lam, starts)
             if lam == lams[1]:
                 res.converged[1] = False  # as if row 1 failed at the second point
             solves[lam] = (starts.copy(), res.theta_hat.copy())
@@ -518,39 +518,6 @@ def test_grid_row_after_a_failed_point_starts_from_its_previous_minimizer(monkey
     assert not np.array_equal(quadratic(3, 0), secant(3, 0))
     assert not np.array_equal(secant(4, 1), theta[lams[3]][1])
     assert not np.array_equal(quadratic(5, 1), secant(5, 1))
-
-
-def test_row_solver_starts_nan_rows_of_hinv_from_the_identity(monkeypatch):
-    # a stacked solve whose carried inverse Hessians cover some rows only,
-    # as after a grid point that some rows failed
-    rng = np.random.default_rng(42)
-    x = rng.standard_normal((5, 150))
-    ys = np.exp(x) + rng.standard_normal((5, 150))
-    zs = (x + 0.5 * rng.standard_normal((5, 150)))[..., None]
-    sets = [Dataset(y=ys[b], z=zs[b], sigma_u=0.25) for b in range(5)]
-    model = ModelSpec(family="exponential")
-    first = [extrapolate.minimize_target(TargetContext(dataset=d, model=model, lam=0.0), np.zeros(1))
-             for d in sets]
-    starts = np.array([res.theta_hat for res in first])
-    hinv = np.array([res.hinv for res in first])
-    hinv[[1, 2]] = np.nan
-    runs = []
-
-    def counted(fg, options):
-        runs.append(options.start.shape[0])
-        return minimize_batch(fg, options)
-
-    monkeypatch.setattr(extrapolate, "minimize_batch", counted)
-    solve = extrapolate.row_solver(model, sets[0], EstimateConfig(), zs, ys)
-    res = solve(np.arange(5), 0.5, starts, hinv)
-    # the carried and the fresh rows are one run
-    assert runs == [5]
-    for b, d in enumerate(sets):
-        alone = extrapolate.minimize_target(TargetContext(dataset=d, model=model, lam=0.5), starts[b],
-                                            hinv=None if b in (1, 2) else hinv[b])
-        assert np.array_equal(res.theta_hat[b], alone.theta_hat)
-        assert (res.iters[b], res.status[b]) == (alone.iters, alone.status)
-        assert np.array_equal(res.hinv[b], alone.hinv)
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,15 @@ def test_options_validation():
         MinimizeOptions(grad_tol=0.0)
     with pytest.raises(ConfigError):
         minimize(lambda th: 0.0, options=MinimizeOptions())
+    # an iteration budget is an integer and not a bool; tolerances are finite
+    for iters in (2.5, True, 3.0):
+        with pytest.raises(ConfigError, match="max_iters"):
+            MinimizeOptions(max_iters=iters)
+    for tol in (np.nan, np.inf, -1.0):
+        for name in ("grad_tol", "step_tol"):
+            with pytest.raises(ConfigError, match="tolerances"):
+                MinimizeOptions(**{name: tol})
+    assert MinimizeOptions(max_iters=np.int64(7)).max_iters == 7
 
 
 def test_fd_gradient_linear_form_exact():
@@ -305,7 +314,7 @@ def _pseudo_stack(rows=5, lam=1.0):
     return ds, zs
 
 
-def _stack_solve(ds, zs, start, seen=None, hinv=None, lam=0.0):
+def _stack_solve(ds, zs, start, seen=None, lam=0.0):
     model = ModelSpec(family="exponential")
 
     def fg(th, rows, bound):
@@ -316,7 +325,7 @@ def _stack_solve(ds, zs, start, seen=None, hinv=None, lam=0.0):
         )
         return value, grad()
 
-    return minimize_batch(fg, MinimizeOptions(start=start, hinv=hinv))
+    return minimize_batch(fg, MinimizeOptions(start=start))
 
 
 def test_minimize_batch_rows_match_lone_solves():
@@ -338,17 +347,17 @@ def test_minimize_batch_rows_match_lone_solves():
                           MinimizeOptions(start=start[r]))
         np.testing.assert_allclose(together.theta_hat[r], scalar.theta_hat, rtol=1e-12, atol=0)
         assert together.iters[r] == scalar.iters
-    # each row carries its final inverse Hessian to the next noise level, as
-    # the lambda grid does, and takes the steps of its lone solve from it
-    carried = _stack_solve(ds, zs, together.theta_hat, hinv=together.hinv, lam=0.5)
-    assert carried.converged.all()
+    # each row goes on to the next noise level from its minimizer, as the
+    # lambda grid does, and takes the steps of its lone solve from there
+    warm = _stack_solve(ds, zs, together.theta_hat, lam=0.5)
+    assert warm.converged.all()
     for r in range(len(zs)):
         ctx = TargetContext(dataset=Dataset(y=ds.y, z=zs[r], sigma_u=ds.sigma_u),
                             model=model, lam=0.5)
         scalar = minimize(lambda th: target_value(ctx, th), lambda th: target_gradient(ctx, th),
-                          MinimizeOptions(start=together.theta_hat[r], hinv=together.hinv[r]))
-        for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
-            assert np.array_equal(getattr(carried, field)[r], getattr(scalar, field)), field
+                          MinimizeOptions(start=together.theta_hat[r]))
+        for field in ("theta_hat", "value", "grad_norm", "iters", "status"):
+            assert np.array_equal(getattr(warm, field)[r], getattr(scalar, field)), field
 
 
 def test_minimize_batch_exited_row_is_not_evaluated_again():
@@ -368,60 +377,23 @@ def test_minimize_batch_exited_row_is_not_evaluated_again():
     np.testing.assert_allclose(res.theta_hat, first.theta_hat, rtol=1e-12, atol=0)
 
 
-def test_exact_inverse_hessian_converges_in_one_iteration():
-    # f = (theta - c)' A (theta - c) / 2, whose inverse Hessian is A^-1
-    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-    c = np.array([1.0, -2.0, 0.5])
-
+def test_a_quasi_newton_run_caps_its_first_step_at_unit_length():
+    # the identity knows nothing of the scale: without the cap the first
+    # trial from (3, 4) would move by |g| = 5e4
     def f(th):
-        return float(0.5 * (th - c) @ a @ (th - c))
+        return float(0.5e4 * th @ th)
 
     def g(th):
-        return a @ (th - c)
+        return 1e4 * th
 
-    start = np.array([30.0, 10.0, -40.0])
-    exact = np.linalg.inv(a)
-    one = minimize(f, g, MinimizeOptions(start=start, hinv=exact))
-    assert (one.status, one.iters) == ("grad_tol", 1)
-    np.testing.assert_allclose(one.theta_hat, c, rtol=0, atol=1e-12)
-    # from the identity the first step is capped, so it takes longer
-    fresh = minimize(f, g, MinimizeOptions(start=start))
-    assert fresh.iters > 1
-    # a given identity is a fresh start too, bit for bit
-    given = minimize(f, g, MinimizeOptions(start=start, hinv=np.eye(3)))
-    for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
-        assert np.array_equal(getattr(given, field), getattr(fresh, field)), field
-    fg = _rowwise(lambda t, r: f(t), lambda t, r: g(t))
-    starts = np.stack([start, -start])
-    res = minimize_batch(fg, MinimizeOptions(start=starts, hinv=np.stack([exact, exact])))
-    assert list(res.iters) == [1, 1] and res.converged.all()
+    start = np.array([3.0, 4.0])
+    one = minimize(f, g, MinimizeOptions(start=start, max_iters=1))
+    np.testing.assert_allclose(one.theta_hat, [2.4, 3.2], rtol=1e-15)
+    res = minimize_batch(_rowwise(lambda t, r: f(t), lambda t, r: g(t)),
+                         MinimizeOptions(start=start[None], max_iters=1))
     assert np.array_equal(res.theta_hat[0], one.theta_hat)
-    # one batch mixes a fresh row with a carried one, each as its lone solve
-    res = minimize_batch(fg, MinimizeOptions(start=np.stack([start, start]),
-                                             hinv=np.stack([np.eye(3), exact])))
-    for r, alone in enumerate((fresh, one)):
-        for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
-            assert np.array_equal(getattr(res, field)[r], getattr(alone, field)), field
-
-
-def test_hinv_validation():
-    def f(th):
-        return float(th @ th)
-
-    fg = _rowwise(lambda t, r: f(t), lambda t, r: 2.0 * t)
-    bad = [np.eye(3), np.eye(2)[None], np.array([[1.0, 0.0], [0.0, np.nan]]),
-           np.array([[1.0, np.inf], [0.0, 1.0]])]
-    for hinv in bad:
-        with pytest.raises(ConfigError, match="hinv"):
-            minimize(f, options=MinimizeOptions(start=np.ones(2), hinv=hinv))
-    for hinv in (np.eye(2), np.stack([np.eye(2), np.full((2, 2), np.nan)])):
-        with pytest.raises(ConfigError, match="hinv"):
-            minimize_batch(fg, MinimizeOptions(start=np.ones((2, 2)), hinv=hinv))
-    with pytest.raises(ConfigError, match="quasi-newton"):
-        minimize(f, options=MinimizeOptions(start=np.ones(2), hinv=np.eye(2), method="simplex"))
-    # no inverse Hessian for the simplex method or an infeasible start
-    assert minimize(f, options=MinimizeOptions(start=np.ones(2), method="simplex")).hinv is None
-    assert minimize(lambda th: np.inf, options=MinimizeOptions(start=np.ones(2))).hinv is None
+    # and the rescaled identity then finishes the quadratic in one more step
+    assert minimize(f, g, MinimizeOptions(start=start)).iters == 2
 
 
 def test_minimize_batch_stops_once_every_row_has_exited():
@@ -506,6 +478,6 @@ def test_an_indefinite_start_falls_back_to_quasi_newton_and_stacks_bit_for_bit(l
         assert seen[0][0, 0] < 0.0 < seen[-1][0, 0]
         # and each stacked row has the bits of its lone solve
         alone = minimize_target(ctx, starts[b])
-        for field in ("theta_hat", "value", "grad_norm", "iters", "status", "hinv"):
+        for field in ("theta_hat", "value", "grad_norm", "iters", "status"):
             assert np.array_equal(getattr(together, field)[b], getattr(alone, field)), field
             assert np.array_equal(getattr(newton, field), getattr(alone, field)), field

@@ -193,14 +193,14 @@ def _family_data(family):
                          mean_fn=mean_fn if family == "generic" else None)
 
 
-def _pseudo_draws(model, ds, cfg, starts, hinvs):
-    """One scalar naive solve per (grid point, replicate), from ``starts[k]``
-    and ``hinvs[k]``: the estimates (K - 1, B, q)."""
+def _pseudo_draws(model, ds, cfg, starts):
+    """One scalar naive solve per (grid point, replicate), from ``starts[k]``:
+    the estimates (K - 1, B, q)."""
     return np.array([
         [minimize_target(TargetContext(
             dataset=Dataset(y=ds.y, z=pseudo_data(ds, lam, _stream(cfg.seed, (k, b))),
-                            sigma_u=ds.sigma_u), model=model, lam=0.0), starts[k],
-            hinv=hinvs[k]).theta_hat for b in range(cfg.b)]
+                            sigma_u=ds.sigma_u), model=model, lam=0.0), starts[k]).theta_hat
+         for b in range(cfg.b)]
         for k, lam in enumerate(cfg.grid.values[1:], start=1)
     ])
 
@@ -212,21 +212,16 @@ FAMILIES = ["exponential", "linear", "poisson", "sine", "quantile", "lpre", "log
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
     # the reference: one scalar naive solve per (grid point, replicate), from
-    # the simulation-free grid minimizer at its noise level and, for a
-    # quasi-Newton solve, the inverse Hessian that the grid solve there
-    # finished with; quantile, lare and walsh solve one pseudo-data set at a
-    # time, by simplex, from the start alone, generic one set at a time by
-    # quasi-Newton, and every other family solves them as one quasi-Newton
-    # stack
+    # the simulation-free grid minimizer at its noise level; quantile, lare
+    # and walsh solve one pseudo-data set at a time, by simplex, generic one
+    # set at a time by Gauss-Newton, and every other family solves them as
+    # one stack
     ds, model = _family_data(family)
     # logistic at two quadrature nodes keeps the reference's grid cheap
     cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5, nodes=2)
     res = classical_simex(model, ds, cfg)
     grid = grid_estimate(model, ds, cfg)
-    simplex = not model.record.smooth_at_zero
-    hinvs = [None if simplex else r.hinv for r in grid.diagnostics]
-    assert simplex or all(h is not None for h in hinvs[1:])
-    draws = _pseudo_draws(model, ds, cfg, grid.thetas, hinvs)
+    draws = _pseudo_draws(model, ds, cfg, grid.thetas)
     assert np.array_equal(res.grid.thetas[0], grid.thetas[0])
     np.testing.assert_allclose(res.grid.thetas[1:], draws.mean(axis=1), rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.mc_se[1:], draws.std(axis=1, ddof=1) / np.sqrt(cfg.b),
@@ -236,14 +231,14 @@ def test_batched_replicates_match_one_solve_per_pseudo_data_set(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_classical_agrees_with_naive_started_replicates(family):
     # the grid starts move each pseudo-data minimizer only within the
-    # optimizer tolerance of the one reached from the naive estimate and
-    # the identity (logistic at two quadrature nodes keeps the grid cheap)
+    # optimizer tolerance of the one reached from the naive estimate
+    # (logistic at two quadrature nodes keeps the grid cheap)
     ds, model = _family_data(family)
     cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 0.5, 1.0, 2.0]), kind="quadratic", seed=8,
                       nodes=2)
     res = classical_simex(model, ds, cfg)
     naive = naive_estimate(model, ds).theta_hat
-    draws = _pseudo_draws(model, ds, cfg, [naive] * cfg.grid.size, [None] * cfg.grid.size)
+    draws = _pseudo_draws(model, ds, cfg, [naive] * cfg.grid.size)
     means = np.vstack([naive, draws.mean(axis=1)])
     ref = extrapolated(GridEstimates(grid=cfg.grid, thetas=means), cfg.kind,
                        model.has_intercept).theta_hat.flat_vector
@@ -252,18 +247,18 @@ def test_classical_agrees_with_naive_started_replicates(family):
 
 
 def _spy_pseudo_data_solves(monkeypatch):
-    """Record (max_iters, starts, hinv) of every lambda = 0 solve that
-    classical SIMEX runs: the pseudo-data solves and their retries."""
+    """Record (max_iters, starts) of every lambda = 0 solve that classical
+    SIMEX runs: the pseudo-data solves and their retries."""
     calls = []
     row_solver = simex.row_solver
 
     def spy(model, dataset, cfg, z=None, y=None):
         solve = row_solver(model, dataset, cfg, z, y)
 
-        def run(rows, lam, starts, hinv=None):
+        def run(rows, lam, starts):
             if lam == 0.0:
-                calls.append((getattr(cfg.options, "max_iters", None), starts.copy(), hinv))
-            return solve(rows, lam, starts, hinv)
+                calls.append((getattr(cfg.options, "max_iters", None), starts.copy()))
+            return solve(rows, lam, starts)
 
         return run
 
@@ -274,8 +269,7 @@ def _spy_pseudo_data_solves(monkeypatch):
 def test_classical_starts_from_the_naive_estimate_when_the_grid_fails(monkeypatch):
     # from a start 0.01 off, four iterations solve the naive fit but not the
     # grid's lambda > 0 points, so every pseudo-data set starts from the
-    # naive estimate and the identity, and a retried one from the
-    # configured start
+    # naive estimate, and a retried one from the configured start
     ds = _exponential_data()
     model = ModelSpec(family="exponential")
     start = naive_estimate(model, ds).theta_hat + 0.01
@@ -287,28 +281,25 @@ def test_classical_starts_from_the_naive_estimate_when_the_grid_fails(monkeypatc
         grid_estimate(model, ds, cfg)
     calls = _spy_pseudo_data_solves(monkeypatch)
     classical_simex(model, ds, cfg)
-    first = [(starts, hinv) for iters, starts, hinv in calls if iters == 4]
-    retried = [(starts, hinv) for iters, starts, hinv in calls if iters == 4 * 4]
+    first = [starts for iters, starts in calls if iters == 4]
+    retried = [starts for iters, starts in calls if iters == 4 * 4]
     # the six sets are one group, solved from the naive estimate
-    assert len(first) == 1 and len(first[0][0]) == 6 and retried
-    for (starts, hinv), want in [(first[0], naive)] + [(r, start) for r in retried]:
-        assert hinv is None
+    assert len(first) == 1 and len(first[0]) == 6 and retried
+    for starts, want in [(first[0], naive)] + [(r, start) for r in retried]:
         assert np.array_equal(starts, np.tile(want, (len(starts), 1)))
 
 
 def test_classical_starts_every_set_from_the_grid_at_the_default_quadrature(monkeypatch):
     # a logistic grid value at lambda > 0 costs 30 quadrature nodes per data
-    # row, yet B = 6 sets still start from the grid's minimizers and the
-    # inverse Hessians its solves finished with
+    # row, yet B = 6 sets still start from the grid's minimizers
     ds, model = _family_data("logistic")
     cfg = SimexConfig(b=6, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=5)
     assert cfg.nodes == 30
     calls = _spy_pseudo_data_solves(monkeypatch)
     classical_simex(model, ds, cfg)
-    (_, starts, hinv), = calls
+    (_, starts), = calls
     grid = grid_estimate(model, ds, cfg)
     assert np.array_equal(starts, np.repeat(grid.thetas[1:], cfg.b, axis=0))
-    assert np.array_equal(hinv, np.repeat([r.hinv for r in grid.diagnostics[1:]], cfg.b, axis=0))
 
 
 def _spy_solvers(monkeypatch):
@@ -401,12 +392,12 @@ def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch)
     def spy(model, dataset, cfg, z=None, y=None):
         solve = row_solver(model, dataset, cfg, z, y)
 
-        def run(rows, lam, starts, hinv=None):
+        def run(rows, lam, starts):
             if z is not None:  # a pseudo-data solve; the grid's have no z
                 stacks.extend([len(z), rows.size])
             if cfg.options.max_iters == 4 * cap:
                 retried.append(rows.size)
-            return solve(rows, lam, starts, hinv)
+            return solve(rows, lam, starts)
 
         return run
 

@@ -803,6 +803,91 @@ def test_generic_design_of_more_than_one_chunk_is_not_kept(monkeypatch):
     assert values[0] == values[1] == target_generic_ls(_fresh(ctx), th)[0]
 
 
+def _sshape_ctx(lam, n=80, seed=37):
+    """The S-curve b0 + b1 / (1 + exp(b2 (x - b3))) on data drawn from it."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = 1.0 + 2.0 / (1.0 + np.exp(2.0 * (x - 0.2))) + 0.3 * rng.standard_normal(n)
+
+    def fn(x, th):
+        return th[0] + th[1] / (1.0 + np.exp(th[2] * (x[:, 0] - th[3])))
+
+    model = ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=4))
+    ds = Dataset(y=y, z=x + 0.5 * rng.standard_normal(n), sigma_u=0.25)
+    return TargetContext(dataset=ds, model=model, lam=lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_generic_gradient_matches_central_differences_of_its_value(lam):
+    ctx = _sshape_ctx(lam)
+    rng = np.random.default_rng(38)
+    for th in np.array([1.0, 2.0, 2.0, 0.2]) + 0.5 * rng.standard_normal((5, 4)):
+        g = target_gradient(ctx, th)
+        fd = finite_difference_gradient(lambda t: target_generic_ls(ctx, t)[0], th)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+
+
+def _linear_in_theta(lam):
+    """A mean function linear in theta and not in x, at p = 2: there the
+    objective is quadratic in theta and Gauss-Newton is its Hessian."""
+    rng = np.random.default_rng(39)
+    z = rng.standard_normal((50, 2))
+    y = 0.5 + np.tanh(z[:, 0]) - 0.3 * z[:, 1] ** 2 + 0.2 * rng.standard_normal(50)
+
+    def fn(x, th):
+        return th[0] + th[1] * np.tanh(x[:, 0]) + th[2] * x[:, 1] ** 2
+
+    model = ModelSpec(family="generic", mean_fn=MeanFunction(fn=fn, n_params=3))
+    ds = Dataset(y=y, z=z, sigma_u=np.array([[0.25, 0.05], [0.05, 0.2]]))
+    return TargetContext(dataset=ds, model=model, lam=lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_generic_curvature_is_the_hessian_of_a_mean_linear_in_theta(lam):
+    ctx = _linear_in_theta(lam)
+    th = np.array([0.4, 0.8, -0.2])
+    h = targets.hessian(ctx, th)
+    # second central differences of the value, exact for a quadratic up to rounding
+    step, eye = 1e-3, np.eye(3)
+
+    def f(t):
+        return target_generic_ls(ctx, t)[0]
+
+    fd = np.array([[(f(th + step * (eye[j] + eye[k])) - f(th + step * (eye[j] - eye[k]))
+                     - f(th - step * (eye[j] - eye[k])) + f(th - step * (eye[j] + eye[k])))
+                    / (4.0 * step * step) for k in range(3)] for j in range(3)])
+    np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_generic_curvature_is_symmetric_bit_for_bit_in_any_chunking(monkeypatch, lam):
+    ctx = _linear_in_theta(lam)
+    th = np.array([0.3, -0.7, 1.1])
+    g, h = target_gradient(ctx, th), targets.hessian(ctx, th)
+    assert np.array_equal(h, h.T)
+    # 225 nodes of 50 rows, 10 per chunk: 23 chunks agree with one to rounding
+    monkeypatch.setattr(targets, "GENERIC_CHUNK_ROWS", 500)
+    chunked = TargetContext(dataset=ctx.dataset, model=ctx.model, lam=lam)
+    hc = targets.hessian(chunked, th)
+    assert np.array_equal(hc, hc.T)
+    np.testing.assert_allclose(target_gradient(chunked, th), g, rtol=1e-12)
+    np.testing.assert_allclose(hc, h, rtol=1e-12)
+
+
+def test_generic_nonfinite_mean_gives_a_nonfinite_gradient():
+    ctx = _sshape_ctx(0.5)
+    fn = ctx.model.mean_fn.fn
+    start = np.array([1.0, 2.0, 2.0, 0.2])
+
+    def nan_off_start(x, th):
+        return fn(x, th) if np.array_equal(th, start) else np.full(x.shape[0], np.nan)
+
+    model = ModelSpec(family="generic", mean_fn=MeanFunction(fn=nan_off_start, n_params=4))
+    off = TargetContext(dataset=ctx.dataset, model=model, lam=0.5)
+    value, grad = target_generic_ls(off, start)
+    assert math.isfinite(value) and np.isinf(grad()).all()
+
+
 # --------------------------------------------------------------------------
 # Monte Carlo oracle equivalence for every closed-form family
 # --------------------------------------------------------------------------

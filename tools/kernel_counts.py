@@ -1,12 +1,17 @@
-"""Print the kernel values, curvature values and quasi-Newton iterations
-of every fit-mix fit.
+"""Print the kernel values, mean-function calls, curvature values and
+quasi-Newton iterations of every fit-mix fit.
 
 Each dataset of the benchmark's fit-mix workload (``perfbench/workloads.py``)
 at the given seed is fitted once by ``ex_estimate``, as the workload fits
 it.  Kernel values are counted by wrapping each ``Family.kernel`` in
-``targets.FAMILIES`` (one value per row of theta, so a central-difference
-gradient counts its 2q values).  Curvature values are counted by wrapping
-the ``grad.hessian`` of each kernel call that offers one, one per row of
+``targets.FAMILIES`` (one value per row of theta, so a gradient by central
+differences of the objective counts its 2q values).  Mean-function calls
+are the generic family's calls of its ``mean_fn``, counted by wrapping
+``targets._mean_values``, through which every call goes: a value makes one
+per design chunk, and a gradient from the mean function's own central
+differences 2q more per chunk, which the kernel values do not show.
+Curvature values are counted by wrapping the ``grad.hessian`` of each
+kernel call that offers one, one per row of
 theta that has a Hessian each time it is called, that is, each Hessian the
 solvers finish at an accepted point (a set-by-set stack's NaN row, a set
 whose loss offers no curvature there, is not counted).  Iterations are
@@ -17,14 +22,14 @@ the fits that took the grid path ("-" where none did).  The counts do not
 depend on the machine and repeat exactly for a seed.  One line per fit,
 then one line per item and a total:
 
-    fit                  path          kernel   curv  qn_iters  it/pt
+    fit                  path          kernel  mean_fn   curv  qn_iters  it/pt
 
 With ``--classical`` it prints, in place of the fits, the counts of the
 study workload's classical SIMEX operation at the seed, as the workload
 builds it (R = 2 replicates of an exponential, n = 500, rational fit with
 B = 100 pseudo-data sets per noise level): kernel calls, kernel values,
-curvature values, quasi-Newton iterations and ``minimize_batch`` runs, one
-line each.  Its
+curvature values, quasi-Newton iterations, ``minimize_batch`` runs and
+mean-function calls, one line each.  Its
 iterations include those of the scalar grid fits on the observed data,
 whose lambda = 0 point is the naive fit; the rational extrapolant's fit
 takes no quasi-Newton iterations (it searches its pole by golden section).
@@ -49,14 +54,15 @@ from pathlib import Path
 import numpy as np
 
 COUNTS = {"calls": "kernel calls", "kernel": "kernel values", "curv": "curvature values",
-          "iters": "qn_iters", "batches": "minimize_batch runs"}
+          "iters": "qn_iters", "batches": "minimize_batch runs", "mean_fn": "mean_fn calls"}
 
 
 @contextmanager
 def counting():
     """Count kernel calls and values, curvature values, quasi-Newton
-    iterations and ``minimize_batch`` runs of the library while the block
-    runs; yields the dict of counts, which the block may reset."""
+    iterations, ``minimize_batch`` runs and mean-function calls of the
+    library while the block runs; yields the dict of counts, which the
+    block may reset."""
     from simexfree import targets
     from simexfree import extrapolate as ext
 
@@ -95,20 +101,29 @@ def counting():
         counts["batches"] += 1
         return res
 
+    mean_values = targets._mean_values
+
+    def counted_mean(fn, x, theta):
+        counts["mean_fn"] += 1
+        return mean_values(fn, x, theta)
+
     families = dict(targets.FAMILIES)
     for name, record in families.items():
         targets.FAMILIES[name] = replace(record, kernel=counted_kernel(record.kernel))
     ext.minimize, ext.minimize_batch = counted_minimize, counted_batch
+    targets._mean_values = counted_mean
     try:
         yield counts
     finally:
         targets.FAMILIES.update(families)
         ext.minimize, ext.minimize_batch = minimize, minimize_batch
+        targets._mean_values = mean_values
 
 
-def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, list[int]]]:
-    """(item, fit, path, kernel values, curvature values, quasi-Newton
-    iterations, iterations of each grid point at lambda > 0) per fit."""
+def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, int, list[int]]]:
+    """(item, fit, path, kernel values, mean-function calls, curvature
+    values, quasi-Newton iterations, iterations of each grid point at
+    lambda > 0) per fit."""
     from perfbench.workloads import (
         DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
     )
@@ -123,12 +138,12 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, list[int]]
                 y, z = draw(fam, n, _rng(seed, i, k))
                 ds = Dataset(y=y, z=z, sigma_u=SIGMA_U2)
                 cfg = EstimateConfig(start=sshape_start(ds)) if fam == "generic" else None
-                counts.update(kernel=0, curv=0, iters=0)
+                counts.update(kernel=0, curv=0, iters=0, mean_fn=0)
                 res = ext.ex_estimate(model, ds, cfg)
                 grid = [] if res.grid is None else res.grid.diagnostics[1:]
                 points = [int(d.iters) for d in grid]
-                rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", res.path,
-                             counts["kernel"], counts["curv"], counts["iters"], points))
+                rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", res.path, counts["kernel"],
+                             counts["mean_fn"], counts["curv"], counts["iters"], points))
     return rows
 
 
@@ -168,15 +183,15 @@ def main(argv=None) -> int:
             print(f"{label:<18} {counts[key]:>8}")
         return 0
     rows = count_fits(args.seed)
-    line = "{:<22} {:<13} {:>8} {:>6} {:>9} {:>6}"
-    print(line.format("fit", "path", "kernel", "curv", "qn_iters", "it/pt"))
+    line = "{:<22} {:<13} {:>8} {:>8} {:>6} {:>9} {:>6}"
+    print(line.format("fit", "path", "kernel", "mean_fn", "curv", "qn_iters", "it/pt"))
     for _, fit, path, *numbers, points in rows:
         print(line.format(fit, path, *numbers, per_point(points)))
     print()
 
     def summed(label, mine):
-        totals = (sum(r[c] for r in mine) for c in (3, 4, 5))
-        points = [it for r in mine for it in r[6]]
+        totals = (sum(r[c] for r in mine) for c in (3, 4, 5, 6))
+        points = [it for r in mine for it in r[7]]
         print(line.format(label, f"{len(mine)} fits", *totals, per_point(points)))
 
     for item in dict.fromkeys(r[0] for r in rows):
