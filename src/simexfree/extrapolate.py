@@ -148,7 +148,8 @@ class EstimateConfig:
     converged; otherwise, and at the third point, the secant through the
     two previous minimizers where both converged; otherwise, and at the
     second point, the previous minimizer.  The direct path's continuation
-    starts each step from the previous minimizer.  Classical SIMEX starts
+    starts each step by the same rule, from the minimizers on its branch
+    from lambda = 0 down (see :func:`_continue`).  Classical SIMEX starts
     every pseudo-data set of a noise level from this grid's minimizer there
     (see ``simex._set_starts``).  Every solve starts its quasi-Newton
     inverse Hessian from the identity (see :class:`MinimizeOptions`).
@@ -161,6 +162,10 @@ class EstimateConfig:
     ``targets.hessian``).  Generic takes Gauss-Newton steps, from the
     curvature 2 J'WJ / N of its weighted sum of squares.  Walsh takes
     quasi-Newton steps only.
+
+    ``grid`` must be a :class:`LambdaGrid`, ``options`` a
+    :class:`MinimizeOptions` or None, and ``force_grid`` a bool; anything
+    else raises ConfigError.
     """
 
     grid: LambdaGrid = field(default_factory=LambdaGrid.default)
@@ -171,6 +176,14 @@ class EstimateConfig:
     start: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, types, wanted in (
+            ("grid", LambdaGrid, "a LambdaGrid"),
+            ("options", (MinimizeOptions, type(None)), "a MinimizeOptions or None"),
+            ("force_grid", (bool, np.bool_), "a bool"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, types):
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
         if self.kind not in EXTRAPOLANT_KINDS:
             raise ConfigError(
                 f"unknown extrapolant kind {self.kind!r}; expected one of "
@@ -418,32 +431,48 @@ def linear_exact_extrapolant(theta0: float, sigma_x2: float, sigma_u2: float):
 # --------------------------------------------------------------------------
 
 
-def _continue(solve, rows: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, MinimizeResult]:
-    """Track each row's minimizer from its naive estimate ``cur`` (k, q)
-    down :data:`CONTINUATION` to lambda = -1.
+def _continue(
+    solve, rows: np.ndarray, first: MinimizeResult
+) -> tuple[np.ndarray, MinimizeResult]:
+    """Track each row's minimizer from its naive estimate, the converged
+    lambda = 0 solve ``first`` of ``rows``, down :data:`CONTINUATION` to
+    lambda = -1.
 
-    The corrected objectives are not coercive at negative lambda (the
-    correction factor lets a few extreme rows dominate far from the truth),
-    so each step is a warm-started local solve that must stay on the branch
-    through the naive estimate.  A step that does not converge, or jumps
-    past the trust radius 0.5 (1 + max|cur|) from its start ``cur``, means
-    the branch minimizer has ceased to exist for this row (a fold), and
-    only the lambda-grid path is available.
+    Each step starts every row from its predicted minimizer
+    (:func:`_predicted`), the polynomial through the row's branch minimizers
+    so far: the naive estimate at -0.25, the secant through lambda = 0 and
+    -0.25 at -0.5, and the quadratic through the three previous points at
+    -0.75 and -1.  The corrected objectives are not coercive at negative
+    lambda (the correction factor lets a few extreme rows dominate far from
+    the truth), so each step is a local solve that must stay on the branch
+    through the naive estimate.  A step that does not converge, or lands
+    past the trust radius 0.5 (1 + max|theta|) from the row's previous
+    minimizer theta, not from its predicted start, means the branch
+    minimizer has ceased to exist for this row (a fold), and only the
+    lambda-grid path is available.  So the test judges the branch, not the
+    predictor.  The rows that leave are dropped from the history, so a
+    stacked row keeps the bits of its scalar continuation.
 
     Returns the lambda at which each row left the branch (NaN where it
     stayed), and the last step's result for the rows that stayed.
     """
+    lams = np.array((0.0, *CONTINUATION))
     left_at = np.full(rows.size, np.nan)
     live = np.arange(rows.size)
-    for lam in CONTINUATION:
-        res = solve(rows[live], lam, cur)
-        radius = 0.5 * (1.0 + np.abs(cur).max(axis=1))
-        stay = res.converged & ~(np.abs(res.theta_hat - cur).max(axis=1) > radius)
+    results = [first]
+    for k, lam in enumerate(CONTINUATION, 1):
+        res = solve(rows[live], lam, _predicted(results, lams[:k + 1]))
+        prev = results[-1].theta_hat
+        radius = 0.5 * (1.0 + np.abs(prev).max(axis=1))
+        stay = res.converged & ~(np.abs(res.theta_hat - prev).max(axis=1) > radius)
         left_at[live[~stay]] = lam
-        live, cur = live[stay], res.theta_hat[stay]
+        results.append(res)
+        if not stay.all():
+            # _predicted reads at most the last three results
+            live, results = live[stay], [_take(r, stay) for r in results[-3:]]
         if live.size == 0:
             break
-    return left_at, _take(res, stay)
+    return left_at, results[-1]
 
 
 def direct_estimate(
@@ -453,8 +482,9 @@ def direct_estimate(
 
     For the linear family the closed form is used and cross-checked against
     the numeric minimizer.  Other families track the minimizer along a short
-    warm-started continuation from the naive estimate down to lambda = -1;
-    a BranchCollapseError signals that the tracked minimizer vanished for
+    continuation from the naive estimate down to lambda = -1, each step
+    from the minimizer its branch predicts (see :func:`_continue`); a
+    BranchCollapseError signals that the tracked minimizer vanished for
     this dataset and only the grid path applies.
     """
     if not model.pluggable:
@@ -649,8 +679,10 @@ def ex_estimate_stack(
     datasets that reach it:
 
     - the naive lambda = 0 solve from each dataset's start;
-    - each step of :data:`CONTINUATION`, with the branch test of
-      :func:`direct_estimate`;
+    - each step of :data:`CONTINUATION`, from the row's predicted
+      minimizer, with the branch test of :func:`direct_estimate`; a row
+      that leaves the branch leaves the later steps' solves and their
+      predictions (see :func:`_continue`);
     - for the datasets whose branch collapsed (or all, on the grid path),
       each further grid point of :func:`grid_estimate`, whose lambda = 0
       point is the naive solve, from the row's predicted minimizer.  The
@@ -694,9 +726,10 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
     "grid", and the ``EstimateResult`` of :func:`direct_estimate` or
     :func:`ex_estimate` for "direct" or "ex".  This is the one place that
     orders the stages, decides the fallback from the direct path to the
-    grid, and words each failure.  Each grid point after the first starts
-    every row from its own prediction (:func:`_predicted`), so a stacked
-    row starts where its scalar solve would.
+    grid, and words each failure.  Each continuation step, and each grid
+    point after the first, starts every row from its own prediction
+    (:func:`_predicted`), so a stacked row starts where its scalar solve
+    would.
     """
     if len(datasets) == 1:
         # one dataset is solved in place, never copied into a stack
@@ -753,7 +786,7 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
         ok = np.flatnonzero(first.converged)
         if ok.size == 0:
             return out
-        left_at, last = _continue(solve, rows[ok], first.theta_hat[ok])
+        left_at, last = _continue(solve, rows[ok], _take(first, ok))
         collapsed = ~np.isnan(left_at)
         for j, i in enumerate(ok[~collapsed]):
             out[rows[i]] = plugged(last.theta_hat[j], first.theta_hat[i],
@@ -821,8 +854,8 @@ def _grid_points(
 
 
 def _predicted(results: list[MinimizeResult], lams: np.ndarray) -> np.ndarray:
-    """Each row's start at the grid point ``lams[-1]``, from the ``results``
-    of the points before it, at ``lams[:-1]``.
+    """Each row's start at the grid point or continuation step ``lams[-1]``,
+    from the ``results`` of the points before it, at ``lams[:-1]``.
 
     The quadratic through the three previous minimizers, evaluated at
     lam_k by its Lagrange weights, so an uneven grid needs no rule of its

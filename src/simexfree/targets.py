@@ -1119,8 +1119,8 @@ def _gauss_newton(ctx: TargetContext, th: np.ndarray, resid: list):
                     gram[j, k] += jac[j] @ jac[k]
         scale = 1.0 / np.diag(steps)
         h = 0.5 * gram * np.outer(scale, scale)
-    upper = np.triu_indices(q, 1)
-    h[upper[::-1]] = h[upper]
+    iu, ju = _upper_pairs(q)
+    h[ju, iu] = h[iu, ju]
     return _guard_vec(g * scale), h
 
 

@@ -31,7 +31,9 @@ from simexfree import (
 )
 from simexfree import extrapolate
 from simexfree.extrapolate import extrapolation_se
-from simexfree.errors import EstimationError, GridConvergenceError, ModelMismatchError
+from simexfree.errors import (
+    BranchCollapseError, EstimationError, GridConvergenceError, ModelMismatchError,
+)
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
 from simexfree.optimize import MinimizeOptions, batch_dot, minimize, minimize_batch
 from simexfree.simex import _stream
@@ -55,6 +57,27 @@ def _linear_data(seed=0, n=60, su=0.2, beta=1.5, alpha=1.0):
 def test_estimate_config_refuses_a_node_count_that_is_not_an_integer_of_two_or_more(nodes):
     with pytest.raises(ConfigError, match="node count"):
         EstimateConfig(nodes=nodes)
+
+
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("force_grid", "no", "force_grid must be a bool"),
+    ("force_grid", 1, "force_grid must be a bool"),
+    ("grid", [0.0, 1.0, 2.0], "grid must be a LambdaGrid"),
+    ("grid", np.array([0.0, 1.0, 2.0]), "grid must be a LambdaGrid"),
+    ("options", 5, "options must be a MinimizeOptions or None"),
+    ("options", {"max_iters": 10}, "options must be a MinimizeOptions or None"),
+])
+def test_estimate_config_refuses_a_field_of_the_wrong_type(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        EstimateConfig(**{field: value})
+
+
+def test_estimate_config_takes_its_typed_fields():
+    grid = LambdaGrid([0.0, 1.0, 2.0])
+    options = MinimizeOptions(max_iters=10)
+    for force_grid in (True, False, np.bool_(True)):
+        cfg = EstimateConfig(grid=grid, options=options, force_grid=force_grid)
+        assert (cfg.grid, cfg.options, cfg.force_grid) == (grid, options, force_grid)
 
 
 def test_estimate_config_takes_a_numpy_integer_node_count():
@@ -703,6 +726,63 @@ def test_fallback_fit_solves_lambda_zero_once(monkeypatch):
     res = ex_estimate(scenario.model, ds)
     assert res.path == "extrapolated"
     assert lams.count(0.0) == 1
+
+
+def _fine_continuation(solve, rows, first, steps=64):
+    """The lambda at which each row leaves its branch (NaN where it stays),
+    and the minimizers of the rows that stay, down ``steps`` even steps to
+    lambda = -1.  Each step starts from the previous minimizer and applies
+    the branch test of ``extrapolate._continue``."""
+    left_at = np.full(rows.size, np.nan)
+    live, cur = np.arange(rows.size), first.theta_hat
+    for lam in -np.arange(1, steps + 1) / steps:
+        res = solve(rows[live], float(lam), cur)
+        radius = 0.5 * (1.0 + np.abs(cur).max(axis=1))
+        stay = res.converged & ~(np.abs(res.theta_hat - cur).max(axis=1) > radius)
+        left_at[live[~stay]] = lam
+        live, cur = live[stay], res.theta_hat[stay]
+    return left_at, cur
+
+
+def test_continuation_folds_exactly_where_a_fine_continuation_does():
+    # the first 100 replicates of the exponential study cell n = 200,
+    # sigma_u^2 = .5 at seed 1 (acceptance 1), among them replicates 1, 47
+    # and 89, which four steps from the previous minimizer called folded
+    # although their branches reach lambda = -1
+    scenario = exponential_scenarios(sigma2_values=(0.5,), n_values=(200,))[0]
+    datasets = [simulate_dataset(scenario, _stream(1, (0, r))) for r in range(100)]
+    cfg = EstimateConfig()
+    solve = extrapolate.row_solver(scenario.model, datasets[0], cfg,
+                                   np.stack([d.z for d in datasets]),
+                                   np.stack([d.y for d in datasets]))
+    rows = np.arange(len(datasets))
+    first = solve(rows, 0.0, np.stack([cfg.start_for(scenario.model, d) for d in datasets]))
+    assert first.converged.all()
+    left_at, last = extrapolate._continue(solve, rows, first)
+    fine_left_at, fine_last = _fine_continuation(solve, rows, first)
+    folded = ~np.isnan(left_at)
+    assert np.array_equal(folded, ~np.isnan(fine_left_at))
+    assert 0 < folded.sum() < rows.size and not folded[[1, 47, 89]].any()
+    np.testing.assert_allclose(last.theta_hat, fine_last, rtol=0, atol=1e-7)
+
+
+def test_stacked_continuation_with_ragged_exits_keeps_every_bit():
+    # exponential replicates at sigma_u^2 = 0.6, n = 60: rows 17 and 43
+    # leave the branch at lambda = -0.5, 3 and 7 at -0.75, 2 and 8 at -1,
+    # and 0, 1 and 4 reach lambda = -1, so each step drops rows from the
+    # middle of the stack and its predictor history
+    scenario = exponential_scenarios(sigma2_values=(0.6,), n_values=(60,))[0]
+    exits = {0: None, 17: -0.5, 3: -0.75, 1: None, 2: -1.0, 43: -0.5, 7: -0.75, 4: None, 8: -1.0}
+    datasets = [simulate_dataset(scenario, _stream(0, (0, r))) for r in exits]
+    for d, lam in zip(datasets, exits.values()):
+        if lam is None:
+            assert direct_estimate(scenario.model, d).path == "direct"
+        else:
+            with pytest.raises(BranchCollapseError, match=f"at lambda = {lam};"):
+                direct_estimate(scenario.model, d)
+    stacked = extrapolate.ex_estimate_stack(scenario.model, datasets)
+    for got, want in zip(stacked, _alone(scenario.model, datasets), strict=True):
+        assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------------------------

@@ -18,11 +18,17 @@ whose loss offers no curvature there, is not counted).  Iterations are
 those of the quasi-Newton solves (``minimize`` with that method, and
 ``minimize_batch``), Newton steps included, and not of the simplex.
 ``it/pt`` is the mean of the iterations per grid point at lambda > 0, over
-the fits that took the grid path ("-" where none did).  The counts do not
-depend on the machine and repeat exactly for a seed.  One line per fit,
-then one line per item and a total:
+the fits that took the grid path, and ``it/step`` the mean of the
+iterations per step of the direct path's continuation down to lambda = -1
+(``extrapolate._continue``), over the fits that took the direct path ("-"
+where none did).  The linear family's direct path is a closed form and
+takes no continuation.  The counts do not depend on the machine and repeat
+exactly for a seed.  One line per fit, then one line per item and a total:
 
-    fit                  path          kernel  mean_fn   curv  qn_iters  it/pt
+    fit                  path          kernel  mean_fn   curv  qn_iters  it/pt  it/step
+
+and last the steps and iterations of every continuation, on either path
+(a fit whose branch collapses falls back to the grid after its steps).
 
 With ``--classical`` it prints, in place of the fits, the counts of the
 study workload's classical SIMEX operation at the seed, as the workload
@@ -62,11 +68,13 @@ def counting():
     """Count kernel calls and values, curvature values, quasi-Newton
     iterations, ``minimize_batch`` runs and mean-function calls of the
     library while the block runs; yields the dict of counts, which the
-    block may reset."""
+    block may reset.  Its list ``steps`` holds the iterations of each
+    continuation step, summed over the step's rows."""
     from simexfree import targets
     from simexfree import extrapolate as ext
 
     counts = dict.fromkeys(COUNTS, 0)
+    counts["steps"] = []
 
     def counted_kernel(kernel):
         def run(ctx, theta):
@@ -101,6 +109,17 @@ def counting():
         counts["batches"] += 1
         return res
 
+    continuation = ext._continue
+
+    def counted_continue(solve, *rest):
+        def step(rows, lam, starts):
+            before = counts["iters"]
+            res = solve(rows, lam, starts)
+            counts["steps"].append(counts["iters"] - before)
+            return res
+
+        return continuation(step, *rest)
+
     mean_values = targets._mean_values
 
     def counted_mean(fn, x, theta):
@@ -111,19 +130,21 @@ def counting():
     for name, record in families.items():
         targets.FAMILIES[name] = replace(record, kernel=counted_kernel(record.kernel))
     ext.minimize, ext.minimize_batch = counted_minimize, counted_batch
+    ext._continue = counted_continue
     targets._mean_values = counted_mean
     try:
         yield counts
     finally:
         targets.FAMILIES.update(families)
         ext.minimize, ext.minimize_batch = minimize, minimize_batch
+        ext._continue = continuation
         targets._mean_values = mean_values
 
 
-def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, int, list[int]]]:
+def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, int, list[int], list[int]]]:
     """(item, fit, path, kernel values, mean-function calls, curvature
     values, quasi-Newton iterations, iterations of each grid point at
-    lambda > 0) per fit."""
+    lambda > 0, iterations of each continuation step) per fit."""
     from perfbench.workloads import (
         DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
     )
@@ -138,17 +159,19 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, int, list[
                 y, z = draw(fam, n, _rng(seed, i, k))
                 ds = Dataset(y=y, z=z, sigma_u=SIGMA_U2)
                 cfg = EstimateConfig(start=sshape_start(ds)) if fam == "generic" else None
-                counts.update(kernel=0, curv=0, iters=0, mean_fn=0)
+                counts.update(kernel=0, curv=0, iters=0, mean_fn=0, steps=[])
                 res = ext.ex_estimate(model, ds, cfg)
                 grid = [] if res.grid is None else res.grid.diagnostics[1:]
                 points = [int(d.iters) for d in grid]
                 rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", res.path, counts["kernel"],
-                             counts["mean_fn"], counts["curv"], counts["iters"], points))
+                             counts["mean_fn"], counts["curv"], counts["iters"], points,
+                             counts["steps"]))
     return rows
 
 
 def per_point(points: list[int]) -> str:
-    """The mean of ``points``, the iterations of grid points, or "-"."""
+    """The mean of ``points``, the iterations of grid points or of
+    continuation steps, or "-"."""
     return f"{sum(points) / len(points):.2f}" if points else "-"
 
 
@@ -183,20 +206,24 @@ def main(argv=None) -> int:
             print(f"{label:<18} {counts[key]:>8}")
         return 0
     rows = count_fits(args.seed)
-    line = "{:<22} {:<13} {:>8} {:>8} {:>6} {:>9} {:>6}"
-    print(line.format("fit", "path", "kernel", "mean_fn", "curv", "qn_iters", "it/pt"))
-    for _, fit, path, *numbers, points in rows:
-        print(line.format(fit, path, *numbers, per_point(points)))
+    line = "{:<22} {:<13} {:>8} {:>8} {:>6} {:>9} {:>6} {:>8}"
+    print(line.format("fit", "path", "kernel", "mean_fn", "curv", "qn_iters", "it/pt", "it/step"))
+    for _, fit, path, *numbers, points, steps in rows:
+        print(line.format(fit, path, *numbers, per_point(points),
+                          per_point(steps if path == "direct" else [])))
     print()
 
     def summed(label, mine):
         totals = (sum(r[c] for r in mine) for c in (3, 4, 5, 6))
         points = [it for r in mine for it in r[7]]
-        print(line.format(label, f"{len(mine)} fits", *totals, per_point(points)))
+        steps = [it for r in mine if r[2] == "direct" for it in r[8]]
+        print(line.format(label, f"{len(mine)} fits", *totals, per_point(points), per_point(steps)))
 
     for item in dict.fromkeys(r[0] for r in rows):
         summed(item, [r for r in rows if r[0] == item])
     summed("total", rows)
+    steps = [it for r in rows for it in r[8]]
+    print(f"\ncontinuation: {len(steps)} steps, {sum(steps)} qn_iters")
     return 0
 
 
