@@ -83,6 +83,11 @@ class LambdaGrid:
         return cls(np.linspace(0.0, 2.0, 21))
 
 
+# the grid of every EstimateConfig that names none: one shared instance, as a
+# LambdaGrid is frozen and its values read-only
+DEFAULT_GRID = LambdaGrid.default()
+
+
 @dataclass
 class GridEstimates:
     """Per-lambda minimizers (rows of ``thetas``) with optimizer diagnostics."""
@@ -163,12 +168,13 @@ class EstimateConfig:
     curvature 2 J'WJ / N of its weighted sum of squares.  Walsh takes
     quasi-Newton steps only.
 
-    ``grid`` must be a :class:`LambdaGrid`, ``options`` a
+    ``grid`` defaults to :data:`DEFAULT_GRID`, one instance that every
+    config shares.  It must be a :class:`LambdaGrid`, ``options`` a
     :class:`MinimizeOptions` or None, and ``force_grid`` a bool; anything
     else raises ConfigError.
     """
 
-    grid: LambdaGrid = field(default_factory=LambdaGrid.default)
+    grid: LambdaGrid = DEFAULT_GRID
     kind: str = "quadratic"
     options: MinimizeOptions | None = None
     force_grid: bool = False
@@ -869,19 +875,33 @@ def _predicted(results: list[MinimizeResult], lams: np.ndarray) -> np.ndarray:
     prev = results[-1].theta_hat
     if len(results) < 2:
         return prev
+    before = results[-2].theta_hat
     two = results[-2].converged & results[-1].converged
     x = float(lams[-1])
     ratio = (x - float(lams[-2])) / float(lams[-2] - lams[-3])
-    with np.errstate(over="ignore", invalid="ignore"):  # a failed row may hold inf
-        start = np.where(two[:, None], prev + ratio * (prev - results[-2].theta_hat), prev)
-        if len(results) < 3:
-            return start
-        three = two & results[-3].converged
-        a, b, c = (float(v) for v in lams[-4:-1])
-        quadratic = ((x - a) * (x - b) / ((c - a) * (c - b)) * prev
-                     + (x - a) * (x - c) / ((b - a) * (b - c)) * results[-2].theta_hat
-                     + (x - b) * (x - c) / ((a - b) * (a - c)) * results[-3].theta_hat)
-        return np.where(three[:, None], quadratic, start)
+
+    def secant():
+        return prev + ratio * (prev - before)
+
+    # where every row converged, the rule's arithmetic alone has the bits
+    # that np.where would pick, at a fraction of its cost
+    if len(results) < 3:
+        if two.all():
+            return secant()
+        with np.errstate(over="ignore", invalid="ignore"):  # a failed row may hold inf
+            return np.where(two[:, None], secant(), prev)
+    three = two & results[-3].converged
+    a, b, c = (float(v) for v in lams[-4:-1])
+
+    def quadratic():
+        return ((x - a) * (x - b) / ((c - a) * (c - b)) * prev
+                + (x - a) * (x - c) / ((b - a) * (b - c)) * before
+                + (x - b) * (x - c) / ((a - b) * (a - c)) * results[-3].theta_hat)
+
+    if three.all():
+        return quadratic()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(three[:, None], quadratic(), np.where(two[:, None], secant(), prev))
 
 
 def _live(outcomes: list, rows) -> np.ndarray:

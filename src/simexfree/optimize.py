@@ -362,6 +362,12 @@ def minimize_batch(
     Hessians.  A row that has exited is never evaluated again, so no row's
     result depends on the others.  The result's fields carry a leading
     batch axis.
+
+    The solver holds the state of the active rows only, and writes a row
+    into the result once, when it exits.  The inverse Hessians exist only
+    from the first quasi-Newton step of any row on, each starting from the
+    identity, which a Newton step leaves as it is; an iteration in which
+    every row takes a Newton step does no quasi-Newton work.
     """
     if options.method != "quasi-newton":
         raise ConfigError("minimize_batch supports only the quasi-newton method")
@@ -372,51 +378,62 @@ def minimize_batch(
         raise ConfigError(f"options.start must have shape (B, q), got {x.shape}")
     size, q = x.shape
     eye = np.eye(q)
-    inv_h = np.tile(eye, (size, 1, 1))
-    quasi = np.zeros(size, dtype=int)  # quasi-Newton steps taken per row
     act = np.arange(size)
     fx, g0, h0 = _evaluated(fg(x, act, np.full(size, np.inf)), q)
-    gx = np.zeros_like(x)
-    # the Hessians at the current points, NaN where none was given
-    hx = np.full((size, q, q), np.nan)
+    # the result's fields, each row written once, when it exits
     gnorm = np.full(size, np.nan)
     iters = np.zeros(size, dtype=int)
     # indices into _STATUSES until the return
     status = np.full(size, _MAX_ITERS)
     feasible = np.isfinite(fx)
     status[~feasible] = _INFEASIBLE
+    # the active rows' state, compact: entry i of each array is row act[i]
     act = act[feasible]
-    if act.size:
-        gx[act] = g0[feasible]
-        gnorm[act] = np.sqrt(batch_dot(gx[act], gx[act]))
-        hx[act] = h0[feasible]
-    for _ in range(options.max_iters):
-        g = gnorm[act]
-        nonfinite = ~np.isfinite(g)
-        done = nonfinite | (g <= options.grad_tol)
+    xa, fa, ga, ha = x[act], fx[act], np.array(g0[feasible], dtype=float), h0[feasible]
+    norm = np.sqrt(batch_dot(ga, ga))
+    quasi = np.zeros(act.size, dtype=int)  # quasi-Newton steps taken
+    inv_h = None  # the inverse Hessians, from the first quasi-Newton step on
+    stalled = np.zeros(act.size, dtype=bool)  # the last step was within step_tol
+    it = 0
+    while act.size:
+        nonfinite = ~np.isfinite(norm)
+        small = norm <= options.grad_tol
+        done = stalled | nonfinite | small
+        if it == options.max_iters:
+            done[:] = True  # the iteration budget ran out
         if done.any():
-            status[act[done]] = np.where(nonfinite[done], _NONFINITE, _GRAD_TOL)
-            act = act[~done]
-        if act.size == 0:
-            break
-        ga, h = gx[act], inv_h[act]
-        d = -(h @ ga[..., None])[..., 0]
-        slope = batch_dot(ga, d)
+            out = act[done]
+            x[out], fx[out], gnorm[out], iters[out] = xa[done], fa[done], norm[done], it
+            status[out] = np.where(stalled[done], _STEP_TOL, np.where(
+                nonfinite[done], _NONFINITE, np.where(small[done], _GRAD_TOL, _MAX_ITERS)))
+            keep = ~done
+            act, xa, fa, ga, ha, norm, quasi = (
+                v[keep] for v in (act, xa, fa, ga, ha, norm, quasi))
+            inv_h = None if inv_h is None else inv_h[keep]
+            if act.size == 0:
+                break
         newton = np.zeros(act.size, dtype=bool)
-        if not np.isnan(hx[act, 0, 0]).all():
-            dn = newton_directions(hx[act], ga)
+        if not np.isnan(ha[:, 0, 0]).all():
+            dn = newton_directions(ha, ga)
             sn = batch_dot(ga, dn)
             newton = (sn < 0.0) & np.isfinite(sn)
-            d[newton], slope[newton] = dn[newton], sn[newton]
-        reset = (slope >= 0.0) & ~newton
-        if reset.any():
-            # curvature information went bad; restart from steepest descent
-            h[reset] = eye
-            d[reset] = -ga[reset]
-            slope[reset] = batch_dot(ga[reset], d[reset])
-        step = np.where((quasi[act] == 0) & ~newton, np.minimum(1.0, 1.0 / gnorm[act]), 1.0)
+        if newton.all():
+            d, slope, step = dn, sn, np.ones(act.size)
+        else:
+            if inv_h is None:
+                inv_h = np.tile(eye, (act.size, 1, 1))
+            d = -(inv_h @ ga[..., None])[..., 0]
+            slope = batch_dot(ga, d)
+            if newton.any():
+                d[newton], slope[newton] = dn[newton], sn[newton]
+            reset = (slope >= 0.0) & ~newton
+            if reset.any():
+                # curvature information went bad; restart from steepest descent
+                inv_h[reset] = eye
+                d[reset] = -ga[reset]
+                slope[reset] = batch_dot(ga[reset], d[reset])
+            step = np.where((quasi == 0) & ~newton, np.minimum(1.0, 1.0 / norm), 1.0)
         # the first trial covers every row; the backtracks, the rows it rejected
-        xa, fa = x[act], fx[act]
         xn = xa + step[:, None] * d
         bound = fa + _ARMIJO * step * slope
         fn, gn, hn = _evaluated(fg(xn, act, bound), q)
@@ -445,43 +462,40 @@ def minimize_batch(
             hit = pend[ok]
             xn[hit], fn[hit], gn[hit], hn[hit], accepted[hit] = xt[ok], ft[ok], gt[ok], ht[ok], True
             pend = pend[~ok]
-        iters[act] += 1
+        it += 1
         if not accepted.all():
-            short &= _flat(last, fa)
-            status[act[short]] = _STEP_TOL
-            status[act[~accepted & ~short]] = _LINE_SEARCH
-            act = act[accepted]
+            failed = ~accepted
+            out = act[failed]
+            x[out], fx[out], gnorm[out], iters[out] = xa[failed], fa[failed], norm[failed], it
+            status[out] = np.where(short[failed] & _flat(last[failed], fa[failed]),
+                                   _STEP_TOL, _LINE_SEARCH)
+            act, xa, ga, quasi, xn, fn, gn, hn, newton = (
+                v[accepted] for v in (act, xa, ga, quasi, xn, fn, gn, hn, newton))
+            inv_h = None if inv_h is None else inv_h[accepted]
             if act.size == 0:
                 break
-            h, xn, fn, gn, hn = h[accepted], xn[accepted], fn[accepted], gn[accepted], hn[accepted]
-            newton = newton[accepted]
-        s = xn - x[act]
-        yv = gn - gx[act]
-        sy = batch_dot(s, yv)
-        quasi[act] += ~newton
-        first = (quasi[act] == 1) & ~newton & (sy > 0)
-        if first.any():
-            h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
+        s = xn - xa
         snorm = np.sqrt(batch_dot(s, s))
-        # a Newton step leaves the inverse Hessian as it is
-        upd = (sy > 1e-12 * snorm * np.sqrt(batch_dot(yv, yv))) & ~newton
-        if upd.any():
-            # a slice selects every row without copying
-            sel = slice(None) if upd.all() else upd
-            su, yu = s[sel], yv[sel]
-            rho = (1.0 / sy[sel])[:, None, None]
-            v = eye - rho * (su[:, :, None] * yu[:, None, :])
-            h[sel] = v @ h[sel] @ v.transpose(0, 2, 1) + rho * (su[:, :, None] * su[:, None, :])
-        inv_h[act], x[act], fx[act], gx[act], hx[act] = h, xn, fn, gn, hn
-        gnorm[act] = np.sqrt(batch_dot(gn, gn))
-        stalled = (snorm <= options.step_tol) & np.isfinite(gnorm[act])
-        if stalled.any():
-            status[act[stalled]] = _STEP_TOL
-            act = act[~stalled]
-    # the iteration budget ran out for the rows still active
-    g = gnorm[act]
-    status[act] = np.where(g <= options.grad_tol, _GRAD_TOL,
-                           np.where(np.isfinite(g), _MAX_ITERS, _NONFINITE))
+        if not newton.all():
+            # a Newton step leaves the inverse Hessian as it is
+            yv = gn - ga
+            sy = batch_dot(s, yv)
+            quasi += ~newton
+            first = (quasi == 1) & ~newton & (sy > 0)
+            if first.any():
+                inv_h[first] = (sy[first] / batch_dot(yv[first], yv[first]))[:, None, None] * eye
+            upd = (sy > 1e-12 * snorm * np.sqrt(batch_dot(yv, yv))) & ~newton
+            if upd.any():
+                # a slice selects every row without copying
+                sel = slice(None) if upd.all() else upd
+                su, yu = s[sel], yv[sel]
+                rho = (1.0 / sy[sel])[:, None, None]
+                v = eye - rho * (su[:, :, None] * yu[:, None, :])
+                inv_h[sel] = (v @ inv_h[sel] @ v.transpose(0, 2, 1)
+                              + rho * (su[:, :, None] * su[:, None, :]))
+        xa, fa, ga, ha = xn, fn, gn, hn
+        norm = np.sqrt(batch_dot(gn, gn))
+        stalled = (snorm <= options.step_tol) & np.isfinite(norm)
     converged = (status == _GRAD_TOL) | (status == _STEP_TOL)
     return MinimizeResult(x, fx, gnorm, iters, converged, np.array(_STATUSES)[status])
 

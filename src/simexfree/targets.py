@@ -358,7 +358,12 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # Every objective but generic's depends on theta only through
 # eta = alpha + z' beta and s = lam * beta' sigma_u beta, so each family
 # states only its loss in (eta, s) and the two slopes, and the one skeleton
-# :func:`_kernel` does the rest.  Every such kernel also takes a stack:
+# :func:`_kernel` does the rest.  At lam = 0, the noise level of the naive
+# fit and of every classical SIMEX refit, the kernel does only the work of
+# the classical loss: it forms no s and chains no s-slope, and the
+# broadcast losses below neither shift nor scale by s there nor form the
+# row means that only their s-slope reads, with the same bits.  Every such
+# kernel also takes a stack:
 # theta (B, q) against stacked surrogates (B, n, p), with B values, (B, q)
 # gradients and (B, q, q) Hessians, each row with the bits of its own scalar
 # call.  The losses of linear, exponential, sine, poisson, lpre and
@@ -401,6 +406,14 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     77:127), after the intercept's slope, the mean of dl/deta, when there is
     one.
 
+    At lam = 0 the objective is the classical loss itself.  The kernel then
+    forms no quadratic form: s is the float 0.0, for a stack too, and the
+    gradient has no s-term, so ``slopes`` may return None for dl/ds.  A
+    loss skips there what only s reads, its shift of eta by a multiple of
+    s or its scaling by exp(c s), and what only dl/ds reads, its row means.
+    As x + 0.0 and x * 1.0 are exact, the bits are those of the smoothed
+    form at s = 0.
+
     A loss may return a third callable, ``second(mixed)``, that returns
     the per-row d2l/deta2 and, when ``mixed`` (lam != 0), the per-row
     d2l/deta ds and the mean d2l/ds2 and dl/ds, one per set; at lam = 0
@@ -426,10 +439,14 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     if th.shape[-1] != q:
         raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
     beta = th[..., 1:] if ctx.model.has_intercept else th
-    su_b, quad = _quad(ctx, beta)
-    s = ctx.lam * quad
-    if per_set:
-        s = 0.0 if 0.0 < s < S_FLOOR else float(s)
+    mixed = ctx.lam != 0.0
+    if mixed:
+        su_b, quad = _quad(ctx, beta)
+        s = ctx.lam * quad
+        if per_set:
+            s = 0.0 if 0.0 < s < S_FLOOR else float(s)
+    else:
+        su_b, s = None, 0.0
     eta = _matvec(ctx.z, beta)
     if ctx.model.has_intercept:
         eta = th[..., :1] + eta
@@ -439,7 +456,7 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
         with np.errstate(over="ignore", invalid="ignore"):
             deta, ds = slopes()
             g = _vecmat(deta, ctx.z) / ctx.dataset.n
-            if not per_set or s > 0.0:
+            if mixed and (not per_set or s > 0.0):
                 g = g + _against_rows(ds * 2.0 * ctx.lam) * su_b
         if ctx.model.has_intercept:
             g = np.concatenate((_mean(deta)[..., None], g), axis=-1)
@@ -521,22 +538,28 @@ def target_exponential(ctx: TargetContext, theta):
 
 
 def _exponential_loss(ctx: TargetContext, eta, s):
-    y, s_rows = ctx.y, _against_rows(s)
+    y, smooth = ctx.y, ctx.lam != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.exp(eta + 0.5 * s_rows)
-        e2 = np.exp(2.0 * eta + 2.0 * s_rows)
+        if smooth:
+            s_rows = _against_rows(s)
+            e1 = np.exp(eta + 0.5 * s_rows)
+            e2 = np.exp(2.0 * eta + 2.0 * s_rows)
+        else:
+            e1, e2 = np.exp(eta), np.exp(2.0 * eta)
         y2e1 = 2.0 * y * e1
         value = _mean(y * y - y2e1 + e2)
 
     memo = []
 
     def means():
-        # the row means of e2 and 2 y e1, which both slopes read, once
+        # the row means of e2 and 2 y e1, which both s-slopes read, once
         if not memo:
             memo.append((_mean(e2), _mean(y2e1)))
         return memo[0]
 
     def slopes():
+        if not smooth:
+            return 2.0 * e2 - y2e1, None
         m_e2, m_y2e1 = means()
         # the slope in s from row means: a per-row 2 e2 - y e1 costs more
         return 2.0 * e2 - y2e1, 2.0 * m_e2 - 0.5 * m_y2e1
@@ -562,34 +585,43 @@ def target_sine(ctx: TargetContext, theta):
 
 
 def _sine_loss(ctx: TargetContext, eta, s):
-    y, sin, cos2 = ctx.y, np.sin(eta), np.cos(2.0 * eta)
+    y, sin, cos2, smooth = ctx.y, np.sin(eta), np.cos(2.0 * eta), ctx.lam != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        e1, e2 = np.exp(-0.5 * s), np.exp(-2.0 * s)
-        e1_rows, e2_rows = _against_rows(e1), _against_rows(e2)
-        value = _mean(y * y - 2.0 * y * sin * e1_rows - 0.5 * cos2 * e2_rows) + 1.0
+        if smooth:
+            e1, e2 = np.exp(-0.5 * s), np.exp(-2.0 * s)
+            e1_rows, e2_rows = _against_rows(e1), _against_rows(e2)
+            value = _mean(y * y - 2.0 * y * sin * e1_rows - 0.5 * cos2 * e2_rows) + 1.0
+        else:
+            value = _mean(y * y - 2.0 * y * sin - 0.5 * cos2) + 1.0
 
     memo = []
 
     def shared():
-        # cos(eta), y sin(eta) and the row means that both slopes read, once
+        # cos(eta) and y sin(eta), which both slopes read, and the row means
+        # that both s-slopes read, once
         if not memo:
             ysin = y * sin
-            memo.append((np.cos(eta), ysin, _mean(ysin), _mean(cos2)))
+            means = (_mean(ysin), _mean(cos2)) if smooth else (None, None)
+            memo.append((np.cos(eta), ysin, *means))
         return memo[0]
 
     def slopes():
         cos, _, m_ysin, m_cos2 = shared()
+        if not smooth:
+            return 2.0 * (sin - y) * cos, None
         # the slope of -cos(2 eta) e2 / 2 is e2 sin(2 eta) = 2 e2 sin cos
         deta = 2.0 * (e2_rows * sin - y * e1_rows) * cos
         return deta, e1 * m_ysin + e2 * m_cos2
 
     def second(mixed):
         cos, ysin, m_ysin, m_cos2 = shared()
+        if not mixed:
+            d2 = ysin + cos2
+            d2 *= 2.0
+            return d2, None, None, None
         d2 = ysin * e1_rows
         d2 += cos2 * e2_rows
         d2 *= 2.0
-        if not mixed:
-            return d2, None, None, None
         dx = y * e1_rows
         dx -= (4.0 * e2_rows) * sin
         dx *= cos
@@ -604,9 +636,9 @@ def target_poisson_negloglik(ctx: TargetContext, theta):
 
 
 def _poisson_loss(ctx: TargetContext, eta, s):
-    y = ctx.y
+    y, smooth = ctx.y, ctx.lam != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.exp(eta + 0.5 * _against_rows(s))
+        mu = np.exp(eta + 0.5 * _against_rows(s) if smooth else eta)
         value = -_mean(y * eta - mu)
 
     def second(mixed):
@@ -615,7 +647,7 @@ def _poisson_loss(ctx: TargetContext, eta, s):
         m_mu = _mean(mu)
         return mu, 0.5 * mu, 0.25 * m_mu, 0.5 * m_mu
 
-    return value, lambda: (mu - y, 0.5 * _mean(mu)), second
+    return value, lambda: (mu - y, 0.5 * _mean(mu) if smooth else None), second
 
 
 def target_logistic(ctx: TargetContext, theta):
@@ -677,14 +709,15 @@ def _lpre_loss(ctx: TargetContext, eta, s):
     y = ctx.y
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = y * np.exp(-eta), np.exp(eta) / y
-        base, scale = _mean(lo + hi), np.exp(0.5 * s)
+        base = _mean(lo + hi)
+    if ctx.lam == 0.0:
+        return base, lambda: (hi - lo, None), lambda mixed: (hi + lo, None, None, None)
+    scale = np.exp(0.5 * s)
 
     def second(mixed):
         rows = _against_rows(scale)
         d2 = hi + lo
         d2 *= rows
-        if not mixed:
-            return d2, None, None, None
         dx = hi - lo
         dx *= 0.5 * rows
         return d2, dx, 0.25 * base * scale, 0.5 * base * scale
@@ -932,7 +965,10 @@ def target_expectile(ctx: TargetContext, theta):
 def _expectile_half_loss(ctx: TargetContext, eta, s):
     xi = ctx.y - eta
     second = lambda mixed: (np.ones_like(xi), np.zeros_like(xi), 0.0, 0.5)  # noqa: E731
-    return 0.5 * _mean(xi * xi + _against_rows(s)), lambda: (-xi, 0.5), second
+    xi2 = xi * xi
+    if ctx.lam != 0.0:
+        xi2 += _against_rows(s)
+    return 0.5 * _mean(xi2), lambda: (-xi, 0.5), second
 
 
 def _expectile_loss(ctx: TargetContext, eta: np.ndarray, s: float):

@@ -35,7 +35,7 @@ from simexfree.errors import (
     BranchCollapseError, EstimationError, GridConvergenceError, ModelMismatchError,
 )
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
-from simexfree.optimize import MinimizeOptions, batch_dot, minimize, minimize_batch
+from simexfree.optimize import MinimizeOptions, MinimizeResult, batch_dot, minimize, minimize_batch
 from simexfree.simex import _stream
 from simexfree.targets import FAMILIES, TargetContext, naive_start
 
@@ -541,6 +541,59 @@ def test_grid_row_after_a_failed_point_starts_from_its_previous_minimizer(monkey
     assert not np.array_equal(quadratic(3, 0), secant(3, 0))
     assert not np.array_equal(secant(4, 1), theta[lams[3]][1])
     assert not np.array_equal(quadratic(5, 1), secant(5, 1))
+
+
+def _where_prediction(results, lams):
+    """The prediction rule of ``extrapolate._predicted``, written with
+    ``np.where`` over every row, as the reference for its bits."""
+    prev = results[-1].theta_hat
+    if len(results) < 2:
+        return prev
+    two = results[-2].converged & results[-1].converged
+    x = float(lams[-1])
+    ratio = (x - float(lams[-2])) / float(lams[-2] - lams[-3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.where(two[:, None], prev + ratio * (prev - results[-2].theta_hat), prev)
+        if len(results) < 3:
+            return start
+        three = two & results[-3].converged
+        a, b, c = (float(v) for v in lams[-4:-1])
+        quadratic = ((x - a) * (x - b) / ((c - a) * (c - b)) * prev
+                     + (x - a) * (x - c) / ((b - a) * (b - c)) * results[-2].theta_hat
+                     + (x - b) * (x - c) / ((a - b) * (a - c)) * results[-3].theta_hat)
+        return np.where(three[:, None], quadratic, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.booleans())
+def test_predictions_keep_their_bits_with_and_without_a_failed_row(seed, points, rows, fail):
+    rng = np.random.default_rng(seed)
+    # an increasing grid, or the continuation's decreasing steps
+    steps = rng.uniform(0.01, 0.5, points + 1)
+    lams = np.cumsum(steps) if rng.random() < 0.5 else -np.cumsum(steps)
+    results = []
+    for _ in range(points):
+        theta = rng.normal(0.0, 2.0, (rows, 2))
+        results.append(MinimizeResult(theta, np.zeros(rows), np.zeros(rows),
+                                      np.ones(rows, dtype=int), np.ones(rows, dtype=bool),
+                                      np.array(["grad_tol"] * rows)))
+    if fail:
+        # one row fails at one point, where it may hold inf
+        res = results[rng.integers(points)]
+        r = rng.integers(rows)
+        res.converged[r] = False
+        res.theta_hat[r, 0] = np.inf if rng.random() < 0.5 else res.theta_hat[r, 0]
+    got = extrapolate._predicted(results, lams)
+    want = _where_prediction(results, lams)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def test_default_configs_share_one_read_only_grid():
+    a, b = EstimateConfig(), EstimateConfig(kind="linear")
+    assert a.grid is b.grid is extrapolate.DEFAULT_GRID
+    assert np.array_equal(a.grid.values, LambdaGrid.default().values)
+    with pytest.raises(ValueError):
+        a.grid.values[0] = 1.0
 
 
 @pytest.mark.parametrize(

@@ -358,6 +358,80 @@ def test_minimize_batch_rows_match_lone_solves():
                           MinimizeOptions(start=together.theta_hat[r]))
         for field in ("theta_hat", "value", "grad_norm", "iters", "status"):
             assert np.array_equal(getattr(warm, field)[r], getattr(scalar, field)), field
+    # rows that mix Newton and quasi-Newton steps and exit at different
+    # iterations, one of them line_search, keep the bits of their lone solves
+    fs, gs, hs, starts = _mixed_rows()
+    # the second batch takes Newton steps only until row 0 turns quasi-Newton,
+    # so its inverse Hessians first exist at a later iteration
+    for rows in (np.arange(len(fs)), np.array([0, 2, 4])):
+        res = minimize_batch(_rowwise_curved(fs, gs, hs, rows), MinimizeOptions(start=starts[rows]))
+        for i, r in enumerate(rows):
+            newton = []  # per iterate, whether its Hessian is positive definite
+
+            def hess(t, r=r):
+                h = hs[r](t)
+                newton.append(h is not None and bool(np.all(np.linalg.eigvalsh(h) > 0.0)))
+                return h
+
+            alone = minimize(fs[r], gs[r], MinimizeOptions(start=starts[r]), hess)
+            for field in ("theta_hat", "value", "grad_norm", "iters", "status"):
+                assert np.array_equal(getattr(res, field)[i], getattr(alone, field)), field
+            if r in (0, 1):
+                # row 0 turns from Newton to quasi-Newton steps, row 1 the other way
+                assert newton[0] == (r == 0) and newton[-1] == (r == 1)
+        if rows.size == 5:
+            assert list(res.status) == ["grad_tol"] * 3 + ["line_search", "grad_tol"]
+            assert list(res.iters) == [6, 6, 21, 1, 1]
+
+
+def _mixed_rows():
+    """Values, gradients, Hessians (None where a row offers none) and starts
+    of five objectives in two parameters: log cosh bowls whose Hessian is
+    offered only far from (row 0) or only near (row 1) the minimizer,
+    Rosenbrock's function, a cusp whose stated gradient never descends, so
+    its line search fails, and a quadratic that one Newton step solves."""
+    c0, c1 = np.array([3.0, -2.0]), np.array([-1.0, 1.0])
+    a, m = np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, 2.0])
+
+    def bowl(c, offered):
+        f = lambda t: float(np.sum(np.log(np.cosh(t - c))) + 0.1 * (t @ t))  # noqa: E731
+        g = lambda t: np.tanh(t - c) + 0.2 * t  # noqa: E731
+        h = lambda t: (np.diag(1.0 / np.cosh(t - c) ** 2 + 0.2)  # noqa: E731
+                       if offered(np.abs(t - c).max()) else None)
+        return f, g, h
+
+    rows = [
+        bowl(c0, lambda u: u > 1.0),
+        bowl(c1, lambda u: u < 1.0),
+        (lambda t: float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2),
+         lambda t: np.array([-400.0 * t[0] * (t[1] - t[0] ** 2) - 2.0 * (1.0 - t[0]),
+                             200.0 * (t[1] - t[0] ** 2)]),
+         lambda t: np.array([[1200.0 * t[0] ** 2 - 400.0 * t[1] + 2.0, -400.0 * t[0]],
+                             [-400.0 * t[0], 200.0]])),
+        (lambda t: float(np.sqrt(abs(t[0])) + np.sqrt(abs(t[1]))), lambda t: np.ones(2),
+         lambda t: None),
+        (lambda t: float((t - m) @ a @ (t - m)), lambda t: 2.0 * a @ (t - m), lambda t: 2.0 * a),
+    ]
+    starts = np.array([[0.0, 0.0], [2.0, -2.0], [-1.2, 1.0], [0.0, 0.0], [4.0, -3.0]])
+    return [f for f, _, _ in rows], [g for _, g, _ in rows], [h for _, _, h in rows], starts
+
+
+def _rowwise_curved(fs, gs, hs, rows):
+    """The batch callable whose row i is objective ``rows[i]`` of the lists
+    ``fs``, ``gs`` and ``hs``, with a NaN Hessian where a row offers none."""
+
+    def fg(th, idx, bound):
+        values = np.array([fs[rows[i]](t) for t, i in zip(th, idx)])
+        grads, hess = np.full(th.shape, np.nan), np.full(th.shape + th.shape[-1:], np.nan)
+        for k, (t, i) in enumerate(zip(th, idx)):
+            if np.isfinite(values[k]) and values[k] <= bound[k]:
+                grads[k] = gs[rows[i]](t)
+                h = hs[rows[i]](t)
+                if h is not None:
+                    hess[k] = h
+        return values, grads, hess
+
+    return fg
 
 
 def test_minimize_batch_exited_row_is_not_evaluated_again():

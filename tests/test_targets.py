@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from itertools import product
 
 from scipy.integrate import quad
@@ -1145,6 +1147,105 @@ def test_only_losses_that_branch_on_s_or_sum_pairs_run_set_by_set(monkeypatch, f
     assert values.shape == (3,) and finish().shape == thetas.shape
     expected = [thetas.shape] if (family, kw.get("tau")) in _BY_SET else []
     assert calls == expected
+
+
+@pytest.mark.parametrize("family,kw", STACKED)
+def test_a_lambda_zero_call_forms_no_smoothing_term(monkeypatch, family, kw):
+    ds = _make_dataset(seed=13, n=40, p=2, family=family)
+    model = ModelSpec(family=family, **kw)
+    rng = np.random.default_rng(14)
+    zs = ds.z + 0.3 * rng.standard_normal((3, ds.n, 2))
+    thetas = rng.uniform(0.1, 0.7, (3, model.n_params(2)))
+    contexts = [(TargetContext(dataset=ds, model=model, lam=0.0, z=zs), thetas),
+                (_ctx(ds, family, 0.0, **kw), thetas[0])]
+    plain = [(FAMILIES[family].kernel(ctx, th)[1](), _curvature(ctx, th))
+             for ctx, th in contexts]
+
+    def refuse(ctx, beta):
+        raise AssertionError("a lambda = 0 call formed beta' sigma_u beta")
+
+    kernel = targets._kernel
+
+    def nan_s_slope(ctx, theta, loss, per_set=False):
+        # the loss's slope in s is NaN: a gradient that chained it would not be finite
+        def wrapped(c, eta, s):
+            value, slopes, *second = loss(c, eta, s)
+            return (value, lambda: (slopes()[0], np.nan), *second)
+
+        return kernel(ctx, theta, wrapped, per_set)
+
+    monkeypatch.setattr(targets, "_quad", refuse)
+    monkeypatch.setattr(targets, "_kernel", nan_s_slope)
+    for (ctx, th), (grad, hess) in zip(contexts, plain):
+        value, finish = FAMILIES[family].kernel(ctx, th)
+        assert np.all(np.isfinite(value)) and np.array_equal(finish(), grad)
+        h = _curvature(ctx, th)
+        assert h is hess is None or np.array_equal(h, hess, equal_nan=True)
+
+
+def _curvature(ctx, theta):
+    """The Hessian where the family offers one, else None."""
+    try:
+        return targets.hessian(ctx, theta)
+    except ConfigError:
+        return None
+
+
+def _classical(model, y, eta):
+    """The plain classical loss of a non-generic family and its slope in
+    eta, in plain numpy: the value, the size of the terms it sums, and the
+    per-row slope of which the gradient is x' slope / n.  Walsh sums its
+    pairs i <= j; every other family is a mean over rows.  Where a loss
+    has a kink, the slope is the one-sided one of the data's side of it."""
+    family, tau = model.family, model.tau
+    if family == "walsh":
+        n, pairs = y.size, (y - eta)[:, None] + (y - eta)[None, :]
+        scale = 2.0 * n * (n + 1.0)
+        total = 0.5 * (np.abs(pairs).sum() + np.abs(np.diag(pairs)).sum())
+        slope = -(np.sign(pairs).sum(axis=1) + np.sign(y - eta)) * n / scale
+        return total / scale, total / scale, slope
+    if family in ("linear", "expectile", "quantile"):
+        xi = y - eta
+        weight = np.where(xi < 0, 1.0 - tau, tau) if family == "expectile" else 1.0
+        if family == "quantile":
+            loss, slope = xi * (tau - (xi < 0)), -(tau - (xi < 0.0))
+        else:
+            loss, slope = weight * xi * xi, -2.0 * weight * xi
+    elif family in ("exponential", "sine"):
+        mean = np.exp(eta) if family == "exponential" else np.sin(eta)
+        dmean = mean if family == "exponential" else np.cos(eta)
+        loss, slope = (y - mean) ** 2, -2.0 * (y - mean) * dmean
+        if family == "sine":
+            loss = loss + SINE_OFFSET
+    elif family == "poisson":
+        loss, slope = np.exp(eta) - y * eta, np.exp(eta) - y
+    elif family == "logistic":
+        loss, slope = np.logaddexp(0.0, eta) - y * eta, 1.0 / (1.0 + np.exp(-eta)) - y
+    elif family == "lpre":
+        loss, slope = y / np.exp(eta) + np.exp(eta) / y, np.exp(eta) / y - y / np.exp(eta)
+    else:  # lare
+        dev = y - np.exp(eta)
+        loss = np.abs(dev) * (1.0 / y + 1.0 / np.exp(eta))
+        slope = -np.sign(dev) * (np.exp(eta) / y + y / np.exp(eta))
+    return float(np.mean(loss)), float(np.mean(np.abs(loss))), slope
+
+
+@pytest.mark.parametrize("family,kw", STACKED + [("quantile", {"tau": 0.5})])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60), p=st.integers(1, 2),
+       data=st.data())
+def test_lambda_zero_objectives_are_the_classical_losses(family, kw, seed, n, p, data):
+    ds = _make_dataset(seed=seed, n=n, p=p, family=family)
+    model = ModelSpec(family=family, **kw)
+    theta = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=model.n_params(p),
+                                        max_size=model.n_params(p))))
+    x = np.column_stack([np.ones(n), ds.z]) if model.has_intercept else ds.z
+    value, size, slope = _classical(model, ds.y, x @ theta)
+    got, finish = FAMILIES[family].kernel(_ctx(ds, family, 0.0, **kw), theta)
+    assert abs(got - value) <= 1e-13 * size
+    # each gradient entry against the size of the terms it sums
+    sizes = np.abs(x).T @ np.abs(slope) / n
+    assert np.all(np.abs(finish() - x.T @ slope / n) <= 1e-13 * sizes)
 
 
 def test_stacked_surrogates_validation():
