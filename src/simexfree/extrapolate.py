@@ -396,6 +396,8 @@ def linear_closed_form(dataset: Dataset, lam: float, intercept: bool = True) -> 
     ybar - beta' zbar.  Raises when the corrected second-moment matrix is
     not positive definite.
     """
+    if not math.isfinite(lam):
+        raise ConfigError(f"lam must be finite, got {lam}")
     y, z = dataset.y, dataset.z
     if intercept:
         zc = z - z.mean(axis=0)

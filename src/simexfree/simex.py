@@ -9,6 +9,7 @@ conditional expectation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -148,8 +149,8 @@ def pseudo_data(dataset: Dataset, lam: float, rng: np.random.Generator) -> np.nd
     per set: it draws its sets in groups, with the same arithmetic in the
     same order, bit for bit (see :func:`_replicate_solves`).
     """
-    if lam < 0:
-        raise ConfigError(f"lam must be nonnegative, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"lam must be finite and nonnegative, got {lam}")
     if lam == 0:
         return np.array(dataset.z)
     v = rng.standard_normal((dataset.n, dataset.p))

@@ -111,6 +111,12 @@ def test_linear_closed_form_is_ols_at_lambda_zero():
     assert np.allclose(flat, ols, atol=1e-10)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_linear_closed_form_refuses_a_nonfinite_lambda(lam):
+    with pytest.raises(ConfigError, match="finite"):
+        linear_closed_form(_linear_data(), lam, intercept=True)
+
+
 def test_linear_direct_corrects_attenuation():
     ds = _linear_data(seed=1, n=4000, su=0.25, beta=2.0)
     res = direct_estimate(ModelSpec(family="linear"), ds)

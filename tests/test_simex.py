@@ -49,6 +49,13 @@ def test_pseudo_data_zero_lambda_and_zero_sigma():
         pseudo_data(ds, -0.5, rng)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_pseudo_data_refuses_a_nonfinite_lambda(lam):
+    ds = _linear_data()
+    with pytest.raises(ConfigError, match="finite"):
+        pseudo_data(ds, lam, np.random.default_rng(0))
+
+
 def test_pseudo_data_noise_covariance():
     rng = np.random.default_rng(1)
     n = 100_000

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ def test_context_rejects_lambda_below_minus_one():
     ds = _make_dataset()
     with pytest.raises(ConfigError):
         _ctx(ds, "linear", -1.5)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_context_rejects_a_nonfinite_lambda(lam):
+    ds = _make_dataset(family="sine")
+    with pytest.raises(ConfigError, match="finite"):
+        _ctx(ds, "sine", lam)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_an_overflowing_noise_term_warns_nothing(p):
+    # beta' sigma_u beta overflows, and the objective is mean(y^2) + 1
+    ds = _make_dataset(seed=3, p=p, family="sine")
+    ctx = _ctx(ds, "sine", 0.5)
+    theta = np.full(p, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = target_value(ctx, theta)
+        grad = target_gradient(ctx, theta)
+    assert value == pytest.approx(np.mean(ds.y**2) + 1.0, rel=1e-15)
+    assert grad.shape == (p,)
 
 
 @pytest.mark.parametrize(
@@ -256,6 +278,52 @@ def test_sine_population_minimum_at_truth():
     assert abs(at_truth - 1.5) < 0.02  # 1/2 + sigma_eps^2 = 1.5
     for other in (0.6, 1.4):
         assert target_sine(ctx, np.array([other]))[0] > at_truth
+
+
+def _sine_by_numpy(y, z, sigma, lam, beta):
+    """Value, gradient and Hessian of the sine objective of one set, on
+    ``np.sin`` and ``np.cos``: the mean of y^2 - 2 y e^{-s/2} sin(eta) -
+    e^{-2s} cos(2 eta) / 2, plus 1, with eta = z beta and s = lam beta' sigma beta."""
+    n = y.size
+    eta = z @ beta
+    s = lam * (beta @ sigma @ beta)
+    e1, e2 = np.exp(-0.5 * s), np.exp(-2.0 * s)
+    sin, cos, sin2, cos2 = np.sin(eta), np.cos(eta), np.sin(2.0 * eta), np.cos(2.0 * eta)
+    value = np.mean(y * y - 2.0 * y * e1 * sin - 0.5 * e2 * cos2) + 1.0
+    u = 2.0 * lam * sigma @ beta  # ds / dbeta
+    d_eta = -2.0 * y * e1 * cos + e2 * sin2
+    d_s = np.mean(y * e1 * sin + e2 * cos2)
+    d_eta2 = 2.0 * y * e1 * sin + 2.0 * e2 * cos2
+    d_eta_s = y * e1 * cos - 2.0 * e2 * sin2
+    d_s2 = np.mean(-0.5 * y * e1 * sin - 2.0 * e2 * cos2)
+    a = z.T @ d_eta_s / n
+    hess = (z.T * d_eta2) @ z / n + np.outer(a, u) + np.outer(u, a) + d_s2 * np.outer(u, u)
+    return value, z.T @ d_eta / n + d_s * u, hess + d_s * 2.0 * lam * sigma
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("stack", [False, True])
+def test_sine_kernel_matches_a_numpy_reference(lam, p, stack):
+    rng = np.random.default_rng(31 + p)
+    n = 300
+    sigma = np.array([[0.25, 0.05], [0.05, 0.2]])[:p, :p]
+    x = rng.standard_normal((n, p))
+    z = x + rng.standard_normal((n, p)) @ np.linalg.cholesky(sigma).T
+    ds = Dataset(y=np.sin(x @ np.full(p, 0.9)) + rng.standard_normal(n), z=z, sigma_u=sigma)
+    zs = z + 0.4 * rng.standard_normal((3, n, p)) if stack else z
+    thetas = rng.uniform(-1.5, 1.5, (3, p)) if stack else np.array([1.3, -0.4][:p])
+    ctx = TargetContext(dataset=ds, model=ModelSpec(family="sine"), lam=lam, z=zs)
+    value, finish = target_sine(ctx, thetas)
+    got = (value, finish(), targets.hessian(ctx, thetas))
+    refs = [_sine_by_numpy(ds.y, zb, sigma, lam, th)
+            for zb, th in zip(zs if stack else [zs], thetas if stack else [thetas])]
+    for k, part in enumerate(got):
+        ref = np.array([r[k] for r in refs])
+        part = np.reshape(part, ref.shape)
+        # within 1e-14 of the size of each set's entries
+        size = np.abs(ref).reshape(ref.shape[0], -1).max(axis=1)
+        assert np.all(np.abs(part - ref) <= 1e-14 * size.reshape((-1,) + (1,) * (ref.ndim - 1)))
 
 
 # --------------------------------------------------------------------------
@@ -539,6 +607,36 @@ def test_softplus_matches_logaddexp():
     np.testing.assert_allclose(_softplus(x), np.logaddexp(0.0, x), rtol=1e-15, atol=0.0)
 
 
+# finite values of every scale, multiples of pi/4 and pi/2, signed zeros
+# and subnormals
+_ANGLES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-50.0, 50.0),
+    st.integers(-10**6, 10**6).map(lambda k: k * math.pi / 4),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.pi / 2, -math.pi, 1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=st.lists(_ANGLES, min_size=1, max_size=40), stacked=st.booleans())
+def test_trig_from_half_angle_tangent_matches_numpy(eta, stacked):
+    eta = np.array(eta * 3 if stacked else eta)
+    if stacked:
+        eta = eta.reshape(3, -1)
+    sin, cos, cos2 = targets._trig(eta)
+    assert sin.shape == cos.shape == cos2.shape == eta.shape
+    assert np.all(np.abs(sin - np.sin(eta)) <= 2.3e-16)
+    assert np.all(np.abs(cos - np.cos(eta)) <= 2.3e-16)
+    assert np.all(np.abs(cos2 - np.cos(2.0 * eta)) <= 8.9e-16)
+
+
+def test_trig_of_nonfinite_angles_is_nan():
+    with np.errstate(invalid="ignore"):
+        parts = targets._trig(np.array([[np.inf, -np.inf, np.nan], [0.5, np.nan, 1.0]]))
+    for part in parts:
+        assert np.array_equal(np.isnan(part), [[True] * 3, [False, True, False]])
+
+
 @pytest.mark.parametrize(
     "n,block",
     [(1, 8), (8, 8), (9, 8), (21, 8), (1, 256), (256, 256), (257, 256), (549, 256),
@@ -569,6 +667,23 @@ def test_walsh_blocks_keep_their_temporaries_within_a_stack_chunk(monkeypatch, n
     _walsh_pairs(np.zeros(n), 0.3)
     assert blocks == [max(1, STACK_CHUNK_VALUES // n)]
     assert min(blocks[0], n) * n <= STACK_CHUNK_VALUES
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_walsh_signed_ranks_match_the_double_loop_with_ties(data):
+    # a few values, their negatives and zero, drawn again and again, so that
+    # ties, exact zeros and pairs with xi_j = -xi_i are common
+    base = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+    pool = base + [-v for v in base] + [0.0]
+    xi = np.array(data.draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(-1e3, 1e3)),
+                                     min_size=2, max_size=60)))
+    got, got_dxi, got_ds = _walsh_pairs(xi, 0.0)
+    total, _, _ = _pairs_by_double_loop(xi, 0.0)
+    assert abs(got - total) <= 1e-13 * total
+    pairs = np.sign(xi[:, None] + xi[None, :])
+    assert np.array_equal(got_dxi, pairs.sum(axis=1) - np.diag(pairs))
+    assert got_ds == 0.0
 
 
 # --------------------------------------------------------------------------

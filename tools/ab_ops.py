@@ -49,6 +49,15 @@ def import_tree(tree: Path, name: str):
     return module
 
 
+def load_workloads(tag: str):
+    """A fresh copy of ``perfbench/workloads.py``, as module ``workloads_<tag>``."""
+    spec = importlib.util.spec_from_file_location(f"workloads_{tag}", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 @contextmanager
 def bound(name: str):
     """``simexfree`` and its submodules in ``sys.modules`` are those of the
@@ -73,11 +82,8 @@ class Side:
     def __init__(self, tree: Path, tag: str, workload: str, prefix: str, seed: int):
         self.name = f"{PACKAGE}_{tag}"
         import_tree(tree, self.name)
-        spec = importlib.util.spec_from_file_location(f"workloads_{tag}", WORKLOADS_PY)
-        self.workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = self.workloads  # its dataclasses look it up
+        self.workloads = load_workloads(tag)
         with bound(self.name):
-            spec.loader.exec_module(self.workloads)
             self.workload = self.workloads.WORKLOADS[workload](seed)
             self.workload.setup()
         self.ops = [op for op in self.workload.ops() if op.label.startswith(prefix)]
