@@ -386,11 +386,11 @@ def test_classical_groups_that_straddle_noise_levels_keep_every_bit(monkeypatch)
     # B = 4 on a three-point grid is 8 pseudo-data sets; groups of 3 sets
     # cut across the two noise levels (3 | 1 + 2 | 2), and at this seed and
     # iteration cap the grid converges and one row of the second group
-    # (lambda = 2, b = 1) is retried
+    # (lambda = 2, b = 0) is retried
     ds = _exponential_data()
     model = ModelSpec(family="exponential")
-    cap = 8
-    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=19,
+    cap = 7
+    cfg = SimexConfig(b=4, grid=LambdaGrid([0.0, 1.0, 2.0]), seed=21,
                       options=MinimizeOptions(max_iters=cap))
     one_group = classical_simex(model, ds, cfg)
     stacks, retried = [], []

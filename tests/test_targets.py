@@ -4,6 +4,7 @@ import copy
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1061,6 +1062,12 @@ def _mean_form(ctx, theta):
         r = d.y - eta
         value = float(r @ r) / d.n + s
         deta, ds = -2.0 * r, 1.0
+    elif family == "exponential" and lam == 0.0:
+        # the classical loss from the one residual r = y - e^eta
+        e = np.exp(eta)
+        r = d.y - e
+        value = float(np.mean(r * r))
+        deta, ds = -2.0 * e * r, 0.0
     elif family == "exponential":
         e1 = np.exp(eta + 0.5 * s)
         e2 = np.exp(2.0 * eta + 2.0 * s)
@@ -1092,6 +1099,45 @@ def test_stacked_cases_cover_every_family_but_generic():
 def _lams(model):
     """The noise levels the model admits, lambda = -1 only when pluggable."""
     return (0.0, 0.5, -1.0) if model.pluggable else (0.0, 0.5)
+
+
+@pytest.mark.parametrize("family,kw", STACKED)
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_overflowing_theta_warns_nothing(family, kw, p, sign):
+    # theta = +-1e308 overflows eta, the quadratic form and the losses; the
+    # value, the gradient and the Hessian, where offered, warn nothing at any
+    # admissible lambda (walsh at lam = 0 and n = 30 among them)
+    ds = _make_dataset(seed=5, n=30, p=p, family=family)
+    model = ModelSpec(family=family, **kw)
+    theta = np.full(model.n_params(p), sign * 1e308)
+    for lam in _lams(model):
+        ctx = TargetContext(dataset=ds, model=model, lam=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            target_value(ctx, theta)
+            target_gradient(ctx, theta)
+            if hasattr(FAMILIES[family].kernel(ctx, theta)[1], "hessian"):
+                targets.hessian(ctx, theta)
+
+
+def test_exponential_at_lambda_zero_keeps_the_digits_of_its_residuals():
+    # y within 1e-3 of e^eta = 1e3: y^2 - 2 y e^eta + e^(2 eta) would cancel
+    # to r^2 and lose most of its digits; the residual form keeps them.  z
+    # times theta = 1 is exact, so the 50-digit reference takes eta = z.
+    rng = np.random.default_rng(41)
+    n = 50
+    eta = math.log(1e3) + rng.uniform(-1e-3, 1e-3, n)
+    y = np.exp(eta) + rng.uniform(-1e-3, 1e-3, n)
+    ctx = _ctx(Dataset(y=y, z=eta[:, None], sigma_u=0.25), "exponential", 0.0)
+    value, grad = target_exponential(ctx, np.array([1.0]))
+    with mpmath.workdps(50):
+        e = [mpmath.exp(mpmath.mpf(t)) for t in eta]
+        r = [mpmath.mpf(yi) - ei for yi, ei in zip(y, e)]
+        want_value = sum(ri * ri for ri in r) / n
+        want_grad = sum(-2 * ri * ei * mpmath.mpf(t) for ri, ei, t in zip(r, e, eta)) / n
+        assert abs((value - want_value) / want_value) <= 1e-9
+        assert abs((grad()[0] - want_grad) / want_grad) <= 1e-9
 
 
 @pytest.mark.parametrize("family,kw", MEAN_FORM)

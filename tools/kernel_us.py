@@ -13,6 +13,14 @@ Three calls are timed per cell:
     +hess      the kernel, its gradient and ``grad.hessian`` (families
                that state their curvature at that lambda)
 
+With ``--stack B`` each cell times one stacked call on B sets of
+classical pseudo-data in place of the data set itself: set b's
+surrogates are z + sqrt(lambda) U_b, U_b ~ N(0, sigma_u^2) (one draw per
+set at the cell's seed), and the kernel evaluates the stack at lambda = 0
+with theta repeated per set, as each group of classical SIMEX refits does.
+Lambda is then the pseudo-data's noise level, and a negative one is
+skipped.  Generic takes no stack.
+
 Each timing is the mean of enough calls to last about 20 ms, measured
 after one untimed call per side.  N pairs are taken per row, A first in
 even pairs and B first in odd ones.  Each row prints A's and B's median
@@ -22,7 +30,7 @@ refuses (a negative one for a grid-only family) is skipped with a note.
 
 Usage: python tools/kernel_us.py A_TREE B_TREE [--family F] [--tau T]
                                  [--n 500,5000] [--lam 0,-0.5,0.5]
-                                 [--pairs N] [--seed S]
+                                 [--pairs N] [--seed S] [--stack B]
 """
 
 from __future__ import annotations
@@ -52,12 +60,13 @@ class Side:
             self.model = workloads.model_for(family, tau)
         self.kernel = self.pkg.targets.FAMILIES[family].kernel
 
-    def context(self, y, z, lam):
-        """The cell's context, or None where the family refuses lam."""
+    def context(self, y, z, lam, zs=None):
+        """The cell's context, on the stacked surrogates ``zs`` when given,
+        or None where the family refuses lam."""
         pkg = self.pkg
         ds = pkg.Dataset(y=y, z=z, sigma_u=self.workloads.SIGMA_U2)
         try:
-            return pkg.TargetContext(dataset=ds, model=self.model, lam=lam)
+            return pkg.TargetContext(dataset=ds, model=self.model, lam=lam, z=zs)
         except pkg.ConfigError:
             return None
 
@@ -94,21 +103,38 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--lam", default="0,-0.5,0.5", help="comma-separated noise levels")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--stack", type=int, default=0, metavar="B",
+                        help="time B sets of pseudo-data at lambda = 0 per call")
     args = parser.parse_args(argv[1:])
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.stack < 0 or (args.stack and args.family == "generic"):
+        parser.error("--stack takes B >= 1 and a family other than generic")
     workloads = load_workloads("us")
     sides = [Side(tree, tag, workloads, args.family, args.tau)
              for tree, tag in ((args.a_tree, "a"), (args.b_tree, "b"))]
     theta = np.array(workloads.TRUTH.get(args.family, [1.0]))
     print(f"{args.family}{'' if args.tau is None else f' tau={args.tau}'}: "
           f"us per call, {args.pairs} pairs, seed {args.seed}, theta {theta.tolist()}")
+    if args.stack:
+        print(f"stacks of {args.stack} pseudo-data sets z + sqrt(lam) U at lambda = 0")
+        theta = np.tile(theta, (args.stack, 1))
     print(f"A {args.a_tree}\nB {args.b_tree}")
     print(f"{'n':>6} {'lam':>6} {'call':>6} {'A us':>10} {'B us':>10} {'A/B':>7} {'B wins':>7}")
     for n in (int(v) for v in args.n.split(",")):
         y, z = workloads.draw(args.family, n, np.random.default_rng([args.seed, n]))
+        if args.stack:
+            noise = np.sqrt(workloads.SIGMA_U2) * np.random.default_rng(
+                [args.seed, n, args.stack]).standard_normal((args.stack, n, 1))
         for lam in (float(v) for v in args.lam.split(",")):
-            contexts = [side.context(y, z, lam) for side in sides]
+            if not args.stack:
+                contexts = [side.context(y, z, lam) for side in sides]
+            elif lam < 0.0:
+                print(f"{n:>6} {lam:>6g} pseudo-data take lambda >= 0")
+                continue
+            else:
+                zs = z.reshape(n, 1) + np.sqrt(lam) * noise
+                contexts = [side.context(y, z, 0.0, zs) for side in sides]
             if any(ctx is None for ctx in contexts):
                 print(f"{n:>6} {lam:>6g} {args.family} refuses this lambda")
                 continue
