@@ -25,7 +25,9 @@ from .errors import (
     SimexfreeError,
 )
 from .optimize import MinimizeOptions, MinimizeResult, _is_int, batch_dot, minimize, minimize_batch
-from .targets import STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, naive_start, stack_rows
+from .targets import (
+    STACK_CHUNK_VALUES, ModelSpec, TargetContext, Theta, flat_theta, solver_kernel, stack_rows,
+)
 # not called here: the benchmark's tracer (perfbench/tracing.py) patches
 # these names in this module, so they stay importable from it
 from .targets import target_gradient, target_value  # noqa: F401
@@ -202,8 +204,10 @@ class EstimateConfig:
 
     def start_for(self, model: ModelSpec, dataset: Dataset) -> np.ndarray:
         """The configured start, or the family's default one on ``dataset``,
-        as a flat float array."""
-        start = naive_start(model, dataset) if self.start is None else self.start
+        as a flat float array.  The responses are not checked here: the
+        estimators check each dataset's once (see ``targets.naive_start``,
+        which does)."""
+        start = model.record.start(model, dataset) if self.start is None else self.start
         return np.asarray(start, dtype=float).ravel()
 
 
@@ -247,11 +251,14 @@ def minimize_target(
     ``grad.hessian``, so a rejected trial never pays for either and an
     accepted one never redoes its setup.  A kernel without
     ``grad.hessian`` offers no curvature, and the solve takes quasi-Newton
-    steps only (see :func:`minimize`).
+    steps only (see :func:`minimize`).  The start is checked against the
+    parameter count once, here (ConfigError), and the kernel runs as the
+    solvers call it (``targets.solver_kernel``), in the one error state of
+    the solve.
     """
     model = ctx.model
-    opts = point_options(model, ctx.lam, np.asarray(start, dtype=float), options)
-    kernel = model.record.kernel
+    opts = point_options(model, ctx.lam, flat_theta(start, ctx.plan.q), options)
+    kernel = solver_kernel(model)
     point = finish = None  # the last trial point and its grad callable
 
     def value(th):
@@ -290,9 +297,11 @@ def minimize_stack(ctx: TargetContext, options: MinimizeOptions) -> MinimizeResu
     a set-by-set family's stack has a NaN row for a set whose loss offers
     no curvature there, and that row takes a quasi-Newton step.  No
     trial's B x n temporaries outlive their chunk.  Each row equals its
-    scalar :func:`minimize_target` solve bit for bit.
+    scalar :func:`minimize_target` solve bit for bit.  The starts are
+    checked against the parameter count once, here (ConfigError).
     """
-    kernel = ctx.model.record.kernel
+    flat_theta(options.start, ctx.plan.q)
+    kernel = solver_kernel(ctx.model)
     chunk = max(1, STACK_CHUNK_VALUES // ctx.dataset.n)
     tol = options.grad_tol
 
@@ -333,19 +342,27 @@ def row_solver(
     minimizes the objective at ``lam`` on ``rows``, an increasing index
     array, from ``starts`` (one per row), with the options of ``cfg`` at
     that level (see :func:`point_options`), and returns a batch result, one
-    row per solved row.  Each call builds one :class:`TargetContext` of the
-    solved rows, so only their responses are checked against the family
-    domain.  One rule picks the solver: a quasi-Newton solve of more than
+    row per solved row.  The context of every solve is built and planned
+    once, here, with the responses checked against the family domain then
+    (the dataset's, shared by every row), and each solve moves it to its
+    lambda (``TargetContext.at``) and takes its rows.  Stacked responses
+    ``y`` differ per row, so each solve checks only those of the rows it
+    solves.  One rule picks the solver: a quasi-Newton solve of more than
     one row, for a family whose kernel takes a stack (no ``mean_fn``), is
     one :func:`minimize_stack` run; a single row, a simplex solve and the
-    generic family take one :func:`minimize_target` per row.  Either way
-    each row has the bits of its own scalar solve.
+    generic family take one :func:`minimize_target` per row, whose scalar
+    results the batch result keeps (:func:`_row`).  Either way each row
+    has the bits of its own scalar solve.
     """
+    base = None if y is not None else TargetContext(
+        dataset=dataset, model=model, lam=0.0, nodes=cfg.nodes, z=z)
 
     def solve(rows: np.ndarray, lam: float, starts: np.ndarray) -> MinimizeResult:
-        ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=cfg.nodes,
-                            z=None if z is None else stack_rows(z, rows),
-                            y=None if y is None else stack_rows(y, rows))
+        if base is None:
+            ctx = TargetContext(dataset=dataset, model=model, lam=lam, nodes=cfg.nodes,
+                                z=stack_rows(z, rows), y=stack_rows(y, rows))
+        else:
+            ctx = base.at(lam) if z is None else base.at(lam).take(rows)
         if rows.size > 1 and model.mean_fn is None:
             opts = point_options(model, lam, starts, cfg.options)
             if opts.method == "quasi-newton":
@@ -358,18 +375,35 @@ def row_solver(
     return solve
 
 
+class _Stacked(MinimizeResult):
+    """A batch result of scalar solves that keeps them, for :func:`_row`."""
+
+    scalars: list[MinimizeResult]
+
+
 def _stacked(results: list[MinimizeResult]) -> MinimizeResult:
-    """Scalar results as one batch result, one row each."""
-    return MinimizeResult(*map(np.array, zip(*(vars(r).values() for r in results))))
+    """Scalar results as one batch result, one row each, which keeps them:
+    :func:`_row` hands each back as it was, without a round trip through
+    the batch arrays."""
+    res = _Stacked(*map(np.array, zip(*(vars(r).values() for r in results))))
+    res.scalars = results
+    return res
 
 
 def _take(res: MinimizeResult, rows) -> MinimizeResult:
-    """The batch result of ``rows``, an index or mask, of a batch result."""
-    return MinimizeResult(*(v[rows] for v in vars(res).values()))
+    """The batch result of ``rows``, an increasing index array or a mask,
+    of a batch result: the result itself when they are all of its rows."""
+    index = np.flatnonzero(rows) if rows.dtype == bool else rows
+    if index.size == res.value.size:
+        return res
+    return MinimizeResult(res.theta_hat[index], res.value[index], res.grad_norm[index],
+                          res.iters[index], res.converged[index], res.status[index])
 
 
 def _row(res: MinimizeResult, i: int) -> MinimizeResult:
     """Row i of a batch result, as the result of its own scalar solve."""
+    if isinstance(res, _Stacked):
+        return res.scalars[i]
     return MinimizeResult(
         res.theta_hat[i], float(res.value[i]), float(res.grad_norm[i]),
         int(res.iters[i]), bool(res.converged[i]), str(res.status[i]),
@@ -737,14 +771,23 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
     grid, and words each failure.  Each continuation step, and each grid
     point after the first, starts every row from its own prediction
     (:func:`_predicted`), so a stacked row starts where its scalar solve
-    would.
+    would.  A configured start of the wrong length is a ConfigError before
+    any solve, on every path.  Each dataset's responses are checked once:
+    one dataset's by its solver (:func:`row_solver`), and a stack's each by
+    its own start, so that a dataset outside the family domain fails alone.
     """
-    if len(datasets) == 1:
-        # one dataset is solved in place, never copied into a stack
-        solve = row_solver(model, datasets[0], cfg)
-    else:
+    if cfg.start is not None:
+        flat_theta(cfg.start, model.n_params(datasets[0].p))
+    stacked = len(datasets) > 1
+    if stacked:
         solve = row_solver(model, datasets[0], cfg, np.stack([d.z for d in datasets]),
                            np.stack([d.y for d in datasets]))
+    else:
+        # one dataset is solved in place, never copied into a stack; its
+        # solver checks its responses, once
+        solve = _each(datasets, lambda d: row_solver(model, d, cfg))[0]
+        if isinstance(solve, Exception):
+            return [solve]
     has_int = model.has_intercept
     direct = goal == "direct" or (goal == "ex" and model.pluggable and not cfg.force_grid)
 
@@ -774,7 +817,8 @@ def _stages(model: ModelSpec, datasets: Sequence[Dataset], cfg: EstimateConfig, 
         return out
 
     def start(d: Dataset) -> np.ndarray:
-        model.validate_y(d.y)  # a stacked solve checks every set's responses at once
+        if stacked:
+            model.validate_y(d.y)  # a stacked solve checks every set's responses at once
         return cfg.start_for(model, d)
 
     out = _each(datasets, start)

@@ -160,19 +160,28 @@ def minimize(
     There is no per-iteration hook: to count or log evaluations, wrap ``f``,
     ``grad`` and ``hess``; to see the accepted values, rerun with a smaller
     ``max_iters`` (both methods are deterministic).
+
+    The whole solve, the simplex included, runs in one numpy error state
+    with the overflow and invalid warnings off: an objective that overflows
+    at a trial point is inf there, and the gradient norm of a finite
+    gradient above about 1e154 is inf (the run then ends ``nonfinite``),
+    without a warning.  So ``f``, ``grad`` and ``hess`` need no error state
+    of their own, and the family kernels enter none (see
+    ``targets.solver_kernel``).
     """
     opts = options or MinimizeOptions()
     if opts.start is None:
         raise ConfigError("options.start is required")
     x0 = np.asarray(getattr(opts.start, "flat_vector", opts.start), dtype=float).ravel()
-    f0 = float(f(x0))
-    if not np.isfinite(f0):
-        return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
-    if opts.method == "simplex":
-        return _nelder_mead(f, x0, f0, opts)
     if grad is None:
         grad = functools.partial(_fd_or_nan, f)
-    return _bfgs(f, grad, hess, x0, f0, opts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = float(f(x0))
+        if not np.isfinite(f0):
+            return MinimizeResult(x0, f0, np.nan, 0, False, "infeasible")
+        if opts.method == "simplex":
+            return _nelder_mead(f, x0, f0, opts)
+        return _bfgs(f, grad, hess, x0, f0, opts)
 
 
 def _fd_or_nan(f, theta) -> np.ndarray:
@@ -244,12 +253,10 @@ def _cholesky_solve(h, g, sqrt, positive) -> list:
     return d
 
 
-# the gradient norm sqrt(g'g) overflows for a finite gradient above about
-# 1e154: the run then ends "nonfinite", as it should, without numpy's warning
-@np.errstate(over="ignore")
 def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
-    eye = np.eye(x0.size)
-    inv_h = eye.copy()
+    # the inverse-Hessian estimate, the identity until the first
+    # quasi-Newton step: a solve of Newton steps only never forms it
+    eye = inv_h = None
     x, fx = x0, f0
     gx = np.asarray(grad(x), dtype=float)
     gnorm = math.sqrt(float(gx @ gx))
@@ -268,6 +275,9 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
         if newton:
             step = 1.0
         else:
+            if inv_h is None:
+                eye = np.eye(x0.size)
+                inv_h = eye.copy()
             d = -inv_h @ gx
             slope = float(gx @ d)
             if slope >= 0.0:
@@ -337,7 +347,7 @@ def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@np.errstate(over="ignore")  # as for _bfgs
+@np.errstate(over="ignore", invalid="ignore")  # one error state per solve, as in minimize
 def minimize_batch(
     fg: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     options: MinimizeOptions,
@@ -363,8 +373,10 @@ def minimize_batch(
     result depends on the others.  The result's fields carry a leading
     batch axis.
 
-    The solver holds the state of the active rows only, and writes a row
-    into the result once, when it exits.  The inverse Hessians exist only
+    The whole run is one numpy error state, as a :func:`minimize` solve
+    is, so ``fg`` needs none of its own.  The solver holds the state of the
+    active rows only, and writes a row into the result once, when it
+    exits.  The inverse Hessians exist only
     from the first quasi-Newton step of any row on, each starting from the
     identity, which a Newton step leaves as it is; an iteration in which
     every row takes a Newton step does no quasi-Newton work.

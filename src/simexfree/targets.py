@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -198,8 +199,10 @@ class TargetContext:
     shape (B, n).  Every kernel with an analytic gradient then takes theta
     of shape (B, q) and returns B values, one per set, and a gradient
     callable that returns (B, q).  The responses are checked against the
-    family domain once, on construction; :meth:`take` selects stack rows
-    without checking again.
+    family domain once, on construction, which also builds the context's
+    plan (:func:`_plan`); :meth:`at` moves to another noise level and
+    :meth:`take` selects stack rows, both without checking the responses
+    again and sharing the plan.
     """
 
     dataset: Dataset
@@ -226,16 +229,19 @@ class TargetContext:
             raise ConfigError(
                 f"responses have shape {self.y.shape}, expected {self.z.shape[:-1]}"
             )
-        if not (math.isfinite(self.lam) and self.lam >= -1.0):
-            raise ConfigError(f"lam must be finite and at least -1, got {self.lam}")
+        _check_lam(self.model, self.lam)
         if self.nodes < 2:
             raise ConfigError("quadrature node count must be at least 2")
-        if self.lam < 0.0 and not self.model.pluggable:
-            raise ConfigError(
-                f"family {self.model.family!r} forbids negative lam; "
-                "use the lambda-grid extrapolation path"
-            )
         self.model.validate_y(self.y)
+        # a private attribute of the frozen context, outside its fields
+        object.__setattr__(self, "plan", _plan(self.model, self.dataset))
+
+    def at(self, lam: float) -> "TargetContext":
+        """The context at the noise level ``lam``, with this one's data and
+        plan; ``lam`` is checked as on construction, the responses are not
+        checked again."""
+        _check_lam(self.model, lam)
+        return self._derived(lam=lam)
 
     def take(self, rows) -> "TargetContext":
         """The context of the stacked sets ``rows``, an increasing index
@@ -244,11 +250,54 @@ class TargetContext:
         """
         if not isinstance(rows, int) and rows.size == self.z.shape[0]:
             return self  # increasing rows, as many as the stack has: all of them
-        # a shallow copy that skips the checks of __post_init__
+        return self._derived(z=stack_rows(self.z, rows),
+                             y=stack_rows(self.y, rows) if self.y.ndim == 2 else self.y)
+
+    def _derived(self, **fields) -> "TargetContext":
+        # a shallow copy with ``fields`` replaced that skips the checks of
+        # __post_init__ and shares the plan
         sub = object.__new__(TargetContext)
-        sub.__dict__.update(self.__dict__, z=stack_rows(self.z, rows),
-                            y=stack_rows(self.y, rows) if self.y.ndim == 2 else self.y)
+        sub.__dict__.update(self.__dict__, **fields)
         return sub
+
+
+def _check_lam(model: ModelSpec, lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= -1.0):
+        raise ConfigError(f"lam must be finite and at least -1, got {lam}")
+    if lam < 0.0 and not model.pluggable:
+        raise ConfigError(
+            f"family {model.family!r} forbids negative lam; "
+            "use the lambda-grid extrapolation path"
+        )
+
+
+def _plan(model: ModelSpec, dataset: Dataset) -> SimpleNamespace:
+    """What every kernel call of a context reads beyond its data, built once
+    with the context and shared by each context that :meth:`~TargetContext.at`
+    and :meth:`~TargetContext.take` derive from it, such as every solve of one
+    estimate (``extrapolate.row_solver``): the row count ``n`` as a float
+    (numpy divides an array by a float several times faster than by an int,
+    with the same bits), the parameter count ``q`` (None for a generic mean
+    function that declares none), the intercept offset ``off`` (1 with an
+    intercept, else 0), sigma_u as ``sigma`` (a float at p = 1, where each
+    product with it is one multiplication), and generic's Jacobian buffer
+    (:func:`_jacobian_buffer`), which then serves every grid point of a fit.
+    """
+    return SimpleNamespace(
+        n=float(dataset.n), q=model.n_params(dataset.p), off=int(model.has_intercept),
+        sigma=float(dataset.sigma_u[0, 0]) if dataset.p == 1 else dataset.sigma_u,
+        jacobian=None)
+
+
+def flat_theta(theta, q: int | None) -> np.ndarray:
+    """``theta`` as a float array, one parameter vector or a stack of them,
+    whose last axis must hold the ``q`` entries of the flat layout (any
+    number where ``q`` is None); ConfigError otherwise.  The public entry
+    points and the solvers check theta here once, so no kernel call does."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if q is not None and th.shape[-1] != q:
+        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
+    return th
 
 
 def stack_rows(a: np.ndarray, rows) -> np.ndarray:
@@ -290,10 +339,18 @@ def _mean(a: np.ndarray) -> float | np.ndarray:
 def _quad(ctx: TargetContext, beta: np.ndarray):
     """``sigma_u beta`` and the quadratic form beta' sigma_u beta, for beta
     of shape (q,) or a batch (B, q): a scalar form for one set, (B,) for a
-    batch.  The form is summed as (beta' sigma_u) beta.
+    batch.  The form is summed as (beta' sigma_u) beta.  At p = 1 both
+    products are the one multiplication by the plan's float sigma_u, whose
+    bits the matrix products have too, and one set's sigma_u beta is then a
+    scalar, not a (1,) array.
     """
-    su_beta = _matvec(ctx.dataset.sigma_u, beta)
-    return su_beta, batch_dot(_vecmat(beta, ctx.dataset.sigma_u), beta)
+    sigma = ctx.plan.sigma
+    if not isinstance(sigma, float):
+        return _matvec(sigma, beta), batch_dot(_vecmat(beta, sigma), beta)
+    if beta.ndim == 1:
+        beta = beta[0]  # a numpy scalar, whose arithmetic costs a fraction of a (1,) array's
+    su_beta = sigma * beta
+    return su_beta, batch_dot(su_beta, beta) if su_beta.ndim else su_beta * beta
 
 
 def _against_rows(a):
@@ -314,6 +371,19 @@ def _guard(value):
 
 def _guard_vec(g: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(g), g, np.inf)
+
+
+def _once(fn):
+    """``fn()``, computed at the first call and kept for later ones: what
+    a loss's value has not formed, and several of its slopes read."""
+    memo = []
+
+    def once():
+        if not memo:
+            memo.append(fn())
+        return memo[0]
+
+    return once
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -373,6 +443,13 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # ``grad.hessian`` is a second zero-argument callable that finishes the
 # Hessian the same way.
 #
+# Each public ``target_<family>`` is the public entry point
+# (:func:`_entry`) around the kernel's body: it checks theta and computes
+# the value with numpy's overflow and invalid warnings off.  The solvers call
+# the body itself (:func:`solver_kernel`), as they check their start once and
+# set that error state once per solve, so no kernel call of theirs pays for
+# either.
+#
 # Every objective but generic's depends on theta only through
 # eta = alpha + z' beta and s = lam * beta' sigma_u beta, so each family
 # states only its loss in (eta, s) and the two slopes, and the one skeleton
@@ -395,6 +472,37 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # the mean function (:func:`_gauss_newton`).
 
 
+# each entry point of :func:`_entry`, and the kernel body it calls
+_BODIES: dict = {}
+
+
+def _entry(kernel):
+    """The public entry point of the kernel body ``kernel``: theta is
+    checked against the context's parameter count (:func:`flat_theta`), and
+    the value computed with numpy's overflow and invalid warnings off, so a
+    value that overflows is inf without a warning.  The returned ``grad``
+    and ``grad.hessian`` run in their caller's error state, as inside a
+    solve; :func:`target_gradient` and :func:`hessian` set it for them.
+    The body is kept in ``_BODIES`` for :func:`solver_kernel`."""
+
+    @wraps(kernel)
+    def entry(ctx: TargetContext, theta):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kernel(ctx, flat_theta(theta, ctx.plan.q))
+
+    _BODIES[entry] = kernel
+    return entry
+
+
+def solver_kernel(model: ModelSpec):
+    """The family kernel of ``model`` as a solver calls it: the body of its
+    entry point, without the check of theta and the error state, which the
+    solver provides once per solve.  A kernel that is no entry point, such
+    as one put into :data:`FAMILIES` to count or log calls, is called as it
+    is."""
+    return _BODIES.get(model.record.kernel, model.record.kernel)
+
+
 def _by_set(kernel, ctx: TargetContext, theta):
     """``kernel`` on a stacked context, by one scalar call per set, so each
     row has the bits of its own call.
@@ -412,18 +520,19 @@ def _by_set(kernel, ctx: TargetContext, theta):
     return np.array([v for v, _ in calls]), grad
 
 
-def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
-    """The kernel of a family, from its ``loss`` in (eta, s).
+def _kernel(ctx: TargetContext, theta: np.ndarray, loss, per_set: bool = False):
+    """The kernel body of a family, from its ``loss`` in (eta, s).
 
     The objective is the classical loss at eta + W, W ~ N(0, s), with
     eta = alpha + z' beta and s = lam * beta' sigma_u beta.
     ``loss(ctx, eta, s)`` returns the mean loss and a zero-argument
     ``slopes`` that returns the per-row derivative in eta and the mean
-    derivative in s.  The quadratic form, eta and the loss run in one
-    ``np.errstate`` block with numpy's overflow and invalid warnings off,
-    so none of them warns where it overflows (the form is then inf), and
-    ``slopes`` runs in the gradient's block of the same kind.  The
-    gradient is z' dl/deta / n + dl/ds * 2 lam sigma_u beta, the
+    derivative in s.  ``theta`` is a float array of the context's
+    parameter count, as :func:`flat_theta` makes it, and the body enters no
+    error state of its own: the public entry point (:func:`_entry`) and
+    the solvers, once per solve, turn numpy's overflow and invalid warnings
+    off around it, so nothing warns where it overflows (the form is then
+    inf).  The gradient is z' dl/deta / n + dl/ds * 2 lam sigma_u beta, the
     corrected-score form of Nakamura (1990, Biometrika 77:127), after the
     intercept's slope, the mean of dl/deta, when there is one.
 
@@ -439,15 +548,11 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     A loss may return a third callable, ``second(mixed)``, that returns
     the per-row d2l/deta2 and, when ``mixed`` (lam != 0), the per-row
     d2l/deta ds and the mean d2l/ds2 and dl/ds, one per set; at lam = 0
-    only the first enters H, and the others may be None.  It runs with the
-    same warnings off.  A ``per_set`` loss returns it only where its loss
-    has curvature: not at a nonsmooth s = 0, and not where lam != 0 yet s
-    was floored to zero, as its s-slopes are then those of a kink.  The
-    kernel's ``grad`` then carries ``grad.hessian``, which chains them into
-    H = x' diag(d2l/deta2) x / n + a u' + u a' + d2l/ds2 u u' + dl/ds 2 lam
-    sigma_u, with x the design (a column of ones first for an intercept),
-    u = 2 lam sigma_u beta (0 for the intercept) and a = x' d2l/deta ds / n:
-    (q, q) for one set and (B, q, q) for a stack, symmetric bit for bit.
+    only the first enters H, and the others may be None.  A ``per_set``
+    loss returns it only where its loss has curvature: not at a nonsmooth
+    s = 0, and not where lam != 0 yet s was floored to zero, as its
+    s-slopes are then those of a kink.  The kernel's ``grad`` then carries
+    ``grad.hessian``, which chains them into H (see :func:`_hessian`).
 
     A ``per_set`` loss runs a stack set by set; its s is one float, floored
     to exactly zero below S_FLOOR, and its s-slope is read only when s > 0.
@@ -456,33 +561,28 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     """
     if per_set and ctx.z.ndim == 3:
         return _by_set(lambda c, th: _kernel(c, th, loss, True), ctx, theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    q = ctx.model.n_params(ctx.dataset.p)
-    if th.shape[-1] != q:
-        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
-    beta = th[..., 1:] if ctx.model.has_intercept else th
+    off = ctx.plan.off
+    beta = theta[..., off:] if off else theta
     mixed = ctx.lam != 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mixed:
-            su_b, quad = _quad(ctx, beta)
-            s = ctx.lam * quad
-            if per_set:
-                s = 0.0 if 0.0 < s < S_FLOOR else float(s)
-        else:
-            su_b, s = None, 0.0
-        eta = _matvec(ctx.z, beta)
-        if ctx.model.has_intercept:
-            eta = th[..., :1] + eta
-        value, slopes, *second = loss(ctx, eta, s)
+    if mixed:
+        su_b, quad = _quad(ctx, beta)
+        s = ctx.lam * quad
+        if per_set:
+            s = 0.0 if 0.0 < s < S_FLOOR else float(s)
+    else:
+        su_b, s = None, 0.0
+    eta = _matvec(ctx.z, beta)
+    if off:
+        eta = theta[..., :1] + eta
+    value, slopes, *second = loss(ctx, eta, s)
 
     def grad():
-        with np.errstate(over="ignore", invalid="ignore"):
-            deta, ds = slopes()
-            g = _vecmat(deta, ctx.z) / ctx.dataset.n
-            if mixed and (not per_set or s > 0.0):
-                g = g + _against_rows(ds * 2.0 * ctx.lam) * su_b
-            if ctx.model.has_intercept:
-                g = np.concatenate((_mean(deta)[..., None], g), axis=-1)
+        deta, ds = slopes()
+        g = _vecmat(deta, ctx.z) / ctx.plan.n
+        if mixed and (not per_set or s > 0.0):
+            g = g + _against_rows(ds * 2.0 * ctx.lam) * su_b
+        if off:
+            g = np.concatenate((_mean(deta)[..., None], g), axis=-1)
         return _guard_vec(g)
 
     if second:
@@ -490,73 +590,64 @@ def _kernel(ctx: TargetContext, theta, loss, per_set: bool = False):
     return _guard(value), grad
 
 
+def _design_product(v: np.ndarray, z: np.ndarray, off: int) -> np.ndarray:
+    """x' v for the design x: z, after a column of ones when ``off`` is 1."""
+    xv = _vecmat(v, z)
+    return np.concatenate((np.add.reduce(v, -1)[..., None], xv), axis=-1) if off else xv
+
+
 def _hessian(ctx: TargetContext, eta, su_b, second):
     """The Hessian of :func:`_kernel`'s objective from the loss's ``second``
-    slopes, (q, q) for one set or (B, q, q) for a stack.
+    slopes, (q, q) for one set or (B, q, q) for a stack:
 
-    Row j of x' diag(d2l/deta2) x is one matrix-vector product, as the
-    gradient's z' dl/deta is; only its upper triangle is kept, the other
-    terms are added entry by entry, and the lower triangle is its mirror.
-    One set adds its entries in Python floats, which round as numpy's
-    arrays do and cost less per entry.
+        H = x' diag(d2l/deta2) x / n + a u' + u a' + d2l/ds2 u u'
+            + dl/ds 2 lam sigma_u,
 
-    With one parameter (one covariate, no intercept: every stack of
-    classical SIMEX at p = 1) H is the one reduction mean(d2l/deta2 z^2),
-    the same product as row 0's, plus the lam terms in the loop's order
-    of operations, all on (..., 1) arrays: the bits of the loop without
-    its per-entry lists.
+    with x the design (a column of ones first for an intercept),
+    u = 2 lam sigma_u beta (0 for the intercept), a = x' d2l/deta ds / n,
+    and the sigma_u term on the slopes' block only.  Row j of
+    x' diag(d2l/deta2) x is one matrix-vector product, as the gradient's
+    z' dl/deta is, and only its upper triangle is kept: the lower triangle
+    is its mirror, so H is symmetric bit for bit.  Each upper entry is one
+    sum, in that order, of the entries of those products and of a and u,
+    read straight from their arrays: numpy scalars for one set, which cost
+    a fraction of small arrays, and (B,) columns for a stack, so each stack
+    row has the bits of its own call, with no per-entry lists or ``tolist``
+    round trips.  With one parameter (one covariate, no intercept: every
+    light family at p = 1, and every stack of classical SIMEX there) H is
+    the one reduction mean(d2l/deta2 z^2) plus the lam terms.
     """
-    p, n, lam = ctx.dataset.p, ctx.dataset.n, ctx.lam
-    off = int(ctx.model.has_intercept)
-    z = ctx.z
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2, dx, dss, ds = second(lam != 0.0)
-        if off + p == 1:
-            h = _vecmat(d2 * z[..., 0], z) / n
+    plan, lam, z = ctx.plan, ctx.lam, ctx.z
+    n, off = plan.n, plan.off
+    d2, dx, dss, ds = second(lam != 0.0)
+    p = z.shape[-1]
+    q = off + p
+    # Row j of n x' diag(d2l/deta2) x from column j on, as the arrays of
+    # the matrix-vector products, .T taken: entry k of one set's is then a
+    # numpy scalar, and of a stack's the (B,) column, so each entry below is
+    # a sum of scalars for one set and an elementwise sum for a stack, with
+    # the same bits and no per-entry lists.  With an intercept, x's column
+    # 0 is ones: row 0 is the sum of d2l/deta2, then x_0' diag(d2l/deta2) z.
+    rows = [_design_product(d2, z, 1).T] if off else []
+    rows += [_vecmat(d2 * z[..., j], z).T for j in range(p)]
+    if lam != 0.0:
+        a = (_design_product(dx, z, off) / n).T
+        u = np.zeros(eta.shape[:-1] + (q,))
+        u[..., off:] = 2.0 * lam * su_b
+        u, sigma, scale = u.T, ctx.dataset.sigma_u, ds * 2.0 * lam
+    h = np.empty(eta.shape[:-1] + (q, q))
+    for j in range(q):
+        for k in range(j, q):
+            hjk = rows[j][k - j if j < off else k - off] / n
             if lam != 0.0:
-                a, u = _vecmat(dx, z) / n, 2.0 * lam * su_b
-                h = h + (a * u + u * a) + _against_rows(dss) * (u * u)
-                h = h + _against_rows(ds * 2.0 * lam) * ctx.dataset.sigma_u[0, 0]
-            return h[..., None]
-        # rows[j][k] / n is the mean of d2l/deta2 x_j x_k, k >= j, and for
-        # the intercept's row k >= 0
-        rows = [_vecmat(d2 * z[..., j], z) for j in range(p)]
-        if off:
-            first = (np.add.reduce(d2, -1)[..., None], _vecmat(d2, z))
-            rows.insert(0, np.concatenate(first, axis=-1))
-        if lam != 0.0:
-            a = _vecmat(dx, z)
-            if off:
-                a = np.concatenate((np.add.reduce(dx, -1)[..., None], a), axis=-1)
-            u = 2.0 * lam * su_b
-        one = eta.ndim == 1
-
-        def entries(v):
-            # the entries of v's last axis: floats for one set, arrays for a stack
-            return v.tolist() if one else [v[..., i] for i in range(v.shape[-1])]
-
-        rows = [[0.0] * j + entries(r)[j if j < off else j - off:] for j, r in enumerate(rows)]
-        if lam != 0.0:
-            if one:
-                dss, ds = float(dss), float(ds)
-            a, u = [v / n for v in entries(a)], [0.0] * off + entries(u)
-            sigma, scale = ctx.dataset.sigma_u.tolist(), ds * 2.0 * lam
-        q = off + p
-        h = [[0.0] * q for _ in range(q)] if one else np.empty(eta.shape[:-1] + (q, q))
-        for j in range(q):
-            for k in range(j, q):
-                hjk = rows[j][k] / n
-                if lam != 0.0:
-                    hjk = hjk + (a[j] * u[k] + u[j] * a[k]) + dss * (u[j] * u[k])
-                    if j >= off:
-                        hjk = hjk + scale * sigma[j - off][k - off]
-                if one:
-                    h[j][k] = h[k][j] = hjk
-                else:
-                    h[..., j, k] = h[..., k, j] = hjk
-    return np.array(h) if one else h
+                hjk = hjk + (a[j] * u[k] + u[j] * a[k]) + dss * (u[j] * u[k])
+                if j >= off:
+                    hjk = hjk + scale * sigma[j - off, k - off]
+            h[..., j, k] = h[..., k, j] = hjk
+    return h
 
 
+@_entry
 def target_linear(ctx: TargetContext, theta):
     """Least-squares criterion plus lam times the slope penalty beta' sigma_u beta."""
     return _kernel(ctx, theta, _linear_loss)
@@ -565,9 +656,10 @@ def target_linear(ctx: TargetContext, theta):
 def _linear_loss(ctx: TargetContext, eta, s):
     r = ctx.y - eta
     second = lambda mixed: (np.full_like(r, 2.0), np.zeros_like(r), 0.0, 1.0)  # noqa: E731
-    return batch_dot(r, r) / ctx.dataset.n + s, lambda: (-2.0 * r, 1.0), second
+    return batch_dot(r, r) / ctx.plan.n + s, lambda: (-2.0 * r, 1.0), second
 
 
+@_entry
 def target_exponential(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function exp(z' theta).
 
@@ -593,13 +685,8 @@ def _exponential_loss(ctx: TargetContext, eta, s):
     if ctx.lam == 0.0:
         e = np.exp(eta)
         r = y - e
-        memo = []
-
-        def minus_2e():
-            # the slope's -2 e^eta, which the curvature reads too, once
-            if not memo:
-                memo.append(-2.0 * e)
-            return memo[0]
+        # the slope's -2 e^eta, which the curvature reads too
+        minus_2e = _once(lambda: -2.0 * e)
 
         def second(mixed):
             # -2 e^eta (r - e^eta), in place
@@ -613,13 +700,8 @@ def _exponential_loss(ctx: TargetContext, eta, s):
     e2 = np.exp(2.0 * eta + 2.0 * s_rows)
     y2e1 = 2.0 * y * e1
     value = _mean(y * y - y2e1 + e2)
-    memo = []
-
-    def means():
-        # the row means of e2 and 2 y e1, which both s-slopes read, once
-        if not memo:
-            memo.append((_mean(e2), _mean(y2e1)))
-        return memo[0]
+    # the row means of e2 and 2 y e1, which both s-slopes read
+    means = _once(lambda: (_mean(e2), _mean(y2e1)))
 
     def slopes():
         m_e2, m_y2e1 = means()
@@ -638,6 +720,7 @@ def _exponential_loss(ctx: TargetContext, eta, s):
     return value, slopes, second
 
 
+@_entry
 def target_sine(ctx: TargetContext, theta):
     """Corrected squared-error criterion for the mean function sin(z' theta).
 
@@ -666,15 +749,12 @@ def _sine_loss(ctx: TargetContext, eta, s):
     else:
         value = _mean(y * y - 2.0 * y * sin - 0.5 * cos2) + 1.0
 
-    memo = []
+    def both():
+        # y sin(eta) and the row means that both s-slopes read
+        ysin = y * sin
+        return (ysin, _mean(ysin), _mean(cos2)) if smooth else (ysin, None, None)
 
-    def shared():
-        # y sin(eta) and the row means that both s-slopes read, once
-        if not memo:
-            ysin = y * sin
-            means = (_mean(ysin), _mean(cos2)) if smooth else (None, None)
-            memo.append((ysin, *means))
-        return memo[0]
+    shared = _once(both)
 
     def slopes():
         if not smooth:
@@ -701,6 +781,7 @@ def _sine_loss(ctx: TargetContext, eta, s):
     return value, slopes, second
 
 
+@_entry
 def target_poisson_negloglik(ctx: TargetContext, theta):
     """Corrected Poisson negative log-likelihood (theta-free terms dropped)."""
     return _kernel(ctx, theta, _poisson_loss)
@@ -720,6 +801,7 @@ def _poisson_loss(ctx: TargetContext, eta, s):
     return value, lambda: (mu - y, 0.5 * _mean(mu) if smooth else None), second
 
 
+@_entry
 def target_logistic(ctx: TargetContext, theta):
     """Corrected Bernoulli negative log-likelihood.
 
@@ -742,13 +824,7 @@ def _logistic_loss(ctx: TargetContext, eta: np.ndarray, s: float):
         root = math.sqrt(2.0 * s)
         shifted = eta[:, None] + (root * t)[None, :]
         part = _softplus(shifted) @ w
-    memo = []
-
-    def sig():
-        # the sigmoid at each node, which both slopes read, once
-        if not memo:
-            memo.append(_sigmoid(shifted))
-        return memo[0]
+    sig = _once(lambda: _sigmoid(shifted))  # the sigmoid at each node, for both slopes
 
     def slopes():
         if s == 0.0:
@@ -770,6 +846,7 @@ def _logistic_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     return (value, slopes, second) if s > 0.0 or ctx.lam == 0.0 else (value, slopes)
 
 
+@_entry
 def target_lpre(ctx: TargetContext, theta):
     """Corrected least-product-relative-error criterion (multiplicative model)."""
     return _kernel(ctx, theta, _lpre_loss)
@@ -794,6 +871,7 @@ def _lpre_loss(ctx: TargetContext, eta, s):
     return base * scale, lambda: (_against_rows(scale) * (hi - lo), 0.5 * base * scale), second
 
 
+@_entry
 def target_lare(ctx: TargetContext, theta):
     """Corrected least-absolute-relative-error criterion (multiplicative model).
 
@@ -863,6 +941,7 @@ def _lare_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     return float(m_f), slopes, second
 
 
+@_entry
 def target_quantile(ctx: TargetContext, theta):
     """Smoothed check-loss criterion for quantile regression.
 
@@ -987,6 +1066,7 @@ def _walsh_pairs(xi: np.ndarray, s: float, block: int | None = None):
     return total, dxi, 2.0 * _INV_SQRT_2PI * e_sum / r
 
 
+@_entry
 def target_walsh(ctx: TargetContext, theta):
     """Smoothed Walsh-average (pairwise absolute sum) regression criterion.
 
@@ -1020,6 +1100,7 @@ def _walsh_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     return (2.0 * float(np.sum(diag)) + total) / scale, slopes
 
 
+@_entry
 def target_expectile(ctx: TargetContext, theta):
     """Smoothed asymmetric-squared-loss criterion for expectile regression.
 
@@ -1062,12 +1143,7 @@ def _expectile_loss(ctx: TargetContext, eta: np.ndarray, s: float):
         m_xe = float(_mean(xi * e))
         value = (a * (float(_mean((xi2 + s) * cdf)) + s * c * m_xe)
                  + (1.0 - tau) * (float(_mean(xi2)) + s))
-    memo = []
-
-    def step():
-        if not memo:
-            memo.append(normal_cdf(xi, 0.0, 0.0) if cdf is None else cdf)
-        return memo[0]
+    step = _once(lambda: normal_cdf(xi, 0.0, 0.0) if cdf is None else cdf)
 
     def slopes():
         dxi = 2.0 * a * (xi * step() + spdf) + 2.0 * (1.0 - tau) * xi
@@ -1139,6 +1215,7 @@ def _generic_chunks(ctx: TargetContext):
     return design
 
 
+@_entry
 def target_generic_ls(ctx: TargetContext, theta):
     """Least-squares objective for a user-supplied mean function.
 
@@ -1161,27 +1238,22 @@ def target_generic_ls(ctx: TargetContext, theta):
         raise CapacityError(
             f"generic family supports at most {GENERIC_MAX_P} covariates, got {d.p}"
         )
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    q = ctx.model.mean_fn.n_params
-    if q is not None and th.shape[-1] != q:
-        raise ConfigError(f"theta has length {th.shape[-1]}, expected {q}")
     m = ctx.model.mean_fn.fn
-    with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.lam == 0.0:
-            r = y - _mean_values(m, z, th)
-            resid, v = [r], float(r @ r) / d.n
-        else:
-            acc, resid = 0.0, []
-            for x, weights, _ in _generic_chunks(ctx):
-                r = y - _mean_values(m, x, th).reshape(len(weights), d.n)
-                resid.append(r.ravel())
-                sums = (r[:, None, :] @ r[:, :, None]).ravel()
-                # weighted sums of squares, added node by node in rule order
-                for wt, ss in zip(weights, sums.tolist()):
-                    acc += wt * ss
-            v = acc / (d.n * math.pi ** (d.p / 2.0))
+    if ctx.lam == 0.0:
+        r = y - _mean_values(m, z, theta)
+        resid, v = [r], float(r @ r) / d.n
+    else:
+        acc, resid = 0.0, []
+        for x, weights, _ in _generic_chunks(ctx):
+            r = y - _mean_values(m, x, theta).reshape(len(weights), d.n)
+            resid.append(r.ravel())
+            sums = (r[:, None, :] @ r[:, :, None]).ravel()
+            # weighted sums of squares, added node by node in rule order
+            for wt, ss in zip(weights, sums.tolist()):
+                acc += wt * ss
+        v = acc / (d.n * math.pi ** (d.p / 2.0))
     # one Jacobian pass gives both, at the first call of either
-    slopes = cache(lambda: _gauss_newton(ctx, th, resid))
+    slopes = cache(lambda: _gauss_newton(ctx, theta, resid))
     grad = lambda: slopes()[0]  # noqa: E731
     grad.hessian = lambda: slopes()[1]
     return _guard(v), grad
@@ -1198,7 +1270,7 @@ def _gauss_newton(ctx: TargetContext, th: np.ndarray, resid: list):
     central difference of the mean function with step h_j = max(1e-6,
     1e-7 |theta_j|): 2q calls per chunk, one pair at a time.  Each pair's
     difference, 2 h_j sqrt(W / N) dm/dtheta_j, goes into row j of a (q, rows)
-    buffer kept on the context, so no call allocates J afresh; the steps
+    buffer kept on the context's plan, so no call allocates J afresh; the steps
     are divided out of the q and q x q sums.  The residuals are scaled by
     sqrt(W / N) in place, so this runs once per kernel call.  The sums are
     dot products of the buffer's rows, which cost a few times less than a
@@ -1212,35 +1284,33 @@ def _gauss_newton(ctx: TargetContext, th: np.ndarray, resid: list):
     q = th.size
     steps = np.diag(np.maximum(1e-6, 1e-7 * np.abs(th)))
     g, gram = np.zeros(q), np.zeros((q, q))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (x, _, root), r in zip(chunks, resid):
-            jac = _jacobian_buffer(ctx, q, r.size)
-            for j, step in enumerate(steps):
-                np.subtract(_mean_values(m, x, th + step), _mean_values(m, x, th - step),
-                            out=jac[j])
-                col = jac[j].reshape(-1, n)  # one node's rows per line, a view
-                col *= root
-            nodes = r.reshape(-1, n)
-            nodes *= root
-            for j in range(q):
-                g[j] -= jac[j] @ r
-                for k in range(j, q):
-                    gram[j, k] += jac[j] @ jac[k]
-        scale = 1.0 / np.diag(steps)
-        h = 0.5 * gram * np.outer(scale, scale)
+    for (x, _, root), r in zip(chunks, resid):
+        jac = _jacobian_buffer(ctx, q, r.size)
+        for j, step in enumerate(steps):
+            np.subtract(_mean_values(m, x, th + step), _mean_values(m, x, th - step),
+                        out=jac[j])
+            col = jac[j].reshape(-1, n)  # one node's rows per line, a view
+            col *= root
+        nodes = r.reshape(-1, n)
+        nodes *= root
+        for j in range(q):
+            g[j] -= jac[j] @ r
+            for k in range(j, q):
+                gram[j, k] += jac[j] @ jac[k]
+    scale = 1.0 / np.diag(steps)
+    h = 0.5 * gram * np.outer(scale, scale)
     iu, ju = _upper_pairs(q)
     h[ju, iu] = h[iu, ju]
     return _guard_vec(g * scale), h
 
 
 def _jacobian_buffer(ctx: TargetContext, q: int, rows: int) -> np.ndarray:
-    """A (q, rows) view of the Jacobian buffer kept on the context, grown
-    when it is too small: one allocation serves every gradient there."""
-    buf = ctx.__dict__.get("_generic_jacobian")
+    """A (q, rows) view of the Jacobian buffer kept on the context's plan,
+    grown when it is too small: one allocation serves every gradient of
+    every context that shares the plan, such as the grid points of a fit."""
+    buf = ctx.plan.jacobian
     if buf is None or buf.shape[0] != q or buf.shape[1] < rows:
-        buf = np.empty((q, rows))
-        # a private attribute of the frozen context, outside its fields
-        object.__setattr__(ctx, "_generic_jacobian", buf)
+        buf = ctx.plan.jacobian = np.empty((q, rows))
     return buf[:, :rows]
 
 
@@ -1345,7 +1415,14 @@ class Family:
     ``mean_fn``, differentiates the user's mean function by central
     differences and takes Gauss-Newton curvature (:func:`_gauss_newton`).
     Every other kernel is the one skeleton :func:`_kernel` over the
-    family's loss in (eta, s).
+    family's loss in (eta, s).  Each kernel is a public entry point
+    (:func:`_entry`): it refuses a theta of the wrong length with
+    ConfigError, and its value warns nothing, even where it overflows.  So
+    do :func:`target_value`, :func:`target_gradient` and :func:`hessian`,
+    whose gradient and Hessian warn nothing either; a ``grad`` or
+    ``grad.hessian`` called directly runs in its caller's error state.  The
+    solvers call the kernel's body (:func:`solver_kernel`) inside the one
+    error state of each solve.
     ``start(model, dataset)`` is a cheap deterministic initial point for the
     lambda = 0 minimization.  ``simulate(eta, draw_eps, rng)`` draws
     responses given the linear predictor, calling ``draw_eps()`` for
@@ -1418,7 +1495,8 @@ def target_gradient(ctx: TargetContext, theta) -> np.ndarray:
     """Gradient of the family objective: the family's analytic gradient, or
     for generic -2 J'Wr / N from central differences of its mean function
     with step max(1e-6, 1e-7 |theta_j|) (see :func:`_gauss_newton`)."""
-    return ctx.model.record.kernel(ctx, theta)[1]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ctx.model.record.kernel(ctx, theta)[1]()
 
 
 def hessian(ctx: TargetContext, theta) -> np.ndarray:
@@ -1441,7 +1519,8 @@ def hessian(ctx: TargetContext, theta) -> np.ndarray:
     curvature = getattr(ctx.model.record.kernel(ctx, theta)[1], "hessian", None)
     if curvature is None:
         raise ConfigError(f"family {ctx.model.family!r} has no analytic second slopes")
-    return curvature()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return curvature()
 
 
 def naive_start(model: ModelSpec, dataset: Dataset) -> np.ndarray:

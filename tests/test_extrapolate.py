@@ -1,6 +1,7 @@
 """Direct estimation, lambda-grid estimation, and extrapolant fitting."""
 
 import gc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -37,7 +38,7 @@ from simexfree.errors import (
 from simexfree.montecarlo import exponential_scenarios, simulate_dataset
 from simexfree.optimize import MinimizeOptions, MinimizeResult, batch_dot, minimize, minimize_batch
 from simexfree.simex import _stream
-from simexfree.targets import FAMILIES, TargetContext, naive_start
+from simexfree.targets import FAMILIES, TargetContext, hessian, naive_start, target_gradient, target_value
 
 
 def _linear_data(seed=0, n=60, su=0.2, beta=1.5, alpha=1.0):
@@ -1123,3 +1124,91 @@ def test_naive_estimate_runs_for_every_family():
         ds = Dataset(y=y, z=z, sigma_u=0.09)
         res = naive_estimate(ModelSpec(family=family), ds)
         assert np.all(np.isfinite(res.theta_hat)), family
+
+
+# --------------------------------------------------------------------------
+# the contract of a solve: no warnings, theta checked at entry, responses once
+# --------------------------------------------------------------------------
+
+# one case per family, and both expectile branches
+_EVERY_FAMILY = [
+    ("linear", None), ("exponential", None), ("sine", None), ("poisson", None),
+    ("logistic", None), ("lpre", None), ("lare", None), ("quantile", 0.5), ("walsh", None),
+    ("expectile", 0.3), ("expectile", 0.5), ("generic", None),
+]
+# the families whose loss broadcasts over a stack
+_BROADCAST = [("linear", None), ("exponential", None), ("sine", None), ("poisson", None),
+              ("lpre", None), ("expectile", 0.5)]
+
+
+@pytest.mark.parametrize("family, tau", _EVERY_FAMILY)
+def test_solves_leak_no_warnings(family, tau):
+    # every solve runs in one error state: the simplex at lambda = 0 (lare,
+    # quantile and walsh) as well as the quasi-Newton and Newton steps, from
+    # a start where the objective overflows and from the family start
+    model, ds, cfg = _grid_case(family, tau)
+    start = cfg.start_for(model, ds)
+    huge = np.full(start.shape, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.0, 0.5):
+            ctx = TargetContext(dataset=ds, model=model, lam=lam, nodes=cfg.nodes)
+            for th in (huge, start):
+                res = extrapolate.minimize_target(ctx, th)
+                assert res.status in ("grad_tol", "step_tol", "infeasible", "nonfinite",
+                                      "line_search", "max_iters")
+            assert res.converged
+
+
+@pytest.mark.parametrize("family, tau", _BROADCAST)
+def test_stacked_solves_leak_no_warnings(family, tau):
+    model, ds, cfg = _grid_case(family, tau)
+    start = cfg.start_for(model, ds)
+    zs = ds.z + 0.1 * np.random.default_rng(45).standard_normal((3,) + ds.z.shape)
+    starts = np.stack([start, np.full(start.shape, 1e200), -start])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = TargetContext(dataset=ds, model=model, lam=0.5, nodes=cfg.nodes, z=zs)
+        res = extrapolate.minimize_stack(ctx, MinimizeOptions(start=starts))
+    assert res.converged[0]
+
+
+@pytest.mark.parametrize("family, tau", _EVERY_FAMILY)
+def test_a_theta_of_the_wrong_length_is_refused_everywhere(family, tau):
+    model, ds, cfg = _grid_case(family, tau)
+    q = model.n_params(ds.p)
+    wrong = np.zeros(q + 1)
+    message = f"theta has length {q + 1}, expected {q}"
+    ctx = TargetContext(dataset=ds, model=model, lam=0.5, nodes=cfg.nodes)
+    stacked = TargetContext(dataset=ds, model=model, lam=0.5, nodes=cfg.nodes,
+                            z=np.stack([ds.z, ds.z]))
+    calls = [
+        lambda: target_value(ctx, wrong),
+        lambda: target_gradient(ctx, wrong),
+        lambda: hessian(ctx, wrong),
+        lambda: extrapolate.minimize_target(ctx, wrong),
+        lambda: extrapolate.minimize_stack(stacked, MinimizeOptions(start=np.stack([wrong] * 2))),
+        lambda: ex_estimate(model, ds, replace(cfg, start=wrong)),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=message):
+            call()
+
+
+def test_responses_are_checked_once_per_estimate(monkeypatch):
+    checks = []
+    validate_y = ModelSpec.validate_y
+
+    def counted(self, y):
+        checks.append(self.family)
+        return validate_y(self, y)
+
+    monkeypatch.setattr(ModelSpec, "validate_y", counted)
+    model, ds, _ = _grid_case("poisson", None)
+    assert ex_estimate(model, ds).path == "direct"
+    assert len(checks) <= 1
+    checks.clear()
+    model, ds, cfg = _grid_case("lpre", None)
+    assert cfg.grid.size == 21
+    grid_estimate(model, ds, cfg)
+    assert len(checks) <= 1

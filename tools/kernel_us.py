@@ -6,12 +6,26 @@ as ``tools/ab_ops.py`` does, and each (n, lambda) cell draws one data set
 with ``draw`` of ``perfbench/workloads.py`` (sigma_u^2 = 0.25; read, never
 edited), which both trees then evaluate at the same theta: the true
 parameter of ``draw``, 1 per slope where ``workloads.TRUTH`` names none.
-Three calls are timed per cell:
+Three calls are timed per cell, each as a solver makes it:
 
     value      the family's kernel, ``FAMILIES[F].kernel(ctx, theta)``
     +grad      the kernel and its gradient callable
     +hess      the kernel, its gradient and ``grad.hessian`` (families
                that state their curvature at that lambda)
+
+A solver calls what ``targets.solver_kernel`` gives (the kernel's body,
+without the public entry point's check of theta and error state), inside
+the one numpy error state of its solve, with theta checked once at its
+start.  So each side's timing loop runs in one ``np.errstate(over=
+"ignore", invalid="ignore")``, on what that side's solver calls: its
+family kernel itself in a tree without ``solver_kernel``, which pays for
+any error state that kernel enters per call.
+
+With ``--solve`` each cell times, in place of the three calls, one
+one-row solve, ``extrapolate.minimize_target(ctx, start)``: at lambda = 0
+from the family start (the S-curve start of ``workloads.sshape_start`` for
+generic), and otherwise from that tree's lambda = 0 minimizer.  Each row
+then also prints the iterations of A's and B's solve.
 
 With ``--stack B`` each cell times one stacked call on B sets of
 classical pseudo-data in place of the data set itself: set b's
@@ -30,7 +44,7 @@ refuses (a negative one for a grid-only family) is skipped with a note.
 
 Usage: python tools/kernel_us.py A_TREE B_TREE [--family F] [--tau T]
                                  [--n 500,5000] [--lam 0,-0.5,0.5]
-                                 [--pairs N] [--seed S] [--stack B]
+                                 [--pairs N] [--seed S] [--stack B | --solve]
 """
 
 from __future__ import annotations
@@ -58,7 +72,10 @@ class Side:
         self.workloads = workloads
         with bound(self.name):
             self.model = workloads.model_for(family, tau)
-        self.kernel = self.pkg.targets.FAMILIES[family].kernel
+        # the kernel as a solver calls it: a tree without solver_kernel calls
+        # the family kernel itself
+        body = getattr(self.pkg.targets, "solver_kernel", lambda model: model.record.kernel)
+        self.kernel = body(self.model)
 
     def context(self, y, z, lam, zs=None):
         """The cell's context, on the stacked surrogates ``zs`` when given,
@@ -72,12 +89,30 @@ class Side:
 
     def curved(self, ctx, theta) -> bool:
         """Whether the kernel states its curvature at this context."""
-        with bound(self.name):
+        with bound(self.name), np.errstate(over="ignore", invalid="ignore"):
             return hasattr(self.kernel(ctx, theta)[1], "hessian")
 
+    def start(self, ctx):
+        """The cell's solve start: the family start at lambda = 0, and the
+        lambda = 0 minimizer otherwise."""
+        pkg, ds = self.pkg, ctx.dataset
+        with bound(self.name):
+            if self.model.family == "generic":
+                start = self.workloads.sshape_start(ds)
+            else:
+                start = pkg.EstimateConfig().start_for(self.model, ds)
+            if ctx.lam == 0.0:
+                return start
+            naive = pkg.TargetContext(dataset=ds, model=self.model, lam=0.0)
+            return pkg.extrapolate.minimize_target(naive, start).theta_hat
 
-def call(kind: str, kernel, ctx, theta):
-    """One timed unit: the kernel, then its gradient and Hessian as asked."""
+
+def call(kind: str, side: Side, ctx, theta):
+    """One timed unit: the kernel, then its gradient and Hessian as asked,
+    or with ``kind`` "solve" one ``minimize_target`` from ``theta``."""
+    kernel = side.kernel
+    if kind == "solve":
+        return lambda: side.pkg.extrapolate.minimize_target(ctx, theta)
     if kind == "value":
         return lambda: kernel(ctx, theta)
     if kind == "+grad":
@@ -86,7 +121,8 @@ def call(kind: str, kernel, ctx, theta):
 
 
 def per_call(side: Side, fn, loops: int) -> float:
-    with bound(side.name):
+    # one error state for the whole loop, as a solve has one
+    with bound(side.name), np.errstate(over="ignore", invalid="ignore"):
         t0 = time.perf_counter()
         for _ in range(loops):
             fn()
@@ -105,11 +141,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--stack", type=int, default=0, metavar="B",
                         help="time B sets of pseudo-data at lambda = 0 per call")
+    parser.add_argument("--solve", action="store_true",
+                        help="time one one-row minimize_target per cell")
     args = parser.parse_args(argv[1:])
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     if args.stack < 0 or (args.stack and args.family == "generic"):
         parser.error("--stack takes B >= 1 and a family other than generic")
+    if args.stack and args.solve:
+        parser.error("--stack and --solve exclude each other")
     workloads = load_workloads("us")
     sides = [Side(tree, tag, workloads, args.family, args.tau)
              for tree, tag in ((args.a_tree, "a"), (args.b_tree, "b"))]
@@ -138,12 +178,13 @@ def main(argv: list[str]) -> int:
             if any(ctx is None for ctx in contexts):
                 print(f"{n:>6} {lam:>6g} {args.family} refuses this lambda")
                 continue
-            for kind in ("value", "+grad", "+hess"):
+            starts = [side.start(ctx) for side, ctx in zip(sides, contexts)] if args.solve else None
+            for kind in ("solve",) if args.solve else ("value", "+grad", "+hess"):
                 if kind == "+hess" and not all(
                         side.curved(ctx, theta) for side, ctx in zip(sides, contexts)):
                     continue
-                fns = [call(kind, side.kernel, ctx, theta)
-                       for side, ctx in zip(sides, contexts)]
+                fns = [call(kind, side, ctx, starts[i] if starts else theta)
+                       for i, (side, ctx) in enumerate(zip(sides, contexts))]
                 for side, fn in zip(sides, fns):
                     per_call(side, fn, 1)  # lazy set-up and caches, untimed
                 loops = max(1, round(UNIT_SECONDS / per_call(sides[0], fns[0], 3)))
@@ -154,9 +195,13 @@ def main(argv: list[str]) -> int:
                 a, b = times
                 ratio = statistics.median(ta / tb for ta, tb in zip(a, b))
                 wins = sum(tb < ta for ta, tb in zip(a, b))
+                iters = ""
+                if kind == "solve":
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        iters = "  iters {} / {}".format(*(fn().iters for fn in fns))
                 print(f"{n:>6} {lam:>6g} {kind:>6} {1e6 * statistics.median(a):>10.1f} "
                       f"{1e6 * statistics.median(b):>10.1f} {ratio:>7.3f} "
-                      f"{wins:>4}/{args.pairs}")
+                      f"{wins:>4}/{args.pairs}{iters}")
     return 0
 
 
