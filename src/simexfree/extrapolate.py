@@ -168,7 +168,11 @@ class EstimateConfig:
     where their smoothing variance is positive, so not at lambda = 0 (see
     ``targets.hessian``).  Generic takes Gauss-Newton steps, from the
     curvature 2 J'WJ / N of its weighted sum of squares.  Walsh takes
-    quasi-Newton steps only.
+    quasi-Newton steps only.  A solve whose next Newton step would gain
+    less than the rounding of its objective takes that step unevaluated
+    and ends with status "decrement", which counts as converged, so the
+    grid, the continuation and classical SIMEX take its minimizer as any
+    other.
 
     ``grid`` defaults to :data:`DEFAULT_GRID`, one instance that every
     config shares.  It must be a :class:`LambdaGrid`, ``options`` a

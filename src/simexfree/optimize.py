@@ -24,9 +24,14 @@ _MAX_BACKTRACKS = 60
 # how far a trial at a step backtracked to step_tol may lie above f, relative
 # to 1 + |f|, for the run to end converged (see minimize)
 _FLAT = 1e-10
+# a Newton step whose predicted decrease -g'd / 2 is at most this, relative
+# to 1 + |f|, is taken without evaluating its end point (see minimize)
+_DECREMENT = 16 * math.ulp(1.0)
 # minimize_batch keeps each row's status as an index into this tuple
-_STATUSES = ("max_iters", "grad_tol", "step_tol", "line_search", "nonfinite", "infeasible")
-_MAX_ITERS, _GRAD_TOL, _STEP_TOL, _LINE_SEARCH, _NONFINITE, _INFEASIBLE = range(6)
+_STATUSES = ("max_iters", "grad_tol", "step_tol", "line_search", "nonfinite", "infeasible",
+             "decrement")
+(_MAX_ITERS, _GRAD_TOL, _STEP_TOL, _LINE_SEARCH, _NONFINITE, _INFEASIBLE,
+ _SMALL_DECREMENT) = range(7)
 
 
 @dataclass
@@ -76,6 +81,9 @@ class MinimizeResult:
     ``status`` is one of:
 
     - ``grad_tol``: the gradient norm is within ``grad_tol``;
+    - ``decrement``: the predicted decrease of the next Newton step was
+      within the rounding of f, and the step was taken without evaluating
+      its end point (see :func:`minimize`);
     - ``step_tol``: the last accepted step was within ``step_tol``, or a
       step was backtracked to within it and its last trial lay within the
       rounding of f (for the simplex method, the simplex diameter);
@@ -85,8 +93,11 @@ class MinimizeResult:
     - ``nonfinite``: the gradient norm is not finite;
     - ``infeasible``: the value at the start is not finite.
 
-    ``converged`` is True exactly for ``grad_tol`` and ``step_tol``.
-    ``grad_norm`` is NaN for the simplex method.  A result of
+    ``converged`` is True exactly for ``grad_tol``, ``decrement`` and
+    ``step_tol``.  ``value`` and ``grad_norm`` are those of the last point
+    evaluated: for ``decrement`` the point before the last step, where f
+    lies above f(``theta_hat``) by at most the decrement.  ``grad_norm`` is
+    NaN for the simplex method.  A result of
     :func:`minimize_batch` holds arrays: each field has a leading batch
     axis, and ``status`` is an array of these strings.
     """
@@ -142,8 +153,14 @@ def minimize(
     after the gradient at the same point; ``hess`` may return None where the
     objective offers none.  Where H is finite and positive definite (its
     Cholesky factorization succeeds) and -H^-1 g descends, the step is that
-    damped Newton direction, with a unit first trial.  Otherwise the step is
-    the quasi-Newton direction -M g, with M the inverse-Hessian estimate
+    damped Newton direction, with a unit first trial, unless its predicted
+    decrease, the Newton decrement -g'd / 2 = g'H^-1 g / 2, is at most
+    ``_DECREMENT`` (1 + |f|), 16 machine epsilons relative: then f's
+    rounding could not show the decrease, so the run takes the whole step
+    without evaluating its end point and ends ``decrement`` (Boyd &
+    Vandenberghe, *Convex Optimization*, 2004, §9.5.1), the step counted as
+    an iteration.  Where H gives no such step, the step is the
+    quasi-Newton direction -M g, with M the inverse-Hessian estimate
     and the first-step rules of :class:`MinimizeOptions`, and once it is
     accepted M takes the BFGS update.  Either step is backtracked by
     halving until the Armijo test passes.  A step of either kind that
@@ -155,7 +172,8 @@ def minimize(
     switch between the two steps at any iterate: a Hessian that is
     indefinite at the start, as the exponential family's can be far from
     its minimizer, gives quasi-Newton steps until it turns positive
-    definite.  Without ``hess`` every step is a quasi-Newton one.
+    definite.  Without ``hess`` every step is a quasi-Newton one, and no
+    run ends ``decrement``.
 
     There is no per-iteration hook: to count or log evaluations, wrap ``f``,
     ``grad`` and ``hess``; to see the accepted values, rerun with a smaller
@@ -273,6 +291,9 @@ def _bfgs(f, grad, hess, x0, f0, opts) -> MinimizeResult:
             slope = float(gx @ d)
         newton = h is not None and slope < 0.0 and math.isfinite(slope)
         if newton:
+            if -0.5 * slope <= _DECREMENT * (1.0 + abs(fx)):
+                # f's rounding hides what the step would gain: take it unseen
+                return MinimizeResult(x + d, fx, gnorm, iters + 1, True, "decrement")
             step = 1.0
         else:
             if inv_h is None:
@@ -366,8 +387,10 @@ def minimize_batch(
     again.  Each row follows the step rule of :func:`minimize`: a damped
     Newton step where its Hessian is finite, positive definite and gives a
     descent direction (a NaN row, or no Hessians, never is), and the
-    quasi-Newton step otherwise.  Each row keeps its own inverse Hessian,
-    step, iteration count and status, and takes the steps that
+    quasi-Newton step otherwise; a row whose Newton decrement is within
+    the rounding of its f exits ``decrement`` at x + d, unevaluated, as in
+    :func:`minimize` and by the same arithmetic.  Each row keeps its own
+    inverse Hessian, step, iteration count and status, and takes the steps that
     :func:`minimize` takes on that objective alone, with the same
     Hessians.  A row that has exited is never evaluated again, so no row's
     result depends on the others.  The result's fields carry a leading
@@ -429,6 +452,18 @@ def minimize_batch(
             dn = newton_directions(ha, ga)
             sn = batch_dot(ga, dn)
             newton = (sn < 0.0) & np.isfinite(sn)
+            # as in minimize: a Newton step that f's rounding hides is taken unseen
+            unseen = newton & (-0.5 * sn <= _DECREMENT * (1.0 + np.abs(fa)))
+            if unseen.any():
+                out = act[unseen]
+                x[out], fx[out], gnorm[out] = xa[unseen] + dn[unseen], fa[unseen], norm[unseen]
+                iters[out], status[out] = it + 1, _SMALL_DECREMENT
+                keep = ~unseen
+                act, xa, fa, ga, norm, quasi, newton, dn, sn = (
+                    v[keep] for v in (act, xa, fa, ga, norm, quasi, newton, dn, sn))
+                inv_h = None if inv_h is None else inv_h[keep]
+                if act.size == 0:
+                    break
         if newton.all():
             d, slope, step = dn, sn, np.ones(act.size)
         else:
@@ -508,7 +543,7 @@ def minimize_batch(
         xa, fa, ga, ha = xn, fn, gn, hn
         norm = np.sqrt(batch_dot(gn, gn))
         stalled = (snorm <= options.step_tol) & np.isfinite(norm)
-    converged = (status == _GRAD_TOL) | (status == _STEP_TOL)
+    converged = np.isin(status, (_GRAD_TOL, _STEP_TOL, _SMALL_DECREMENT))
     return MinimizeResult(x, fx, gnorm, iters, converged, np.array(_STATUSES)[status])
 
 

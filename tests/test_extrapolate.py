@@ -306,6 +306,7 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
     monkeypatch.setattr(extrapolate, "minimize", spying)
     # linear, exponential and lare (where s > 0) state second slopes; walsh does not
     curved = family != "walsh"
+    exits = []  # the lambdas whose solve ended on its Newton decrement
     for lam in (0.5, 1.0) + ((-1.0,) if model.pluggable else ()):
         events.clear()
         res = extrapolate.minimize_target(TargetContext(dataset=ds, model=model, lam=lam), start)
@@ -330,10 +331,22 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
                 assert np.array_equal(trials[entry], arg)
                 if curved:
                     assert events[i + 1] == ("own hessian of", entry)
-        assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters + 1
+        if res.status == "decrement":
+            # the last step was taken unseen: its end point was never a
+            # trial, so it has no gradient, and the last gradient is that
+            # of the last trial, the point the result's value is from
+            assert curved and not any(np.array_equal(t, res.theta_hat) for t in trials)
+            last = [e[1] for e in events if e[0] == "gradient at"][-1]
+            assert np.array_equal(last, trials[-1])
+            assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters
+            exits.append(lam)
+        else:
+            assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters + 1
         # the Hessian is asked for once per step, before it
         assert kinds.count("hessian at") == res.iters
         assert kinds.count("own hessian of") == (res.iters if curved else 0)
+    # at this seed the exponential solve at lambda = 1 ends on its decrement
+    assert exits == ([1.0] if family == "exponential" else [])
 
 
 @pytest.mark.parametrize("family", ["linear", "exponential", "poisson"])
@@ -1156,7 +1169,7 @@ def test_solves_leak_no_warnings(family, tau):
             for th in (huge, start):
                 res = extrapolate.minimize_target(ctx, th)
                 assert res.status in ("grad_tol", "step_tol", "infeasible", "nonfinite",
-                                      "line_search", "max_iters")
+                                      "line_search", "max_iters", "decrement")
             assert res.converged
 
 

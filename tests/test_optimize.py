@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simexfree import (
     ConfigError,
@@ -24,7 +26,7 @@ from simexfree import targets
 from simexfree.extrapolate import minimize_stack, minimize_target
 from simexfree.optimize import newton_directions
 from simexfree.simex import _stream, pseudo_data
-from simexfree.targets import target_gradient, target_value
+from simexfree.targets import naive_start, target_gradient, target_value
 
 
 def test_quadratic_bowl():
@@ -286,6 +288,133 @@ def test_a_quasi_newton_step_that_rounding_hides_stops_at_step_tol_without_more_
     res = minimize_batch(fg, MinimizeOptions(start=np.array([[1.0], [0.0]])))
     assert list(res.status) == ["step_tol", "grad_tol"] and res.iters[0] == 1
     assert np.array_equal(res.theta_hat[0], one.theta_hat) and len(trials) == 1 + 8
+
+
+def _flat_bowl():
+    """A quadratic bowl 1 + (t - m)'A(t - m) / 2, its gradient and Hessian,
+    and a start whose gradient, about 5e-8, is above grad_tol while the
+    Newton step's predicted decrease, about 5e-16, is below the rounding of
+    f near 1."""
+    a, m = np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([0.5, -1.0])
+    return (lambda t: float(1.0 + 0.5 * (t - m) @ a @ (t - m)),
+            lambda t: a @ (t - m), lambda t: a, m + np.array([2e-8, -1e-8]))
+
+
+def test_a_newton_step_that_rounding_hides_is_taken_unseen_as_a_decrement_exit():
+    f, g, h, start = _flat_bowl()
+    trials = []
+
+    def counted(t):
+        trials.append(np.array(t))
+        return f(t)
+
+    one = minimize(counted, g, MinimizeOptions(start=start), h)
+    gx = g(start)
+    assert np.sqrt(gx @ gx) > MinimizeOptions().grad_tol
+    assert (one.status, one.converged, one.iters) == ("decrement", True, 1)
+    # exactly x + d, the Newton step from the start, with no trial after the start
+    d = newton_directions(h(start)[None], gx[None])[0]
+    assert np.array_equal(one.theta_hat, start + d)
+    assert len(trials) == 1 and np.array_equal(trials[0], start)
+    # the value and gradient norm are those of the start, the last point evaluated
+    assert one.value == f(start) and one.grad_norm == np.sqrt(gx @ gx)
+    # the step lands nearer the minimizer than grad_tol can tell
+    assert np.linalg.norm(g(one.theta_hat)) < 1e-14
+    # a batch row exits the same way, beside a row that converges on its
+    # gradient after one Newton step, and keeps the bits of its lone solve
+    fs, gs, hs, starts = _mixed_rows()
+    fs, gs, hs = [counted, fs[4]], [g, gs[4]], [h, hs[4]]
+    starts = np.array([start, starts[4]])
+    trials.clear()
+    res = minimize_batch(_rowwise_curved(fs, gs, hs, [0, 1]), MinimizeOptions(start=starts))
+    assert list(res.status) == ["decrement", "grad_tol"] and list(res.converged) == [True, True]
+    assert len(trials) == 1
+    for r in range(2):
+        alone = minimize(fs[r], gs[r], MinimizeOptions(start=starts[r]), hs[r])
+        for field in ("theta_hat", "value", "grad_norm", "iters", "status"):
+            assert np.array_equal(getattr(res, field)[r], getattr(alone, field)), field
+
+
+def test_only_newton_steps_exit_on_the_decrement():
+    # the start of _flat_bowl ends on the decrement with its Hessian; without
+    # it, by the simplex, and in a batch that offers no Hessians it never does
+    f, g, h, start = _flat_bowl()
+    fg = _rowwise(lambda t, r: f(t), lambda t, r: g(t))
+    seen = []
+    for x0 in [start] + [start + 10.0 ** -k * np.array([1.0, -0.5]) for k in range(1, 12)]:
+        seen.append(minimize(f, g, MinimizeOptions(start=x0), h).status)
+        for res in (minimize(f, g, MinimizeOptions(start=x0)),
+                    minimize(f, None, MinimizeOptions(start=x0)),
+                    minimize(f, None, MinimizeOptions(start=x0, method="simplex"))):
+            assert res.status != "decrement" and res.converged
+        assert "decrement" not in minimize_batch(fg, MinimizeOptions(start=x0[None])).status
+    assert "decrement" in seen
+    # nor do the families' solves without curvature: walsh, and quantile
+    # and lare at lambda = 0, which the simplex solves
+    for family, tau, lams in (("walsh", None, (0.0, 0.5, 1.0)), ("quantile", 0.5, (0.0,)),
+                              ("lare", None, (0.0,))):
+        model, ds = _family_case(family, tau, seed=5, n=80)
+        for lam in lams:
+            ctx = TargetContext(dataset=ds, model=model, lam=lam)
+            first = minimize_target(ctx, naive_start(model, ds))
+            for k in range(4, 10):
+                res = minimize_target(ctx, first.theta_hat + 10.0 ** -k)
+                assert res.status != "decrement" and res.converged
+
+
+# every family whose kernel states its exact Hessian: all but walsh, which
+# states none, and generic, whose curvature is Gauss-Newton's
+_EXACT_CURVATURE = [("linear", None), ("exponential", None), ("sine", None),
+                    ("poisson", None), ("logistic", None), ("lpre", None), ("lare", None),
+                    ("quantile", 0.5), ("expectile", 0.3), ("expectile", 0.5)]
+
+
+def _family_case(family, tau, seed, n=120):
+    """A model and a dataset of ``family`` drawn at ``seed``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    z = x + rng.normal(0.0, 0.5, n)
+    eps = rng.standard_normal(n)
+    y = {"lare": np.exp(x + 0.5 * eps - 0.125), "lpre": np.exp(x + 0.5 * eps - 0.125),
+         "logistic": (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.5 + x)))).astype(float),
+         "exponential": np.exp(x) + eps, "sine": np.sin(1.2 * x) + 0.3 * eps,
+         "poisson": np.round(np.exp(0.5 * x + 0.1 * eps))}.get(family, x + eps)
+    return ModelSpec(family=family, tau=tau), Dataset(y=y, z=z, sigma_u=0.25)
+
+
+def _decrement_exits(family, tau, seed, lam):
+    """The gradient norms, evaluated afterwards, at every solve of
+    ``minimize_target`` that exits on its decrement: from the family start,
+    and from its minimizer moved by 10^-k along a random unit direction,
+    k = 4, ..., 10, where the decrement at the start is small."""
+    model, ds = _family_case(family, tau, seed)
+    ctx = TargetContext(dataset=ds, model=model, lam=lam)
+    first = minimize_target(ctx, naive_start(model, ds))
+    direction = np.random.default_rng(seed).standard_normal(first.theta_hat.size)
+    direction /= np.linalg.norm(direction)
+    norms = []
+    for res in [first] + [minimize_target(ctx, first.theta_hat + 10.0 ** -k * direction)
+                          for k in range(4, 11)]:
+        assert res.converged
+        if res.status == "decrement":
+            norms.append(float(np.linalg.norm(target_gradient(ctx, res.theta_hat))))
+    return norms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_EXACT_CURVATURE), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
+def test_every_decrement_exit_lands_within_grad_tol(case, seed, lam):
+    family, tau = case
+    norms = _decrement_exits(family, tau, seed, lam)
+    assert all(norm <= MinimizeOptions().grad_tol for norm in norms)
+
+
+@pytest.mark.parametrize("family, tau", _EXACT_CURVATURE)
+def test_every_exactly_curved_family_exits_on_its_decrement_near_its_minimizer(family, tau):
+    # the property above is not empty for any family
+    norms = _decrement_exits(family, tau, 0, 0.5)
+    assert norms and max(norms) <= MinimizeOptions().grad_tol
 
 
 def test_a_gradient_whose_norm_overflows_ends_nonfinite_without_a_warning():

@@ -27,8 +27,12 @@ exactly for a seed.  One line per fit, then one line per item and a total:
 
     fit                  path          kernel  mean_fn   curv  qn_iters  it/pt  it/step
 
-and last the steps and iterations of every continuation, on either path
-(a fit whose branch collapses falls back to the grid after its steps).
+then the steps and iterations of every continuation, on either path
+(a fit whose branch collapses falls back to the grid after its steps),
+and last, one line per exit status, the quasi-Newton solves that ended
+with it, over every fit: one per scalar solve and one per row of a
+stacked one (``minimize_batch``), Newton steps included and the simplex
+not.
 
 With ``--classical`` it prints, in place of the fits, the counts of the
 study workload's classical SIMEX operation at the seed, as the workload
@@ -41,7 +45,10 @@ whose lambda = 0 point is the naive fit; the rational extrapolant's fit
 takes no quasi-Newton iterations (it searches its pole by golden section).
 Then, one line per exit status, the pseudo-data solves that ended with it:
 one per set (4,000 at R = 2, 20 noise levels and B = 100), plus one more
-for each retried set, whose first solve did not converge.
+for each retried set, whose first solve did not converge; and the solves
+of the one-row grids on the observed data from which
+``simex._set_starts`` takes each noise level's start (one per replicate
+and lambda > 0, 40 at R = 2).
 
 Two trees are compared by running this script against each:
 
@@ -73,15 +80,18 @@ def counting():
     iterations, ``minimize_batch`` runs and mean-function calls of the
     library while the block runs; yields the dict of counts, which the
     block may reset.  Its list ``steps`` holds the iterations of each
-    continuation step, summed over the step's rows, and its Counter
-    ``pseudo`` the exit status of each row of every classical SIMEX solve
-    on pseudo-data."""
+    continuation step, summed over the step's rows; its Counter ``status``
+    the exit status of every quasi-Newton solve, a stacked one counting
+    each row; and its Counters ``pseudo`` and ``starts`` the exit status of
+    each row of every classical SIMEX solve on pseudo-data and of every
+    solve of the start grids of ``simex._set_starts``."""
     from simexfree import simex, targets
     from simexfree import extrapolate as ext
 
     counts = dict.fromkeys(COUNTS, 0)
     counts["steps"] = []
-    counts["pseudo"] = Counter()
+    for name in ("status", "pseudo", "starts"):
+        counts[name] = Counter()
 
     def counted_kernel(kernel):
         def run(ctx, theta):
@@ -108,12 +118,14 @@ def counting():
         res = minimize(f, grad, options) if hess is None else minimize(f, grad, options, hess)
         if options is None or options.method == "quasi-newton":
             counts["iters"] += int(res.iters)
+            counts["status"][str(res.status)] += 1
         return res
 
     def counted_batch(fg, options):
         res = minimize_batch(fg, options)
         counts["iters"] += int(np.sum(res.iters))
         counts["batches"] += 1
+        counts["status"].update(res.status.tolist())
         return res
 
     continuation = ext._continue
@@ -137,12 +149,12 @@ def counting():
 
     def counted_rows(model, dataset, cfg, z=None, y=None):
         solve = row_solver(model, dataset, cfg, z, y)
-        if z is None:  # the simulation-free grid on the observed data
-            return solve
+        # without z, the simulation-free grid on the observed data
+        statuses = counts["starts" if z is None else "pseudo"]
 
         def run(rows, lam, starts):
             res = solve(rows, lam, starts)
-            counts["pseudo"].update(np.atleast_1d(res.status).tolist())
+            statuses.update(np.atleast_1d(res.status).tolist())
             return res
 
         return run
@@ -164,10 +176,12 @@ def counting():
         simex.row_solver = row_solver
 
 
-def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, int, list[int], list[int]]]:
+def count_fits(seed: int) -> tuple[list[tuple[str, str, str, int, int, int, int, list[int],
+                                                list[int]]], Counter]:
     """(item, fit, path, kernel values, mean-function calls, curvature
     values, quasi-Newton iterations, iterations of each grid point at
-    lambda > 0, iterations of each continuation step) per fit."""
+    lambda > 0, iterations of each continuation step) per fit, and the exit
+    statuses of the quasi-Newton solves of every fit."""
     from perfbench.workloads import (
         DATASETS_PER_ITEM, FIT_ITEMS, FIT_LABELS, SIGMA_U2, _rng, draw, model_for, sshape_start,
     )
@@ -189,7 +203,7 @@ def count_fits(seed: int) -> list[tuple[str, str, str, int, int, int, int, list[
                 rows.append((FIT_LABELS[i], f"{FIT_LABELS[i]}#{k}", res.path, counts["kernel"],
                              counts["mean_fn"], counts["curv"], counts["iters"], points,
                              counts["steps"]))
-    return rows
+    return rows, counts["status"]
 
 
 def per_point(points: list[int]) -> str:
@@ -227,10 +241,11 @@ def main(argv=None) -> int:
         counts = count_classical(args.seed)
         for key, label in COUNTS.items():
             print(f"{label:<18} {counts[key]:>8}")
-        for status, solves in sorted(counts["pseudo"].items()):
-            print(f"{'pseudo ' + status:<18} {solves:>8}")
+        for name in ("pseudo", "starts"):
+            for status, solves in sorted(counts[name].items()):
+                print(f"{name + ' ' + status:<18} {solves:>8}")
         return 0
-    rows = count_fits(args.seed)
+    rows, statuses = count_fits(args.seed)
     line = "{:<22} {:<13} {:>8} {:>8} {:>6} {:>9} {:>6} {:>8}"
     print(line.format("fit", "path", "kernel", "mean_fn", "curv", "qn_iters", "it/pt", "it/step"))
     for _, fit, path, *numbers, points, steps in rows:
@@ -248,7 +263,9 @@ def main(argv=None) -> int:
         summed(item, [r for r in rows if r[0] == item])
     summed("total", rows)
     steps = [it for r in rows for it in r[8]]
-    print(f"\ncontinuation: {len(steps)} steps, {sum(steps)} qn_iters")
+    print(f"\ncontinuation: {len(steps)} steps, {sum(steps)} qn_iters\n")
+    for status, solves in sorted(statuses.items()):
+        print(f"{'solves ' + status:<18} {solves:>8}")
     return 0
 
 
