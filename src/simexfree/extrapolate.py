@@ -164,15 +164,15 @@ class EstimateConfig:
     Every solve takes one step rule (see :func:`~simexfree.optimize.minimize`).
     The families whose kernels state curvature take a damped Newton step
     from their Hessian wherever it is positive definite, and a quasi-Newton
-    step elsewhere: every family but walsh, with quantile and lare only
-    where their smoothing variance is positive, so not at lambda = 0 (see
-    ``targets.hessian``).  Generic takes Gauss-Newton steps, from the
-    curvature 2 J'WJ / N of its weighted sum of squares.  Walsh takes
-    quasi-Newton steps only.  A solve whose next Newton step would gain
-    less than the rounding of its objective takes that step unevaluated
-    and ends with status "decrement", which counts as converged, so the
-    grid, the continuation and classical SIMEX take its minimizer as any
-    other.
+    step elsewhere: every family but generic, with quantile, lare and
+    walsh only where their smoothing variance is positive, so not at
+    lambda = 0 (see ``targets.hessian``), where by default the simplex
+    solves them (see :func:`point_options`).  Generic takes Gauss-Newton
+    steps, from the curvature 2 J'WJ / N of its weighted sum of squares.
+    A solve whose next Newton step would gain less than the rounding of
+    its objective takes that step unevaluated and ends with status
+    "decrement", which counts as converged, so the grid, the continuation
+    and classical SIMEX take its minimizer as any other.
 
     ``grid`` defaults to :data:`DEFAULT_GRID`, one instance that every
     config shares.  It must be a :class:`LambdaGrid`, ``options`` a

@@ -465,9 +465,10 @@ def _abs_smooth(x: np.ndarray, v: float, slopes: bool = True):
 # call.  The losses of linear, exponential, sine, poisson, lpre and
 # expectile at tau = 1/2 broadcast over the stack; the others branch on s or
 # sum O(n^2) pairs, and run once per set (:func:`_by_set`).  Every family but
-# walsh and generic states second slopes: walsh's eta-Hessian is a dense sum
-# over pairs.  Quantile and lare state them only where s > 0, as their losses
-# have no curvature at s = 0.  Generic runs user code on one set at a time;
+# generic states second slopes; walsh's eta-Hessian is a dense matrix over
+# its pairs, which its loss states as a product with z (see :func:`_hessian`).
+# Quantile, lare and walsh state them only where s > 0, as their losses have
+# no curvature at s = 0.  Generic runs user code on one set at a time;
 # its gradient and its Gauss-Newton curvature both come from one Jacobian of
 # the mean function (:func:`_gauss_newton`).
 
@@ -546,7 +547,8 @@ def _kernel(ctx: TargetContext, theta: np.ndarray, loss, per_set: bool = False):
     from the one residual y - e^eta (see :func:`_exponential_loss`).
 
     A loss may return a third callable, ``second(mixed)``, that returns
-    the per-row d2l/deta2 and, when ``mixed`` (lam != 0), the per-row
+    the per-row d2l/deta2 (walsh: the product of its dense eta-curvature
+    with z, see :func:`_hessian`) and, when ``mixed`` (lam != 0), the per-row
     d2l/deta ds and the mean d2l/ds2 and dl/ds, one per set; at lam = 0
     only the first enters H, and the others may be None.  A ``per_set``
     loss returns it only where its loss has curvature: not at a nonsmooth
@@ -615,21 +617,31 @@ def _hessian(ctx: TargetContext, eta, su_b, second):
     row has the bits of its own call, with no per-entry lists or ``tolist``
     round trips.  With one parameter (one covariate, no intercept: every
     light family at p = 1, and every stack of classical SIMEX there) H is
-    the one reduction mean(d2l/deta2 z^2) plus the lam terms.
+    the one reduction mean(d2l/deta2 z^2) plus the lam terms.  Walsh's
+    eta-curvature is a dense (n, n) matrix M, not a diagonal: its loss
+    returns the (n, p) product M z in place of d2l/deta2, and the first
+    term is z' M z / n.
     """
     plan, lam, z = ctx.plan, ctx.lam, ctx.z
     n, off = plan.n, plan.off
     d2, dx, dss, ds = second(lam != 0.0)
     p = z.shape[-1]
     q = off + p
-    # Row j of n x' diag(d2l/deta2) x from column j on, as the arrays of
-    # the matrix-vector products, .T taken: entry k of one set's is then a
-    # numpy scalar, and of a stack's the (B,) column, so each entry below is
-    # a sum of scalars for one set and an elementwise sum for a stack, with
-    # the same bits and no per-entry lists.  With an intercept, x's column
-    # 0 is ones: row 0 is the sum of d2l/deta2, then x_0' diag(d2l/deta2) z.
-    rows = [_design_product(d2, z, 1).T] if off else []
-    rows += [_vecmat(d2 * z[..., j], z).T for j in range(p)]
+    if d2.ndim == z.ndim:
+        # a pair loss's dense eta-curvature M, as its (n, p) product M z:
+        # walsh, which has no intercept and runs set by set, so the rows
+        # are those of the one (p, p) product z' (M z)
+        rows = z.T @ d2
+    else:
+        # Row j of n x' diag(d2l/deta2) x from column j on, as the arrays
+        # of the matrix-vector products, .T taken: entry k of one set's is
+        # then a numpy scalar, and of a stack's the (B,) column, so each
+        # entry below is a sum of scalars for one set and an elementwise
+        # sum for a stack, with the same bits and no per-entry lists.  With
+        # an intercept, x's column 0 is ones: row 0 is the sum of
+        # d2l/deta2, then x_0' diag(d2l/deta2) z.
+        rows = [_design_product(d2, z, 1).T] if off else []
+        rows += [_vecmat(d2 * z[..., j], z).T for j in range(p)]
     if lam != 0.0:
         a = (_design_product(dx, z, off) / n).T
         u = np.zeros(eta.shape[:-1] + (q,))
@@ -1041,7 +1053,11 @@ def _walsh_pairs(xi: np.ndarray, s: float, block: int | None = None):
     r (2 sum u Phi + 2 sum e / sqrt(2 pi)) - (n - 1) sum(xi).  A pair's
     xi-derivative is 2 Phi(u) - 1, so the gradient is twice the row and
     column sums of Phi less n - 1, and the s-derivative is
-    2 sum e / (r sqrt(2 pi)).
+    2 sum e / (r sqrt(2 pi)).  The curvature is not formed here, as a
+    solve asks for it only at an accepted point: :func:`_walsh_weights`
+    forms the pair weights 2 phi(xi_i + xi_j; 0, 2 s) = 2 e / (r sqrt(2 pi))
+    again when it does, which are each pair's second xi-derivative and
+    its s-derivative, by the heat equation.
     """
     n = xi.size
     if s == 0.0:
@@ -1066,13 +1082,50 @@ def _walsh_pairs(xi: np.ndarray, s: float, block: int | None = None):
     return total, dxi, 2.0 * _INV_SQRT_2PI * e_sum / r
 
 
+def _walsh_weights(xi: np.ndarray, s: float, cols: np.ndarray, block: int | None = None):
+    """W @ cols for the (n, k) ``cols``, with W the pair weights
+    w_ij = 2 phi(xi_i + xi_j; 0, 2 s) for i != j and a zero diagonal, at
+    s > 0: the second xi-derivative of each pair's E|xi_i + xi_j + U|,
+    U ~ N(0, 2 s), and its s-derivative too.
+
+    The pairs are formed in row blocks of ``STACK_CHUNK_VALUES // n`` rows
+    unless ``block`` says otherwise.  Block i0:i1 forms e = exp(-u^2 / 2),
+    u = (xi_i + xi_j) / sqrt(2 s), in place, for its rows against every
+    row from i0 on: at most ``STACK_CHUNK_VALUES`` values, of which it
+    zeroes its own diagonal.  Its product with cols[i0:] adds to its own
+    rows, and the product of its part right of the block, transposed, with
+    the block's cols adds to the later rows.  Each pair is formed once,
+    or twice inside a block, whose square then needs no triangle indexing:
+    one exp per value and no normal cdf.
+    """
+    n = xi.size
+    if block is None:
+        block = max(1, STACK_CHUNK_VALUES // n)
+    r = math.sqrt(2.0 * s)
+    v = xi / r
+    out = np.zeros(cols.shape)
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        e = v[i0:i1, None] + v[None, i0:]
+        e *= e
+        e *= -0.5
+        np.exp(e, out=e)
+        e.ravel()[::n - i0 + 1] = 0.0  # the block's diagonal, i = j (e is C-ordered)
+        out[i0:i1] += e @ cols[i0:]
+        out[i1:] += e[:, i1 - i0:].T @ cols[i0:i1]
+    out *= 2.0 * _INV_SQRT_2PI / r
+    return out
+
+
 @_entry
 def target_walsh(ctx: TargetContext, theta):
     """Smoothed Walsh-average (pairwise absolute sum) regression criterion.
 
     Exact pair evaluation: O(n log n) by signed ranks at s = 0, O(n^2)
     otherwise; refuses beyond n = 5000, at lam = 0 too.  The gradient is a
-    subgradient at s = 0.
+    subgradient at s = 0, where there is no Hessian.  At s > 0 the Hessian
+    takes one more pass over the pairs, with one exp and no normal cdf per
+    pair (see :func:`_walsh_weights`).
     """
     if ctx.dataset.n > WALSH_PAIR_CAP:
         raise CapacityError(
@@ -1091,13 +1144,50 @@ def _walsh_loss(ctx: TargetContext, eta: np.ndarray, s: float):
     # and at s = 0 the value is formed from the subgradient
     total, dxi, ds = _walsh_pairs(xi, s)
     scale = 2.0 * n * (n + 1.0)
+    value = (2.0 * float(np.sum(diag)) + total) / scale
 
     def slopes():
         # times n, as the gradient's z' dl/deta is divided by n
         deta = -(dxi + 2.0 * dx_diag) * (n / scale)
-        return deta, (ds + 2.0 * float(np.sum(dv_diag))) / scale
+        return deta, (ds + 2.0 * phi_sum()) / scale if s else 0.0
 
-    return (2.0 * float(np.sum(diag)) + total) / scale, slopes
+    if s == 0.0:
+        # lam = 0 or a floored s: a kink, without curvature or an s-slope
+        return value, slopes
+    # the sum of the diagonal's phi(xi_i; 0, s), which the gradient and H read
+    phi_sum = _once(lambda: float(np.add.reduce(dv_diag)))
+
+    def second(mixed):
+        # s > 0, so lam != 0 and the mixed slopes enter H.  By the heat
+        # equation each term's s-slope is its xi-curvature at half weight:
+        # the diagonal's 2 E|xi_i + U|, U ~ N(0, s), has xi-curvature
+        # 4 phi_i and s-slope 2 phi_i, phi_i = phi(xi_i; 0, s) = dv_diag,
+        # and a pair's s-slope is its weight w_ij, whose xi-slope is
+        # -(xi_i + xi_j) w_ij / (2 s) and s-slope w_ij (u_ij^2 - 1) / (2 s).
+        # Every pair sum is read from W applied to (1, xi, z):
+        # sum_j (xi_i + xi_j) w_ij = xi_i (W 1)_i + (W xi)_i and
+        # sum_{i<j} w_ij (xi_i + xi_j)^2 = xi^2' W 1 + xi' W xi.  Where
+        # xi_j is near -xi_i these cancel, and lose some |xi| / sqrt(s)
+        # units in the last place of the pair terms.
+        z = ctx.z
+        w = _walsh_weights(xi, s, np.column_stack((np.ones(n), xi, z)))
+        w1, wxi = w[:, 0], w[:, 1]
+        # M's diagonal, and M z and d2l/deta ds, times n as H divides them by n
+        d = 4.0 * dv_diag
+        d += w1
+        mz = d[:, None] * z
+        mz += w[:, 2:]
+        mz *= n / scale
+        # sum_j (xi_i + xi_j) w_ij / (2 s) + 2 xi_i phi_i / s
+        dx = xi * d
+        dx += wxi
+        dx *= n / (2.0 * s * scale)
+        xi2 = xi * xi
+        pairs = float(xi2 @ w1 + xi @ wxi) / (2.0 * s) - 0.5 * float(np.add.reduce(w1))
+        dss = pairs / (2.0 * s) + (float(xi2 @ dv_diag) / s - phi_sum()) / s
+        return mz, dx, dss / scale, (ds + 2.0 * phi_sum()) / scale
+
+    return value, slopes, second
 
 
 @_entry
@@ -1504,15 +1594,15 @@ def hessian(ctx: TargetContext, theta) -> np.ndarray:
     a stack, each row with the bits of its own scalar call; symmetric bit
     for bit.
 
-    Every family but walsh and generic states second slopes where its loss
-    has curvature: linear, exponential, sine, poisson, lpre, logistic and
-    expectile at every admissible lambda, quantile and lare where the
-    smoothing variance s is above ``S_FLOOR``.  Generic returns its
+    Every family but generic states second slopes where its loss has
+    curvature: linear, exponential, sine, poisson, lpre, logistic and
+    expectile at every admissible lambda, quantile, lare and walsh where
+    the smoothing variance s is above ``S_FLOOR``.  Generic returns its
     Gauss-Newton curvature 2 J'WJ / N at every lambda, which is its exact
     Hessian where the mean function is linear in theta.  A point without
-    curvature raises ConfigError: walsh everywhere, quantile and lare at
-    s = 0, and the set-by-set families (logistic, lare, quantile and
-    expectile at tau != 1/2) where lam != 0 but s was floored to zero.  A
+    curvature raises ConfigError: quantile, lare and walsh at s = 0, and
+    the set-by-set families (logistic, lare, quantile, walsh and expectile
+    at tau != 1/2) where lam != 0 but s was floored to zero.  A
     stack of such families has a NaN row for each set without curvature,
     and raises ConfigError when no set has any.
     """

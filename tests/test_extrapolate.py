@@ -304,8 +304,7 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
 
     monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], kernel=logged))
     monkeypatch.setattr(extrapolate, "minimize", spying)
-    # linear, exponential and lare (where s > 0) state second slopes; walsh does not
-    curved = family != "walsh"
+    # linear, exponential, lare and walsh state second slopes where s > 0, as here
     exits = []  # the lambdas whose solve ended on its Newton decrement
     for lam in (0.5, 1.0) + ((-1.0,) if model.pluggable else ()):
         events.clear()
@@ -329,13 +328,12 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
                 assert events[i + 1] == ("own grad of", entry)
             elif kind == "hessian at":
                 assert np.array_equal(trials[entry], arg)
-                if curved:
-                    assert events[i + 1] == ("own hessian of", entry)
+                assert events[i + 1] == ("own hessian of", entry)
         if res.status == "decrement":
             # the last step was taken unseen: its end point was never a
             # trial, so it has no gradient, and the last gradient is that
             # of the last trial, the point the result's value is from
-            assert curved and not any(np.array_equal(t, res.theta_hat) for t in trials)
+            assert not any(np.array_equal(t, res.theta_hat) for t in trials)
             last = [e[1] for e in events if e[0] == "gradient at"][-1]
             assert np.array_equal(last, trials[-1])
             assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters
@@ -344,7 +342,7 @@ def test_minimize_target_runs_the_kernel_once_per_trial_point(monkeypatch, famil
             assert kinds.count("gradient at") == kinds.count("own grad of") == res.iters + 1
         # the Hessian is asked for once per step, before it
         assert kinds.count("hessian at") == res.iters
-        assert kinds.count("own hessian of") == (res.iters if curved else 0)
+        assert kinds.count("own hessian of") == res.iters
     # at this seed the exponential solve at lambda = 1 ends on its decrement
     assert exits == ([1.0] if family == "exponential" else [])
 

@@ -184,14 +184,17 @@ _NEWTON_CASES = [("linear", None, None), ("linear", None, False), ("exponential"
                  ("sine", None, None), ("poisson", None, None), ("lpre", None, None),
                  ("expectile", 0.5, None), ("expectile", 0.3, None), ("logistic", None, None),
                  ("logistic", None, False), ("quantile", 0.5, None), ("quantile", 0.3, None),
-                 ("lare", None, None)]
+                 ("lare", None, None), ("walsh", None, None)]
+
+# the families whose losses have a kink at s = 0, so no curvature at lambda = 0
+_KINKED = ("quantile", "lare", "walsh")
 
 
 def _curved_lams(model):
     """The noise levels of a Newton case where its loss has curvature: the
-    grid-only families skip lambda = -1, and quantile and lare, whose losses
-    have a kink at s = 0, skip lambda = 0 too."""
-    lams = (0.5, 2.0) if model.family in ("quantile", "lare") else (0.0, 0.5, 2.0)
+    grid-only families skip lambda = -1, and quantile, lare and walsh,
+    whose losses have a kink at s = 0, skip lambda = 0 too."""
+    lams = (0.5, 2.0) if model.family in _KINKED else (0.0, 0.5, 2.0)
     return lams + ((-1.0,) if model.pluggable else ())
 
 
@@ -210,8 +213,8 @@ def test_newton_cases_are_the_families_with_second_slopes():
                     targets.hessian(ctx, th)
     # generic's Gauss-Newton curvature is tested in test_targets
     assert curved == {(name, tau) for name, tau, _ in _NEWTON_CASES} | {("generic", None)}
-    # quantile and lare have a kink at s = 0, so none at lambda = 0
-    for name, tau in (("quantile", 0.5), ("quantile", 0.3), ("lare", None)):
+    # quantile, lare and walsh have a kink at s = 0, so none at lambda = 0
+    for name, tau in (("quantile", 0.5), ("quantile", 0.3), ("lare", None), ("walsh", None)):
         model = _model(name, tau=tau)
         ctx = TargetContext(dataset=_dataset(name), model=model, lam=0.0)
         with pytest.raises(ConfigError, match="no analytic second slopes"):

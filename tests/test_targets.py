@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -52,6 +53,7 @@ from simexfree.targets import (
     STACK_CHUNK_VALUES,
     _softplus,
     _walsh_pairs,
+    _walsh_weights,
 )
 
 
@@ -597,6 +599,17 @@ def _pairs_by_double_loop(xi, s):
     return total, dxi, ds
 
 
+def _weights_by_double_loop(xi, s, cols):
+    """W @ cols for the pair weights w_ij = 2 phi(xi_i + xi_j; 0, 2 s),
+    i != j, pair by pair."""
+    out = np.zeros(cols.shape)
+    for i in range(xi.size):
+        w = 2.0 * normal_pdf(xi[i] + xi[i + 1 :], 0.0, 2.0 * s)  # every j > i
+        out[i] += w @ cols[i + 1 :]
+        out[i + 1 :] += w[:, None] * cols[i]
+    return out
+
+
 def _pairs_full_minus_diagonal(xi, s):
     """The former formula: the full ordered double sum less its diagonal, halved."""
     full = _pair_terms(xi[:, None] + xi[None, :], s)
@@ -638,12 +651,13 @@ def test_trig_of_nonfinite_angles_is_nan():
         assert np.array_equal(np.isnan(part), [[True] * 3, [False, True, False]])
 
 
-@pytest.mark.parametrize(
-    "n,block",
-    [(1, 8), (8, 8), (9, 8), (21, 8), (1, 256), (256, 256), (257, 256), (549, 256),
-     # the default, STACK_CHUNK_VALUES // n rows per block
-     (500, None), (1200, None)],
-)
+# (n, rows per block) of the walsh pair passes, the last two the default,
+# STACK_CHUNK_VALUES // n rows per block
+_PAIR_BLOCKS = [(1, 8), (8, 8), (9, 8), (21, 8), (1, 256), (256, 256), (257, 256), (549, 256),
+                (500, None), (1200, None)]
+
+
+@pytest.mark.parametrize("n,block", _PAIR_BLOCKS)
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_walsh_upper_pairs_match_double_loop(n, block, s):
     xi = np.random.default_rng(n).standard_normal(n)
@@ -653,6 +667,16 @@ def test_walsh_upper_pairs_match_double_loop(n, block, s):
     assert got == pytest.approx(_pairs_full_minus_diagonal(xi, s), rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(got_dxi, dxi, rtol=1e-12, atol=1e-12 * n)
     assert got_ds == pytest.approx(ds, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("n,block", _PAIR_BLOCKS)
+def test_walsh_pair_weights_match_double_loop(n, block):
+    rng = np.random.default_rng(n)
+    xi = rng.standard_normal(n)
+    cols = np.column_stack((np.ones(n), xi, rng.standard_normal((n, 2))))
+    want = _weights_by_double_loop(xi, 0.3, cols)
+    got = _walsh_weights(xi, 0.3, cols, block=block)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * n)
 
 
 @pytest.mark.parametrize("n", [1, 200, 500, 1200])
@@ -668,6 +692,104 @@ def test_walsh_blocks_keep_their_temporaries_within_a_stack_chunk(monkeypatch, n
     _walsh_pairs(np.zeros(n), 0.3)
     assert blocks == [max(1, STACK_CHUNK_VALUES // n)]
     assert min(blocks[0], n) * n <= STACK_CHUNK_VALUES
+    # the Hessian's pair pass holds one block rectangle of at most a stack
+    # chunk, numpy's transient copy of it while adding, and O(n) vectors
+    cols = np.ones((n, 3))
+    _walsh_weights(np.zeros(n), 0.3, cols)  # untraced: lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _walsh_weights(np.zeros(n), 0.3, cols)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * STACK_CHUNK_VALUES + 16 * n)
+
+
+def test_a_walsh_call_holds_no_pair_matrix_after_its_hessian():
+    # n^2 = 4e6 pair values; a kernel call, its gradient and its Hessian,
+    # all still referenced, hold O(n) values once they return
+    n = 2000
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal(n)
+    ds = Dataset(y=x + rng.standard_normal(n), z=x + 0.5 * rng.standard_normal(n), sigma_u=0.25)
+    ctx, th = _ctx(ds, "walsh", 0.5), np.array([0.8])
+    target_walsh(ctx, th)[1].hessian()  # untraced: lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value, grad = target_walsh(ctx, th)
+        slope, curvature = grad(), grad.hessian()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert callable(grad.hessian) and curvature.shape == (1, 1) and slope.shape == (1,)
+    assert held <= 8 * (2 * STACK_CHUNK_VALUES + 8 * n)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [60, 300])
+def test_walsh_hessian_matches_central_differences_of_the_gradient(p, n):
+    # n = 60 is one block; n = 300 is six blocks of 54 rows, the last of 30
+    assert n == 60 or n % (STACK_CHUNK_VALUES // n) == 30
+    rng = np.random.default_rng(45 + p)
+    sigma = 0.2 * np.eye(p) + 0.05  # correlated errors
+    x = rng.standard_normal((n, p))
+    z = x + rng.standard_normal((n, p)) @ np.linalg.cholesky(sigma).T
+    y = x @ np.linspace(0.8, -0.4, p) + rng.standard_normal(n)
+    ds = Dataset(y=y, z=z, sigma_u=sigma)
+    th = np.linspace(0.7, -0.5, p)
+    for lam in (0.05, 0.5, 2.0):
+        ctx = _ctx(ds, "walsh", lam)
+        h = targets.hessian(ctx, th)
+        assert h.shape == (p, p) and np.array_equal(h, h.T)
+        fd = np.array([
+            finite_difference_gradient(lambda t: target_gradient(ctx, t)[i], th) for i in range(p)
+        ])
+        np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-8 * np.abs(h).max(),
+                                   err_msg=f"lam={lam}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(xi=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=40),
+       s=st.floats(0.01, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_walsh_s_slopes_are_the_s_differences_of_its_slopes(xi, s, seed):
+    # each central difference in s, with step h, is checked to a millionth,
+    # less a rounding term of 1e-13 times the size of what it differences,
+    # over h
+    xi = np.array(xi)
+    n, h = xi.size, 1e-6 * s
+
+    def near(diff, want, size):
+        return abs(diff - want) <= 1e-6 * np.abs(want) + 1e-13 * (1.0 + size) / h
+
+    # the pair sum: ds is the central difference in s of its total, and the
+    # sum over the pairs of 2 phi(xi_i + xi_j; 0, 2 s)
+    total, dxi, ds = _walsh_pairs(xi, s)
+    (up, dxi_up, _), (down, dxi_down, _) = _walsh_pairs(xi, s + h), _walsh_pairs(xi, s - h)
+    pairs = (xi[:, None] + xi[None, :])[np.triu_indices(n, 1)]
+    assert ds == pytest.approx(float(np.sum(2.0 * normal_pdf(pairs, 0.0, 2.0 * s))), rel=1e-12)
+    assert near((up - down) / (2.0 * h), ds, total)
+    # its mixed slope, the s-derivative of its xi-gradient
+    w = _walsh_weights(xi, s, np.column_stack((np.ones(n), xi)))
+    mixed = -(xi * w[:, 0] + w[:, 1]) / (2.0 * s)
+    assert np.all(near((dxi_up - dxi_down) / (2.0 * h), mixed, n))
+    # the loss: its s-slope, mixed slope and second s-slope are the central
+    # differences in s of its value, its eta-slope and its s-slope
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    ctx = _ctx(Dataset(y=xi, z=z, sigma_u=0.25 * np.eye(2)), "walsh", 1.0)
+    eta = np.zeros(n)
+    value, slopes, second = targets._walsh_loss(ctx, eta, s)
+    (v_up, slopes_up), (v_down, slopes_down) = (targets._walsh_loss(ctx, eta, s + h)[:2],
+                                               targets._walsh_loss(ctx, eta, s - h)[:2])
+    (deta_up, ds_up), (deta_down, ds_down) = slopes_up(), slopes_down()
+    deta, ds_loss = slopes()
+    _, dx, dss, ds_second = second(True)
+    assert ds_second == ds_loss
+    assert near((v_up - v_down) / (2.0 * h), ds_loss, value)
+    # the eta-slopes and dx are per row times n, as the kernel divides by n
+    assert np.all(near((deta_up - deta_down) / (2.0 * h), dx, np.abs(deta).max()))
+    assert near((ds_up - ds_down) / (2.0 * h), dss, ds_loss)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1210,10 +1332,10 @@ def test_stacked_hessian_rows_equal_their_own(family, kw, p):
 
 
 # the cases whose losses run set by set and state second slopes where they
-# have curvature: logistic and expectile at every lambda, quantile and lare
-# where s > 0
+# have curvature: logistic and expectile at every lambda, quantile, lare and
+# walsh where s > 0
 BY_SET_CURVED = [("logistic", {}), ("logistic", {"intercept": False}), ("lare", {}),
-                 ("quantile", {"tau": 0.3}), ("expectile", {"tau": 0.3})]
+                 ("quantile", {"tau": 0.3}), ("expectile", {"tau": 0.3}), ("walsh", {})]
 
 
 @pytest.mark.parametrize("family,kw", BY_SET_CURVED)

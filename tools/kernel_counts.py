@@ -206,10 +206,35 @@ def count_fits(seed: int) -> tuple[list[tuple[str, str, str, int, int, int, int,
     return rows, counts["status"]
 
 
-def per_point(points: list[int]) -> str:
+def item_totals(rows) -> dict[str, dict]:
+    """The totals of ``rows`` of :func:`count_fits` per item, and as
+    "total" over every fit: the fits, their kernel values, mean-function
+    calls, curvature values and quasi-Newton iterations, and the mean
+    iterations per grid point at lambda > 0 over the grid-path fits and
+    per continuation step over the direct-path fits (None where there are
+    none)."""
+    def summed(mine):
+        points = [it for r in mine for it in r[7]]
+        steps = [it for r in mine if r[2] == "direct" for it in r[8]]
+        totals = {key: sum(r[c] for r in mine)
+                  for c, key in enumerate(("kernel", "mean_fn", "curv", "qn_iters"), 3)}
+        return {"fits": len(mine), **totals, "it_per_point": mean(points),
+                "it_per_step": mean(steps)}
+
+    items = {item: summed([r for r in rows if r[0] == item])
+             for item in dict.fromkeys(r[0] for r in rows)}
+    return {**items, "total": summed(rows)}
+
+
+def mean(points: list[int]) -> float | None:
     """The mean of ``points``, the iterations of grid points or of
-    continuation steps, or "-"."""
-    return f"{sum(points) / len(points):.2f}" if points else "-"
+    continuation steps, or None where there are none."""
+    return sum(points) / len(points) if points else None
+
+
+def shown(value: float | None) -> str:
+    """A mean as printed: two decimals, or "-" where there is none."""
+    return "-" if value is None else f"{value:.2f}"
 
 
 def count_classical(seed: int) -> dict[str, int]:
@@ -249,19 +274,12 @@ def main(argv=None) -> int:
     line = "{:<22} {:<13} {:>8} {:>8} {:>6} {:>9} {:>6} {:>8}"
     print(line.format("fit", "path", "kernel", "mean_fn", "curv", "qn_iters", "it/pt", "it/step"))
     for _, fit, path, *numbers, points, steps in rows:
-        print(line.format(fit, path, *numbers, per_point(points),
-                          per_point(steps if path == "direct" else [])))
+        print(line.format(fit, path, *numbers, shown(mean(points)),
+                          shown(mean(steps if path == "direct" else []))))
     print()
-
-    def summed(label, mine):
-        totals = (sum(r[c] for r in mine) for c in (3, 4, 5, 6))
-        points = [it for r in mine for it in r[7]]
-        steps = [it for r in mine if r[2] == "direct" for it in r[8]]
-        print(line.format(label, f"{len(mine)} fits", *totals, per_point(points), per_point(steps)))
-
-    for item in dict.fromkeys(r[0] for r in rows):
-        summed(item, [r for r in rows if r[0] == item])
-    summed("total", rows)
+    for label, t in item_totals(rows).items():
+        print(line.format(label, f"{t['fits']} fits", t["kernel"], t["mean_fn"], t["curv"],
+                          t["qn_iters"], shown(t["it_per_point"]), shown(t["it_per_step"])))
     steps = [it for r in rows for it in r[8]]
     print(f"\ncontinuation: {len(steps)} steps, {sum(steps)} qn_iters\n")
     for status, solves in sorted(statuses.items()):

@@ -10,8 +10,9 @@ Three calls are timed per cell, each as a solver makes it:
 
     value      the family's kernel, ``FAMILIES[F].kernel(ctx, theta)``
     +grad      the kernel and its gradient callable
-    +hess      the kernel, its gradient and ``grad.hessian`` (families
-               that state their curvature at that lambda)
+    +hess      the kernel, its gradient and ``grad.hessian``, on each side
+               whose family states its curvature at that lambda ("-" on a
+               side that does not, with no ratio)
 
 A solver calls what ``targets.solver_kernel`` gives (the kernel's body,
 without the public entry point's check of theta and error state), inside
@@ -180,28 +181,34 @@ def main(argv: list[str]) -> int:
                 continue
             starts = [side.start(ctx) for side, ctx in zip(sides, contexts)] if args.solve else None
             for kind in ("solve",) if args.solve else ("value", "+grad", "+hess"):
-                if kind == "+hess" and not all(
-                        side.curved(ctx, theta) for side, ctx in zip(sides, contexts)):
+                # "+hess" on each side whose kernel states its curvature there
+                timed = [kind != "+hess" or side.curved(ctx, theta)
+                         for side, ctx in zip(sides, contexts)]
+                if not any(timed):
                     continue
                 fns = [call(kind, side, ctx, starts[i] if starts else theta)
                        for i, (side, ctx) in enumerate(zip(sides, contexts))]
-                for side, fn in zip(sides, fns):
-                    per_call(side, fn, 1)  # lazy set-up and caches, untimed
-                loops = max(1, round(UNIT_SECONDS / per_call(sides[0], fns[0], 3)))
+                js = [j for j in (0, 1) if timed[j]]
+                for j in js:
+                    per_call(sides[j], fns[j], 1)  # lazy set-up and caches, untimed
+                loops = max(1, round(UNIT_SECONDS / per_call(sides[js[0]], fns[js[0]], 3)))
                 times = ([], [])
                 for i in range(args.pairs):
-                    for j in ((0, 1) if i % 2 == 0 else (1, 0)):
+                    for j in js if i % 2 == 0 else js[::-1]:
                         times[j].append(per_call(sides[j], fns[j], loops))
                 a, b = times
-                ratio = statistics.median(ta / tb for ta, tb in zip(a, b))
-                wins = sum(tb < ta for ta, tb in zip(a, b))
+                medians = [f"{1e6 * statistics.median(t):>10.1f}" if t else f"{'-':>10}"
+                           for t in times]
+                ratio, wins = f"{'-':>7}", f"{'-':>7}"
+                if a and b:
+                    ratio = f"{statistics.median(ta / tb for ta, tb in zip(a, b)):>7.3f}"
+                    wins = f"{sum(tb < ta for ta, tb in zip(a, b)):>4}/{args.pairs}"
                 iters = ""
                 if kind == "solve":
                     with np.errstate(over="ignore", invalid="ignore"):
                         iters = "  iters {} / {}".format(*(fn().iters for fn in fns))
-                print(f"{n:>6} {lam:>6g} {kind:>6} {1e6 * statistics.median(a):>10.1f} "
-                      f"{1e6 * statistics.median(b):>10.1f} {ratio:>7.3f} "
-                      f"{wins:>4}/{args.pairs}{iters}")
+                print(f"{n:>6} {lam:>6g} {kind:>6} {medians[0]} {medians[1]} {ratio} "
+                      f"{wins}{iters}")
     return 0
 
 
